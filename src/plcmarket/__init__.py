@@ -30,7 +30,6 @@ from .model import (
     classify_market,
     economy_graph,
     is_strongly_connected,
-    make_market,
     normalize_prices,
     prices,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "in_opt",
     "is_strongly_connected",
     "linear_plc",
-    "make_market",
     "mixed",
     "normalize_prices",
     "optimal_demand",

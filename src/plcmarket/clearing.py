@@ -19,8 +19,8 @@ always reach the window floor).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .demand import Bundle, DemandSet, canonical_bundle, in_opt, optimal_demand
-from .errors import InternalInvariantViolation, InvalidMarket, UnboundedDemand
+from .demand import Bundle, DemandSet, budget, canonical_bundle, in_opt, optimal_demand
+from .errors import InternalInvariantViolation, InvalidMarket, ShapeMismatch, UnboundedDemand
 from .flow import Arc, feasible_circulation
 from .model import Market, PriceVector, normalize_prices
 
@@ -53,7 +53,7 @@ class Certificate:
         return self.verdict == "accept"
 
 
-def _windows(m: Market, p: PriceVector, mode: str, eps: Fraction):
+def clearing_windows(m: Market, p: PriceVector, mode: str, eps: Fraction):
     """Per-good [lo, hi] on total allocation.
 
     Approximate mode uses the two-sided eps window around supply (a zero
@@ -77,8 +77,9 @@ def _solve(
     demands: list[DemandSet | None],
     waived: set[int],
     windows,
-) -> list[list[Fraction]] | None:
-    """Feasibility core; returns per-trader quantity vectors or None."""
+) -> tuple[Bundle, ...] | None:
+    """Feasibility core shared by verify and clearing_feasibility: an optimal
+    allocation within the windows as witness bundles, or None."""
     n = m.n_goods
     minq = []
     for i, d in enumerate(demands):
@@ -133,10 +134,10 @@ def _solve(
             short = windows[k][0] - sum(row[k] for row in alloc)
             if short > 0:
                 alloc[0][k] += short  # free top-up, utility-neutral beyond satiation
-    return alloc
+    return tuple(Bundle(tuple(row)) for row in alloc)
 
 
-def _report(m: Market, bundles, eps: Fraction) -> tuple[GoodBalance, ...]:
+def clearing_report(m: Market, bundles, eps: Fraction) -> tuple[GoodBalance, ...]:
     rows = []
     for k, s in enumerate(m.supplies()):
         a = sum((b.quantities[k] for b in bundles), Fraction(0))
@@ -151,26 +152,25 @@ def clearing_feasibility(
 
     Propagates UnboundedDemand; returns a witness allocation or None.
     """
-    eps = Fraction(eps)
     demands = [optimal_demand(t, p, i) for i, t in enumerate(m.traders)]
-    alloc = _solve(m, p, demands, set(), _windows(m, p, APPROXIMATE, eps))
-    if alloc is None:
-        return None
-    return tuple(Bundle(tuple(row)) for row in alloc)
+    return _solve(m, p, demands, set(), clearing_windows(m, p, APPROXIMATE, Fraction(eps)))
 
 
 def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
     """Full verdict with witness and per-good clearing report.
 
-    The input vector is normalized first.  Exact and quasi modes pin eps to 0;
-    quasi waives optimality for zero-income traders, who may then receive any
-    zero-cost bundle.
+    The input vector must have one entry per good (else ShapeMismatch) and is
+    normalized first.  Exact and quasi modes pin eps to 0; quasi waives
+    optimality for zero-income traders, who may then receive any zero-cost
+    bundle.
     """
     if mode not in MODES:
         raise InvalidMarket(f"unknown verification mode {mode!r}")
     eps = Fraction(eps) if mode == APPROXIMATE else Fraction(0)
     if eps < 0:
         raise InvalidMarket("epsilon must be nonnegative")
+    if len(p.prices) != m.n_goods:
+        raise ShapeMismatch(f"expected {m.n_goods} prices, got {len(p.prices)}")
     p = normalize_prices(p)
 
     demands: list[DemandSet | None] = []
@@ -179,8 +179,7 @@ def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
         try:
             d = optimal_demand(trader, p, i)
         except UnboundedDemand as exc:
-            income = sum((w * q for w, q in zip(trader.endowment, p.prices)), Fraction(0))
-            if mode == QUASI and income == 0:
+            if mode == QUASI and budget(trader, p) == 0:
                 waived.add(i)
                 demands.append(None)
                 continue
@@ -189,22 +188,22 @@ def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
             waived.add(i)  # the zero-cost arm subsumes their optimal bundles
         demands.append(d)
 
-    alloc = _solve(m, p, demands, waived, _windows(m, p, mode, eps))
-    if alloc is None:
+    windows = clearing_windows(m, p, mode, eps)
+    bundles = _solve(m, p, demands, waived, windows)
+    if bundles is None:
         canonical = tuple(
             canonical_bundle(d) if d is not None else Bundle((Fraction(0),) * m.n_goods)
             for d in demands
         )
         return Certificate(
-            "reject", "clearing-infeasible", mode, eps, None, _report(m, canonical, eps)
+            "reject", "clearing-infeasible", mode, eps, None, clearing_report(m, canonical, eps)
         )
 
-    bundles = tuple(Bundle(tuple(row)) for row in alloc)
-    _check_witness(m, p, bundles, waived, _windows(m, p, mode, eps))
-    return Certificate("accept", None, mode, eps, bundles, _report(m, bundles, eps))
+    check_witness(m, p, bundles, waived, windows)
+    return Certificate("accept", None, mode, eps, bundles, clearing_report(m, bundles, eps))
 
 
-def _check_witness(m, p, bundles, waived, windows):
+def check_witness(m, p, bundles, waived, windows):
     """Re-validate an accept witness from scratch; a failure here is a bug."""
     for i, (trader, b) in enumerate(zip(m.traders, bundles)):
         if i in waived:
@@ -228,4 +227,4 @@ def imbalance_profile(m: Market, p: PriceVector, eps=0) -> tuple[GoodBalance, ..
     bundles = tuple(
         canonical_bundle(optimal_demand(t, p, i)) for i, t in enumerate(m.traders)
     )
-    return _report(m, bundles, eps)
+    return clearing_report(m, bundles, eps)

@@ -1,12 +1,13 @@
 """Command-line toolkit.
 
 Exit codes: 0 accept/success, 1 reject/not-found, 2 input error, 3 internal
-invariant violation.  All artifacts are deterministic for a fixed seed; every
+invariant violation or any other crash.  All artifacts are deterministic; every
 price vector written to disk is normalized.
 """
 
 import functools
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,6 +35,10 @@ def _guard(fn):
         except (InputError, MarketError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
+        except Exception as exc:  # a crash must not exit 1, which means "reject"
+            traceback.print_exc()
+            click.echo(f"internal error: {exc!r}", err=True)
+            sys.exit(3)
 
     return wrapper
 
@@ -186,7 +191,8 @@ def solve_game(game_path, max_n, out, as_json):
 @click.option("--eps", default="0", show_default=True)
 @click.option("--grid-k", type=int, default=4, show_default=True, help="Subdivisions per coordinate.")
 @click.option("--rounds", type=int, default=2, show_default=True, help="Refinement rounds.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Accepted for scripting; the search is deterministic and ignores it.")
 @click.option("--box-lo", default="1", show_default=True)
 @click.option("--box-hi", default="2", show_default=True)
 @click.option("--max-grid-points", type=int, default=10**7, show_default=True)
@@ -200,12 +206,11 @@ def search_eq(market_path, eps, grid_k, rounds, seed, box_lo, box_hi, max_grid_p
         box=unit_box(market.n_goods, parse_rational(box_lo), parse_rational(box_hi)),
         grid_k=grid_k,
         refine_rounds=rounds,
-        seed=seed,
         epsilon=_resolve_eps(eps, n_goods=market.n_goods),
         max_grid_points=max_grid_points,
     )
     rep = search_equilibrium(market, cfg)
-    score = "inf" if rep.best_max_relative_imbalance is None else format_rational(rep.best_max_relative_imbalance)
+    score = serialize.score_str(rep.best_max_relative_imbalance)
     _emit(
         serialize.search_report_to_obj(rep),
         out,
@@ -244,6 +249,7 @@ def _validate_one(path: str) -> tuple[bool, str]:
 
 @main.command("validate")
 @click.argument("paths", nargs=-1, required=True, type=click.Path(exists=True))
+@_guard
 def validate_cmd(paths):
     """Validate artifact files; exit 0 iff all are valid."""
     all_ok = True
@@ -264,7 +270,8 @@ def validate_cmd(paths):
 @click.option("--nash-eps", default="n^-6", show_default=True, help="Well-supported Nash tolerance.")
 @click.option("--grid-k", type=int, default=1, show_default=True)
 @click.option("--rounds", type=int, default=2, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Recorded in summary.json; the search is deterministic and ignores it.")
 @click.option("--max-grid-points", type=int, default=10**7, show_default=True)
 @_guard
 def pipeline(game_path, outdir, eps, nash_eps, grid_k, rounds, seed, max_grid_points):
@@ -286,7 +293,6 @@ def pipeline(game_path, outdir, eps, nash_eps, grid_k, rounds, seed, max_grid_po
         box=unit_box(market.n_goods),
         grid_k=grid_k,
         refine_rounds=rounds,
-        seed=seed,
         epsilon=eps_val,
         max_grid_points=max_grid_points,
     )
@@ -300,10 +306,7 @@ def pipeline(game_path, outdir, eps, nash_eps, grid_k, rounds, seed, max_grid_po
         "nash_epsilon": format_rational(nash_eps_val),
         "seed": seed,
         "equilibrium_found": rep.accepted,
-        "best_max_relative_imbalance": (
-            "inf" if rep.best_max_relative_imbalance is None
-            else format_rational(rep.best_max_relative_imbalance)
-        ),
+        "best_max_relative_imbalance": serialize.score_str(rep.best_max_relative_imbalance),
         "extraction": None,
         "nash_check": {"status": "skipped-by-precision"},
         "support_enum": None,

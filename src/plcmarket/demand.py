@@ -59,15 +59,11 @@ def budget(trader: TraderSpec, p: PriceVector) -> Fraction:
     return sum((w * q for w, q in zip(trader.endowment, p.prices)), Fraction(0))
 
 
-def _offers(trader: TraderSpec, p: PriceVector, trader_idx: int | None) -> list[SegmentOffer]:
+def _offers(trader: TraderSpec, p: PriceVector) -> list[SegmentOffer]:
     offers = []
     for k, f in enumerate(trader.utilities):
-        if f.is_zero:
-            continue
-        if p.prices[k] == 0:
-            if f.is_strictly_monotone:
-                raise UnboundedDemand(trader_idx, k)
-            continue  # satiated free good, handled as a forced quantity
+        if f.is_zero or p.prices[k] == 0:
+            continue  # a wanted free good is forced or unbounded, see optimal_demand
         prev = Fraction(0)
         for i, theta in enumerate(f.slopes):
             if theta == 0:
@@ -100,12 +96,12 @@ def optimal_demand(
                     raise UnboundedDemand(trader_idx, k)
                 forced[k] = f.satiation_point
 
-    offers = _offers(trader, p, trader_idx)
+    offers = _offers(trader, p)
     by_rate: dict[Fraction, list[SegmentOffer]] = {}
     for o in offers:
         by_rate.setdefault(o.rate, []).append(o)
 
-    remaining = budget(trader, p)
+    money = remaining = budget(trader, p)
     cutoff_rate = Fraction(0)
     tie_offers: tuple[SegmentOffer, ...] = ()
     for rate in sorted(by_rate, reverse=True):
@@ -131,7 +127,7 @@ def optimal_demand(
         cutoff_rate=cutoff_rate,
         tie_offers=tie_offers,
         tie_spend=remaining,
-        budget=budget(trader, p),
+        budget=money,
         free_goods=tuple(free_goods),
         priced_goods=tuple(k for k in range(n) if p.prices[k] > 0),
     )

@@ -52,10 +52,6 @@ class Market:
         return tuple(totals)
 
 
-def make_market(n_goods: int, traders) -> Market:
-    return Market(n_goods, tuple(traders))
-
-
 @dataclass(frozen=True)
 class PriceVector:
     prices: tuple[Fraction, ...]

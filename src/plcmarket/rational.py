@@ -8,8 +8,6 @@ from fractions import Fraction
 
 from .errors import InputError
 
-Rat = Fraction
-
 
 def parse_rational(value) -> Fraction:
     """Parse an int, a "num/den" string, or an integer string into a Fraction.

@@ -26,6 +26,7 @@ from .errors import DegenerateExtraction, NTooSmall, ShapeMismatch
 from .games import BimatrixGame, MixedStrategy
 from .model import Market, PriceVector, TraderSpec
 from .plc import ZERO_PLC, PLCFunction, linear_plc, validate_plc
+from .regulating import regulating_block
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,9 @@ class GadgetVectors:
     F: Fraction
 
 
-def _split(diffs) -> GadgetVectors:
+def gadget_vectors_row(A, i: int, j: int) -> GadgetVectors:
+    """Positive/negative split of row difference A_i - A_j with balancing scalars."""
+    diffs = [A[i][k] - A[j][k] for k in range(len(A))]
     C = tuple(max(d, Fraction(0)) for d in diffs)
     D = tuple(max(-d, Fraction(0)) for d in diffs)
     sum_c, sum_d = sum(C), sum(D)
@@ -45,14 +48,9 @@ def _split(diffs) -> GadgetVectors:
     return GadgetVectors(C, D, Fraction(0), sum_c - sum_d)
 
 
-def gadget_vectors_row(A, i: int, j: int) -> GadgetVectors:
-    """Positive/negative split of row difference A_i - A_j with balancing scalars."""
-    return _split([A[i][k] - A[j][k] for k in range(len(A))])
-
-
 def gadget_vectors_col(B, i: int, j: int) -> GadgetVectors:
     """Positive/negative split of column difference B_i - B_j (columns of B)."""
-    return _split([B[k][i] - B[k][j] for k in range(len(B))])
+    return gadget_vectors_row(tuple(zip(*B)), i, j)
 
 
 @dataclass(frozen=True)
@@ -61,12 +59,12 @@ class ReducedMarketMeta:
     n_goods: int
     s_count: int
     u_pairs: tuple[tuple[int, int], ...]
-    v_pairs: tuple[tuple[int, int], ...]
     i_count: int
 
     @property
-    def aux_goods(self) -> tuple[int, int]:
-        return 2 * self.game_n, 2 * self.game_n + 1
+    def v_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The V gadget mirrors the U gadget pair for pair."""
+        return self.u_pairs
 
     def trader_slices(self) -> dict[str, tuple[int, int]]:
         s0 = 0
@@ -100,54 +98,28 @@ def build_reduced_market(game: BimatrixGame) -> tuple[Market, ReducedMarketMeta]
     inv_n4 = Fraction(1, n**4)
     inv_n5 = Fraction(1, n**5)
     inv_n12 = Fraction(1, n**12)
-    traders: list[TraderSpec] = []
-
-    for i in range(N):
-        for j in range(N):
-            if i == j:
-                continue
-            endow = [Fraction(0)] * N
-            endow[i] = Fraction(1, n)
-            utils = [ZERO_PLC] * N
-            utils[i] = linear_plc(2)
-            utils[j] = linear_plc(1)
-            traders.append(TraderSpec(tuple(endow), tuple(utils), f"S({i + 1},{j + 1})"))
+    traders = list(regulating_block(N, Fraction(1, n)))
     s_count = len(traders)
 
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for i, j in pairs:
-        gv = gadget_vectors_row(game.A, i, j)
-        endow = [Fraction(0)] * N
-        endow[i] = inv_n4
-        for k in range(n):
-            endow[n + k] = gv.C[k] * inv_n5
-        endow[aux1] = gv.E * inv_n5
-        utils = [ZERO_PLC] * N
-        utils[i] = _kinked(9, 1, inv_n4)
-        utils[aux2] = linear_plc(3)
-        for k in range(n):
-            if gv.D[k] > 0:
-                utils[n + k] = _kinked(27, 1, gv.D[k] * inv_n5)
-        if gv.F > 0:
-            utils[aux1] = _kinked(27, 1, gv.F * inv_n5)
-        traders.append(TraderSpec(tuple(endow), tuple(utils), f"U({i + 1},{j + 1})"))
-
-    for i, j in pairs:
-        gv = gadget_vectors_col(game.B, i, j)
-        endow = [Fraction(0)] * N
-        endow[n + i] = inv_n4
-        for k in range(n):
-            endow[k] = gv.C[k] * inv_n5
-        endow[aux1] = gv.E * inv_n5
-        utils = [ZERO_PLC] * N
-        utils[n + i] = _kinked(9, 1, inv_n4)
-        utils[aux2] = linear_plc(3)
-        for k in range(n):
-            if gv.D[k] > 0:
-                utils[k] = _kinked(27, 1, gv.D[k] * inv_n5)
-        if gv.F > 0:
-            utils[aux1] = _kinked(27, 1, gv.F * inv_n5)
-        traders.append(TraderSpec(tuple(endow), tuple(utils), f"V({i + 1},{j + 1})"))
+    B_cols = tuple(zip(*game.B))
+    for label, own, other, M in (("U", 0, n, game.A), ("V", n, 0, B_cols)):
+        for i, j in pairs:
+            gv = gadget_vectors_row(M, i, j)
+            endow = [Fraction(0)] * N
+            endow[own + i] = inv_n4
+            for k in range(n):
+                endow[other + k] = gv.C[k] * inv_n5
+            endow[aux1] = gv.E * inv_n5
+            utils = [ZERO_PLC] * N
+            utils[own + i] = _kinked(9, 1, inv_n4)
+            utils[aux2] = linear_plc(3)
+            for k in range(n):
+                if gv.D[k] > 0:
+                    utils[other + k] = _kinked(27, 1, gv.D[k] * inv_n5)
+            if gv.F > 0:
+                utils[aux1] = _kinked(27, 1, gv.F * inv_n5)
+            traders.append(TraderSpec(tuple(endow), tuple(utils), f"{label}({i + 1},{j + 1})"))
 
     for i in range(2 * n):
         endow = [Fraction(0)] * N
@@ -161,7 +133,6 @@ def build_reduced_market(game: BimatrixGame) -> tuple[Market, ReducedMarketMeta]
         n_goods=N,
         s_count=s_count,
         u_pairs=tuple(pairs),
-        v_pairs=tuple(pairs),
         i_count=2 * n,
     )
     return Market(N, tuple(traders)), meta

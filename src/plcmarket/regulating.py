@@ -9,32 +9,35 @@ lets prices encode free variables x_k = p_k - 1 in [0, 1].
 
 from fractions import Fraction
 
-from .clearing import APPROXIMATE, Certificate, GoodBalance
-from .demand import Bundle, in_opt
-from .errors import InternalInvariantViolation, NTooSmall, OutOfRegulationBox
+from .clearing import APPROXIMATE, Certificate, check_witness, clearing_report, clearing_windows
+from .demand import Bundle
+from .errors import NTooSmall, OutOfRegulationBox
 from .model import Market, PriceVector, TraderSpec, normalize_prices
 from .plc import ZERO_PLC, linear_plc
+
+
+def regulating_block(n_goods: int, share: Fraction) -> tuple[TraderSpec, ...]:
+    """The S(i, j) traders over n_goods goods, lexicographic in (i, j): each
+    owns `share` of good i and values good i at slope 2 and good j at slope 1."""
+    traders = []
+    for i in range(n_goods):
+        for j in range(n_goods):
+            if i == j:
+                continue
+            endow = [Fraction(0)] * n_goods
+            endow[i] = share
+            utils = [ZERO_PLC] * n_goods
+            utils[i] = linear_plc(2)
+            utils[j] = linear_plc(1)
+            traders.append(TraderSpec(tuple(endow), tuple(utils), f"S({i + 1},{j + 1})"))
+    return tuple(traders)
 
 
 def build_mn(n: int) -> Market:
     """Construct M_n; traders are ordered lexicographically by (i, j)."""
     if n < 2:
         raise NTooSmall(f"price-regulating market needs n >= 2, got {n}")
-    share = Fraction(1, n)
-    traders = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            endow = [Fraction(0)] * n
-            endow[i] = share
-            utils = [ZERO_PLC] * n
-            utils[i] = linear_plc(2)
-            utils[j] = linear_plc(1)
-            traders.append(
-                TraderSpec(tuple(endow), tuple(utils), label=f"S({i + 1},{j + 1})")
-            )
-    return Market(n, tuple(traders))
+    return Market(n, regulating_block(n, Fraction(1, n)))
 
 
 def check_regulation_box(n: int, p: PriceVector) -> bool:
@@ -54,22 +57,7 @@ def regulation_forward_witness(n: int, p: PriceVector) -> Certificate:
     if not check_regulation_box(n, p):
         raise OutOfRegulationBox(f"prices {p.prices} not in [1,2]^{n}")
     m = build_mn(n)
-    bundles = tuple(Bundle(t.endowment) for t in m.traders)
-    for i, trader in enumerate(m.traders):
-        if not in_opt(trader, p, bundles[i], i):
-            raise InternalInvariantViolation(
-                f"endowment bundle not optimal for trader {i} at {p.prices}"
-            )
     eps = Fraction(1, n)
-    supply = Fraction(n - 1, n)
-    report = tuple(
-        GoodBalance(
-            good=k,
-            supply=supply,
-            allocated=supply,
-            imbalance=Fraction(0),
-            bound=eps * supply,
-        )
-        for k in range(n)
-    )
-    return Certificate("accept", None, APPROXIMATE, eps, bundles, report)
+    bundles = tuple(Bundle(t.endowment) for t in m.traders)
+    check_witness(m, p, bundles, set(), clearing_windows(m, p, APPROXIMATE, eps))
+    return Certificate("accept", None, APPROXIMATE, eps, bundles, clearing_report(m, bundles, eps))

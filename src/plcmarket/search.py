@@ -22,7 +22,6 @@ class SearchConfig:
     box: tuple[tuple[Fraction, Fraction], ...]
     grid_k: int = 4
     refine_rounds: int = 2
-    seed: int = 0
     epsilon: Fraction = Fraction(0)
     max_grid_points: int = 10**7
 

@@ -30,9 +30,9 @@ def write_json(path, obj):
 
 def read_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -40,7 +40,8 @@ def _require(obj, key, kind, where):
     if not isinstance(obj, dict) or key not in obj:
         raise InputError(f"{where}: missing key {key!r}")
     value = obj[key]
-    if kind is not None and not isinstance(value, kind):
+    # JSON true/false arrive as bool, a subclass of int, but are never counts
+    if kind is not None and (not isinstance(value, kind) or kind is int and isinstance(value, bool)):
         raise InputError(f"{where}: key {key!r} has wrong type")
     return value
 
@@ -160,13 +161,22 @@ def meta_to_obj(meta: ReducedMarketMeta):
     }
 
 
+def _pairs(obj, key) -> tuple[tuple[int, int], ...]:
+    pairs = _require(obj, key, list, "meta")
+    if not all(isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p) for p in pairs):
+        raise InputError(f"meta: {key} must be a list of [i, j] integer pairs")
+    return tuple((i, j) for i, j in pairs)
+
+
 def meta_from_obj(obj) -> ReducedMarketMeta:
+    u_pairs = _pairs(obj, "u_pairs")
+    if _pairs(obj, "v_pairs") != u_pairs:
+        raise InputError("meta: v_pairs must equal u_pairs")
     return ReducedMarketMeta(
         game_n=_require(obj, "game_n", int, "meta"),
         n_goods=_require(obj, "n_goods", int, "meta"),
         s_count=_require(obj, "s_count", int, "meta"),
-        u_pairs=tuple((int(i), int(j)) for i, j in _require(obj, "u_pairs", list, "meta")),
-        v_pairs=tuple((int(i), int(j)) for i, j in _require(obj, "v_pairs", list, "meta")),
+        u_pairs=u_pairs,
         i_count=_require(obj, "i_count", int, "meta"),
     )
 
@@ -198,15 +208,15 @@ def certificate_to_obj(cert: Certificate):
     return obj
 
 
-def _score_str(score: Fraction | None) -> str:
+def score_str(score: Fraction | None) -> str:
     return "inf" if score is None else format_rational(score)
 
 
 def search_report_to_obj(rep: SearchReport):
     return {
         "best_price": None if rep.best_price is None else prices_to_obj(rep.best_price),
-        "best_max_relative_imbalance": _score_str(rep.best_max_relative_imbalance),
+        "best_max_relative_imbalance": score_str(rep.best_max_relative_imbalance),
         "accepted": rep.accepted,
-        "trace": [[rnd, _score_str(score)] for rnd, score in rep.trace],
+        "trace": [[rnd, score_str(score)] for rnd, score in rep.trace],
         "certificate": None if rep.certificate is None else certificate_to_obj(rep.certificate),
     }

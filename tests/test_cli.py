@@ -131,3 +131,64 @@ def test_pipeline_artifacts(tmp_path):
     assert summary["support_enum"] is not None
     if not summary["equilibrium_found"]:
         assert summary["nash_check"] == {"status": "skipped-by-precision"}
+
+
+ONE_GOOD = {"n_goods": 1, "traders": [
+    {"endowment": ["1"], "utilities": [{"slopes": ["1"], "breaks": []}]}]}
+
+
+def test_verify_rejects_wrong_length_prices(tmp_path):
+    market = tmp_path / "m.json"
+    write(market, ONE_GOOD)
+    long_p = tmp_path / "long.json"
+    write(long_p, {"prices": ["1", "5"]})
+    res = run("verify", "--market", str(market), "--prices", str(long_p))
+    assert res.exit_code == 2 and "expected 1 prices" in res.output
+    m2 = tmp_path / "m2.json"
+    run("gen-mn", "--n", "2", "-o", str(m2))
+    short_p = tmp_path / "short.json"
+    write(short_p, {"prices": ["1"]})
+    res = run("verify", "--market", str(m2), "--prices", str(short_p))
+    assert res.exit_code == 2 and "expected 2 prices" in res.output
+
+
+def test_json_true_is_not_an_int(tmp_path):
+    market = tmp_path / "m.json"
+    write(market, {**ONE_GOOD, "n_goods": True})
+    p = tmp_path / "p.json"
+    write(p, {"prices": ["1"]})
+    assert run("verify", "--market", str(market), "--prices", str(p)).exit_code == 2
+    assert run("validate", str(market)).exit_code == 2
+    game = tmp_path / "game.json"
+    write(game, {**COORD, "n": True})
+    assert run("validate", str(game)).exit_code == 2
+
+
+def test_undecodable_json_is_input_error(tmp_path):
+    market = tmp_path / "m.json"
+    run("gen-mn", "--n", "2", "-o", str(market))
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"prices": ["1", "2"], "label": "\xe9"}')
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    for bad in (latin, nested):
+        res = run("validate", str(bad))
+        assert res.exit_code == 2 and "INVALID" in res.output
+        res = run("verify", "--market", str(market), "--prices", str(bad))
+        assert res.exit_code == 2 and "invalid JSON" in res.output
+
+
+def test_unexpected_exception_exits_3(tmp_path, monkeypatch):
+    market = tmp_path / "m.json"
+    run("gen-mn", "--n", "2", "-o", str(market))
+    p = tmp_path / "p.json"
+    write(p, {"prices": ["1", "2"]})
+
+    def crash(*args, **kwargs):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr("plcmarket.cli.verify", crash)
+    res = run("verify", "--market", str(market), "--prices", str(p))
+    assert res.exit_code == 3 and "internal error" in res.output
+    monkeypatch.setattr("plcmarket.cli._validate_one", crash)
+    assert run("validate", str(p)).exit_code == 3

@@ -47,6 +47,19 @@ def test_reduced_market_round_trip():
     assert serialize.meta_from_obj(serialize.meta_to_obj(meta)) == meta
 
 
+def test_meta_ints_reject_bool_and_pairs_must_match():
+    game = validate_game([[1, 0], [0, 1]], [[1, 0], [0, 1]])
+    obj = serialize.meta_to_obj(build_reduced_market(game)[1])
+    assert obj["v_pairs"] == obj["u_pairs"]
+    for key in ("game_n", "n_goods", "s_count", "i_count"):
+        with pytest.raises(InputError):
+            serialize.meta_from_obj({**obj, key: True})
+    with pytest.raises(InputError):
+        serialize.meta_from_obj({**obj, "v_pairs": [[1, 0], [0, 1]]})
+    with pytest.raises(InputError):
+        serialize.meta_from_obj({**obj, "u_pairs": [[0, True], [1, 0]]})
+
+
 def test_prices_round_trip():
     p = prices([1, F(3, 2), 0], normalized=True)
     assert serialize.prices_from_obj(serialize.prices_to_obj(p)) == p
@@ -92,4 +105,8 @@ def test_malformed_market_objects():
     with pytest.raises(InputError):
         serialize.market_from_obj(
             {"n_goods": 1, "traders": [{"endowment": [0.5], "utilities": [{"kind": "zero"}]}]}
+        )
+    with pytest.raises(InputError):
+        serialize.market_from_obj(
+            {"n_goods": True, "traders": [{"endowment": ["1"], "utilities": [{"kind": "zero"}]}]}
         )
