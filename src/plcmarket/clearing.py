@@ -19,7 +19,7 @@ always reach the window floor).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .demand import Bundle, DemandSet, budget, canonical_bundle, in_opt, optimal_demand
+from .demand import Bundle, DemandSet, budget, canonical_bundle, in_demand, optimal_demand
 from .errors import InternalInvariantViolation, InvalidMarket, ShapeMismatch, UnboundedDemand
 from .flow import Arc, feasible_circulation
 from .model import Market, PriceVector, normalize_prices
@@ -53,7 +53,7 @@ class Certificate:
         return self.verdict == "accept"
 
 
-def clearing_windows(m: Market, p: PriceVector, mode: str, eps: Fraction):
+def clearing_windows(supplies, p: PriceVector, mode: str, eps: Fraction):
     """Per-good [lo, hi] on total allocation.
 
     Approximate mode uses the two-sided eps window around supply (a zero
@@ -61,7 +61,7 @@ def clearing_windows(m: Market, p: PriceVector, mode: str, eps: Fraction):
     equality on positively priced goods and allow free disposal at price 0.
     """
     out = []
-    for s, price in zip(m.supplies(), p.prices):
+    for s, price in zip(supplies, p.prices):
         if mode == APPROXIMATE:
             out.append((max(Fraction(0), s * (1 - eps)), s * (1 + eps)))
         elif price > 0:
@@ -80,23 +80,12 @@ def _solve(
 ) -> tuple[Bundle, ...] | None:
     """Feasibility core shared by verify and clearing_feasibility: an optimal
     allocation within the windows as witness bundles, or None."""
-    n = m.n_goods
-    minq = []
-    for i, d in enumerate(demands):
-        if i in waived or d is None:
-            minq.append([Fraction(0)] * n)
-        else:
-            minq.append(list(d.forced))
-
-    for k in range(n):
-        if p.prices[k] == 0:
-            if sum(row[k] for row in minq) > windows[k][1]:
-                return None
-
-    total_money = sum(
-        (d.budget for d in demands if d is not None), Fraction(0)
-    )
-    inf = total_money + 1
+    alloc = [
+        [Fraction(0)] * m.n_goods if i in waived or d is None else list(d.forced)
+        for i, d in enumerate(demands)
+    ]
+    forced = [sum(col) for col in zip(*alloc)]
+    inf = sum((d.budget for d in demands if d is not None), Fraction(0)) + 1
     arcs: list[Arc] = []
     qty_arcs: list[tuple[int, int, int]] = []  # (arc index, trader, good)
     for i, d in enumerate(demands):
@@ -113,36 +102,37 @@ def _solve(
             for k in d.priced_goods:
                 qty_arcs.append((len(arcs), i, k))
                 arcs.append(Arc(("t", i), ("g", k), Fraction(0), inf))
-    for k in range(n):
-        if p.prices[k] == 0:
-            continue
-        forced_k = sum(row[k] for row in minq)
-        lo, hi = windows[k]
-        lo_money = max(Fraction(0), lo - forced_k) * p.prices[k]
-        hi_money = (hi - forced_k) * p.prices[k]
-        arcs.append(Arc(("g", k), "snk", lo_money, hi_money))
+    for k, (lo, hi) in enumerate(windows):
+        price = p.prices[k]
+        if price == 0 and forced[k] > hi:
+            return None  # free goods never carry money; their total is forced[k]
+        if price > 0:
+            lo_money = max(Fraction(0), lo - forced[k]) * price
+            arcs.append(Arc(("g", k), "snk", lo_money, (hi - forced[k]) * price))
     arcs.append(Arc("snk", "src", Fraction(0), inf))
 
     flows = feasible_circulation(arcs)
     if flows is None:
         return None
-    alloc = [list(row) for row in minq]
     for arc_idx, i, k in qty_arcs:
         alloc[i][k] += flows[arc_idx] / p.prices[k]
-    for k in range(n):
-        if p.prices[k] == 0:
-            short = windows[k][0] - sum(row[k] for row in alloc)
-            if short > 0:
-                alloc[0][k] += short  # free top-up, utility-neutral beyond satiation
+    for k, (lo, _) in enumerate(windows):
+        if p.prices[k] == 0 and lo > forced[k]:
+            alloc[0][k] += lo - forced[k]  # free top-up, utility-neutral beyond satiation
     return tuple(Bundle(tuple(row)) for row in alloc)
 
 
-def clearing_report(m: Market, bundles, eps: Fraction) -> tuple[GoodBalance, ...]:
+def clearing_report(supplies, bundles, eps: Fraction) -> tuple[GoodBalance, ...]:
     rows = []
-    for k, s in enumerate(m.supplies()):
+    for k, s in enumerate(supplies):
         a = sum((b.quantities[k] for b in bundles), Fraction(0))
         rows.append(GoodBalance(good=k, supply=s, allocated=a, imbalance=a - s, bound=eps * s))
     return tuple(rows)
+
+
+def _check_shape(m: Market, p: PriceVector):
+    if len(p.prices) != m.n_goods:
+        raise ShapeMismatch(f"expected {m.n_goods} prices, got {len(p.prices)}")
 
 
 def clearing_feasibility(
@@ -152,8 +142,10 @@ def clearing_feasibility(
 
     Propagates UnboundedDemand; returns a witness allocation or None.
     """
+    _check_shape(m, p)
     demands = [optimal_demand(t, p, i) for i, t in enumerate(m.traders)]
-    return _solve(m, p, demands, set(), clearing_windows(m, p, APPROXIMATE, Fraction(eps)))
+    windows = clearing_windows(m.supplies(), p, APPROXIMATE, Fraction(eps))
+    return _solve(m, p, demands, set(), windows)
 
 
 def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
@@ -169,8 +161,7 @@ def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
     eps = Fraction(eps) if mode == APPROXIMATE else Fraction(0)
     if eps < 0:
         raise InvalidMarket("epsilon must be nonnegative")
-    if len(p.prices) != m.n_goods:
-        raise ShapeMismatch(f"expected {m.n_goods} prices, got {len(p.prices)}")
+    _check_shape(m, p)
     p = normalize_prices(p)
 
     demands: list[DemandSet | None] = []
@@ -188,28 +179,29 @@ def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
             waived.add(i)  # the zero-cost arm subsumes their optimal bundles
         demands.append(d)
 
-    windows = clearing_windows(m, p, mode, eps)
+    supplies = m.supplies()
+    windows = clearing_windows(supplies, p, mode, eps)
     bundles = _solve(m, p, demands, waived, windows)
     if bundles is None:
         canonical = tuple(
             canonical_bundle(d) if d is not None else Bundle((Fraction(0),) * m.n_goods)
             for d in demands
         )
-        return Certificate(
-            "reject", "clearing-infeasible", mode, eps, None, clearing_report(m, canonical, eps)
-        )
+        report = clearing_report(supplies, canonical, eps)
+        return Certificate("reject", "clearing-infeasible", mode, eps, None, report)
 
-    check_witness(m, p, bundles, waived, windows)
-    return Certificate("accept", None, mode, eps, bundles, clearing_report(m, bundles, eps))
+    check_witness(m, p, bundles, demands, waived, windows)
+    return Certificate("accept", None, mode, eps, bundles, clearing_report(supplies, bundles, eps))
 
 
-def check_witness(m, p, bundles, waived, windows):
-    """Re-validate an accept witness from scratch; a failure here is a bug."""
-    for i, (trader, b) in enumerate(zip(m.traders, bundles)):
+def check_witness(m, p, bundles, demands, waived, windows):
+    """Re-validate an accept witness against the traders' demand sets and the
+    clearing windows; a failure here is a bug."""
+    for i, (trader, d, b) in enumerate(zip(m.traders, demands, bundles)):
         if i in waived:
             if b.cost(p) != 0:
                 raise InternalInvariantViolation(f"waived trader {i} got a costly bundle")
-        elif not in_opt(trader, p, b, i):
+        elif not in_demand(trader, p, d, b):
             raise InternalInvariantViolation(f"witness bundle for trader {i} is not optimal")
     for k, (lo, hi) in enumerate(windows):
         total = sum((b.quantities[k] for b in bundles), Fraction(0))
@@ -223,8 +215,9 @@ def imbalance_profile(m: Market, p: PriceVector, eps=0) -> tuple[GoodBalance, ..
     No feasibility search: this is the cheap score used by grid search, and
     it can differ from verify's verdict exactly when tie flexibility matters.
     """
+    _check_shape(m, p)
     eps = Fraction(eps)
     bundles = tuple(
         canonical_bundle(optimal_demand(t, p, i)) for i, t in enumerate(m.traders)
     )
-    return clearing_report(m, bundles, eps)
+    return clearing_report(m.supplies(), bundles, eps)

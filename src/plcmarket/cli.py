@@ -52,9 +52,12 @@ def _emit(obj, out: str | None, as_json: bool, human: str | None = None):
         click.echo(human)
 
 
+MAX_EPS_EXPONENT = 64  # bounds the big-integer work of n^-K; the paper needs K <= 13
+
+
 def _resolve_eps(text: str, game_n: int | None = None, n_goods: int | None = None) -> Fraction:
     """Parse an epsilon flag: a rational literal, or n^-K / N^-K relative to
-    the game size / goods count."""
+    the game size / goods count, with K at most MAX_EPS_EXPONENT."""
     text = text.strip()
     if "^" in text:
         base_s, exp_s = text.split("^", 1)
@@ -63,8 +66,8 @@ def _resolve_eps(text: str, game_n: int | None = None, n_goods: int | None = Non
             exp = int(exp_s)
         except ValueError as exc:
             raise InputError(f"bad epsilon exponent in {text!r}") from exc
-        if exp > 0:
-            raise InputError(f"epsilon exponent must be negative in {text!r}")
+        if not -MAX_EPS_EXPONENT <= exp <= 0:
+            raise InputError(f"epsilon exponent must lie in [-{MAX_EPS_EXPONENT}, 0] in {text!r}")
         if base_s == "n":
             if game_n is None:
                 raise InputError("epsilon uses n but no game size is in scope")

@@ -152,13 +152,17 @@ def canonical_bundle(d: DemandSet) -> Bundle:
     return Bundle(tuple(x))
 
 
-def in_opt(trader: TraderSpec, p: PriceVector, x: Bundle, trader_idx: int | None = None) -> bool:
-    """Membership test for the optimal-bundle set: budget-feasible and
-    utility equal to the greedy optimum.  Spending residual money on goods
-    with zero marginal utility is allowed."""
+def in_demand(trader: TraderSpec, p: PriceVector, d: DemandSet, x: Bundle) -> bool:
+    """Membership test for the optimal-bundle set d of the trader at p:
+    budget-feasible and utility equal to the greedy optimum.  Spending
+    residual money on goods with zero marginal utility is allowed."""
     if len(x.quantities) != len(p.prices) or any(q < 0 for q in x.quantities):
         return False
-    d = optimal_demand(trader, p, trader_idx)
     if x.cost(p) > d.budget:
         return False
     return trader.utility(x.quantities) == trader.utility(canonical_bundle(d).quantities)
+
+
+def in_opt(trader: TraderSpec, p: PriceVector, x: Bundle, trader_idx: int | None = None) -> bool:
+    """in_demand against the trader's demand set at p, computed here."""
+    return in_demand(trader, p, optimal_demand(trader, p, trader_idx), x)

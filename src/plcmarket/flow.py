@@ -1,71 +1,22 @@
-"""Exact-rational network flow.
+"""Exact-rational circulation feasibility.
 
-A small Edmonds-Karp max-flow over Fraction capacities plus the standard
-reduction from circulation-with-lower-bounds feasibility to max-flow.  Graph
-sizes here are tiny (traders + goods), so asymptotics are irrelevant; what
-matters is that every comparison is exact.
+Lower bounds are pre-routed and the excess they leave at each node is fed
+from a super source or drained to a super sink; the circulation is feasible
+iff one max-flow saturates the source.  The max-flow is Edmonds-Karp on
+Python ints: every bound is multiplied by the lcm of all bound denominators,
+which changes no comparison with zero, no minimum and no sum, so dividing the
+integer flows by that scale gives the exact Fraction answer.
+
+The witness is the first flow found, fixed by three orders: arcs in input
+order, super arcs in the order nodes are first seen (each arc's head before
+its tail), and each node's edges scanned by BFS in the order they were added.
+The golden tests pin the resulting certificates byte for byte.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-
-
-class FlowNetwork:
-    def __init__(self):
-        self.adj: dict = {}
-        self.edges: list[list] = []  # [to, capacity, flow], paired with reverse at idx^1
-
-    def _node(self, u):
-        if u not in self.adj:
-            self.adj[u] = []
-        return u
-
-    def add_edge(self, u, v, cap: Fraction) -> int:
-        """Add a directed edge and its zero-capacity reverse; returns edge id."""
-        self._node(u)
-        self._node(v)
-        eid = len(self.edges)
-        self.edges.append([v, Fraction(cap), Fraction(0)])
-        self.edges.append([u, Fraction(0), Fraction(0)])
-        self.adj[u].append(eid)
-        self.adj[v].append(eid + 1)
-        return eid
-
-    def flow_on(self, eid: int) -> Fraction:
-        return self.edges[eid][2]
-
-    def max_flow(self, s, t) -> Fraction:
-        self._node(s)
-        self._node(t)
-        total = Fraction(0)
-        while True:
-            parent_edge: dict = {s: None}
-            queue = deque([s])
-            while queue and t not in parent_edge:
-                u = queue.popleft()
-                for eid in self.adj[u]:
-                    to, cap, flow = self.edges[eid]
-                    if cap - flow > 0 and to not in parent_edge:
-                        parent_edge[to] = eid
-                        queue.append(to)
-            if t not in parent_edge:
-                return total
-            bottleneck = None
-            v = t
-            while v != s:
-                eid = parent_edge[v]
-                to, cap, flow = self.edges[eid]
-                slack = cap - flow
-                bottleneck = slack if bottleneck is None else min(bottleneck, slack)
-                v = self.edges[eid ^ 1][0]
-            v = t
-            while v != s:
-                eid = parent_edge[v]
-                self.edges[eid][2] += bottleneck
-                self.edges[eid ^ 1][2] -= bottleneck
-                v = self.edges[eid ^ 1][0]
-            total += bottleneck
 
 
 @dataclass(frozen=True)
@@ -79,28 +30,66 @@ class Arc:
 def feasible_circulation(arcs: list[Arc]) -> list[Fraction] | None:
     """Find arc flows meeting [lower, upper] bounds with balanced nodes.
 
-    Standard transformation: route each lower bound through a super
-    source/sink and demand a saturating max-flow.  Returns per-arc flows in
-    input order, or None when infeasible.
+    Returns per-arc flows in input order, or None when infeasible.
     """
+    if any(a.lower > a.upper for a in arcs):
+        return None
+    scale = math.lcm(*(b.denominator for a in arcs for b in (a.lower, a.upper)))
+    ids: dict = {}
+    adj: list[list[int]] = []
+    to: list[int] = []  # edge e and its reverse e ^ 1
+    residual: list[int] = []
+    excess: list[int] = []  # indexed by node id, i.e. in first-seen order
+
+    def node(x) -> int:
+        if x not in ids:
+            ids[x] = len(adj)
+            adj.append([])
+            excess.append(0)
+        return ids[x]
+
+    def add_edge(u: int, v: int, cap: int):
+        adj[u].append(len(to))
+        adj[v].append(len(to) + 1)
+        to.extend((v, u))
+        residual.extend((cap, 0))
+
     for a in arcs:
-        if a.lower > a.upper:
-            return None
-    net = FlowNetwork()
-    excess: dict = {}
-    ids = []
-    for a in arcs:
-        ids.append(net.add_edge(("n", a.tail), ("n", a.head), a.upper - a.lower))
-        excess[a.head] = excess.get(a.head, Fraction(0)) + a.lower
-        excess[a.tail] = excess.get(a.tail, Fraction(0)) - a.lower
-    source, sink = ("super", "s"), ("super", "t")
-    need = Fraction(0)
-    for node, e in excess.items():
+        head, tail = node(a.head), node(a.tail)  # head first: fixes the super-arc order
+        lo = a.lower.numerator * (scale // a.lower.denominator)
+        hi = a.upper.numerator * (scale // a.upper.denominator)
+        add_edge(tail, head, hi - lo)
+        excess[head] += lo
+        excess[tail] -= lo
+    source, sink = node(object()), node(object())
+    need = 0
+    for v, e in enumerate(excess):
         if e > 0:
-            net.add_edge(source, ("n", node), e)
+            add_edge(source, v, e)
             need += e
         elif e < 0:
-            net.add_edge(("n", node), sink, -e)
-    if net.max_flow(source, sink) != need:
-        return None
-    return [arcs[i].lower + net.flow_on(eid) for i, eid in enumerate(ids)]
+            add_edge(v, sink, -e)
+
+    while need:
+        parent = [-1] * len(adj)  # edge by which BFS reached each node
+        parent[source] = -2  # reached, by no edge
+        queue = deque([source])
+        while queue and parent[sink] == -1:
+            for e in adj[queue.popleft()]:
+                v = to[e]
+                if residual[e] > 0 and parent[v] == -1:
+                    parent[v] = e
+                    queue.append(v)
+        if parent[sink] == -1:
+            return None
+        path = []
+        v = sink
+        while v != source:
+            path.append(parent[v])
+            v = to[parent[v] ^ 1]
+        push = min(residual[e] for e in path)
+        for e in path:
+            residual[e] -= push
+            residual[e ^ 1] += push
+        need -= push
+    return [a.lower + Fraction(residual[2 * i + 1], scale) for i, a in enumerate(arcs)]

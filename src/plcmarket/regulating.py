@@ -10,7 +10,7 @@ lets prices encode free variables x_k = p_k - 1 in [0, 1].
 from fractions import Fraction
 
 from .clearing import APPROXIMATE, Certificate, check_witness, clearing_report, clearing_windows
-from .demand import Bundle
+from .demand import Bundle, optimal_demand
 from .errors import NTooSmall, OutOfRegulationBox
 from .model import Market, PriceVector, TraderSpec, normalize_prices
 from .plc import ZERO_PLC, linear_plc
@@ -59,5 +59,7 @@ def regulation_forward_witness(n: int, p: PriceVector) -> Certificate:
     m = build_mn(n)
     eps = Fraction(1, n)
     bundles = tuple(Bundle(t.endowment) for t in m.traders)
-    check_witness(m, p, bundles, set(), clearing_windows(m, p, APPROXIMATE, eps))
-    return Certificate("accept", None, APPROXIMATE, eps, bundles, clearing_report(m, bundles, eps))
+    demands = [optimal_demand(t, p, i) for i, t in enumerate(m.traders)]
+    supplies = m.supplies()
+    check_witness(m, p, bundles, demands, set(), clearing_windows(supplies, p, APPROXIMATE, eps))
+    return Certificate("accept", None, APPROXIMATE, eps, bundles, clearing_report(supplies, bundles, eps))

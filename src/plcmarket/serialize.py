@@ -124,11 +124,16 @@ def game_to_obj(g: BimatrixGame):
     }
 
 
+def _matrix(obj, key) -> list[list[Fraction]]:
+    rows = _require(obj, key, list, "game")
+    if not all(isinstance(row, list) for row in rows):
+        raise InputError(f"game: every row of {key} must be a list")
+    return [[parse_rational(v) for v in row] for row in rows]
+
+
 def game_from_obj(obj) -> BimatrixGame:
     n = _require(obj, "n", int, "game")
-    A = [[parse_rational(v) for v in row] for row in _require(obj, "A", list, "game")]
-    B = [[parse_rational(v) for v in row] for row in _require(obj, "B", list, "game")]
-    g = validate_game(A, B)
+    g = validate_game(_matrix(obj, "A"), _matrix(obj, "B"))
     if g.n != n:
         raise InputError(f"game: declared n={n} but matrices are {g.n}x{g.n}")
     return g

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from plcmarket import clearing, demand
 from plcmarket.clearing import (
     APPROXIMATE,
     EXACT,
@@ -11,8 +12,8 @@ from plcmarket.clearing import (
     imbalance_profile,
     verify,
 )
-from plcmarket.demand import Bundle, in_opt
-from plcmarket.errors import AllZeroPrices, UnboundedDemand
+from plcmarket.demand import Bundle, in_opt, optimal_demand
+from plcmarket.errors import AllZeroPrices, ShapeMismatch, UnboundedDemand
 from plcmarket.model import Market, TraderSpec, normalize_prices, prices
 from plcmarket.plc import ZERO_PLC, linear_plc, validate_plc
 from plcmarket.regulating import build_mn
@@ -90,6 +91,36 @@ def test_quasi_equals_exact_when_incomes_positive():
     m = build_mn(3)
     for vec in ([1, 1, 1], [1, 2, F(3, 2)], [1, 3, 1]):
         assert verify(m, prices(vec), EXACT).accepted == verify(m, prices(vec), QUASI).accepted
+
+
+def test_every_entry_point_checks_price_length():
+    m = build_mn(2)
+    for vec in ([1, 2, 2], [1]):
+        p = prices(vec)
+        for call in (
+            lambda: verify(m, p, APPROXIMATE, F(1, 2)),
+            lambda: clearing_feasibility(m, p, F(1, 2)),
+            lambda: imbalance_profile(m, p),
+        ):
+            with pytest.raises(ShapeMismatch, match="expected 2 prices"):
+                call()
+
+
+def test_accepting_verify_computes_each_demand_once(monkeypatch):
+    calls, supplies_calls = [], []
+    supplies = Market.supplies
+
+    def counting(trader, p, trader_idx=None):
+        calls.append(trader_idx)
+        return optimal_demand(trader, p, trader_idx)
+
+    monkeypatch.setattr(clearing, "optimal_demand", counting)
+    monkeypatch.setattr(demand, "optimal_demand", counting)
+    m = build_mn(4)
+    monkeypatch.setattr(Market, "supplies", lambda self: supplies_calls.append(1) or supplies(self))
+    assert verify(m, prices([1, 2, F(5, 4), F(11, 8)]), APPROXIMATE, F(1, 4)).accepted
+    assert calls == list(range(len(m.traders)))
+    assert len(supplies_calls) == 1
 
 
 def test_imbalance_profile_m2():

@@ -1,4 +1,5 @@
 import json
+import time
 
 from click.testing import CliRunner
 
@@ -162,6 +163,35 @@ def test_json_true_is_not_an_int(tmp_path):
     game = tmp_path / "game.json"
     write(game, {**COORD, "n": True})
     assert run("validate", str(game)).exit_code == 2
+
+
+def test_game_row_that_is_not_a_list_is_input_error(tmp_path):
+    game = tmp_path / "game.json"
+    for A in ([5, 5], ["10", "01"]):
+        write(game, {**COORD, "A": A})
+        res = run("reduce", "--game", str(game), "-o", str(tmp_path / "m.json"),
+                  "--meta", str(tmp_path / "meta.json"))
+        assert res.exit_code == 2 and "row of A" in res.output
+        assert run("validate", str(game)).exit_code == 2
+
+
+def test_huge_eps_exponent_is_rejected_promptly(tmp_path):
+    market = tmp_path / "m.json"
+    run("gen-mn", "--n", "2", "-o", str(market))
+    p = tmp_path / "p.json"
+    write(p, {"prices": ["1", "2"]})
+    game = tmp_path / "game.json"
+    write(game, COORD)
+    strat = tmp_path / "strat.json"
+    write(strat, {"x": ["1", "0"], "y": ["1", "0"]})
+    start = time.perf_counter()
+    res = run("verify", "--market", str(market), "--prices", str(p), "--eps", "N^-1000000000")
+    assert res.exit_code == 2 and "[-64, 0]" in res.output
+    res = run("check-nash", "--game", str(game), "--profile", str(strat), "--eps", "n^-65")
+    assert res.exit_code == 2 and "[-64, 0]" in res.output
+    assert time.perf_counter() - start < 5
+    res = run("check-nash", "--game", str(game), "--profile", str(strat), "--eps", "n^-64", "--json")
+    assert res.exit_code == 0 and json.loads(res.output)["epsilon"] == f"1/{2 ** 64}"
 
 
 def test_undecodable_json_is_input_error(tmp_path):

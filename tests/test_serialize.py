@@ -78,6 +78,17 @@ def test_game_declared_size_must_match():
         serialize.game_from_obj(obj)
 
 
+def test_game_rows_must_be_lists():
+    # a number row used to crash with TypeError; a string row was read digit by digit
+    for bad_row in ("10", 5):
+        obj = {"n": 2, "A": [bad_row, ["0", "0"]], "B": [["0", "0"], ["0", "0"]]}
+        with pytest.raises(InputError, match="row of A"):
+            serialize.game_from_obj(obj)
+        obj = {"n": 2, "A": [["0", "0"], ["0", "0"]], "B": [["0", "0"], bad_row]}
+        with pytest.raises(InputError, match="row of B"):
+            serialize.game_from_obj(obj)
+
+
 def test_certificate_serialization_shape():
     m = build_mn(2)
     cert = verify(m, prices([1, 2]), APPROXIMATE, F(1, 2))
