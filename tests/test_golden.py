@@ -1,9 +1,10 @@
 """Byte-identity of artifacts and certificates on seeded inputs.
 
 Each section hashes the canonical JSON text (`serialize.dumps`) of what the
-builders and the verifier produce on a fixed, seeded set of inputs.  The
-digests were recorded once; any change to a market file, a metadata file, a
-certificate or a witness shows up as a digest mismatch.  Run this file as a
+builders, the verifier and the grid search produce on a fixed, seeded set of
+inputs.  The digests were recorded once; any change to a market file, a
+metadata file, a certificate, a witness or a search report shows up as a
+digest mismatch.  Run this file as a
 script to print the current digests when a format change is intended.
 """
 
@@ -19,6 +20,7 @@ from plcmarket.model import prices
 from plcmarket.rational import format_rational
 from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn, regulation_forward_witness
+from plcmarket.search import SearchConfig, search_equilibrium, unit_box
 
 from oracles import random_market, random_sparse_game_matrices, tie_rich_market
 
@@ -28,6 +30,7 @@ GOLDEN = {
     "mn_certificates": "5ecb1e6fab61b33f8ff018010a487f6c508cbc9cfba36512068e791e3c7ee9dd",
     "forward_witnesses": "96928fd3b7d7c4e239d570a2bdbbe2266f529851c89089e528b9f7dfb7898263",
     "random_certificates": "9444c70ff6a1d644eaeb52be5f9bf9a9f2a1423bd231a1f28cfea4912f684759",
+    "search_reports": "7703c2869a8b93da6441e9a09fed128a4f66f84876fedf5fc7cad6e48defa462",
 }
 
 
@@ -96,6 +99,30 @@ def _forward_witnesses():
             yield serialize.certificate_to_obj(regulation_forward_witness(n, prices(vec)))
 
 
+def _search_reports():
+    for n in (2, 3):
+        m = build_mn(n)
+        for grid_k in (1, 2, 3):
+            for rounds in (0, 2):
+                for eps in (F(0), F(1, n)):
+                    cfg = SearchConfig(unit_box(n), grid_k, rounds, eps)
+                    yield serialize.search_report_to_obj(search_equilibrium(m, cfg))
+    # zero-price grid points of M_2 have unbounded demand and are skipped
+    cfg = SearchConfig(unit_box(2, 0, 2), 2, 2, F(1, 2))
+    yield serialize.search_report_to_obj(search_equilibrium(build_mn(2), cfg))
+    market, _ = build_reduced_market(_game(2))
+    N = market.n_goods
+    for eps in (F(1, N**13), F(1, 2)):
+        cfg = SearchConfig(unit_box(N), 1, 2, eps)
+        yield serialize.search_report_to_obj(search_equilibrium(market, cfg))
+    rng = random.Random("golden/search")
+    for case in range(40):
+        market = random_market(rng)
+        box = unit_box(market.n_goods, F(case % 3, 2), 2)
+        cfg = SearchConfig(box, 1 + case % 3, case % 4, F(1, 4))
+        yield serialize.search_report_to_obj(search_equilibrium(market, cfg))
+
+
 def _random_certificates():
     rng = random.Random("golden/random")
     for case in range(60):
@@ -119,6 +146,7 @@ SECTIONS = {
     "mn_certificates": _mn_certificates,
     "forward_witnesses": _forward_witnesses,
     "random_certificates": _random_certificates,
+    "search_reports": _search_reports,
 }
 
 
