@@ -198,11 +198,10 @@ def solve_game(game_path, max_n, out, as_json):
               help="Accepted for scripting; the search is deterministic and ignores it.")
 @click.option("--box-lo", default="1", show_default=True)
 @click.option("--box-hi", default="2", show_default=True)
-@click.option("--max-grid-points", type=int, default=10**7, show_default=True)
 @click.option("-o", "out", type=click.Path(), default=None)
 @click.option("--json", "as_json", is_flag=True)
 @_guard
-def search_eq(market_path, eps, grid_k, rounds, seed, box_lo, box_hi, max_grid_points, out, as_json):
+def search_eq(market_path, eps, grid_k, rounds, seed, box_lo, box_hi, out, as_json):
     """Grid search for an approximate equilibrium; exit 0 iff one verifies."""
     market = serialize.market_from_obj(serialize.read_json(market_path))
     cfg = SearchConfig(
@@ -210,7 +209,6 @@ def search_eq(market_path, eps, grid_k, rounds, seed, box_lo, box_hi, max_grid_p
         grid_k=grid_k,
         refine_rounds=rounds,
         epsilon=_resolve_eps(eps, n_goods=market.n_goods),
-        max_grid_points=max_grid_points,
     )
     rep = search_equilibrium(market, cfg)
     score = serialize.score_str(rep.best_max_relative_imbalance)
@@ -275,9 +273,8 @@ def validate_cmd(paths):
 @click.option("--rounds", type=int, default=2, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Recorded in summary.json; the search is deterministic and ignores it.")
-@click.option("--max-grid-points", type=int, default=10**7, show_default=True)
 @_guard
-def pipeline(game_path, outdir, eps, nash_eps, grid_k, rounds, seed, max_grid_points):
+def pipeline(game_path, outdir, eps, nash_eps, grid_k, rounds, seed):
     """Reduce, search, extract, and Nash-check a game end to end.
 
     Writes market.json, meta.json, search.json, summary.json, and (when an
@@ -297,7 +294,6 @@ def pipeline(game_path, outdir, eps, nash_eps, grid_k, rounds, seed, max_grid_po
         grid_k=grid_k,
         refine_rounds=rounds,
         epsilon=eps_val,
-        max_grid_points=max_grid_points,
     )
     rep = search_equilibrium(market, cfg)
     serialize.write_json(outdir / "search.json", serialize.search_report_to_obj(rep))

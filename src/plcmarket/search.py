@@ -13,8 +13,11 @@ from fractions import Fraction
 from itertools import product
 
 from .clearing import APPROXIMATE, Certificate, imbalance_profile, verify
-from .errors import BoxDimensionMismatch, GridBudgetExceeded, UnboundedDemand
+from .errors import AllZeroPrices, BoxDimensionMismatch, GridBudgetExceeded, UnboundedDemand
 from .model import Market, PriceVector, normalize_prices
+
+
+MAX_GRID_POINTS = 10**7  # bounds the work one grid_k from outside can ask for
 
 
 @dataclass(frozen=True)
@@ -23,7 +26,6 @@ class SearchConfig:
     grid_k: int = 4
     refine_rounds: int = 2
     epsilon: Fraction = Fraction(0)
-    max_grid_points: int = 10**7
 
 
 def unit_box(n_goods: int, lo=1, hi=2) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -68,33 +70,31 @@ def search_equilibrium(m: Market, cfg: SearchConfig) -> SearchReport:
         raise GridBudgetExceeded("grid_k must be at least 1")
     if any(lo < 0 or hi < lo for lo, hi in cfg.box):
         raise BoxDimensionMismatch("box intervals must satisfy 0 <= lo <= hi")
-    if (cfg.grid_k + 1) ** m.n_goods > cfg.max_grid_points:
+    if (cfg.grid_k + 1) ** m.n_goods > MAX_GRID_POINTS:
         raise GridBudgetExceeded(
-            f"grid of {(cfg.grid_k + 1) ** m.n_goods} points exceeds cap {cfg.max_grid_points}"
+            f"grid of {(cfg.grid_k + 1) ** m.n_goods} points exceeds cap {MAX_GRID_POINTS}"
         )
 
-    box = cfg.box
+    # Scores are scale-invariant, so only the final incumbent is normalized;
+    # rescoring the last box scored could never lower the incumbent's score.
+    box, scored = cfg.box, None
     best_raw: tuple[Fraction, ...] | None = None
-    best_price: PriceVector | None = None
     best_score: Fraction | None = None
     trace = []
     for rnd in range(cfg.refine_rounds + 1):
-        axes = [_axis_points(lo, hi, cfg.grid_k) for lo, hi in box]
-        for point in product(*axes):
-            if all(q == 0 for q in point):
-                continue
-            p = normalize_prices(PriceVector(point))
-            try:
-                profile = imbalance_profile(m, p, cfg.epsilon)
-            except UnboundedDemand:
-                continue
-            score = _score(profile)
-            if score is None:
-                continue
-            if best_score is None or score < best_score:
-                best_score, best_raw, best_price = score, point, p
+        if box != scored:
+            axes = [_axis_points(lo, hi, cfg.grid_k) for lo, hi in box]
+            for point in product(*axes):
+                try:
+                    profile = imbalance_profile(m, PriceVector(point), cfg.epsilon)
+                except (AllZeroPrices, UnboundedDemand):
+                    continue  # the origin, or a strictly wanted free good
+                score = _score(profile)
+                if score is not None and (best_score is None or score < best_score):
+                    best_score, best_raw = score, point
+            scored = box
         trace.append((rnd, best_score))
-        if best_raw is None or rnd == cfg.refine_rounds:
+        if best_raw is None:
             continue
         # shrink to one current grid step around the incumbent, clipped to its box
         box = tuple(
@@ -105,7 +105,8 @@ def search_equilibrium(m: Market, cfg: SearchConfig) -> SearchReport:
             for (lo, hi), center in zip(box, best_raw)
         )
 
-    if best_price is None:
+    if best_raw is None:
         return SearchReport(None, None, False, tuple(trace), None)
+    best_price = normalize_prices(PriceVector(best_raw))
     cert = verify(m, best_price, APPROXIMATE, cfg.epsilon)
     return SearchReport(best_price, best_score, cert.accepted, tuple(trace), cert)

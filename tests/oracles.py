@@ -5,16 +5,22 @@ predicate is a direct transcription of the definition, the demand oracle is
 exhaustive grid enumeration of budget-feasible bundles, and the clearing
 oracle enumerates tie-variable assignments (a bounded-denominator lattice
 joined with every basic solution of the constraint system, so the sweep is
-decision-complete) with its own Gaussian elimination.
+decision-complete) with its own Gaussian elimination.  The reference grid
+search is the plain search loop: it scores every round's box, also when the
+box did not shrink, at normalized prices, over the package's own scoring and
+verifier.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, product
 
+from plcmarket.clearing import APPROXIMATE, imbalance_profile, verify
 from plcmarket.demand import budget, optimal_demand
-from plcmarket.model import Market, TraderSpec
+from plcmarket.errors import UnboundedDemand
+from plcmarket.model import Market, PriceVector, TraderSpec, normalize_prices
 from plcmarket.plc import validate_plc
+from plcmarket.search import SearchReport
 
 
 # --- definition-level PLC predicate -------------------------------------------
@@ -353,3 +359,45 @@ def random_sparse_game_matrices(rng: random.Random, n: int, den: int = 8):
         return rows
 
     return matrix(), matrix()
+
+
+# --- reference grid search ----------------------------------------------------
+
+
+def reference_search(m: Market, cfg) -> SearchReport:
+    """Grid search that scores every round and normalizes every point."""
+    box = cfg.box
+    best_raw = best_price = best_score = None
+    trace = []
+    for rnd in range(cfg.refine_rounds + 1):
+        axes = [
+            [lo] if lo == hi else [lo + (hi - lo) / cfg.grid_k * s for s in range(cfg.grid_k + 1)]
+            for lo, hi in box
+        ]
+        for point in product(*axes):
+            if all(q == 0 for q in point):
+                continue
+            p = normalize_prices(PriceVector(point))
+            try:
+                profile = imbalance_profile(m, p, cfg.epsilon)
+            except UnboundedDemand:
+                continue
+            if any(row.supply == 0 and row.allocated != 0 for row in profile):
+                continue
+            score = max(
+                (abs(row.imbalance) / row.supply for row in profile if row.supply != 0),
+                default=Fraction(0),
+            )
+            if best_score is None or score < best_score:
+                best_score, best_raw, best_price = score, point, p
+        trace.append((rnd, best_score))
+        if best_raw is None or rnd == cfg.refine_rounds:
+            continue
+        box = tuple(
+            (max(lo, c - (hi - lo) / cfg.grid_k), min(hi, c + (hi - lo) / cfg.grid_k))
+            for (lo, hi), c in zip(box, best_raw)
+        )
+    if best_price is None:
+        return SearchReport(None, None, False, tuple(trace), None)
+    cert = verify(m, best_price, APPROXIMATE, cfg.epsilon)
+    return SearchReport(best_price, best_score, cert.accepted, tuple(trace), cert)
