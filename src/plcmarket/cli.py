@@ -56,8 +56,8 @@ MAX_EPS_EXPONENT = 64  # bounds the big-integer work of n^-K; the paper needs K 
 
 
 def _resolve_eps(text: str, game_n: int | None = None, n_goods: int | None = None) -> Fraction:
-    """Parse an epsilon flag: a rational literal, or n^-K / N^-K relative to
-    the game size / goods count, with K at most MAX_EPS_EXPONENT."""
+    """Parse an epsilon flag: a nonnegative rational literal, or n^-K / N^-K
+    relative to the game size / goods count, with K at most MAX_EPS_EXPONENT."""
     text = text.strip()
     if "^" in text:
         base_s, exp_s = text.split("^", 1)
@@ -79,7 +79,10 @@ def _resolve_eps(text: str, game_n: int | None = None, n_goods: int | None = Non
         else:
             raise InputError(f"epsilon base must be n or N, got {base_s!r}")
         return Fraction(1, base ** (-exp))
-    return parse_rational(text)
+    eps = parse_rational(text)
+    if eps < 0:
+        raise InputError(f"epsilon must be nonnegative, got {text!r}")
+    return eps
 
 
 @click.group()

@@ -13,7 +13,13 @@ from fractions import Fraction
 from itertools import product
 
 from .clearing import APPROXIMATE, Certificate, imbalance_profile, verify
-from .errors import AllZeroPrices, BoxDimensionMismatch, GridBudgetExceeded, UnboundedDemand
+from .errors import (
+    AllZeroPrices,
+    BoxDimensionMismatch,
+    GridBudgetExceeded,
+    InvalidMarket,
+    UnboundedDemand,
+)
 from .model import Market, PriceVector, normalize_prices
 
 
@@ -68,8 +74,14 @@ def search_equilibrium(m: Market, cfg: SearchConfig) -> SearchReport:
         )
     if cfg.grid_k < 1:
         raise GridBudgetExceeded("grid_k must be at least 1")
+    if cfg.refine_rounds < 0:
+        raise GridBudgetExceeded("refine_rounds must be nonnegative")
+    if cfg.epsilon < 0:
+        raise InvalidMarket("epsilon must be nonnegative")
     if any(lo < 0 or hi < lo for lo, hi in cfg.box):
         raise BoxDimensionMismatch("box intervals must satisfy 0 <= lo <= hi")
+    if all(hi == 0 for _, hi in cfg.box):
+        raise BoxDimensionMismatch("box holds no nonzero price vector")
     if (cfg.grid_k + 1) ** m.n_goods > MAX_GRID_POINTS:
         raise GridBudgetExceeded(
             f"grid of {(cfg.grid_k + 1) ** m.n_goods} points exceeds cap {MAX_GRID_POINTS}"

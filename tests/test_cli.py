@@ -222,3 +222,32 @@ def test_unexpected_exception_exits_3(tmp_path, monkeypatch):
     assert res.exit_code == 3 and "internal error" in res.output
     monkeypatch.setattr("plcmarket.cli._validate_one", crash)
     assert run("validate", str(p)).exit_code == 3
+
+
+def test_bad_search_config_is_input_error(tmp_path):
+    market = tmp_path / "m2.json"
+    run("gen-mn", "--n", "2", "-o", str(market))
+    game = tmp_path / "game.json"
+    write(game, COORD)
+    res = run("search-eq", "--market", str(market), "--rounds", "-1")
+    assert res.exit_code == 2 and "refine_rounds" in res.output
+    res = run("pipeline", "--game", str(game), "--outdir", str(tmp_path / "run"), "--rounds", "-1")
+    assert res.exit_code == 2 and "refine_rounds" in res.output
+    res = run("search-eq", "--market", str(market), "--box-lo", "0", "--box-hi", "0")
+    assert res.exit_code == 2 and "nonzero" in res.output
+
+
+def test_negative_eps_is_input_error(tmp_path, monkeypatch):
+    game = tmp_path / "game.json"
+    write(game, COORD)
+    strat = tmp_path / "strat.json"
+    write(strat, {"x": ["1", "0"], "y": ["1", "0"]})
+    res = run("check-nash", "--game", str(game), "--profile", str(strat), "--eps", "-1/2")
+    assert res.exit_code == 2 and "nonnegative" in res.output
+    market = tmp_path / "m2.json"
+    run("gen-mn", "--n", "2", "-o", str(market))
+    calls = []
+    monkeypatch.setattr("plcmarket.search.imbalance_profile", lambda *args: calls.append(args))
+    res = run("search-eq", "--market", str(market), "--eps", "-1/2")
+    assert res.exit_code == 2 and "nonnegative" in res.output
+    assert calls == []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import plcmarket.search
 
-from plcmarket.errors import BoxDimensionMismatch, GridBudgetExceeded
+from plcmarket.errors import BoxDimensionMismatch, GridBudgetExceeded, InvalidMarket
 from plcmarket.games import validate_game
 from plcmarket.model import Market, TraderSpec
 from plcmarket.plc import linear_plc
@@ -55,6 +55,18 @@ def test_trace_non_increasing_on_reduced_game():
 def test_box_dimension_mismatch():
     with pytest.raises(BoxDimensionMismatch):
         search_equilibrium(build_mn(2), SearchConfig(box=unit_box(3)))
+
+
+def test_bad_config_is_rejected_before_scoring(monkeypatch):
+    calls = _count_profiles(monkeypatch)
+    m = build_mn(2)
+    with pytest.raises(GridBudgetExceeded):
+        search_equilibrium(m, SearchConfig(box=unit_box(2), refine_rounds=-1))
+    with pytest.raises(InvalidMarket):
+        search_equilibrium(m, SearchConfig(box=unit_box(2), epsilon=F(-1, 2)))
+    with pytest.raises(BoxDimensionMismatch):
+        search_equilibrium(m, SearchConfig(box=unit_box(2, 0, 0)))
+    assert calls == []
 
 
 def test_grid_budget_cap():
