@@ -119,7 +119,7 @@ def optimal_demand(
             remaining -= group_cost
             continue
         cutoff_rate = rate
-        tie_offers = tuple(sorted(group, key=lambda o: (o.good, o.segment)))
+        tie_offers = tuple(group)  # _offers emits (good, segment) order
         break
 
     return DemandSet(
