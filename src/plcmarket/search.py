@@ -13,13 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 from .clearing import APPROXIMATE, Certificate, imbalance_profile, verify
-from .errors import (
-    AllZeroPrices,
-    BoxDimensionMismatch,
-    GridBudgetExceeded,
-    InvalidMarket,
-    UnboundedDemand,
-)
+from .errors import AllZeroPrices, BoxDimensionMismatch, GridBudgetExceeded, InvalidMarket, UnboundedDemand
 from .model import Market, PriceVector, normalize_prices
 
 
