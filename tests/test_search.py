@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import plcmarket.search
-
 from plcmarket.errors import BoxDimensionMismatch, GridBudgetExceeded, InvalidMarket
 from plcmarket.games import validate_game
 from plcmarket.model import Market, TraderSpec
@@ -16,6 +15,18 @@ from plcmarket.regulating import build_mn
 from plcmarket.search import SearchConfig, search_equilibrium, unit_box
 
 from oracles import random_market, reference_search
+
+
+def _count_profiles(monkeypatch):
+    calls = []
+    profile = plcmarket.search.imbalance_profile
+
+    def counted(*args):
+        calls.append(args)
+        return profile(*args)
+
+    monkeypatch.setattr(plcmarket.search, "imbalance_profile", counted)
+    return calls
 
 
 def test_m2_grid_search_accepts():
@@ -91,18 +102,6 @@ def test_accepted_report_revalidates():
     rep = search_equilibrium(m, SearchConfig(box=unit_box(2), grid_k=3, epsilon=F(1, 2)))
     assert rep.accepted
     assert verify(m, rep.best_price, APPROXIMATE, F(1, 2)).accepted
-
-
-def _count_profiles(monkeypatch):
-    calls = []
-    profile = plcmarket.search.imbalance_profile
-
-    def counted(*args):
-        calls.append(args)
-        return profile(*args)
-
-    monkeypatch.setattr(plcmarket.search, "imbalance_profile", counted)
-    return calls
 
 
 def test_unshrinkable_box_is_scored_once(monkeypatch):
