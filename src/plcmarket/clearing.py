@@ -212,8 +212,10 @@ def check_witness(m, p, bundles, demands, waived, windows):
 def imbalance_profile(m: Market, p: PriceVector, eps=0) -> tuple[GoodBalance, ...]:
     """Per-good balance of the canonical (deterministic) demand bundles.
 
-    No feasibility search: this is the cheap score used by grid search, and
-    it can differ from verify's verdict exactly when tie flexibility matters.
+    No feasibility search, so it can differ from verify's verdict exactly
+    when tie flexibility matters.  This is the reference scorer: the grid
+    search's incremental scores must equal the worst relative imbalance of
+    this report at every grid point, and skip the same points.
     """
     _check_shape(m, p)
     eps = Fraction(eps)

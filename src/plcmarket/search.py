@@ -6,18 +6,33 @@ scores grid points by the worst relative imbalance of canonical demand,
 keeps the best incumbent, shrinks the box around it, and only ever claims
 acceptance when the full verifier accepts the incumbent.  Grid points are
 grid_k-adic rationals, so every evaluation downstream stays exact.
+
+Grid points are scored incrementally.  A trader's canonical bundle, and
+whether its demand is unbounded, depend only on the prices of its support,
+the goods it owns or has a nonzero utility piece on: budget, offers and
+forced satiation amounts read nothing else, and the bundle is zero off the
+support.  So each trader keeps a memo from the prices on its support to its
+bundle restricted to it, and the per-good totals change by exact
+differences only when a trader's entry changes.  Memos live for one box, so
+a box with axes A_k holds at most sum_i prod_{k in support(i)} |A_k|
+entries, and computes that many demands at most, instead of one demand per
+trader and grid point; in the paper's reduced markets every trader touches
+only a handful of goods.  The scores equal those of imbalance_profile.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .clearing import APPROXIMATE, Certificate, imbalance_profile, verify
+from .clearing import APPROXIMATE, Certificate, verify
+from .demand import canonical_bundle, optimal_demand
 from .errors import AllZeroPrices, BoxDimensionMismatch, GridBudgetExceeded, InvalidMarket, UnboundedDemand
 from .model import Market, PriceVector, normalize_prices
+from .rational import parse_rational
 
 
 MAX_GRID_POINTS = 10**7  # bounds the work one grid_k from outside can ask for
+_UNBOUNDED = object()  # memo entry of a trader whose demand is unbounded
 
 
 @dataclass(frozen=True)
@@ -42,18 +57,6 @@ class SearchReport:
     certificate: Certificate | None = None
 
 
-def _score(report) -> Fraction | None:
-    """Worst relative imbalance; None when a zero-supply good is violated."""
-    worst = Fraction(0)
-    for row in report:
-        if row.supply == 0:
-            if row.allocated != 0:
-                return None
-            continue
-        worst = max(worst, abs(row.imbalance) / row.supply)
-    return worst
-
-
 def _axis_points(lo: Fraction, hi: Fraction, grid_k: int):
     if lo == hi:
         return [lo]
@@ -61,20 +64,70 @@ def _axis_points(lo: Fraction, hi: Fraction, grid_k: int):
     return [lo + step * s for s in range(grid_k + 1)]
 
 
+def grid_scores(m: Market, axes):
+    """Yield (p, score) for the grid points in product order, leaving out the
+    origin and every point where some trader's demand is unbounded.  The
+    score is the worst relative imbalance of canonical demand, None when a
+    zero-supply good is allocated."""
+    supplies = m.supplies()
+    supports = [
+        tuple(k for k, (w, f) in enumerate(zip(t.endowment, t.utilities)) if w > 0 or not f.is_zero)
+        for t in m.traders
+    ]
+    memos = [{} for _ in supports]
+    contrib = [(Fraction(0),) * len(support) for support in supports]
+    totals = [Fraction(0)] * m.n_goods
+    for point in product(*axes):
+        try:
+            p = PriceVector(point)
+        except AllZeroPrices:
+            continue  # the origin
+        for i, support in enumerate(supports):
+            key = tuple(map(point.__getitem__, support))
+            new = memos[i].get(key)
+            if new is None:
+                try:
+                    x = canonical_bundle(optimal_demand(m.traders[i], p, i)).quantities
+                    new = tuple(map(x.__getitem__, support))
+                except UnboundedDemand:
+                    new = _UNBOUNDED  # a strictly wanted free good
+                memos[i][key] = new
+            if new is _UNBOUNDED:
+                break
+            # an entry and its part of the totals only ever change together
+            if new is not contrib[i]:
+                for k, a, b in zip(support, new, contrib[i]):
+                    if a != b:
+                        totals[k] += a - b
+                contrib[i] = new
+        else:
+            worst = Fraction(0)
+            for a, s in zip(totals, supplies):
+                if s != 0:
+                    worst = max(worst, abs(a - s) / s)
+                elif a != 0:
+                    worst = None
+                    break
+            yield p, worst
+
+
 def search_equilibrium(m: Market, cfg: SearchConfig) -> SearchReport:
-    if len(cfg.box) != m.n_goods:
+    # ints become Fractions and floats raise InputError, so the grid stays exact
+    box = tuple((parse_rational(lo), parse_rational(hi)) for lo, hi in cfg.box)
+    eps = parse_rational(cfg.epsilon)
+    if len(box) != m.n_goods:
         raise BoxDimensionMismatch(
-            f"box has {len(cfg.box)} coordinates for {m.n_goods} goods"
+            f"box has {len(box)} coordinates for {m.n_goods} goods"
         )
     if cfg.grid_k < 1:
         raise GridBudgetExceeded("grid_k must be at least 1")
     if cfg.refine_rounds < 0:
         raise GridBudgetExceeded("refine_rounds must be nonnegative")
-    if cfg.epsilon < 0:
+    if eps < 0:
         raise InvalidMarket("epsilon must be nonnegative")
-    if any(lo < 0 or hi < lo for lo, hi in cfg.box):
+    if any(lo < 0 or hi < lo for lo, hi in box):
         raise BoxDimensionMismatch("box intervals must satisfy 0 <= lo <= hi")
-    if all(hi == 0 for _, hi in cfg.box):
+    if all(hi == 0 for _, hi in box):
         raise BoxDimensionMismatch("box holds no nonzero price vector")
     if (cfg.grid_k + 1) ** m.n_goods > MAX_GRID_POINTS:
         raise GridBudgetExceeded(
@@ -83,24 +136,19 @@ def search_equilibrium(m: Market, cfg: SearchConfig) -> SearchReport:
 
     # Scores are scale-invariant, so only the final incumbent is normalized;
     # rescoring the last box scored could never lower the incumbent's score.
-    box, scored = cfg.box, None
-    best_raw: tuple[Fraction, ...] | None = None
+    scored = None
+    best: PriceVector | None = None
     best_score: Fraction | None = None
     trace = []
     for rnd in range(cfg.refine_rounds + 1):
         if box != scored:
             axes = [_axis_points(lo, hi, cfg.grid_k) for lo, hi in box]
-            for point in product(*axes):
-                try:
-                    profile = imbalance_profile(m, PriceVector(point), cfg.epsilon)
-                except (AllZeroPrices, UnboundedDemand):
-                    continue  # the origin, or a strictly wanted free good
-                score = _score(profile)
+            for p, score in grid_scores(m, axes):
                 if score is not None and (best_score is None or score < best_score):
-                    best_score, best_raw = score, point
+                    best_score, best = score, p
             scored = box
         trace.append((rnd, best_score))
-        if best_raw is None:
+        if best is None:
             continue
         # shrink to one current grid step around the incumbent, clipped to its box
         box = tuple(
@@ -108,11 +156,11 @@ def search_equilibrium(m: Market, cfg: SearchConfig) -> SearchReport:
                 max(lo, center - (hi - lo) / cfg.grid_k),
                 min(hi, center + (hi - lo) / cfg.grid_k),
             )
-            for (lo, hi), center in zip(box, best_raw)
+            for (lo, hi), center in zip(box, best.prices)
         )
 
-    if best_raw is None:
+    if best is None:
         return SearchReport(None, None, False, tuple(trace), None)
-    best_price = normalize_prices(PriceVector(best_raw))
-    cert = verify(m, best_price, APPROXIMATE, cfg.epsilon)
+    best_price = normalize_prices(best)
+    cert = verify(m, best_price, APPROXIMATE, eps)
     return SearchReport(best_price, best_score, cert.accepted, tuple(trace), cert)

@@ -364,6 +364,30 @@ def random_sparse_game_matrices(rng: random.Random, n: int, den: int = 8):
 # --- reference grid search ----------------------------------------------------
 
 
+def reference_grid_scores(m: Market, axes) -> list:
+    """(p, score) at every grid point in product order, scored from scratch by
+    imbalance_profile; the origin and unbounded points are left out, and the
+    score is None when a zero-supply good is allocated."""
+    out = []
+    for point in product(*axes):
+        if all(q == 0 for q in point):
+            continue
+        p = PriceVector(point)
+        try:
+            profile = imbalance_profile(m, p)
+        except UnboundedDemand:
+            continue
+        if any(row.supply == 0 and row.allocated != 0 for row in profile):
+            out.append((p, None))
+            continue
+        score = max(
+            (abs(row.imbalance) / row.supply for row in profile if row.supply != 0),
+            default=Fraction(0),
+        )
+        out.append((p, score))
+    return out
+
+
 def reference_search(m: Market, cfg) -> SearchReport:
     """Grid search that scores every round and normalizes every point."""
     box = cfg.box

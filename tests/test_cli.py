@@ -247,7 +247,8 @@ def test_negative_eps_is_input_error(tmp_path, monkeypatch):
     market = tmp_path / "m2.json"
     run("gen-mn", "--n", "2", "-o", str(market))
     calls = []
-    monkeypatch.setattr("plcmarket.search.imbalance_profile", lambda *args: calls.append(args))
+    monkeypatch.setattr("plcmarket.search.optimal_demand", lambda *args: calls.append(args))
+    monkeypatch.setattr("plcmarket.search.PriceVector", lambda *args: calls.append(args))
     res = run("search-eq", "--market", str(market), "--eps", "-1/2")
     assert res.exit_code == 2 and "nonnegative" in res.output
     assert calls == []

@@ -6,27 +6,47 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import plcmarket.search
-from plcmarket.errors import BoxDimensionMismatch, GridBudgetExceeded, InvalidMarket
+from plcmarket.errors import BoxDimensionMismatch, GridBudgetExceeded, InputError, InvalidMarket
 from plcmarket.games import validate_game
 from plcmarket.model import Market, TraderSpec
 from plcmarket.plc import linear_plc
 from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn
-from plcmarket.search import SearchConfig, search_equilibrium, unit_box
+from plcmarket.search import SearchConfig, _axis_points, grid_scores, search_equilibrium, unit_box
+from plcmarket.serialize import dumps, search_report_to_obj
 
-from oracles import random_market, reference_search
+from oracles import (
+    random_market,
+    random_sparse_game_matrices,
+    reference_grid_scores,
+    reference_search,
+)
 
 
-def _count_profiles(monkeypatch):
-    calls = []
-    profile = plcmarket.search.imbalance_profile
+def _count_scoring(monkeypatch):
+    """Count the search's demand evaluations and grid points; the search
+    builds one PriceVector per grid point it walks."""
+    counts = {"demands": 0, "points": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return profile(*args)
+    def count(name, key):
+        original = getattr(plcmarket.search, name)
 
-    monkeypatch.setattr(plcmarket.search, "imbalance_profile", counted)
-    return calls
+        def counted(*args):
+            counts[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(plcmarket.search, name, counted)
+
+    count("optimal_demand", "demands")
+    count("PriceVector", "points")
+    return counts
+
+
+def _support(trader):
+    return [
+        k for k, (w, f) in enumerate(zip(trader.endowment, trader.utilities))
+        if w > 0 or not f.is_zero
+    ]
 
 
 def test_m2_grid_search_accepts():
@@ -69,7 +89,7 @@ def test_box_dimension_mismatch():
 
 
 def test_bad_config_is_rejected_before_scoring(monkeypatch):
-    calls = _count_profiles(monkeypatch)
+    counts = _count_scoring(monkeypatch)
     m = build_mn(2)
     with pytest.raises(GridBudgetExceeded):
         search_equilibrium(m, SearchConfig(box=unit_box(2), refine_rounds=-1))
@@ -77,7 +97,11 @@ def test_bad_config_is_rejected_before_scoring(monkeypatch):
         search_equilibrium(m, SearchConfig(box=unit_box(2), epsilon=F(-1, 2)))
     with pytest.raises(BoxDimensionMismatch):
         search_equilibrium(m, SearchConfig(box=unit_box(2, 0, 0)))
-    assert calls == []
+    with pytest.raises(InputError):
+        search_equilibrium(m, SearchConfig(box=((F(1), 2.0), (F(1), F(2)))))
+    with pytest.raises(InputError):
+        search_equilibrium(m, SearchConfig(box=unit_box(2), epsilon=0.5))
+    assert counts == {"demands": 0, "points": 0}
 
 
 def test_grid_budget_cap():
@@ -108,11 +132,53 @@ def test_unshrinkable_box_is_scored_once(monkeypatch):
     # at grid_k 1 one grid step around any corner is the whole box again
     market, _ = build_reduced_market(validate_game([[1, 0], [0, 1]], [[1, 0], [0, 1]]))
     assert market.n_goods == 6
-    calls = _count_profiles(monkeypatch)
+    counts = _count_scoring(monkeypatch)
     cfg = SearchConfig(box=unit_box(6), grid_k=1, refine_rounds=2, epsilon=F(1, 6**13))
     rep = search_equilibrium(market, cfg)
-    assert len(calls) == 2**6
+    assert counts["points"] == 2**6
     assert len(rep.trace) == 3
+
+
+def test_grid_pass_evaluates_each_support_price_once(monkeypatch):
+    # a trader's demand is computed once per price vector on its support,
+    # not once per grid point: 200 evaluations instead of 38 * 2^6 = 2,432
+    market, _ = build_reduced_market(validate_game([[1, 0], [0, 1]], [[1, 0], [0, 1]]))
+    assert sum(2 ** len(_support(t)) for t in market.traders) == 200
+    counts = _count_scoring(monkeypatch)
+    cfg = SearchConfig(box=unit_box(6), grid_k=1, refine_rounds=0, epsilon=F(1, 2))
+    search_equilibrium(market, cfg)
+    assert counts == {"demands": 200, "points": 2**6}
+
+
+def test_int_box_matches_fraction_box():
+    m = build_mn(2)
+    got = search_equilibrium(m, SearchConfig(box=((1, 3), (2, 3)), grid_k=2, epsilon=1))
+    want = search_equilibrium(
+        m, SearchConfig(box=((F(1), F(3)), (F(2), F(3))), grid_k=2, epsilon=F(1))
+    )
+    assert dumps(search_report_to_obj(got)) == dumps(search_report_to_obj(want))
+    assert all(type(q) is F for q in got.best_price.prices)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grid_k=st.integers(1, 3),
+    los=st.lists(st.sampled_from([F(0), F(1, 2), F(1)]), min_size=3, max_size=3),
+)
+def test_grid_scores_match_imbalance_profile(seed, grid_k, los):
+    market = random_market(random.Random(seed))
+    axes = [_axis_points(lo, F(2), grid_k) for lo in los[: market.n_goods]]
+    assert list(grid_scores(market, axes)) == reference_grid_scores(market, axes)
+
+
+@pytest.mark.parametrize("n, seed, lo", [(2, 0, 1), (2, 1, 0), (3, 0, 1)])
+def test_grid_scores_match_imbalance_profile_on_reduced_markets(n, seed, lo):
+    # lo 0 on good 0 puts a free good in half the grid: those points skip
+    market, _ = build_reduced_market(
+        validate_game(*random_sparse_game_matrices(random.Random(seed), n))
+    )
+    axes = [_axis_points(F(lo if k == 0 else 1), F(2), 1) for k in range(market.n_goods)]
+    assert list(grid_scores(market, axes)) == reference_grid_scores(market, axes)
 
 
 @given(
