@@ -12,7 +12,7 @@ from .clearing import (
     imbalance_profile,
     verify,
 )
-from .demand import Bundle, DemandSet, SegmentOffer, budget, canonical_bundle, in_opt, optimal_demand
+from .demand import Bundle, DemandSet, SegmentOffer, budget, canonical_bundle, optimal_demand
 from .games import (
     BimatrixGame,
     MixedStrategy,
@@ -33,7 +33,7 @@ from .model import (
     normalize_prices,
     prices,
 )
-from .plc import PLCFunction, ZERO_PLC, linear_plc, utility_eval, validate_plc
+from .plc import PLCFunction, ZERO_PLC, linear_plc, validate_plc
 from .rational import format_rational, parse_rational
 from .reduction import (
     Extraction,
@@ -84,7 +84,6 @@ __all__ = [
     "gadget_vectors_col",
     "gadget_vectors_row",
     "imbalance_profile",
-    "in_opt",
     "is_strongly_connected",
     "linear_plc",
     "mixed",
@@ -96,7 +95,6 @@ __all__ = [
     "search_equilibrium",
     "solve_game_support_enum",
     "unit_box",
-    "utility_eval",
     "validate_game",
     "validate_plc",
     "verify",

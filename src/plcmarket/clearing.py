@@ -71,6 +71,18 @@ def clearing_windows(supplies, p: PriceVector, mode: str, eps: Fraction):
     return out
 
 
+def _totals(n_goods: int, rows) -> list[Fraction]:
+    """Per-good sums of the rows (dense quantity vectors), adding only their
+    nonzero entries.  A witness row may be nonzero off its trader's support
+    (residual spending, free top-ups), so this must not visit supports."""
+    totals = [Fraction(0)] * n_goods
+    for row in rows:
+        for k, x in enumerate(row):
+            if x:
+                totals[k] += x
+    return totals
+
+
 def _solve(
     m: Market,
     p: PriceVector,
@@ -84,7 +96,7 @@ def _solve(
         [Fraction(0)] * m.n_goods if i in waived or d is None else list(d.forced)
         for i, d in enumerate(demands)
     ]
-    forced = [sum(col) for col in zip(*alloc)]
+    forced = _totals(m.n_goods, alloc)
     inf = sum((d.budget for d in demands if d is not None), Fraction(0)) + 1
     arcs: list[Arc] = []
     qty_arcs: list[tuple[int, int, int]] = []  # (arc index, trader, good)
@@ -123,11 +135,11 @@ def _solve(
 
 
 def clearing_report(supplies, bundles, eps: Fraction) -> tuple[GoodBalance, ...]:
-    rows = []
-    for k, s in enumerate(supplies):
-        a = sum((b.quantities[k] for b in bundles), Fraction(0))
-        rows.append(GoodBalance(good=k, supply=s, allocated=a, imbalance=a - s, bound=eps * s))
-    return tuple(rows)
+    allocated = _totals(len(supplies), (b.quantities for b in bundles))
+    return tuple(
+        GoodBalance(good=k, supply=s, allocated=a, imbalance=a - s, bound=eps * s)
+        for k, (s, a) in enumerate(zip(supplies, allocated))
+    )
 
 
 def _check_shape(m: Market, p: PriceVector):
@@ -203,8 +215,8 @@ def check_witness(m, p, bundles, demands, waived, windows):
                 raise InternalInvariantViolation(f"waived trader {i} got a costly bundle")
         elif not in_demand(trader, p, d, b):
             raise InternalInvariantViolation(f"witness bundle for trader {i} is not optimal")
-    for k, (lo, hi) in enumerate(windows):
-        total = sum((b.quantities[k] for b in bundles), Fraction(0))
+    totals = _totals(len(windows), (b.quantities for b in bundles))
+    for k, ((lo, hi), total) in enumerate(zip(windows, totals)):
         if not lo <= total <= hi:
             raise InternalInvariantViolation(f"witness violates clearing window on good {k}")
 

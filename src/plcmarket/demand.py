@@ -41,7 +41,7 @@ class Bundle:
     quantities: tuple[Fraction, ...]
 
     def cost(self, p: PriceVector) -> Fraction:
-        return sum((x * q for x, q in zip(self.quantities, p.prices)), Fraction(0))
+        return sum((x * q for x, q in zip(self.quantities, p.prices) if x), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,14 @@ class DemandSet:
 
 
 def budget(trader: TraderSpec, p: PriceVector) -> Fraction:
-    return sum((w * q for w, q in zip(trader.endowment, p.prices)), Fraction(0))
+    w, q = trader.endowment, p.prices
+    return sum((w[k] * q[k] for k in trader.support if w[k]), Fraction(0))
 
 
 def _offers(trader: TraderSpec, p: PriceVector) -> list[SegmentOffer]:
     offers = []
-    for k, f in enumerate(trader.utilities):
+    for k in trader.support:
+        f = trader.utilities[k]
         if f.is_zero or p.prices[k] == 0:
             continue  # a wanted free good is forced or unbounded, see optimal_demand
         prev = Fraction(0)
@@ -85,16 +87,13 @@ def optimal_demand(
     Raises UnboundedDemand when a strictly wanted good has zero price.  A zero
     budget is not an error; it yields the all-zero purchase with tie_spend 0.
     """
-    n = len(p.prices)
-    forced = [Fraction(0)] * n
-    free_goods = []
-    for k, f in enumerate(trader.utilities):
-        if p.prices[k] == 0:
-            free_goods.append(k)
-            if not f.is_zero:
-                if f.is_strictly_monotone:
-                    raise UnboundedDemand(trader_idx, k)
-                forced[k] = f.satiation_point
+    forced = [Fraction(0)] * len(p.prices)
+    for k in trader.support:
+        f = trader.utilities[k]
+        if p.prices[k] == 0 and not f.is_zero:
+            if f.is_strictly_monotone:
+                raise UnboundedDemand(trader_idx, k)
+            forced[k] = f.satiation_point
 
     offers = _offers(trader, p)
     by_rate: dict[Fraction, list[SegmentOffer]] = {}
@@ -128,8 +127,8 @@ def optimal_demand(
         tie_offers=tie_offers,
         tie_spend=remaining,
         budget=money,
-        free_goods=tuple(free_goods),
-        priced_goods=tuple(k for k in range(n) if p.prices[k] > 0),
+        free_goods=p.free_goods,
+        priced_goods=p.priced_goods,
     )
 
 
@@ -161,8 +160,3 @@ def in_demand(trader: TraderSpec, p: PriceVector, d: DemandSet, x: Bundle) -> bo
     if x.cost(p) > d.budget:
         return False
     return trader.utility(x.quantities) == trader.utility(canonical_bundle(d).quantities)
-
-
-def in_opt(trader: TraderSpec, p: PriceVector, x: Bundle, trader_idx: int | None = None) -> bool:
-    """in_demand against the trader's demand set at p, computed here."""
-    return in_demand(trader, p, optimal_demand(trader, p, trader_idx), x)

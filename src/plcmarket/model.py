@@ -4,13 +4,21 @@ A market holds a fixed number of divisible goods and a list of traders, each
 with a nonnegative endowment vector and one PLC utility piece per good; a
 trader's utility of a bundle is the sum of the per-good pieces.  All
 quantities are exact rationals.
+
+Vectors are dense at the API and in files, but in the reduced markets each
+trader owns or wants a handful of the N goods.  Off a trader's support (the
+goods it owns or has a nonzero utility piece on, computed once) its
+endowment and utility pieces are zero, so its budget, offers, forced
+purchases and utility read only the support, and the per-trader loops visit
+the support instead of all N goods.
 """
 
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .errors import AllZeroPrices, InvalidMarket, InvalidPriceVector
+from .errors import AllZeroPrices, InvalidMarket, InvalidPriceVector, NegativeArgument
 from .plc import PLCFunction
 
 
@@ -20,9 +28,21 @@ class TraderSpec:
     utilities: tuple[PLCFunction, ...]
     label: str | None = None
 
+    @cached_property
+    def support(self) -> tuple[int, ...]:
+        """Goods with a nonzero endowment or a nonzero utility piece, ascending."""
+        return tuple(
+            k for k, (w, f) in enumerate(zip(self.endowment, self.utilities)) if w or not f.is_zero
+        )
+
     def utility(self, quantities) -> Fraction:
-        """Additively separable utility of a bundle."""
-        return sum((f(Fraction(x)) for f, x in zip(self.utilities, quantities)), Fraction(0))
+        """Additively separable utility of a bundle; pieces off the support
+        are zero, but a negative entry anywhere is still an error."""
+        for x in quantities:
+            if x < 0:
+                raise NegativeArgument(f"PLC function evaluated at {x}")
+        f = self.utilities
+        return sum((f[k](Fraction(quantities[k])) for k in self.support), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -38,7 +58,7 @@ class Market:
         for idx, t in enumerate(self.traders):
             if len(t.endowment) != self.n_goods or len(t.utilities) != self.n_goods:
                 raise InvalidMarket(f"trader {idx} has wrong vector length")
-            if any(w < 0 for w in t.endowment):
+            if any(t.endowment[k] < 0 for k in t.support):  # nonzero entries only
                 raise InvalidMarket(f"trader {idx} has a negative endowment entry")
         if all(s == 0 for s in self.supplies()):
             raise InvalidMarket("total endowment is zero for every good")
@@ -47,8 +67,10 @@ class Market:
         """Total endowment per good."""
         totals = [Fraction(0)] * self.n_goods
         for t in self.traders:
-            for k, w in enumerate(t.endowment):
-                totals[k] += w
+            endowment = t.endowment
+            for k in t.support:
+                if endowment[k]:
+                    totals[k] += endowment[k]
         return tuple(totals)
 
 
@@ -71,6 +93,14 @@ class PriceVector:
     def __len__(self) -> int:
         return len(self.prices)
 
+    @cached_property
+    def free_goods(self) -> tuple[int, ...]:
+        return tuple(k for k, q in enumerate(self.prices) if q == 0)
+
+    @cached_property
+    def priced_goods(self) -> tuple[int, ...]:
+        return tuple(k for k, q in enumerate(self.prices) if q > 0)
+
 
 def prices(values, normalized: bool = False) -> PriceVector:
     return PriceVector(tuple(Fraction(v) for v in values), normalized)
@@ -85,18 +115,24 @@ def normalize_prices(p: PriceVector) -> PriceVector:
 def economy_graph(m: Market) -> list[set[int]]:
     """Directed trader graph: edge i -> j iff i owns a good j strictly wants.
 
-    Materialized as adjacency sets, built from per-good owner/wanter lists so
-    the cost is proportional to the number of realized edges.
+    Materialized as adjacency sets, built from per-good owner/wanter lists
+    filled in one pass over the supports, so the cost is proportional to the
+    supports and the number of realized edges.
     """
-    n = len(m.traders)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for k in range(m.n_goods):
-        owners = [i for i, t in enumerate(m.traders) if t.endowment[k] > 0]
-        wanters = [j for j, t in enumerate(m.traders) if t.utilities[k].is_strictly_monotone]
-        for i in owners:
-            for j in wanters:
-                if i != j:
-                    adj[i].add(j)
+    owners: list[list[int]] = [[] for _ in range(m.n_goods)]
+    wanters: list[list[int]] = [[] for _ in range(m.n_goods)]
+    for i, t in enumerate(m.traders):
+        for k in t.support:
+            if t.endowment[k] > 0:
+                owners[k].append(i)
+            if t.utilities[k].is_strictly_monotone:
+                wanters[k].append(i)
+    adj: list[set[int]] = [set() for _ in m.traders]
+    for good_owners, good_wanters in zip(owners, wanters):
+        for i in good_owners:
+            adj[i].update(good_wanters)
+    for i, outs in enumerate(adj):
+        outs.discard(i)  # no self loops
     return adj
 
 
@@ -152,9 +188,11 @@ def classify_market(m: Market, alpha, t: int) -> MarketClassReport:
     max_first_slope = Fraction(0)
     sparsity = 0
     for trader in m.traders:
-        endow_support = sum(1 for w in trader.endowment if w > 0)
-        util_support = 0
-        for f in trader.utilities:
+        endow_support = util_support = 0
+        for k in trader.support:
+            if trader.endowment[k] > 0:
+                endow_support += 1
+            f = trader.utilities[k]
             if f.is_zero:
                 continue
             util_support += 1

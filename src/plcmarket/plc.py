@@ -112,7 +112,3 @@ def linear_plc(theta) -> PLCFunction:
     if theta == 0:
         return ZERO_PLC
     return validate_plc((theta,), ())
-
-
-def utility_eval(f: PLCFunction, x) -> Fraction:
-    return f(Fraction(x))

@@ -39,5 +39,6 @@ def parse_rational(value) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """Render a Fraction as the canonical "num/den" string."""
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"

@@ -26,7 +26,7 @@ from itertools import product
 
 from .clearing import APPROXIMATE, Certificate, verify
 from .demand import canonical_bundle, optimal_demand
-from .errors import AllZeroPrices, BoxDimensionMismatch, GridBudgetExceeded, InvalidMarket, UnboundedDemand
+from .errors import AllZeroPrices, BoxDimensionMismatch, GridBudgetExceeded, InputError, InvalidMarket, UnboundedDemand
 from .model import Market, PriceVector, normalize_prices
 from .rational import parse_rational
 
@@ -70,10 +70,7 @@ def grid_scores(m: Market, axes):
     score is the worst relative imbalance of canonical demand, None when a
     zero-supply good is allocated."""
     supplies = m.supplies()
-    supports = [
-        tuple(k for k, (w, f) in enumerate(zip(t.endowment, t.utilities)) if w > 0 or not f.is_zero)
-        for t in m.traders
-    ]
+    supports = [t.support for t in m.traders]
     memos = [{} for _ in supports]
     contrib = [(Fraction(0),) * len(support) for support in supports]
     totals = [Fraction(0)] * m.n_goods
@@ -119,6 +116,10 @@ def search_equilibrium(m: Market, cfg: SearchConfig) -> SearchReport:
         raise BoxDimensionMismatch(
             f"box has {len(box)} coordinates for {m.n_goods} goods"
         )
+    for name in ("grid_k", "refine_rounds"):
+        value = getattr(cfg, name)
+        if type(value) is not int:  # bool is an int subclass, but never a count
+            raise InputError(f"{name} must be an integer, got {value!r}")
     if cfg.grid_k < 1:
         raise GridBudgetExceeded("grid_k must be at least 1")
     if cfg.refine_rounds < 0:

@@ -13,7 +13,7 @@ from .clearing import Certificate
 from .errors import InputError
 from .games import BimatrixGame, MixedStrategy, validate_game
 from .model import Market, PriceVector, TraderSpec
-from .plc import PLCFunction, validate_plc
+from .plc import ZERO_PLC, PLCFunction, validate_plc
 from .rational import format_rational, parse_rational
 from .reduction import ReducedMarketMeta
 from .search import SearchReport
@@ -81,13 +81,25 @@ def market_to_obj(m: Market):
     return {"n_goods": m.n_goods, "traders": traders}
 
 
+# fast paths for the zero entries that make up most of a sparse market
+_ZERO = Fraction(0)
+_ZERO_STRINGS = ("0/1", "0")  # what market_to_obj writes, and the short form
+_ZERO_OBJ = {"kind": "zero"}
+
+
 def market_from_obj(obj) -> Market:
     n_goods = _require(obj, "n_goods", int, "market")
     traders = []
     for idx, entry in enumerate(_require(obj, "traders", list, "market")):
         where = f"trader {idx}"
-        endow = tuple(parse_rational(w) for w in _require(entry, "endowment", list, where))
-        utils = tuple(plc_from_obj(u) for u in _require(entry, "utilities", list, where))
+        endow = tuple(
+            _ZERO if w in _ZERO_STRINGS else parse_rational(w)
+            for w in _require(entry, "endowment", list, where)
+        )
+        utils = tuple(
+            ZERO_PLC if u == _ZERO_OBJ else plc_from_obj(u)
+            for u in _require(entry, "utilities", list, where)
+        )
         label = entry.get("label")
         if label is not None and not isinstance(label, str):
             raise InputError(f"{where}: label must be a string")

@@ -8,7 +8,8 @@ joined with every basic solution of the constraint system, so the sweep is
 decision-complete) with its own Gaussian elimination.  The reference grid
 search is the plain search loop: it scores every round's box, also when the
 box did not shrink, at normalized prices, over the package's own scoring and
-verifier.
+verifier.  The dense references restate, over all N goods, what the package
+computes over each trader's support or a bundle's nonzero entries.
 """
 
 import random
@@ -16,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from plcmarket.clearing import APPROXIMATE, imbalance_profile, verify
-from plcmarket.demand import budget, optimal_demand
+from plcmarket.demand import DemandSet, SegmentOffer, budget, optimal_demand
 from plcmarket.errors import UnboundedDemand
 from plcmarket.model import Market, PriceVector, TraderSpec, normalize_prices
 from plcmarket.plc import validate_plc
@@ -252,6 +253,77 @@ def brute_force_clearing(market: Market, p, eps, grid_den: int = 16, grid_cap: i
             pts.append(ub)
         axes.append(pts)
     return any(ok(z) for z in product(*axes))
+
+
+# --- dense references for the support-restricted code --------------------------
+
+
+def dense_supplies(m: Market) -> tuple:
+    return tuple(sum((t.endowment[k] for t in m.traders), Fraction(0)) for k in range(m.n_goods))
+
+
+def dense_budget(trader: TraderSpec, p) -> Fraction:
+    return sum((w * q for w, q in zip(trader.endowment, p.prices)), Fraction(0))
+
+
+def dense_cost(quantities, p) -> Fraction:
+    return sum((x * q for x, q in zip(quantities, p.prices)), Fraction(0))
+
+
+def dense_utility(trader: TraderSpec, quantities) -> Fraction:
+    return sum((f(Fraction(x)) for f, x in zip(trader.utilities, quantities)), Fraction(0))
+
+
+def dense_totals(rows, n_goods: int) -> list:
+    return [sum((row[k] for row in rows), Fraction(0)) for k in range(n_goods)]
+
+
+def dense_demand(trader: TraderSpec, p, trader_idx=None) -> DemandSet:
+    """optimal_demand restated over every good: collect the offers of all
+    goods, then buy whole rate classes, best rate first, while the money
+    lasts; the first class that is uncapped or unaffordable is the tie."""
+    n = len(p.prices)
+    forced = [Fraction(0)] * n
+    offers = []
+    for k, f in enumerate(trader.utilities):
+        if p.prices[k] == 0:
+            if f.is_strictly_monotone:
+                raise UnboundedDemand(trader_idx, k)
+            forced[k] = f.satiation_point
+            continue
+        lefts = (Fraction(0),) + f.breaks
+        for s, theta in enumerate(f.slopes):
+            if theta > 0:
+                cap = f.breaks[s] - lefts[s] if s < len(f.breaks) else None
+                offers.append(SegmentOffer(k, s, theta / p.prices[k], cap, p.prices[k]))
+    free = tuple(k for k in range(n) if p.prices[k] == 0)
+    priced = tuple(k for k in range(n) if p.prices[k] > 0)
+    money = remaining = dense_budget(trader, p)
+    for rate in sorted({o.rate for o in offers}, reverse=True):
+        group = tuple(o for o in offers if o.rate == rate)
+        if any(o.quantity_cap is None for o in group):
+            return DemandSet(tuple(forced), rate, group, remaining, money, free, priced)
+        cost = sum(o.quantity_cap * o.unit_cost for o in group)
+        if cost > remaining:
+            return DemandSet(tuple(forced), rate, group, remaining, money, free, priced)
+        for o in group:
+            forced[o.good] += o.quantity_cap
+        remaining -= cost
+    return DemandSet(tuple(forced), Fraction(0), (), remaining, money, free, priced)
+
+
+def dense_economy_graph(m: Market) -> list:
+    """Edge i -> j iff i != j and some good is owned by i and strictly wanted
+    by j, tested pair by pair over all goods."""
+    goods = range(m.n_goods)
+    return [
+        {
+            j
+            for j, b in enumerate(m.traders)
+            if j != i and any(a.endowment[k] > 0 and b.utilities[k].is_strictly_monotone for k in goods)
+        }
+        for i, a in enumerate(m.traders)
+    ]
 
 
 # --- random instance generators ---------------------------------------------------

@@ -12,7 +12,7 @@ from plcmarket.clearing import (
     imbalance_profile,
     verify,
 )
-from plcmarket.demand import Bundle, in_opt, optimal_demand
+from plcmarket.demand import Bundle, in_demand, optimal_demand
 from plcmarket.errors import AllZeroPrices, ShapeMismatch, UnboundedDemand
 from plcmarket.model import Market, TraderSpec, normalize_prices, prices
 from plcmarket.plc import ZERO_PLC, linear_plc, validate_plc
@@ -32,11 +32,12 @@ def test_single_self_sufficient_trader_exact():
 
 def test_m2_box_prices_feasible():
     m = build_mn(2)
-    alloc = clearing_feasibility(m, prices([1, 1], normalized=True), F(1, 2))
+    p = prices([1, 1], normalized=True)
+    alloc = clearing_feasibility(m, p, F(1, 2))
     assert alloc is not None
     # and the endowment allocation itself is a valid witness
     for i, t in enumerate(m.traders):
-        assert in_opt(t, prices([1, 1], normalized=True), Bundle(t.endowment), i)
+        assert in_demand(t, p, optimal_demand(t, p, i), Bundle(t.endowment))
 
 
 def test_m2_out_of_box_infeasible():
@@ -166,7 +167,7 @@ def test_witness_revalidates():
     cert = verify(m, p, APPROXIMATE, F(1, 4))
     assert cert.accepted
     for i, t in enumerate(m.traders):
-        assert in_opt(t, p, cert.allocation[i], i)
+        assert in_demand(t, p, optimal_demand(t, p, i), cert.allocation[i])
     for row in cert.report:
         assert abs(row.imbalance) <= row.bound
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from plcmarket.demand import Bundle, budget, canonical_bundle, in_opt, optimal_demand
+from plcmarket.demand import Bundle, budget, canonical_bundle, in_demand, optimal_demand
 from plcmarket.errors import UnboundedDemand
 from plcmarket.games import validate_game
 from plcmarket.model import TraderSpec, prices
@@ -54,7 +54,7 @@ def test_equal_rates_form_tie():
     assert d.tie_spend == 2
     assert canonical_bundle(d).quantities == (F(1), F(0))  # lexicographic fill
     # all-money-on-the-other-good is also optimal
-    assert in_opt(t, prices([2, 1]), Bundle((F(0), F(2))))
+    assert in_demand(t, prices([2, 1]), optimal_demand(t, prices([2, 1])), Bundle((F(0), F(2))))
 
 
 def test_greedy_across_segments():
@@ -68,7 +68,7 @@ def test_zero_budget_yields_zero_bundle():
     d = optimal_demand(t, prices([1, 1]))
     assert d.budget == 0 and d.tie_spend == 0
     assert canonical_bundle(d).quantities == (F(0), F(0))
-    assert in_opt(t, prices([1, 1]), Bundle((F(0), F(0))))
+    assert in_demand(t, prices([1, 1]), optimal_demand(t, prices([1, 1])), Bundle((F(0), F(0))))
 
 
 def test_unbounded_demand_on_free_wanted_good():
@@ -84,14 +84,14 @@ def test_free_satiated_good_is_forced_at_satiation():
     assert d.free_goods == (1,)
     b = canonical_bundle(d)
     assert b.quantities == (F(1), F(3))
-    assert in_opt(t, prices([1, 0]), b)
+    assert in_demand(t, prices([1, 0]), optimal_demand(t, prices([1, 0])), b)
     # skipping the free satiated quantity is not optimal
-    assert not in_opt(t, prices([1, 0]), Bundle((F(1), F(0))))
+    assert not in_demand(t, prices([1, 0]), optimal_demand(t, prices([1, 0])), Bundle((F(1), F(0))))
 
 
 def test_overspent_bundle_not_in_opt():
     t = linear_trader([1, 0], [2, 1])
-    assert not in_opt(t, prices([1, 1]), Bundle((F(2), F(0))))
+    assert not in_demand(t, prices([1, 1]), optimal_demand(t, prices([1, 1])), Bundle((F(2), F(0))))
 
 
 def test_residual_spending_allowed_in_opt():
@@ -103,8 +103,8 @@ def test_residual_spending_allowed_in_opt():
     assert d.forced == (F(1), F(1))
     assert d.tie_spend == 2  # residual ceiling
     assert canonical_bundle(d).quantities == (F(1), F(1))
-    assert in_opt(t, p, Bundle((F(2), F(2))))  # burns residual, same utility
-    assert not in_opt(t, p, Bundle((F(3), F(2))))  # over budget
+    assert in_demand(t, p, d, Bundle((F(2), F(2))))  # burns residual, same utility
+    assert not in_demand(t, p, d, Bundle((F(3), F(2))))  # over budget
 
 
 def test_full_spend_law_and_rate_partition():
@@ -124,7 +124,7 @@ def test_full_spend_law_and_rate_partition():
                 assert b.cost(p) == d.budget  # all money spent
             else:
                 assert cost + d.tie_spend == d.budget
-            assert in_opt(t, p, canonical_bundle(d), i)
+            assert in_demand(t, p, d, canonical_bundle(d))
 
 
 def test_rate_partition_around_cutoff():

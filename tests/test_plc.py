@@ -10,7 +10,7 @@ from plcmarket.errors import (
     NonDecreasingSlopes,
     NonIncreasingBreakpoints,
 )
-from plcmarket.plc import linear_plc, utility_eval, validate_plc
+from plcmarket.plc import linear_plc, validate_plc
 
 from oracles import random_plc
 
@@ -26,7 +26,7 @@ def test_zero_function_forms():
     for slopes in ([], [0]):
         f = validate_plc(slopes, [])
         assert f.is_zero
-        assert utility_eval(f, 7) == 0
+        assert f(F(7)) == 0
         assert f.satiation_point == 0
 
 
@@ -47,23 +47,23 @@ def test_rejections():
 
 def test_eval_examples():
     f = validate_plc([3, 1], [2])
-    assert utility_eval(f, 2) == 6
-    assert utility_eval(f, 5) == 9
-    assert utility_eval(f, 0) == 0
+    assert f(F(2)) == 6
+    assert f(F(5)) == 9
+    assert f(F(0)) == 0
     with pytest.raises(NegativeArgument):
-        utility_eval(f, -1)
+        f(F(-1))
 
 
 def test_last_segment_is_a_ray():
     f = validate_plc([5, 2], [3])
-    assert utility_eval(f, 1000) == 15 + 2 * 997
+    assert f(F(1000)) == 15 + 2 * 997
 
 
 def test_satiation_and_bounds():
     f = validate_plc([3, 0], [2])
     assert f.satiation_point == 2
     assert not f.is_strictly_monotone
-    assert utility_eval(f, 50) == 6
+    assert f(F(50)) == 6
     assert validate_plc([9, 1], [1]).alpha_bounded(27)
     assert not validate_plc([9, 1], [1]).alpha_bounded(8)
     assert not validate_plc([F(1, 2)], []).alpha_bounded(27)  # last slope below 1
@@ -72,7 +72,7 @@ def test_satiation_and_bounds():
 
 def test_linear_plc():
     assert linear_plc(0).is_zero
-    assert utility_eval(linear_plc(3), F(7, 2)) == F(21, 2)
+    assert linear_plc(3)(F(7, 2)) == F(21, 2)
 
 
 def test_concavity_property():

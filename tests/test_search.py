@@ -101,6 +101,11 @@ def test_bad_config_is_rejected_before_scoring(monkeypatch):
         search_equilibrium(m, SearchConfig(box=((F(1), 2.0), (F(1), F(2)))))
     with pytest.raises(InputError):
         search_equilibrium(m, SearchConfig(box=unit_box(2), epsilon=0.5))
+    for bad in (1.5, "2", True):
+        with pytest.raises(InputError):
+            search_equilibrium(m, SearchConfig(box=unit_box(2), grid_k=bad))
+        with pytest.raises(InputError):
+            search_equilibrium(m, SearchConfig(box=unit_box(2), refine_rounds=bad))
     assert counts == {"demands": 0, "points": 0}
 
 
