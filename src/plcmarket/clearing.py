@@ -14,6 +14,9 @@ The search is an exact-rational circulation problem over money:
 Zero-priced goods never carry money; they are checked arithmetically (forced
 satiation amounts must fit under the window ceiling, and free top-ups can
 always reach the window floor).
+
+An accept witness is re-checked without the flow: each bundle's utility is
+compared with the canonical bundle's only on the goods where the two differ.
 """
 
 from dataclasses import dataclass
@@ -23,6 +26,7 @@ from .demand import Bundle, DemandSet, budget, canonical_bundle, in_demand, opti
 from .errors import InternalInvariantViolation, InvalidMarket, ShapeMismatch, UnboundedDemand
 from .flow import Arc, feasible_circulation
 from .model import Market, PriceVector, normalize_prices
+from .rational import parse_rational
 
 EXACT = "exact"
 APPROXIMATE = "approximate"
@@ -134,8 +138,8 @@ def _solve(
     return tuple(Bundle(tuple(row)) for row in alloc)
 
 
-def clearing_report(supplies, bundles, eps: Fraction) -> tuple[GoodBalance, ...]:
-    allocated = _totals(len(supplies), (b.quantities for b in bundles))
+def clearing_report(supplies, allocated, eps: Fraction) -> tuple[GoodBalance, ...]:
+    """Per-good balance of the allocated totals against supply."""
     return tuple(
         GoodBalance(good=k, supply=s, allocated=a, imbalance=a - s, bound=eps * s)
         for k, (s, a) in enumerate(zip(supplies, allocated))
@@ -147,6 +151,14 @@ def _check_shape(m: Market, p: PriceVector):
         raise ShapeMismatch(f"expected {m.n_goods} prices, got {len(p.prices)}")
 
 
+def _epsilon(eps) -> Fraction:
+    """An exact nonnegative tolerance; floats raise InputError."""
+    eps = parse_rational(eps)
+    if eps < 0:
+        raise InvalidMarket("epsilon must be nonnegative")
+    return eps
+
+
 def clearing_feasibility(
     m: Market, p: PriceVector, eps
 ) -> tuple[Bundle, ...] | None:
@@ -156,7 +168,7 @@ def clearing_feasibility(
     """
     _check_shape(m, p)
     demands = [optimal_demand(t, p, i) for i, t in enumerate(m.traders)]
-    windows = clearing_windows(m.supplies(), p, APPROXIMATE, Fraction(eps))
+    windows = clearing_windows(m.supplies(), p, APPROXIMATE, _epsilon(eps))
     return _solve(m, p, demands, set(), windows)
 
 
@@ -170,9 +182,7 @@ def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
     """
     if mode not in MODES:
         raise InvalidMarket(f"unknown verification mode {mode!r}")
-    eps = Fraction(eps) if mode == APPROXIMATE else Fraction(0)
-    if eps < 0:
-        raise InvalidMarket("epsilon must be nonnegative")
+    eps = _epsilon(eps) if mode == APPROXIMATE else Fraction(0)
     _check_shape(m, p)
     p = normalize_prices(p)
 
@@ -195,20 +205,19 @@ def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
     windows = clearing_windows(supplies, p, mode, eps)
     bundles = _solve(m, p, demands, waived, windows)
     if bundles is None:
-        canonical = tuple(
-            canonical_bundle(d) if d is not None else Bundle((Fraction(0),) * m.n_goods)
-            for d in demands
-        )
-        report = clearing_report(supplies, canonical, eps)
+        # a waived trader with unbounded demand holds nothing
+        rows = (canonical_bundle(d).quantities for d in demands if d is not None)
+        report = clearing_report(supplies, _totals(m.n_goods, rows), eps)
         return Certificate("reject", "clearing-infeasible", mode, eps, None, report)
 
-    check_witness(m, p, bundles, demands, waived, windows)
-    return Certificate("accept", None, mode, eps, bundles, clearing_report(supplies, bundles, eps))
+    totals = check_witness(m, p, bundles, demands, waived, windows)
+    return Certificate("accept", None, mode, eps, bundles, clearing_report(supplies, totals, eps))
 
 
-def check_witness(m, p, bundles, demands, waived, windows):
+def check_witness(m, p, bundles, demands, waived, windows) -> list[Fraction]:
     """Re-validate an accept witness against the traders' demand sets and the
-    clearing windows; a failure here is a bug."""
+    clearing windows; a failure here is a bug.  Returns the per-good totals
+    it checked, for the report."""
     for i, (trader, d, b) in enumerate(zip(m.traders, demands, bundles)):
         if i in waived:
             if b.cost(p) != 0:
@@ -219,6 +228,7 @@ def check_witness(m, p, bundles, demands, waived, windows):
     for k, ((lo, hi), total) in enumerate(zip(windows, totals)):
         if not lo <= total <= hi:
             raise InternalInvariantViolation(f"witness violates clearing window on good {k}")
+    return totals
 
 
 def imbalance_profile(m: Market, p: PriceVector, eps=0) -> tuple[GoodBalance, ...]:
@@ -230,8 +240,6 @@ def imbalance_profile(m: Market, p: PriceVector, eps=0) -> tuple[GoodBalance, ..
     this report at every grid point, and skip the same points.
     """
     _check_shape(m, p)
-    eps = Fraction(eps)
-    bundles = tuple(
-        canonical_bundle(optimal_demand(t, p, i)) for i, t in enumerate(m.traders)
-    )
-    return clearing_report(m.supplies(), bundles, eps)
+    eps = _epsilon(eps)
+    rows = (canonical_bundle(optimal_demand(t, p, i)).quantities for i, t in enumerate(m.traders))
+    return clearing_report(m.supplies(), _totals(m.n_goods, rows), eps)

@@ -154,9 +154,20 @@ def canonical_bundle(d: DemandSet) -> Bundle:
 def in_demand(trader: TraderSpec, p: PriceVector, d: DemandSet, x: Bundle) -> bool:
     """Membership test for the optimal-bundle set d of the trader at p:
     budget-feasible and utility equal to the greedy optimum.  Spending
-    residual money on goods with zero marginal utility is allowed."""
-    if len(x.quantities) != len(p.prices) or any(q < 0 for q in x.quantities):
+    residual money on goods with zero marginal utility is allowed.  U(x) ==
+    U(c), c canonical, is decided exactly by summing f_k(x_k) - f_k(c_k) over
+    the support goods with x_k != c_k: every other term is 0."""
+    q = x.quantities
+    if len(q) != len(p.prices):
         return False
-    if x.cost(p) > d.budget:
+    cost = Fraction(0)
+    for xk, price in zip(q, p.prices):
+        if xk:
+            if xk < 0:
+                return False
+            cost += xk * price
+    if cost > d.budget:
         return False
-    return trader.utility(x.quantities) == trader.utility(canonical_bundle(d).quantities)
+    c = canonical_bundle(d).quantities
+    f = trader.utilities
+    return sum((f[k](q[k]) - f[k](c[k]) for k in trader.support if q[k] != c[k]), Fraction(0)) == 0

@@ -14,7 +14,6 @@ The golden tests pin the resulting certificates byte for byte.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,13 +72,17 @@ def feasible_circulation(arcs: list[Arc]) -> list[Fraction] | None:
     while need:
         parent = [-1] * len(adj)  # edge by which BFS reached each node
         parent[source] = -2  # reached, by no edge
-        queue = deque([source])
-        while queue and parent[sink] == -1:
-            for e in adj[queue.popleft()]:
+        queue = [source]  # FIFO: the loop walks the list as it grows
+        for u in queue:
+            for e in adj[u]:
                 v = to[e]
                 if residual[e] > 0 and parent[v] == -1:
                     parent[v] = e
                     queue.append(v)
+                    if v == sink:
+                        break  # the sink's parent, and so the path, is fixed
+            if parent[sink] != -1:
+                break
         if parent[sink] == -1:
             return None
         path = []

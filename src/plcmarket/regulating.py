@@ -61,5 +61,5 @@ def regulation_forward_witness(n: int, p: PriceVector) -> Certificate:
     bundles = tuple(Bundle(t.endowment) for t in m.traders)
     demands = [optimal_demand(t, p, i) for i, t in enumerate(m.traders)]
     supplies = m.supplies()
-    check_witness(m, p, bundles, demands, set(), clearing_windows(supplies, p, APPROXIMATE, eps))
-    return Certificate("accept", None, APPROXIMATE, eps, bundles, clearing_report(supplies, bundles, eps))
+    totals = check_witness(m, p, bundles, demands, set(), clearing_windows(supplies, p, APPROXIMATE, eps))
+    return Certificate("accept", None, APPROXIMATE, eps, bundles, clearing_report(supplies, totals, eps))

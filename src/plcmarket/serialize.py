@@ -81,23 +81,42 @@ def market_to_obj(m: Market):
     return {"n_goods": m.n_goods, "traders": traders}
 
 
-# fast paths for the zero entries that make up most of a sparse market
-_ZERO = Fraction(0)
-_ZERO_STRINGS = ("0/1", "0")  # what market_to_obj writes, and the short form
-_ZERO_OBJ = {"kind": "zero"}
+_ZERO_OBJ = {"kind": "zero"}  # fast path for most pieces of a sparse market
+
+
+def _piece_key(u):
+    """(slopes, breaks) of a piece given as lists of strings, else None; a key
+    over raw JSON values would let true stand in for 1, which it equals."""
+    if type(u) is dict and u.get("kind") != "zero":
+        slopes, breaks = u.get("slopes"), u.get("breaks")
+        if type(slopes) is list and type(breaks) is list and all(type(v) is str for v in slopes + breaks):
+            return tuple(slopes), tuple(breaks)
+    return None
 
 
 def market_from_obj(obj) -> Market:
+    """A reduced market repeats a few values many times, so each distinct
+    rational string and string-valued piece is parsed once per call and
+    shared; any other entry is parsed, and rejected, as it stands."""
     n_goods = _require(obj, "n_goods", int, "market")
+    parsed: dict = {}  # rational string -> Fraction, _piece_key -> piece
+
+    def cached(key, parse, value):
+        if key is None:
+            return parse(value)
+        if key not in parsed:
+            parsed[key] = parse(value)
+        return parsed[key]
+
     traders = []
     for idx, entry in enumerate(_require(obj, "traders", list, "market")):
         where = f"trader {idx}"
         endow = tuple(
-            _ZERO if w in _ZERO_STRINGS else parse_rational(w)
+            cached(w if type(w) is str else None, parse_rational, w)
             for w in _require(entry, "endowment", list, where)
         )
         utils = tuple(
-            ZERO_PLC if u == _ZERO_OBJ else plc_from_obj(u)
+            ZERO_PLC if u == _ZERO_OBJ else cached(_piece_key(u), plc_from_obj, u)
             for u in _require(entry, "utilities", list, where)
         )
         label = entry.get("label")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from plcmarket.clearing import APPROXIMATE, imbalance_profile, verify
-from plcmarket.demand import DemandSet, SegmentOffer, budget, optimal_demand
+from plcmarket.demand import DemandSet, SegmentOffer, budget, canonical_bundle, optimal_demand
 from plcmarket.errors import UnboundedDemand
 from plcmarket.model import Market, PriceVector, TraderSpec, normalize_prices
 from plcmarket.plc import validate_plc
@@ -272,6 +272,17 @@ def dense_cost(quantities, p) -> Fraction:
 
 def dense_utility(trader: TraderSpec, quantities) -> Fraction:
     return sum((f(Fraction(x)) for f, x in zip(trader.utilities, quantities)), Fraction(0))
+
+
+def dense_in_demand(trader: TraderSpec, p, d: DemandSet, quantities) -> bool:
+    """in_demand restated over every good: the right length, no negative
+    entry, cost within the budget, and the whole utility sum equal to that of
+    the canonical bundle."""
+    if len(quantities) != len(p.prices) or any(x < 0 for x in quantities):
+        return False
+    if dense_cost(quantities, p) > d.budget:
+        return False
+    return dense_utility(trader, quantities) == dense_utility(trader, canonical_bundle(d).quantities)
 
 
 def dense_totals(rows, n_goods: int) -> list:

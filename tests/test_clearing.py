@@ -13,7 +13,7 @@ from plcmarket.clearing import (
     verify,
 )
 from plcmarket.demand import Bundle, in_demand, optimal_demand
-from plcmarket.errors import AllZeroPrices, ShapeMismatch, UnboundedDemand
+from plcmarket.errors import AllZeroPrices, InputError, InvalidMarket, ShapeMismatch, UnboundedDemand
 from plcmarket.model import Market, TraderSpec, normalize_prices, prices
 from plcmarket.plc import ZERO_PLC, linear_plc, validate_plc
 from plcmarket.regulating import build_mn
@@ -105,6 +105,22 @@ def test_every_entry_point_checks_price_length():
         ):
             with pytest.raises(ShapeMismatch, match="expected 2 prices"):
                 call()
+
+
+def test_every_entry_point_takes_an_exact_nonnegative_epsilon():
+    m, p = build_mn(2), prices([1, 1])
+    for call in (
+        lambda eps: verify(m, p, APPROXIMATE, eps),
+        lambda eps: clearing_feasibility(m, p, eps),
+        lambda eps: imbalance_profile(m, p, eps),
+    ):
+        with pytest.raises(InputError, match="float"):
+            call(0.5)
+        for eps in (-1, F(-1, 2), "-1/2"):
+            with pytest.raises(InvalidMarket, match="nonnegative"):
+                call(eps)
+        assert call("1/2") == call(F(1, 2))
+    assert verify(m, p, EXACT, 0.5).epsilon == 0  # exact mode pins eps to 0
 
 
 def test_accepting_verify_computes_each_demand_once(monkeypatch):

@@ -165,6 +165,28 @@ def test_json_true_is_not_an_int(tmp_path):
     assert run("validate", str(game)).exit_code == 2
 
 
+def test_json_true_after_an_equal_entry_is_still_rejected(tmp_path):
+    # true == 1 and hash(true) == hash(1): the parser must not reuse the value
+    # it parsed for an earlier 1 when it meets true
+    p = tmp_path / "p.json"
+    write(p, {"prices": ["1", "1"]})
+    market = tmp_path / "m.json"
+    one = {"slopes": [1], "breaks": []}
+    bad = (
+        ([1, 1], [one, one], [1, True], [one, one]),
+        (["1", 1], [one, one], ["1", True], [one, one]),
+        (["1", "0"], [one, one], ["0", "1"], [one, {"slopes": [True], "breaks": []}]),
+        (["1", "0"], [{"slopes": ["1"], "breaks": []}] * 2, ["0", "1"],
+         [{"slopes": ["1"], "breaks": []}, {"slopes": [True], "breaks": []}]),
+    )
+    for w0, u0, w1, u1 in bad:
+        traders = [{"endowment": w0, "utilities": u0}, {"endowment": w1, "utilities": u1}]
+        write(market, {"n_goods": 2, "traders": traders})
+        assert run("validate", str(market)).exit_code == 2
+        res = run("verify", "--market", str(market), "--prices", str(p))
+        assert res.exit_code == 2 and "true" in res.output.lower()
+
+
 def test_game_row_that_is_not_a_list_is_input_error(tmp_path):
     game = tmp_path / "game.json"
     for A in ([5, 5], ["10", "01"]):

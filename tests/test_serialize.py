@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,8 @@ from plcmarket.rational import format_rational, parse_rational
 from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn
 from plcmarket.search import SearchConfig, search_equilibrium, unit_box
+
+from oracles import random_sparse_game_matrices
 
 
 def test_parse_rational_forms():
@@ -121,3 +124,26 @@ def test_malformed_market_objects():
         serialize.market_from_obj(
             {"n_goods": True, "traders": [{"endowment": ["1"], "utilities": [{"kind": "zero"}]}]}
         )
+
+
+def test_parse_shares_identical_values_within_one_call_only():
+    rng = random.Random(0)
+    reduced, _ = build_reduced_market(validate_game(*random_sparse_game_matrices(rng, 2)))
+    for market in (build_mn(4), reduced):
+        obj = serialize.market_to_obj(market)
+        first, second = serialize.market_from_obj(obj), serialize.market_from_obj(obj)
+        assert first == market and second == market
+        pieces = [f for t in first.traders for f in t.utilities if not f.is_zero]
+        assert len({id(f) for f in pieces}) == len(set(pieces)) < len(pieces)
+        again = {f: f for t in second.traders for f in t.utilities if not f.is_zero}
+        assert all(again[f] is not f for f in pieces)
+        shares = [w for t in first.traders for w in t.endowment if w]
+        assert len({id(w) for w in shares}) == len(set(shares)) < len(shares)
+
+
+def test_parse_rejects_true_after_an_equal_entry():
+    one = {"slopes": [1], "breaks": []}
+    for w, u in (([1, True], [one, one]), (["1", "1"], [one, {"slopes": [True], "breaks": []}])):
+        obj = {"n_goods": 2, "traders": [{"endowment": w, "utilities": u}]}
+        with pytest.raises(InputError, match="True"):
+            serialize.market_from_obj(obj)

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plcmarket.clearing import APPROXIMATE, EXACT, MODES, verify
-from plcmarket.demand import Bundle, budget, canonical_bundle, optimal_demand
+from plcmarket.demand import Bundle, budget, canonical_bundle, in_demand, optimal_demand
 from plcmarket.errors import UnboundedDemand
 from plcmarket.games import validate_game
 from plcmarket.model import Market, PriceVector, TraderSpec, economy_graph, normalize_prices, prices
@@ -21,11 +21,13 @@ from oracles import (
     dense_cost,
     dense_demand,
     dense_economy_graph,
+    dense_in_demand,
     dense_supplies,
     dense_totals,
     dense_utility,
     random_market,
     random_sparse_game_matrices,
+    tie_rich_market,
 )
 
 
@@ -131,14 +133,33 @@ def test_witness_totals_count_residual_money_off_the_support():
     assert [r.allocated for r in cert.report] == [F(2), F(1)]
 
 
+def _witness_market():
+    """An exact accept whose witness leaves canonical demand both on and off
+    the traders' supports.  Trader 0 satiates on good 0 and must clear good 1,
+    off its support, with residual money; traders 2 and 3 tie between goods 2
+    and 3, and canonical demand puts both on good 2."""
+    tie = (ZERO_PLC, ZERO_PLC, linear_plc(1), linear_plc(1))
+    return Market(4, (
+        TraderSpec((F(2), F(0), F(0), F(0)), (validate_plc([1, 0], [1]),) + (ZERO_PLC,) * 3),
+        TraderSpec((F(0), F(1), F(0), F(0)), (linear_plc(1),) + (ZERO_PLC,) * 3),
+        TraderSpec((F(0), F(0), F(1), F(0)), tie),
+        TraderSpec((F(0), F(0), F(0), F(1)), tie),
+    ))
+
+
 def test_accepting_verify_evaluates_pieces_on_supports_only(monkeypatch):
-    market, _ = build_reduced_market(
-        validate_game(*random_sparse_game_matrices(random.Random(0), 2))
-    )
-    supports = sum(
-        1 for t in market.traders for w, f in zip(t.endowment, t.utilities) if w > 0 or not f.is_zero
-    )
-    assert (supports, len(market.traders), market.n_goods) == (88, 38, 6)
+    market, p = _witness_market(), prices([1, 1, 1, 1])
+    cert = verify(market, p, EXACT)
+    assert cert.accepted
+    canonical = [canonical_bundle(optimal_demand(t, p, i)) for i, t in enumerate(market.traders)]
+    differ = [
+        (k in t.support, i, k)
+        for i, (t, x, c) in enumerate(zip(market.traders, cert.allocation, canonical))
+        for k in range(market.n_goods)
+        if x.quantities[k] != c.quantities[k]
+    ]
+    on_support = sum(1 for on, _, _ in differ if on)
+    assert on_support >= 2 and (False, 0, 1) in differ
     calls = 0
     original = PLCFunction.__call__
 
@@ -148,7 +169,78 @@ def test_accepting_verify_evaluates_pieces_on_supports_only(monkeypatch):
         return original(self, x)
 
     monkeypatch.setattr(PLCFunction, "__call__", counted)
-    assert verify(market, prices([1] * 6), APPROXIMATE, F(1, 2)).accepted
-    # the witness re-check takes two utilities per trader; over all goods
-    # that would be 2 * 38 * 6 = 456 evaluations
-    assert calls == 2 * supports
+    assert verify(market, p, EXACT) == cert
+    # the witness re-check evaluates f_k(x_k) and f_k(c_k) on the support
+    # goods where the witness x and the canonical bundle c differ, and nothing
+    # off the support; two full utilities per trader would be 2 * 4 * 4 = 32
+    assert calls == 2 * on_support
+    # a witness equal to the canonical bundles costs no evaluation at all
+    calls = 0
+    reduced, _ = build_reduced_market(validate_game(*random_sparse_game_matrices(random.Random(0), 2)))
+    assert verify(reduced, prices([1] * 6), APPROXIMATE, F(1, 2)).accepted
+    assert calls == 0
+
+
+def _moved_tie_money(t, p, d, x):
+    """x with half of its money above the forced purchase on the first tie
+    good moved to the priced good of lowest marginal rate, or None."""
+    k = next((o.good for o in d.tie_offers if x[o.good] > d.forced[o.good]), None)
+    if k is None or d.cutoff_rate == 0:
+        return None
+
+    def rate(g):  # right derivative of f_g at x_g per unit of money
+        f = t.utilities[g]
+        lefts = (F(0),) + f.breaks
+        seg = max((s for s in range(len(f.slopes)) if lefts[s] <= x[g]), default=None)
+        return (F(0) if seg is None else f.slopes[seg]) / p.prices[g]
+
+    others = [g for g in p.priced_goods if g != k]
+    if not others:
+        return None
+    g = min(others, key=rate)
+    money = (x[k] - d.forced[k]) * p.prices[k] / 2
+    y = list(x)
+    y[k] -= money / p.prices[k]
+    y[g] += money / p.prices[g]
+    return tuple(y)
+
+
+def _in_demand_candidates(t, p, d, x):
+    """x itself, then x with tie money moved to a lower-rate offer, one entry
+    made negative, one entry raised past the budget, and a wrong length."""
+    k = p.priced_goods[0]
+    yield x, None
+    yield _moved_tie_money(t, p, d, x), None
+    yield (F(-1, 8),) + x[1:], False
+    yield x[:k] + (x[k] + (d.budget + 1) / p.prices[k],) + x[k + 1:], False
+    yield x + (F(0),), False
+    yield x[:-1], False
+
+
+@given(seed=st.integers(0, 2**32 - 1), tie_rich=st.booleans())
+def test_in_demand_matches_dense_reference(seed, tie_rich):
+    rng = random.Random(seed)
+    if tie_rich:
+        vec = [F(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+        m = tie_rich_market(rng, vec)
+        p = normalize_prices(prices(vec))
+    else:
+        m = random_market(rng)
+        p = normalize_prices(_prices_with_zeros(rng, m.n_goods))
+    cert = verify(m, p, APPROXIMATE, F(1, 2))
+    for i, t in enumerate(m.traders):
+        try:
+            d = optimal_demand(t, p, i)
+        except UnboundedDemand:
+            continue
+        bundles = [canonical_bundle(d).quantities]
+        if cert.accepted:
+            bundles.append(cert.allocation[i].quantities)
+        for x in bundles:
+            assert in_demand(t, p, d, Bundle(x))
+            for y, expect in _in_demand_candidates(t, p, d, x):
+                if y is None:
+                    continue
+                got = in_demand(t, p, d, Bundle(y))
+                assert got == dense_in_demand(t, p, d, y)
+                assert expect is None or got == expect
