@@ -28,7 +28,6 @@ from .model import (
     PriceVector,
     TraderSpec,
     classify_market,
-    economy_graph,
     is_strongly_connected,
     normalize_prices,
     prices,
@@ -78,7 +77,6 @@ __all__ = [
     "check_wsne",
     "classify_market",
     "clearing_feasibility",
-    "economy_graph",
     "extract_strategies",
     "format_rational",
     "gadget_vectors_col",

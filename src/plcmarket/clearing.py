@@ -26,7 +26,7 @@ from .demand import Bundle, DemandSet, budget, canonical_bundle, in_demand, opti
 from .errors import InternalInvariantViolation, InvalidMarket, ShapeMismatch, UnboundedDemand
 from .flow import Arc, feasible_circulation
 from .model import Market, PriceVector, normalize_prices
-from .rational import parse_rational
+from .rational import parse_epsilon
 
 EXACT = "exact"
 APPROXIMATE = "approximate"
@@ -113,9 +113,9 @@ def _solve(
                 ub = inf if o.quantity_cap is None else o.quantity_cap * o.unit_cost
                 qty_arcs.append((len(arcs), i, o.good))
                 arcs.append(Arc(("t", i), ("g", o.good), Fraction(0), ub))
-        elif d.tie_spend > 0 and d.priced_goods:
+        elif d.tie_spend > 0 and p.priced_goods:
             arcs.append(Arc("src", ("t", i), Fraction(0), d.tie_spend))
-            for k in d.priced_goods:
+            for k in p.priced_goods:
                 qty_arcs.append((len(arcs), i, k))
                 arcs.append(Arc(("t", i), ("g", k), Fraction(0), inf))
     for k, (lo, hi) in enumerate(windows):
@@ -151,14 +151,6 @@ def _check_shape(m: Market, p: PriceVector):
         raise ShapeMismatch(f"expected {m.n_goods} prices, got {len(p.prices)}")
 
 
-def _epsilon(eps) -> Fraction:
-    """An exact nonnegative tolerance; floats raise InputError."""
-    eps = parse_rational(eps)
-    if eps < 0:
-        raise InvalidMarket("epsilon must be nonnegative")
-    return eps
-
-
 def clearing_feasibility(
     m: Market, p: PriceVector, eps
 ) -> tuple[Bundle, ...] | None:
@@ -168,7 +160,7 @@ def clearing_feasibility(
     """
     _check_shape(m, p)
     demands = [optimal_demand(t, p, i) for i, t in enumerate(m.traders)]
-    windows = clearing_windows(m.supplies(), p, APPROXIMATE, _epsilon(eps))
+    windows = clearing_windows(m.supplies(), p, APPROXIMATE, parse_epsilon(eps))
     return _solve(m, p, demands, set(), windows)
 
 
@@ -182,7 +174,7 @@ def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
     """
     if mode not in MODES:
         raise InvalidMarket(f"unknown verification mode {mode!r}")
-    eps = _epsilon(eps) if mode == APPROXIMATE else Fraction(0)
+    eps = parse_epsilon(eps) if mode == APPROXIMATE else Fraction(0)
     _check_shape(m, p)
     p = normalize_prices(p)
 
@@ -240,6 +232,6 @@ def imbalance_profile(m: Market, p: PriceVector, eps=0) -> tuple[GoodBalance, ..
     this report at every grid point, and skip the same points.
     """
     _check_shape(m, p)
-    eps = _epsilon(eps)
+    eps = parse_epsilon(eps)
     rows = (canonical_bundle(optimal_demand(t, p, i)).quantities for i, t in enumerate(m.traders))
     return clearing_report(m.supplies(), _totals(m.n_goods, rows), eps)

@@ -18,7 +18,7 @@ from .clearing import APPROXIMATE, MODES, verify
 from .errors import InputError, InternalInvariantViolation, MarketError
 from .games import check_wsne, solve_game_support_enum
 from .model import classify_market
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_epsilon, parse_rational
 from .reduction import build_reduced_market, extract_strategies
 from .regulating import build_mn
 from .search import SearchConfig, search_equilibrium, unit_box
@@ -79,10 +79,7 @@ def _resolve_eps(text: str, game_n: int | None = None, n_goods: int | None = Non
         else:
             raise InputError(f"epsilon base must be n or N, got {base_s!r}")
         return Fraction(1, base ** (-exp))
-    eps = parse_rational(text)
-    if eps < 0:
-        raise InputError(f"epsilon must be nonnegative, got {text!r}")
-    return eps
+    return parse_epsilon(text)
 
 
 @click.group()

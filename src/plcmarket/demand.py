@@ -51,8 +51,6 @@ class DemandSet:
     tie_offers: tuple[SegmentOffer, ...]
     tie_spend: Fraction  # mandatory at the cutoff; residual ceiling when cutoff_rate == 0
     budget: Fraction
-    free_goods: tuple[int, ...]  # zero-priced goods (quantity above forced is free)
-    priced_goods: tuple[int, ...]
 
 
 def budget(trader: TraderSpec, p: PriceVector) -> Fraction:
@@ -127,8 +125,6 @@ def optimal_demand(
         tie_offers=tie_offers,
         tie_spend=remaining,
         budget=money,
-        free_goods=p.free_goods,
-        priced_goods=p.priced_goods,
     )
 
 

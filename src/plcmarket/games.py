@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InvalidStrategy, NotNormalized, NotSparse, NTooLarge, ShapeMismatch
+from .rational import parse_epsilon
 
 SPARSITY_LIMIT = 10
 
@@ -67,7 +68,7 @@ class WsneResult:
 def check_wsne(g: BimatrixGame, x: MixedStrategy, y: MixedStrategy, eps) -> WsneResult:
     """Well-supported check: any action eps-worse than an alternative must
     carry zero probability.  Returns the first violating (i, j, side)."""
-    eps = Fraction(eps)
+    eps = parse_epsilon(eps)
     n = g.n
     row_pay = [sum((g.A[i][k] * y.weights[k] for k in range(n)), Fraction(0)) for i in range(n)]
     col_pay = [sum((x.weights[k] * g.B[k][j] for k in range(n)), Fraction(0)) for j in range(n)]

@@ -10,10 +10,11 @@ trader owns or wants a handful of the N goods.  Off a trader's support (the
 goods it owns or has a nonzero utility piece on, computed once) its
 endowment and utility pieces are zero, so its budget, offers, forced
 purchases and utility read only the support, and the per-trader loops visit
-the support instead of all N goods.
+the support instead of all N goods.  Strong connectivity is decided from the
+supports too, over the trader-good incidence, so no trader-to-trader edge
+is ever built.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -112,52 +113,38 @@ def normalize_prices(p: PriceVector) -> PriceVector:
     return PriceVector(tuple(q / scale for q in p.prices), normalized=True)
 
 
-def economy_graph(m: Market) -> list[set[int]]:
-    """Directed trader graph: edge i -> j iff i owns a good j strictly wants.
+def is_strongly_connected(m: Market) -> bool:
+    """True iff the economy graph (edge i -> j iff trader i owns a good that
+    trader j strictly wants) joins every ordered pair of traders.
 
-    Materialized as adjacency sets, built from per-good owner/wanter lists
-    filled in one pass over the supports, so the cost is proportional to the
-    supports and the number of realized edges.
+    Decided from the supports alone, without building any trader edge: one
+    breadth-first search from trader 0 forward (trader -> owned good -> its
+    wanters) and one in reverse (trader -> wanted good -> its owners), each
+    visiting a good once.  Self loops cannot change reachability.
     """
-    owners: list[list[int]] = [[] for _ in range(m.n_goods)]
-    wanters: list[list[int]] = [[] for _ in range(m.n_goods)]
-    for i, t in enumerate(m.traders):
-        for k in t.support:
-            if t.endowment[k] > 0:
-                owners[k].append(i)
-            if t.utilities[k].is_strictly_monotone:
-                wanters[k].append(i)
-    adj: list[set[int]] = [set() for _ in m.traders]
-    for good_owners, good_wanters in zip(owners, wanters):
-        for i in good_owners:
-            adj[i].update(good_wanters)
-    for i, outs in enumerate(adj):
-        outs.discard(i)  # no self loops
-    return adj
+    owns = [[k for k in t.support if t.endowment[k] > 0] for t in m.traders]
+    wants = [[k for k in t.support if t.utilities[k].is_strictly_monotone] for t in m.traders]
 
+    def reaches_all(out_goods, in_goods) -> bool:
+        holders: list[list[int]] = [[] for _ in range(m.n_goods)]
+        for j, goods in enumerate(in_goods):
+            for k in goods:
+                holders[k].append(j)
+        seen = [False] * len(m.traders)
+        seen[0] = True
+        visited = [False] * m.n_goods
+        order = [0]
+        for i in order:  # grows while it is walked
+            for k in out_goods[i]:
+                if not visited[k]:
+                    visited[k] = True
+                    for j in holders[k]:
+                        if not seen[j]:
+                            seen[j] = True
+                            order.append(j)
+        return len(order) == len(m.traders)
 
-def is_strongly_connected(adj: list[set[int]]) -> bool:
-    """True iff every ordered pair of vertices is joined by a directed path."""
-    n = len(adj)
-    if n <= 1:
-        return True
-    radj: list[set[int]] = [set() for _ in range(n)]
-    for i, outs in enumerate(adj):
-        for j in outs:
-            radj[j].add(i)
-
-    def covers_all(graph):
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in graph[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == n
-
-    return covers_all(adj) and covers_all(radj)
+    return reaches_all(owns, wants) and reaches_all(wants, owns)
 
 
 @dataclass(frozen=True)
@@ -207,7 +194,7 @@ def classify_market(m: Market, alpha, t: int) -> MarketClassReport:
         is_2_linear=two_linear,
         alpha_bound=alpha_bound,
         sparsity_t=sparsity,
-        strongly_connected=is_strongly_connected(economy_graph(m)),
+        strongly_connected=is_strongly_connected(m),
         alpha_ok=boundable and max_first_slope <= alpha,
         sparsity_ok=sparsity <= t,
     )

@@ -6,7 +6,7 @@ rejected at the boundary so no rounding can leak into comparisons.
 
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, InvalidMarket
 
 
 def parse_rational(value) -> Fraction:
@@ -35,6 +35,15 @@ def parse_rational(value) -> Fraction:
         except ValueError as exc:
             raise InputError(f"cannot parse rational: {value!r}") from exc
     raise InputError(f"cannot parse rational from {type(value).__name__}: {value!r}")
+
+
+def parse_epsilon(value) -> Fraction:
+    """Parse an exact nonnegative tolerance; floats raise InputError and a
+    negative value raises InvalidMarket."""
+    eps = parse_rational(value)
+    if eps < 0:
+        raise InvalidMarket(f"epsilon must be nonnegative, got {value!r}")
+    return eps
 
 
 def format_rational(q: Fraction) -> str:

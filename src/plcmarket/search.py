@@ -26,9 +26,9 @@ from itertools import product
 
 from .clearing import APPROXIMATE, Certificate, verify
 from .demand import canonical_bundle, optimal_demand
-from .errors import AllZeroPrices, BoxDimensionMismatch, GridBudgetExceeded, InputError, InvalidMarket, UnboundedDemand
+from .errors import AllZeroPrices, BoxDimensionMismatch, GridBudgetExceeded, InputError, UnboundedDemand
 from .model import Market, PriceVector, normalize_prices
-from .rational import parse_rational
+from .rational import parse_epsilon, parse_rational
 
 
 MAX_GRID_POINTS = 10**7  # bounds the work one grid_k from outside can ask for
@@ -111,7 +111,7 @@ def grid_scores(m: Market, axes):
 def search_equilibrium(m: Market, cfg: SearchConfig) -> SearchReport:
     # ints become Fractions and floats raise InputError, so the grid stays exact
     box = tuple((parse_rational(lo), parse_rational(hi)) for lo, hi in cfg.box)
-    eps = parse_rational(cfg.epsilon)
+    eps = parse_epsilon(cfg.epsilon)
     if len(box) != m.n_goods:
         raise BoxDimensionMismatch(
             f"box has {len(box)} coordinates for {m.n_goods} goods"
@@ -124,8 +124,6 @@ def search_equilibrium(m: Market, cfg: SearchConfig) -> SearchReport:
         raise GridBudgetExceeded("grid_k must be at least 1")
     if cfg.refine_rounds < 0:
         raise GridBudgetExceeded("refine_rounds must be nonnegative")
-    if eps < 0:
-        raise InvalidMarket("epsilon must be nonnegative")
     if any(lo < 0 or hi < lo for lo, hi in box):
         raise BoxDimensionMismatch("box intervals must satisfy 0 <= lo <= hi")
     if all(hi == 0 for _, hi in box):

@@ -9,12 +9,15 @@ decision-complete) with its own Gaussian elimination.  The reference grid
 search is the plain search loop: it scores every round's box, also when the
 box did not shrink, at normalized prices, over the package's own scoring and
 verifier.  The dense references restate, over all N goods, what the package
-computes over each trader's support or a bundle's nonzero entries.
+computes over each trader's support or a bundle's nonzero entries; strong
+connectivity is networkx's verdict on the dense, edge-by-edge economy graph.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, product
+
+import networkx as nx
 
 from plcmarket.clearing import APPROXIMATE, imbalance_profile, verify
 from plcmarket.demand import DemandSet, SegmentOffer, budget, canonical_bundle, optimal_demand
@@ -177,7 +180,7 @@ def brute_force_clearing(market: Market, p, eps, grid_den: int = 16, grid_cap: i
                 variables.append((o.good, ub, o.unit_cost))
             eq_rows_idx.append((mine, d.tie_spend))
         elif d.tie_spend > 0:
-            for k in d.priced_goods:
+            for k in p.priced_goods:
                 mine.append(len(variables))
                 variables.append((k, d.tie_spend / p.prices[k], p.prices[k]))
             budget_rows_idx.append((mine, d.tie_spend))
@@ -307,20 +310,18 @@ def dense_demand(trader: TraderSpec, p, trader_idx=None) -> DemandSet:
             if theta > 0:
                 cap = f.breaks[s] - lefts[s] if s < len(f.breaks) else None
                 offers.append(SegmentOffer(k, s, theta / p.prices[k], cap, p.prices[k]))
-    free = tuple(k for k in range(n) if p.prices[k] == 0)
-    priced = tuple(k for k in range(n) if p.prices[k] > 0)
     money = remaining = dense_budget(trader, p)
     for rate in sorted({o.rate for o in offers}, reverse=True):
         group = tuple(o for o in offers if o.rate == rate)
         if any(o.quantity_cap is None for o in group):
-            return DemandSet(tuple(forced), rate, group, remaining, money, free, priced)
+            return DemandSet(tuple(forced), rate, group, remaining, money)
         cost = sum(o.quantity_cap * o.unit_cost for o in group)
         if cost > remaining:
-            return DemandSet(tuple(forced), rate, group, remaining, money, free, priced)
+            return DemandSet(tuple(forced), rate, group, remaining, money)
         for o in group:
             forced[o.good] += o.quantity_cap
         remaining -= cost
-    return DemandSet(tuple(forced), Fraction(0), (), remaining, money, free, priced)
+    return DemandSet(tuple(forced), Fraction(0), (), remaining, money)
 
 
 def dense_economy_graph(m: Market) -> list:
@@ -335,6 +336,14 @@ def dense_economy_graph(m: Market) -> list:
         }
         for i, a in enumerate(m.traders)
     ]
+
+
+def dense_strongly_connected(m: Market) -> bool:
+    """networkx's strong connectivity of the dense economy graph."""
+    g = nx.DiGraph()
+    g.add_nodes_from(range(len(m.traders)))
+    g.add_edges_from((i, j) for i, outs in enumerate(dense_economy_graph(m)) for j in outs)
+    return nx.is_strongly_connected(g)
 
 
 # --- random instance generators ---------------------------------------------------

@@ -81,7 +81,6 @@ def test_free_satiated_good_is_forced_at_satiation():
     t = TraderSpec((F(1), F(0)), (linear_plc(1), validate_plc([2, 0], [3])))
     d = optimal_demand(t, prices([1, 0]))
     assert d.forced[1] == 3
-    assert d.free_goods == (1,)
     b = canonical_bundle(d)
     assert b.quantities == (F(1), F(3))
     assert in_demand(t, prices([1, 0]), optimal_demand(t, prices([1, 0])), b)

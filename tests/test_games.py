@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from plcmarket.errors import InvalidStrategy, NotNormalized, NotSparse, NTooLarge, ShapeMismatch
+from plcmarket.errors import InputError, InvalidMarket, InvalidStrategy, NotNormalized, NotSparse, NTooLarge, ShapeMismatch
 from plcmarket.games import (
     check_wsne,
     mixed,
@@ -60,6 +60,17 @@ def test_wsne_matching_pennies():
 def test_wsne_epsilon_softens():
     g = validate_game(MP_A, MP_B)
     assert check_wsne(g, mixed([1, 0]), mixed([0, 1]), 2).passed
+
+
+def test_wsne_takes_an_exact_nonnegative_epsilon():
+    g = validate_game(MP_A, MP_B)
+    x, y = mixed([1, 0]), mixed([0, 1])
+    with pytest.raises(InputError, match="float"):
+        check_wsne(g, x, y, 0.1)
+    for eps in (-1, F(-1, 2), "-1/2"):
+        with pytest.raises(InvalidMarket, match="nonnegative"):
+            check_wsne(g, x, y, eps)
+    assert check_wsne(g, x, y, "2") == check_wsne(g, x, y, F(2))
 
 
 def test_support_enum_coordination():

@@ -8,13 +8,14 @@ from plcmarket.model import (
     Market,
     TraderSpec,
     classify_market,
-    economy_graph,
     is_strongly_connected,
     normalize_prices,
     prices,
 )
 from plcmarket.plc import ZERO_PLC, linear_plc, validate_plc
 from plcmarket.regulating import build_mn
+
+from oracles import dense_strongly_connected
 
 
 def test_normalize_examples():
@@ -56,47 +57,52 @@ def test_market_validation():
 
 
 def test_economy_graph_m2():
-    g = economy_graph(build_mn(2))
-    assert g == [{1}, {0}]
-    assert is_strongly_connected(g)
+    assert is_strongly_connected(build_mn(2))
 
 
 def test_economy_graph_no_edge_to_indifferent_trader():
     a = TraderSpec((F(1), F(0)), (linear_plc(1), ZERO_PLC))
     b = TraderSpec((F(0), F(1)), (ZERO_PLC, ZERO_PLC))
-    g = economy_graph(Market(2, (a, b)))
-    assert g[0] == set()  # b wants nothing
-    assert g[1] == set()  # a does not want b's good; self loops excluded
-    assert is_strongly_connected(g) is False
+    m = Market(2, (a, b))
+    assert is_strongly_connected(m) is False  # b wants nothing, so nothing reaches b
+    assert dense_strongly_connected(m) is False
 
 
 def test_single_trader_graph():
     m = Market(1, (TraderSpec((F(1),), (linear_plc(1),)),))
-    assert economy_graph(m) == [set()]
-    assert is_strongly_connected(economy_graph(m))
+    assert is_strongly_connected(m)
+    assert dense_strongly_connected(m)
 
 
 def test_two_isolated_traders():
     a = TraderSpec((F(1), F(0)), (linear_plc(1), ZERO_PLC))
     b = TraderSpec((F(0), F(1)), (ZERO_PLC, linear_plc(1)))
-    assert not is_strongly_connected(economy_graph(Market(2, (a, b))))
+    assert not is_strongly_connected(Market(2, (a, b)))
+
+
+def test_one_way_markets_are_not_strongly_connected():
+    # 0 -> 1 only: a forward search from trader 0 alone would accept both
+    a = TraderSpec((F(1), F(0)), (ZERO_PLC, ZERO_PLC))
+    b = TraderSpec((F(0), F(1)), (linear_plc(1), ZERO_PLC))
+    assert not is_strongly_connected(Market(2, (a, b)))
+    # b owns nothing, so its utility piece on good 0 is no edge b -> a
+    a = TraderSpec((F(1),), (linear_plc(1),))
+    b = TraderSpec((F(0),), (linear_plc(1),))
+    assert not is_strongly_connected(Market(1, (a, b)))
+    assert is_strongly_connected(Market(1, (a, a)))
 
 
 def test_mn_strongly_connected_range():
     for n in range(2, 9):
-        assert is_strongly_connected(economy_graph(build_mn(n)))
-
-
-def test_mn_graph_is_shared_good_digraph():
-    # edge (i,j) -> (k,l) exactly when the owned good i is one of (k, l)
-    for n in (3, 4):
         m = build_mn(n)
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        g = economy_graph(m)
-        for a, (i, _) in enumerate(pairs):
-            for b, (k, l) in enumerate(pairs):
-                expected = a != b and i in (k, l)
-                assert (b in g[a]) == expected
+        assert is_strongly_connected(m)
+        assert dense_strongly_connected(m)
+
+
+def test_every_exported_name_resolves():
+    import plcmarket
+
+    assert [name for name in plcmarket.__all__ if not hasattr(plcmarket, name)] == []
 
 
 def test_classify_mn():

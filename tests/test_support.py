@@ -12,7 +12,7 @@ from plcmarket.clearing import APPROXIMATE, EXACT, MODES, verify
 from plcmarket.demand import Bundle, budget, canonical_bundle, in_demand, optimal_demand
 from plcmarket.errors import UnboundedDemand
 from plcmarket.games import validate_game
-from plcmarket.model import Market, PriceVector, TraderSpec, economy_graph, normalize_prices, prices
+from plcmarket.model import Market, PriceVector, TraderSpec, is_strongly_connected, normalize_prices, prices
 from plcmarket.plc import ZERO_PLC, PLCFunction, linear_plc, validate_plc
 from plcmarket.reduction import build_reduced_market
 
@@ -20,8 +20,8 @@ from oracles import (
     dense_budget,
     dense_cost,
     dense_demand,
-    dense_economy_graph,
     dense_in_demand,
+    dense_strongly_connected,
     dense_supplies,
     dense_totals,
     dense_utility,
@@ -45,7 +45,7 @@ def _bundle(rng, n):
 
 def _check_against_dense(m: Market, p: PriceVector, rng):
     assert m.supplies() == dense_supplies(m)
-    assert economy_graph(m) == dense_economy_graph(m)
+    assert is_strongly_connected(m) == dense_strongly_connected(m)
     for i, t in enumerate(m.traders):
         assert budget(t, p) == dense_budget(t, p)
         x = _bundle(rng, m.n_goods)
@@ -107,6 +107,19 @@ def test_support_code_matches_dense_references_on_reduced_markets(n, seed):
     ):
         _check_against_dense(m, p, rng)
         _check_reports(m, p)
+
+
+def test_strong_connectivity_matches_networkx_on_random_markets():
+    verdicts = []
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def check(seed):
+        m = random_market(random.Random(seed), max_goods=4, max_traders=5)
+        verdicts.append(is_strongly_connected(m))
+        assert verdicts[-1] == dense_strongly_connected(m)
+
+    check()
+    assert set(verdicts) == {True, False}
 
 
 def test_witness_totals_count_a_free_top_up_off_the_support():
