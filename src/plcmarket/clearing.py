@@ -96,6 +96,7 @@ def _solve(
 ) -> tuple[Bundle, ...] | None:
     """Feasibility core shared by verify and clearing_feasibility: an optimal
     allocation within the windows as witness bundles, or None."""
+    priced = [k for k, q in enumerate(p.prices) if q > 0]
     alloc = [
         [Fraction(0)] * m.n_goods if i in waived or d is None else list(d.forced)
         for i, d in enumerate(demands)
@@ -113,9 +114,9 @@ def _solve(
                 ub = inf if o.quantity_cap is None else o.quantity_cap * o.unit_cost
                 qty_arcs.append((len(arcs), i, o.good))
                 arcs.append(Arc(("t", i), ("g", o.good), Fraction(0), ub))
-        elif d.tie_spend > 0 and p.priced_goods:
+        elif d.tie_spend > 0 and priced:
             arcs.append(Arc("src", ("t", i), Fraction(0), d.tie_spend))
-            for k in p.priced_goods:
+            for k in priced:
                 qty_arcs.append((len(arcs), i, k))
                 arcs.append(Arc(("t", i), ("g", k), Fraction(0), inf))
     for k, (lo, hi) in enumerate(windows):

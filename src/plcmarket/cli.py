@@ -16,7 +16,7 @@ import click
 from . import serialize
 from .clearing import APPROXIMATE, MODES, verify
 from .errors import InputError, InternalInvariantViolation, MarketError
-from .games import check_wsne, solve_game_support_enum
+from .games import MAX_SUPPORT_ENUM_N, check_wsne, solve_game_support_enum
 from .model import classify_market
 from .rational import format_rational, parse_epsilon, parse_rational
 from .reduction import build_reduced_market, extract_strategies
@@ -177,14 +177,13 @@ def check_nash(game_path, profile_path, eps, as_json):
 
 @main.command("solve-game")
 @click.option("--game", "game_path", type=click.Path(exists=True), required=True)
-@click.option("--max-n", "max_n", type=int, default=4, show_default=True)
 @click.option("-o", "out", type=click.Path(), default=None)
 @click.option("--json", "as_json", is_flag=True)
 @_guard
-def solve_game(game_path, max_n, out, as_json):
-    """Enumerate exact equilibria of a small game by support pairs."""
+def solve_game(game_path, out, as_json):
+    """Enumerate exact equilibria of a game with n <= 4 by support pairs."""
     game = serialize.game_from_obj(serialize.read_json(game_path))
-    eqs = solve_game_support_enum(game, max_n=max_n)
+    eqs = solve_game_support_enum(game)
     obj = {"equilibria": [serialize.strategies_to_obj(x, y) for x, y in eqs]}
     _emit(obj, out, as_json, f"{len(eqs)} equilibria written to {out}" if out else None)
 
@@ -326,7 +325,7 @@ def pipeline(game_path, outdir, eps, nash_eps, grid_k, rounds, seed):
             "witness": list(result.witness) if result.witness else None,
         }
         ok = result.passed
-    if game.n <= 4:
+    if game.n <= MAX_SUPPORT_ENUM_N:
         eqs = solve_game_support_enum(game)
         summary["support_enum"] = [
             {

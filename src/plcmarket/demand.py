@@ -54,15 +54,14 @@ class DemandSet:
 
 
 def budget(trader: TraderSpec, p: PriceVector) -> Fraction:
-    w, q = trader.endowment, p.prices
-    return sum((w[k] * q[k] for k in trader.support if w[k]), Fraction(0))
+    q = p.prices
+    return sum((w * q[k] for k, w in trader.owned), Fraction(0))
 
 
 def _offers(trader: TraderSpec, p: PriceVector) -> list[SegmentOffer]:
     offers = []
-    for k in trader.support:
-        f = trader.utilities[k]
-        if f.is_zero or p.prices[k] == 0:
+    for k, f in trader.wanted:
+        if p.prices[k] == 0:
             continue  # a wanted free good is forced or unbounded, see optimal_demand
         prev = Fraction(0)
         for i, theta in enumerate(f.slopes):
@@ -86,9 +85,8 @@ def optimal_demand(
     budget is not an error; it yields the all-zero purchase with tie_spend 0.
     """
     forced = [Fraction(0)] * len(p.prices)
-    for k in trader.support:
-        f = trader.utilities[k]
-        if p.prices[k] == 0 and not f.is_zero:
+    for k, f in trader.wanted:
+        if p.prices[k] == 0:
             if f.is_strictly_monotone:
                 raise UnboundedDemand(trader_idx, k)
             forced[k] = f.satiation_point
@@ -152,7 +150,7 @@ def in_demand(trader: TraderSpec, p: PriceVector, d: DemandSet, x: Bundle) -> bo
     budget-feasible and utility equal to the greedy optimum.  Spending
     residual money on goods with zero marginal utility is allowed.  U(x) ==
     U(c), c canonical, is decided exactly by summing f_k(x_k) - f_k(c_k) over
-    the support goods with x_k != c_k: every other term is 0."""
+    the wanted goods with x_k != c_k: every other term is 0."""
     q = x.quantities
     if len(q) != len(p.prices):
         return False
@@ -165,5 +163,4 @@ def in_demand(trader: TraderSpec, p: PriceVector, d: DemandSet, x: Bundle) -> bo
     if cost > d.budget:
         return False
     c = canonical_bundle(d).quantities
-    f = trader.utilities
-    return sum((f[k](q[k]) - f[k](c[k]) for k in trader.support if q[k] != c[k]), Fraction(0)) == 0
+    return sum((f(q[k]) - f(c[k]) for k, f in trader.wanted if q[k] != c[k]), Fraction(0)) == 0

@@ -10,9 +10,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InvalidStrategy, NotNormalized, NotSparse, NTooLarge, ShapeMismatch
-from .rational import parse_epsilon
+from .rational import parse_epsilon, parse_rational
 
 SPARSITY_LIMIT = 10
+MAX_SUPPORT_ENUM_N = 4  # support enumeration is exponential in n
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,8 @@ class MixedStrategy:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
+        # ints become Fractions; floats and bools raise InputError
+        object.__setattr__(self, "weights", tuple(map(parse_rational, self.weights)))
         if any(w < 0 for w in self.weights):
             raise InvalidStrategy("negative probability")
         if sum(self.weights) != 1:
@@ -34,12 +37,12 @@ class MixedStrategy:
 
 
 def mixed(values) -> MixedStrategy:
-    return MixedStrategy(tuple(Fraction(v) for v in values))
+    return MixedStrategy(values)
 
 
 def validate_game(A, B) -> BimatrixGame:
-    A = tuple(tuple(Fraction(v) for v in row) for row in A)
-    B = tuple(tuple(Fraction(v) for v in row) for row in B)
+    A = tuple(tuple(map(parse_rational, row)) for row in A)
+    B = tuple(tuple(map(parse_rational, row)) for row in B)
     n = len(A)
     if n == 0 or len(B) != n:
         raise ShapeMismatch("payoff matrices must be nonempty and the same size")
@@ -84,7 +87,8 @@ def check_wsne(g: BimatrixGame, x: MixedStrategy, y: MixedStrategy, eps) -> Wsne
 
 
 def _echelon(rows, nvars):
-    """Reduced row echelon over [coeffs | rhs]; returns (matrix, pivot columns)."""
+    """Reduced row echelon over [coeffs | rhs]; returns (matrix, pivot
+    columns), with None for the pivots when the system is inconsistent."""
     M = [list(coeffs) + [rhs] for coeffs, rhs in rows]
     pivots = []
     r = 0
@@ -103,6 +107,8 @@ def _echelon(rows, nvars):
         r += 1
         if r == len(M):
             break
+    if any(M[i][nvars] != 0 for i in range(r, len(M))):
+        return M, None  # a row 0 = nonzero is left below the pivots
     return M, pivots
 
 
@@ -110,10 +116,7 @@ def solve_unique(rows, nvars) -> tuple[Fraction, ...] | None:
     """Unique solution of a rational linear system, or None when the system
     is inconsistent or underdetermined."""
     M, pivots = _echelon(rows, nvars)
-    for i in range(len(pivots), len(M)):
-        if M[i][nvars] != 0:
-            return None
-    if len(pivots) < nvars:
+    if pivots is None or len(pivots) < nvars:
         return None
     sol = [Fraction(0)] * nvars
     for i, c in enumerate(pivots):
@@ -123,11 +126,8 @@ def solve_unique(rows, nvars) -> tuple[Fraction, ...] | None:
 
 def system_rank(rows, nvars) -> int | None:
     """Rank of a consistent equality system; None when inconsistent."""
-    M, pivots = _echelon(rows, nvars)
-    for i in range(len(pivots), len(M)):
-        if M[i][nvars] != 0:
-            return None
-    return len(pivots)
+    _, pivots = _echelon(rows, nvars)
+    return None if pivots is None else len(pivots)
 
 
 def basic_feasible_points(eq_rows, ineq_rows, nvars) -> list[tuple[Fraction, ...]]:
@@ -194,7 +194,7 @@ def _support_candidates(payoff_rows, own_support, opp_support, n):
     return out
 
 
-def solve_game_support_enum(g: BimatrixGame, max_n: int = 4):
+def solve_game_support_enum(g: BimatrixGame):
     """Enumerate exact Nash equilibria by support pairs.
 
     For each support pair, the two players' constraint polytopes are
@@ -202,8 +202,8 @@ def solve_game_support_enum(g: BimatrixGame, max_n: int = 4):
     the two vertex sets.  Degenerate games yield the vertices of their
     equilibrium components; duplicates across support pairs are removed.
     """
-    if g.n > max_n:
-        raise NTooLarge(f"support enumeration capped at n = {max_n}")
+    if g.n > MAX_SUPPORT_ENUM_N:
+        raise NTooLarge(f"support enumeration capped at n = {MAX_SUPPORT_ENUM_N}")
     n = g.n
     row_payoffs = g.A  # row player: A[i][j] vs column j
     col_payoffs = tuple(

@@ -6,21 +6,22 @@ trader's utility of a bundle is the sum of the per-good pieces.  All
 quantities are exact rationals.
 
 Vectors are dense at the API and in files, but in the reduced markets each
-trader owns or wants a handful of the N goods.  Off a trader's support (the
-goods it owns or has a nonzero utility piece on, computed once) its
-endowment and utility pieces are zero, so its budget, offers, forced
-purchases and utility read only the support, and the per-trader loops visit
-the support instead of all N goods.  Strong connectivity is decided from the
-supports too, over the trader-good incidence, so no trader-to-trader edge
-is ever built.
+trader owns or wants a handful of the N goods.  Each trader decides that
+once: ``owned`` lists its nonzero endowment entries and ``wanted`` its
+nonzero utility pieces, as (good, value) pairs in ascending good order.
+Everything zero is left out, so budgets, offers, forced purchases, utility
+differences, supplies, classification and strong connectivity read these
+two views instead of all N goods.  Strong connectivity is decided over the
+trader-good incidence, so no trader-to-trader edge is ever built.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import AllZeroPrices, InvalidMarket, InvalidPriceVector, NegativeArgument
+from .errors import AllZeroPrices, InvalidMarket, InvalidPriceVector
 from .plc import PLCFunction
+from .rational import parse_rational
 
 
 @dataclass(frozen=True)
@@ -29,21 +30,24 @@ class TraderSpec:
     utilities: tuple[PLCFunction, ...]
     label: str | None = None
 
-    @cached_property
-    def support(self) -> tuple[int, ...]:
-        """Goods with a nonzero endowment or a nonzero utility piece, ascending."""
-        return tuple(
-            k for k, (w, f) in enumerate(zip(self.endowment, self.utilities)) if w or not f.is_zero
-        )
+    def __post_init__(self):
+        # ints become Fractions; floats and bools raise InputError
+        object.__setattr__(self, "endowment", tuple(map(parse_rational, self.endowment)))
 
-    def utility(self, quantities) -> Fraction:
-        """Additively separable utility of a bundle; pieces off the support
-        are zero, but a negative entry anywhere is still an error."""
-        for x in quantities:
-            if x < 0:
-                raise NegativeArgument(f"PLC function evaluated at {x}")
-        f = self.utilities
-        return sum((f[k](Fraction(quantities[k])) for k in self.support), Fraction(0))
+    @cached_property
+    def owned(self) -> tuple[tuple[int, Fraction], ...]:
+        """(good, amount) for each nonzero endowment entry, ascending."""
+        return tuple((k, w) for k, w in enumerate(self.endowment) if w)
+
+    @cached_property
+    def wanted(self) -> tuple[tuple[int, PLCFunction], ...]:
+        """(good, piece) for each nonzero utility piece, ascending."""
+        return tuple((k, f) for k, f in enumerate(self.utilities) if not f.is_zero)
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        """Goods owned or wanted, ascending; the key of the search memo."""
+        return tuple(sorted({k for k, _ in self.owned}.union(k for k, _ in self.wanted)))
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,7 @@ class Market:
         for idx, t in enumerate(self.traders):
             if len(t.endowment) != self.n_goods or len(t.utilities) != self.n_goods:
                 raise InvalidMarket(f"trader {idx} has wrong vector length")
-            if any(t.endowment[k] < 0 for k in t.support):  # nonzero entries only
+            if any(w < 0 for _, w in t.owned):
                 raise InvalidMarket(f"trader {idx} has a negative endowment entry")
         if all(s == 0 for s in self.supplies()):
             raise InvalidMarket("total endowment is zero for every good")
@@ -68,10 +72,8 @@ class Market:
         """Total endowment per good."""
         totals = [Fraction(0)] * self.n_goods
         for t in self.traders:
-            endowment = t.endowment
-            for k in t.support:
-                if endowment[k]:
-                    totals[k] += endowment[k]
+            for k, w in t.owned:
+                totals[k] += w
         return tuple(totals)
 
 
@@ -81,6 +83,8 @@ class PriceVector:
     normalized: bool = False
 
     def __post_init__(self):
+        # ints become Fractions; floats and bools raise InputError
+        object.__setattr__(self, "prices", tuple(map(parse_rational, self.prices)))
         if not self.prices:
             raise InvalidPriceVector("empty price vector")
         if any(p < 0 for p in self.prices):
@@ -94,17 +98,9 @@ class PriceVector:
     def __len__(self) -> int:
         return len(self.prices)
 
-    @cached_property
-    def free_goods(self) -> tuple[int, ...]:
-        return tuple(k for k, q in enumerate(self.prices) if q == 0)
-
-    @cached_property
-    def priced_goods(self) -> tuple[int, ...]:
-        return tuple(k for k, q in enumerate(self.prices) if q > 0)
-
 
 def prices(values, normalized: bool = False) -> PriceVector:
-    return PriceVector(tuple(Fraction(v) for v in values), normalized)
+    return PriceVector(values, normalized)
 
 
 def normalize_prices(p: PriceVector) -> PriceVector:
@@ -117,13 +113,14 @@ def is_strongly_connected(m: Market) -> bool:
     """True iff the economy graph (edge i -> j iff trader i owns a good that
     trader j strictly wants) joins every ordered pair of traders.
 
-    Decided from the supports alone, without building any trader edge: one
-    breadth-first search from trader 0 forward (trader -> owned good -> its
-    wanters) and one in reverse (trader -> wanted good -> its owners), each
-    visiting a good once.  Self loops cannot change reachability.
+    Decided from the owned and wanted goods, without building any trader
+    edge: one breadth-first search from trader 0 forward (trader -> owned
+    good -> its wanters) and one in reverse (trader -> wanted good -> its
+    owners), each visiting a good once.  Self loops cannot change
+    reachability.
     """
-    owns = [[k for k in t.support if t.endowment[k] > 0] for t in m.traders]
-    wants = [[k for k in t.support if t.utilities[k].is_strictly_monotone] for t in m.traders]
+    owns = [[k for k, _ in t.owned] for t in m.traders]
+    wants = [[k for k, f in t.wanted if f.is_strictly_monotone] for t in m.traders]
 
     def reaches_all(out_goods, in_goods) -> bool:
         holders: list[list[int]] = [[] for _ in range(m.n_goods)]
@@ -175,20 +172,13 @@ def classify_market(m: Market, alpha, t: int) -> MarketClassReport:
     max_first_slope = Fraction(0)
     sparsity = 0
     for trader in m.traders:
-        endow_support = util_support = 0
-        for k in trader.support:
-            if trader.endowment[k] > 0:
-                endow_support += 1
-            f = trader.utilities[k]
-            if f.is_zero:
-                continue
-            util_support += 1
+        for _, f in trader.wanted:
             if f.n_segments > 2:
                 two_linear = False
             if f.slopes[-1] < 1:
                 boundable = False
             max_first_slope = max(max_first_slope, f.slopes[0])
-        sparsity = max(sparsity, endow_support, util_support)
+        sparsity = max(sparsity, len(trader.owned), len(trader.wanted))
     alpha_bound = max_first_slope if boundable else None
     return MarketClassReport(
         is_2_linear=two_linear,

@@ -17,6 +17,7 @@ from .errors import (
     NonDecreasingSlopes,
     NonIncreasingBreakpoints,
 )
+from .rational import parse_rational
 
 
 @dataclass(frozen=True)
@@ -48,12 +49,6 @@ class PLCFunction:
             return None
         return self.breaks[-1]
 
-    def alpha_bounded(self, alpha: Fraction) -> bool:
-        """Nonzero, first slope at most alpha, and last slope at least 1."""
-        if self.is_zero:
-            return False
-        return self.slopes[0] <= alpha and self.slopes[-1] >= 1
-
     def __call__(self, x: Fraction) -> Fraction:
         if x < 0:
             raise NegativeArgument(f"PLC function evaluated at {x}")
@@ -79,8 +74,8 @@ def validate_plc(slopes, breaks) -> PLCFunction:
     strictly decreasing nonnegative slopes, strictly increasing positive
     breakpoints, and one more slope than breakpoints.
     """
-    slopes = tuple(Fraction(s) for s in slopes)
-    breaks = tuple(Fraction(a) for a in breaks)
+    slopes = tuple(map(parse_rational, slopes))
+    breaks = tuple(map(parse_rational, breaks))
     if len(slopes) <= 1 and all(s == 0 for s in slopes):
         if breaks:
             raise LengthMismatch("zero function takes no breakpoints")
@@ -108,7 +103,7 @@ def validate_plc(slopes, breaks) -> PLCFunction:
 
 def linear_plc(theta) -> PLCFunction:
     """A ray of slope theta through the origin; slope 0 gives the zero function."""
-    theta = Fraction(theta)
+    theta = parse_rational(theta)
     if theta == 0:
         return ZERO_PLC
     return validate_plc((theta,), ())

@@ -45,7 +45,8 @@ class SearchConfig:
 
 def unit_box(n_goods: int, lo=1, hi=2) -> tuple[tuple[Fraction, Fraction], ...]:
     """The default [1, 2]^n search box the regulation property justifies."""
-    return tuple((Fraction(lo), Fraction(hi)) for _ in range(n_goods))
+    lo, hi = parse_rational(lo), parse_rational(hi)
+    return tuple((lo, hi) for _ in range(n_goods))
 
 
 @dataclass(frozen=True)

@@ -137,7 +137,7 @@ def prices_to_obj(p: PriceVector):
 
 
 def prices_from_obj(obj) -> PriceVector:
-    values = tuple(parse_rational(q) for q in _require(obj, "prices", list, "prices"))
+    values = _require(obj, "prices", list, "prices")  # PriceVector parses each entry
     normalized = obj.get("normalized", False)
     if not isinstance(normalized, bool):
         raise InputError("prices: normalized must be a boolean")
@@ -178,9 +178,8 @@ def strategies_to_obj(x: MixedStrategy, y: MixedStrategy):
 
 
 def strategies_from_obj(obj) -> tuple[MixedStrategy, MixedStrategy]:
-    x = MixedStrategy(tuple(parse_rational(w) for w in _require(obj, "x", list, "profile")))
-    y = MixedStrategy(tuple(parse_rational(w) for w in _require(obj, "y", list, "profile")))
-    return x, y
+    # MixedStrategy parses each entry
+    return tuple(MixedStrategy(_require(obj, key, list, "profile")) for key in "xy")
 
 
 # --- metadata, certificates, search reports -------------------------------------

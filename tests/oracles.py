@@ -180,7 +180,7 @@ def brute_force_clearing(market: Market, p, eps, grid_den: int = 16, grid_cap: i
                 variables.append((o.good, ub, o.unit_cost))
             eq_rows_idx.append((mine, d.tie_spend))
         elif d.tie_spend > 0:
-            for k in p.priced_goods:
+            for k in (g for g, q in enumerate(p.prices) if q > 0):
                 mine.append(len(variables))
                 variables.append((k, d.tie_spend / p.prices[k], p.prices[k]))
             budget_rows_idx.append((mine, d.tie_spend))

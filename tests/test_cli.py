@@ -106,6 +106,13 @@ def test_solve_game_cli(tmp_path):
     assert len(json.loads(res.output)["equilibria"]) == 3
 
 
+def test_solve_game_past_the_support_enumeration_cap_is_input_error(tmp_path):
+    game = tmp_path / "game.json"
+    write(game, {"n": 5, "A": [["0"] * 5] * 5, "B": [["0"] * 5] * 5})
+    res = run("solve-game", "--game", str(game))
+    assert res.exit_code == 2 and "capped at n = 4" in res.output
+
+
 def test_search_eq_cli(tmp_path):
     market = tmp_path / "m2.json"
     run("gen-mn", "--n", "2", "-o", str(market))

@@ -10,7 +10,7 @@ from plcmarket.model import TraderSpec, prices
 from plcmarket.plc import linear_plc, validate_plc
 from plcmarket.reduction import build_reduced_market
 
-from oracles import grid_max_utility, random_market
+from oracles import dense_utility, grid_max_utility, random_market
 
 
 def linear_trader(endow, slopes):
@@ -181,6 +181,6 @@ def test_oracle_optimality_small_random():
         if budget(t, p) > 1:
             continue
         d = optimal_demand(t, p)
-        util = t.utility(canonical_bundle(d).quantities)
+        util = dense_utility(t, canonical_bundle(d).quantities)
         assert util >= grid_max_utility(t, p)
         checked += 1

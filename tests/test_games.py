@@ -8,6 +8,8 @@ from plcmarket.games import (
     check_wsne,
     mixed,
     solve_game_support_enum,
+    solve_unique,
+    system_rank,
     validate_game,
 )
 
@@ -103,6 +105,17 @@ def test_support_enum_size_cap():
     A = [[0] * 5 for _ in range(5)]
     with pytest.raises(NTooLarge):
         solve_game_support_enum(validate_game(A, A))
+
+
+def test_inconsistent_systems_have_no_rank_and_no_solution():
+    one = ((F(1), F(1)), F(1))
+    assert system_rank([one, ((F(2), F(2)), F(3))], 2) is None
+    assert solve_unique([one, ((F(2), F(2)), F(3))], 2) is None
+    assert system_rank([one, ((F(2), F(2)), F(2))], 2) == 1
+    assert solve_unique([one], 2) is None  # underdetermined
+    both = [one, ((F(1), F(-1)), F(0))]
+    assert system_rank(both, 2) == 2 and solve_unique(both, 2) == (F(1, 2), F(1, 2))
+    assert solve_unique(both + [((F(1), F(0)), F(1))], 2) is None  # consistent pivots, then 0 = 1/2
 
 
 def test_support_enum_outputs_are_equilibria():

@@ -3,9 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from plcmarket.errors import AllZeroPrices, InvalidMarket, InvalidPriceVector
+from plcmarket.clearing import EXACT, verify
+from plcmarket.errors import AllZeroPrices, InputError, InvalidMarket, InvalidPriceVector
+from plcmarket.games import MixedStrategy, mixed, validate_game
 from plcmarket.model import (
     Market,
+    PriceVector,
     TraderSpec,
     classify_market,
     is_strongly_connected,
@@ -14,6 +17,7 @@ from plcmarket.model import (
 )
 from plcmarket.plc import ZERO_PLC, linear_plc, validate_plc
 from plcmarket.regulating import build_mn
+from plcmarket.search import unit_box
 
 from oracles import dense_strongly_connected
 
@@ -22,6 +26,32 @@ def test_normalize_examples():
     assert normalize_prices(prices([2, 4])).prices == (F(1), F(2))
     assert normalize_prices(prices([0, 3])).prices == (F(0), F(1))
     assert normalize_prices(prices([1, 1])).prices == (F(1), F(1))
+
+
+def test_int_prices_stay_exact():
+    p = PriceVector((1, 2))
+    assert p.prices == (F(1), F(2)) and all(type(q) is F for q in p.prices)
+    assert all(type(q) is F for q in normalize_prices(PriceVector((2, 4))).prices)
+    m = build_mn(2)
+    assert verify(m, p, EXACT) == verify(m, prices([F(1), F(2)]), EXACT)
+
+
+@pytest.mark.parametrize("value", [0.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("build", [
+    lambda v: PriceVector((v, 1)),
+    lambda v: TraderSpec((v, 1), (ZERO_PLC, linear_plc(1))),
+    lambda v: prices([v, 1]),
+    lambda v: MixedStrategy((v, 1 - v)),
+    lambda v: mixed([v, 1 - v]),
+    lambda v: linear_plc(v),
+    lambda v: validate_plc([2, 1], [v]),
+    lambda v: validate_game([[v]], [[0]]),
+    lambda v: unit_box(2, v, 2),
+], ids=["PriceVector", "TraderSpec", "prices", "MixedStrategy", "mixed", "linear_plc", "validate_plc",
+        "validate_game", "unit_box"])
+def test_public_constructors_take_exact_rationals_only(build, value):
+    with pytest.raises(InputError):
+        build(value)
 
 
 def test_normalize_idempotent_and_scale_invariant():

@@ -64,10 +64,6 @@ def test_satiation_and_bounds():
     assert f.satiation_point == 2
     assert not f.is_strictly_monotone
     assert f(F(50)) == 6
-    assert validate_plc([9, 1], [1]).alpha_bounded(27)
-    assert not validate_plc([9, 1], [1]).alpha_bounded(8)
-    assert not validate_plc([F(1, 2)], []).alpha_bounded(27)  # last slope below 1
-    assert not validate_plc([], []).alpha_bounded(27)
 
 
 def test_linear_plc():

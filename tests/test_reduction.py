@@ -5,7 +5,7 @@ import pytest
 
 from plcmarket.errors import DegenerateExtraction, NTooSmall, ShapeMismatch
 from plcmarket.games import validate_game
-from plcmarket.model import classify_market, prices
+from plcmarket.model import PriceVector, classify_market, prices
 from plcmarket.reduction import (
     build_reduced_market,
     extract_strategies,
@@ -130,6 +130,13 @@ def test_extract_examples():
         extract_strategies(prices([1, 1, 1, 2, 1, 1], normalized=True), meta)
     with pytest.raises(ShapeMismatch):
         extract_strategies(prices([1, 2], normalized=True), meta)
+
+
+def test_extract_from_int_prices_gives_exact_weights():
+    _, meta = build_reduced_market(validate_game([[0, 0], [0, 0]], [[0, 0], [0, 0]]))
+    ex = extract_strategies(PriceVector((3, 2, 1, 2, 1, 1)), meta)
+    assert ex.x.weights == (F(2, 3), F(1, 3)) and ex.y.weights == (F(0), F(1))
+    assert all(type(w) is F for w in ex.x.weights + ex.y.weights + ex.x_raw + ex.y_raw)
 
 
 def test_extract_round_trip():
