@@ -158,8 +158,6 @@ def check_nash(game_path, profile_path, eps, as_json):
     """Well-supported Nash check; exit 0 iff the profile passes."""
     game = serialize.game_from_obj(serialize.read_json(game_path))
     x, y = serialize.strategies_from_obj(serialize.read_json(profile_path))
-    if len(x.weights) != game.n or len(y.weights) != game.n:
-        raise InputError("profile length does not match the game")
     eps_val = _resolve_eps(eps, game_n=game.n, n_goods=2 * game.n + 2)
     result = check_wsne(game, x, y, eps_val)
     obj = {

@@ -70,9 +70,14 @@ class WsneResult:
 
 def check_wsne(g: BimatrixGame, x: MixedStrategy, y: MixedStrategy, eps) -> WsneResult:
     """Well-supported check: any action eps-worse than an alternative must
-    carry zero probability.  Returns the first violating (i, j, side)."""
+    carry zero probability.  Returns the first violating (i, j, side).
+    Each profile must have one weight per action (else ShapeMismatch)."""
     eps = parse_epsilon(eps)
     n = g.n
+    if len(x.weights) != n or len(y.weights) != n:
+        raise ShapeMismatch(
+            f"profiles must have {n} weights, got {len(x.weights)} and {len(y.weights)}"
+        )
     row_pay = [sum((g.A[i][k] * y.weights[k] for k in range(n)), Fraction(0)) for i in range(n)]
     col_pay = [sum((x.weights[k] * g.B[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
     for payoffs, weights, side in ((row_pay, x.weights, "row"), (col_pay, y.weights, "col")):

@@ -22,10 +22,45 @@ from .rational import parse_rational
 
 @dataclass(frozen=True)
 class PLCFunction:
-    """Validated utility piece; ``slopes == ()`` encodes the zero function."""
+    """Validated utility piece; ``slopes == ()`` encodes the zero function.
+
+    Construction parses every entry with `parse_rational` (floats and bools
+    raise InputError) and turns at most one zero slope into the zero
+    function; any other piece must satisfy the concavity contract: strictly
+    decreasing nonnegative slopes, strictly increasing positive breakpoints,
+    and one more slope than breakpoints.
+    """
 
     slopes: tuple[Fraction, ...]
     breaks: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        slopes = tuple(map(parse_rational, self.slopes))
+        breaks = tuple(map(parse_rational, self.breaks))
+        if len(slopes) <= 1 and all(s == 0 for s in slopes):
+            if breaks:
+                raise LengthMismatch("zero function takes no breakpoints")
+            slopes = ()
+        elif len(slopes) != len(breaks) + 1:
+            raise LengthMismatch(
+                f"need one more slope than breakpoints, got {len(slopes)} slopes"
+                f" and {len(breaks)} breakpoints"
+            )
+        for s in slopes:
+            if s < 0:
+                raise NegativeSlope(f"slope {s} is negative")
+        for lo, hi in zip(slopes[1:], slopes):
+            if lo >= hi:
+                raise NonDecreasingSlopes(f"slopes must strictly decrease, got {hi} then {lo}")
+        prev = Fraction(0)
+        for a in breaks:
+            if a <= prev:
+                raise NonIncreasingBreakpoints(
+                    f"breakpoints must be positive and strictly increasing, got {a} after {prev}"
+                )
+            prev = a
+        object.__setattr__(self, "slopes", slopes)
+        object.__setattr__(self, "breaks", breaks)
 
     @property
     def is_zero(self) -> bool:
@@ -67,43 +102,11 @@ ZERO_PLC = PLCFunction((), ())
 
 
 def validate_plc(slopes, breaks) -> PLCFunction:
-    """Validate a raw slope/breakpoint representation.
-
-    Returns the zero function when all slopes are zero and at most one slope
-    is given; otherwise the lists must satisfy the concavity contract:
-    strictly decreasing nonnegative slopes, strictly increasing positive
-    breakpoints, and one more slope than breakpoints.
-    """
-    slopes = tuple(map(parse_rational, slopes))
-    breaks = tuple(map(parse_rational, breaks))
-    if len(slopes) <= 1 and all(s == 0 for s in slopes):
-        if breaks:
-            raise LengthMismatch("zero function takes no breakpoints")
-        return ZERO_PLC
-    if len(slopes) != len(breaks) + 1:
-        raise LengthMismatch(
-            f"need one more slope than breakpoints, got {len(slopes)} slopes"
-            f" and {len(breaks)} breakpoints"
-        )
-    for s in slopes:
-        if s < 0:
-            raise NegativeSlope(f"slope {s} is negative")
-    for lo, hi in zip(slopes[1:], slopes):
-        if lo >= hi:
-            raise NonDecreasingSlopes(f"slopes must strictly decrease, got {hi} then {lo}")
-    prev = Fraction(0)
-    for a in breaks:
-        if a <= prev:
-            raise NonIncreasingBreakpoints(
-                f"breakpoints must be positive and strictly increasing, got {a} after {prev}"
-            )
-        prev = a
-    return PLCFunction(slopes, breaks)
+    """The piece given by raw slope and breakpoint lists; `PLCFunction`
+    parses and checks them."""
+    return PLCFunction(tuple(slopes), tuple(breaks))
 
 
 def linear_plc(theta) -> PLCFunction:
     """A ray of slope theta through the origin; slope 0 gives the zero function."""
-    theta = parse_rational(theta)
-    if theta == 0:
-        return ZERO_PLC
-    return validate_plc((theta,), ())
+    return PLCFunction((theta,), ())

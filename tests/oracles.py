@@ -11,8 +11,11 @@ box did not shrink, at normalized prices, over the package's own scoring and
 verifier.  The dense references restate, over all N goods, what the package
 computes over each trader's support or a bundle's nonzero entries; strong
 connectivity is networkx's verdict on the dense, edge-by-edge economy graph.
+The reference circulation is Edmonds-Karp with one BFS per augmenting path,
+which the phased max-flow must match flow for flow.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -22,6 +25,7 @@ import networkx as nx
 from plcmarket.clearing import APPROXIMATE, imbalance_profile, verify
 from plcmarket.demand import DemandSet, SegmentOffer, budget, canonical_bundle, optimal_demand
 from plcmarket.errors import UnboundedDemand
+from plcmarket.flow import Arc
 from plcmarket.model import Market, PriceVector, TraderSpec, normalize_prices
 from plcmarket.plc import validate_plc
 from plcmarket.search import SearchReport
@@ -344,6 +348,82 @@ def dense_strongly_connected(m: Market) -> bool:
     g.add_nodes_from(range(len(m.traders)))
     g.add_edges_from((i, j) for i, outs in enumerate(dense_economy_graph(m)) for j in outs)
     return nx.is_strongly_connected(g)
+
+
+# --- reference circulation -------------------------------------------------------
+
+
+def reference_circulation(arcs: list[Arc]) -> list[Fraction] | None:
+    """Edmonds-Karp, one BFS per augmenting path, on the integer-scaled
+    network `feasible_circulation` builds: the flows it must equal exactly.
+
+    Returns per-arc flows in input order, or None when infeasible.
+    """
+    if any(a.lower > a.upper for a in arcs):
+        return None
+    scale = math.lcm(*(b.denominator for a in arcs for b in (a.lower, a.upper)))
+    ids: dict = {}
+    adj: list[list[int]] = []
+    to: list[int] = []  # edge e and its reverse e ^ 1
+    residual: list[int] = []
+    excess: list[int] = []  # indexed by node id, i.e. in first-seen order
+
+    def node(x) -> int:
+        if x not in ids:
+            ids[x] = len(adj)
+            adj.append([])
+            excess.append(0)
+        return ids[x]
+
+    def add_edge(u: int, v: int, cap: int):
+        adj[u].append(len(to))
+        adj[v].append(len(to) + 1)
+        to.extend((v, u))
+        residual.extend((cap, 0))
+
+    for a in arcs:
+        head, tail = node(a.head), node(a.tail)  # head first: fixes the super-arc order
+        lo = a.lower.numerator * (scale // a.lower.denominator)
+        hi = a.upper.numerator * (scale // a.upper.denominator)
+        add_edge(tail, head, hi - lo)
+        excess[head] += lo
+        excess[tail] -= lo
+    source, sink = node(object()), node(object())
+    need = 0
+    for v, e in enumerate(excess):
+        if e > 0:
+            add_edge(source, v, e)
+            need += e
+        elif e < 0:
+            add_edge(v, sink, -e)
+
+    while need:
+        parent = [-1] * len(adj)  # edge by which BFS reached each node
+        parent[source] = -2  # reached, by no edge
+        queue = [source]  # FIFO: the loop walks the list as it grows
+        for u in queue:
+            for e in adj[u]:
+                v = to[e]
+                if residual[e] > 0 and parent[v] == -1:
+                    parent[v] = e
+                    queue.append(v)
+                    if v == sink:
+                        break  # the sink's parent, and so the path, is fixed
+            if parent[sink] != -1:
+                break
+        if parent[sink] == -1:
+            return None
+        path = []
+        v = sink
+        while v != source:
+            path.append(parent[v])
+            v = to[parent[v] ^ 1]
+        push = min(residual[e] for e in path)
+        for e in path:
+            residual[e] -= push
+            residual[e ^ 1] += push
+        need -= push
+    return [a.lower + Fraction(residual[2 * i + 1], scale) for i, a in enumerate(arcs)]
 
 
 # --- random instance generators ---------------------------------------------------

@@ -88,6 +88,15 @@ def test_reduce_extract_check_nash(tmp_path):
     assert json.loads(res.output)["witness"] is not None
 
 
+def test_check_nash_wrong_length_profile_is_input_error(tmp_path):
+    game = tmp_path / "game.json"
+    write(game, COORD)
+    strat = tmp_path / "strat.json"
+    write(strat, {"x": ["0", "0", "1"], "y": ["1", "0"]})
+    res = run("check-nash", "--game", str(game), "--profile", str(strat), "--eps", "0")
+    assert res.exit_code == 2 and "weights" in res.output
+
+
 def test_check_nash_relative_eps(tmp_path):
     game = tmp_path / "game.json"
     write(game, COORD)

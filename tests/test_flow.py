@@ -4,7 +4,15 @@ from fractions import Fraction as F
 
 import networkx as nx
 
+from plcmarket import clearing
+from plcmarket.clearing import APPROXIMATE, EXACT, QUASI, verify
 from plcmarket.flow import Arc, feasible_circulation
+from plcmarket.games import validate_game
+from plcmarket.model import prices
+from plcmarket.reduction import build_reduced_market
+from plcmarket.regulating import build_mn
+
+from oracles import random_market, random_sparse_game_matrices, reference_circulation
 
 
 def _through(value):
@@ -115,3 +123,68 @@ def test_circulation_matches_network_simplex():
             balance[a.tail] = balance.get(a.tail, 0) - f
         assert all(v == 0 for v in balance.values())
     assert min(verdicts.values()) >= 100, verdicts
+
+
+def _random_network(rng):
+    """Up to 9 nodes and 24 arcs, so phases run several augmenting paths
+    and the DFS meets saturated edges and dead ends."""
+    nodes = range(rng.randint(2, 9))
+    arcs = []
+    for _ in range(rng.randint(2, 24)):
+        tail, head = rng.sample(nodes, 2)
+        lower = F(rng.choice((0, 0, 0, 0, 1, 2, 3)), rng.choice((1, 2, 3, 4, 6)))
+        width = F(rng.randint(0, 8), rng.choice((1, 2, 5)))
+        arcs.append(Arc(tail, head, lower, lower + width))
+    return arcs
+
+
+def _clearing_networks(monkeypatch):
+    """Every arc list `clearing._solve` hands to the circulation core on
+    M_n, seeded reduced markets and random markets."""
+    captured = []
+
+    def capture(arcs):
+        captured.append(arcs)
+        return feasible_circulation(arcs)
+
+    monkeypatch.setattr(clearing, "feasible_circulation", capture)
+    rng = random.Random(20100)
+    for n in range(2, 9):
+        inside = [1 + F(rng.randint(0, 16), 16) for _ in range(n)]
+        pushed = list(inside)
+        k = rng.randrange(n)
+        pushed[k] = 2 * min(pushed[j] for j in range(n) if j != k) + F(rng.randint(1, 16), 16)
+        for vec in (inside, pushed):
+            for mode in (EXACT, APPROXIMATE, QUASI):
+                verify(build_mn(n), prices(vec), mode, F(1, n))
+    for n in range(2, 5):
+        market, _ = build_reduced_market(validate_game(*random_sparse_game_matrices(rng, n)))
+        N = market.n_goods
+        vec = prices([1 + F(rng.randint(1, 999), 1000) for _ in range(N)])
+        for eps in (F(1, N**13), F(1, 2)):
+            verify(market, vec, APPROXIMATE, eps)
+    for _ in range(60):
+        m = random_market(rng)
+        vec = prices([F(rng.randint(1, 8), 4) for _ in range(m.n_goods)])
+        for mode in (EXACT, QUASI):
+            verify(m, vec, mode)
+    monkeypatch.undo()
+    return captured
+
+
+def test_phases_match_edmonds_karp(monkeypatch):
+    rng = random.Random(20101)
+    verdicts = {True: 0, False: 0}
+    for _ in range(2000):
+        arcs = _random_network(rng)
+        flows = feasible_circulation(arcs)
+        assert flows == reference_circulation(arcs), arcs
+        verdicts[flows is not None] += 1
+    assert min(verdicts.values()) >= 300, verdicts
+    networks = _clearing_networks(monkeypatch)
+    seen = {True: 0, False: 0}
+    for arcs in networks:
+        flows = feasible_circulation(arcs)
+        assert flows == reference_circulation(arcs), arcs
+        seen[flows is not None] += 1
+    assert min(seen.values()) >= 10, seen

@@ -75,6 +75,17 @@ def test_wsne_takes_an_exact_nonnegative_epsilon():
     assert check_wsne(g, x, y, "2") == check_wsne(g, x, y, F(2))
 
 
+def test_wsne_checks_profile_lengths():
+    g = validate_game(MP_A, MP_B)
+    # weight on a third, non-existent action must not pass as a profile
+    with pytest.raises(ShapeMismatch):
+        check_wsne(g, mixed([0, 0, 1]), mixed([1, 0]), 0)
+    with pytest.raises(ShapeMismatch):
+        check_wsne(g, mixed([1, 0]), mixed([1]), 0)
+    with pytest.raises(ShapeMismatch):
+        check_wsne(g, mixed([1]), mixed([1, 0]), 0)
+
+
 def test_support_enum_coordination():
     g = validate_game([[1, 0], [0, 1]], [[1, 0], [0, 1]])
     eqs = solve_game_support_enum(g)

@@ -4,13 +4,15 @@ from fractions import Fraction as F
 import pytest
 
 from plcmarket.errors import (
+    InputError,
     LengthMismatch,
     NegativeArgument,
     NegativeSlope,
     NonDecreasingSlopes,
     NonIncreasingBreakpoints,
 )
-from plcmarket.plc import linear_plc, validate_plc
+from plcmarket.model import TraderSpec
+from plcmarket.plc import ZERO_PLC, PLCFunction, linear_plc, validate_plc
 
 from oracles import random_plc
 
@@ -43,6 +45,34 @@ def test_rejections():
         validate_plc([3, 2, 1], [2, 1])
     with pytest.raises(NonIncreasingBreakpoints):
         validate_plc([3, 1], [0])
+
+
+def test_constructor_rejects_floats():
+    # floats never reach the verdict path, also through the bare constructor
+    with pytest.raises(InputError, match="float"):
+        PLCFunction((0.5,), ())
+    with pytest.raises(InputError, match="float"):
+        PLCFunction((2, 1), (0.5,))
+    f = PLCFunction((3, 1), (2,))
+    assert f == validate_plc([3, 1], [2])
+    assert all(type(v) is F for v in f.slopes + f.breaks)
+
+
+def test_constructor_makes_a_lone_zero_slope_the_zero_function():
+    zero = PLCFunction((F(0),), ())
+    assert zero.is_zero and zero == ZERO_PLC
+    assert TraderSpec((F(1), F(0)), (linear_plc(1), zero)).wanted == ((0, linear_plc(1)),)
+    with pytest.raises(LengthMismatch):
+        PLCFunction((F(0),), (F(1),))
+
+
+def test_constructor_enforces_concavity():
+    with pytest.raises(NonDecreasingSlopes):
+        PLCFunction((1, 2), (1,))
+    with pytest.raises(NegativeSlope):
+        PLCFunction((2, -1), (1,))
+    with pytest.raises(NonIncreasingBreakpoints):
+        PLCFunction((3, 2, 1), (2, 1))
 
 
 def test_eval_examples():
