@@ -1,48 +1,56 @@
 """Exchange-market domain types and structural classification.
 
 A market holds a fixed number of divisible goods and a list of traders, each
-with a nonnegative endowment vector and one PLC utility piece per good; a
-trader's utility of a bundle is the sum of the per-good pieces.  All
-quantities are exact rationals.
+with a nonnegative endowment and one PLC utility piece per good; a trader's
+utility of a bundle is the sum of the per-good pieces.  All quantities are
+exact rationals.
 
-Vectors are dense at the API and in files, but in the reduced markets each
-trader owns or wants a handful of the N goods.  Each trader decides that
-once: ``owned`` lists its nonzero endowment entries and ``wanted`` its
-nonzero utility pieces, as (good, value) pairs in ascending good order.
-Everything zero is left out, so budgets, offers, forced purchases, utility
-differences, supplies, classification and strong connectivity read these
-two views instead of all N goods.  Strong connectivity is decided over the
-trader-good incidence, so no trader-to-trader edge is ever built.
+In the reduced markets each trader owns or wants a handful of the N goods,
+so a trader is its nonzeros: ``owned`` lists its nonzero endowment entries
+and ``wanted`` its nonzero utility pieces, as (good, value) pairs in
+ascending good order.  Budgets, offers, forced purchases, utility
+differences, supplies, classification and strong connectivity read only
+these two lists.  Dense rows exist only in market files; strong
+connectivity is decided over the trader-good incidence, so no
+trader-to-trader edge is ever built.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from operator import itemgetter
 
 from .errors import AllZeroPrices, InvalidMarket, InvalidPriceVector
 from .plc import PLCFunction
 from .rational import parse_rational
 
 
+def _by_good(pairs, where: str) -> list:
+    """The (good, value) pairs sorted by good; a good that is not an int (a
+    bool included) or that is listed twice raises InvalidMarket."""
+    pairs = list(pairs)
+    goods = [k for k, _ in pairs]
+    if any(type(k) is not int for k in goods) or len(set(goods)) < len(goods):
+        raise InvalidMarket(f"{where} goods must be distinct ints, got {goods}")
+    return sorted(pairs, key=itemgetter(0))
+
+
 @dataclass(frozen=True)
 class TraderSpec:
-    endowment: tuple[Fraction, ...]
-    utilities: tuple[PLCFunction, ...]
+    """A trader as its nonzeros, built from (good, amount) and (good, piece)
+    pairs: amounts are parsed with `parse_rational` (floats and bools raise
+    InputError), zero amounts and zero pieces are dropped, and both lists
+    are sorted by good.  ``TraderSpec(enumerate(endowment),
+    enumerate(utilities))`` turns dense rows into a trader."""
+
+    owned: tuple[tuple[int, Fraction], ...]
+    wanted: tuple[tuple[int, PLCFunction], ...]
     label: str | None = None
 
     def __post_init__(self):
-        # ints become Fractions; floats and bools raise InputError
-        object.__setattr__(self, "endowment", tuple(map(parse_rational, self.endowment)))
-
-    @cached_property
-    def owned(self) -> tuple[tuple[int, Fraction], ...]:
-        """(good, amount) for each nonzero endowment entry, ascending."""
-        return tuple((k, w) for k, w in enumerate(self.endowment) if w)
-
-    @cached_property
-    def wanted(self) -> tuple[tuple[int, PLCFunction], ...]:
-        """(good, piece) for each nonzero utility piece, ascending."""
-        return tuple((k, f) for k, f in enumerate(self.utilities) if not f.is_zero)
+        owned = ((k, parse_rational(w)) for k, w in _by_good(self.owned, "owned"))
+        object.__setattr__(self, "owned", tuple((k, w) for k, w in owned if w))
+        wanted = _by_good(self.wanted, "wanted")
+        object.__setattr__(self, "wanted", tuple((k, f) for k, f in wanted if not f.is_zero))
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -61,8 +69,8 @@ class Market:
         if not self.traders:
             raise InvalidMarket("market needs at least one trader")
         for idx, t in enumerate(self.traders):
-            if len(t.endowment) != self.n_goods or len(t.utilities) != self.n_goods:
-                raise InvalidMarket(f"trader {idx} has wrong vector length")
+            if any(not 0 <= k < self.n_goods for k, _ in t.owned + t.wanted):
+                raise InvalidMarket(f"trader {idx} lists a good outside range({self.n_goods})")
             if any(w < 0 for _, w in t.owned):
                 raise InvalidMarket(f"trader {idx} has a negative endowment entry")
         if all(s == 0 for s in self.supplies()):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import DegenerateExtraction, NTooSmall, ShapeMismatch
 from .games import BimatrixGame, MixedStrategy
 from .model import Market, PriceVector, TraderSpec
-from .plc import ZERO_PLC, PLCFunction, linear_plc, validate_plc
+from .plc import PLCFunction, linear_plc, validate_plc
 from .regulating import regulating_block
 
 
@@ -106,27 +106,16 @@ def build_reduced_market(game: BimatrixGame) -> tuple[Market, ReducedMarketMeta]
     for label, own, other, M in (("U", 0, n, game.A), ("V", n, 0, B_cols)):
         for i, j in pairs:
             gv = gadget_vectors_row(M, i, j)
-            endow = [Fraction(0)] * N
-            endow[own + i] = inv_n4
-            for k in range(n):
-                endow[other + k] = gv.C[k] * inv_n5
-            endow[aux1] = gv.E * inv_n5
-            utils = [ZERO_PLC] * N
-            utils[own + i] = _kinked(9, 1, inv_n4)
-            utils[aux2] = linear_plc(3)
-            for k in range(n):
-                if gv.D[k] > 0:
-                    utils[other + k] = _kinked(27, 1, gv.D[k] * inv_n5)
+            owned = [(own + i, inv_n4), (aux1, gv.E * inv_n5)]
+            owned += [(other + k, c * inv_n5) for k, c in enumerate(gv.C)]
+            wanted = [(own + i, _kinked(9, 1, inv_n4)), (aux2, linear_plc(3))]
+            wanted += [(other + k, _kinked(27, 1, d * inv_n5)) for k, d in enumerate(gv.D) if d > 0]
             if gv.F > 0:
-                utils[aux1] = _kinked(27, 1, gv.F * inv_n5)
-            traders.append(TraderSpec(tuple(endow), tuple(utils), f"{label}({i + 1},{j + 1})"))
+                wanted.append((aux1, _kinked(27, 1, gv.F * inv_n5)))
+            traders.append(TraderSpec(owned, wanted, f"{label}({i + 1},{j + 1})"))
 
     for i in range(2 * n):
-        endow = [Fraction(0)] * N
-        endow[aux1] = inv_n12
-        utils = [ZERO_PLC] * N
-        utils[i] = linear_plc(1)
-        traders.append(TraderSpec(tuple(endow), tuple(utils), f"I({i + 1})"))
+        traders.append(TraderSpec(((aux1, inv_n12),), ((i, linear_plc(1)),), f"I({i + 1})"))
 
     meta = ReducedMarketMeta(
         game_n=n,

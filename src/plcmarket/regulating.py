@@ -13,23 +13,18 @@ from .clearing import APPROXIMATE, Certificate, check_witness, clearing_report, 
 from .demand import Bundle, optimal_demand
 from .errors import NTooSmall, OutOfRegulationBox
 from .model import Market, PriceVector, TraderSpec, normalize_prices
-from .plc import ZERO_PLC, linear_plc
+from .plc import linear_plc
 
 
 def regulating_block(n_goods: int, share: Fraction) -> tuple[TraderSpec, ...]:
     """The S(i, j) traders over n_goods goods, lexicographic in (i, j): each
     owns `share` of good i and values good i at slope 2 and good j at slope 1."""
+    two, one = linear_plc(2), linear_plc(1)
     traders = []
     for i in range(n_goods):
         for j in range(n_goods):
-            if i == j:
-                continue
-            endow = [Fraction(0)] * n_goods
-            endow[i] = share
-            utils = [ZERO_PLC] * n_goods
-            utils[i] = linear_plc(2)
-            utils[j] = linear_plc(1)
-            traders.append(TraderSpec(tuple(endow), tuple(utils), f"S({i + 1},{j + 1})"))
+            if i != j:
+                traders.append(TraderSpec(((i, share),), ((i, two), (j, one)), f"S({i + 1},{j + 1})"))
     return tuple(traders)
 
 
@@ -58,7 +53,8 @@ def regulation_forward_witness(n: int, p: PriceVector) -> Certificate:
         raise OutOfRegulationBox(f"prices {p.prices} not in [1,2]^{n}")
     m = build_mn(n)
     eps = Fraction(1, n)
-    bundles = tuple(Bundle(t.endowment) for t in m.traders)
+    owned = [dict(t.owned) for t in m.traders]
+    bundles = tuple(Bundle(tuple(w.get(k, Fraction(0)) for k in range(n))) for w in owned)
     demands = [optimal_demand(t, p, i) for i, t in enumerate(m.traders)]
     supplies = m.supplies()
     totals = check_witness(m, p, bundles, demands, set(), clearing_windows(supplies, p, APPROXIMATE, eps))

@@ -10,10 +10,10 @@ import json
 from fractions import Fraction
 
 from .clearing import Certificate
-from .errors import InputError
+from .errors import InputError, InvalidMarket
 from .games import BimatrixGame, MixedStrategy, validate_game
 from .model import Market, PriceVector, TraderSpec
-from .plc import ZERO_PLC, PLCFunction, validate_plc
+from .plc import PLCFunction, validate_plc
 from .rational import format_rational, parse_rational
 from .reduction import ReducedMarketMeta
 from .search import SearchReport
@@ -68,20 +68,24 @@ def plc_from_obj(obj) -> PLCFunction:
     return validate_plc(slopes, breaks)
 
 
+_ZERO_OBJ = {"kind": "zero"}  # fast path for most pieces of a sparse market
+
+
 def market_to_obj(m: Market):
+    """Dense rows from each trader's nonzeros; every other entry is zero."""
     traders = []
     for t in m.traders:
-        entry = {
-            "endowment": [format_rational(w) for w in t.endowment],
-            "utilities": [plc_to_obj(f) for f in t.utilities],
-        }
+        endow = ["0/1"] * m.n_goods
+        for k, w in t.owned:
+            endow[k] = format_rational(w)
+        utils = [dict(_ZERO_OBJ) for _ in range(m.n_goods)]
+        for k, f in t.wanted:
+            utils[k] = plc_to_obj(f)
+        entry = {"endowment": endow, "utilities": utils}
         if t.label is not None:
             entry["label"] = t.label
         traders.append(entry)
     return {"n_goods": m.n_goods, "traders": traders}
-
-
-_ZERO_OBJ = {"kind": "zero"}  # fast path for most pieces of a sparse market
 
 
 def _piece_key(u):
@@ -111,18 +115,18 @@ def market_from_obj(obj) -> Market:
     traders = []
     for idx, entry in enumerate(_require(obj, "traders", list, "market")):
         where = f"trader {idx}"
-        endow = tuple(
-            cached(w if type(w) is str else None, parse_rational, w)
-            for w in _require(entry, "endowment", list, where)
-        )
-        utils = tuple(
-            ZERO_PLC if u == _ZERO_OBJ else cached(_piece_key(u), plc_from_obj, u)
-            for u in _require(entry, "utilities", list, where)
-        )
+        endow = _require(entry, "endowment", list, where)
+        utils = _require(entry, "utilities", list, where)
+        if len(endow) != n_goods or len(utils) != n_goods:
+            raise InvalidMarket(f"{where} has a row whose length is not n_goods={n_goods}")
+        # most entries are the zeros market_to_obj writes; TraderSpec drops any other zero
+        owned = [(k, cached(w if type(w) is str else None, parse_rational, w))
+                 for k, w in enumerate(endow) if w != "0/1"]
+        wanted = [(k, cached(_piece_key(u), plc_from_obj, u)) for k, u in enumerate(utils) if u != _ZERO_OBJ]
         label = entry.get("label")
         if label is not None and not isinstance(label, str):
             raise InputError(f"{where}: label must be a string")
-        traders.append(TraderSpec(endow, utils, label))
+        traders.append(TraderSpec(owned, wanted, label))
     return Market(n_goods, tuple(traders))
 
 

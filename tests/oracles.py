@@ -12,7 +12,9 @@ verifier.  The dense references restate, over all N goods, what the package
 computes over each trader's support or a bundle's nonzero entries; strong
 connectivity is networkx's verdict on the dense, edge-by-edge economy graph.
 The reference circulation is Edmonds-Karp with one BFS per augmenting path,
-which the phased max-flow must match flow for flow.
+which the phased max-flow must match flow for flow.  The dense builders fill
+N-length endowment and utility rows, trader by trader, the way the sparse
+builders must agree with.
 """
 
 import math
@@ -27,7 +29,8 @@ from plcmarket.demand import DemandSet, SegmentOffer, budget, canonical_bundle, 
 from plcmarket.errors import UnboundedDemand
 from plcmarket.flow import Arc
 from plcmarket.model import Market, PriceVector, TraderSpec, normalize_prices
-from plcmarket.plc import validate_plc
+from plcmarket.plc import ZERO_PLC, linear_plc, validate_plc
+from plcmarket.reduction import gadget_vectors_row
 from plcmarket.search import SearchReport
 
 
@@ -66,7 +69,7 @@ def grid_max_utility(trader: TraderSpec, p, den: int = 16) -> Fraction:
     tables = []
     for k in range(n):
         max_q = int(money / p.prices[k] * den)
-        tables.append([trader.utilities[k](step * q) for q in range(max_q + 1)])
+        tables.append([utility_row(trader, n)[k](step * q) for q in range(max_q + 1)])
 
     best = Fraction(0)
 
@@ -265,12 +268,29 @@ def brute_force_clearing(market: Market, p, eps, grid_den: int = 16, grid_cap: i
 # --- dense references for the support-restricted code --------------------------
 
 
+def endowment_row(trader: TraderSpec, n_goods: int) -> list:
+    """The trader's endowment over all n_goods goods."""
+    row = [Fraction(0)] * n_goods
+    for k, w in trader.owned:
+        row[k] = w
+    return row
+
+
+def utility_row(trader: TraderSpec, n_goods: int) -> list:
+    """The trader's utility piece for each of the n_goods goods."""
+    row = [ZERO_PLC] * n_goods
+    for k, f in trader.wanted:
+        row[k] = f
+    return row
+
+
 def dense_supplies(m: Market) -> tuple:
-    return tuple(sum((t.endowment[k] for t in m.traders), Fraction(0)) for k in range(m.n_goods))
+    rows = [endowment_row(t, m.n_goods) for t in m.traders]
+    return tuple(sum((row[k] for row in rows), Fraction(0)) for k in range(m.n_goods))
 
 
 def dense_budget(trader: TraderSpec, p) -> Fraction:
-    return sum((w * q for w, q in zip(trader.endowment, p.prices)), Fraction(0))
+    return sum((w * q for w, q in zip(endowment_row(trader, len(p.prices)), p.prices)), Fraction(0))
 
 
 def dense_cost(quantities, p) -> Fraction:
@@ -278,7 +298,7 @@ def dense_cost(quantities, p) -> Fraction:
 
 
 def dense_utility(trader: TraderSpec, quantities) -> Fraction:
-    return sum((f(Fraction(x)) for f, x in zip(trader.utilities, quantities)), Fraction(0))
+    return sum((f(Fraction(x)) for f, x in zip(utility_row(trader, len(quantities)), quantities)), Fraction(0))
 
 
 def dense_in_demand(trader: TraderSpec, p, d: DemandSet, quantities) -> bool:
@@ -303,7 +323,7 @@ def dense_demand(trader: TraderSpec, p, trader_idx=None) -> DemandSet:
     n = len(p.prices)
     forced = [Fraction(0)] * n
     offers = []
-    for k, f in enumerate(trader.utilities):
+    for k, f in enumerate(utility_row(trader, n)):
         if p.prices[k] == 0:
             if f.is_strictly_monotone:
                 raise UnboundedDemand(trader_idx, k)
@@ -332,13 +352,15 @@ def dense_economy_graph(m: Market) -> list:
     """Edge i -> j iff i != j and some good is owned by i and strictly wanted
     by j, tested pair by pair over all goods."""
     goods = range(m.n_goods)
+    endow = [endowment_row(t, m.n_goods) for t in m.traders]
+    utils = [utility_row(t, m.n_goods) for t in m.traders]
     return [
         {
             j
-            for j, b in enumerate(m.traders)
-            if j != i and any(a.endowment[k] > 0 and b.utilities[k].is_strictly_monotone for k in goods)
+            for j, b in enumerate(utils)
+            if j != i and any(a[k] > 0 and b[k].is_strictly_monotone for k in goods)
         }
-        for i, a in enumerate(m.traders)
+        for i, a in enumerate(endow)
     ]
 
 
@@ -348,6 +370,70 @@ def dense_strongly_connected(m: Market) -> bool:
     g.add_nodes_from(range(len(m.traders)))
     g.add_edges_from((i, j) for i, outs in enumerate(dense_economy_graph(m)) for j in outs)
     return nx.is_strongly_connected(g)
+
+
+# --- dense builders ----------------------------------------------------------------
+
+
+def dense_regulating_block(n_goods: int, share: Fraction) -> list:
+    """(endowment, utilities, label) of the S(i, j) traders, filled into
+    n_goods-length rows, lexicographic in (i, j)."""
+    traders = []
+    for i in range(n_goods):
+        for j in range(n_goods):
+            if i == j:
+                continue
+            endow = [Fraction(0)] * n_goods
+            endow[i] = share
+            utils = [ZERO_PLC] * n_goods
+            utils[i] = linear_plc(2)
+            utils[j] = linear_plc(1)
+            traders.append((tuple(endow), tuple(utils), f"S({i + 1},{j + 1})"))
+    return traders
+
+
+def _kinked(high, low, knee):
+    return validate_plc((Fraction(high), Fraction(low)), (knee,))
+
+
+def dense_reduced_traders(game) -> list:
+    """(endowment, utilities, label) of every trader of the reduced market,
+    S block, U block, V block, I block, filled into N-length rows."""
+    n = game.n
+    N = 2 * n + 2
+    aux1, aux2 = 2 * n, 2 * n + 1
+    inv_n4 = Fraction(1, n**4)
+    inv_n5 = Fraction(1, n**5)
+    inv_n12 = Fraction(1, n**12)
+    traders = dense_regulating_block(N, Fraction(1, n))
+
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    B_cols = tuple(zip(*game.B))
+    for label, own, other, M in (("U", 0, n, game.A), ("V", n, 0, B_cols)):
+        for i, j in pairs:
+            gv = gadget_vectors_row(M, i, j)
+            endow = [Fraction(0)] * N
+            endow[own + i] = inv_n4
+            for k in range(n):
+                endow[other + k] = gv.C[k] * inv_n5
+            endow[aux1] = gv.E * inv_n5
+            utils = [ZERO_PLC] * N
+            utils[own + i] = _kinked(9, 1, inv_n4)
+            utils[aux2] = linear_plc(3)
+            for k in range(n):
+                if gv.D[k] > 0:
+                    utils[other + k] = _kinked(27, 1, gv.D[k] * inv_n5)
+            if gv.F > 0:
+                utils[aux1] = _kinked(27, 1, gv.F * inv_n5)
+            traders.append((tuple(endow), tuple(utils), f"{label}({i + 1},{j + 1})"))
+
+    for i in range(2 * n):
+        endow = [Fraction(0)] * N
+        endow[aux1] = inv_n12
+        utils = [ZERO_PLC] * N
+        utils[i] = linear_plc(1)
+        traders.append((tuple(endow), tuple(utils), f"I({i + 1})"))
+    return traders
 
 
 # --- reference circulation -------------------------------------------------------
@@ -463,8 +549,8 @@ def random_market(
                 for _ in range(n)
             )
             utils = tuple(random_plc(rng, den=den) for _ in range(n))
-            traders.append(TraderSpec(endow, utils))
-        if any(any(w > 0 for w in t.endowment) for t in traders):
+            traders.append(TraderSpec(enumerate(endow), enumerate(utils)))
+        if any(t.owned for t in traders):
             return Market(n, tuple(traders))
 
 
@@ -501,11 +587,11 @@ def tie_rich_market(rng: random.Random, price_vec) -> Market:
                     utils.append(validate_plc([theta, lower], [brk]))
             else:
                 utils.append(random_plc(rng))
-        traders.append(TraderSpec(endow, tuple(utils)))
-    if all(all(w == 0 for w in t.endowment) for t in traders):
+        traders.append(TraderSpec(enumerate(endow), enumerate(utils)))
+    if not any(t.owned for t in traders):
         endow = [Fraction(0)] * n
         endow[rng.randrange(n)] = Fraction(1, 2)
-        traders[0] = TraderSpec(tuple(endow), traders[0].utilities)
+        traders[0] = TraderSpec(enumerate(endow), traders[0].wanted)
     return Market(n, tuple(traders))
 
 

@@ -213,8 +213,8 @@ def test_criterion_05_reduction_structure():
             rep = classify_market(market, 27, 23)
             assert rep.is_2_linear and rep.alpha_ok and rep.sparsity_ok and rep.strongly_connected
             for t in market.traders:
-                assert sum(1 for w in t.endowment if w > 0) <= 22
-                assert sum(1 for f in t.utilities if not f.is_zero) <= 23
+                assert sum(1 for _, w in t.owned if w > 0) <= 22
+                assert sum(1 for _, f in t.wanted if not f.is_zero) <= 23
             _gadget_checks(game, n)
 
 

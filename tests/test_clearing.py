@@ -15,15 +15,15 @@ from plcmarket.clearing import (
 from plcmarket.demand import Bundle, in_demand, optimal_demand
 from plcmarket.errors import AllZeroPrices, InputError, InvalidMarket, ShapeMismatch, UnboundedDemand
 from plcmarket.model import Market, TraderSpec, normalize_prices, prices
-from plcmarket.plc import ZERO_PLC, linear_plc, validate_plc
+from plcmarket.plc import linear_plc, validate_plc
 from plcmarket.regulating import build_mn
 from plcmarket.serialize import certificate_to_obj, dumps
 
-from oracles import brute_force_clearing, random_market
+from oracles import brute_force_clearing, endowment_row, random_market
 
 
 def test_single_self_sufficient_trader_exact():
-    m = Market(1, (TraderSpec((F(1),), (linear_plc(1),)),))
+    m = Market(1, (TraderSpec([(0, F(1))], [(0, linear_plc(1))]),))
     for p in ([1], [F(7, 3)]):
         alloc = clearing_feasibility(m, prices(p), 0)
         assert alloc is not None
@@ -37,7 +37,7 @@ def test_m2_box_prices_feasible():
     assert alloc is not None
     # and the endowment allocation itself is a valid witness
     for i, t in enumerate(m.traders):
-        assert in_demand(t, p, optimal_demand(t, p, i), Bundle(t.endowment))
+        assert in_demand(t, p, optimal_demand(t, p, i), Bundle(tuple(endowment_row(t, 2))))
 
 
 def test_m2_out_of_box_infeasible():
@@ -80,8 +80,8 @@ def test_unbounded_demand_rejects():
 
 def test_quasi_vs_exact_zero_income_trader():
     # B has zero income and a satiated want for good 2 that supply cannot meet
-    a = TraderSpec((F(1), F(3)), (linear_plc(1), ZERO_PLC), "A")
-    b = TraderSpec((F(0), F(0)), (ZERO_PLC, validate_plc([1, 0], [5])), "B")
+    a = TraderSpec([(0, F(1)), (1, F(3))], [(0, linear_plc(1))], "A")
+    b = TraderSpec([], [(1, validate_plc([1, 0], [5]))], "B")
     m = Market(2, (a, b))
     p = prices([1, 0], normalized=True)
     assert verify(m, p, QUASI).accepted
@@ -150,7 +150,7 @@ def test_imbalance_profile_m2():
 
 def test_imbalance_profile_indifferent_traders():
     # nobody buys anything: allocated 0, imbalance equals -supply
-    t = TraderSpec((F(2), F(1)), (ZERO_PLC, ZERO_PLC))
+    t = TraderSpec([(0, F(2)), (1, F(1))], [])
     m = Market(2, (t,))
     prof = imbalance_profile(m, prices([1, 1]))
     assert [r.imbalance for r in prof] == [F(-2), F(-1)]
@@ -198,7 +198,7 @@ def test_certificates_deterministic():
 
 def test_zero_supply_good_requires_zero_allocation():
     # good 2 exists but nobody owns it; a trader wants it at a positive price
-    a = TraderSpec((F(1), F(0)), (linear_plc(2), linear_plc(1)), "A")
+    a = TraderSpec([(0, F(1))], [(0, linear_plc(2)), (1, linear_plc(1))], "A")
     m = Market(2, (a,))
     # at p=(1,1) the trader spends everything on good 1: feasible
     assert clearing_feasibility(m, prices([1, 1]), 0) is not None

@@ -64,6 +64,24 @@ def test_validate_rejects_negative_endowment(tmp_path):
     assert run("validate", str(bad)).exit_code == 2
 
 
+def test_market_row_of_the_wrong_length_is_input_error(tmp_path):
+    market = tmp_path / "m2.json"
+    assert run("gen-mn", "--n", "2", "-o", str(market)).exit_code == 0
+    good = json.loads(market.read_text())
+    p = tmp_path / "p.json"
+    write(p, {"prices": ["1", "2"], "normalized": True})
+    for key, row in (("endowment", ["1/2"]), ("endowment", ["1/2", "0/1", "0/1"]),
+                     ("utilities", [{"kind": "zero"}])):
+        bad = tmp_path / f"bad_{key}_{len(row)}.json"
+        obj = json.loads(json.dumps(good))
+        obj["traders"][1][key] = row
+        write(bad, obj)
+        res = run("verify", "--market", str(bad), "--prices", str(p), "--eps", "1/2")
+        assert res.exit_code == 2 and "n_goods=2" in res.output
+        res = run("validate", str(bad))
+        assert res.exit_code == 2 and "INVALID" in res.output
+
+
 def test_reduce_extract_check_nash(tmp_path):
     game = tmp_path / "game.json"
     write(game, COORD)

@@ -10,12 +10,12 @@ from plcmarket.model import TraderSpec, prices
 from plcmarket.plc import linear_plc, validate_plc
 from plcmarket.reduction import build_reduced_market
 
-from oracles import dense_utility, grid_max_utility, random_market
+from oracles import dense_utility, endowment_row, grid_max_utility, random_market
 
 
 def linear_trader(endow, slopes):
     return TraderSpec(
-        tuple(F(w) for w in endow), tuple(linear_plc(s) for s in slopes)
+        enumerate(F(w) for w in endow), enumerate(linear_plc(s) for s in slopes)
     )
 
 
@@ -35,7 +35,7 @@ def test_budget_of_reduced_market_gadget_trader():
     # C = positive part of A_1 - A_2 = (1, 0), E = 0 here; dot product must agree
     expected = F(1, 16) + F(1, 32)
     assert budget(u_trader, p) == expected
-    assert sum(w * q for w, q in zip(u_trader.endowment, p.prices)) == expected
+    assert sum(w * q for w, q in zip(endowment_row(u_trader, 6), p.prices)) == expected
 
 
 def test_strictly_better_rate_goes_forced():
@@ -58,7 +58,7 @@ def test_equal_rates_form_tie():
 
 
 def test_greedy_across_segments():
-    t = TraderSpec((F(5), F(0)), (validate_plc([3, 1], [2]), linear_plc(2)))
+    t = TraderSpec([(0, F(5))], [(0, validate_plc([3, 1], [2])), (1, linear_plc(2))])
     d = optimal_demand(t, prices([1, 1]))
     assert canonical_bundle(d).quantities == (F(2), F(3))  # rates 3 > 2 > 1
 
@@ -78,7 +78,7 @@ def test_unbounded_demand_on_free_wanted_good():
 
 
 def test_free_satiated_good_is_forced_at_satiation():
-    t = TraderSpec((F(1), F(0)), (linear_plc(1), validate_plc([2, 0], [3])))
+    t = TraderSpec([(0, F(1))], [(0, linear_plc(1)), (1, validate_plc([2, 0], [3]))])
     d = optimal_demand(t, prices([1, 0]))
     assert d.forced[1] == 3
     b = canonical_bundle(d)
@@ -95,7 +95,7 @@ def test_overspent_bundle_not_in_opt():
 
 def test_residual_spending_allowed_in_opt():
     # both goods satiated: cutoff 0, residual money may buy zero-utility amounts
-    t = TraderSpec((F(4), F(0)), (validate_plc([2, 0], [1]), validate_plc([1, 0], [1])))
+    t = TraderSpec([(0, F(4))], [(0, validate_plc([2, 0], [1])), (1, validate_plc([1, 0], [1]))])
     p = prices([1, 1])
     d = optimal_demand(t, p)
     assert d.cutoff_rate == 0
@@ -136,7 +136,7 @@ def test_rate_partition_around_cutoff():
         for i, t in enumerate(m.traders):
             d = optimal_demand(t, p, i)
             x = canonical_bundle(d).quantities
-            for k, f in enumerate(t.utilities):
+            for k, f in t.wanted:
                 if f.is_zero or p.prices[k] == 0:
                     continue
                 above = F(0)  # mass of segments with rate > cutoff

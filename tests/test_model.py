@@ -15,7 +15,7 @@ from plcmarket.model import (
     normalize_prices,
     prices,
 )
-from plcmarket.plc import ZERO_PLC, linear_plc, validate_plc
+from plcmarket.plc import linear_plc, validate_plc
 from plcmarket.regulating import build_mn
 from plcmarket.search import unit_box
 
@@ -39,7 +39,7 @@ def test_int_prices_stay_exact():
 @pytest.mark.parametrize("value", [0.5, True], ids=["float", "bool"])
 @pytest.mark.parametrize("build", [
     lambda v: PriceVector((v, 1)),
-    lambda v: TraderSpec((v, 1), (ZERO_PLC, linear_plc(1))),
+    lambda v: TraderSpec([(0, v), (1, 1)], [(1, linear_plc(1))]),
     lambda v: prices([v, 1]),
     lambda v: MixedStrategy((v, 1 - v)),
     lambda v: mixed([v, 1 - v]),
@@ -77,13 +77,46 @@ def test_price_vector_validation():
 
 
 def test_market_validation():
-    t = TraderSpec((F(1),), (linear_plc(1),))
+    t = TraderSpec([(1, F(1))], [(0, linear_plc(1))])
     with pytest.raises(InvalidMarket):
-        Market(2, (t,))  # wrong vector length
+        Market(1, (t,))  # a good outside the market
     with pytest.raises(InvalidMarket):
-        Market(1, (TraderSpec((F(-1),), (ZERO_PLC,)),))
+        Market(1, (TraderSpec([(0, F(-1))], []),))
     with pytest.raises(InvalidMarket):
-        Market(1, (TraderSpec((F(0),), (ZERO_PLC,)),))  # no supply anywhere
+        Market(1, (TraderSpec([(0, F(0))], []),))  # no supply anywhere
+
+
+def test_trader_is_its_nonzeros_sorted_by_good():
+    t = TraderSpec([(2, "1/2"), (0, 1), (1, 0)], [(1, linear_plc(1)), (0, validate_plc([], []))])
+    assert t.owned == ((0, F(1)), (2, F(1, 2)))
+    assert t.wanted == ((1, linear_plc(1)),)
+    assert TraderSpec(enumerate([F(1), F(0)]), enumerate([linear_plc(1), validate_plc([], [])])) == (
+        TraderSpec([(0, F(1))], [(0, linear_plc(1))])
+    )
+
+
+@pytest.mark.parametrize("owned, wanted", [
+    ([(0, 1), (0, 2)], []),
+    ([(0, 0), (0, 1)], []),
+    ([(0, 1)], [(1, linear_plc(1)), (1, linear_plc(2))]),
+    ([("0", 1)], []),
+    ([(True, 1)], []),
+    ([(F(0), 1)], []),
+    ([(0, 1)], [(1.0, linear_plc(1))]),
+], ids=["repeated-owned", "repeated-with-zero", "repeated-wanted", "str", "bool", "fraction", "float"])
+def test_trader_goods_must_be_distinct_ints(owned, wanted):
+    with pytest.raises(InvalidMarket):
+        TraderSpec(owned, wanted)
+
+
+@pytest.mark.parametrize("owned, wanted", [
+    ([(2, 1)], []),
+    ([(0, 1), (-1, 1)], []),
+    ([(0, 1)], [(2, linear_plc(1))]),
+], ids=["owned-past-the-end", "owned-negative", "wanted-past-the-end"])
+def test_market_goods_must_lie_in_range(owned, wanted):
+    with pytest.raises(InvalidMarket):
+        Market(2, (TraderSpec([(0, 1)], []), TraderSpec(owned, wanted)))
 
 
 def test_economy_graph_m2():
@@ -91,33 +124,33 @@ def test_economy_graph_m2():
 
 
 def test_economy_graph_no_edge_to_indifferent_trader():
-    a = TraderSpec((F(1), F(0)), (linear_plc(1), ZERO_PLC))
-    b = TraderSpec((F(0), F(1)), (ZERO_PLC, ZERO_PLC))
+    a = TraderSpec([(0, F(1))], [(0, linear_plc(1))])
+    b = TraderSpec([(1, F(1))], [])
     m = Market(2, (a, b))
     assert is_strongly_connected(m) is False  # b wants nothing, so nothing reaches b
     assert dense_strongly_connected(m) is False
 
 
 def test_single_trader_graph():
-    m = Market(1, (TraderSpec((F(1),), (linear_plc(1),)),))
+    m = Market(1, (TraderSpec([(0, F(1))], [(0, linear_plc(1))]),))
     assert is_strongly_connected(m)
     assert dense_strongly_connected(m)
 
 
 def test_two_isolated_traders():
-    a = TraderSpec((F(1), F(0)), (linear_plc(1), ZERO_PLC))
-    b = TraderSpec((F(0), F(1)), (ZERO_PLC, linear_plc(1)))
+    a = TraderSpec([(0, F(1))], [(0, linear_plc(1))])
+    b = TraderSpec([(1, F(1))], [(1, linear_plc(1))])
     assert not is_strongly_connected(Market(2, (a, b)))
 
 
 def test_one_way_markets_are_not_strongly_connected():
     # 0 -> 1 only: a forward search from trader 0 alone would accept both
-    a = TraderSpec((F(1), F(0)), (ZERO_PLC, ZERO_PLC))
-    b = TraderSpec((F(0), F(1)), (linear_plc(1), ZERO_PLC))
+    a = TraderSpec([(0, F(1))], [])
+    b = TraderSpec([(1, F(1))], [(0, linear_plc(1))])
     assert not is_strongly_connected(Market(2, (a, b)))
     # b owns nothing, so its utility piece on good 0 is no edge b -> a
-    a = TraderSpec((F(1),), (linear_plc(1),))
-    b = TraderSpec((F(0),), (linear_plc(1),))
+    a = TraderSpec([(0, F(1))], [(0, linear_plc(1))])
+    b = TraderSpec([], [(0, linear_plc(1))])
     assert not is_strongly_connected(Market(1, (a, b)))
     assert is_strongly_connected(Market(1, (a, a)))
 
@@ -143,14 +176,14 @@ def test_classify_mn():
 
 
 def test_classify_fractional_slope_breaks_alpha():
-    t = TraderSpec((F(1),), (validate_plc([F(1, 2)], []),))
+    t = TraderSpec([(0, F(1))], [(0, validate_plc([F(1, 2)], []))])
     rep = classify_market(Market(1, (t,)), 27, 23)
     assert rep.alpha_bound is None
     assert not rep.alpha_ok
 
 
 def test_classify_three_segments_not_2_linear():
-    t = TraderSpec((F(1),), (validate_plc([3, 2, 1], [1, 2]),))
+    t = TraderSpec([(0, F(1))], [(0, validate_plc([3, 2, 1], [1, 2]))])
     rep = classify_market(Market(1, (t,)), 27, 23)
     assert not rep.is_2_linear
 
@@ -163,13 +196,13 @@ def test_classify_agrees_with_definitional_predicates():
     for _ in range(60):
         m = random_market(rng)
         rep = classify_market(m, alpha, t_limit)
-        nonzero = [f for tr in m.traders for f in tr.utilities if not f.is_zero]
+        nonzero = [f for tr in m.traders for _, f in tr.wanted if not f.is_zero]
         assert rep.is_2_linear == all(len(f.slopes) <= 2 for f in nonzero)
         assert rep.alpha_ok == all(
             f.slopes[0] <= alpha and f.slopes[-1] >= 1 for f in nonzero
         )
         assert rep.sparsity_ok == all(
-            sum(1 for w in tr.endowment if w > 0) <= t_limit
-            and sum(1 for f in tr.utilities if not f.is_zero) <= t_limit
+            sum(1 for _, w in tr.owned if w > 0) <= t_limit
+            and sum(1 for _, f in tr.wanted if not f.is_zero) <= t_limit
             for tr in m.traders
         )

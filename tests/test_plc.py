@@ -61,7 +61,7 @@ def test_constructor_rejects_floats():
 def test_constructor_makes_a_lone_zero_slope_the_zero_function():
     zero = PLCFunction((F(0),), ())
     assert zero.is_zero and zero == ZERO_PLC
-    assert TraderSpec((F(1), F(0)), (linear_plc(1), zero)).wanted == ((0, linear_plc(1)),)
+    assert TraderSpec([(0, F(1))], [(0, linear_plc(1)), (1, zero)]).wanted == ((0, linear_plc(1)),)
     with pytest.raises(LengthMismatch):
         PLCFunction((F(0),), (F(1),))
 

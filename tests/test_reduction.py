@@ -2,10 +2,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plcmarket.errors import DegenerateExtraction, NTooSmall, ShapeMismatch
 from plcmarket.games import validate_game
-from plcmarket.model import PriceVector, classify_market, prices
+from plcmarket.model import PriceVector, TraderSpec, classify_market, prices
 from plcmarket.reduction import (
     build_reduced_market,
     extract_strategies,
@@ -13,7 +15,7 @@ from plcmarket.reduction import (
     gadget_vectors_row,
 )
 
-from oracles import random_sparse_game_matrices
+from oracles import dense_reduced_traders, random_sparse_game_matrices
 
 
 def frac_rows(rows):
@@ -76,13 +78,23 @@ def test_reduced_market_shape_zero_game():
     assert meta.s_count == 30 and len(meta.u_pairs) == 2 and meta.i_count == 4
     slices = meta.trader_slices()
     u0 = market.traders[slices["u"][0]]
-    assert u0.endowment == (F(1, 16),) + (F(0),) * 5
-    assert u0.utilities[0].slopes == (F(9), F(1))
-    assert u0.utilities[0].breaks == (F(1, 16),)
-    assert u0.utilities[5].slopes == (F(3),)
+    assert u0.owned == ((0, F(1, 16)),)
+    u0_wanted = dict(u0.wanted)
+    assert u0_wanted[0].slopes == (F(9), F(1))
+    assert u0_wanted[0].breaks == (F(1, 16),)
+    assert u0_wanted[5].slopes == (F(3),)
     i0 = market.traders[slices["i"][0]]
-    assert i0.endowment == (F(0),) * 4 + (F(1, 4096), F(0))
-    assert i0.utilities[0].slopes == (F(1),)
+    assert i0.owned == ((4, F(1, 4096)),)
+    assert dict(i0.wanted)[0].slopes == (F(1),)
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6))
+def test_reduced_traders_equal_the_dense_builder(seed, n):
+    game = validate_game(*random_sparse_game_matrices(random.Random(seed), n))
+    built = build_reduced_market(game)[0].traders
+    dense = dense_reduced_traders(game)
+    assert built == tuple(TraderSpec(enumerate(e), enumerate(u), label) for e, u, label in dense)
 
 
 def test_reduction_too_small():
@@ -98,8 +110,8 @@ def test_reduced_market_classification():
         rep = classify_market(market, 27, 23)
         assert rep.all_ok
         for t in market.traders:
-            assert sum(1 for w in t.endowment if w > 0) <= 22
-            assert sum(1 for f in t.utilities if not f.is_zero) <= 23
+            assert sum(1 for _, w in t.owned if w > 0) <= 22
+            assert sum(1 for _, f in t.wanted if not f.is_zero) <= 23
 
 
 def test_conservation_pairing_identity():
@@ -116,7 +128,8 @@ def test_conservation_pairing_identity():
         mine = market.traders[idx]
         for k in range(n):
             expected = abs(game.A[i][k] - game.A[j][k]) / n**5
-            assert mine.endowment[n + k] + other.endowment[n + k] == expected
+            owned = dict(mine.owned), dict(other.owned)
+            assert sum(w.get(n + k, 0) for w in owned) == expected
 
 
 def test_extract_examples():

@@ -5,18 +5,27 @@ import pytest
 
 from plcmarket.clearing import APPROXIMATE, verify
 from plcmarket.errors import NTooSmall, OutOfRegulationBox
-from plcmarket.model import normalize_prices, prices
+from plcmarket.model import TraderSpec, normalize_prices, prices
 from plcmarket.regulating import build_mn, check_regulation_box, regulation_forward_witness
+
+from oracles import dense_regulating_block
 
 
 def test_build_m2_structure():
     m = build_mn(2)
     assert m.n_goods == 2 and len(m.traders) == 2
     t12, t21 = m.traders
-    assert t12.endowment == (F(1, 2), F(0))
-    assert (t12.utilities[0].slopes, t12.utilities[1].slopes) == ((F(2),), (F(1),))
-    assert t21.endowment == (F(0), F(1, 2))
-    assert (t21.utilities[0].slopes, t21.utilities[1].slopes) == ((F(1),), (F(2),))
+    assert t12.owned == ((0, F(1, 2)),)
+    assert [(k, f.slopes) for k, f in t12.wanted] == [(0, (F(2),)), (1, (F(1),))]
+    assert t21.owned == ((1, F(1, 2)),)
+    assert [(k, f.slopes) for k, f in t21.wanted] == [(0, (F(1),)), (1, (F(2),))]
+
+
+def test_block_equals_the_dense_builder():
+    for n in range(2, 9):
+        built = build_mn(n).traders
+        dense = dense_regulating_block(n, F(1, n))
+        assert built == tuple(TraderSpec(enumerate(e), enumerate(u), label) for e, u, label in dense)
 
 
 def test_supply_audit():

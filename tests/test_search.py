@@ -16,10 +16,12 @@ from plcmarket.search import SearchConfig, _axis_points, grid_scores, search_equ
 from plcmarket.serialize import dumps, search_report_to_obj
 
 from oracles import (
+    endowment_row,
     random_market,
     random_sparse_game_matrices,
     reference_grid_scores,
     reference_search,
+    utility_row,
 )
 
 
@@ -42,9 +44,9 @@ def _count_scoring(monkeypatch):
     return counts
 
 
-def _support(trader):
+def _support(trader, n_goods):
     return [
-        k for k, (w, f) in enumerate(zip(trader.endowment, trader.utilities))
+        k for k, (w, f) in enumerate(zip(endowment_row(trader, n_goods), utility_row(trader, n_goods)))
         if w > 0 or not f.is_zero
     ]
 
@@ -59,7 +61,7 @@ def test_m2_grid_search_accepts():
 
 
 def test_single_trader_score_zero():
-    m = Market(1, (TraderSpec((F(1),), (linear_plc(1),)),))
+    m = Market(1, (TraderSpec([(0, F(1))], [(0, linear_plc(1))]),))
     rep = search_equilibrium(m, SearchConfig(box=unit_box(1), grid_k=2, refine_rounds=1))
     assert rep.accepted
     assert rep.best_max_relative_imbalance == 0
@@ -148,7 +150,7 @@ def test_grid_pass_evaluates_each_support_price_once(monkeypatch):
     # a trader's demand is computed once per price vector on its support,
     # not once per grid point: 200 evaluations instead of 38 * 2^6 = 2,432
     market, _ = build_reduced_market(validate_game([[1, 0], [0, 1]], [[1, 0], [0, 1]]))
-    assert sum(2 ** len(_support(t)) for t in market.traders) == 200
+    assert sum(2 ** len(_support(t, market.n_goods)) for t in market.traders) == 200
     counts = _count_scoring(monkeypatch)
     cfg = SearchConfig(box=unit_box(6), grid_k=1, refine_rounds=0, epsilon=F(1, 2))
     search_equilibrium(market, cfg)

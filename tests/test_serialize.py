@@ -5,7 +5,7 @@ import pytest
 
 from plcmarket import serialize
 from plcmarket.clearing import APPROXIMATE, verify
-from plcmarket.errors import InputError
+from plcmarket.errors import InputError, InvalidMarket
 from plcmarket.games import mixed, validate_game
 from plcmarket.model import prices
 from plcmarket.rational import format_rational, parse_rational
@@ -126,6 +126,23 @@ def test_malformed_market_objects():
         )
 
 
+BAD_ROWS = [
+    ("endowment", ["1/2"]),
+    ("endowment", ["1/2", "0/1", "0/1"]),
+    ("utilities", [{"kind": "zero"}]),
+    ("utilities", [{"kind": "zero"}] * 3),
+]
+
+
+@pytest.mark.parametrize("key, row", BAD_ROWS, ids=["short-endowment", "long-endowment",
+                                                    "short-utilities", "long-utilities"])
+def test_market_rows_must_have_n_goods_entries(key, row):
+    obj = serialize.market_to_obj(build_mn(2))
+    obj["traders"][1][key] = row
+    with pytest.raises(InvalidMarket):
+        serialize.market_from_obj(obj)
+
+
 def test_parse_shares_identical_values_within_one_call_only():
     rng = random.Random(0)
     reduced, _ = build_reduced_market(validate_game(*random_sparse_game_matrices(rng, 2)))
@@ -133,11 +150,11 @@ def test_parse_shares_identical_values_within_one_call_only():
         obj = serialize.market_to_obj(market)
         first, second = serialize.market_from_obj(obj), serialize.market_from_obj(obj)
         assert first == market and second == market
-        pieces = [f for t in first.traders for f in t.utilities if not f.is_zero]
+        pieces = [f for t in first.traders for _, f in t.wanted if not f.is_zero]
         assert len({id(f) for f in pieces}) == len(set(pieces)) < len(pieces)
-        again = {f: f for t in second.traders for f in t.utilities if not f.is_zero}
+        again = {f: f for t in second.traders for _, f in t.wanted if not f.is_zero}
         assert all(again[f] is not f for f in pieces)
-        shares = [w for t in first.traders for w in t.endowment if w]
+        shares = [w for t in first.traders for _, w in t.owned if w]
         assert len({id(w) for w in shares}) == len(set(shares)) < len(shares)
 
 

@@ -13,7 +13,7 @@ from plcmarket.demand import Bundle, budget, canonical_bundle, in_demand, optima
 from plcmarket.errors import UnboundedDemand
 from plcmarket.games import validate_game
 from plcmarket.model import Market, PriceVector, TraderSpec, is_strongly_connected, normalize_prices, prices
-from plcmarket.plc import ZERO_PLC, PLCFunction, linear_plc, validate_plc
+from plcmarket.plc import PLCFunction, linear_plc, validate_plc
 from plcmarket.reduction import build_reduced_market
 
 from oracles import (
@@ -24,9 +24,11 @@ from oracles import (
     dense_strongly_connected,
     dense_supplies,
     dense_totals,
+    endowment_row,
     random_market,
     random_sparse_game_matrices,
     tie_rich_market,
+    utility_row,
 )
 
 
@@ -46,8 +48,9 @@ def _check_against_dense(m: Market, p: PriceVector, rng):
     assert m.supplies() == dense_supplies(m)
     assert is_strongly_connected(m) == dense_strongly_connected(m)
     for i, t in enumerate(m.traders):
-        owned = [(k, t.endowment[k]) for k in range(m.n_goods) if t.endowment[k] != 0]
-        wanted = [(k, t.utilities[k]) for k in range(m.n_goods) if t.utilities[k].slopes != ()]
+        endow, utils = endowment_row(t, m.n_goods), utility_row(t, m.n_goods)
+        owned = [(k, endow[k]) for k in range(m.n_goods) if endow[k] != 0]
+        wanted = [(k, utils[k]) for k in range(m.n_goods) if utils[k].slopes != ()]
         assert list(t.owned) == owned
         assert list(t.wanted) == wanted
         assert list(t.support) == sorted({k for k, _ in owned + wanted})
@@ -124,8 +127,8 @@ def test_strong_connectivity_matches_networkx_on_random_markets():
 
 def test_witness_totals_count_a_free_top_up_off_the_support():
     # good 1 is free and wanted by nobody; trader 0 gets the top-up to its window
-    a = TraderSpec((F(1), F(0)), (linear_plc(1), ZERO_PLC))
-    b = TraderSpec((F(0), F(1)), (ZERO_PLC, ZERO_PLC))
+    a = TraderSpec([(0, F(1))], [(0, linear_plc(1))])
+    b = TraderSpec([(1, F(1))], [])
     m = Market(2, (a, b))
     cert = verify(m, prices([1, 0]), APPROXIMATE, F(1, 2))
     assert cert.accepted
@@ -136,8 +139,8 @@ def test_witness_totals_count_a_free_top_up_off_the_support():
 
 def test_witness_totals_count_residual_money_off_the_support():
     # trader 0 satiates on good 0 and must clear good 1 with its residual money
-    a = TraderSpec((F(2), F(0)), (validate_plc([1, 0], [1]), ZERO_PLC))
-    b = TraderSpec((F(0), F(1)), (linear_plc(1), ZERO_PLC))
+    a = TraderSpec([(0, F(2))], [(0, validate_plc([1, 0], [1]))])
+    b = TraderSpec([(1, F(1))], [(0, linear_plc(1))])
     m = Market(2, (a, b))
     cert = verify(m, prices([1, 1]), EXACT)
     assert cert.accepted
@@ -151,12 +154,12 @@ def _witness_market():
     the traders' supports.  Trader 0 satiates on good 0 and must clear good 1,
     off its support, with residual money; traders 2 and 3 tie between goods 2
     and 3, and canonical demand puts both on good 2."""
-    tie = (ZERO_PLC, ZERO_PLC, linear_plc(1), linear_plc(1))
+    tie = ((2, linear_plc(1)), (3, linear_plc(1)))
     return Market(4, (
-        TraderSpec((F(2), F(0), F(0), F(0)), (validate_plc([1, 0], [1]),) + (ZERO_PLC,) * 3),
-        TraderSpec((F(0), F(1), F(0), F(0)), (linear_plc(1),) + (ZERO_PLC,) * 3),
-        TraderSpec((F(0), F(0), F(1), F(0)), tie),
-        TraderSpec((F(0), F(0), F(0), F(1)), tie),
+        TraderSpec([(0, F(2))], [(0, validate_plc([1, 0], [1]))]),
+        TraderSpec([(1, F(1))], [(0, linear_plc(1))]),
+        TraderSpec([(2, F(1))], tie),
+        TraderSpec([(3, F(1))], tie),
     ))
 
 
@@ -202,7 +205,7 @@ def _moved_tie_money(t, p, d, x):
         return None
 
     def rate(g):  # right derivative of f_g at x_g per unit of money
-        f = t.utilities[g]
+        f = utility_row(t, len(p.prices))[g]
         lefts = (F(0),) + f.breaks
         seg = max((s for s in range(len(f.slopes)) if lefts[s] <= x[g]), default=None)
         return (F(0) if seg is None else f.slopes[seg]) / p.prices[g]
