@@ -10,8 +10,8 @@ so a trader is its nonzeros: ``owned`` lists its nonzero endowment entries
 and ``wanted`` its nonzero utility pieces, as (good, value) pairs in
 ascending good order.  Budgets, offers, forced purchases, utility
 differences, supplies, classification and strong connectivity read only
-these two lists.  Dense rows exist only in market files; strong
-connectivity is decided over the trader-good incidence, so no
+these two lists.  A trader's dense rows exist only in market files;
+strong connectivity is decided over the trader-good incidence, so no
 trader-to-trader edge is ever built.
 """
 
@@ -19,19 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import AllZeroPrices, InvalidMarket, InvalidPriceVector
+from .errors import AllZeroPrices, InputError, InvalidMarket, InvalidPriceVector
 from .plc import PLCFunction
 from .rational import parse_rational
-
-
-def _by_good(pairs, where: str) -> list:
-    """The (good, value) pairs sorted by good; a good that is not an int (a
-    bool included) or that is listed twice raises InvalidMarket."""
-    pairs = list(pairs)
-    goods = [k for k, _ in pairs]
-    if any(type(k) is not int for k in goods) or len(set(goods)) < len(goods):
-        raise InvalidMarket(f"{where} goods must be distinct ints, got {goods}")
-    return sorted(pairs, key=itemgetter(0))
 
 
 @dataclass(frozen=True)
@@ -39,7 +29,8 @@ class TraderSpec:
     """A trader as its nonzeros, built from (good, amount) and (good, piece)
     pairs: amounts are parsed with `parse_rational` (floats and bools raise
     InputError), zero amounts and zero pieces are dropped, and both lists
-    are sorted by good.  ``TraderSpec(enumerate(endowment),
+    are sorted by good; a good that is not an int (a bool included) or that
+    is listed twice raises InvalidMarket.  ``TraderSpec(enumerate(endowment),
     enumerate(utilities))`` turns dense rows into a trader."""
 
     owned: tuple[tuple[int, Fraction], ...]
@@ -47,10 +38,15 @@ class TraderSpec:
     label: str | None = None
 
     def __post_init__(self):
-        owned = ((k, parse_rational(w)) for k, w in _by_good(self.owned, "owned"))
-        object.__setattr__(self, "owned", tuple((k, w) for k, w in owned if w))
-        wanted = _by_good(self.wanted, "wanted")
-        object.__setattr__(self, "wanted", tuple((k, f) for k, f in wanted if not f.is_zero))
+        owned = [(k, parse_rational(w)) for k, w in self.owned]
+        wanted = list(self.wanted)
+        for pairs in (owned, wanted):
+            goods = [k for k, _ in pairs]
+            if any(type(k) is not int for k in goods) or len(set(goods)) < len(goods):
+                raise InvalidMarket(f"a trader's goods must be distinct ints, got {goods}")
+        by_good = itemgetter(0)
+        object.__setattr__(self, "owned", tuple(sorted((p for p in owned if p[1]), key=by_good)))
+        object.__setattr__(self, "wanted", tuple(sorted((p for p in wanted if not p[1].is_zero), key=by_good)))
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -174,7 +170,9 @@ class MarketClassReport:
 
 
 def classify_market(m: Market, alpha, t: int) -> MarketClassReport:
-    alpha = Fraction(alpha)
+    alpha = parse_rational(alpha)  # floats and bools raise InputError
+    if type(t) is not int:
+        raise InputError(f"sparsity bound t must be an int, got {t!r}")
     two_linear = True
     boundable = True
     max_first_slope = Fraction(0)

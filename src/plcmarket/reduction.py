@@ -55,28 +55,39 @@ def gadget_vectors_col(B, i: int, j: int) -> GadgetVectors:
 
 @dataclass(frozen=True)
 class ReducedMarketMeta:
+    """Goods count and trader layout of the reduced market of an n x n game,
+    all derived from n: N = 2n + 2 goods, N(N - 1) S traders, one U and one V
+    trader per ordered pair of distinct actions, and 2n I traders."""
+
     game_n: int
-    n_goods: int
-    s_count: int
-    u_pairs: tuple[tuple[int, int], ...]
-    i_count: int
+
+    def __post_init__(self):
+        if self.game_n < 2:
+            raise NTooSmall(f"reduction needs a game with n >= 2 actions, got {self.game_n}")
 
     @property
-    def v_pairs(self) -> tuple[tuple[int, int], ...]:
-        """The V gadget mirrors the U gadget pair for pair."""
-        return self.u_pairs
+    def n_goods(self) -> int:
+        return 2 * self.game_n + 2
+
+    @property
+    def s_count(self) -> int:
+        return self.n_goods * (self.n_goods - 1)
+
+    @property
+    def u_pairs(self) -> tuple[tuple[int, int], ...]:
+        n = self.game_n
+        return tuple((i, j) for i in range(n) for j in range(n) if i != j)
+
+    v_pairs = u_pairs  # the V gadget mirrors the U gadget pair for pair
+
+    @property
+    def i_count(self) -> int:
+        return 2 * self.game_n
 
     def trader_slices(self) -> dict[str, tuple[int, int]]:
-        s0 = 0
-        u0 = s0 + self.s_count
-        v0 = u0 + len(self.u_pairs)
-        i0 = v0 + len(self.v_pairs)
-        return {
-            "s": (s0, u0),
-            "u": (u0, v0),
-            "v": (v0, i0),
-            "i": (i0, i0 + self.i_count),
-        }
+        u0, pairs = self.s_count, len(self.u_pairs)
+        v0, i0 = u0 + pairs, u0 + 2 * pairs
+        return {"s": (0, u0), "u": (u0, v0), "v": (v0, i0), "i": (i0, i0 + self.i_count)}
 
 
 def _kinked(high, low, knee) -> PLCFunction:
@@ -90,21 +101,17 @@ def build_reduced_market(game: BimatrixGame) -> tuple[Market, ReducedMarketMeta]
     lexicographic.  S traders keep the 1/n endowment of the n x n game even
     though they range over all 2n + 2 goods.
     """
-    n = game.n
-    if n < 2:
-        raise NTooSmall("reduction needs a game with n >= 2 actions")
-    N = 2 * n + 2
+    meta = ReducedMarketMeta(game.n)
+    n, N = meta.game_n, meta.n_goods
     aux1, aux2 = 2 * n, 2 * n + 1
     inv_n4 = Fraction(1, n**4)
     inv_n5 = Fraction(1, n**5)
     inv_n12 = Fraction(1, n**12)
     traders = list(regulating_block(N, Fraction(1, n)))
-    s_count = len(traders)
 
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     B_cols = tuple(zip(*game.B))
     for label, own, other, M in (("U", 0, n, game.A), ("V", n, 0, B_cols)):
-        for i, j in pairs:
+        for i, j in meta.u_pairs:
             gv = gadget_vectors_row(M, i, j)
             owned = [(own + i, inv_n4), (aux1, gv.E * inv_n5)]
             owned += [(other + k, c * inv_n5) for k, c in enumerate(gv.C)]
@@ -117,13 +124,6 @@ def build_reduced_market(game: BimatrixGame) -> tuple[Market, ReducedMarketMeta]
     for i in range(2 * n):
         traders.append(TraderSpec(((aux1, inv_n12),), ((i, linear_plc(1)),), f"I({i + 1})"))
 
-    meta = ReducedMarketMeta(
-        game_n=n,
-        n_goods=N,
-        s_count=s_count,
-        u_pairs=tuple(pairs),
-        i_count=2 * n,
-    )
     return Market(N, tuple(traders)), meta
 
 

@@ -32,6 +32,7 @@ from .rational import parse_epsilon, parse_rational
 
 
 MAX_GRID_POINTS = 10**7  # bounds the work one grid_k from outside can ask for
+MAX_REFINE_ROUNDS = 64  # each round can score a new box, so the rounds bound the work too
 _UNBOUNDED = object()  # memo entry of a trader whose demand is unbounded
 
 
@@ -123,8 +124,8 @@ def search_equilibrium(m: Market, cfg: SearchConfig) -> SearchReport:
             raise InputError(f"{name} must be an integer, got {value!r}")
     if cfg.grid_k < 1:
         raise GridBudgetExceeded("grid_k must be at least 1")
-    if cfg.refine_rounds < 0:
-        raise GridBudgetExceeded("refine_rounds must be nonnegative")
+    if not 0 <= cfg.refine_rounds <= MAX_REFINE_ROUNDS:
+        raise GridBudgetExceeded(f"refine_rounds must lie in [0, {MAX_REFINE_ROUNDS}], got {cfg.refine_rounds}")
     if any(lo < 0 or hi < lo for lo, hi in box):
         raise BoxDimensionMismatch("box intervals must satisfy 0 <= lo <= hi")
     if all(hi == 0 for _, hi in box):

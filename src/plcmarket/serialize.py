@@ -208,16 +208,18 @@ def _pairs(obj, key) -> tuple[tuple[int, int], ...]:
 
 
 def meta_from_obj(obj) -> ReducedMarketMeta:
-    u_pairs = _pairs(obj, "u_pairs")
-    if _pairs(obj, "v_pairs") != u_pairs:
-        raise InputError("meta: v_pairs must equal u_pairs")
-    return ReducedMarketMeta(
-        game_n=_require(obj, "game_n", int, "meta"),
-        n_goods=_require(obj, "n_goods", int, "meta"),
-        s_count=_require(obj, "s_count", int, "meta"),
-        u_pairs=u_pairs,
-        i_count=_require(obj, "i_count", int, "meta"),
-    )
+    """The layout of the stored game_n; every other stored key must equal it."""
+    meta = ReducedMarketMeta(_require(obj, "game_n", int, "meta"))
+    n = meta.game_n
+    for key in ("n_goods", "s_count", "i_count"):
+        if _require(obj, key, int, "meta") != getattr(meta, key):
+            raise InputError(f"meta: {key} disagrees with game_n={n}")
+    for key in ("u_pairs", "v_pairs"):
+        pairs = _pairs(obj, key)
+        # lengths first, so a huge stored game_n never lists its own pairs
+        if len(pairs) != n * (n - 1) or pairs != meta.u_pairs:
+            raise InputError(f"meta: {key} disagrees with game_n={n}")
+    return meta
 
 
 def certificate_to_obj(cert: Certificate):

@@ -77,9 +77,25 @@ def test_market_row_of_the_wrong_length_is_input_error(tmp_path):
         obj["traders"][1][key] = row
         write(bad, obj)
         res = run("verify", "--market", str(bad), "--prices", str(p), "--eps", "1/2")
-        assert res.exit_code == 2 and "n_goods=2" in res.output
+        assert res.exit_code == 2 and "trader 1" in res.output
         res = run("validate", str(bad))
         assert res.exit_code == 2 and "INVALID" in res.output
+
+
+def test_meta_that_contradicts_its_game_size_is_input_error(tmp_path):
+    meta = tmp_path / "meta.json"
+    write(meta, {"game_n": 1, "n_goods": 99, "s_count": 7, "i_count": 0, "u_pairs": [[5, 5]], "v_pairs": [[5, 5]]})
+    res = run("validate", str(meta))
+    assert res.exit_code == 2 and "INVALID" in res.output
+    stale = tmp_path / "stale.json"
+    write(stale, {"game_n": 2, "n_goods": 99, "s_count": 30, "i_count": 4,
+                  "u_pairs": [[0, 1], [1, 0]], "v_pairs": [[0, 1], [1, 0]]})
+    res = run("validate", str(stale))
+    assert res.exit_code == 2 and "n_goods disagrees with game_n=2" in res.output
+    p = tmp_path / "p.json"
+    write(p, {"prices": ["2", "1", "1", "2", "1", "1"], "normalized": True})
+    res = run("extract", "--prices", str(p), "--meta", str(stale))
+    assert res.exit_code == 2 and "n_goods" in res.output
 
 
 def test_reduce_extract_check_nash(tmp_path):
@@ -291,6 +307,20 @@ def test_bad_search_config_is_input_error(tmp_path):
     assert res.exit_code == 2 and "refine_rounds" in res.output
     res = run("search-eq", "--market", str(market), "--box-lo", "0", "--box-hi", "0")
     assert res.exit_code == 2 and "nonzero" in res.output
+
+
+def test_too_many_rounds_is_input_error_promptly(tmp_path):
+    market = tmp_path / "m2.json"
+    run("gen-mn", "--n", "2", "-o", str(market))
+    game = tmp_path / "game.json"
+    write(game, COORD)
+    for rounds in ("65", "1000000000"):
+        start = time.perf_counter()
+        res = run("search-eq", "--market", str(market), "--grid-k", "1", "--eps", "1/2", "--rounds", rounds)
+        assert res.exit_code == 2 and "refine_rounds" in res.output
+        res = run("pipeline", "--game", str(game), "--outdir", str(tmp_path / "run"), "--rounds", rounds)
+        assert res.exit_code == 2 and "refine_rounds" in res.output
+        assert time.perf_counter() - start < 5
 
 
 def test_negative_eps_is_input_error(tmp_path, monkeypatch):

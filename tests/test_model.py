@@ -175,6 +175,13 @@ def test_classify_mn():
     assert rep.sparsity_t == 2
 
 
+@pytest.mark.parametrize("alpha, t", [(0.5, 23), (True, 23), (27, 2.5), (27, True), (27, "23")],
+                         ids=["float-alpha", "bool-alpha", "float-t", "bool-t", "str-t"])
+def test_classify_takes_exact_bounds_only(alpha, t):
+    with pytest.raises(InputError):
+        classify_market(build_mn(2), alpha, t)
+
+
 def test_classify_fractional_slope_breaks_alpha():
     t = TraderSpec([(0, F(1))], [(0, validate_plc([F(1, 2)], []))])
     rep = classify_market(Market(1, (t,)), 27, 23)

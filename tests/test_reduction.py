@@ -9,6 +9,7 @@ from plcmarket.errors import DegenerateExtraction, NTooSmall, ShapeMismatch
 from plcmarket.games import validate_game
 from plcmarket.model import PriceVector, TraderSpec, classify_market, prices
 from plcmarket.reduction import (
+    ReducedMarketMeta,
     build_reduced_market,
     extract_strategies,
     gadget_vectors_col,
@@ -95,6 +96,17 @@ def test_reduced_traders_equal_the_dense_builder(seed, n):
     built = build_reduced_market(game)[0].traders
     dense = dense_reduced_traders(game)
     assert built == tuple(TraderSpec(enumerate(e), enumerate(u), label) for e, u, label in dense)
+
+
+def test_meta_layout_follows_from_game_n():
+    meta = ReducedMarketMeta(3)
+    assert (meta.n_goods, meta.s_count, meta.i_count) == (8, 56, 6)
+    assert meta.u_pairs == meta.v_pairs == ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+    game = validate_game(*random_sparse_game_matrices(random.Random(3), 3))
+    market, built = build_reduced_market(game)
+    assert built == meta and len(market.traders) == 56 + 2 * 6 + 6
+    with pytest.raises(NTooSmall):
+        ReducedMarketMeta(1)
 
 
 def test_reduction_too_small():

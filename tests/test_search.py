@@ -12,7 +12,14 @@ from plcmarket.model import Market, TraderSpec
 from plcmarket.plc import linear_plc
 from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn
-from plcmarket.search import SearchConfig, _axis_points, grid_scores, search_equilibrium, unit_box
+from plcmarket.search import (
+    MAX_REFINE_ROUNDS,
+    SearchConfig,
+    _axis_points,
+    grid_scores,
+    search_equilibrium,
+    unit_box,
+)
 from plcmarket.serialize import dumps, search_report_to_obj
 
 from oracles import (
@@ -108,6 +115,17 @@ def test_bad_config_is_rejected_before_scoring(monkeypatch):
             search_equilibrium(m, SearchConfig(box=unit_box(2), grid_k=bad))
         with pytest.raises(InputError):
             search_equilibrium(m, SearchConfig(box=unit_box(2), refine_rounds=bad))
+    assert counts == {"demands": 0, "points": 0}
+
+
+def test_refine_rounds_are_capped_before_scoring(monkeypatch):
+    m = build_mn(2)
+    rep = search_equilibrium(m, SearchConfig(box=unit_box(2), grid_k=1, refine_rounds=MAX_REFINE_ROUNDS))
+    assert len(rep.trace) == MAX_REFINE_ROUNDS + 1
+    counts = _count_scoring(monkeypatch)
+    for rounds in (MAX_REFINE_ROUNDS + 1, 10**9):
+        with pytest.raises(GridBudgetExceeded):
+            search_equilibrium(m, SearchConfig(box=unit_box(2), grid_k=1, refine_rounds=rounds))
     assert counts == {"demands": 0, "points": 0}
 
 

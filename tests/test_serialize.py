@@ -5,11 +5,11 @@ import pytest
 
 from plcmarket import serialize
 from plcmarket.clearing import APPROXIMATE, verify
-from plcmarket.errors import InputError, InvalidMarket
+from plcmarket.errors import InputError, InvalidMarket, NTooSmall
 from plcmarket.games import mixed, validate_game
 from plcmarket.model import prices
 from plcmarket.rational import format_rational, parse_rational
-from plcmarket.reduction import build_reduced_market
+from plcmarket.reduction import ReducedMarketMeta, build_reduced_market
 from plcmarket.regulating import build_mn
 from plcmarket.search import SearchConfig, search_equilibrium, unit_box
 
@@ -61,6 +61,33 @@ def test_meta_ints_reject_bool_and_pairs_must_match():
         serialize.meta_from_obj({**obj, "v_pairs": [[1, 0], [0, 1]]})
     with pytest.raises(InputError):
         serialize.meta_from_obj({**obj, "u_pairs": [[0, True], [1, 0]]})
+
+
+@pytest.mark.parametrize("stale", [
+    {"game_n": 3},
+    {"n_goods": 99},
+    {"s_count": 7},
+    {"i_count": 0},
+    {"u_pairs": [[1, 0], [0, 1]], "v_pairs": [[1, 0], [0, 1]]},
+    {"u_pairs": [], "v_pairs": []},
+], ids=["game_n", "n_goods", "s_count", "i_count", "pair-order", "no-pairs"])
+def test_meta_keys_must_agree_with_game_n(stale):
+    obj = serialize.meta_to_obj(ReducedMarketMeta(2))
+    with pytest.raises(InputError):
+        serialize.meta_from_obj({**obj, **stale})
+
+
+def test_meta_of_a_game_too_small_or_too_large_is_rejected_promptly():
+    with pytest.raises(NTooSmall):
+        serialize.meta_from_obj(
+            {"game_n": 1, "n_goods": 99, "s_count": 7, "i_count": 0, "u_pairs": [[5, 5]], "v_pairs": [[5, 5]]}
+        )
+    n = 10**9  # its pairs would never fit in memory; the stored ones must be rejected unlisted
+    meta = ReducedMarketMeta(n)
+    obj = {"game_n": n, "n_goods": meta.n_goods, "s_count": meta.s_count, "i_count": meta.i_count,
+           "u_pairs": [[0, 1]], "v_pairs": [[0, 1]]}
+    with pytest.raises(InputError):
+        serialize.meta_from_obj(obj)
 
 
 def test_prices_round_trip():
