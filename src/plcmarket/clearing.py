@@ -17,6 +17,8 @@ always reach the window floor).
 
 An accept witness is re-checked without the flow: each bundle's utility is
 compared with the canonical bundle's only on the goods where the two differ.
+Forced purchases and all bundles are (good, amount) pairs, and the per-good
+totals are summed from them; no N-length row per trader is built.
 """
 
 from dataclasses import dataclass
@@ -75,15 +77,12 @@ def clearing_windows(supplies, p: PriceVector, mode: str, eps: Fraction):
     return out
 
 
-def _totals(n_goods: int, rows) -> list[Fraction]:
-    """Per-good sums of the rows (dense quantity vectors), adding only their
-    nonzero entries.  A witness row may be nonzero off its trader's support
-    (residual spending, free top-ups), so this must not visit supports."""
+def _totals(n_goods: int, bundles) -> list[Fraction]:
+    """Per-good sums of (good, amount) pair lists."""
     totals = [Fraction(0)] * n_goods
-    for row in rows:
-        for k, x in enumerate(row):
-            if x:
-                totals[k] += x
+    for pairs in bundles:
+        for k, x in pairs:
+            totals[k] += x
     return totals
 
 
@@ -97,11 +96,8 @@ def _solve(
     """Feasibility core shared by verify and clearing_feasibility: an optimal
     allocation within the windows as witness bundles, or None."""
     priced = [k for k, q in enumerate(p.prices) if q > 0]
-    alloc = [
-        [Fraction(0)] * m.n_goods if i in waived or d is None else list(d.forced)
-        for i, d in enumerate(demands)
-    ]
-    forced = _totals(m.n_goods, alloc)
+    alloc = [{} if i in waived or d is None else dict(d.forced) for i, d in enumerate(demands)]
+    forced = _totals(m.n_goods, (x.items() for x in alloc))
     inf = sum((d.budget for d in demands if d is not None), Fraction(0)) + 1
     arcs: list[Arc] = []
     qty_arcs: list[tuple[int, int, int]] = []  # (arc index, trader, good)
@@ -132,11 +128,12 @@ def _solve(
     if flows is None:
         return None
     for arc_idx, i, k in qty_arcs:
-        alloc[i][k] += flows[arc_idx] / p.prices[k]
+        if flows[arc_idx]:
+            alloc[i][k] = alloc[i].get(k, 0) + flows[arc_idx] / p.prices[k]
     for k, (lo, _) in enumerate(windows):
         if p.prices[k] == 0 and lo > forced[k]:
-            alloc[0][k] += lo - forced[k]  # free top-up, utility-neutral beyond satiation
-    return tuple(Bundle(tuple(row)) for row in alloc)
+            alloc[0][k] = alloc[0].get(k, 0) + lo - forced[k]  # free top-up, utility-neutral beyond satiation
+    return tuple(Bundle(tuple(sorted(x.items()))) for x in alloc)
 
 
 def clearing_report(supplies, allocated, eps: Fraction) -> tuple[GoodBalance, ...]:
@@ -199,8 +196,8 @@ def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
     bundles = _solve(m, p, demands, waived, windows)
     if bundles is None:
         # a waived trader with unbounded demand holds nothing
-        rows = (canonical_bundle(d).quantities for d in demands if d is not None)
-        report = clearing_report(supplies, _totals(m.n_goods, rows), eps)
+        canonical = (canonical_bundle(d).amounts for d in demands if d is not None)
+        report = clearing_report(supplies, _totals(m.n_goods, canonical), eps)
         return Certificate("reject", "clearing-infeasible", mode, eps, None, report)
 
     totals = check_witness(m, p, bundles, demands, waived, windows)
@@ -217,7 +214,7 @@ def check_witness(m, p, bundles, demands, waived, windows) -> list[Fraction]:
                 raise InternalInvariantViolation(f"waived trader {i} got a costly bundle")
         elif not in_demand(trader, p, d, b):
             raise InternalInvariantViolation(f"witness bundle for trader {i} is not optimal")
-    totals = _totals(len(windows), (b.quantities for b in bundles))
+    totals = _totals(len(windows), (b.amounts for b in bundles))
     for k, ((lo, hi), total) in enumerate(zip(windows, totals)):
         if not lo <= total <= hi:
             raise InternalInvariantViolation(f"witness violates clearing window on good {k}")
@@ -234,5 +231,5 @@ def imbalance_profile(m: Market, p: PriceVector, eps=0) -> tuple[GoodBalance, ..
     """
     _check_shape(m, p)
     eps = parse_epsilon(eps)
-    rows = (canonical_bundle(optimal_demand(t, p, i)).quantities for i, t in enumerate(m.traders))
-    return clearing_report(m.supplies(), _totals(m.n_goods, rows), eps)
+    bundles = (canonical_bundle(optimal_demand(t, p, i)).amounts for i, t in enumerate(m.traders))
+    return clearing_report(m.supplies(), _totals(m.n_goods, bundles), eps)

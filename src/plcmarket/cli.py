@@ -19,7 +19,7 @@ from .errors import InputError, InternalInvariantViolation, MarketError
 from .games import MAX_SUPPORT_ENUM_N, check_wsne, solve_game_support_enum
 from .model import classify_market
 from .rational import format_rational, parse_epsilon, parse_rational
-from .reduction import build_reduced_market, extract_strategies
+from .reduction import ReducedMarketMeta, build_reduced_market, extract_strategies
 from .regulating import build_mn
 from .search import SearchConfig, search_equilibrium, unit_box
 
@@ -277,21 +277,18 @@ def pipeline(game_path, outdir, eps, nash_eps, grid_k, rounds, seed):
     Writes market.json, meta.json, search.json, summary.json, and (when an
     equilibrium verifies) prices.json and strat.json into --outdir.
     """
+    # every setting is checked before the reduction runs or a file is written
+    game = serialize.game_from_obj(serialize.read_json(game_path))
+    n_goods = ReducedMarketMeta(game.n).n_goods
+    eps_val = _resolve_eps(eps, game_n=game.n, n_goods=n_goods)
+    nash_eps_val = _resolve_eps(nash_eps, game_n=game.n, n_goods=n_goods)
+    cfg = SearchConfig(box=unit_box(n_goods), grid_k=grid_k, refine_rounds=rounds, epsilon=eps_val)
+
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    game = serialize.game_from_obj(serialize.read_json(game_path))
     market, meta = build_reduced_market(game)
     serialize.write_json(outdir / "market.json", serialize.market_to_obj(market))
     serialize.write_json(outdir / "meta.json", serialize.meta_to_obj(meta))
-
-    eps_val = _resolve_eps(eps, game_n=game.n, n_goods=market.n_goods)
-    nash_eps_val = _resolve_eps(nash_eps, game_n=game.n, n_goods=market.n_goods)
-    cfg = SearchConfig(
-        box=unit_box(market.n_goods),
-        grid_k=grid_k,
-        refine_rounds=rounds,
-        epsilon=eps_val,
-    )
     rep = search_equilibrium(market, cfg)
     serialize.write_json(outdir / "search.json", serialize.search_report_to_obj(rep))
 

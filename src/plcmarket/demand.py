@@ -6,7 +6,9 @@ rate slope/p_j and a quantity cap (the last segment of a strictly monotone
 piece is uncapped).  Offers strictly above the cutoff rate are bought in
 full, offers below it get nothing, and offers exactly at the cutoff form a
 tie frontier over which the remaining money must be spread.  The resulting
-description is the trader's entire optimal-bundle set, not just one optimum:
+description is the trader's entire optimal-bundle set, not just one optimum.
+Forced purchases and bundles are their nonzeros, (good, amount) pairs in
+ascending good order like a trader's ``owned``; no N-length row is built.
 
 * ``cutoff_rate > 0``: every optimal bundle equals ``forced`` plus some split
   of ``tie_spend`` money over ``tie_offers`` within their caps.
@@ -38,15 +40,16 @@ class SegmentOffer:
 
 @dataclass(frozen=True)
 class Bundle:
-    quantities: tuple[Fraction, ...]
+    amounts: tuple[tuple[int, Fraction], ...]  # (good, amount), ascending good
 
     def cost(self, p: PriceVector) -> Fraction:
-        return sum((x * q for x, q in zip(self.quantities, p.prices) if x), Fraction(0))
+        q = p.prices
+        return sum((x * q[k] for k, x in self.amounts), Fraction(0))
 
 
 @dataclass(frozen=True)
 class DemandSet:
-    forced: tuple[Fraction, ...]
+    forced: tuple[tuple[int, Fraction], ...]  # (good, amount), ascending good
     cutoff_rate: Fraction
     tie_offers: tuple[SegmentOffer, ...]
     tie_spend: Fraction  # mandatory at the cutoff; residual ceiling when cutoff_rate == 0
@@ -84,7 +87,7 @@ def optimal_demand(
     Raises UnboundedDemand when a strictly wanted good has zero price.  A zero
     budget is not an error; it yields the all-zero purchase with tie_spend 0.
     """
-    forced = [Fraction(0)] * len(p.prices)
+    forced: dict[int, Fraction] = {}
     for k, f in trader.wanted:
         if p.prices[k] == 0:
             if f.is_strictly_monotone:
@@ -110,7 +113,7 @@ def optimal_demand(
             group_cost += o.quantity_cap * o.unit_cost
         if capped and group_cost <= remaining:
             for o in group:
-                forced[o.good] += o.quantity_cap
+                forced[o.good] = forced.get(o.good, 0) + o.quantity_cap
             remaining -= group_cost
             continue
         cutoff_rate = rate
@@ -118,7 +121,7 @@ def optimal_demand(
         break
 
     return DemandSet(
-        forced=tuple(forced),
+        forced=tuple(sorted(forced.items())),
         cutoff_rate=cutoff_rate,
         tie_offers=tie_offers,
         tie_spend=remaining,
@@ -132,7 +135,7 @@ def canonical_bundle(d: DemandSet) -> Bundle:
     Ties are filled in (good, segment) order; residual money at cutoff rate 0
     is left unspent, so the canonical bundle never buys zero-utility goods.
     """
-    x = list(d.forced)
+    x = dict(d.forced)
     if d.cutoff_rate > 0:
         money = d.tie_spend
         for o in d.tie_offers:
@@ -140,27 +143,21 @@ def canonical_bundle(d: DemandSet) -> Bundle:
                 break
             afford = money / o.unit_cost
             take = afford if o.quantity_cap is None else min(o.quantity_cap, afford)
-            x[o.good] += take
+            x[o.good] = x.get(o.good, 0) + take
             money -= take * o.unit_cost
-    return Bundle(tuple(x))
+    return Bundle(tuple(sorted(x.items())))
 
 
 def in_demand(trader: TraderSpec, p: PriceVector, d: DemandSet, x: Bundle) -> bool:
     """Membership test for the optimal-bundle set d of the trader at p:
-    budget-feasible and utility equal to the greedy optimum.  Spending
-    residual money on goods with zero marginal utility is allowed.  U(x) ==
-    U(c), c canonical, is decided exactly by summing f_k(x_k) - f_k(c_k) over
-    the wanted goods with x_k != c_k: every other term is 0."""
-    q = x.quantities
-    if len(q) != len(p.prices):
+    every good in range(len(p.prices)), no negative amount, budget-feasible,
+    and utility equal to the greedy optimum.  Spending residual money on
+    goods with zero marginal utility is allowed.  U(x) == U(c), c canonical,
+    is decided exactly by summing f_k(x_k) - f_k(c_k) over the wanted goods
+    with x_k != c_k: every other term is 0."""
+    n = len(p.prices)
+    if any(not 0 <= k < n or a < 0 for k, a in x.amounts) or x.cost(p) > d.budget:
         return False
-    cost = Fraction(0)
-    for xk, price in zip(q, p.prices):
-        if xk:
-            if xk < 0:
-                return False
-            cost += xk * price
-    if cost > d.budget:
-        return False
-    c = canonical_bundle(d).quantities
-    return sum((f(q[k]) - f(c[k]) for k, f in trader.wanted if q[k] != c[k]), Fraction(0)) == 0
+    q, c = dict(x.amounts), dict(canonical_bundle(d).amounts)
+    pairs = ((f, q.get(k, 0), c.get(k, 0)) for k, f in trader.wanted)
+    return sum((f(a) - f(b) for f, a, b in pairs if a != b), Fraction(0)) == 0

@@ -53,8 +53,7 @@ def regulation_forward_witness(n: int, p: PriceVector) -> Certificate:
         raise OutOfRegulationBox(f"prices {p.prices} not in [1,2]^{n}")
     m = build_mn(n)
     eps = Fraction(1, n)
-    owned = [dict(t.owned) for t in m.traders]
-    bundles = tuple(Bundle(tuple(w.get(k, Fraction(0)) for k in range(n))) for w in owned)
+    bundles = tuple(Bundle(t.owned) for t in m.traders)
     demands = [optimal_demand(t, p, i) for i, t in enumerate(m.traders)]
     supplies = m.supplies()
     totals = check_witness(m, p, bundles, demands, set(), clearing_windows(supplies, p, APPROXIMATE, eps))

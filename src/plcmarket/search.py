@@ -38,10 +38,34 @@ _UNBOUNDED = object()  # memo entry of a trader whose demand is unbounded
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Search settings, checked on construction: box bounds and epsilon are
+    exact rationals (ints become Fractions, floats raise InputError), every
+    interval has 0 <= lo <= hi and some hi > 0, grid_k and refine_rounds are
+    ints (not bools) in range, and the grid is within its cap."""
+
     box: tuple[tuple[Fraction, Fraction], ...]
     grid_k: int = 4
     refine_rounds: int = 2
     epsilon: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        box = tuple((parse_rational(lo), parse_rational(hi)) for lo, hi in self.box)
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "epsilon", parse_epsilon(self.epsilon))
+        for name in ("grid_k", "refine_rounds"):
+            value = getattr(self, name)
+            if type(value) is not int:  # bool is an int subclass, but never a count
+                raise InputError(f"{name} must be an integer, got {value!r}")
+        if self.grid_k < 1:
+            raise GridBudgetExceeded("grid_k must be at least 1")
+        if not 0 <= self.refine_rounds <= MAX_REFINE_ROUNDS:
+            raise GridBudgetExceeded(f"refine_rounds must lie in [0, {MAX_REFINE_ROUNDS}], got {self.refine_rounds}")
+        if any(lo < 0 or hi < lo for lo, hi in box):
+            raise BoxDimensionMismatch("box intervals must satisfy 0 <= lo <= hi")
+        if all(hi == 0 for _, hi in box):
+            raise BoxDimensionMismatch("box holds no nonzero price vector")
+        if (self.grid_k + 1) ** len(box) > MAX_GRID_POINTS:
+            raise GridBudgetExceeded(f"grid of {(self.grid_k + 1) ** len(box)} points exceeds cap {MAX_GRID_POINTS}")
 
 
 def unit_box(n_goods: int, lo=1, hi=2) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -86,8 +110,8 @@ def grid_scores(m: Market, axes):
             new = memos[i].get(key)
             if new is None:
                 try:
-                    x = canonical_bundle(optimal_demand(m.traders[i], p, i)).quantities
-                    new = tuple(map(x.__getitem__, support))
+                    x = dict(canonical_bundle(optimal_demand(m.traders[i], p, i)).amounts)
+                    new = tuple(x.get(k, 0) for k in support)
                 except UnboundedDemand:
                     new = _UNBOUNDED  # a strictly wanted free good
                 memos[i][key] = new
@@ -111,29 +135,9 @@ def grid_scores(m: Market, axes):
 
 
 def search_equilibrium(m: Market, cfg: SearchConfig) -> SearchReport:
-    # ints become Fractions and floats raise InputError, so the grid stays exact
-    box = tuple((parse_rational(lo), parse_rational(hi)) for lo, hi in cfg.box)
-    eps = parse_epsilon(cfg.epsilon)
+    box = cfg.box
     if len(box) != m.n_goods:
-        raise BoxDimensionMismatch(
-            f"box has {len(box)} coordinates for {m.n_goods} goods"
-        )
-    for name in ("grid_k", "refine_rounds"):
-        value = getattr(cfg, name)
-        if type(value) is not int:  # bool is an int subclass, but never a count
-            raise InputError(f"{name} must be an integer, got {value!r}")
-    if cfg.grid_k < 1:
-        raise GridBudgetExceeded("grid_k must be at least 1")
-    if not 0 <= cfg.refine_rounds <= MAX_REFINE_ROUNDS:
-        raise GridBudgetExceeded(f"refine_rounds must lie in [0, {MAX_REFINE_ROUNDS}], got {cfg.refine_rounds}")
-    if any(lo < 0 or hi < lo for lo, hi in box):
-        raise BoxDimensionMismatch("box intervals must satisfy 0 <= lo <= hi")
-    if all(hi == 0 for _, hi in box):
-        raise BoxDimensionMismatch("box holds no nonzero price vector")
-    if (cfg.grid_k + 1) ** m.n_goods > MAX_GRID_POINTS:
-        raise GridBudgetExceeded(
-            f"grid of {(cfg.grid_k + 1) ** m.n_goods} points exceeds cap {MAX_GRID_POINTS}"
-        )
+        raise BoxDimensionMismatch(f"box has {len(box)} coordinates for {m.n_goods} goods")
 
     # Scores are scale-invariant, so only the final incumbent is normalized;
     # rescoring the last box scored could never lower the incumbent's score.
@@ -163,5 +167,5 @@ def search_equilibrium(m: Market, cfg: SearchConfig) -> SearchReport:
     if best is None:
         return SearchReport(None, None, False, tuple(trace), None)
     best_price = normalize_prices(best)
-    cert = verify(m, best_price, APPROXIMATE, eps)
+    cert = verify(m, best_price, APPROXIMATE, cfg.epsilon)
     return SearchReport(best_price, best_score, cert.accepted, tuple(trace), cert)

@@ -71,13 +71,20 @@ def plc_from_obj(obj) -> PLCFunction:
 _ZERO_OBJ = {"kind": "zero"}  # fast path for most pieces of a sparse market
 
 
+def _dense_row(pairs, n_goods: int) -> list[str]:
+    """An n_goods-length row of rational strings from (good, amount) pairs;
+    every other entry is zero."""
+    row = ["0/1"] * n_goods
+    for k, w in pairs:
+        row[k] = format_rational(w)
+    return row
+
+
 def market_to_obj(m: Market):
     """Dense rows from each trader's nonzeros; every other entry is zero."""
     traders = []
     for t in m.traders:
-        endow = ["0/1"] * m.n_goods
-        for k, w in t.owned:
-            endow[k] = format_rational(w)
+        endow = _dense_row(t.owned, m.n_goods)
         utils = [dict(_ZERO_OBJ) for _ in range(m.n_goods)]
         for k, f in t.wanted:
             utils[k] = plc_to_obj(f)
@@ -231,10 +238,8 @@ def certificate_to_obj(cert: Certificate):
         "allocation": None,
         "report": None,
     }
-    if cert.allocation is not None:
-        obj["allocation"] = [
-            [format_rational(q) for q in b.quantities] for b in cert.allocation
-        ]
+    if cert.allocation is not None:  # an allocation comes with its per-good report
+        obj["allocation"] = [_dense_row(b.amounts, len(cert.report)) for b in cert.allocation]
     if cert.report is not None:
         obj["report"] = [
             {

@@ -169,8 +169,9 @@ def brute_force_clearing(market: Market, p, eps, grid_den: int = 16, grid_cap: i
     ]
     demands = [optimal_demand(t, p, i) for i, t in enumerate(market.traders)]
 
+    forced_total = dense_totals([dense_view(d.forced, n) for d in demands], n)
     for k in range(n):
-        if p.prices[k] == 0 and sum(d.forced[k] for d in demands) > windows[k][1]:
+        if p.prices[k] == 0 and forced_total[k] > windows[k][1]:
             return False
 
     variables = []  # (good, upper bound, unit price)
@@ -192,7 +193,6 @@ def brute_force_clearing(market: Market, p, eps, grid_den: int = 16, grid_cap: i
                 variables.append((k, d.tie_spend / p.prices[k], p.prices[k]))
             budget_rows_idx.append((mine, d.tie_spend))
 
-    forced_total = [sum(d.forced[k] for d in demands) for k in range(n)]
     nv = len(variables)
 
     def ok(z) -> bool:
@@ -268,6 +268,20 @@ def brute_force_clearing(market: Market, p, eps, grid_den: int = 16, grid_cap: i
 # --- dense references for the support-restricted code --------------------------
 
 
+def dense_view(pairs, n_goods: int) -> tuple:
+    """The n_goods-length row of (good, amount) pairs, such as a bundle's
+    amounts or a demand set's forced purchases; zero everywhere else."""
+    row = [Fraction(0)] * n_goods
+    for k, x in pairs:
+        row[k] = x
+    return tuple(row)
+
+
+def nonzeros(row) -> tuple:
+    """The (good, amount) pairs of a dense row's nonzero entries."""
+    return tuple((k, x) for k, x in enumerate(row) if x)
+
+
 def endowment_row(trader: TraderSpec, n_goods: int) -> list:
     """The trader's endowment over all n_goods goods."""
     row = [Fraction(0)] * n_goods
@@ -309,7 +323,8 @@ def dense_in_demand(trader: TraderSpec, p, d: DemandSet, quantities) -> bool:
         return False
     if dense_cost(quantities, p) > d.budget:
         return False
-    return dense_utility(trader, quantities) == dense_utility(trader, canonical_bundle(d).quantities)
+    canonical = dense_view(canonical_bundle(d).amounts, len(p.prices))
+    return dense_utility(trader, quantities) == dense_utility(trader, canonical)
 
 
 def dense_totals(rows, n_goods: int) -> list:
@@ -319,7 +334,8 @@ def dense_totals(rows, n_goods: int) -> list:
 def dense_demand(trader: TraderSpec, p, trader_idx=None) -> DemandSet:
     """optimal_demand restated over every good: collect the offers of all
     goods, then buy whole rate classes, best rate first, while the money
-    lasts; the first class that is uncapped or unaffordable is the tie."""
+    lasts; the first class that is uncapped or unaffordable is the tie.  Its
+    ``forced`` is the dense row that optimal_demand's pairs must fill."""
     n = len(p.prices)
     forced = [Fraction(0)] * n
     offers = []

@@ -31,6 +31,7 @@ from plcmarket.regulating import build_mn, regulation_forward_witness
 from oracles import (
     brute_force_clearing,
     dense_utility,
+    dense_view,
     grid_max_utility,
     plc_predicate,
     random_market,
@@ -110,7 +111,7 @@ def test_criterion_02_demand_oracle_optimality():
             d = optimal_demand(t, p)
             if d.budget > F(3, 2) or d.budget == 0:
                 continue
-            util = dense_utility(t, canonical_bundle(d).quantities)
+            util = dense_utility(t, dense_view(canonical_bundle(d).amounts, m.n_goods))
             best_on_grid = grid_max_utility(t, p, den=16)
             assert util >= best_on_grid
             nonvacuous += best_on_grid > 0

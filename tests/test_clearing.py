@@ -19,7 +19,7 @@ from plcmarket.plc import linear_plc, validate_plc
 from plcmarket.regulating import build_mn
 from plcmarket.serialize import certificate_to_obj, dumps
 
-from oracles import brute_force_clearing, endowment_row, random_market
+from oracles import brute_force_clearing, random_market
 
 
 def test_single_self_sufficient_trader_exact():
@@ -27,7 +27,7 @@ def test_single_self_sufficient_trader_exact():
     for p in ([1], [F(7, 3)]):
         alloc = clearing_feasibility(m, prices(p), 0)
         assert alloc is not None
-        assert alloc[0].quantities == (F(1),)
+        assert alloc[0].amounts == ((0, F(1)),)
 
 
 def test_m2_box_prices_feasible():
@@ -37,7 +37,7 @@ def test_m2_box_prices_feasible():
     assert alloc is not None
     # and the endowment allocation itself is a valid witness
     for i, t in enumerate(m.traders):
-        assert in_demand(t, p, optimal_demand(t, p, i), Bundle(tuple(endowment_row(t, 2))))
+        assert in_demand(t, p, optimal_demand(t, p, i), Bundle(t.owned))
 
 
 def test_m2_out_of_box_infeasible():

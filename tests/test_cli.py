@@ -323,6 +323,17 @@ def test_too_many_rounds_is_input_error_promptly(tmp_path):
         assert time.perf_counter() - start < 5
 
 
+def test_pipeline_checks_its_settings_before_writing_anything(tmp_path):
+    game = tmp_path / "game.json"
+    write(game, COORD)
+    for flag, value, word in (("--rounds", "65", "refine_rounds"), ("--grid-k", "0", "grid_k"),
+                              ("--eps", "-1/2", "nonnegative"), ("--eps", "N^-65", "exponent")):
+        outdir = tmp_path / f"run{flag}{value}".replace("/", "_")
+        res = run("pipeline", "--game", str(game), "--outdir", str(outdir), flag, value)
+        assert res.exit_code == 2 and word in res.output
+        assert not (outdir / "market.json").exists() and not outdir.exists()
+
+
 def test_negative_eps_is_input_error(tmp_path, monkeypatch):
     game = tmp_path / "game.json"
     write(game, COORD)

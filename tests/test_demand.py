@@ -10,7 +10,7 @@ from plcmarket.model import TraderSpec, prices
 from plcmarket.plc import linear_plc, validate_plc
 from plcmarket.reduction import build_reduced_market
 
-from oracles import dense_utility, endowment_row, grid_max_utility, random_market
+from oracles import dense_utility, dense_view, endowment_row, grid_max_utility, random_market
 
 
 def linear_trader(endow, slopes):
@@ -41,34 +41,34 @@ def test_budget_of_reduced_market_gadget_trader():
 def test_strictly_better_rate_goes_forced():
     t = linear_trader([1, 0], [2, 1])
     d = optimal_demand(t, prices([1, 1]))
-    assert canonical_bundle(d).quantities == (F(1), F(0))
-    assert d.cutoff_rate == 2 and not d.forced[1]
+    assert dense_view(canonical_bundle(d).amounts, 2) == (F(1), F(0))
+    assert d.cutoff_rate == 2 and not dense_view(d.forced, 2)[1]
 
 
 def test_equal_rates_form_tie():
     t = linear_trader([1, 0], [2, 1])
     d = optimal_demand(t, prices([2, 1]))
-    assert d.forced == (F(0), F(0))
+    assert dense_view(d.forced, 2) == (F(0), F(0))
     assert d.cutoff_rate == 1
     assert [(o.good, o.segment) for o in d.tie_offers] == [(0, 0), (1, 0)]
     assert d.tie_spend == 2
-    assert canonical_bundle(d).quantities == (F(1), F(0))  # lexicographic fill
+    assert dense_view(canonical_bundle(d).amounts, 2) == (F(1), F(0))  # lexicographic fill
     # all-money-on-the-other-good is also optimal
-    assert in_demand(t, prices([2, 1]), optimal_demand(t, prices([2, 1])), Bundle((F(0), F(2))))
+    assert in_demand(t, prices([2, 1]), optimal_demand(t, prices([2, 1])), Bundle(((1, F(2)),)))
 
 
 def test_greedy_across_segments():
     t = TraderSpec([(0, F(5))], [(0, validate_plc([3, 1], [2])), (1, linear_plc(2))])
     d = optimal_demand(t, prices([1, 1]))
-    assert canonical_bundle(d).quantities == (F(2), F(3))  # rates 3 > 2 > 1
+    assert dense_view(canonical_bundle(d).amounts, 2) == (F(2), F(3))  # rates 3 > 2 > 1
 
 
 def test_zero_budget_yields_zero_bundle():
     t = linear_trader([0, 0], [2, 1])
     d = optimal_demand(t, prices([1, 1]))
     assert d.budget == 0 and d.tie_spend == 0
-    assert canonical_bundle(d).quantities == (F(0), F(0))
-    assert in_demand(t, prices([1, 1]), optimal_demand(t, prices([1, 1])), Bundle((F(0), F(0))))
+    assert dense_view(canonical_bundle(d).amounts, 2) == (F(0), F(0))
+    assert in_demand(t, prices([1, 1]), optimal_demand(t, prices([1, 1])), Bundle(()))
 
 
 def test_unbounded_demand_on_free_wanted_good():
@@ -80,17 +80,17 @@ def test_unbounded_demand_on_free_wanted_good():
 def test_free_satiated_good_is_forced_at_satiation():
     t = TraderSpec([(0, F(1))], [(0, linear_plc(1)), (1, validate_plc([2, 0], [3]))])
     d = optimal_demand(t, prices([1, 0]))
-    assert d.forced[1] == 3
+    assert dense_view(d.forced, 2)[1] == 3
     b = canonical_bundle(d)
-    assert b.quantities == (F(1), F(3))
+    assert dense_view(b.amounts, 2) == (F(1), F(3))
     assert in_demand(t, prices([1, 0]), optimal_demand(t, prices([1, 0])), b)
     # skipping the free satiated quantity is not optimal
-    assert not in_demand(t, prices([1, 0]), optimal_demand(t, prices([1, 0])), Bundle((F(1), F(0))))
+    assert not in_demand(t, prices([1, 0]), optimal_demand(t, prices([1, 0])), Bundle(((0, F(1)),)))
 
 
 def test_overspent_bundle_not_in_opt():
     t = linear_trader([1, 0], [2, 1])
-    assert not in_demand(t, prices([1, 1]), optimal_demand(t, prices([1, 1])), Bundle((F(2), F(0))))
+    assert not in_demand(t, prices([1, 1]), optimal_demand(t, prices([1, 1])), Bundle(((0, F(2)),)))
 
 
 def test_residual_spending_allowed_in_opt():
@@ -99,11 +99,11 @@ def test_residual_spending_allowed_in_opt():
     p = prices([1, 1])
     d = optimal_demand(t, p)
     assert d.cutoff_rate == 0
-    assert d.forced == (F(1), F(1))
+    assert dense_view(d.forced, 2) == (F(1), F(1))
     assert d.tie_spend == 2  # residual ceiling
-    assert canonical_bundle(d).quantities == (F(1), F(1))
-    assert in_demand(t, p, d, Bundle((F(2), F(2))))  # burns residual, same utility
-    assert not in_demand(t, p, d, Bundle((F(3), F(2))))  # over budget
+    assert dense_view(canonical_bundle(d).amounts, 2) == (F(1), F(1))
+    assert in_demand(t, p, d, Bundle(((0, F(2)), (1, F(2)))))  # burns residual, same utility
+    assert not in_demand(t, p, d, Bundle(((0, F(3)), (1, F(2)))))  # over budget
 
 
 def test_full_spend_law_and_rate_partition():
@@ -115,7 +115,7 @@ def test_full_spend_law_and_rate_partition():
         )
         for i, t in enumerate(m.traders):
             d = optimal_demand(t, p, i)
-            cost = sum(q * p.prices[k] for k, q in enumerate(d.forced))
+            cost = sum(q * p.prices[k] for k, q in enumerate(dense_view(d.forced, m.n_goods)))
             if d.cutoff_rate > 0:
                 assert d.tie_spend == d.budget - cost
                 assert all(o.rate == d.cutoff_rate for o in d.tie_offers)
@@ -135,7 +135,8 @@ def test_rate_partition_around_cutoff():
         p = prices([F(rng.randint(1, 16), 8) for _ in range(m.n_goods)])
         for i, t in enumerate(m.traders):
             d = optimal_demand(t, p, i)
-            x = canonical_bundle(d).quantities
+            x = dense_view(canonical_bundle(d).amounts, m.n_goods)
+            forced = dense_view(d.forced, m.n_goods)
             for k, f in t.wanted:
                 if f.is_zero or p.prices[k] == 0:
                     continue
@@ -150,7 +151,7 @@ def test_rate_partition_around_cutoff():
                         ceiling = end
                     elif rate == d.cutoff_rate and d.cutoff_rate > 0:
                         ceiling = end  # None = uncapped cutoff segment
-                assert d.forced[k] == above
+                assert forced[k] == above
                 if d.cutoff_rate > 0 and ceiling is not None:
                     assert x[k] <= ceiling
 
@@ -165,7 +166,7 @@ def test_scale_invariance():
             d1 = optimal_demand(t, prices(vec))
             d2 = optimal_demand(t, prices([c * v for v in vec]))
             assert d1.forced == d2.forced
-            assert canonical_bundle(d1).quantities == canonical_bundle(d2).quantities
+            assert canonical_bundle(d1).amounts == canonical_bundle(d2).amounts
             assert [(o.good, o.segment) for o in d1.tie_offers] == [
                 (o.good, o.segment) for o in d2.tie_offers
             ]
@@ -181,6 +182,6 @@ def test_oracle_optimality_small_random():
         if budget(t, p) > 1:
             continue
         d = optimal_demand(t, p)
-        util = dense_utility(t, canonical_bundle(d).quantities)
+        util = dense_utility(t, dense_view(canonical_bundle(d).amounts, m.n_goods))
         assert util >= grid_max_utility(t, p)
         checked += 1

@@ -22,7 +22,7 @@ from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn, regulation_forward_witness
 from plcmarket.search import SearchConfig, search_equilibrium, unit_box
 
-from oracles import random_market, random_sparse_game_matrices, tie_rich_market
+from oracles import dense_view, random_market, random_sparse_game_matrices, tie_rich_market
 
 GOLDEN = {
     "reduced_markets": "b03ec92056c0d6847aa3b7f72b4d748011619ca0c3f34546eb6cc3173db1c9fd",
@@ -45,10 +45,10 @@ def _in_box(rng: random.Random, n: int):
     return vec
 
 
-def _witness_obj(bundles):
+def _witness_obj(bundles, n_goods):
     if bundles is None:
         return None
-    return [[format_rational(q) for q in b.quantities] for b in bundles]
+    return [[format_rational(q) for q in dense_view(b.amounts, n_goods)] for b in bundles]
 
 
 def _reduced_markets():
@@ -66,7 +66,7 @@ def _reduced_verdicts():
         p = prices(_in_box(rng, N))
         for eps in (F(1, N**13), F(1, 2)):
             yield serialize.certificate_to_obj(verify(market, p, APPROXIMATE, eps))
-            yield _witness_obj(clearing_feasibility(market, p, eps))
+            yield _witness_obj(clearing_feasibility(market, p, eps), N)
 
 
 def _mn_price_vectors(rng: random.Random, n: int):

@@ -2,6 +2,7 @@
 references over all N goods, plus a pin on the utility work of one verify."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from plcmarket.games import validate_game
 from plcmarket.model import Market, PriceVector, TraderSpec, is_strongly_connected, normalize_prices, prices
 from plcmarket.plc import PLCFunction, linear_plc, validate_plc
 from plcmarket.reduction import build_reduced_market
+from plcmarket.regulating import build_mn
 
 from oracles import (
     dense_budget,
@@ -24,7 +26,9 @@ from oracles import (
     dense_strongly_connected,
     dense_supplies,
     dense_totals,
+    dense_view,
     endowment_row,
+    nonzeros,
     random_market,
     random_sparse_game_matrices,
     tie_rich_market,
@@ -56,7 +60,7 @@ def _check_against_dense(m: Market, p: PriceVector, rng):
         assert list(t.support) == sorted({k for k, _ in owned + wanted})
         assert budget(t, p) == dense_budget(t, p)
         x = _bundle(rng, m.n_goods)
-        assert Bundle(x).cost(p) == dense_cost(x, p)
+        assert Bundle(nonzeros(x)).cost(p) == dense_cost(x, p)
         try:
             want = dense_demand(t, p, i)
         except UnboundedDemand as exc:
@@ -64,12 +68,15 @@ def _check_against_dense(m: Market, p: PriceVector, rng):
                 optimal_demand(t, p, i)
             assert got.value.args == exc.args
             continue
-        assert optimal_demand(t, p, i) == want
+        got = optimal_demand(t, p, i)
+        # forced purchases are the nonzeros of the dense row, ascending by good
+        assert got.forced == nonzeros(want.forced)
+        assert replace(got, forced=want.forced) == want
 
 
 def _demand_or_zero(t, p, i, n):
     try:
-        return canonical_bundle(optimal_demand(t, p, i)).quantities
+        return dense_view(canonical_bundle(optimal_demand(t, p, i)).amounts, n)
     except UnboundedDemand:
         return (F(0),) * n
 
@@ -83,7 +90,7 @@ def _check_reports(m: Market, p: PriceVector):
         if cert.report is None:
             continue
         if cert.accepted:
-            rows = [b.quantities for b in cert.allocation]
+            rows = [dense_view(b.amounts, m.n_goods) for b in cert.allocation]
         else:
             q = normalize_prices(p)
             rows = [_demand_or_zero(t, q, i, m.n_goods) for i, t in enumerate(m.traders)]
@@ -133,7 +140,7 @@ def test_witness_totals_count_a_free_top_up_off_the_support():
     cert = verify(m, prices([1, 0]), APPROXIMATE, F(1, 2))
     assert cert.accepted
     assert a.support == (0,)
-    assert cert.allocation[0].quantities == (F(1), F(1, 2))
+    assert cert.allocation[0].amounts == ((0, F(1)), (1, F(1, 2)))
     assert [r.allocated for r in cert.report] == [F(1), F(1, 2)]
 
 
@@ -145,7 +152,7 @@ def test_witness_totals_count_residual_money_off_the_support():
     cert = verify(m, prices([1, 1]), EXACT)
     assert cert.accepted
     assert a.support == (0,)
-    assert cert.allocation[0].quantities == (F(1), F(1))
+    assert cert.allocation[0].amounts == ((0, F(1)), (1, F(1)))
     assert [r.allocated for r in cert.report] == [F(2), F(1)]
 
 
@@ -168,11 +175,12 @@ def test_accepting_verify_evaluates_pieces_on_supports_only(monkeypatch):
     cert = verify(market, p, EXACT)
     assert cert.accepted
     canonical = [canonical_bundle(optimal_demand(t, p, i)) for i, t in enumerate(market.traders)]
+    n = market.n_goods
     differ = [
         (k in t.support, i, k)
         for i, (t, x, c) in enumerate(zip(market.traders, cert.allocation, canonical))
-        for k in range(market.n_goods)
-        if x.quantities[k] != c.quantities[k]
+        for k in range(n)
+        if dense_view(x.amounts, n)[k] != dense_view(c.amounts, n)[k]
     ]
     on_support = sum(1 for on, _, _ in differ if on)
     assert on_support >= 2 and (False, 0, 1) in differ
@@ -200,7 +208,8 @@ def test_accepting_verify_evaluates_pieces_on_supports_only(monkeypatch):
 def _moved_tie_money(t, p, d, x):
     """x with half of its money above the forced purchase on the first tie
     good moved to the priced good of lowest marginal rate, or None."""
-    k = next((o.good for o in d.tie_offers if x[o.good] > d.forced[o.good]), None)
+    forced = dense_view(d.forced, len(p.prices))
+    k = next((o.good for o in d.tie_offers if x[o.good] > forced[o.good]), None)
     if k is None or d.cutoff_rate == 0:
         return None
 
@@ -214,7 +223,7 @@ def _moved_tie_money(t, p, d, x):
     if not others:
         return None
     g = min(others, key=rate)
-    money = (x[k] - d.forced[k]) * p.prices[k] / 2
+    money = (x[k] - forced[k]) * p.prices[k] / 2
     y = list(x)
     y[k] -= money / p.prices[k]
     y[g] += money / p.prices[g]
@@ -223,40 +232,65 @@ def _moved_tie_money(t, p, d, x):
 
 def _in_demand_candidates(t, p, d, x):
     """x itself, then x with tie money moved to a lower-rate offer, one entry
-    made negative, one entry raised past the budget, and a wrong length."""
+    made negative, and one entry raised past the budget."""
     k = next(g for g, q in enumerate(p.prices) if q > 0)
     yield x, None
     yield _moved_tie_money(t, p, d, x), None
     yield (F(-1, 8),) + x[1:], False
     yield x[:k] + (x[k] + (d.budget + 1) / p.prices[k],) + x[k + 1:], False
-    yield x + (F(0),), False
-    yield x[:-1], False
 
 
-@given(seed=st.integers(0, 2**32 - 1), tie_rich=st.booleans())
-def test_in_demand_matches_dense_reference(seed, tie_rich):
-    rng = random.Random(seed)
-    if tie_rich:
+def _instance(rng, family):
+    """A market of the family and a normalized price vector for it; M_n and
+    reduced markets mostly get prices near the [1, 2] box, sometimes zeros."""
+    if family == "tie-rich":
         vec = [F(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
-        m = tie_rich_market(rng, vec)
-        p = normalize_prices(prices(vec))
-    else:
+        return tie_rich_market(rng, vec), normalize_prices(prices(vec))
+    if family == "random":
         m = random_market(rng)
-        p = normalize_prices(_prices_with_zeros(rng, m.n_goods))
+    elif family == "mn":
+        m = build_mn(rng.randint(2, 4))
+    else:
+        m, _ = build_reduced_market(validate_game(*random_sparse_game_matrices(rng, rng.randint(2, 3))))
+    if family != "random" and rng.random() < 0.75:
+        return m, normalize_prices(PriceVector(tuple(F(rng.randint(7, 17), 8) for _ in range(m.n_goods))))
+    return m, normalize_prices(_prices_with_zeros(rng, m.n_goods))
+
+
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["random", "tie-rich", "mn", "reduced"]))
+def test_sparse_demand_sets_match_dense_oracles(seed, family):
+    """optimal_demand's forced pairs fill dense_demand's forced row, and
+    in_demand agrees with dense_in_demand on canonical bundles, accept
+    witnesses and their perturbations, on every instance family."""
+    rng = random.Random(seed)
+    m, p = _instance(rng, family)
+    n = m.n_goods
     cert = verify(m, p, APPROXIMATE, F(1, 2))
     for i, t in enumerate(m.traders):
         try:
             d = optimal_demand(t, p, i)
         except UnboundedDemand:
             continue
-        bundles = [canonical_bundle(d).quantities]
+        assert dense_view(d.forced, n) == dense_demand(t, p, i).forced
+        bundles = [dense_view(canonical_bundle(d).amounts, n)]
         if cert.accepted:
-            bundles.append(cert.allocation[i].quantities)
+            bundles.append(dense_view(cert.allocation[i].amounts, n))
         for x in bundles:
-            assert in_demand(t, p, d, Bundle(x))
+            assert in_demand(t, p, d, Bundle(nonzeros(x)))
             for y, expect in _in_demand_candidates(t, p, d, x):
                 if y is None:
                     continue
-                got = in_demand(t, p, d, Bundle(y))
+                got = in_demand(t, p, d, Bundle(nonzeros(y)))
                 assert got == dense_in_demand(t, p, d, y)
                 assert expect is None or got == expect
+            assert not in_demand(t, p, d, Bundle(nonzeros(x) + ((n, F(0)),)))
+
+
+def test_in_demand_rejects_a_good_outside_the_market():
+    t = TraderSpec([(0, F(1))], [(0, linear_plc(1))])
+    p = prices([1, 1])
+    d = optimal_demand(t, p)
+    assert in_demand(t, p, d, Bundle(((0, F(1)),)))
+    for k in (-1, 2, 3):
+        assert not in_demand(t, p, d, Bundle(((0, F(1)), (k, F(0)))))
+        assert not in_demand(t, p, d, Bundle(((k, F(1)),)))
