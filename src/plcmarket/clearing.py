@@ -19,12 +19,29 @@ An accept witness is re-checked without the flow: each bundle's utility is
 compared with the canonical bundle's only on the goods where the two differ.
 Forced purchases and all bundles are (good, amount) pairs, and the per-good
 totals are summed from them; no N-length row per trader is built.
+
+`verify` runs on one integer scale from the demand oracle through max-flow:
+it takes `int_demand`'s integer answers, puts every arc's money bound on one
+scale, at most M * D * e (quantities in units of 1/M market-wide, prices
+P_k / D, eps with denominator e), and gets integer flows back.  Fractions
+are built once, at the outputs: the witness bundles, the reject report, and
+the traders' demand sets that the witness re-check reads.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .demand import Bundle, DemandSet, budget, canonical_bundle, in_demand, optimal_demand
+from .demand import (
+    Bundle,
+    IntDemand,
+    budget,
+    canonical_bundle,
+    demand_set,
+    in_demand,
+    int_demand,
+    optimal_demand,
+)
 from .errors import InternalInvariantViolation, InvalidMarket, ShapeMismatch, UnboundedDemand
 from .flow import Arc, feasible_circulation
 from .model import Market, PriceVector, normalize_prices
@@ -89,51 +106,94 @@ def _totals(n_goods: int, bundles) -> list[Fraction]:
 def _solve(
     m: Market,
     p: PriceVector,
-    demands: list[DemandSet | None],
+    demands: list[IntDemand | None],
     waived: set[int],
     windows,
 ) -> tuple[Bundle, ...] | None:
     """Feasibility core shared by verify and clearing_feasibility: an optimal
-    allocation within the windows as witness bundles, or None."""
-    priced = [k for k, q in enumerate(p.prices) if q > 0]
-    alloc = [{} if i in waived or d is None else dict(d.forced) for i, d in enumerate(demands)]
-    forced = _totals(m.n_goods, (x.items() for x in alloc))
-    inf = sum((d.budget for d in demands if d is not None), Fraction(0)) + 1
+    allocation within the windows as witness bundles, or None.
+
+    Every arc carries money at one integer scale, Q * D: quantities count
+    1/Q, with Q the lcm of the market's denominator M and the windows'
+    (a divisor of M times the denominator of eps), and prices are P_k / D.
+    A trader whose amounts count 1/M_i scales them by Q // M_i."""
+    D, P = p.scaled
+    Q = math.lcm(m.scaled[0], *(b.denominator for w in windows for b in w))
+    scale = [0] * len(demands)  # Q // M_i per trader whose demand counts, else 0
+    forced = [0] * m.n_goods
+    inf = Q * D  # exceeds the money of every arc: all budgets plus 1
+    for i, d in enumerate(demands):
+        if d is None:
+            continue
+        a = Q // d.den
+        inf += d.budget * a
+        if i not in waived:
+            scale[i] = a
+            for k, x in d.forced.items():
+                forced[k] += x * a
+    priced = [k for k, q in enumerate(P) if q]
     arcs: list[Arc] = []
     qty_arcs: list[tuple[int, int, int]] = []  # (arc index, trader, good)
     for i, d in enumerate(demands):
-        if i in waived or d is None:
+        a = scale[i]
+        if not a:
             continue
-        if d.cutoff_rate > 0:
-            arcs.append(Arc("src", ("t", i), d.tie_spend, d.tie_spend))
-            for o in d.tie_offers:
-                ub = inf if o.quantity_cap is None else o.quantity_cap * o.unit_cost
-                qty_arcs.append((len(arcs), i, o.good))
-                arcs.append(Arc(("t", i), ("g", o.good), Fraction(0), ub))
-        elif d.tie_spend > 0 and priced:
-            arcs.append(Arc("src", ("t", i), Fraction(0), d.tie_spend))
+        if d.rate:
+            spend = d.spend * a
+            arcs.append(Arc("src", ("t", i), spend, spend))
+            for k, _, cap in d.ties:
+                qty_arcs.append((len(arcs), i, k))
+                arcs.append(Arc(("t", i), ("g", k), 0, inf if cap is None else cap * P[k] * a))
+        elif d.spend > 0 and priced:
+            arcs.append(Arc("src", ("t", i), 0, d.spend * a))
             for k in priced:
                 qty_arcs.append((len(arcs), i, k))
-                arcs.append(Arc(("t", i), ("g", k), Fraction(0), inf))
+                arcs.append(Arc(("t", i), ("g", k), 0, inf))
+    top_up = []  # (good, amount) a free good adds to reach its window floor
     for k, (lo, hi) in enumerate(windows):
-        price = p.prices[k]
-        if price == 0 and forced[k] > hi:
+        lo, hi, q = lo.numerator * (Q // lo.denominator), hi.numerator * (Q // hi.denominator), P[k]
+        if q:
+            arcs.append(Arc(("g", k), "snk", max(0, lo - forced[k]) * q, (hi - forced[k]) * q))
+        elif forced[k] > hi:
             return None  # free goods never carry money; their total is forced[k]
-        if price > 0:
-            lo_money = max(Fraction(0), lo - forced[k]) * price
-            arcs.append(Arc(("g", k), "snk", lo_money, (hi - forced[k]) * price))
-    arcs.append(Arc("snk", "src", Fraction(0), inf))
+        elif lo > forced[k]:
+            top_up.append((k, lo - forced[k]))
+    arcs.append(Arc("snk", "src", 0, inf))
 
     flows = feasible_circulation(arcs)
     if flows is None:
         return None
+    alloc = [{k: Fraction(x, d.den) for k, x in d.forced.items()} if a else {} for a, d in zip(scale, demands)]
     for arc_idx, i, k in qty_arcs:
-        if flows[arc_idx]:
-            alloc[i][k] = alloc[i].get(k, 0) + flows[arc_idx] / p.prices[k]
-    for k, (lo, _) in enumerate(windows):
-        if p.prices[k] == 0 and lo > forced[k]:
-            alloc[0][k] = alloc[0].get(k, 0) + lo - forced[k]  # free top-up, utility-neutral beyond satiation
-    return tuple(Bundle(tuple(sorted(x.items()))) for x in alloc)
+        f = flows[arc_idx]
+        if f:  # the only arc of trader i to good k: a tie holds one segment of a good
+            alloc[i][k] = Fraction(demands[i].forced.get(k, 0) * scale[i] * P[k] + f, Q * P[k])
+    for k, x in top_up:
+        alloc[0][k] = alloc[0].get(k, 0) + Fraction(x, Q)  # utility-neutral beyond satiation
+    return tuple(Bundle(tuple(x.items())) for x in alloc)
+
+
+def _canonical_totals(m: Market, p: PriceVector, demands: list[IntDemand | None]) -> list[Fraction]:
+    """Per-good totals of the canonical bundles (see `canonical_bundle`),
+    summed in integers: good k in units of 1/(M * P_k), or 1/M when free."""
+    M = m.scaled[0]
+    P = p.scaled[1]
+    totals = [0] * m.n_goods
+    for d in demands:
+        if d is None:
+            continue
+        a = M // d.den
+        for k, x in d.forced.items():
+            totals[k] += x * a * (P[k] or 1)
+        if d.rate:
+            money = d.spend
+            for k, _, cap in d.ties:
+                if not money:
+                    break
+                take = money if cap is None else min(cap * P[k], money)
+                totals[k] += take * a
+                money -= take
+    return [Fraction(t, M * (q or 1)) for t, q in zip(totals, P)]
 
 
 def clearing_report(supplies, allocated, eps: Fraction) -> tuple[GoodBalance, ...]:
@@ -157,7 +217,7 @@ def clearing_feasibility(
     Propagates UnboundedDemand; returns a witness allocation or None.
     """
     _check_shape(m, p)
-    demands = [optimal_demand(t, p, i) for i, t in enumerate(m.traders)]
+    demands = [int_demand(t, p.scaled[1], i) for i, t in enumerate(m.traders)]
     windows = clearing_windows(m.supplies(), p, APPROXIMATE, parse_epsilon(eps))
     return _solve(m, p, demands, set(), windows)
 
@@ -176,11 +236,12 @@ def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
     _check_shape(m, p)
     p = normalize_prices(p)
 
-    demands: list[DemandSet | None] = []
+    P = p.scaled[1]
+    demands: list[IntDemand | None] = []
     waived: set[int] = set()
     for i, trader in enumerate(m.traders):
         try:
-            d = optimal_demand(trader, p, i)
+            d = int_demand(trader, P, i)
         except UnboundedDemand as exc:
             if mode == QUASI and budget(trader, p) == 0:
                 waived.add(i)
@@ -196,11 +257,12 @@ def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
     bundles = _solve(m, p, demands, waived, windows)
     if bundles is None:
         # a waived trader with unbounded demand holds nothing
-        canonical = (canonical_bundle(d).amounts for d in demands if d is not None)
-        report = clearing_report(supplies, _totals(m.n_goods, canonical), eps)
+        report = clearing_report(supplies, _canonical_totals(m, p, demands), eps)
         return Certificate("reject", "clearing-infeasible", mode, eps, None, report)
 
-    totals = check_witness(m, p, bundles, demands, waived, windows)
+    # the re-check reads each trader's Fraction demand set, built once here
+    sets = [None if i in waived else demand_set(d, p) for i, d in enumerate(demands)]
+    totals = check_witness(m, p, bundles, sets, waived, windows)
     return Certificate("accept", None, mode, eps, bundles, clearing_report(supplies, totals, eps))
 
 

@@ -20,13 +20,23 @@ ascending good order like a trader's ``owned``; no N-length row is built.
 
 A zero price on a strictly monotone piece means no optimal bundle exists and
 raises UnboundedDemand.
+
+The greedy runs once, in integers: `int_demand` reads the trader's cached
+integer view (amounts in units of 1/M, slopes over their lcm) and the prices
+as P_k / D with one D, so budgets, group costs and tie spend are ints in
+units of 1/(M * D), and rates slope / p_k are compared as ints.
+`optimal_demand`, the public oracle, is the Fraction view of that answer;
+`verify` hands the integers to the circulation as they are.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import UnboundedDemand
+from .errors import InvalidMarket, UnboundedDemand
 from .model import PriceVector, TraderSpec
+from .rational import parse_rational
 
 
 @dataclass(frozen=True)
@@ -40,7 +50,22 @@ class SegmentOffer:
 
 @dataclass(frozen=True)
 class Bundle:
+    """A bundle as (good, amount) pairs, checked on construction as
+    `TraderSpec` checks its pairs: amounts are parsed with `parse_rational`
+    (floats and bools raise InputError), a good that is not an int (a bool
+    included) or that is listed twice raises InvalidMarket, and the pairs
+    are sorted by good.  Zero and negative amounts are kept; `in_demand`
+    judges them."""
+
     amounts: tuple[tuple[int, Fraction], ...]  # (good, amount), ascending good
+
+    def __post_init__(self):
+        x: dict[int, Fraction] = {}
+        for k, a in self.amounts:
+            if type(k) is not int or k in x:
+                raise InvalidMarket(f"a bundle's goods must be distinct ints, got {k!r} in {self.amounts!r}")
+            x[k] = parse_rational(a)
+        object.__setattr__(self, "amounts", tuple(sorted(x.items())))
 
     def cost(self, p: PriceVector) -> Fraction:
         q = p.prices
@@ -61,72 +86,88 @@ def budget(trader: TraderSpec, p: PriceVector) -> Fraction:
     return sum((w * q[k] for k, w in trader.owned), Fraction(0))
 
 
-def _offers(trader: TraderSpec, p: PriceVector) -> list[SegmentOffer]:
-    offers = []
-    for k, f in trader.wanted:
-        if p.prices[k] == 0:
-            continue  # a wanted free good is forced or unbounded, see optimal_demand
-        prev = Fraction(0)
-        for i, theta in enumerate(f.slopes):
-            if theta == 0:
-                break  # only the last slope can be zero
-            end = f.breaks[i] if i < len(f.breaks) else None
-            cap = None if end is None else end - prev
-            offers.append(SegmentOffer(k, i, theta / p.prices[k], cap, p.prices[k]))
-            if end is None:
+class IntDemand(NamedTuple):
+    """The demand core's answer at prices P / D for a trader with integer
+    view v: amounts in units of 1/v.den and money in units of 1/(v.den * D).
+    ``rate`` is the cutoff rate in units of D / rate_den, 0 when every
+    productive segment was bought; ``ties`` lists the tie offers
+    as (good, segment, cap) in (good, segment) order, cap None if uncapped."""
+
+    den: int
+    forced: dict[int, int]
+    rate: int
+    rate_den: int
+    ties: list[tuple[int, int, int | None]]
+    spend: int
+    budget: int
+
+
+def int_demand(trader: TraderSpec, P, trader_idx: int | None = None) -> IntDemand:
+    """The demand core on integers: prices P_k / D, with D left out.
+
+    Rates slope / p_k are compared as s * (L // P_k), L the lcm of the
+    positive prices the trader wants, which orders them as the rates do."""
+    v = trader.scaled
+    forced: dict[int, int] = {}
+    by_rate: dict[int, list] = {}
+    L = math.lcm(*[P[k] for k, _, _ in v.wanted if P[k]])
+    for k, satiation, segments in v.wanted:
+        q = P[k]
+        if not q:  # a wanted free good is bought to satiation, or is unbounded
+            if satiation is None:
+                raise UnboundedDemand(trader_idx, k)
+            forced[k] = satiation
+            continue
+        u = L // q
+        for i, s, cap in segments:
+            by_rate.setdefault(s * u, []).append((k, i, cap))
+
+    money = remaining = sum(w * P[k] for k, w in v.owned)
+    for rate in sorted(by_rate, reverse=True):
+        group = by_rate[rate]
+        cost = 0
+        for k, _, cap in group:
+            if cap is None:
                 break
-            prev = end
-    return offers
+            cost += cap * P[k]
+        else:
+            if cost <= remaining:
+                for k, _, cap in group:
+                    forced[k] = forced.get(k, 0) + cap
+                remaining -= cost
+                continue
+        return IntDemand(v.den, forced, rate, v.slope_den * L, group, remaining, money)
+    return IntDemand(v.den, forced, 0, 1, [], remaining, money)
+
+
+def demand_set(d: IntDemand, p: PriceVector) -> DemandSet:
+    """The Fraction view of the core's answer d at prices p."""
+    D = p.scaled[0]
+    den = d.den
+    rate = Fraction(d.rate * D, d.rate_den)
+    ties = tuple(
+        SegmentOffer(k, i, rate, None if cap is None else Fraction(cap, den), p.prices[k])
+        for k, i, cap in d.ties
+    )
+    return DemandSet(
+        forced=tuple((k, Fraction(x, den)) for k, x in sorted(d.forced.items())),
+        cutoff_rate=rate,
+        tie_offers=ties,
+        tie_spend=Fraction(d.spend, den * D),
+        budget=Fraction(d.budget, den * D),
+    )
 
 
 def optimal_demand(
     trader: TraderSpec, p: PriceVector, trader_idx: int | None = None
 ) -> DemandSet:
-    """Compute the trader's optimal-bundle set at prices p.
+    """Compute the trader's optimal-bundle set at prices p: the Fraction
+    view of `int_demand`.
 
     Raises UnboundedDemand when a strictly wanted good has zero price.  A zero
     budget is not an error; it yields the all-zero purchase with tie_spend 0.
     """
-    forced: dict[int, Fraction] = {}
-    for k, f in trader.wanted:
-        if p.prices[k] == 0:
-            if f.is_strictly_monotone:
-                raise UnboundedDemand(trader_idx, k)
-            forced[k] = f.satiation_point
-
-    offers = _offers(trader, p)
-    by_rate: dict[Fraction, list[SegmentOffer]] = {}
-    for o in offers:
-        by_rate.setdefault(o.rate, []).append(o)
-
-    money = remaining = budget(trader, p)
-    cutoff_rate = Fraction(0)
-    tie_offers: tuple[SegmentOffer, ...] = ()
-    for rate in sorted(by_rate, reverse=True):
-        group = by_rate[rate]
-        group_cost = Fraction(0)
-        capped = True
-        for o in group:
-            if o.quantity_cap is None:
-                capped = False
-                break
-            group_cost += o.quantity_cap * o.unit_cost
-        if capped and group_cost <= remaining:
-            for o in group:
-                forced[o.good] = forced.get(o.good, 0) + o.quantity_cap
-            remaining -= group_cost
-            continue
-        cutoff_rate = rate
-        tie_offers = tuple(group)  # _offers emits (good, segment) order
-        break
-
-    return DemandSet(
-        forced=tuple(sorted(forced.items())),
-        cutoff_rate=cutoff_rate,
-        tie_offers=tie_offers,
-        tie_spend=remaining,
-        budget=money,
-    )
+    return demand_set(int_demand(trader, p.scaled[1], trader_idx), p)
 
 
 def canonical_bundle(d: DemandSet) -> Bundle:
@@ -145,7 +186,7 @@ def canonical_bundle(d: DemandSet) -> Bundle:
             take = afford if o.quantity_cap is None else min(o.quantity_cap, afford)
             x[o.good] = x.get(o.good, 0) + take
             money -= take * o.unit_cost
-    return Bundle(tuple(sorted(x.items())))
+    return Bundle(tuple(x.items()))
 
 
 def in_demand(trader: TraderSpec, p: PriceVector, d: DemandSet, x: Bundle) -> bool:

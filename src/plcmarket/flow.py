@@ -1,11 +1,11 @@
-"""Exact-rational circulation feasibility.
+"""Exact circulation feasibility on integers.
 
 Lower bounds are pre-routed and the excess they leave at each node is fed
 from a super source or drained to a super sink; the circulation is feasible
-iff one max-flow saturates the source.  The max-flow runs on Python ints:
-every bound is multiplied by the lcm of all bound denominators, which
-changes no comparison with zero, no minimum and no sum, so dividing the
-integer flows by that scale gives the exact Fraction answer.
+iff one max-flow saturates the source.  Bounds and flows are Python ints:
+a caller with rational bounds puts them on one integer scale first, which
+changes no comparison with zero, no minimum and no sum, so the flows it
+gets back, divided by that scale, are the exact rational answer.
 
 The max-flow runs in phases.  Each phase is one BFS from the source that
 labels every reached node with its distance; if the sink is not reached,
@@ -37,27 +37,22 @@ its tail), and each node's edges in the order they were added.  The golden
 tests pin the resulting certificates byte for byte.
 """
 
-import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     tail: object
     head: object
-    lower: Fraction
-    upper: Fraction
+    lower: int
+    upper: int
 
 
-def feasible_circulation(arcs: list[Arc]) -> list[Fraction] | None:
-    """Find arc flows meeting [lower, upper] bounds with balanced nodes.
+def feasible_circulation(arcs: list[Arc]) -> list[int] | None:
+    """Find integer arc flows meeting integer [lower, upper] bounds with
+    balanced nodes.
 
     Returns per-arc flows in input order, or None when infeasible.
     """
-    if any(a.lower > a.upper for a in arcs):
-        return None
-    scale = math.lcm(*(b.denominator for a in arcs for b in (a.lower, a.upper)))
     ids: dict = {}
     adj: list[list[int]] = []
     to: list[int] = []  # edge e and its reverse e ^ 1
@@ -77,10 +72,10 @@ def feasible_circulation(arcs: list[Arc]) -> list[Fraction] | None:
         to.extend((v, u))
         residual.extend((cap, 0))
 
-    for a in arcs:
-        head, tail = node(a.head), node(a.tail)  # head first: fixes the super-arc order
-        lo = a.lower.numerator * (scale // a.lower.denominator)
-        hi = a.upper.numerator * (scale // a.upper.denominator)
+    for a_tail, a_head, lo, hi in arcs:
+        if lo > hi:
+            return None
+        head, tail = node(a_head), node(a_tail)  # head first: fixes the super-arc order
         add_edge(tail, head, hi - lo)
         excess[head] += lo
         excess[tail] -= lo
@@ -119,10 +114,11 @@ def feasible_circulation(arcs: list[Arc]) -> list[Fraction] | None:
                 u = source
                 continue
             edges, i, nxt = adj[u], current[u], level[u] + 1
-            while i < len(edges) and not (residual[edges[i]] > 0 and level[to[edges[i]]] == nxt):
+            end = len(edges)
+            while i < end and not (residual[edges[i]] > 0 and level[to[edges[i]]] == nxt):
                 i += 1
             current[u] = i
-            if i < len(edges):
+            if i < end:
                 path.append(edges[i])
                 u = to[edges[i]]
             elif u == source:
@@ -131,4 +127,4 @@ def feasible_circulation(arcs: list[Arc]) -> list[Fraction] | None:
                 level[u] = -1  # dead end for the rest of the phase
                 u = to[path.pop() ^ 1]
                 current[u] += 1
-    return [a.lower + Fraction(residual[2 * i + 1], scale) for i, a in enumerate(arcs)]
+    return [a.lower + residual[2 * i + 1] for i, a in enumerate(arcs)]

@@ -13,15 +13,37 @@ differences, supplies, classification and strong connectivity read only
 these two lists.  A trader's dense rows exist only in market files;
 strong connectivity is decided over the trader-good incidence, so no
 trader-to-trader edge is ever built.
+
+The demand core and the circulation work on integers.  Each trader, price
+vector and market has a ``scaled`` view, built on first use and cached on
+the object, so constructing, reducing and reading markets never pays for
+it: a trader counts amounts in units of 1/M with M the lcm of its own
+denominators (a market-wide lcm would grow with every unrelated trader),
+and a price vector is P_k / D with one D.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import AllZeroPrices, InputError, InvalidMarket, InvalidPriceVector
 from .plc import PLCFunction
 from .rational import parse_rational
+
+
+class ScaledTrader(NamedTuple):
+    """A trader in integers: amounts in units of 1/den, slopes in units of
+    1/slope_den.  ``owned`` holds (good, amount) pairs and ``wanted`` holds
+    (good, satiation, segments) with satiation and segments as in
+    `ScaledPiece`, rescaled to the trader's two denominators."""
+
+    den: int
+    slope_den: int
+    owned: tuple[tuple[int, int], ...]
+    wanted: tuple[tuple[int, int | None, tuple[tuple[int, int, int | None], ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -53,6 +75,22 @@ class TraderSpec:
         """Goods owned or wanted, ascending; the key of the search memo."""
         return tuple(sorted({k for k, _ in self.owned}.union(k for k, _ in self.wanted)))
 
+    @cached_property
+    def scaled(self) -> ScaledTrader:
+        """The integer view of the trader, computed once per trader."""
+        pieces = [(k, f.scaled) for k, f in self.wanted]
+        den = math.lcm(*[w.denominator for _, w in self.owned], *[v.den for _, v in pieces])
+        slope_den = math.lcm(*[v.slope_den for _, v in pieces])
+        owned = tuple([(k, w.numerator * (den // w.denominator)) for k, w in self.owned])
+        wanted = []
+        for k, (piece_den, piece_slope_den, segments, satiation) in pieces:
+            a, b = den // piece_den, slope_den // piece_slope_den
+            if a != 1 or b != 1:
+                segments = tuple([(i, s * b, None if cap is None else cap * a) for i, s, cap in segments])
+                satiation = None if satiation is None else satiation * a
+            wanted.append((k, satiation, segments))
+        return ScaledTrader(den, slope_den, owned, tuple(wanted))
+
 
 @dataclass(frozen=True)
 class Market:
@@ -69,16 +107,26 @@ class Market:
                 raise InvalidMarket(f"trader {idx} lists a good outside range({self.n_goods})")
             if any(w < 0 for _, w in t.owned):
                 raise InvalidMarket(f"trader {idx} has a negative endowment entry")
-        if all(s == 0 for s in self.supplies()):
+        if not any(t.owned for t in self.traders):  # owned amounts are positive
             raise InvalidMarket("total endowment is zero for every good")
 
     def supplies(self) -> tuple[Fraction, ...]:
-        """Total endowment per good."""
-        totals = [Fraction(0)] * self.n_goods
+        """Total endowment per good: the Fraction view of `scaled`."""
+        den, totals = self.scaled
+        return tuple(Fraction(s, den) for s in totals)
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        """(M, supplies): M the lcm of the traders' denominators, and the
+        total endowment per good in units of 1/M."""
+        den = math.lcm(*(t.scaled.den for t in self.traders))
+        totals = [0] * self.n_goods
         for t in self.traders:
-            for k, w in t.owned:
-                totals[k] += w
-        return tuple(totals)
+            v = t.scaled
+            a = den // v.den
+            for k, w in v.owned:
+                totals[k] += w * a
+        return den, tuple(totals)
 
 
 @dataclass(frozen=True)
@@ -101,6 +149,12 @@ class PriceVector:
 
     def __len__(self) -> int:
         return len(self.prices)
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        """(D, P): the prices are P_k / D, D the lcm of their denominators."""
+        den = math.lcm(*(q.denominator for q in self.prices))
+        return den, tuple(q.numerator * (den // q.denominator) for q in self.prices)
 
 
 def prices(values, normalized: bool = False) -> PriceVector:

@@ -1,7 +1,9 @@
 """Exact rational parsing and formatting.
 
-Everything in this package computes with `fractions.Fraction`; floats are
-rejected at the boundary so no rounding can leak into comparisons.
+Every value in this package's interface is a `fractions.Fraction`; floats
+are rejected at the boundary so no rounding can leak into comparisons.
+The hot loops of `verify` (the demand core and the circulation) count in
+Python ints scaled by common denominators, which is just as exact.
 """
 
 from fractions import Fraction

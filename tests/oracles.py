@@ -12,9 +12,10 @@ verifier.  The dense references restate, over all N goods, what the package
 computes over each trader's support or a bundle's nonzero entries; strong
 connectivity is networkx's verdict on the dense, edge-by-edge economy graph.
 The reference circulation is Edmonds-Karp with one BFS per augmenting path,
-which the phased max-flow must match flow for flow.  The dense builders fill
-N-length endowment and utility rows, trader by trader, the way the sparse
-builders must agree with.
+which the phased max-flow must match flow for flow; rational test networks
+reach the integer max-flow through `scaled_circulation`.  The dense builders
+fill N-length endowment and utility rows, trader by trader, the way the
+sparse builders must agree with.
 """
 
 import math
@@ -27,7 +28,7 @@ import networkx as nx
 from plcmarket.clearing import APPROXIMATE, imbalance_profile, verify
 from plcmarket.demand import DemandSet, SegmentOffer, budget, canonical_bundle, optimal_demand
 from plcmarket.errors import UnboundedDemand
-from plcmarket.flow import Arc
+from plcmarket.flow import Arc, feasible_circulation
 from plcmarket.model import Market, PriceVector, TraderSpec, normalize_prices
 from plcmarket.plc import ZERO_PLC, linear_plc, validate_plc
 from plcmarket.reduction import gadget_vectors_row
@@ -528,6 +529,17 @@ def reference_circulation(arcs: list[Arc]) -> list[Fraction] | None:
     return [a.lower + Fraction(residual[2 * i + 1], scale) for i, a in enumerate(arcs)]
 
 
+def scaled_circulation(arcs: list[Arc]) -> list[Fraction] | None:
+    """`feasible_circulation` for arcs with rational bounds: the bounds go to
+    the integer core multiplied by the lcm of their denominators, and the
+    integer flows come back divided by it."""
+    scale = math.lcm(*(b.denominator for a in arcs for b in (a.lower, a.upper)))
+    flows = feasible_circulation(
+        [Arc(a.tail, a.head, int(a.lower * scale), int(a.upper * scale)) for a in arcs]
+    )
+    return None if flows is None else [Fraction(f, scale) for f in flows]
+
+
 # --- random instance generators ---------------------------------------------------
 
 
@@ -609,6 +621,45 @@ def tie_rich_market(rng: random.Random, price_vec) -> Market:
         endow[rng.randrange(n)] = Fraction(1, 2)
         traders[0] = TraderSpec(enumerate(endow), traders[0].wanted)
     return Market(n, tuple(traders))
+
+
+def coprime_instance(rng: random.Random):
+    """A small market and a normalized price vector whose denominators share
+    no factor: endowments in thirds, breakpoints in sevenths, slopes in
+    fifths and prices in 2^-36 steps, so the integer scale of a verify is a
+    product of unrelated parts.  Some prices are zero, some traders have no
+    budget, and linear pieces at slope rate * price tie without a cap."""
+    n = rng.randint(1, 3)
+    vec = [Fraction(0) if rng.random() < 0.25 else 1 + Fraction(rng.randrange(1, 2**36, 2), 2**36)
+           for _ in range(n)]
+    anchor = rng.randrange(n)
+    vec[anchor] = Fraction(1)  # the smallest nonzero price, so the vector is normalized
+    traders = []
+    for _ in range(rng.randint(1, 3)):
+        broke = rng.random() < 0.2  # owns nothing, or only free goods
+        endow = [
+            Fraction(rng.randint(1, 9), 3)
+            if rng.random() < 0.6 and not (broke and vec[k]) else Fraction(0)
+            for k in range(n)
+        ]
+        rate = Fraction(rng.randint(1, 9), 5)
+        utils = []
+        for k in range(n):
+            roll = rng.random()
+            brk = Fraction(rng.randint(1, 13), 7)
+            if roll < 0.15:
+                utils.append(ZERO_PLC)
+            elif roll < 0.45 and vec[k]:
+                utils.append(linear_plc(rate * vec[k]))  # uncapped, at the shared rate
+            elif roll < 0.7:
+                utils.append(validate_plc([rate * 2, 0], [brk]))  # satiates at brk
+            else:
+                top = Fraction(rng.randint(2, 9), 5)
+                utils.append(validate_plc([top, top - Fraction(1, 5)], [brk]))
+        traders.append(TraderSpec(enumerate(endow), enumerate(utils)))
+    if not any(t.owned for t in traders):
+        traders[0] = TraderSpec([(anchor, Fraction(2, 3))], traders[0].wanted)
+    return Market(n, tuple(traders)), normalize_prices(PriceVector(tuple(vec)))
 
 
 def random_sparse_game_matrices(rng: random.Random, n: int, den: int = 8):

@@ -12,7 +12,7 @@ from plcmarket.clearing import (
     imbalance_profile,
     verify,
 )
-from plcmarket.demand import Bundle, in_demand, optimal_demand
+from plcmarket.demand import Bundle, in_demand, int_demand, optimal_demand
 from plcmarket.errors import AllZeroPrices, InputError, InvalidMarket, ShapeMismatch, UnboundedDemand
 from plcmarket.model import Market, TraderSpec, normalize_prices, prices
 from plcmarket.plc import linear_plc, validate_plc
@@ -127,12 +127,16 @@ def test_accepting_verify_computes_each_demand_once(monkeypatch):
     calls, supplies_calls = [], []
     supplies = Market.supplies
 
-    def counting(trader, p, trader_idx=None):
+    def counting(trader, P, trader_idx=None):
         calls.append(trader_idx)
-        return optimal_demand(trader, p, trader_idx)
+        return int_demand(trader, P, trader_idx)
 
-    monkeypatch.setattr(clearing, "optimal_demand", counting)
-    monkeypatch.setattr(demand, "optimal_demand", counting)
+    def fraction_path(*args):
+        raise AssertionError("verify reached the Fraction demand oracle")
+
+    monkeypatch.setattr(clearing, "int_demand", counting)
+    monkeypatch.setattr(clearing, "optimal_demand", fraction_path)
+    monkeypatch.setattr(demand, "optimal_demand", fraction_path)
     m = build_mn(4)
     monkeypatch.setattr(Market, "supplies", lambda self: supplies_calls.append(1) or supplies(self))
     assert verify(m, prices([1, 2, F(5, 4), F(11, 8)]), APPROXIMATE, F(1, 4)).accepted

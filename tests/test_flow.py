@@ -4,15 +4,18 @@ from fractions import Fraction as F
 
 import networkx as nx
 
-from plcmarket import clearing
+from plcmarket import clearing, flow
 from plcmarket.clearing import APPROXIMATE, EXACT, QUASI, verify
-from plcmarket.flow import Arc, feasible_circulation
+from plcmarket.flow import Arc
 from plcmarket.games import validate_game
 from plcmarket.model import prices
 from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn
 
-from oracles import random_market, random_sparse_game_matrices, reference_circulation
+from oracles import coprime_instance, random_market, random_sparse_game_matrices, reference_circulation
+# The networks below have rational bounds; they reach the integer core
+# `flow.feasible_circulation` through this adapter, which scales them.
+from oracles import scaled_circulation as feasible_circulation
 
 
 def _through(value):
@@ -140,12 +143,13 @@ def _random_network(rng):
 
 def _clearing_networks(monkeypatch):
     """Every arc list `clearing._solve` hands to the circulation core on
-    M_n, seeded reduced markets and random markets."""
+    M_n, seeded reduced markets, random markets and markets whose
+    denominators share no factor, so the integer scale mixes them."""
     captured = []
 
     def capture(arcs):
         captured.append(arcs)
-        return feasible_circulation(arcs)
+        return flow.feasible_circulation(arcs)
 
     monkeypatch.setattr(clearing, "feasible_circulation", capture)
     rng = random.Random(20100)
@@ -168,6 +172,10 @@ def _clearing_networks(monkeypatch):
         vec = prices([F(rng.randint(1, 8), 4) for _ in range(m.n_goods)])
         for mode in (EXACT, QUASI):
             verify(m, vec, mode)
+    for _ in range(40):
+        m, vec = coprime_instance(rng)
+        for mode, eps in ((EXACT, 0), (QUASI, 0), (APPROXIMATE, F(1, 1084)), (APPROXIMATE, F(1, 18**13))):
+            verify(m, vec, mode, eps)
     monkeypatch.undo()
     return captured
 

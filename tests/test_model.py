@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from plcmarket.clearing import EXACT, verify
+from plcmarket.demand import Bundle
 from plcmarket.errors import AllZeroPrices, InputError, InvalidMarket, InvalidPriceVector
 from plcmarket.games import MixedStrategy, mixed, validate_game
 from plcmarket.model import (
@@ -47,11 +48,19 @@ def test_int_prices_stay_exact():
     lambda v: validate_plc([2, 1], [v]),
     lambda v: validate_game([[v]], [[0]]),
     lambda v: unit_box(2, v, 2),
+    lambda v: Bundle(((0, v),)),
 ], ids=["PriceVector", "TraderSpec", "prices", "MixedStrategy", "mixed", "linear_plc", "validate_plc",
-        "validate_game", "unit_box"])
+        "validate_game", "unit_box", "Bundle"])
 def test_public_constructors_take_exact_rationals_only(build, value):
     with pytest.raises(InputError):
         build(value)
+
+
+def test_bundle_goods_are_distinct_ints_in_ascending_order():
+    assert Bundle(((2, 1), (0, F(1, 2)))).amounts == ((0, F(1, 2)), (2, F(1)))
+    for pairs in (((1, F(1, 2)), (1, F(1, 2))), ((True, F(1)),), (("0", F(1)),)):
+        with pytest.raises(InvalidMarket):
+            Bundle(pairs)
 
 
 def test_normalize_idempotent_and_scale_invariant():

@@ -19,6 +19,7 @@ from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn
 
 from oracles import (
+    coprime_instance,
     dense_budget,
     dense_cost,
     dense_demand,
@@ -242,7 +243,10 @@ def _in_demand_candidates(t, p, d, x):
 
 def _instance(rng, family):
     """A market of the family and a normalized price vector for it; M_n and
-    reduced markets mostly get prices near the [1, 2] box, sometimes zeros."""
+    reduced markets mostly get prices near the [1, 2] box, sometimes zeros;
+    the coprime family brings its own prices."""
+    if family == "coprime":
+        return coprime_instance(rng)
     if family == "tie-rich":
         vec = [F(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
         return tie_rich_market(rng, vec), normalize_prices(prices(vec))
@@ -257,7 +261,7 @@ def _instance(rng, family):
     return m, normalize_prices(_prices_with_zeros(rng, m.n_goods))
 
 
-@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["random", "tie-rich", "mn", "reduced"]))
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["random", "tie-rich", "mn", "reduced", "coprime"]))
 def test_sparse_demand_sets_match_dense_oracles(seed, family):
     """optimal_demand's forced pairs fill dense_demand's forced row, and
     in_demand agrees with dense_in_demand on canonical bundles, accept
