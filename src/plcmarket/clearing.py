@@ -36,6 +36,7 @@ from .demand import (
     Bundle,
     IntDemand,
     budget,
+    canonical_amounts,
     canonical_bundle,
     demand_set,
     in_demand,
@@ -174,7 +175,7 @@ def _solve(
 
 
 def _canonical_totals(m: Market, p: PriceVector, demands: list[IntDemand | None]) -> list[Fraction]:
-    """Per-good totals of the canonical bundles (see `canonical_bundle`),
+    """Per-good totals of the canonical bundles (see `canonical_amounts`),
     summed in integers: good k in units of 1/(M * P_k), or 1/M when free."""
     M = m.scaled[0]
     P = p.scaled[1]
@@ -183,16 +184,8 @@ def _canonical_totals(m: Market, p: PriceVector, demands: list[IntDemand | None]
         if d is None:
             continue
         a = M // d.den
-        for k, x in d.forced.items():
-            totals[k] += x * a * (P[k] or 1)
-        if d.rate:
-            money = d.spend
-            for k, _, cap in d.ties:
-                if not money:
-                    break
-                take = money if cap is None else min(cap * P[k], money)
-                totals[k] += take * a
-                money -= take
+        for k, x in canonical_amounts(d, P).items():
+            totals[k] += x * a
     return [Fraction(t, M * (q or 1)) for t, q in zip(totals, P)]
 
 

@@ -170,6 +170,22 @@ def optimal_demand(
     return demand_set(int_demand(trader, p.scaled[1], trader_idx), p)
 
 
+def canonical_amounts(d: IntDemand, P) -> dict[int, int]:
+    """The canonical bundle of the core's answer d at prices P / D, in
+    integers: good k in units of 1/(d.den * P_k), or 1/d.den when free.
+    The fill is `canonical_bundle`'s, on the core's money units."""
+    x = {k: a * (P[k] or 1) for k, a in d.forced.items()}
+    if d.rate:
+        money = d.spend
+        for k, _, cap in d.ties:
+            if not money:
+                break
+            take = money if cap is None else min(cap * P[k], money)
+            x[k] = x.get(k, 0) + take
+            money -= take
+    return x
+
+
 def canonical_bundle(d: DemandSet) -> Bundle:
     """Deterministic member of the demand set.
 

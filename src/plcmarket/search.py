@@ -7,26 +7,39 @@ keeps the best incumbent, shrinks the box around it, and only ever claims
 acceptance when the full verifier accepts the incumbent.  Grid points are
 grid_k-adic rationals, so every evaluation downstream stays exact.
 
-Grid points are scored incrementally.  A trader's canonical bundle, and
-whether its demand is unbounded, depend only on the prices of its support,
-the goods it owns or has a nonzero utility piece on: budget, offers and
-forced satiation amounts read nothing else, and the bundle is zero off the
-support.  So each trader keeps a memo from the prices on its support to its
-bundle restricted to it, and the per-good totals change by exact
-differences only when a trader's entry changes.  Memos live for one box, so
-a box with axes A_k holds at most sum_i prod_{k in support(i)} |A_k|
-entries, and computes that many demands at most, instead of one demand per
-trader and grid point; in the paper's reduced markets every trader touches
-only a handful of goods.  The scores equal those of imbalance_profile.
+Grid points are scored incrementally, in integers.  A trader's canonical
+bundle, and whether its demand is unbounded, depend only on the prices of
+its support, the goods it owns or has a nonzero utility piece on: budget,
+offers and forced satiation amounts read nothing else, and the bundle is
+zero off the support.  So each trader keeps a memo from the axis indices of
+its support to its bundle restricted to it, and the per-good totals change
+by exact differences only when a trader's entry changes.  Memos live for
+one box, so a box with axes A_k holds at most
+sum_i prod_{k in support(i)} |A_k| entries, and computes that many demands
+at most, instead of one demand per trader and grid point; in the paper's
+reduced markets every trader touches only a handful of goods.
+
+A box's prices are P_k / D with one D, and a memo miss runs the integer
+demand core and its canonical fill (`int_demand`, `canonical_amounts`).
+Good k is counted in units of 1/(M * L_k), M the market's denominator and
+L_k the lcm of axis k's nonzero P_k, so memo entries, totals and supplies
+are ints on one scale per box, the worst relative imbalance is found by
+cross-multiplying, and one Fraction is built per scored point.  The walk
+keeps product order, so each step changes a suffix of the axes, and it
+visits only the traders whose support holds a changed good (an index from
+each axis to the traders whose support holds it or a later axis), plus
+every trader left stale by a point skipped midway, at the origin or for
+unbounded demand.  The scores equal those of imbalance_profile.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from operator import getitem, itemgetter
 
 from .clearing import APPROXIMATE, Certificate, verify
-from .demand import canonical_bundle, optimal_demand
-from .errors import AllZeroPrices, BoxDimensionMismatch, GridBudgetExceeded, InputError, UnboundedDemand
+from .demand import canonical_amounts, int_demand
+from .errors import BoxDimensionMismatch, GridBudgetExceeded, InputError, UnboundedDemand
 from .model import Market, PriceVector, normalize_prices
 from .rational import parse_epsilon, parse_rational
 
@@ -64,8 +77,13 @@ class SearchConfig:
             raise BoxDimensionMismatch("box intervals must satisfy 0 <= lo <= hi")
         if all(hi == 0 for _, hi in box):
             raise BoxDimensionMismatch("box holds no nonzero price vector")
-        if (self.grid_k + 1) ** len(box) > MAX_GRID_POINTS:
-            raise GridBudgetExceeded(f"grid of {(self.grid_k + 1) ** len(box)} points exceeds cap {MAX_GRID_POINTS}")
+        points = 1
+        for _ in box:  # stops before the count gets far past the cap, however large grid_k is
+            points *= self.grid_k + 1
+            if points > MAX_GRID_POINTS:
+                raise GridBudgetExceeded(
+                    f"a grid of (grid_k + 1)^{len(box)} points exceeds the cap of {MAX_GRID_POINTS}"
+                )
 
 
 def unit_box(n_goods: int, lo=1, hi=2) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -90,48 +108,89 @@ def _axis_points(lo: Fraction, hi: Fraction, grid_k: int):
     return [lo + step * s for s in range(grid_k + 1)]
 
 
+def _score(totals, supply) -> Fraction | None:
+    """The worst |total - supply| / supply over goods with nonzero supply,
+    None when a zero-supply good is allocated."""
+    num, den = 0, 1
+    for t, s in zip(totals, supply):
+        if s:
+            gap = abs(t - s)
+            if gap * den > num * s:
+                num, den = gap, s
+        elif t:
+            return None
+    return Fraction(num, den)
+
+
 def grid_scores(m: Market, axes):
     """Yield (p, score) for the grid points in product order, leaving out the
     origin and every point where some trader's demand is unbounded.  The
     score is the worst relative imbalance of canonical demand, None when a
     zero-supply good is allocated."""
-    supplies = m.supplies()
-    supports = [t.support for t in m.traders]
-    memos = [{} for _ in supports]
-    contrib = [(Fraction(0),) * len(support) for support in supports]
-    totals = [Fraction(0)] * m.n_goods
-    for point in product(*axes):
-        try:
-            p = PriceVector(point)
-        except AllZeroPrices:
-            continue  # the origin
-        for i, support in enumerate(supports):
-            key = tuple(map(point.__getitem__, support))
-            new = memos[i].get(key)
-            if new is None:
-                try:
-                    x = dict(canonical_bundle(optimal_demand(m.traders[i], p, i)).amounts)
-                    new = tuple(x.get(k, 0) for k in support)
-                except UnboundedDemand:
-                    new = _UNBOUNDED  # a strictly wanted free good
-                memos[i][key] = new
-            if new is _UNBOUNDED:
-                break
-            # an entry and its part of the totals only ever change together
-            if new is not contrib[i]:
-                for k, a, b in zip(support, new, contrib[i]):
-                    if a != b:
-                        totals[k] += a - b
-                contrib[i] = new
+    n, sizes = len(axes), [len(axis) for axis in axes]
+    D = math.lcm(*(q.denominator for axis in axes for q in axis))
+    ints = [[q.numerator * (D // q.denominator) for q in axis] for axis in axes]
+    M, supply = m.scaled
+    L = [math.lcm(*[q for q in axis if q]) for axis in ints]
+    units = [[lk // q if q else lk for q in axis] for lk, axis in zip(L, ints)]  # 1/(den * P_k) -> 1/(M * L_k)
+    supply = [s * lk for s, lk in zip(supply, L)]
+
+    traders, supports = m.traders, [t.support for t in m.traders]
+    walked = [i for i, support in enumerate(supports) if support]  # an empty support demands nothing
+    keys = {i: itemgetter(*supports[i]) for i in walked}
+    last = {i: max((k for k in supports[i] if sizes[k] > 1), default=-1) for i in walked}
+    touched = [[i for i in walked if last[i] >= j] for j in range(n)]  # step j changes axes j..n-1
+    memos = [{} for _ in traders]
+    contrib = [(0,) * len(support) for support in supports]
+    totals = [0] * n
+
+    idx = [0] * n
+    P = [axis[0] for axis in ints]
+    U = [unit[0] for unit in units]
+    stale = set(walked)  # traders whose entry is not the current point's
+    j = 0
+    while True:
+        visit = touched[j]
+        if stale:
+            visit, stale = sorted(stale.union(visit)), set()
+        if not any(P):  # the origin
+            stale.update(visit)
         else:
-            worst = Fraction(0)
-            for a, s in zip(totals, supplies):
-                if s != 0:
-                    worst = max(worst, abs(a - s) / s)
-                elif a != 0:
-                    worst = None
+            for pos, i in enumerate(visit):
+                key = keys[i](idx)
+                new = memos[i].get(key)
+                if new is None:
+                    try:
+                        d = int_demand(traders[i], P, i)
+                    except UnboundedDemand:
+                        new = _UNBOUNDED  # a strictly wanted free good
+                    else:
+                        x, a = canonical_amounts(d, P), M // d.den
+                        new = tuple(x[k] * a * U[k] if k in x else 0 for k in supports[i])
+                    memos[i][key] = new
+                if new is _UNBOUNDED:
+                    stale.update(visit[pos:])
                     break
-            yield p, worst
+                # an entry and its part of the totals only ever change together
+                old = contrib[i]
+                if new is not old:
+                    for k, b, c in zip(supports[i], new, old):
+                        if b != c:
+                            totals[k] += b - c
+                    contrib[i] = new
+            else:
+                yield PriceVector(tuple(map(getitem, axes, idx))), _score(totals, supply)
+
+        # the next point in product order: axis j steps, the axes after it restart
+        j = n - 1
+        while j >= 0 and idx[j] == sizes[j] - 1:
+            j -= 1
+        if j < 0:
+            return
+        idx[j] += 1
+        idx[j + 1:] = [0] * (n - 1 - j)
+        for k in range(j, n):
+            P[k], U[k] = ints[k][idx[k]], units[k][idx[k]]
 
 
 def search_equilibrium(m: Market, cfg: SearchConfig) -> SearchReport:

@@ -323,6 +323,25 @@ def test_too_many_rounds_is_input_error_promptly(tmp_path):
         assert time.perf_counter() - start < 5
 
 
+HUGE_GRID_K = str(10**1100)  # (grid_k + 1)^N has far more than the 4300 digits Python turns into text
+
+
+def test_huge_grid_k_is_input_error_on_search(tmp_path):
+    market = tmp_path / "m4.json"
+    run("gen-mn", "--n", "4", "-o", str(market))
+    res = run("search-eq", "--market", str(market), "--grid-k", HUGE_GRID_K)
+    assert res.exit_code == 2 and "cap of 10000000" in res.output
+
+
+def test_huge_grid_k_is_input_error_on_pipeline(tmp_path):
+    game = tmp_path / "game.json"
+    write(game, COORD)
+    outdir = tmp_path / "run"
+    res = run("pipeline", "--game", str(game), "--outdir", str(outdir), "--grid-k", HUGE_GRID_K)
+    assert res.exit_code == 2 and "cap of 10000000" in res.output
+    assert not outdir.exists()
+
+
 def test_pipeline_checks_its_settings_before_writing_anything(tmp_path):
     game = tmp_path / "game.json"
     write(game, COORD)
@@ -344,7 +363,7 @@ def test_negative_eps_is_input_error(tmp_path, monkeypatch):
     market = tmp_path / "m2.json"
     run("gen-mn", "--n", "2", "-o", str(market))
     calls = []
-    monkeypatch.setattr("plcmarket.search.optimal_demand", lambda *args: calls.append(args))
+    monkeypatch.setattr("plcmarket.search.int_demand", lambda *args: calls.append(args))
     monkeypatch.setattr("plcmarket.search.PriceVector", lambda *args: calls.append(args))
     res = run("search-eq", "--market", str(market), "--eps", "-1/2")
     assert res.exit_code == 2 and "nonnegative" in res.output

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plcmarket.search
@@ -34,7 +34,7 @@ from oracles import (
 
 def _count_scoring(monkeypatch):
     """Count the search's demand evaluations and grid points; the search
-    builds one PriceVector per grid point it walks."""
+    builds one PriceVector per grid point it scores."""
     counts = {"demands": 0, "points": 0}
 
     def count(name, key):
@@ -46,7 +46,7 @@ def _count_scoring(monkeypatch):
 
         monkeypatch.setattr(plcmarket.search, name, counted)
 
-    count("optimal_demand", "demands")
+    count("int_demand", "demands")
     count("PriceVector", "points")
     return counts
 
@@ -204,6 +204,37 @@ def test_grid_scores_match_imbalance_profile_on_reduced_markets(n, seed, lo):
     )
     axes = [_axis_points(F(lo if k == 0 else 1), F(2), 1) for k in range(market.n_goods)]
     assert list(grid_scores(market, axes)) == reference_grid_scores(market, axes)
+
+
+_LO = st.builds(F, st.just(0) | st.integers(1, 14), st.integers(2, 7))
+_WIDTH = st.builds(F, st.integers(0, 14), st.integers(2, 7))
+
+
+@settings(max_examples=300)  # a skip that leaves a trader stale needs a rare box
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grid_k=st.integers(1, 3),
+    bounds=st.lists(st.tuples(_LO, _WIDTH), min_size=3, max_size=3),
+)
+def test_grid_scores_match_imbalance_profile_on_mixed_denominator_boxes(seed, grid_k, bounds):
+    # each bound has its own denominator, so the axes share no step; width 0
+    # gives a single-point axis and lo 0 a free good anywhere in the walk
+    market = random_market(random.Random(seed))
+    axes = [_axis_points(lo, lo + w, grid_k) for lo, w in bounds[: market.n_goods]]
+    assert list(grid_scores(market, axes)) == reference_grid_scores(market, axes)
+
+
+@pytest.mark.parametrize("n, seed, free", [(2, 0, 2), (2, 1, 5), (3, 0, 4), (3, 1, 7)])
+def test_grid_scores_skip_midway_on_reduced_markets(n, seed, free):
+    # lo 0 on a middle or the last axis skips points in the middle of the
+    # walk, leaving the traders after the unbounded one to the next point
+    market, _ = build_reduced_market(
+        validate_game(*random_sparse_game_matrices(random.Random(seed), n))
+    )
+    axes = [_axis_points(F(0 if k == free else 1), F(2), 1) for k in range(market.n_goods)]
+    got = list(grid_scores(market, axes))
+    assert 0 < len(got) < 2**market.n_goods
+    assert got == reference_grid_scores(market, axes)
 
 
 @given(
