@@ -15,17 +15,20 @@ Zero-priced goods never carry money; they are checked arithmetically (forced
 satiation amounts must fit under the window ceiling, and free top-ups can
 always reach the window floor).
 
-An accept witness is re-checked without the flow: each bundle's utility is
-compared with the canonical bundle's only on the goods where the two differ.
-Forced purchases and all bundles are (good, amount) pairs, and the per-good
-totals are summed from them; no N-length row per trader is built.
+An accept witness is re-checked without the flow, on the demand core's
+integers: each bundle is compared with the trader's integer canonical fill
+entry by entry, and utilities and costs are compared only on the goods where
+the two differ.  Forced purchases and all bundles are (good, amount) pairs,
+and the per-good totals are summed from them; no N-length row per trader is
+built.
 
-`verify` runs on one integer scale from the demand oracle through max-flow:
-it takes `int_demand`'s integer answers, puts every arc's money bound on one
-scale, at most M * D * e (quantities in units of 1/M market-wide, prices
-P_k / D, eps with denominator e), and gets integer flows back.  Fractions
-are built once, at the outputs: the witness bundles, the reject report, and
-the traders' demand sets that the witness re-check reads.
+`verify` runs on one integer scale from the demand oracle through max-flow
+and the re-check: it takes `int_demand`'s integer answers, puts every arc's
+money bound on one scale, at most M * D * e (quantities in units of 1/M
+market-wide, prices P_k / D, eps with denominator e), gets integer flows
+back and re-checks the witness against the same answers.  Fractions are
+built only for the witness bundles, the report, and the re-check's terms on
+the goods where a witness leaves canonical demand; no `DemandSet` is built.
 """
 
 import math
@@ -38,7 +41,6 @@ from .demand import (
     budget,
     canonical_amounts,
     canonical_bundle,
-    demand_set,
     in_demand,
     int_demand,
     optimal_demand,
@@ -253,14 +255,13 @@ def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
         report = clearing_report(supplies, _canonical_totals(m, p, demands), eps)
         return Certificate("reject", "clearing-infeasible", mode, eps, None, report)
 
-    # the re-check reads each trader's Fraction demand set, built once here
-    sets = [None if i in waived else demand_set(d, p) for i, d in enumerate(demands)]
-    totals = check_witness(m, p, bundles, sets, waived, windows)
+    totals = check_witness(m, p, bundles, demands, waived, windows)
     return Certificate("accept", None, mode, eps, bundles, clearing_report(supplies, totals, eps))
 
 
 def check_witness(m, p, bundles, demands, waived, windows) -> list[Fraction]:
-    """Re-validate an accept witness against the traders' demand sets and the
+    """Re-validate an accept witness against the demand core's answers
+    (`IntDemand`, None for a waived trader with unbounded demand) and the
     clearing windows; a failure here is a bug.  Returns the per-good totals
     it checked, for the report."""
     for i, (trader, d, b) in enumerate(zip(m.traders, demands, bundles)):

@@ -26,7 +26,9 @@ integer view (amounts in units of 1/M, slopes over their lcm) and the prices
 as P_k / D with one D, so budgets, group costs and tie spend are ints in
 units of 1/(M * D), and rates slope / p_k are compared as ints.
 `optimal_demand`, the public oracle, is the Fraction view of that answer;
-`verify` hands the integers to the circulation as they are.
+`verify` hands the integers to the circulation as they are, and `in_demand`
+re-checks a bundle against them, comparing it with the integer canonical
+fill (`canonical_amounts`) and building Fractions only where the two differ.
 """
 
 import math
@@ -140,9 +142,17 @@ def int_demand(trader: TraderSpec, P, trader_idx: int | None = None) -> IntDeman
     return IntDemand(v.den, forced, 0, 1, [], remaining, money)
 
 
-def demand_set(d: IntDemand, p: PriceVector) -> DemandSet:
-    """The Fraction view of the core's answer d at prices p."""
-    D = p.scaled[0]
+def optimal_demand(
+    trader: TraderSpec, p: PriceVector, trader_idx: int | None = None
+) -> DemandSet:
+    """Compute the trader's optimal-bundle set at prices p: the Fraction
+    view of `int_demand`.
+
+    Raises UnboundedDemand when a strictly wanted good has zero price.  A zero
+    budget is not an error; it yields the all-zero purchase with tie_spend 0.
+    """
+    D, P = p.scaled
+    d = int_demand(trader, P, trader_idx)
     den = d.den
     rate = Fraction(d.rate * D, d.rate_den)
     ties = tuple(
@@ -156,18 +166,6 @@ def demand_set(d: IntDemand, p: PriceVector) -> DemandSet:
         tie_spend=Fraction(d.spend, den * D),
         budget=Fraction(d.budget, den * D),
     )
-
-
-def optimal_demand(
-    trader: TraderSpec, p: PriceVector, trader_idx: int | None = None
-) -> DemandSet:
-    """Compute the trader's optimal-bundle set at prices p: the Fraction
-    view of `int_demand`.
-
-    Raises UnboundedDemand when a strictly wanted good has zero price.  A zero
-    budget is not an error; it yields the all-zero purchase with tie_spend 0.
-    """
-    return demand_set(int_demand(trader, p.scaled[1], trader_idx), p)
 
 
 def canonical_amounts(d: IntDemand, P) -> dict[int, int]:
@@ -205,16 +203,39 @@ def canonical_bundle(d: DemandSet) -> Bundle:
     return Bundle(tuple(x.items()))
 
 
-def in_demand(trader: TraderSpec, p: PriceVector, d: DemandSet, x: Bundle) -> bool:
-    """Membership test for the optimal-bundle set d of the trader at p:
-    every good in range(len(p.prices)), no negative amount, budget-feasible,
-    and utility equal to the greedy optimum.  Spending residual money on
-    goods with zero marginal utility is allowed.  U(x) == U(c), c canonical,
-    is decided exactly by summing f_k(x_k) - f_k(c_k) over the wanted goods
-    with x_k != c_k: every other term is 0."""
+def in_demand(trader: TraderSpec, p: PriceVector, d: IntDemand, x: Bundle) -> bool:
+    """Membership test for the trader's optimal-bundle set at p, given as the
+    core's answer d = `int_demand(trader, p.scaled[1])`: every good in
+    range(len(p.prices)), no negative amount, budget-feasible, and utility
+    equal to the greedy optimum.  Spending residual money on goods with zero
+    marginal utility is allowed.
+
+    x is compared with the canonical bundle c = `canonical_amounts(d, P)` in
+    integers, entry by entry, and c's cost is an int in the core's money
+    units.  Fractions are built only on the goods where x and c differ, c's
+    goods missing from x included: there the cost changes by (x_k - c_k) p_k
+    and the utility by f_k(x_k) - f_k(c_k), and U(x) == U(c) exactly when
+    those utility terms sum to 0."""
     n = len(p.prices)
-    if any(not 0 <= k < n or a < 0 for k, a in x.amounts) or x.cost(p) > d.budget:
+    D, P = p.scaled
+    den = d.den
+    c = canonical_amounts(d, P)
+    spend = sum(a for k, a in c.items() if P[k])  # units of 1/(den * D)
+    differ = []  # (good, amount in x, amount in c), one per good where they differ
+    for k, a in x.amounts:
+        if not 0 <= k < n or a.numerator < 0:
+            return False
+        b = c.pop(k, 0)
+        u = den * (P[k] or 1)
+        if a.numerator * u != b * a.denominator:
+            differ.append((k, a, Fraction(b, u)))
+    for k, b in c.items():  # canonical goods that x leaves out
+        if b:
+            differ.append((k, Fraction(0), Fraction(b, den * (P[k] or 1))))
+    if not differ:
+        return spend <= d.budget
+    q, f = p.prices, dict(trader.wanted)
+    extra = sum(((a - b) * q[k] for k, a, b in differ), Fraction(0))
+    if extra * (den * D) > d.budget - spend:
         return False
-    q, c = dict(x.amounts), dict(canonical_bundle(d).amounts)
-    pairs = ((f, q.get(k, 0), c.get(k, 0)) for k, f in trader.wanted)
-    return sum((f(a) - f(b) for f, a, b in pairs if a != b), Fraction(0)) == 0
+    return sum((f[k](a) - f[k](b) for k, a, b in differ if k in f), Fraction(0)) == 0

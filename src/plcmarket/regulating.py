@@ -10,7 +10,7 @@ lets prices encode free variables x_k = p_k - 1 in [0, 1].
 from fractions import Fraction
 
 from .clearing import APPROXIMATE, Certificate, check_witness, clearing_report, clearing_windows
-from .demand import Bundle, optimal_demand
+from .demand import Bundle, int_demand
 from .errors import NTooSmall, OutOfRegulationBox
 from .model import Market, PriceVector, TraderSpec, normalize_prices
 from .plc import linear_plc
@@ -54,7 +54,7 @@ def regulation_forward_witness(n: int, p: PriceVector) -> Certificate:
     m = build_mn(n)
     eps = Fraction(1, n)
     bundles = tuple(Bundle(t.owned) for t in m.traders)
-    demands = [optimal_demand(t, p, i) for i, t in enumerate(m.traders)]
+    demands = [int_demand(t, p.scaled[1], i) for i, t in enumerate(m.traders)]
     supplies = m.supplies()
     totals = check_witness(m, p, bundles, demands, set(), clearing_windows(supplies, p, APPROXIMATE, eps))
     return Certificate("accept", None, APPROXIMATE, eps, bundles, clearing_report(supplies, totals, eps))

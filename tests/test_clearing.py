@@ -2,8 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from click.testing import CliRunner
 
 from plcmarket import clearing, demand
+from plcmarket.cli import main
 from plcmarket.clearing import (
     APPROXIMATE,
     EXACT,
@@ -13,13 +15,22 @@ from plcmarket.clearing import (
     verify,
 )
 from plcmarket.demand import Bundle, in_demand, int_demand, optimal_demand
-from plcmarket.errors import AllZeroPrices, InputError, InvalidMarket, ShapeMismatch, UnboundedDemand
+from plcmarket.errors import (
+    AllZeroPrices,
+    InputError,
+    InternalInvariantViolation,
+    InvalidMarket,
+    ShapeMismatch,
+    UnboundedDemand,
+)
+from plcmarket.games import validate_game
 from plcmarket.model import Market, TraderSpec, normalize_prices, prices
 from plcmarket.plc import linear_plc, validate_plc
+from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn
-from plcmarket.serialize import certificate_to_obj, dumps
+from plcmarket.serialize import certificate_to_obj, dumps, market_to_obj, prices_to_obj
 
-from oracles import brute_force_clearing, random_market
+from oracles import brute_force_clearing, dense_in_demand, dense_view, random_market, random_sparse_game_matrices
 
 
 def test_single_self_sufficient_trader_exact():
@@ -37,7 +48,7 @@ def test_m2_box_prices_feasible():
     assert alloc is not None
     # and the endowment allocation itself is a valid witness
     for i, t in enumerate(m.traders):
-        assert in_demand(t, p, optimal_demand(t, p, i), Bundle(t.owned))
+        assert in_demand(t, p, int_demand(t, p.scaled[1], i), Bundle(t.owned))
 
 
 def test_m2_out_of_box_infeasible():
@@ -131,12 +142,16 @@ def test_accepting_verify_computes_each_demand_once(monkeypatch):
         calls.append(trader_idx)
         return int_demand(trader, P, trader_idx)
 
-    def fraction_path(*args):
+    def fraction_path(*args, **kwargs):
         raise AssertionError("verify reached the Fraction demand oracle")
 
     monkeypatch.setattr(clearing, "int_demand", counting)
-    monkeypatch.setattr(clearing, "optimal_demand", fraction_path)
-    monkeypatch.setattr(demand, "optimal_demand", fraction_path)
+    # the witness re-check reads the core's ints: no demand set, no
+    # Fraction canonical bundle
+    for module in (clearing, demand):
+        for name in ("optimal_demand", "canonical_bundle"):
+            monkeypatch.setattr(module, name, fraction_path)
+    monkeypatch.setattr(demand.DemandSet, "__init__", fraction_path)
     m = build_mn(4)
     monkeypatch.setattr(Market, "supplies", lambda self: supplies_calls.append(1) or supplies(self))
     assert verify(m, prices([1, 2, F(5, 4), F(11, 8)]), APPROXIMATE, F(1, 4)).accepted
@@ -187,7 +202,8 @@ def test_witness_revalidates():
     cert = verify(m, p, APPROXIMATE, F(1, 4))
     assert cert.accepted
     for i, t in enumerate(m.traders):
-        assert in_demand(t, p, optimal_demand(t, p, i), cert.allocation[i])
+        assert in_demand(t, p, int_demand(t, p.scaled[1], i), cert.allocation[i])
+        assert dense_in_demand(t, p, optimal_demand(t, p, i), dense_view(cert.allocation[i].amounts, m.n_goods))
     for row in cert.report:
         assert abs(row.imbalance) <= row.bound
 
@@ -226,3 +242,119 @@ def test_flow_matches_brute_force_smoke():
         assert got == brute_force_clearing(m, p, eps)
         agree += 1
     assert agree >= 25
+
+
+def _zero_income_m4():
+    """M_4 plus a trader who owns nothing and wants good 0: quasi mode waives
+    that trader, whose witness bundle is empty."""
+    m = build_mn(4)
+    return Market(4, m.traders + (TraderSpec([], [(0, linear_plc(1))]),))
+
+
+def _reduced_n2():
+    m, _ = build_reduced_market(validate_game(*random_sparse_game_matrices(random.Random(0), 2)))
+    return m
+
+
+def _unwaived(demands, waived):
+    return next(i for i, d in enumerate(demands) if i not in waived and d.rate)
+
+
+def _move_tie_money(m, p, demands, waived, x):
+    """Half the money a tie trader spends above the forced purchase on a tie
+    good, moved to a priced good the trader does not want (rate 0)."""
+    wanted = [{k for k, _ in t.wanted} for t in m.traders]
+    for i, d in enumerate(demands):
+        others = [g for g, q in enumerate(p.prices) if q and g not in wanted[i]]
+        if i in waived or not d.rate or not others:
+            continue
+        for k, _, _ in d.ties:
+            extra = x[i].get(k, 0) - F(d.forced.get(k, 0), d.den)
+            if extra > 0:
+                money = extra * p.prices[k] / 2
+                x[i][k] -= money / p.prices[k]
+                x[i][others[0]] = x[i].get(others[0], 0) + money / p.prices[others[0]]
+                return i
+    raise AssertionError("no tie trader with a lower-rate good")
+
+
+def _raise_past_budget(m, p, demands, waived, x):
+    i = _unwaived(demands, waived)
+    k = next(g for g, q in enumerate(p.prices) if q)
+    d = demands[i]
+    x[i][k] = x[i].get(k, 0) + (F(d.budget, d.den * p.scaled[0]) + 1) / p.prices[k]
+    return i
+
+
+def _make_negative(m, p, demands, waived, x):
+    i = _unwaived(demands, waived)
+    x[i][next(iter(x[i]), 0)] = F(-1, 8)
+    return i
+
+
+def _drop_canonical_entry(m, p, demands, waived, x):
+    i = _unwaived(demands, waived)
+    del x[i][next(k for k in x[i] if k in dict(m.traders[i].wanted))]
+    return i
+
+
+def _add_outside_good(m, p, demands, waived, x):
+    i = _unwaived(demands, waived)
+    x[i][m.n_goods] = F(0)
+    return i
+
+
+def _give_waived_a_priced_good(m, p, demands, waived, x):
+    i = min(waived)
+    x[i][next(g for g, q in enumerate(p.prices) if q)] = F(1)
+    return i
+
+
+_CORRUPTIONS = [_move_tie_money, _raise_past_budget, _make_negative, _drop_canonical_entry, _add_outside_good]
+_WITNESS_MARKETS = {
+    "M_4": (_zero_income_m4, [1, 2, 1, 2], QUASI, 0),
+    "reduced-n2": (_reduced_n2, [1] * 6, APPROXIMATE, F(1, 2)),
+}
+
+
+def _corrupting_solve(corrupt, hit):
+    """clearing._solve whose witness is corrupted by corrupt, which names
+    the trader it changed in hit."""
+    solve = clearing._solve
+
+    def corrupted(m, p, demands, waived, windows):
+        x = [dict(b.amounts) for b in solve(m, p, demands, waived, windows)]
+        hit.append(corrupt(m, p, demands, waived, x))
+        return tuple(Bundle(tuple(b.items())) for b in x)
+
+    return corrupted
+
+
+@pytest.mark.parametrize(
+    "market, corrupt",
+    [(market, f) for market in _WITNESS_MARKETS for f in _CORRUPTIONS]
+    # only quasi mode waives a trader
+    + [("M_4", _give_waived_a_priced_good)],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_witness_recheck_rejects_a_corrupted_witness(monkeypatch, market, corrupt):
+    build, vec, mode, eps = _WITNESS_MARKETS[market]
+    m, p = build(), prices(vec)
+    assert verify(m, p, mode, eps).accepted
+    hit = []
+    monkeypatch.setattr(clearing, "_solve", _corrupting_solve(corrupt, hit))
+    with pytest.raises(InternalInvariantViolation) as exc:
+        verify(m, p, mode, eps)
+    # the trader check fails, before any clearing window is looked at
+    assert f"trader {hit[0]} " in str(exc.value)
+
+
+def test_verify_cli_exits_3_on_a_corrupted_witness(tmp_path, monkeypatch):
+    market, vec = tmp_path / "m.json", tmp_path / "p.json"
+    market.write_text(dumps(market_to_obj(build_mn(4))))
+    vec.write_text(dumps(prices_to_obj(prices([1, 2, F(5, 4), F(11, 8)]))))
+    args = ["verify", "--market", str(market), "--prices", str(vec), "--mode", "approximate", "--eps", "1/4"]
+    assert CliRunner().invoke(main, args).exit_code == 0
+    monkeypatch.setattr(clearing, "_solve", _corrupting_solve(_drop_canonical_entry, []))
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 3 and "internal invariant violation" in res.output

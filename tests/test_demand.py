@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from plcmarket.demand import Bundle, budget, canonical_bundle, in_demand, optimal_demand
+from plcmarket.demand import Bundle, budget, canonical_bundle, in_demand, int_demand, optimal_demand
 from plcmarket.errors import UnboundedDemand
 from plcmarket.games import validate_game
 from plcmarket.model import TraderSpec, prices
@@ -54,7 +54,7 @@ def test_equal_rates_form_tie():
     assert d.tie_spend == 2
     assert dense_view(canonical_bundle(d).amounts, 2) == (F(1), F(0))  # lexicographic fill
     # all-money-on-the-other-good is also optimal
-    assert in_demand(t, prices([2, 1]), optimal_demand(t, prices([2, 1])), Bundle(((1, F(2)),)))
+    assert in_demand(t, prices([2, 1]), int_demand(t, prices([2, 1]).scaled[1]), Bundle(((1, F(2)),)))
 
 
 def test_greedy_across_segments():
@@ -68,7 +68,7 @@ def test_zero_budget_yields_zero_bundle():
     d = optimal_demand(t, prices([1, 1]))
     assert d.budget == 0 and d.tie_spend == 0
     assert dense_view(canonical_bundle(d).amounts, 2) == (F(0), F(0))
-    assert in_demand(t, prices([1, 1]), optimal_demand(t, prices([1, 1])), Bundle(()))
+    assert in_demand(t, prices([1, 1]), int_demand(t, prices([1, 1]).scaled[1]), Bundle(()))
 
 
 def test_unbounded_demand_on_free_wanted_good():
@@ -83,14 +83,14 @@ def test_free_satiated_good_is_forced_at_satiation():
     assert dense_view(d.forced, 2)[1] == 3
     b = canonical_bundle(d)
     assert dense_view(b.amounts, 2) == (F(1), F(3))
-    assert in_demand(t, prices([1, 0]), optimal_demand(t, prices([1, 0])), b)
+    assert in_demand(t, prices([1, 0]), int_demand(t, prices([1, 0]).scaled[1]), b)
     # skipping the free satiated quantity is not optimal
-    assert not in_demand(t, prices([1, 0]), optimal_demand(t, prices([1, 0])), Bundle(((0, F(1)),)))
+    assert not in_demand(t, prices([1, 0]), int_demand(t, prices([1, 0]).scaled[1]), Bundle(((0, F(1)),)))
 
 
 def test_overspent_bundle_not_in_opt():
     t = linear_trader([1, 0], [2, 1])
-    assert not in_demand(t, prices([1, 1]), optimal_demand(t, prices([1, 1])), Bundle(((0, F(2)),)))
+    assert not in_demand(t, prices([1, 1]), int_demand(t, prices([1, 1]).scaled[1]), Bundle(((0, F(2)),)))
 
 
 def test_residual_spending_allowed_in_opt():
@@ -102,8 +102,8 @@ def test_residual_spending_allowed_in_opt():
     assert dense_view(d.forced, 2) == (F(1), F(1))
     assert d.tie_spend == 2  # residual ceiling
     assert dense_view(canonical_bundle(d).amounts, 2) == (F(1), F(1))
-    assert in_demand(t, p, d, Bundle(((0, F(2)), (1, F(2)))))  # burns residual, same utility
-    assert not in_demand(t, p, d, Bundle(((0, F(3)), (1, F(2)))))  # over budget
+    assert in_demand(t, p, int_demand(t, p.scaled[1]), Bundle(((0, F(2)), (1, F(2)))))  # burns residual, same utility
+    assert not in_demand(t, p, int_demand(t, p.scaled[1]), Bundle(((0, F(3)), (1, F(2)))))  # over budget
 
 
 def test_full_spend_law_and_rate_partition():
@@ -123,7 +123,7 @@ def test_full_spend_law_and_rate_partition():
                 assert b.cost(p) == d.budget  # all money spent
             else:
                 assert cost + d.tie_spend == d.budget
-            assert in_demand(t, p, d, canonical_bundle(d))
+            assert in_demand(t, p, int_demand(t, p.scaled[1], i), canonical_bundle(d))
 
 
 def test_rate_partition_around_cutoff():

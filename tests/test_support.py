@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plcmarket.clearing import APPROXIMATE, EXACT, MODES, verify
-from plcmarket.demand import Bundle, budget, canonical_bundle, in_demand, optimal_demand
+from plcmarket.demand import Bundle, budget, canonical_bundle, in_demand, int_demand, optimal_demand
 from plcmarket.errors import UnboundedDemand
 from plcmarket.games import validate_game
 from plcmarket.model import Market, PriceVector, TraderSpec, is_strongly_connected, normalize_prices, prices
@@ -233,12 +233,21 @@ def _moved_tie_money(t, p, d, x):
 
 def _in_demand_candidates(t, p, d, x):
     """x itself, then x with tie money moved to a lower-rate offer, one entry
-    made negative, and one entry raised past the budget."""
+    made negative, one entry raised past the budget, one canonical entry
+    removed, and a satiated free good topped up."""
     k = next(g for g, q in enumerate(p.prices) if q > 0)
     yield x, None
     yield _moved_tie_money(t, p, d, x), None
     yield (F(-1, 8),) + x[1:], False
     yield x[:k] + (x[k] + (d.budget + 1) / p.prices[k],) + x[k + 1:], False
+    c = canonical_bundle(d).amounts
+    if c:
+        g = c[0][0]
+        yield x[:g] + (F(0),) + x[g + 1:], None
+    free = [g for g, _ in d.forced if p.prices[g] == 0]
+    if free:
+        g = free[-1]
+        yield x[:g] + (x[g] + F(1, 3),) + x[g + 1:], True
 
 
 def _instance(rng, family):
@@ -276,24 +285,25 @@ def test_sparse_demand_sets_match_dense_oracles(seed, family):
         except UnboundedDemand:
             continue
         assert dense_view(d.forced, n) == dense_demand(t, p, i).forced
+        core = int_demand(t, p.scaled[1], i)
         bundles = [dense_view(canonical_bundle(d).amounts, n)]
         if cert.accepted:
             bundles.append(dense_view(cert.allocation[i].amounts, n))
         for x in bundles:
-            assert in_demand(t, p, d, Bundle(nonzeros(x)))
+            assert in_demand(t, p, core, Bundle(nonzeros(x)))
             for y, expect in _in_demand_candidates(t, p, d, x):
                 if y is None:
                     continue
-                got = in_demand(t, p, d, Bundle(nonzeros(y)))
+                got = in_demand(t, p, core, Bundle(nonzeros(y)))
                 assert got == dense_in_demand(t, p, d, y)
                 assert expect is None or got == expect
-            assert not in_demand(t, p, d, Bundle(nonzeros(x) + ((n, F(0)),)))
+            assert not in_demand(t, p, core, Bundle(nonzeros(x) + ((n, F(0)),)))
 
 
 def test_in_demand_rejects_a_good_outside_the_market():
     t = TraderSpec([(0, F(1))], [(0, linear_plc(1))])
     p = prices([1, 1])
-    d = optimal_demand(t, p)
+    d = int_demand(t, p.scaled[1])
     assert in_demand(t, p, d, Bundle(((0, F(1)),)))
     for k in (-1, 2, 3):
         assert not in_demand(t, p, d, Bundle(((0, F(1)), (k, F(0)))))
