@@ -2,17 +2,8 @@
 piecewise-linear concave utilities, the price-regulating market family, and
 the reduction from sparse bimatrix games to 2-linear markets."""
 
-from .clearing import (
-    APPROXIMATE,
-    EXACT,
-    QUASI,
-    Certificate,
-    GoodBalance,
-    clearing_feasibility,
-    imbalance_profile,
-    verify,
-)
-from .demand import Bundle, DemandSet, SegmentOffer, budget, canonical_bundle, optimal_demand
+from .clearing import APPROXIMATE, EXACT, QUASI, Certificate, GoodBalance, verify
+from .demand import Bundle, DemandSet, SegmentOffer, optimal_demand
 from .games import (
     BimatrixGame,
     MixedStrategy,
@@ -69,19 +60,15 @@ __all__ = [
     "TraderSpec",
     "WsneResult",
     "ZERO_PLC",
-    "budget",
     "build_mn",
     "build_reduced_market",
-    "canonical_bundle",
     "check_regulation_box",
     "check_wsne",
     "classify_market",
-    "clearing_feasibility",
     "extract_strategies",
     "format_rational",
     "gadget_vectors_col",
     "gadget_vectors_row",
-    "imbalance_profile",
     "is_strongly_connected",
     "linear_plc",
     "mixed",

@@ -22,29 +22,22 @@ the two differ.  Forced purchases and all bundles are (good, amount) pairs,
 and the per-good totals are summed from them; no N-length row per trader is
 built.
 
-`verify` runs on one integer scale from the demand oracle through max-flow
-and the re-check: it takes `int_demand`'s integer answers, puts every arc's
-money bound on one scale, at most M * D * e (quantities in units of 1/M
-market-wide, prices P_k / D, eps with denominator e), gets integer flows
-back and re-checks the witness against the same answers.  Fractions are
-built only for the witness bundles, the report, and the re-check's terms on
-the goods where a witness leaves canonical demand; no `DemandSet` is built.
+`verify` is the one entry point: a witness allocation is the `allocation`
+of its accept certificate.  It runs on one integer scale from the demand
+oracle through max-flow and the re-check: it takes `int_demand`'s integer
+answers, puts every arc's money bound on one scale, at most M * D * e
+(quantities in units of 1/M market-wide, prices P_k / D, eps with
+denominator e), gets integer flows back and re-checks the witness against
+the same answers.  Fractions are built only for the witness bundles, the
+report, and the re-check's terms on the goods where a witness leaves
+canonical demand; no `DemandSet` is built.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .demand import (
-    Bundle,
-    IntDemand,
-    budget,
-    canonical_amounts,
-    canonical_bundle,
-    in_demand,
-    int_demand,
-    optimal_demand,
-)
+from .demand import Bundle, IntDemand, canonical_amounts, in_demand, int_demand
 from .errors import InternalInvariantViolation, InvalidMarket, ShapeMismatch, UnboundedDemand
 from .flow import Arc, feasible_circulation
 from .model import Market, PriceVector, normalize_prices
@@ -97,15 +90,6 @@ def clearing_windows(supplies, p: PriceVector, mode: str, eps: Fraction):
     return out
 
 
-def _totals(n_goods: int, bundles) -> list[Fraction]:
-    """Per-good sums of (good, amount) pair lists."""
-    totals = [Fraction(0)] * n_goods
-    for pairs in bundles:
-        for k, x in pairs:
-            totals[k] += x
-    return totals
-
-
 def _solve(
     m: Market,
     p: PriceVector,
@@ -113,8 +97,8 @@ def _solve(
     waived: set[int],
     windows,
 ) -> tuple[Bundle, ...] | None:
-    """Feasibility core shared by verify and clearing_feasibility: an optimal
-    allocation within the windows as witness bundles, or None.
+    """Feasibility core of verify: an optimal allocation within the windows
+    as witness bundles, or None.
 
     Every arc carries money at one integer scale, Q * D: quantities count
     1/Q, with Q the lcm of the market's denominator M and the windows'
@@ -199,24 +183,6 @@ def clearing_report(supplies, allocated, eps: Fraction) -> tuple[GoodBalance, ..
     )
 
 
-def _check_shape(m: Market, p: PriceVector):
-    if len(p.prices) != m.n_goods:
-        raise ShapeMismatch(f"expected {m.n_goods} prices, got {len(p.prices)}")
-
-
-def clearing_feasibility(
-    m: Market, p: PriceVector, eps
-) -> tuple[Bundle, ...] | None:
-    """Existence of an optimal allocation clearing every good within eps.
-
-    Propagates UnboundedDemand; returns a witness allocation or None.
-    """
-    _check_shape(m, p)
-    demands = [int_demand(t, p.scaled[1], i) for i, t in enumerate(m.traders)]
-    windows = clearing_windows(m.supplies(), p, APPROXIMATE, parse_epsilon(eps))
-    return _solve(m, p, demands, set(), windows)
-
-
 def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
     """Full verdict with witness and per-good clearing report.
 
@@ -228,7 +194,8 @@ def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
     if mode not in MODES:
         raise InvalidMarket(f"unknown verification mode {mode!r}")
     eps = parse_epsilon(eps) if mode == APPROXIMATE else Fraction(0)
-    _check_shape(m, p)
+    if len(p.prices) != m.n_goods:
+        raise ShapeMismatch(f"expected {m.n_goods} prices, got {len(p.prices)}")
     p = normalize_prices(p)
 
     P = p.scaled[1]
@@ -238,7 +205,8 @@ def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
         try:
             d = int_demand(trader, P, i)
         except UnboundedDemand as exc:
-            if mode == QUASI and budget(trader, p) == 0:
+            # zero income: no good the trader owns has a positive price
+            if mode == QUASI and not any(P[k] for k, _ in trader.scaled.owned):
                 waived.add(i)
                 demands.append(None)
                 continue
@@ -264,28 +232,17 @@ def check_witness(m, p, bundles, demands, waived, windows) -> list[Fraction]:
     (`IntDemand`, None for a waived trader with unbounded demand) and the
     clearing windows; a failure here is a bug.  Returns the per-good totals
     it checked, for the report."""
+    totals = [Fraction(0)] * len(windows)
     for i, (trader, d, b) in enumerate(zip(m.traders, demands, bundles)):
         if i in waived:
             if b.cost(p) != 0:
                 raise InternalInvariantViolation(f"waived trader {i} got a costly bundle")
         elif not in_demand(trader, p, d, b):
             raise InternalInvariantViolation(f"witness bundle for trader {i} is not optimal")
-    totals = _totals(len(windows), (b.amounts for b in bundles))
+        for k, x in b.amounts:
+            totals[k] += x
     for k, ((lo, hi), total) in enumerate(zip(windows, totals)):
         if not lo <= total <= hi:
             raise InternalInvariantViolation(f"witness violates clearing window on good {k}")
     return totals
 
-
-def imbalance_profile(m: Market, p: PriceVector, eps=0) -> tuple[GoodBalance, ...]:
-    """Per-good balance of the canonical (deterministic) demand bundles.
-
-    No feasibility search, so it can differ from verify's verdict exactly
-    when tie flexibility matters.  This is the reference scorer: the grid
-    search's incremental scores must equal the worst relative imbalance of
-    this report at every grid point, and skip the same points.
-    """
-    _check_shape(m, p)
-    eps = parse_epsilon(eps)
-    bundles = (canonical_bundle(optimal_demand(t, p, i)).amounts for i, t in enumerate(m.traders))
-    return clearing_report(m.supplies(), _totals(m.n_goods, bundles), eps)

@@ -25,10 +25,12 @@ The greedy runs once, in integers: `int_demand` reads the trader's cached
 integer view (amounts in units of 1/M, slopes over their lcm) and the prices
 as P_k / D with one D, so budgets, group costs and tie spend are ints in
 units of 1/(M * D), and rates slope / p_k are compared as ints.
-`optimal_demand`, the public oracle, is the Fraction view of that answer;
-`verify` hands the integers to the circulation as they are, and `in_demand`
-re-checks a bundle against them, comparing it with the integer canonical
-fill (`canonical_amounts`) and building Fractions only where the two differ.
+This is the package's one demand path.  `optimal_demand`, with `DemandSet`
+and `SegmentOffer`, is its public Fraction view; `verify` hands the integers
+to the circulation as they are, the grid search scores the integer
+canonical fill (`canonical_amounts`), and `in_demand` re-checks a bundle
+against the integers, comparing it with that fill and building Fractions
+only where the two differ.
 """
 
 import math
@@ -81,11 +83,6 @@ class DemandSet:
     tie_offers: tuple[SegmentOffer, ...]
     tie_spend: Fraction  # mandatory at the cutoff; residual ceiling when cutoff_rate == 0
     budget: Fraction
-
-
-def budget(trader: TraderSpec, p: PriceVector) -> Fraction:
-    q = p.prices
-    return sum((w * q[k] for k, w in trader.owned), Fraction(0))
 
 
 class IntDemand(NamedTuple):
@@ -171,7 +168,8 @@ def optimal_demand(
 def canonical_amounts(d: IntDemand, P) -> dict[int, int]:
     """The canonical bundle of the core's answer d at prices P / D, in
     integers: good k in units of 1/(d.den * P_k), or 1/d.den when free.
-    The fill is `canonical_bundle`'s, on the core's money units."""
+    Ties are filled in (good, segment) order; residual money at cutoff rate 0
+    is left unspent, so the canonical bundle never buys zero-utility goods."""
     x = {k: a * (P[k] or 1) for k, a in d.forced.items()}
     if d.rate:
         money = d.spend
@@ -182,25 +180,6 @@ def canonical_amounts(d: IntDemand, P) -> dict[int, int]:
             x[k] = x.get(k, 0) + take
             money -= take
     return x
-
-
-def canonical_bundle(d: DemandSet) -> Bundle:
-    """Deterministic member of the demand set.
-
-    Ties are filled in (good, segment) order; residual money at cutoff rate 0
-    is left unspent, so the canonical bundle never buys zero-utility goods.
-    """
-    x = dict(d.forced)
-    if d.cutoff_rate > 0:
-        money = d.tie_spend
-        for o in d.tie_offers:
-            if money == 0:
-                break
-            afford = money / o.unit_cost
-            take = afford if o.quantity_cap is None else min(o.quantity_cap, afford)
-            x[o.good] = x.get(o.good, 0) + take
-            money -= take * o.unit_cost
-    return Bundle(tuple(x.items()))
 
 
 def in_demand(trader: TraderSpec, p: PriceVector, d: IntDemand, x: Bundle) -> bool:

@@ -147,9 +147,6 @@ class PriceVector:
             if min(p for p in self.prices if p > 0) != 1:
                 raise InvalidPriceVector("normalized flag set but min nonzero price is not 1")
 
-    def __len__(self) -> int:
-        return len(self.prices)
-
     @cached_property
     def scaled(self) -> tuple[int, tuple[int, ...]]:
         """(D, P): the prices are P_k / D, D the lcm of their denominators."""

@@ -29,7 +29,8 @@ keeps product order, so each step changes a suffix of the axes, and it
 visits only the traders whose support holds a changed good (an index from
 each axis to the traders whose support holds it or a later axis), plus
 every trader left stale by a point skipped midway, at the origin or for
-unbounded demand.  The scores equal those of imbalance_profile.
+unbounded demand.  Each score equals the one a from-scratch sum of every
+trader's canonical bundle gives at that point.
 """
 
 import math

@@ -13,7 +13,7 @@ from .clearing import Certificate
 from .errors import InputError, InvalidMarket
 from .games import BimatrixGame, MixedStrategy, validate_game
 from .model import Market, PriceVector, TraderSpec
-from .plc import PLCFunction, validate_plc
+from .plc import ZERO_PLC, PLCFunction
 from .rational import format_rational, parse_rational
 from .reduction import ReducedMarketMeta
 from .search import SearchReport
@@ -62,10 +62,9 @@ def plc_from_obj(obj) -> PLCFunction:
     if not isinstance(obj, dict):
         raise InputError("utility entry must be an object")
     if obj.get("kind") == "zero":
-        return validate_plc([], [])
-    slopes = [parse_rational(s) for s in _require(obj, "slopes", list, "utility")]
-    breaks = [parse_rational(a) for a in _require(obj, "breaks", list, "utility")]
-    return validate_plc(slopes, breaks)
+        return ZERO_PLC
+    # PLCFunction parses every entry
+    return PLCFunction(_require(obj, "slopes", list, "utility"), _require(obj, "breaks", list, "utility"))
 
 
 _ZERO_OBJ = {"kind": "zero"}  # fast path for most pieces of a sparse market

@@ -5,9 +5,13 @@ predicate is a direct transcription of the definition, the demand oracle is
 exhaustive grid enumeration of budget-feasible bundles, and the clearing
 oracle enumerates tie-variable assignments (a bounded-denominator lattice
 joined with every basic solution of the constraint system, so the sweep is
-decision-complete) with its own Gaussian elimination.  The reference grid
-search is the plain search loop: it scores every round's box, also when the
-box did not shrink, at normalized prices, over the package's own scoring and
+decision-complete) with its own Gaussian elimination.  `canonical_bundle`
+is the demand set's canonical fill in Fractions, which the integer fill
+(`canonical_amounts`) must match, and `imbalance_profile` scores a price
+vector from scratch by summing those bundles over every trader: the grid
+walk's incremental scores must equal it.  The reference grid search is the
+plain search loop: it scores every round's box, also when the box did not
+shrink, at normalized prices, with `imbalance_profile` and the package's
 verifier.  The dense references restate, over all N goods, what the package
 computes over each trader's support or a bundle's nonzero entries; strong
 connectivity is networkx's verdict on the dense, edge-by-edge economy graph.
@@ -25,12 +29,13 @@ from itertools import combinations, product
 
 import networkx as nx
 
-from plcmarket.clearing import APPROXIMATE, imbalance_profile, verify
-from plcmarket.demand import DemandSet, SegmentOffer, budget, canonical_bundle, optimal_demand
+from plcmarket.clearing import APPROXIMATE, GoodBalance, clearing_report, verify
+from plcmarket.demand import Bundle, DemandSet, SegmentOffer, optimal_demand
 from plcmarket.errors import UnboundedDemand
 from plcmarket.flow import Arc, feasible_circulation
 from plcmarket.model import Market, PriceVector, TraderSpec, normalize_prices
 from plcmarket.plc import ZERO_PLC, linear_plc, validate_plc
+from plcmarket.rational import parse_epsilon
 from plcmarket.reduction import gadget_vectors_row
 from plcmarket.search import SearchReport
 
@@ -65,7 +70,7 @@ def grid_max_utility(trader: TraderSpec, p, den: int = 16) -> Fraction:
     """Max utility over all bundles with coordinates in (1/den)Z and cost
     within budget.  Positive prices only."""
     n = len(p.prices)
-    money = budget(trader, p)
+    money = dense_budget(trader, p)
     step = Fraction(1, den)
     tables = []
     for k in range(n):
@@ -684,6 +689,43 @@ def random_sparse_game_matrices(rng: random.Random, n: int, den: int = 8):
         return rows
 
     return matrix(), matrix()
+
+
+# --- Fraction canonical fill and reference scorer ------------------------------
+
+
+def canonical_bundle(d: DemandSet) -> Bundle:
+    """Deterministic member of the demand set.
+
+    Ties are filled in (good, segment) order; residual money at cutoff rate 0
+    is left unspent, so the canonical bundle never buys zero-utility goods.
+    """
+    x = dict(d.forced)
+    if d.cutoff_rate > 0:
+        money = d.tie_spend
+        for o in d.tie_offers:
+            if money == 0:
+                break
+            afford = money / o.unit_cost
+            take = afford if o.quantity_cap is None else min(o.quantity_cap, afford)
+            x[o.good] = x.get(o.good, 0) + take
+            money -= take * o.unit_cost
+    return Bundle(tuple(x.items()))
+
+
+def imbalance_profile(m: Market, p: PriceVector, eps=0) -> tuple[GoodBalance, ...]:
+    """Per-good balance of the canonical (deterministic) demand bundles.
+
+    No feasibility search, so it can differ from verify's verdict exactly
+    when tie flexibility matters.  This is the reference scorer: the grid
+    search's incremental scores must equal the worst relative imbalance of
+    this report at every grid point, and skip the same points.
+    """
+    totals = [Fraction(0)] * m.n_goods
+    for i, t in enumerate(m.traders):
+        for k, x in canonical_bundle(optimal_demand(t, p, i)).amounts:
+            totals[k] += x
+    return clearing_report(m.supplies(), totals, parse_epsilon(eps))
 
 
 # --- reference grid search ----------------------------------------------------

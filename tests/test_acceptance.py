@@ -13,9 +13,9 @@ from fractions import Fraction as F
 
 from click.testing import CliRunner
 
-from plcmarket.clearing import APPROXIMATE, EXACT, QUASI, clearing_feasibility, verify
+from plcmarket.clearing import APPROXIMATE, EXACT, QUASI, verify
 from plcmarket.cli import main as cli_main
-from plcmarket.demand import canonical_bundle, optimal_demand
+from plcmarket.demand import optimal_demand
 from plcmarket.errors import DegenerateExtraction, PLCValidationError, UnboundedDemand
 from plcmarket.games import check_wsne, mixed, solve_game_support_enum, validate_game
 from plcmarket.model import classify_market, normalize_prices, prices
@@ -30,6 +30,7 @@ from plcmarket.regulating import build_mn, regulation_forward_witness
 
 from oracles import (
     brute_force_clearing,
+    canonical_bundle,
     dense_utility,
     dense_view,
     grid_max_utility,
@@ -251,7 +252,7 @@ def test_criterion_06_verifier_equals_brute_force():
     with criterion(6, "flow feasibility verdict equals exhaustive enumeration", 60):
         feasible = infeasible = with_ties = 0
         for m, p, eps, demands in _suite6_instances():
-            got = clearing_feasibility(m, p, eps) is not None
+            got = verify(m, p, APPROXIMATE, eps).accepted
             want = brute_force_clearing(m, p, eps)
             assert got == want, f"disagreement on {m} at {p.prices}, eps={eps}"
             feasible += got

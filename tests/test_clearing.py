@@ -4,16 +4,10 @@ from fractions import Fraction as F
 import pytest
 from click.testing import CliRunner
 
+import plcmarket
 from plcmarket import clearing, demand
 from plcmarket.cli import main
-from plcmarket.clearing import (
-    APPROXIMATE,
-    EXACT,
-    QUASI,
-    clearing_feasibility,
-    imbalance_profile,
-    verify,
-)
+from plcmarket.clearing import APPROXIMATE, EXACT, MODES, QUASI, verify
 from plcmarket.demand import Bundle, in_demand, int_demand, optimal_demand
 from plcmarket.errors import (
     AllZeroPrices,
@@ -21,7 +15,6 @@ from plcmarket.errors import (
     InternalInvariantViolation,
     InvalidMarket,
     ShapeMismatch,
-    UnboundedDemand,
 )
 from plcmarket.games import validate_game
 from plcmarket.model import Market, TraderSpec, normalize_prices, prices
@@ -30,13 +23,20 @@ from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn
 from plcmarket.serialize import certificate_to_obj, dumps, market_to_obj, prices_to_obj
 
-from oracles import brute_force_clearing, dense_in_demand, dense_view, random_market, random_sparse_game_matrices
+from oracles import (
+    brute_force_clearing,
+    dense_in_demand,
+    dense_view,
+    imbalance_profile,
+    random_market,
+    random_sparse_game_matrices,
+)
 
 
 def test_single_self_sufficient_trader_exact():
     m = Market(1, (TraderSpec([(0, F(1))], [(0, linear_plc(1))]),))
     for p in ([1], [F(7, 3)]):
-        alloc = clearing_feasibility(m, prices(p), 0)
+        alloc = verify(m, prices(p), APPROXIMATE, 0).allocation
         assert alloc is not None
         assert alloc[0].amounts == ((0, F(1)),)
 
@@ -44,8 +44,7 @@ def test_single_self_sufficient_trader_exact():
 def test_m2_box_prices_feasible():
     m = build_mn(2)
     p = prices([1, 1], normalized=True)
-    alloc = clearing_feasibility(m, p, F(1, 2))
-    assert alloc is not None
+    assert verify(m, p, APPROXIMATE, F(1, 2)).accepted
     # and the endowment allocation itself is a valid witness
     for i, t in enumerate(m.traders):
         assert in_demand(t, p, int_demand(t, p.scaled[1], i), Bundle(t.owned))
@@ -53,7 +52,7 @@ def test_m2_box_prices_feasible():
 
 def test_m2_out_of_box_infeasible():
     m = build_mn(2)
-    assert clearing_feasibility(m, prices([1, 3], normalized=True), F(1, 2)) is None
+    assert not verify(m, prices([1, 3], normalized=True), APPROXIMATE, F(1, 2)).accepted
 
 
 def test_m2_tie_splitting_needed_at_corner():
@@ -99,6 +98,23 @@ def test_quasi_vs_exact_zero_income_trader():
     assert not verify(m, p, EXACT).accepted
 
 
+def test_quasi_waives_a_zero_income_trader_with_unbounded_demand():
+    # B owns only good 1, which is free, and strictly wants it: B's demand is
+    # unbounded, B has no income, and the rest of the market clears without B
+    a = TraderSpec([(0, F(1))], [(0, linear_plc(1))], "A")
+    b = TraderSpec([(1, F(1))], [(1, linear_plc(1))], "B")
+    m, p = Market(2, (a, b)), prices([1, 0])
+    cert = verify(m, p, QUASI)
+    assert cert.accepted
+    assert cert.allocation[1].amounts == ()
+    exact = verify(m, p, EXACT)
+    assert not exact.accepted and "unbounded demand" in exact.reason
+    # owning a priced good too gives B an income: quasi mode no longer waives B
+    b = TraderSpec([(0, F(1)), (1, F(1))], [(1, linear_plc(1))], "B")
+    cert = verify(Market(2, (a, b)), p, QUASI)
+    assert not cert.accepted and "unbounded demand" in cert.reason
+
+
 def test_quasi_equals_exact_when_incomes_positive():
     m = build_mn(3)
     for vec in ([1, 1, 1], [1, 2, F(3, 2)], [1, 3, 1]):
@@ -108,30 +124,28 @@ def test_quasi_equals_exact_when_incomes_positive():
 def test_every_entry_point_checks_price_length():
     m = build_mn(2)
     for vec in ([1, 2, 2], [1]):
-        p = prices(vec)
-        for call in (
-            lambda: verify(m, p, APPROXIMATE, F(1, 2)),
-            lambda: clearing_feasibility(m, p, F(1, 2)),
-            lambda: imbalance_profile(m, p),
-        ):
+        for mode in MODES:
             with pytest.raises(ShapeMismatch, match="expected 2 prices"):
-                call()
+                verify(m, prices(vec), mode, F(1, 2))
 
 
 def test_every_entry_point_takes_an_exact_nonnegative_epsilon():
     m, p = build_mn(2), prices([1, 1])
-    for call in (
-        lambda eps: verify(m, p, APPROXIMATE, eps),
-        lambda eps: clearing_feasibility(m, p, eps),
-        lambda eps: imbalance_profile(m, p, eps),
-    ):
-        with pytest.raises(InputError, match="float"):
-            call(0.5)
-        for eps in (-1, F(-1, 2), "-1/2"):
-            with pytest.raises(InvalidMarket, match="nonnegative"):
-                call(eps)
-        assert call("1/2") == call(F(1, 2))
+    with pytest.raises(InputError, match="float"):
+        verify(m, p, APPROXIMATE, 0.5)
+    for eps in (-1, F(-1, 2), "-1/2"):
+        with pytest.raises(InvalidMarket, match="nonnegative"):
+            verify(m, p, APPROXIMATE, eps)
+    assert verify(m, p, APPROXIMATE, "1/2") == verify(m, p, APPROXIMATE, F(1, 2))
     assert verify(m, p, EXACT, 0.5).epsilon == 0  # exact mode pins eps to 0
+
+
+def test_verify_is_the_one_clearing_entry_point():
+    # the Fraction canonical fill, its scorer and budget live in the tests
+    for name in ("clearing_feasibility", "imbalance_profile", "canonical_bundle", "budget"):
+        assert name not in plcmarket.__all__
+        for module in (plcmarket, clearing, demand):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_accepting_verify_computes_each_demand_once(monkeypatch):
@@ -146,11 +160,8 @@ def test_accepting_verify_computes_each_demand_once(monkeypatch):
         raise AssertionError("verify reached the Fraction demand oracle")
 
     monkeypatch.setattr(clearing, "int_demand", counting)
-    # the witness re-check reads the core's ints: no demand set, no
-    # Fraction canonical bundle
-    for module in (clearing, demand):
-        for name in ("optimal_demand", "canonical_bundle"):
-            monkeypatch.setattr(module, name, fraction_path)
+    # the witness re-check reads the core's ints: no Fraction demand set
+    monkeypatch.setattr(demand, "optimal_demand", fraction_path)
     monkeypatch.setattr(demand.DemandSet, "__init__", fraction_path)
     m = build_mn(4)
     monkeypatch.setattr(Market, "supplies", lambda self: supplies_calls.append(1) or supplies(self))
@@ -181,8 +192,8 @@ def test_epsilon_monotonicity():
     for _ in range(20):
         vec = [1 + F(rng.randint(0, 24), 16) for _ in range(3)]
         p = normalize_prices(prices(vec))
-        feasible_small = clearing_feasibility(m, p, F(1, 8)) is not None
-        feasible_big = clearing_feasibility(m, p, F(1, 2)) is not None
+        feasible_small = verify(m, p, APPROXIMATE, F(1, 8)).accepted
+        feasible_big = verify(m, p, APPROXIMATE, F(1, 2)).accepted
         if feasible_small:
             assert feasible_big
 
@@ -221,11 +232,11 @@ def test_zero_supply_good_requires_zero_allocation():
     a = TraderSpec([(0, F(1))], [(0, linear_plc(2)), (1, linear_plc(1))], "A")
     m = Market(2, (a,))
     # at p=(1,1) the trader spends everything on good 1: feasible
-    assert clearing_feasibility(m, prices([1, 1]), 0) is not None
+    assert verify(m, prices([1, 1]), APPROXIMATE, 0).accepted
     # at p=(2,1) the rates tie, so keeping the endowment still clears
-    assert clearing_feasibility(m, prices([2, 1]), 0) is not None
+    assert verify(m, prices([2, 1]), APPROXIMATE, 0).accepted
     # at p=(3,1) the unsupplied good is strictly better per unit money: infeasible
-    assert clearing_feasibility(m, prices([3, 1]), 0) is None
+    assert not verify(m, prices([3, 1]), APPROXIMATE, 0).accepted
 
 
 def test_flow_matches_brute_force_smoke():
@@ -235,11 +246,10 @@ def test_flow_matches_brute_force_smoke():
         m = random_market(rng, max_goods=2, max_traders=2)
         p = prices([F(rng.choice([1, 2, 3, 4]), 2) for _ in range(m.n_goods)])
         eps = rng.choice([F(0), F(1, 4), F(1, 2)])
-        try:
-            got = clearing_feasibility(m, p, eps) is not None
-        except UnboundedDemand:
+        cert = verify(m, p, APPROXIMATE, eps)
+        if cert.reason and "unbounded" in cert.reason:
             continue
-        assert got == brute_force_clearing(m, p, eps)
+        assert cert.accepted == brute_force_clearing(m, p, eps)
         agree += 1
     assert agree >= 25
 

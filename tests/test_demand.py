@@ -3,14 +3,22 @@ from fractions import Fraction as F
 
 import pytest
 
-from plcmarket.demand import Bundle, budget, canonical_bundle, in_demand, int_demand, optimal_demand
+from plcmarket.demand import Bundle, in_demand, int_demand, optimal_demand
 from plcmarket.errors import UnboundedDemand
 from plcmarket.games import validate_game
 from plcmarket.model import TraderSpec, prices
 from plcmarket.plc import linear_plc, validate_plc
 from plcmarket.reduction import build_reduced_market
 
-from oracles import dense_utility, dense_view, endowment_row, grid_max_utility, random_market
+from oracles import (
+    canonical_bundle,
+    dense_budget,
+    dense_utility,
+    dense_view,
+    endowment_row,
+    grid_max_utility,
+    random_market,
+)
 
 
 def linear_trader(endow, slopes):
@@ -21,8 +29,8 @@ def linear_trader(endow, slopes):
 
 def test_budget_examples():
     t = linear_trader([F(1, 2), 0], [2, 1])
-    assert budget(t, prices([2, 1])) == 1
-    assert budget(linear_trader([0, 0], [1, 1]), prices([2, 1])) == 0
+    assert optimal_demand(t, prices([2, 1])).budget == 1
+    assert optimal_demand(linear_trader([0, 0], [1, 1]), prices([2, 1])).budget == 0
 
 
 def test_budget_of_reduced_market_gadget_trader():
@@ -34,7 +42,7 @@ def test_budget_of_reduced_market_gadget_trader():
     p = prices([1] * 6)
     # C = positive part of A_1 - A_2 = (1, 0), E = 0 here; dot product must agree
     expected = F(1, 16) + F(1, 32)
-    assert budget(u_trader, p) == expected
+    assert optimal_demand(u_trader, p).budget == expected
     assert sum(w * q for w, q in zip(endowment_row(u_trader, 6), p.prices)) == expected
 
 
@@ -179,7 +187,7 @@ def test_oracle_optimality_small_random():
         m = random_market(rng, max_goods=2, max_traders=1)
         t = m.traders[0]
         p = prices([F(rng.randint(4, 16), 8) for _ in range(m.n_goods)])
-        if budget(t, p) > 1:
+        if dense_budget(t, p) > 1:
             continue
         d = optimal_demand(t, p)
         util = dense_utility(t, dense_view(canonical_bundle(d).amounts, m.n_goods))

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction as F
 
 from plcmarket import serialize
-from plcmarket.clearing import APPROXIMATE, MODES, clearing_feasibility, verify
+from plcmarket.clearing import APPROXIMATE, MODES, verify
 from plcmarket.errors import AllZeroPrices
 from plcmarket.games import validate_game
 from plcmarket.model import prices
@@ -65,8 +65,9 @@ def _reduced_verdicts():
         rng = random.Random(f"golden/reduced/{n}")
         p = prices(_in_box(rng, N))
         for eps in (F(1, N**13), F(1, 2)):
-            yield serialize.certificate_to_obj(verify(market, p, APPROXIMATE, eps))
-            yield _witness_obj(clearing_feasibility(market, p, eps), N)
+            cert = verify(market, p, APPROXIMATE, eps)
+            yield serialize.certificate_to_obj(cert)
+            yield _witness_obj(cert.allocation, N)
 
 
 def _mn_price_vectors(rng: random.Random, n: int):

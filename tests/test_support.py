@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plcmarket.clearing import APPROXIMATE, EXACT, MODES, verify
-from plcmarket.demand import Bundle, budget, canonical_bundle, in_demand, int_demand, optimal_demand
+from plcmarket.demand import Bundle, in_demand, int_demand, optimal_demand
 from plcmarket.errors import UnboundedDemand
 from plcmarket.games import validate_game
 from plcmarket.model import Market, PriceVector, TraderSpec, is_strongly_connected, normalize_prices, prices
@@ -19,8 +19,8 @@ from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn
 
 from oracles import (
+    canonical_bundle,
     coprime_instance,
-    dense_budget,
     dense_cost,
     dense_demand,
     dense_in_demand,
@@ -59,7 +59,6 @@ def _check_against_dense(m: Market, p: PriceVector, rng):
         assert list(t.owned) == owned
         assert list(t.wanted) == wanted
         assert list(t.support) == sorted({k for k, _ in owned + wanted})
-        assert budget(t, p) == dense_budget(t, p)
         x = _bundle(rng, m.n_goods)
         assert Bundle(nonzeros(x)).cost(p) == dense_cost(x, p)
         try:
