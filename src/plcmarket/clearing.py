@@ -40,7 +40,7 @@ from fractions import Fraction
 from .demand import Bundle, IntDemand, canonical_amounts, in_demand, int_demand
 from .errors import InternalInvariantViolation, InvalidMarket, ShapeMismatch, UnboundedDemand
 from .flow import Arc, feasible_circulation
-from .model import Market, PriceVector, normalize_prices
+from .model import Market, PriceVector, normalize_prices, trusted
 from .rational import parse_epsilon
 
 EXACT = "exact"
@@ -103,7 +103,9 @@ def _solve(
     Every arc carries money at one integer scale, Q * D: quantities count
     1/Q, with Q the lcm of the market's denominator M and the windows'
     (a divisor of M times the denominator of eps), and prices are P_k / D.
-    A trader whose amounts count 1/M_i scales them by Q // M_i."""
+    A trader whose amounts count 1/M_i scales them by Q // M_i.  The
+    witness bundles skip `Bundle`'s checks: their amounts are exact
+    Fractions made here, on distinct goods in range."""
     D, P = p.scaled
     Q = math.lcm(m.scaled[0], *(b.denominator for w in windows for b in w))
     scale = [0] * len(demands)  # Q // M_i per trader whose demand counts, else 0
@@ -157,7 +159,7 @@ def _solve(
             alloc[i][k] = Fraction(demands[i].forced.get(k, 0) * scale[i] * P[k] + f, Q * P[k])
     for k, x in top_up:
         alloc[0][k] = alloc[0].get(k, 0) + Fraction(x, Q)  # utility-neutral beyond satiation
-    return tuple(Bundle(tuple(x.items())) for x in alloc)
+    return tuple([trusted(Bundle, amounts=tuple(sorted(x.items()))) for x in alloc])
 
 
 def _canonical_totals(m: Market, p: PriceVector, demands: list[IntDemand | None]) -> list[Fraction]:
@@ -231,8 +233,9 @@ def check_witness(m, p, bundles, demands, waived, windows) -> list[Fraction]:
     """Re-validate an accept witness against the demand core's answers
     (`IntDemand`, None for a waived trader with unbounded demand) and the
     clearing windows; a failure here is a bug.  Returns the per-good totals
-    it checked, for the report."""
-    totals = [Fraction(0)] * len(windows)
+    it checked, for the report, each summed in integers over the lcm of its
+    amounts' denominators."""
+    amounts: list[list[Fraction]] = [[] for _ in windows]
     for i, (trader, d, b) in enumerate(zip(m.traders, demands, bundles)):
         if i in waived:
             if b.cost(p) != 0:
@@ -240,7 +243,11 @@ def check_witness(m, p, bundles, demands, waived, windows) -> list[Fraction]:
         elif not in_demand(trader, p, d, b):
             raise InternalInvariantViolation(f"witness bundle for trader {i} is not optimal")
         for k, x in b.amounts:
-            totals[k] += x
+            amounts[k].append(x)
+    totals = []
+    for xs in amounts:
+        den = math.lcm(*[x.denominator for x in xs])
+        totals.append(Fraction(sum([x.numerator * (den // x.denominator) for x in xs]), den))
     for k, ((lo, hi), total) in enumerate(zip(windows, totals)):
         if not lo <= total <= hi:
             raise InternalInvariantViolation(f"witness violates clearing window on good {k}")

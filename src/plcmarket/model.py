@@ -15,15 +15,20 @@ strong connectivity is decided over the trader-good incidence, so no
 trader-to-trader edge is ever built.
 
 The demand core and the circulation work on integers.  Each trader, price
-vector and market has a ``scaled`` view, built on first use and cached on
-the object, so constructing, reducing and reading markets never pays for
-it: a trader counts amounts in units of 1/M with M the lcm of its own
-denominators (a market-wide lcm would grow with every unrelated trader),
-and a price vector is P_k / D with one D.
+vector and market has a ``scaled`` view, cached on the object: a trader
+counts amounts in units of 1/M with M the lcm of its own denominators (a
+market-wide lcm would grow with every unrelated trader), and a price vector
+is P_k / D with one D.  Objects built in Python compute the view on first
+use, so building and reducing markets never pays for it; a market read from
+a file carries its views, filled in by the parser's pass.
+
+Checks happen at the boundary.  The public constructors parse and check
+every value; `trusted` builds an object from values that the parser or the
+program itself has already checked or made exact, and skips them.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
@@ -32,6 +37,16 @@ from typing import NamedTuple
 from .errors import AllZeroPrices, InputError, InvalidMarket, InvalidPriceVector
 from .plc import PLCFunction
 from .rational import parse_rational
+
+
+def trusted(cls, **fields):
+    """An instance of the frozen dataclass cls holding ``fields`` as given,
+    without running its ``__post_init__``.  The caller vouches for what the
+    public constructor would check: types, signs, zeros and good order.  A
+    cached property such as ``scaled`` may be passed along as a field."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 class ScaledTrader(NamedTuple):
@@ -78,18 +93,41 @@ class TraderSpec:
     @cached_property
     def scaled(self) -> ScaledTrader:
         """The integer view of the trader, computed once per trader."""
-        pieces = [(k, f.scaled) for k, f in self.wanted]
-        den = math.lcm(*[w.denominator for _, w in self.owned], *[v.den for _, v in pieces])
-        slope_den = math.lcm(*[v.slope_den for _, v in pieces])
-        owned = tuple([(k, w.numerator * (den // w.denominator)) for k, w in self.owned])
-        wanted = []
-        for k, (piece_den, piece_slope_den, segments, satiation) in pieces:
-            a, b = den // piece_den, slope_den // piece_slope_den
-            if a != 1 or b != 1:
-                segments = tuple([(i, s * b, None if cap is None else cap * a) for i, s, cap in segments])
-                satiation = None if satiation is None else satiation * a
-            wanted.append((k, satiation, segments))
-        return ScaledTrader(den, slope_den, owned, tuple(wanted))
+        return scale_trader(self.owned, self.wanted)
+
+
+def scale_trader(owned, wanted, shapes: dict | None = None) -> ScaledTrader:
+    """The integer view of a trader with nonzeros ``owned`` and ``wanted``.
+
+    The denominators, the factors and the rescaled pieces depend only on the
+    owned amounts' denominators and on the pieces, so a caller that scales
+    many traders passes one dict as ``shapes`` and traders of one shape
+    share that work."""
+    key = (tuple([w.denominator for _, w in owned]), tuple([id(f) for _, f in wanted]))
+    shape = None if shapes is None else shapes.get(key)
+    if shape is None:
+        views = [f.scaled for _, f in wanted]
+        den = math.lcm(*key[0], *[v.den for v in views])
+        slope_den = math.lcm(*[v.slope_den for v in views])
+        pieces = []
+        for v in views:
+            a, b = den // v.den, slope_den // v.slope_den
+            if a == 1 and b == 1:
+                pieces.append((v.satiation, v.segments))
+            else:
+                segments = tuple([(i, s * b, None if cap is None else cap * a) for i, s, cap in v.segments])
+                pieces.append((None if v.satiation is None else v.satiation * a, segments))
+        # the views keep the pieces, whose ids are in the key, alive
+        shape = (den, slope_den, [den // d for d in key[0]], pieces, views)
+        if shapes is not None:
+            shapes[key] = shape
+    den, slope_den, factors, pieces, _ = shape
+    return ScaledTrader(
+        den,
+        slope_den,
+        tuple([(k, w.numerator * a) for (k, w), a in zip(owned, factors)]),
+        tuple([(k, satiation, segments) for (k, _), (satiation, segments) in zip(wanted, pieces)]),
+    )
 
 
 @dataclass(frozen=True)
@@ -119,22 +157,38 @@ class Market:
     def scaled(self) -> tuple[int, tuple[int, ...]]:
         """(M, supplies): M the lcm of the traders' denominators, and the
         total endowment per good in units of 1/M."""
-        den = math.lcm(*(t.scaled.den for t in self.traders))
-        totals = [0] * self.n_goods
-        for t in self.traders:
-            v = t.scaled
-            a = den // v.den
-            for k, w in v.owned:
-                totals[k] += w * a
-        return den, tuple(totals)
+        return scale_supplies(self.n_goods, [t.scaled for t in self.traders])
+
+
+def scale_supplies(n_goods: int, views) -> tuple[int, tuple[int, ...]]:
+    """`Market.scaled` of a market whose traders have integer views ``views``."""
+    den = math.lcm(*[v.den for v in views])
+    totals = [0] * n_goods
+    for v in views:
+        a = den // v.den
+        for k, w in v.owned:
+            totals[k] += w * a
+    return den, tuple(totals)
+
+
+TRUSTED = object()  # see PriceVector
 
 
 @dataclass(frozen=True)
 class PriceVector:
+    """Prices, checked on construction: ints become Fractions, floats and
+    bools raise InputError, and the vector must be nonempty, nonnegative and
+    not all zero.  ``PriceVector(prices, normalized, TRUSTED)`` skips the
+    checks; only code that made the prices exact and checked them itself
+    passes it, as the grid walk does for every point it scores."""
+
     prices: tuple[Fraction, ...]
     normalized: bool = False
+    trust: InitVar[object] = None
 
-    def __post_init__(self):
+    def __post_init__(self, trust):
+        if trust is TRUSTED:
+            return
         # ints become Fractions; floats and bools raise InputError
         object.__setattr__(self, "prices", tuple(map(parse_rational, self.prices)))
         if not self.prices:
@@ -161,7 +215,7 @@ def prices(values, normalized: bool = False) -> PriceVector:
 def normalize_prices(p: PriceVector) -> PriceVector:
     """Scale so the smallest nonzero entry is 1; zero entries are preserved."""
     scale = min(q for q in p.prices if q > 0)
-    return PriceVector(tuple(q / scale for q in p.prices), normalized=True)
+    return PriceVector(tuple([q / scale for q in p.prices]), True, TRUSTED)
 
 
 def is_strongly_connected(m: Market) -> bool:

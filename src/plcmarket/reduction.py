@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import DegenerateExtraction, NTooSmall, ShapeMismatch
 from .games import BimatrixGame, MixedStrategy
 from .model import Market, PriceVector, TraderSpec
-from .plc import PLCFunction, linear_plc, validate_plc
+from .plc import PLCFunction, validate_plc
 from .regulating import regulating_block
 
 
@@ -90,10 +90,6 @@ class ReducedMarketMeta:
         return {"s": (0, u0), "u": (u0, v0), "v": (v0, i0), "i": (i0, i0 + self.i_count)}
 
 
-def _kinked(high, low, knee) -> PLCFunction:
-    return validate_plc((Fraction(high), Fraction(low)), (knee,))
-
-
 def build_reduced_market(game: BimatrixGame) -> tuple[Market, ReducedMarketMeta]:
     """Build the reduced market and its index metadata.
 
@@ -107,7 +103,21 @@ def build_reduced_market(game: BimatrixGame) -> tuple[Market, ReducedMarketMeta]
     inv_n4 = Fraction(1, n**4)
     inv_n5 = Fraction(1, n**5)
     inv_n12 = Fraction(1, n**12)
-    traders = list(regulating_block(N, Fraction(1, n)))
+    pieces: dict[tuple, PLCFunction] = {}  # one object per distinct piece, shared by its traders
+
+    def piece(slopes, breaks=()) -> PLCFunction:
+        key = (slopes, breaks)
+        if key not in pieces:
+            pieces[key] = validate_plc(slopes, breaks)
+        return pieces[key]
+
+    def linear(theta) -> PLCFunction:
+        return piece((Fraction(theta),))
+
+    def kinked(high, low, knee) -> PLCFunction:
+        return piece((Fraction(high), Fraction(low)), (knee,))
+
+    traders = list(regulating_block(N, Fraction(1, n), linear))
 
     B_cols = tuple(zip(*game.B))
     for label, own, other, M in (("U", 0, n, game.A), ("V", n, 0, B_cols)):
@@ -115,14 +125,14 @@ def build_reduced_market(game: BimatrixGame) -> tuple[Market, ReducedMarketMeta]
             gv = gadget_vectors_row(M, i, j)
             owned = [(own + i, inv_n4), (aux1, gv.E * inv_n5)]
             owned += [(other + k, c * inv_n5) for k, c in enumerate(gv.C)]
-            wanted = [(own + i, _kinked(9, 1, inv_n4)), (aux2, linear_plc(3))]
-            wanted += [(other + k, _kinked(27, 1, d * inv_n5)) for k, d in enumerate(gv.D) if d > 0]
+            wanted = [(own + i, kinked(9, 1, inv_n4)), (aux2, linear(3))]
+            wanted += [(other + k, kinked(27, 1, d * inv_n5)) for k, d in enumerate(gv.D) if d > 0]
             if gv.F > 0:
-                wanted.append((aux1, _kinked(27, 1, gv.F * inv_n5)))
+                wanted.append((aux1, kinked(27, 1, gv.F * inv_n5)))
             traders.append(TraderSpec(owned, wanted, f"{label}({i + 1},{j + 1})"))
 
     for i in range(2 * n):
-        traders.append(TraderSpec(((aux1, inv_n12),), ((i, linear_plc(1)),), f"I({i + 1})"))
+        traders.append(TraderSpec(((aux1, inv_n12),), ((i, linear(1)),), f"I({i + 1})"))
 
     return Market(N, tuple(traders)), meta
 

@@ -2,25 +2,103 @@
 
 Rationals travel as "num/den" strings (plain integer strings are accepted on
 input).  Serialization is deterministic: sorted keys, two-space indent, one
-trailing newline.
+trailing newline, the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``
+plus a newline, written by `dumps`, which encodes each distinct string and
+each shared container once per call.
+
+Every check on a market file runs in `market_from_obj`, in one pass over
+its entries: parsing, signs, zeros, row lengths and the total endowment.
+The traders and the market it returns are built with `model.trusted`,
+their integer views filled in, so nothing downstream checks or scales them
+again.
 """
 
 import json
-
 from fractions import Fraction
 
 from .clearing import Certificate
 from .errors import InputError, InvalidMarket
 from .games import BimatrixGame, MixedStrategy, validate_game
-from .model import Market, PriceVector, TraderSpec
+from .model import Market, PriceVector, TraderSpec, scale_supplies, scale_trader, trusted
 from .plc import ZERO_PLC, PLCFunction
 from .rational import format_rational, parse_rational
 from .reduction import ReducedMarketMeta
 from .search import SearchReport
 
 
+_LEAVES = {None: "null", True: "true", False: "false"}
+
+
+class _Strings(dict):
+    """str -> its JSON text, encoded by the json module's C encoder on first
+    use; any other key raises TypeError."""
+
+    def __missing__(self, s):
+        text = self[s] = json.encoder.encode_basestring_ascii(s)
+        return text
+
+
+def _float_str(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (float("inf"), float("-inf")):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\n"``, byte for byte.
+
+    Each distinct string is encoded once per call, and a list of strings is
+    joined in one pass.  A container met a second time at the same depth (a
+    piece shared by many traders) keeps its text, so the third and later
+    meetings cost a lookup; the text of a container met once is not kept.
+    obj must hold no cycle: json raises ValueError on one, this writer
+    RecursionError."""
+    strings = _Strings()
+    memos: list[dict[int, str | None]] = []  # per depth: id of a container -> its text, None once met
+
+    def key_str(k) -> str:
+        if not isinstance(k, (str, int, float)) and k is not None:
+            raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+        return strings[k if isinstance(k, str) else write(k, 0)]  # a scalar key is written as a string
+
+    def write(o, depth: int) -> str:
+        if isinstance(o, str):
+            return strings[o]
+        if o is None or o is True or o is False:
+            return _LEAVES[o]
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            return _float_str(o)
+        is_list = isinstance(o, (list, tuple))
+        if not is_list and not isinstance(o, dict):
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        if not o:
+            return "[]" if is_list else "{}"
+        inner = "\n" + "  " * (depth + 1)
+        sep, end = "," + inner, inner[:-2] + ("]" if is_list else "}")
+        if len(memos) <= depth + 1:
+            memos.append({})
+        seen = memos[depth + 1].get
+        if not is_list:
+            text = "{" + inner + sep.join([
+                key_str(k) + ": " + (seen(id(v)) or write(v, depth + 1)) for k, v in sorted(o.items())
+            ]) + end
+        elif isinstance(o[0], str):
+            try:
+                text = "[" + inner + sep.join(map(strings.__getitem__, o)) + end
+            except TypeError:  # not every item is a string
+                text = "[" + inner + sep.join([seen(id(v)) or write(v, depth + 1) for v in o]) + end
+        else:
+            text = "[" + inner + sep.join([seen(id(v)) or write(v, depth + 1) for v in o]) + end
+        memo = memos[depth]
+        memo[id(o)] = text if id(o) in memo else None
+        return text
+
+    memos.append({})
+    return write(obj, 0) + "\n"
 
 
 def write_json(path, obj):
@@ -67,26 +145,34 @@ def plc_from_obj(obj) -> PLCFunction:
     return PLCFunction(_require(obj, "slopes", list, "utility"), _require(obj, "breaks", list, "utility"))
 
 
-_ZERO_OBJ = {"kind": "zero"}  # fast path for most pieces of a sparse market
+_ZERO = "0/1"
+_ZERO_OBJ = {"kind": "zero"}  # most entries of a sparse market are these two
 
 
 def _dense_row(pairs, n_goods: int) -> list[str]:
     """An n_goods-length row of rational strings from (good, amount) pairs;
     every other entry is zero."""
-    row = ["0/1"] * n_goods
+    row = [_ZERO] * n_goods
     for k, w in pairs:
         row[k] = format_rational(w)
     return row
 
 
 def market_to_obj(m: Market):
-    """Dense rows from each trader's nonzeros; every other entry is zero."""
+    """Dense rows from each trader's nonzeros; every other entry is zero.
+    Every zero entry of the utility rows is one object, and so is every use
+    of one piece object, so `dumps` writes each of them once."""
+    zero = dict(_ZERO_OBJ)
+    pieces: dict[int, dict] = {}  # id of a piece -> its object
     traders = []
     for t in m.traders:
         endow = _dense_row(t.owned, m.n_goods)
-        utils = [dict(_ZERO_OBJ) for _ in range(m.n_goods)]
+        utils = [zero] * m.n_goods
         for k, f in t.wanted:
-            utils[k] = plc_to_obj(f)
+            u = pieces.get(id(f))
+            if u is None:
+                u = pieces[id(f)] = plc_to_obj(f)
+            utils[k] = u
         entry = {"endowment": endow, "utilities": utils}
         if t.label is not None:
             entry["label"] = t.label
@@ -95,45 +181,79 @@ def market_to_obj(m: Market):
 
 
 def _piece_key(u):
-    """(slopes, breaks) of a piece given as lists of strings, else None; a key
-    over raw JSON values would let true stand in for 1, which it equals."""
+    """(slopes, breaks) of a piece object whose two keys hold lists, else None."""
     if type(u) is dict and u.get("kind") != "zero":
         slopes, breaks = u.get("slopes"), u.get("breaks")
-        if type(slopes) is list and type(breaks) is list and all(type(v) is str for v in slopes + breaks):
+        if type(slopes) is list and type(breaks) is list:
             return tuple(slopes), tuple(breaks)
     return None
 
 
 def market_from_obj(obj) -> Market:
-    """A reduced market repeats a few values many times, so each distinct
+    """Parse and check a market in one pass over its entries.
+
+    A reduced market repeats a few values many times, so each distinct
     rational string and string-valued piece is parsed once per call and
-    shared; any other entry is parsed, and rejected, as it stands."""
+    shared; any other entry is parsed, and rejected, as it stands.  The
+    same pass drops zero amounts and pieces, finds the first trader with a
+    negative amount and scales each trader to integers.  The market-wide
+    checks follow, in the order `Market` runs them, so each input fails
+    with the error the public constructors give."""
     n_goods = _require(obj, "n_goods", int, "market")
-    parsed: dict = {}  # rational string -> Fraction, _piece_key -> piece
-
-    def cached(key, parse, value):
-        if key is None:
-            return parse(value)
-        if key not in parsed:
-            parsed[key] = parse(value)
-        return parsed[key]
-
-    traders = []
+    amounts: dict[str, Fraction] = {}
+    pieces: dict[tuple, PLCFunction] = {}  # string-valued (slopes, breaks) -> piece
+    shapes: dict = {}  # shared by scale_trader across the traders
+    traders, negative = [], None
     for idx, entry in enumerate(_require(obj, "traders", list, "market")):
         where = f"trader {idx}"
         endow = _require(entry, "endowment", list, where)
         utils = _require(entry, "utilities", list, where)
         if len(endow) != n_goods or len(utils) != n_goods:
             raise InvalidMarket(f"{where} has a row whose length is not n_goods={n_goods}")
-        # most entries are the zeros market_to_obj writes; TraderSpec drops any other zero
-        owned = [(k, cached(w if type(w) is str else None, parse_rational, w))
-                 for k, w in enumerate(endow) if w != "0/1"]
-        wanted = [(k, cached(_piece_key(u), plc_from_obj, u)) for k, u in enumerate(utils) if u != _ZERO_OBJ]
+        owned = []
+        # most entries are the zeros market_to_obj writes; any other zero is dropped too
+        for k, w in [(k, w) for k, w in enumerate(endow) if w != _ZERO]:
+            q = amounts.get(w) if type(w) is str else None
+            if q is None:
+                q = parse_rational(w)
+                if type(w) is str:
+                    amounts[w] = q
+                # a value is parsed where it first occurs, so this is the first such trader
+                if q < 0 and negative is None:
+                    negative = idx
+            if q:
+                owned.append((k, q))
+        wanted = []
+        for k, u in [(k, u) for k, u in enumerate(utils) if u != _ZERO_OBJ]:
+            key = _piece_key(u)
+            try:
+                f = pieces.get(key)
+            except TypeError:  # a list or object among the values: not a string-valued piece
+                key = f = None
+            if f is None:
+                f = plc_from_obj(u)
+                # only string-valued keys are kept, so no key with true in it can
+                # find the piece of an equal key with 1 in it
+                if key is not None and all(type(v) is str for v in key[0] + key[1]):
+                    pieces[key] = f
+            if f.slopes:
+                wanted.append((k, f))
         label = entry.get("label")
         if label is not None and not isinstance(label, str):
             raise InputError(f"{where}: label must be a string")
-        traders.append(TraderSpec(owned, wanted, label))
-    return Market(n_goods, tuple(traders))
+        owned, wanted = tuple(owned), tuple(wanted)
+        view = scale_trader(owned, wanted, shapes)
+        traders.append(trusted(TraderSpec, owned=owned, wanted=wanted, label=label, scaled=view))
+    if n_goods < 1:
+        raise InvalidMarket("market needs at least one good")
+    if not traders:
+        raise InvalidMarket("market needs at least one trader")
+    if negative is not None:
+        raise InvalidMarket(f"trader {negative} has a negative endowment entry")
+    if not any(t.owned for t in traders):
+        raise InvalidMarket("total endowment is zero for every good")
+    views = scale_supplies(n_goods, [t.scaled for t in traders])
+    return trusted(Market, n_goods=n_goods, traders=tuple(traders), scaled=views)
 
 
 # --- prices -------------------------------------------------------------------

@@ -15,6 +15,10 @@ shrink, at normalized prices, with `imbalance_profile` and the package's
 verifier.  The dense references restate, over all N goods, what the package
 computes over each trader's support or a bundle's nonzero entries; strong
 connectivity is networkx's verdict on the dense, edge-by-edge economy graph.
+`reference_market_from_obj` is the market parser that checks through the
+public constructors, `TraderSpec` and `Market`, and leaves the integer
+views to first use; `reference_dumps` is the json module's indenting
+encoder.  The one-pass parser and the memoizing writer must match them.
 The reference circulation is Edmonds-Karp with one BFS per augmenting path,
 which the phased max-flow must match flow for flow; rational test networks
 reach the integer max-flow through `scaled_circulation`.  The dense builders
@@ -22,6 +26,7 @@ fill N-length endowment and utility rows, trader by trader, the way the
 sparse builders must agree with.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -31,13 +36,14 @@ import networkx as nx
 
 from plcmarket.clearing import APPROXIMATE, GoodBalance, clearing_report, verify
 from plcmarket.demand import Bundle, DemandSet, SegmentOffer, optimal_demand
-from plcmarket.errors import UnboundedDemand
+from plcmarket.errors import InputError, InvalidMarket, UnboundedDemand
 from plcmarket.flow import Arc, feasible_circulation
 from plcmarket.model import Market, PriceVector, TraderSpec, normalize_prices
 from plcmarket.plc import ZERO_PLC, linear_plc, validate_plc
-from plcmarket.rational import parse_epsilon
+from plcmarket.rational import parse_epsilon, parse_rational
 from plcmarket.reduction import gadget_vectors_row
 from plcmarket.search import SearchReport
+from plcmarket.serialize import _ZERO_OBJ, _require, plc_from_obj
 
 
 # --- definition-level PLC predicate -------------------------------------------
@@ -792,3 +798,79 @@ def reference_search(m: Market, cfg) -> SearchReport:
         return SearchReport(None, None, False, tuple(trace), None)
     cert = verify(m, best_price, APPROXIMATE, cfg.epsilon)
     return SearchReport(best_price, best_score, cert.accepted, tuple(trace), cert)
+
+
+# --- reference file boundary --------------------------------------------------
+
+
+def reference_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _reference_piece_key(u):
+    """(slopes, breaks) of a piece given as lists of strings, else None; a key
+    over raw JSON values would let true stand in for 1, which it equals."""
+    if type(u) is dict and u.get("kind") != "zero":
+        slopes, breaks = u.get("slopes"), u.get("breaks")
+        if type(slopes) is list and type(breaks) is list and all(type(v) is str for v in slopes + breaks):
+            return tuple(slopes), tuple(breaks)
+    return None
+
+
+def reference_market_from_obj(obj) -> Market:
+    """A reduced market repeats a few values many times, so each distinct
+    rational string and string-valued piece is parsed once per call and
+    shared; any other entry is parsed, and rejected, as it stands."""
+    n_goods = _require(obj, "n_goods", int, "market")
+    parsed: dict = {}  # rational string -> Fraction, _piece_key -> piece
+
+    def cached(key, parse, value):
+        if key is None:
+            return parse(value)
+        if key not in parsed:
+            parsed[key] = parse(value)
+        return parsed[key]
+
+    traders = []
+    for idx, entry in enumerate(_require(obj, "traders", list, "market")):
+        where = f"trader {idx}"
+        endow = _require(entry, "endowment", list, where)
+        utils = _require(entry, "utilities", list, where)
+        if len(endow) != n_goods or len(utils) != n_goods:
+            raise InvalidMarket(f"{where} has a row whose length is not n_goods={n_goods}")
+        # most entries are the zeros market_to_obj writes; TraderSpec drops any other zero
+        owned = [(k, cached(w if type(w) is str else None, parse_rational, w))
+                 for k, w in enumerate(endow) if w != "0/1"]
+        wanted = [(k, cached(_reference_piece_key(u), plc_from_obj, u))
+                  for k, u in enumerate(utils) if u != _ZERO_OBJ]
+        label = entry.get("label")
+        if label is not None and not isinstance(label, str):
+            raise InputError(f"{where}: label must be a string")
+        traders.append(TraderSpec(owned, wanted, label))
+    return Market(n_goods, tuple(traders))
+
+
+def reference_trader_view(t: TraderSpec) -> tuple:
+    """`TraderSpec.scaled` from the definition: amounts and breakpoints over
+    the lcm of all their denominators, slopes over the lcm of theirs."""
+    den = math.lcm(*[w.denominator for _, w in t.owned], *[a.denominator for _, f in t.wanted for a in f.breaks])
+    slope_den = math.lcm(*[s.denominator for _, f in t.wanted for s in f.slopes])
+    wanted = []
+    for k, f in t.wanted:
+        segments, start = [], Fraction(0)
+        for i, s in enumerate(f.slopes):
+            if s == 0:
+                break
+            end = f.breaks[i] if i < len(f.breaks) else None
+            segments.append((i, int(s * slope_den), None if end is None else int((end - start) * den)))
+            start = end
+        satiation = None if f.slopes[-1] > 0 else int(f.breaks[-1] * den)
+        wanted.append((k, satiation, tuple(segments)))
+    return den, slope_den, tuple((k, int(w * den)) for k, w in t.owned), tuple(wanted)
+
+
+def reference_market_view(m: Market) -> tuple:
+    """`Market.scaled` from the definition: supplies over the lcm of the
+    traders' denominators."""
+    den = math.lcm(*[reference_trader_view(t)[0] for t in m.traders])
+    return den, tuple(int(s * den) for s in dense_supplies(m))

@@ -1,6 +1,7 @@
 import json
 import time
 
+import pytest
 from click.testing import CliRunner
 
 from plcmarket.cli import main
@@ -368,3 +369,55 @@ def test_negative_eps_is_input_error(tmp_path, monkeypatch):
     res = run("search-eq", "--market", str(market), "--eps", "-1/2")
     assert res.exit_code == 2 and "nonnegative" in res.output
     assert calls == []
+
+
+def _endowment(value):
+    def corrupt(obj):
+        obj["traders"][1]["endowment"][0] = value
+    return corrupt
+
+
+def _piece(piece):
+    def corrupt(obj):
+        obj["traders"][1]["utilities"][1] = piece
+    return corrupt
+
+
+def _short_row(obj):
+    obj["traders"][1]["endowment"].pop()
+
+
+def _int_label(obj):
+    obj["traders"][1]["label"] = 7
+
+
+def _no_endowment(obj):
+    for entry in obj["traders"]:
+        entry["endowment"] = ["0/1", "0"]
+
+
+MALFORMED_MARKETS = [
+    ("float", _endowment(0.5), "floats are not accepted as rationals: 0.5"),
+    ("true", _endowment(True), "not a rational: True"),
+    ("negative", _endowment("-1/2"), "trader 1 has a negative endowment entry"),
+    ("zero-denominator", _endowment("1/0"), "zero denominator in rational: '1/0'"),
+    ("non-concave", _piece({"slopes": ["1", "2"], "breaks": ["1"]}), "slopes must strictly decrease, got 1 then 2"),
+    ("short-row", _short_row, "trader 1 has a row whose length is not n_goods=2"),
+    ("non-string-label", _int_label, "trader 1: label must be a string"),
+    ("all-zero-endowment", _no_endowment, "total endowment is zero for every good"),
+]
+
+
+@pytest.mark.parametrize("corrupt, message", [row[1:] for row in MALFORMED_MARKETS],
+                         ids=[row[0] for row in MALFORMED_MARKETS])
+def test_malformed_market_file_exits_2_with_its_message(tmp_path, corrupt, message):
+    # every check runs where the file is read, whichever layer holds it
+    market = tmp_path / "m2.json"
+    assert run("gen-mn", "--n", "2", "-o", str(market)).exit_code == 0
+    obj = json.loads(market.read_text())
+    corrupt(obj)
+    write(market, obj)
+    p = tmp_path / "p.json"
+    write(p, {"prices": ["1", "2"]})
+    res = run("verify", "--market", str(market), "--prices", str(p), "--eps", "1/2")
+    assert res.exit_code == 2 and f"error: {message}" in res.output
