@@ -233,9 +233,8 @@ def check_witness(m, p, bundles, demands, waived, windows) -> list[Fraction]:
     """Re-validate an accept witness against the demand core's answers
     (`IntDemand`, None for a waived trader with unbounded demand) and the
     clearing windows; a failure here is a bug.  Returns the per-good totals
-    it checked, for the report, each summed in integers over the lcm of its
-    amounts' denominators."""
-    amounts: list[list[Fraction]] = [[] for _ in windows]
+    it checked, for the report."""
+    totals = [Fraction(0)] * len(windows)
     for i, (trader, d, b) in enumerate(zip(m.traders, demands, bundles)):
         if i in waived:
             if b.cost(p) != 0:
@@ -243,11 +242,7 @@ def check_witness(m, p, bundles, demands, waived, windows) -> list[Fraction]:
         elif not in_demand(trader, p, d, b):
             raise InternalInvariantViolation(f"witness bundle for trader {i} is not optimal")
         for k, x in b.amounts:
-            amounts[k].append(x)
-    totals = []
-    for xs in amounts:
-        den = math.lcm(*[x.denominator for x in xs])
-        totals.append(Fraction(sum([x.numerator * (den // x.denominator) for x in xs]), den))
+            totals[k] += x
     for k, ((lo, hi), total) in enumerate(zip(windows, totals)):
         if not lo <= total <= hi:
             raise InternalInvariantViolation(f"witness violates clearing window on good {k}")

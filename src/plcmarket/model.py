@@ -19,8 +19,8 @@ vector and market has a ``scaled`` view, cached on the object: a trader
 counts amounts in units of 1/M with M the lcm of its own denominators (a
 market-wide lcm would grow with every unrelated trader), and a price vector
 is P_k / D with one D.  Objects built in Python compute the view on first
-use, so building and reducing markets never pays for it; a market read from
-a file carries its views, filled in by the parser's pass.
+use, so building and reducing markets never pays for it; the traders of a
+market read from a file carry their views, filled in by the parser's pass.
 
 Checks happen at the boundary.  The public constructors parse and check
 every value; `trusted` builds an object from values that the parser or the
@@ -28,7 +28,7 @@ program itself has already checked or made exact, and skips them.
 """
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
@@ -117,8 +117,8 @@ def scale_trader(owned, wanted, shapes: dict | None = None) -> ScaledTrader:
             else:
                 segments = tuple([(i, s * b, None if cap is None else cap * a) for i, s, cap in v.segments])
                 pieces.append((None if v.satiation is None else v.satiation * a, segments))
-        # the views keep the pieces, whose ids are in the key, alive
-        shape = (den, slope_den, [den // d for d in key[0]], pieces, views)
+        # the shape holds the piece objects, so no id in its key can be reused while it lives
+        shape = (den, slope_den, [den // d for d in key[0]], pieces, [f for _, f in wanted])
         if shapes is not None:
             shapes[key] = shape
     den, slope_den, factors, pieces, _ = shape
@@ -136,17 +136,7 @@ class Market:
     traders: tuple[TraderSpec, ...]
 
     def __post_init__(self):
-        if self.n_goods < 1:
-            raise InvalidMarket("market needs at least one good")
-        if not self.traders:
-            raise InvalidMarket("market needs at least one trader")
-        for idx, t in enumerate(self.traders):
-            if any(not 0 <= k < self.n_goods for k, _ in t.owned + t.wanted):
-                raise InvalidMarket(f"trader {idx} lists a good outside range({self.n_goods})")
-            if any(w < 0 for _, w in t.owned):
-                raise InvalidMarket(f"trader {idx} has a negative endowment entry")
-        if not any(t.owned for t in self.traders):  # owned amounts are positive
-            raise InvalidMarket("total endowment is zero for every good")
+        check_market(self.n_goods, self.traders)
 
     def supplies(self) -> tuple[Fraction, ...]:
         """Total endowment per good: the Fraction view of `scaled`."""
@@ -157,38 +147,38 @@ class Market:
     def scaled(self) -> tuple[int, tuple[int, ...]]:
         """(M, supplies): M the lcm of the traders' denominators, and the
         total endowment per good in units of 1/M."""
-        return scale_supplies(self.n_goods, [t.scaled for t in self.traders])
+        den = math.lcm(*(t.scaled.den for t in self.traders))
+        totals = [0] * self.n_goods
+        for t in self.traders:
+            v = t.scaled
+            a = den // v.den
+            for k, w in v.owned:
+                totals[k] += w * a
+        return den, tuple(totals)
 
 
-def scale_supplies(n_goods: int, views) -> tuple[int, tuple[int, ...]]:
-    """`Market.scaled` of a market whose traders have integer views ``views``."""
-    den = math.lcm(*[v.den for v in views])
-    totals = [0] * n_goods
-    for v in views:
-        a = den // v.den
-        for k, w in v.owned:
-            totals[k] += w * a
-    return den, tuple(totals)
-
-
-TRUSTED = object()  # see PriceVector
+def check_market(n_goods: int, traders) -> None:
+    """The market-wide checks on traders whose nonzeros are parsed and in
+    good order: `Market` runs them, and so does the market file parser."""
+    if n_goods < 1:
+        raise InvalidMarket("market needs at least one good")
+    if not traders:
+        raise InvalidMarket("market needs at least one trader")
+    for idx, t in enumerate(traders):
+        if any(not 0 <= k < n_goods for k, _ in t.owned + t.wanted):
+            raise InvalidMarket(f"trader {idx} lists a good outside range({n_goods})")
+        if any(w < 0 for _, w in t.owned):
+            raise InvalidMarket(f"trader {idx} has a negative endowment entry")
+    if not any(t.owned for t in traders):  # owned amounts are positive
+        raise InvalidMarket("total endowment is zero for every good")
 
 
 @dataclass(frozen=True)
 class PriceVector:
-    """Prices, checked on construction: ints become Fractions, floats and
-    bools raise InputError, and the vector must be nonempty, nonnegative and
-    not all zero.  ``PriceVector(prices, normalized, TRUSTED)`` skips the
-    checks; only code that made the prices exact and checked them itself
-    passes it, as the grid walk does for every point it scores."""
-
     prices: tuple[Fraction, ...]
     normalized: bool = False
-    trust: InitVar[object] = None
 
-    def __post_init__(self, trust):
-        if trust is TRUSTED:
-            return
+    def __post_init__(self):
         # ints become Fractions; floats and bools raise InputError
         object.__setattr__(self, "prices", tuple(map(parse_rational, self.prices)))
         if not self.prices:
@@ -215,7 +205,7 @@ def prices(values, normalized: bool = False) -> PriceVector:
 def normalize_prices(p: PriceVector) -> PriceVector:
     """Scale so the smallest nonzero entry is 1; zero entries are preserved."""
     scale = min(q for q in p.prices if q > 0)
-    return PriceVector(tuple([q / scale for q in p.prices]), True, TRUSTED)
+    return trusted(PriceVector, prices=tuple([q / scale for q in p.prices]), normalized=True)
 
 
 def is_strongly_connected(m: Market) -> bool:

@@ -103,7 +103,9 @@ def build_reduced_market(game: BimatrixGame) -> tuple[Market, ReducedMarketMeta]
     inv_n4 = Fraction(1, n**4)
     inv_n5 = Fraction(1, n**5)
     inv_n12 = Fraction(1, n**12)
-    pieces: dict[tuple, PLCFunction] = {}  # one object per distinct piece, shared by its traders
+    traders = list(regulating_block(N, Fraction(1, n)))
+    # one object per distinct piece, shared by its traders, the S block's two rays included
+    pieces = {(f.slopes, f.breaks): f for t in traders for _, f in t.wanted}
 
     def piece(slopes, breaks=()) -> PLCFunction:
         key = (slopes, breaks)
@@ -116,8 +118,6 @@ def build_reduced_market(game: BimatrixGame) -> tuple[Market, ReducedMarketMeta]
 
     def kinked(high, low, knee) -> PLCFunction:
         return piece((Fraction(high), Fraction(low)), (knee,))
-
-    traders = list(regulating_block(N, Fraction(1, n), linear))
 
     B_cols = tuple(zip(*game.B))
     for label, own, other, M in (("U", 0, n, game.A), ("V", n, 0, B_cols)):

@@ -16,12 +16,10 @@ from .model import Market, PriceVector, TraderSpec, normalize_prices
 from .plc import linear_plc
 
 
-def regulating_block(n_goods: int, share: Fraction, linear=linear_plc) -> tuple[TraderSpec, ...]:
+def regulating_block(n_goods: int, share: Fraction) -> tuple[TraderSpec, ...]:
     """The S(i, j) traders over n_goods goods, lexicographic in (i, j): each
-    owns `share` of good i and values good i at slope 2 and good j at slope 1.
-    ``linear(theta)`` makes the two ray pieces; a builder passes its own memo
-    so that its traders share one object per distinct piece."""
-    two, one = linear(2), linear(1)
+    owns `share` of good i and values good i at slope 2 and good j at slope 1."""
+    two, one = linear_plc(2), linear_plc(1)
     traders = []
     for i in range(n_goods):
         for j in range(n_goods):

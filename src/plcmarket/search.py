@@ -41,7 +41,7 @@ from operator import getitem, itemgetter
 from .clearing import APPROXIMATE, Certificate, verify
 from .demand import canonical_amounts, int_demand
 from .errors import BoxDimensionMismatch, GridBudgetExceeded, InputError, UnboundedDemand
-from .model import TRUSTED, Market, PriceVector, normalize_prices
+from .model import Market, PriceVector, normalize_prices
 from .rational import parse_epsilon, parse_rational
 
 
@@ -180,8 +180,7 @@ def grid_scores(m: Market, axes):
                             totals[k] += b - c
                     contrib[i] = new
             else:
-                # SearchConfig checked the box: nonnegative, and the origin is skipped above
-                yield PriceVector(tuple(map(getitem, axes, idx)), False, TRUSTED), _score(totals, supply)
+                yield PriceVector(tuple(map(getitem, axes, idx))), _score(totals, supply)
 
         # the next point in product order: axis j steps, the axes after it restart
         j = n - 1

@@ -6,11 +6,11 @@ trailing newline, the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``
 plus a newline, written by `dumps`, which encodes each distinct string and
 each shared container once per call.
 
-Every check on a market file runs in `market_from_obj`, in one pass over
-its entries: parsing, signs, zeros, row lengths and the total endowment.
-The traders and the market it returns are built with `model.trusted`,
-their integer views filled in, so nothing downstream checks or scales them
-again.
+Every check on a market file runs in `market_from_obj`: one pass over its
+entries parses them, drops zeros and checks row lengths, then
+`model.check_market` checks signs and the total endowment.  The traders and
+the market it returns are built with `model.trusted`, the traders' integer
+views filled in, so nothing downstream checks or scales them again.
 """
 
 import json
@@ -19,7 +19,7 @@ from fractions import Fraction
 from .clearing import Certificate
 from .errors import InputError, InvalidMarket
 from .games import BimatrixGame, MixedStrategy, validate_game
-from .model import Market, PriceVector, TraderSpec, scale_supplies, scale_trader, trusted
+from .model import Market, PriceVector, TraderSpec, check_market, scale_trader, trusted
 from .plc import ZERO_PLC, PLCFunction
 from .rational import format_rational, parse_rational
 from .reduction import ReducedMarketMeta
@@ -195,15 +195,13 @@ def market_from_obj(obj) -> Market:
     A reduced market repeats a few values many times, so each distinct
     rational string and string-valued piece is parsed once per call and
     shared; any other entry is parsed, and rejected, as it stands.  The
-    same pass drops zero amounts and pieces, finds the first trader with a
-    negative amount and scales each trader to integers.  The market-wide
-    checks follow, in the order `Market` runs them, so each input fails
-    with the error the public constructors give."""
+    same pass drops zero amounts and pieces and scales each trader to
+    integers; `model.check_market`, which `Market` runs too, follows."""
     n_goods = _require(obj, "n_goods", int, "market")
     amounts: dict[str, Fraction] = {}
     pieces: dict[tuple, PLCFunction] = {}  # string-valued (slopes, breaks) -> piece
     shapes: dict = {}  # shared by scale_trader across the traders
-    traders, negative = [], None
+    traders = []
     for idx, entry in enumerate(_require(obj, "traders", list, "market")):
         where = f"trader {idx}"
         endow = _require(entry, "endowment", list, where)
@@ -218,9 +216,6 @@ def market_from_obj(obj) -> Market:
                 q = parse_rational(w)
                 if type(w) is str:
                     amounts[w] = q
-                # a value is parsed where it first occurs, so this is the first such trader
-                if q < 0 and negative is None:
-                    negative = idx
             if q:
                 owned.append((k, q))
         wanted = []
@@ -244,16 +239,8 @@ def market_from_obj(obj) -> Market:
         owned, wanted = tuple(owned), tuple(wanted)
         view = scale_trader(owned, wanted, shapes)
         traders.append(trusted(TraderSpec, owned=owned, wanted=wanted, label=label, scaled=view))
-    if n_goods < 1:
-        raise InvalidMarket("market needs at least one good")
-    if not traders:
-        raise InvalidMarket("market needs at least one trader")
-    if negative is not None:
-        raise InvalidMarket(f"trader {negative} has a negative endowment entry")
-    if not any(t.owned for t in traders):
-        raise InvalidMarket("total endowment is zero for every good")
-    views = scale_supplies(n_goods, [t.scaled for t in traders])
-    return trusted(Market, n_goods=n_goods, traders=tuple(traders), scaled=views)
+    check_market(n_goods, traders)
+    return trusted(Market, n_goods=n_goods, traders=tuple(traders))
 
 
 # --- prices -------------------------------------------------------------------

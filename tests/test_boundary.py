@@ -8,8 +8,8 @@ return equal markets, whose integer views equal those the definition gives
 (`reference_trader_view`, `reference_market_view`), or raise the same
 error.  `serialize.dumps` must give the bytes of
 `reference_dumps` on any JSON tree, and every object the program builds
-without the public checks (witness bundles, parsed traders, grid points)
-must equal what the public constructor makes of the same values.
+without the public checks (witness bundles, parsed traders, normalized
+prices) must equal what the public constructor makes of the same values.
 """
 
 import copy
@@ -26,7 +26,6 @@ from plcmarket.demand import Bundle
 from plcmarket.games import validate_game
 from plcmarket.model import Market, PriceVector, TraderSpec, normalize_prices, prices
 from plcmarket.reduction import build_reduced_market
-from plcmarket.search import _axis_points, grid_scores
 
 from oracles import (
     random_market,
@@ -228,12 +227,3 @@ def test_trusted_objects_equal_public_ones(seed, family, mode, eps):
         assert [k for k, _ in b.amounts] == sorted({k for k, _ in b.amounts})
     q = normalize_prices(p)
     assert q == PriceVector(q.prices, True) and all(type(x) is F for x in q.prices)
-
-
-@given(seed=st.integers(0, 2**32 - 1), lo=st.sampled_from([F(0), F(1, 2), F(1)]), grid_k=st.integers(1, 2))
-@settings(max_examples=40)
-def test_grid_points_equal_public_price_vectors(seed, lo, grid_k):
-    m = random_market(random.Random(seed))
-    axes = [_axis_points(lo, F(2), grid_k) for _ in range(m.n_goods)]
-    for p, _ in grid_scores(m, axes):
-        assert p == PriceVector(p.prices) and all(type(x) is F for x in p.prices)
