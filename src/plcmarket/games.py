@@ -1,5 +1,5 @@
 """Bimatrix games: validation, well-supported equilibrium checking, and an
-exact support-enumeration solver for desk-scale oracles.
+exact integer support-enumeration solver for desk-scale oracles.
 
 Games are square with rational payoffs; the sparse-normalized contract caps
 entries at [-1, 1] and nonzeros at 10 per row and column of each matrix.
@@ -7,7 +7,9 @@ entries at [-1, 1] and nonzeros at 10 per row and column of each matrix.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import gcd, lcm
+from operator import mul
 
 from .errors import InvalidStrategy, NotNormalized, NotSparse, NTooLarge, ShapeMismatch
 from .rational import parse_epsilon, parse_rational
@@ -88,78 +90,59 @@ def check_wsne(g: BimatrixGame, x: MixedStrategy, y: MixedStrategy, eps) -> Wsne
     return WsneResult(True)
 
 
-# --- exact linear algebra over Fractions ------------------------------------
+# --- exact linear algebra over integers --------------------------------------
 
 
-def _echelon(rows, nvars):
-    """Reduced row echelon over [coeffs | rhs]; returns (matrix, pivot
-    columns), with None for the pivots when the system is inconsistent."""
-    M = [list(coeffs) + [rhs] for coeffs, rhs in rows]
-    pivots = []
-    r = 0
-    for c in range(nvars):
-        pivot_row = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
-        if pivot_row is None:
+def _cancel(row, pivot_row, c):
+    """row with column c cancelled against pivot_row, divided by its gcd."""
+    k, m = pivot_row[c], row[c]
+    row = [k * a - m * b for a, b in zip(row, pivot_row)]
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def _gauss_jordan(rows, base=()):
+    """Gauss-Jordan over integer rows [coeffs..., rhs], extending base.
+
+    Returns (pivot column, row) pairs, each row zero in the other pivot
+    columns, or None when a row reduces to 0 = nonzero."""
+    out = list(base)
+    for row in rows:
+        for c, p in out:
+            if row[c]:
+                row = _cancel(row, p, c)
+        c = next((c for c, v in enumerate(row[:-1]) if v), None)
+        if c is None:
+            if row[-1]:
+                return None
             continue
-        M[r], M[pivot_row] = M[pivot_row], M[r]
-        pv = M[r][c]
-        M[r] = [v / pv for v in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(M):
-            break
-    if any(M[i][nvars] != 0 for i in range(r, len(M))):
-        return M, None  # a row 0 = nonzero is left below the pivots
-    return M, pivots
-
-
-def solve_unique(rows, nvars) -> tuple[Fraction, ...] | None:
-    """Unique solution of a rational linear system, or None when the system
-    is inconsistent or underdetermined."""
-    M, pivots = _echelon(rows, nvars)
-    if pivots is None or len(pivots) < nvars:
-        return None
-    sol = [Fraction(0)] * nvars
-    for i, c in enumerate(pivots):
-        sol[c] = M[i][nvars]
-    return tuple(sol)
-
-
-def system_rank(rows, nvars) -> int | None:
-    """Rank of a consistent equality system; None when inconsistent."""
-    _, pivots = _echelon(rows, nvars)
-    return None if pivots is None else len(pivots)
+        out = [(pc, _cancel(p, row, c) if p[c] else p) for pc, p in out]
+        out.append((c, row))
+    return out
 
 
 def basic_feasible_points(eq_rows, ineq_rows, nvars) -> list[tuple[Fraction, ...]]:
-    """All vertices of {z : Ez = e, Gz <= g}.
+    """All vertices of {z : Ez = e, Gz <= g} for integer (coeffs, rhs) rows.
 
     Every vertex solves the equalities plus some (nvars - rank(E))-subset of
-    the inequalities turned active, so enumerating those square systems and
-    filtering by feasibility is exhaustive.  Intended for tiny dimensions.
+    the inequalities turned active, so extending the reduced equalities by
+    each such subset and keeping the unique, feasible solutions is
+    exhaustive.  Intended for tiny dimensions.
     """
-    rank = system_rank(eq_rows, nvars)
-    if rank is None:
+    base = _gauss_jordan([*coeffs, rhs] for coeffs, rhs in eq_rows)
+    if base is None:
         return []
-
-    def feasible(z):
-        for coeffs, rhs in eq_rows:
-            if sum((c * v for c, v in zip(coeffs, z)), Fraction(0)) != rhs:
-                return False
-        for coeffs, rhs in ineq_rows:
-            if sum((c * v for c, v in zip(coeffs, z)), Fraction(0)) > rhs:
-                return False
-        return True
-
     found: dict[tuple, None] = {}
-    for active in combinations(ineq_rows, nvars - rank):
-        z = solve_unique(list(eq_rows) + list(active), nvars)
-        if z is not None and z not in found and feasible(z):
-            found[z] = None
+    for active in combinations(ineq_rows, nvars - len(base)):
+        rows = _gauss_jordan(([*coeffs, rhs] for coeffs, rhs in active), base)
+        if rows is None or len(rows) < nvars:
+            continue
+        den = lcm(*(p[c] for c, p in rows))  # z = num / den, den > 0
+        num = [0] * nvars
+        for c, p in rows:
+            num[c] = p[-1] * den // p[c]
+        if all(sum(map(mul, coeffs, num)) <= rhs * den for coeffs, rhs in ineq_rows):
+            found[tuple(Fraction(v, den) for v in num)] = None
     return list(found)
 
 
@@ -169,34 +152,36 @@ def basic_feasible_points(eq_rows, ineq_rows, nvars) -> list[tuple[Fraction, ...
 def _support_candidates(payoff_rows, own_support, opp_support, n):
     """Vertices of one side's equilibrium region for fixed supports.
 
-    payoff_rows[i][j] is the payoff of own action i against opponent action
-    j; variables are the opponent's probabilities on opp_support plus the
-    common payoff level v.  Own supported actions are indifferent at v, own
-    unsupported actions do no better, probabilities are nonnegative and sum
-    to one.  Returns full-length probability vectors.
+    payoff_rows[i][j] is the integer payoff of own action i against opponent
+    action j; variables are the opponent's probabilities on opp_support plus
+    the common payoff level v.  Own supported actions are indifferent at v,
+    own unsupported actions do no better, probabilities are nonnegative and
+    sum to one.  Returns full-length probability vectors.
     """
-    nvars = len(opp_support) + 1
-    zero = Fraction(0)
+    k = len(opp_support)
 
     def payoff_row(i):
-        coeffs = [payoff_rows[i][j] for j in opp_support] + [Fraction(-1)]
-        return (tuple(coeffs), zero)
+        return ([payoff_rows[i][j] for j in opp_support] + [-1], 0)
 
     eq_rows = [payoff_row(i) for i in own_support]
-    eq_rows.append((tuple([Fraction(1)] * len(opp_support) + [zero]), Fraction(1)))
+    eq_rows.append(([1] * k + [0], 1))
     ineq_rows = [payoff_row(i) for i in range(n) if i not in own_support]
-    for idx in range(len(opp_support)):
-        coeffs = [zero] * nvars
-        coeffs[idx] = Fraction(-1)
-        ineq_rows.append((tuple(coeffs), zero))
+    ineq_rows += [([-(idx == j) for j in range(k + 1)], 0) for idx in range(k)]
 
     out = []
-    for z in basic_feasible_points(eq_rows, ineq_rows, nvars):
-        full = [zero] * n
+    for z in basic_feasible_points(eq_rows, ineq_rows, k + 1):
+        full = [Fraction(0)] * n
         for idx, j in enumerate(opp_support):
             full[j] = z[idx]
         out.append(tuple(full))
     return out
+
+
+def _integral(M):
+    """M scaled to integers by the lcm of its denominators; a positive scale
+    moves only the payoff level, never the equilibrium strategies."""
+    scale = lcm(*(v.denominator for row in M for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in M]
 
 
 def solve_game_support_enum(g: BimatrixGame):
@@ -210,25 +195,14 @@ def solve_game_support_enum(g: BimatrixGame):
     if g.n > MAX_SUPPORT_ENUM_N:
         raise NTooLarge(f"support enumeration capped at n = {MAX_SUPPORT_ENUM_N}")
     n = g.n
-    row_payoffs = g.A  # row player: A[i][j] vs column j
-    col_payoffs = tuple(
-        tuple(g.B[i][j] for i in range(n)) for j in range(n)
-    )  # column player: payoff of own action j against row i
+    row_payoffs = _integral(g.A)  # row player: A[i][j] vs column j
+    col_payoffs = _integral(list(zip(*g.B)))  # column player: own action j vs row i
 
-    supports = []
-    for size in range(1, n + 1):
-        supports.extend(combinations(range(n), size))
-
-    found: dict[tuple, tuple[MixedStrategy, MixedStrategy]] = {}
+    supports = [s for size in range(1, n + 1) for s in combinations(range(n), size)]
+    found: set[tuple] = set()
     for sup_x in supports:
         for sup_y in supports:
             ys = _support_candidates(row_payoffs, sup_x, sup_y, n)
-            if not ys:
-                continue
-            xs = _support_candidates(col_payoffs, sup_y, sup_x, n)
-            for xv in xs:
-                for yv in ys:
-                    key = (xv, yv)
-                    if key not in found:
-                        found[key] = (MixedStrategy(xv), MixedStrategy(yv))
-    return [found[k] for k in sorted(found)]
+            if ys:
+                found.update(product(_support_candidates(col_payoffs, sup_y, sup_x, n), ys))
+    return [(MixedStrategy(x), MixedStrategy(y)) for x, y in sorted(found)]

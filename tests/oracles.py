@@ -23,7 +23,8 @@ The reference circulation is Edmonds-Karp with one BFS per augmenting path,
 which the phased max-flow must match flow for flow; rational test networks
 reach the integer max-flow through `scaled_circulation`.  The dense builders
 fill N-length endowment and utility rows, trader by trader, the way the
-sparse builders must agree with.
+sparse builders must agree with.  `reference_support_enum` is the Fraction
+support enumeration that the integer one must match list for list.
 """
 
 import json
@@ -36,8 +37,9 @@ import networkx as nx
 
 from plcmarket.clearing import APPROXIMATE, GoodBalance, clearing_report, verify
 from plcmarket.demand import Bundle, DemandSet, SegmentOffer, optimal_demand
-from plcmarket.errors import InputError, InvalidMarket, UnboundedDemand
+from plcmarket.errors import InputError, InvalidMarket, NTooLarge, UnboundedDemand
 from plcmarket.flow import Arc, feasible_circulation
+from plcmarket.games import MAX_SUPPORT_ENUM_N, BimatrixGame, MixedStrategy
 from plcmarket.model import Market, PriceVector, TraderSpec, normalize_prices
 from plcmarket.plc import ZERO_PLC, linear_plc, validate_plc
 from plcmarket.rational import parse_epsilon, parse_rational
@@ -697,6 +699,19 @@ def random_sparse_game_matrices(rng: random.Random, n: int, den: int = 8):
     return matrix(), matrix()
 
 
+def degenerate_game_matrices(rng: random.Random, n: int):
+    """Degenerate n x n games: a zero game, a sparse game whose A repeats a
+    row and whose B repeats a column, and a game tied on payoffs in {-1, 0, 1}."""
+    zero = [[Fraction(0)] * n for _ in range(n)]
+    yield zero, zero
+    A, B = random_sparse_game_matrices(rng, n)
+    A[-1] = list(A[0])
+    for row in B:
+        row[-1] = row[0]
+    yield A, B
+    yield tuple([[Fraction(rng.randint(-1, 1)) for _ in range(n)] for _ in range(n)] for _ in "AB")
+
+
 # --- Fraction canonical fill and reference scorer ------------------------------
 
 
@@ -874,3 +889,150 @@ def reference_market_view(m: Market) -> tuple:
     traders' denominators."""
     den = math.lcm(*[reference_trader_view(t)[0] for t in m.traders])
     return den, tuple(int(s * den) for s in dense_supplies(m))
+
+
+# --- Fraction support enumeration ------------------------------------------------
+# The package's earlier solver, kept as written: one Fraction Gauss-Jordan
+# re-run over the equalities and each active set, and a feasibility filter
+# that re-checks the equalities too.  The integer solver must return the same
+# sorted equilibrium list.
+
+
+def _echelon(rows, nvars):
+    """Reduced row echelon over [coeffs | rhs]; returns (matrix, pivot
+    columns), with None for the pivots when the system is inconsistent."""
+    M = [list(coeffs) + [rhs] for coeffs, rhs in rows]
+    pivots = []
+    r = 0
+    for c in range(nvars):
+        pivot_row = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        M[r], M[pivot_row] = M[pivot_row], M[r]
+        pv = M[r][c]
+        M[r] = [v / pv for v in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(M):
+            break
+    if any(M[i][nvars] != 0 for i in range(r, len(M))):
+        return M, None  # a row 0 = nonzero is left below the pivots
+    return M, pivots
+
+
+def _solve_unique(rows, nvars) -> tuple[Fraction, ...] | None:
+    """Unique solution of a rational linear system, or None when the system
+    is inconsistent or underdetermined."""
+    M, pivots = _echelon(rows, nvars)
+    if pivots is None or len(pivots) < nvars:
+        return None
+    sol = [Fraction(0)] * nvars
+    for i, c in enumerate(pivots):
+        sol[c] = M[i][nvars]
+    return tuple(sol)
+
+
+def _system_rank(rows, nvars) -> int | None:
+    """Rank of a consistent equality system; None when inconsistent."""
+    _, pivots = _echelon(rows, nvars)
+    return None if pivots is None else len(pivots)
+
+
+def _reference_basic_feasible_points(eq_rows, ineq_rows, nvars) -> list[tuple[Fraction, ...]]:
+    """All vertices of {z : Ez = e, Gz <= g}.
+
+    Every vertex solves the equalities plus some (nvars - rank(E))-subset of
+    the inequalities turned active, so enumerating those square systems and
+    filtering by feasibility is exhaustive.  Intended for tiny dimensions.
+    """
+    rank = _system_rank(eq_rows, nvars)
+    if rank is None:
+        return []
+
+    def feasible(z):
+        for coeffs, rhs in eq_rows:
+            if sum((c * v for c, v in zip(coeffs, z)), Fraction(0)) != rhs:
+                return False
+        for coeffs, rhs in ineq_rows:
+            if sum((c * v for c, v in zip(coeffs, z)), Fraction(0)) > rhs:
+                return False
+        return True
+
+    found: dict[tuple, None] = {}
+    for active in combinations(ineq_rows, nvars - rank):
+        z = _solve_unique(list(eq_rows) + list(active), nvars)
+        if z is not None and z not in found and feasible(z):
+            found[z] = None
+    return list(found)
+
+
+def _reference_support_candidates(payoff_rows, own_support, opp_support, n):
+    """Vertices of one side's equilibrium region for fixed supports.
+
+    payoff_rows[i][j] is the payoff of own action i against opponent action
+    j; variables are the opponent's probabilities on opp_support plus the
+    common payoff level v.  Own supported actions are indifferent at v, own
+    unsupported actions do no better, probabilities are nonnegative and sum
+    to one.  Returns full-length probability vectors.
+    """
+    nvars = len(opp_support) + 1
+    zero = Fraction(0)
+
+    def payoff_row(i):
+        coeffs = [payoff_rows[i][j] for j in opp_support] + [Fraction(-1)]
+        return (tuple(coeffs), zero)
+
+    eq_rows = [payoff_row(i) for i in own_support]
+    eq_rows.append((tuple([Fraction(1)] * len(opp_support) + [zero]), Fraction(1)))
+    ineq_rows = [payoff_row(i) for i in range(n) if i not in own_support]
+    for idx in range(len(opp_support)):
+        coeffs = [zero] * nvars
+        coeffs[idx] = Fraction(-1)
+        ineq_rows.append((tuple(coeffs), zero))
+
+    out = []
+    for z in _reference_basic_feasible_points(eq_rows, ineq_rows, nvars):
+        full = [zero] * n
+        for idx, j in enumerate(opp_support):
+            full[j] = z[idx]
+        out.append(tuple(full))
+    return out
+
+
+def reference_support_enum(g: BimatrixGame):
+    """Enumerate exact Nash equilibria by support pairs.
+
+    For each support pair, the two players' constraint polytopes are
+    independent, so the equilibria with those supports are the product of
+    the two vertex sets.  Degenerate games yield the vertices of their
+    equilibrium components; duplicates across support pairs are removed.
+    """
+    if g.n > MAX_SUPPORT_ENUM_N:
+        raise NTooLarge(f"support enumeration capped at n = {MAX_SUPPORT_ENUM_N}")
+    n = g.n
+    row_payoffs = g.A  # row player: A[i][j] vs column j
+    col_payoffs = tuple(
+        tuple(g.B[i][j] for i in range(n)) for j in range(n)
+    )  # column player: payoff of own action j against row i
+
+    supports = []
+    for size in range(1, n + 1):
+        supports.extend(combinations(range(n), size))
+
+    found: dict[tuple, tuple[MixedStrategy, MixedStrategy]] = {}
+    for sup_x in supports:
+        for sup_y in supports:
+            ys = _reference_support_candidates(row_payoffs, sup_x, sup_y, n)
+            if not ys:
+                continue
+            xs = _reference_support_candidates(col_payoffs, sup_y, sup_x, n)
+            for xv in xs:
+                for yv in ys:
+                    key = (xv, yv)
+                    if key not in found:
+                        found[key] = (MixedStrategy(xv), MixedStrategy(yv))
+    return [found[k] for k in sorted(found)]

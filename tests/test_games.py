@@ -2,18 +2,19 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plcmarket.errors import InputError, InvalidMarket, InvalidStrategy, NotNormalized, NotSparse, NTooLarge, ShapeMismatch
 from plcmarket.games import (
+    basic_feasible_points,
     check_wsne,
     mixed,
     solve_game_support_enum,
-    solve_unique,
-    system_rank,
     validate_game,
 )
 
-from oracles import random_sparse_game_matrices
+from oracles import degenerate_game_matrices, random_sparse_game_matrices, reference_support_enum
 
 MP_A = [[1, -1], [-1, 1]]
 MP_B = [[-1, 1], [1, -1]]
@@ -118,15 +119,31 @@ def test_support_enum_size_cap():
         solve_game_support_enum(validate_game(A, A))
 
 
-def test_inconsistent_systems_have_no_rank_and_no_solution():
-    one = ((F(1), F(1)), F(1))
-    assert system_rank([one, ((F(2), F(2)), F(3))], 2) is None
-    assert solve_unique([one, ((F(2), F(2)), F(3))], 2) is None
-    assert system_rank([one, ((F(2), F(2)), F(2))], 2) == 1
-    assert solve_unique([one], 2) is None  # underdetermined
-    both = [one, ((F(1), F(-1)), F(0))]
-    assert system_rank(both, 2) == 2 and solve_unique(both, 2) == (F(1, 2), F(1, 2))
-    assert solve_unique(both + [((F(1), F(0)), F(1))], 2) is None  # consistent pivots, then 0 = 1/2
+NONNEGATIVE = [((-1, 0), 0), ((0, -1), 0)]
+
+
+def test_inconsistent_systems_have_no_vertices():
+    one = ((1, 1), 1)
+    assert basic_feasible_points([one, ((2, 2), 3)], NONNEGATIVE, 2) == []
+    assert basic_feasible_points([one, ((2, 2), 2)], NONNEGATIVE, 2) == [(F(0), F(1)), (F(1), F(0))]
+    assert basic_feasible_points([one], [], 2) == []  # underdetermined
+    assert basic_feasible_points([one], [((-1, -1), -1)], 2) == []  # the active row adds no rank
+    both = [one, ((1, -1), 0)]
+    assert basic_feasible_points(both, [], 2) == [(F(1, 2), F(1, 2))]
+    assert basic_feasible_points(both + [((1, 0), 1)], [], 2) == []  # consistent pivots, then 0 = 1/2
+
+
+def test_vertices_on_their_active_inequalities_are_feasible():
+    # each vertex of the segment z0 + z1 = 1, z >= 0 makes one bound tight
+    assert basic_feasible_points([((1, 1), 1)], NONNEGATIVE, 2) == [(F(0), F(1)), (F(1), F(0))]
+    # the cube corner z = 1 is tight on all three upper bounds
+    upper = [(tuple(int(i == j) for j in range(3)), 1) for i in range(3)]
+    assert basic_feasible_points([], upper, 3) == [(F(1), F(1), F(1))]
+
+
+def test_negative_pivots_keep_their_sign():
+    assert basic_feasible_points([((-2,), -1)], [], 1) == [(F(1, 2),)]
+    assert basic_feasible_points([((-3, 0), 2), ((0, 5), -4)], [], 2) == [(F(-2, 3), F(-4, 5))]
 
 
 def test_support_enum_outputs_are_equilibria():
@@ -146,3 +163,38 @@ def test_degenerate_rank_deficient_game():
     assert eqs
     for x, y in eqs:
         assert check_wsne(g, x, y, 0).passed
+
+
+# few distinct values, zero among them, so drawn games tie often
+PAYOFFS = st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 3), F(1)])
+
+
+@st.composite
+def small_games(draw):
+    n = draw(st.integers(1, 3))
+    A, B = ([[draw(PAYOFFS) for _ in range(n)] for _ in range(n)] for _ in "AB")
+    if draw(st.booleans()):  # A repeats a row, B repeats a column
+        A[-1] = list(A[0])
+        for row in B:
+            row[-1] = row[0]
+    zeroed = draw(st.sampled_from(["A", "B", "AB"] + [""] * 5))  # mostly neither
+    if "A" in zeroed:
+        A = [[0] * n for _ in range(n)]
+    if "B" in zeroed:
+        B = [[0] * n for _ in range(n)]
+    return validate_game(A, B)
+
+
+@settings(max_examples=60)  # the Fraction reference is slow on n = 3 games
+@given(small_games())
+def test_support_enum_matches_the_fraction_reference(g):
+    assert solve_game_support_enum(g) == reference_support_enum(g)
+
+
+def test_support_enum_matches_the_fraction_reference_at_n4():
+    rng = random.Random("support/n4")
+    sparse = random_sparse_game_matrices(rng, 4)
+    _, repeated, tied = degenerate_game_matrices(rng, 4)  # the zero game is in the goldens
+    for A, B in (sparse, repeated, tied):
+        g = validate_game(A, B)
+        assert solve_game_support_enum(g) == reference_support_enum(g)

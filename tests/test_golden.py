@@ -1,11 +1,11 @@
 """Byte-identity of artifacts and certificates on seeded inputs.
 
 Each section hashes the canonical JSON text (`serialize.dumps`) of what the
-builders, the verifier and the grid search produce on a fixed, seeded set of
-inputs.  The digests were recorded once; any change to a market file, a
-metadata file, a certificate, a witness or a search report shows up as a
-digest mismatch.  Run this file as a
-script to print the current digests when a format change is intended.
+builders, the verifier, the grid search and support enumeration produce on a
+fixed, seeded set of inputs.  The digests were recorded once; any change to a
+market file, a metadata file, a certificate, a witness, a search report or an
+equilibrium list shows up as a digest mismatch.  Run this file as a script to
+print the current digests when a format change is intended.
 """
 
 import hashlib
@@ -15,14 +15,20 @@ from fractions import Fraction as F
 from plcmarket import serialize
 from plcmarket.clearing import APPROXIMATE, MODES, verify
 from plcmarket.errors import AllZeroPrices
-from plcmarket.games import validate_game
+from plcmarket.games import solve_game_support_enum, validate_game
 from plcmarket.model import prices
 from plcmarket.rational import format_rational
 from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn, regulation_forward_witness
 from plcmarket.search import SearchConfig, search_equilibrium, unit_box
 
-from oracles import dense_view, random_market, random_sparse_game_matrices, tie_rich_market
+from oracles import (
+    degenerate_game_matrices,
+    dense_view,
+    random_market,
+    random_sparse_game_matrices,
+    tie_rich_market,
+)
 
 GOLDEN = {
     "reduced_markets": "b03ec92056c0d6847aa3b7f72b4d748011619ca0c3f34546eb6cc3173db1c9fd",
@@ -31,6 +37,7 @@ GOLDEN = {
     "forward_witnesses": "96928fd3b7d7c4e239d570a2bdbbe2266f529851c89089e528b9f7dfb7898263",
     "random_certificates": "9444c70ff6a1d644eaeb52be5f9bf9a9f2a1423bd231a1f28cfea4912f684759",
     "search_reports": "7703c2869a8b93da6441e9a09fed128a4f66f84876fedf5fc7cad6e48defa462",
+    "support_enum": "55625edcdc41f0f9d2b8b77f9a1865a2baad753fd9d2d3c771b3b189b0f3eaf7",
 }
 
 
@@ -141,6 +148,15 @@ def _random_certificates():
             yield serialize.certificate_to_obj(verify(market, p, mode, F(1, 4)))
 
 
+def _support_enum():
+    for n in range(2, 5):
+        rng = random.Random(f"golden/support/{n}")
+        games = [random_sparse_game_matrices(rng, n) for _ in range(2)]
+        for A, B in games + list(degenerate_game_matrices(rng, n)):
+            eqs = solve_game_support_enum(validate_game(A, B))
+            yield [[list(map(format_rational, s.weights)) for s in eq] for eq in eqs]
+
+
 SECTIONS = {
     "reduced_markets": _reduced_markets,
     "reduced_verdicts": _reduced_verdicts,
@@ -148,6 +164,7 @@ SECTIONS = {
     "forward_witnesses": _forward_witnesses,
     "random_certificates": _random_certificates,
     "search_reports": _search_reports,
+    "support_enum": _support_enum,
 }
 
 
