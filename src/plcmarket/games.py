@@ -178,10 +178,11 @@ def _support_candidates(payoff_rows, own_support, opp_support, n):
 
 
 def _integral(M):
-    """M scaled to integers by the lcm of its denominators; a positive scale
-    moves only the payoff level, never the equilibrium strategies."""
+    """(L, M scaled to integers by L), L the lcm of M's denominators; a
+    positive scale moves only the payoff level, never the equilibrium
+    strategies."""
     scale = lcm(*(v.denominator for row in M for v in row))
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in M]
+    return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in M]
 
 
 def solve_game_support_enum(g: BimatrixGame):
@@ -195,8 +196,8 @@ def solve_game_support_enum(g: BimatrixGame):
     if g.n > MAX_SUPPORT_ENUM_N:
         raise NTooLarge(f"support enumeration capped at n = {MAX_SUPPORT_ENUM_N}")
     n = g.n
-    row_payoffs = _integral(g.A)  # row player: A[i][j] vs column j
-    col_payoffs = _integral(list(zip(*g.B)))  # column player: own action j vs row i
+    _, row_payoffs = _integral(g.A)  # row player: A[i][j] vs column j
+    _, col_payoffs = _integral(list(zip(*g.B)))  # column player: own action j vs row i
 
     supports = [s for size in range(1, n + 1) for s in combinations(range(n), size)]
     found: set[tuple] = set()

@@ -17,15 +17,26 @@ player's, via x_k = p_k - 1.  The trader population:
 
 The gadget scalars satisfy E + sum(C) = F + sum(D), E * F = 0, and both are
 at most 40 for sparse normalized inputs.
+
+The builder works on the game's nonzeros, in integers.  It scales A and
+the columns of B to integers once, by one common denominator L, keeps each
+row's nonzeros, and computes C, D, E and F of a pair over the union of two
+rows' nonzeros (`_gadget`, the one gadget computation; the public
+`gadget_vectors_row` and `gadget_vectors_col` are its dense Fraction view).
+Every endowment amount and knee is an integer over L * n^5, so amounts and
+pieces are memoized on that integer: each distinct amount is built once as
+a Fraction and each distinct piece is one object, shared by its traders.
+The traders are built with `model.trusted` in ascending good order;
+`Market` still runs the market-wide checks.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateExtraction, NTooSmall, ShapeMismatch
-from .games import BimatrixGame, MixedStrategy
-from .model import Market, PriceVector, TraderSpec
-from .plc import PLCFunction, validate_plc
+from .games import BimatrixGame, MixedStrategy, _integral
+from .model import Market, PriceVector, TraderSpec, trusted
+from .plc import PLCFunction, linear_plc, validate_plc
 from .regulating import regulating_block
 
 
@@ -37,20 +48,43 @@ class GadgetVectors:
     F: Fraction
 
 
+def _gadget(row_i: dict, row_j: dict):
+    """(C, D, E, F) of the difference row_i - row_j of two integer rows
+    given as {index: value} over their nonzeros: C and D its positive and
+    negative parts as (index, amount) pairs in ascending index order, E and
+    F the balancing scalars, all on the rows' own scale."""
+    diff = dict(row_i)
+    for k, v in row_j.items():
+        diff[k] = diff.get(k, 0) - v
+    entries = sorted(diff.items())
+    excess = -sum(diff.values())  # sum(D) - sum(C)
+    C = [(k, d) for k, d in entries if d > 0]
+    D = [(k, -d) for k, d in entries if d < 0]
+    return C, D, max(excess, 0), max(-excess, 0)
+
+
+def _dense_gadget(row_i, row_j) -> GadgetVectors:
+    """`_gadget` of two rational rows as dense Fraction vectors."""
+    scale, rows = _integral((row_i, row_j))
+    C, D, E, F = _gadget(*({k: v for k, v in enumerate(row) if v} for row in rows))
+
+    def dense(pairs):
+        out = [Fraction(0)] * len(row_i)
+        for k, v in pairs:
+            out[k] = Fraction(v, scale)
+        return tuple(out)
+
+    return GadgetVectors(dense(C), dense(D), Fraction(E, scale), Fraction(F, scale))
+
+
 def gadget_vectors_row(A, i: int, j: int) -> GadgetVectors:
     """Positive/negative split of row difference A_i - A_j with balancing scalars."""
-    diffs = [A[i][k] - A[j][k] for k in range(len(A))]
-    C = tuple(max(d, Fraction(0)) for d in diffs)
-    D = tuple(max(-d, Fraction(0)) for d in diffs)
-    sum_c, sum_d = sum(C), sum(D)
-    if sum_d >= sum_c:
-        return GadgetVectors(C, D, sum_d - sum_c, Fraction(0))
-    return GadgetVectors(C, D, Fraction(0), sum_c - sum_d)
+    return _dense_gadget(A[i], A[j])
 
 
 def gadget_vectors_col(B, i: int, j: int) -> GadgetVectors:
     """Positive/negative split of column difference B_i - B_j (columns of B)."""
-    return gadget_vectors_row(tuple(zip(*B)), i, j)
+    return _dense_gadget([row[i] for row in B], [row[j] for row in B])
 
 
 @dataclass(frozen=True)
@@ -101,38 +135,46 @@ def build_reduced_market(game: BimatrixGame) -> tuple[Market, ReducedMarketMeta]
     n, N = meta.game_n, meta.n_goods
     aux1, aux2 = 2 * n, 2 * n + 1
     inv_n4 = Fraction(1, n**4)
-    inv_n5 = Fraction(1, n**5)
     inv_n12 = Fraction(1, n**12)
     traders = list(regulating_block(N, Fraction(1, n)))
-    # one object per distinct piece, shared by its traders, the S block's two rays included
-    pieces = {(f.slopes, f.breaks): f for t in traders for _, f in t.wanted}
+    one = traders[0].wanted[1][1]  # the S block's slope-1 ray, shared with the I traders
+    three = linear_plc(3)
+    own_kink = validate_plc((Fraction(9), Fraction(1)), (inv_n4,))
+    # A's rows, then B's columns, as integers over one L and by their nonzeros
+    scale, rows = _integral([*game.A, *zip(*game.B)])
+    rows = [{k: v for k, v in enumerate(row) if v} for row in rows]
+    den = scale * n**5
+    amounts: dict[int, Fraction] = {}  # numerator over den -> the amount
+    kinks: dict[int, PLCFunction] = {}  # numerator over den -> the slope-27 kinked piece
 
-    def piece(slopes, breaks=()) -> PLCFunction:
-        key = (slopes, breaks)
-        if key not in pieces:
-            pieces[key] = validate_plc(slopes, breaks)
-        return pieces[key]
+    def amount(num: int) -> Fraction:
+        if num not in amounts:
+            amounts[num] = Fraction(num, den)
+        return amounts[num]
 
-    def linear(theta) -> PLCFunction:
-        return piece((Fraction(theta),))
+    def kink(num: int) -> PLCFunction:
+        if num not in kinks:
+            kinks[num] = validate_plc((Fraction(27), Fraction(1)), (amount(num),))
+        return kinks[num]
 
-    def kinked(high, low, knee) -> PLCFunction:
-        return piece((Fraction(high), Fraction(low)), (knee,))
-
-    B_cols = tuple(zip(*game.B))
-    for label, own, other, M in (("U", 0, n, game.A), ("V", n, 0, B_cols)):
+    for label, own, other, M in (("U", 0, n, rows[:n]), ("V", n, 0, rows[n:])):
+        own_first = own < other  # good own + i comes before or after the other block's goods
         for i, j in meta.u_pairs:
-            gv = gadget_vectors_row(M, i, j)
-            owned = [(own + i, inv_n4), (aux1, gv.E * inv_n5)]
-            owned += [(other + k, c * inv_n5) for k, c in enumerate(gv.C)]
-            wanted = [(own + i, kinked(9, 1, inv_n4)), (aux2, linear(3))]
-            wanted += [(other + k, kinked(27, 1, d * inv_n5)) for k, d in enumerate(gv.D) if d > 0]
-            if gv.F > 0:
-                wanted.append((aux1, kinked(27, 1, gv.F * inv_n5)))
-            traders.append(TraderSpec(owned, wanted, f"{label}({i + 1},{j + 1})"))
+            C, D, e, f = _gadget(M[i], M[j])
+            owned = [(other + k, amount(c)) for k, c in C]
+            wanted = [(other + k, kink(d)) for k, d in D]
+            owned.insert(0 if own_first else len(owned), (own + i, inv_n4))
+            wanted.insert(0 if own_first else len(wanted), (own + i, own_kink))
+            if e:
+                owned.append((aux1, amount(e)))
+            if f:
+                wanted.append((aux1, kink(f)))
+            wanted.append((aux2, three))
+            label_ij = f"{label}({i + 1},{j + 1})"
+            traders.append(trusted(TraderSpec, owned=tuple(owned), wanted=tuple(wanted), label=label_ij))
 
     for i in range(2 * n):
-        traders.append(TraderSpec(((aux1, inv_n12),), ((i, linear(1)),), f"I({i + 1})"))
+        traders.append(trusted(TraderSpec, owned=((aux1, inv_n12),), wanted=((i, one),), label=f"I({i + 1})"))
 
     return Market(N, tuple(traders)), meta
 

@@ -12,19 +12,22 @@ from fractions import Fraction
 from .clearing import APPROXIMATE, Certificate, check_witness, clearing_report, clearing_windows
 from .demand import Bundle, int_demand
 from .errors import NTooSmall, OutOfRegulationBox
-from .model import Market, PriceVector, TraderSpec, normalize_prices
+from .model import Market, PriceVector, TraderSpec, normalize_prices, trusted
 from .plc import linear_plc
 
 
 def regulating_block(n_goods: int, share: Fraction) -> tuple[TraderSpec, ...]:
     """The S(i, j) traders over n_goods goods, lexicographic in (i, j): each
-    owns `share` of good i and values good i at slope 2 and good j at slope 1."""
+    owns `share` (a positive Fraction) of good i and values good i at slope 2
+    and good j at slope 1.  All of them share the two rays."""
     two, one = linear_plc(2), linear_plc(1)
     traders = []
     for i in range(n_goods):
+        owned = ((i, share),)
         for j in range(n_goods):
             if i != j:
-                traders.append(TraderSpec(((i, share),), ((i, two), (j, one)), f"S({i + 1},{j + 1})"))
+                wanted = ((i, two), (j, one)) if i < j else ((j, one), (i, two))
+                traders.append(trusted(TraderSpec, owned=owned, wanted=wanted, label=f"S({i + 1},{j + 1})"))
     return tuple(traders)
 
 

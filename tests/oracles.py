@@ -5,7 +5,8 @@ predicate is a direct transcription of the definition, the demand oracle is
 exhaustive grid enumeration of budget-feasible bundles, and the clearing
 oracle enumerates tie-variable assignments (a bounded-denominator lattice
 joined with every basic solution of the constraint system, so the sweep is
-decision-complete) with its own Gaussian elimination.  `canonical_bundle`
+decision-complete) with the Fraction Gauss-Jordan elimination that
+`reference_support_enum` uses too.  `canonical_bundle`
 is the demand set's canonical fill in Fractions, which the integer fill
 (`canonical_amounts`) must match, and `imbalance_profile` scores a price
 vector from scratch by summing those bundles over every trader: the grid
@@ -23,8 +24,11 @@ The reference circulation is Edmonds-Karp with one BFS per augmenting path,
 which the phased max-flow must match flow for flow; rational test networks
 reach the integer max-flow through `scaled_circulation`.  The dense builders
 fill N-length endowment and utility rows, trader by trader, the way the
-sparse builders must agree with.  `reference_support_enum` is the Fraction
-support enumeration that the integer one must match list for list.
+sparse builders must agree with; their gadgets come from
+`reference_gadget_vectors`, the package's earlier dense Fraction gadget,
+so they share no gadget code with the builder.  `reference_support_enum`
+is the Fraction support enumeration that the integer one must match list
+for list.
 """
 
 import json
@@ -43,7 +47,7 @@ from plcmarket.games import MAX_SUPPORT_ENUM_N, BimatrixGame, MixedStrategy
 from plcmarket.model import Market, PriceVector, TraderSpec, normalize_prices
 from plcmarket.plc import ZERO_PLC, linear_plc, validate_plc
 from plcmarket.rational import parse_epsilon, parse_rational
-from plcmarket.reduction import gadget_vectors_row
+from plcmarket.reduction import GadgetVectors
 from plcmarket.search import SearchReport
 from plcmarket.serialize import _ZERO_OBJ, _require, plc_from_obj
 
@@ -102,62 +106,21 @@ def grid_max_utility(trader: TraderSpec, p, den: int = 16) -> Fraction:
     return best
 
 
-# --- standalone exact linear algebra for the clearing oracle --------------------
-
-
-def _solve_square(rows, nvars):
-    M = [list(coeffs) + [rhs] for coeffs, rhs in rows]
-    pivots = []
-    r = 0
-    for c in range(nvars):
-        pr = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        pv = M[r][c]
-        M[r] = [v / pv for v in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(M)):
-        if M[i][nvars] != 0:
-            return None
-    if len(pivots) < nvars:
-        return None
-    sol = [Fraction(0)] * nvars
-    for i, c in enumerate(pivots):
-        sol[c] = M[i][nvars]
-    return tuple(sol)
+# --- vertices for the clearing oracle ---------------------------------------------
 
 
 def _basic_points(eq_rows, ineq_rows, nvars):
-    # rank via elimination on the equalities alone
-    rank = 0
-    if eq_rows:
-        M = [list(c) + [r] for c, r in eq_rows]
-        r = 0
-        for c in range(nvars):
-            pr = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
-            if pr is None:
-                continue
-            M[r], M[pr] = M[pr], M[r]
-            for i in range(len(M)):
-                if i != r and M[i][c] != 0:
-                    f = M[i][c] / M[r][c]
-                    M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-            r += 1
-        for i in range(r, len(M)):
-            if M[i][nvars] != 0:
-                return []  # inconsistent equalities
-        rank = r
+    """Every unique solution of the equalities plus an (nvars - rank)-subset
+    of the inequalities turned active, by the Fraction elimination of the
+    support-enumeration reference below; feasibility is left to the caller."""
+    rank = _system_rank(eq_rows, nvars)
+    if rank is None:
+        return []  # inconsistent equalities
     seen = set()
     out = []
     for active in combinations(range(len(ineq_rows)), nvars - rank):
         rows = list(eq_rows) + [ineq_rows[i] for i in active]
-        z = _solve_square(rows, nvars)
+        z = _solve_unique(rows, nvars)
         if z is not None and z not in seen:
             seen.add(z)
             out.append(z)
@@ -422,6 +385,17 @@ def dense_regulating_block(n_goods: int, share: Fraction) -> list:
     return traders
 
 
+def reference_gadget_vectors(A, i: int, j: int) -> GadgetVectors:
+    """Positive/negative split of row difference A_i - A_j with balancing scalars."""
+    diffs = [A[i][k] - A[j][k] for k in range(len(A))]
+    C = tuple(max(d, Fraction(0)) for d in diffs)
+    D = tuple(max(-d, Fraction(0)) for d in diffs)
+    sum_c, sum_d = sum(C), sum(D)
+    if sum_d >= sum_c:
+        return GadgetVectors(C, D, sum_d - sum_c, Fraction(0))
+    return GadgetVectors(C, D, Fraction(0), sum_c - sum_d)
+
+
 def _kinked(high, low, knee):
     return validate_plc((Fraction(high), Fraction(low)), (knee,))
 
@@ -441,7 +415,7 @@ def dense_reduced_traders(game) -> list:
     B_cols = tuple(zip(*game.B))
     for label, own, other, M in (("U", 0, n, game.A), ("V", n, 0, B_cols)):
         for i, j in pairs:
-            gv = gadget_vectors_row(M, i, j)
+            gv = reference_gadget_vectors(M, i, j)
             endow = [Fraction(0)] * N
             endow[own + i] = inv_n4
             for k in range(n):
@@ -699,6 +673,20 @@ def random_sparse_game_matrices(rng: random.Random, n: int, den: int = 8):
     return matrix(), matrix()
 
 
+def mixed_denominator_game_matrices(rng: random.Random, n: int):
+    """`random_sparse_game_matrices`' sparsity pattern with every nonzero
+    redrawn in [-1, 1]: A's over denominators 3 and 9, B's over 5 and 7, so
+    the two matrices' lcms differ unless both come out integral."""
+    A, B = random_sparse_game_matrices(rng, n)
+    for M, dens in ((A, (3, 9)), (B, (5, 7))):
+        for row in M:
+            for k, v in enumerate(row):
+                if v:
+                    den = rng.choice(dens)
+                    row[k] = Fraction(rng.choice((-1, 1)) * rng.randint(1, den), den)
+    return A, B
+
+
 def degenerate_game_matrices(rng: random.Random, n: int):
     """Degenerate n x n games: a zero game, a sparse game whose A repeats a
     row and whose B repeats a column, and a game tied on payoffs in {-1, 0, 1}."""
@@ -895,7 +883,8 @@ def reference_market_view(m: Market) -> tuple:
 # The package's earlier solver, kept as written: one Fraction Gauss-Jordan
 # re-run over the equalities and each active set, and a feasibility filter
 # that re-checks the equalities too.  The integer solver must return the same
-# sorted equilibrium list.
+# sorted equilibrium list.  `_solve_unique` and `_system_rank` also give the
+# clearing oracle its vertices (`_basic_points`).
 
 
 def _echelon(rows, nvars):

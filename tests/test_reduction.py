@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -17,7 +18,12 @@ from plcmarket.reduction import (
     gadget_vectors_row,
 )
 
-from oracles import dense_reduced_traders, random_sparse_game_matrices
+from oracles import (
+    dense_reduced_traders,
+    mixed_denominator_game_matrices,
+    random_sparse_game_matrices,
+    reference_gadget_vectors,
+)
 
 
 def frac_rows(rows):
@@ -73,6 +79,21 @@ def test_gadget_identities_random():
                     assert all(0 <= d <= 2 for d in gv.D)
 
 
+@pytest.mark.parametrize("draw", [random_sparse_game_matrices, mixed_denominator_game_matrices])
+def test_gadget_vectors_match_the_reference(draw):
+    rng = random.Random(71)
+    for n in (2, 3, 5, 8, 12, 16):
+        game = validate_game(*draw(rng, n))
+        if draw is mixed_denominator_game_matrices:  # so neither matrix's lcm scales both
+            assert len({math.lcm(*(v.denominator for row in M for v in row)) for M in (game.A, game.B)}) == 2
+        B_cols = tuple(zip(*game.B))
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    assert gadget_vectors_row(game.A, i, j) == reference_gadget_vectors(game.A, i, j)
+                    assert gadget_vectors_col(game.B, i, j) == reference_gadget_vectors(B_cols, i, j)
+
+
 def test_reduced_market_shape_zero_game():
     game = validate_game([[0, 0], [0, 0]], [[0, 0], [0, 0]])
     market, meta = build_reduced_market(game)
@@ -100,13 +121,32 @@ def test_builder_and_writer_share_one_object_per_distinct_piece(seed, n):
     assert len({id(u) for u in entries}) == len(set(pieces)) + 1  # and one zero entry
 
 
-@settings(max_examples=25)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6))
-def test_reduced_traders_equal_the_dense_builder(seed, n):
-    game = validate_game(*random_sparse_game_matrices(random.Random(seed), n))
+def _assert_built_like_the_dense_builder(game):
     built = build_reduced_market(game)[0].traders
     dense = dense_reduced_traders(game)
     assert built == tuple(TraderSpec(enumerate(e), enumerate(u), label) for e, u, label in dense)
+    for t in built:  # the trusted traders are what the public constructor makes of them
+        assert t == TraderSpec(t.owned, t.wanted, t.label)
+        for pairs in (t.owned, t.wanted):
+            goods = [k for k, _ in pairs]
+            assert goods == sorted(set(goods))
+        assert all(type(w) is F and w > 0 for _, w in t.owned)
+        assert not any(f.is_zero for _, f in t.wanted)
+        for _, f in t.wanted:
+            assert all(type(v) is F for v in f.slopes + f.breaks)
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), mixed=st.booleans())
+def test_reduced_traders_equal_the_dense_builder(seed, n, mixed):
+    draw = mixed_denominator_game_matrices if mixed else random_sparse_game_matrices
+    _assert_built_like_the_dense_builder(validate_game(*draw(random.Random(seed), n)))
+
+
+@pytest.mark.parametrize("n", [10, 16])  # dense at n = 10, circulant at n = 16
+@pytest.mark.parametrize("draw", [random_sparse_game_matrices, mixed_denominator_game_matrices])
+def test_reduced_traders_equal_the_dense_builder_at_larger_n(draw, n):
+    _assert_built_like_the_dense_builder(validate_game(*draw(random.Random(n), n)))
 
 
 def test_meta_layout_follows_from_game_n():
