@@ -3,9 +3,17 @@
 Exit codes: 0 accept/success, 1 reject/not-found, 2 input error, 3 internal
 invariant violation or any other crash.  All artifacts are deterministic; every
 price vector written to disk is normalized.
+
+Each command runs with the cyclic garbage collector paused, and the caller's
+setting is restored on every exit.  A command's large objects (the decoded
+JSON tree, the parsed market, the flow network) live until it returns and are
+freed by reference counting, so collections during a command would rescan
+them and free nothing; the few cycles a command leaves do not grow with its
+work and are collected after it.
 """
 
 import functools
+import gc
 import sys
 import traceback
 from fractions import Fraction
@@ -27,6 +35,8 @@ from .search import SearchConfig, search_equilibrium, unit_box
 def _guard(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
         try:
             return fn(*args, **kwargs)
         except InternalInvariantViolation as exc:
@@ -39,6 +49,9 @@ def _guard(fn):
             traceback.print_exc()
             click.echo(f"internal error: {exc!r}", err=True)
             sys.exit(3)
+        finally:
+            if was_enabled:
+                gc.enable()
 
     return wrapper
 

@@ -159,16 +159,21 @@ class Market:
 
 def check_market(n_goods: int, traders) -> None:
     """The market-wide checks on traders whose nonzeros are parsed and in
-    good order: `Market` runs them, and so does the market file parser."""
+    good order: `Market` runs them, and so does the market file parser.
+    Since each list is in ascending good order, its first and last goods
+    bound its range; a sign is read off an amount's numerator."""
     if n_goods < 1:
         raise InvalidMarket("market needs at least one good")
     if not traders:
         raise InvalidMarket("market needs at least one trader")
     for idx, t in enumerate(traders):
-        if any(not 0 <= k < n_goods for k, _ in t.owned + t.wanted):
+        owned, wanted = t.owned, t.wanted
+        if (owned and (owned[0][0] < 0 or owned[-1][0] >= n_goods)
+                or wanted and (wanted[0][0] < 0 or wanted[-1][0] >= n_goods)):
             raise InvalidMarket(f"trader {idx} lists a good outside range({n_goods})")
-        if any(w < 0 for _, w in t.owned):
-            raise InvalidMarket(f"trader {idx} has a negative endowment entry")
+        for _, w in owned:
+            if w.numerator < 0:
+                raise InvalidMarket(f"trader {idx} has a negative endowment entry")
     if not any(t.owned for t in traders):  # owned amounts are positive
         raise InvalidMarket("total endowment is zero for every good")
 

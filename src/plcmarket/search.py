@@ -41,7 +41,7 @@ from operator import getitem, itemgetter
 from .clearing import APPROXIMATE, Certificate, verify
 from .demand import canonical_amounts, int_demand
 from .errors import BoxDimensionMismatch, GridBudgetExceeded, InputError, UnboundedDemand
-from .model import Market, PriceVector, normalize_prices
+from .model import Market, PriceVector, normalize_prices, trusted
 from .rational import parse_epsilon, parse_rational
 
 
@@ -127,7 +127,8 @@ def grid_scores(m: Market, axes):
     """Yield (p, score) for the grid points in product order, leaving out the
     origin and every point where some trader's demand is unbounded.  The
     score is the worst relative imbalance of canonical demand, None when a
-    zero-supply good is allocated."""
+    zero-supply good is allocated.  The axes hold nonnegative Fractions, as
+    `SearchConfig` checks its box, so each point is built with `trusted`."""
     n, sizes = len(axes), [len(axis) for axis in axes]
     D = math.lcm(*(q.denominator for axis in axes for q in axis))
     ints = [[q.numerator * (D // q.denominator) for q in axis] for axis in axes]
@@ -180,7 +181,8 @@ def grid_scores(m: Market, axes):
                             totals[k] += b - c
                     contrib[i] = new
             else:
-                yield PriceVector(tuple(map(getitem, axes, idx))), _score(totals, supply)
+                point = tuple(map(getitem, axes, idx))
+                yield trusted(PriceVector, prices=point, normalized=False), _score(totals, supply)
 
         # the next point in product order: axis j steps, the axes after it restart
         j = n - 1

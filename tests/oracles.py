@@ -20,6 +20,9 @@ connectivity is networkx's verdict on the dense, edge-by-edge economy graph.
 public constructors, `TraderSpec` and `Market`, and leaves the integer
 views to first use; `reference_dumps` is the json module's indenting
 encoder.  The one-pass parser and the memoizing writer must match them.
+`reference_check_market` checks every good and sign of every trader, which
+`model.check_market`, reading each list's ends and the numerators, must
+match message for message.
 The reference circulation is Edmonds-Karp with one BFS per augmenting path,
 which the phased max-flow must match flow for flow; rational test networks
 reach the integer max-flow through `scaled_circulation`.  The dense builders
@@ -877,6 +880,22 @@ def reference_market_view(m: Market) -> tuple:
     traders' denominators."""
     den = math.lcm(*[reference_trader_view(t)[0] for t in m.traders])
     return den, tuple(int(s * den) for s in dense_supplies(m))
+
+
+def reference_check_market(n_goods: int, traders) -> None:
+    """The market-wide checks as first written: every good of every pair
+    against the range, every sign by a Fraction comparison."""
+    if n_goods < 1:
+        raise InvalidMarket("market needs at least one good")
+    if not traders:
+        raise InvalidMarket("market needs at least one trader")
+    for idx, t in enumerate(traders):
+        if any(not 0 <= k < n_goods for k, _ in t.owned + t.wanted):
+            raise InvalidMarket(f"trader {idx} lists a good outside range({n_goods})")
+        if any(w < 0 for _, w in t.owned):
+            raise InvalidMarket(f"trader {idx} has a negative endowment entry")
+    if not any(t.owned for t in traders):  # owned amounts are positive
+        raise InvalidMarket("total endowment is zero for every good")
 
 
 # --- Fraction support enumeration ------------------------------------------------

@@ -10,12 +10,16 @@ error.  `serialize.dumps` must give the bytes of
 `reference_dumps` on any JSON tree, and every object the program builds
 without the public checks (witness bundles, parsed traders, normalized
 prices) must equal what the public constructor makes of the same values.
+`model.check_market` must raise where `reference_check_market` raises,
+with the same message, on public traders with goods out of range and
+amounts of either sign, and on parsed markets.
 """
 
 import copy
 import json
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,14 +27,17 @@ from hypothesis import strategies as st
 from plcmarket import serialize
 from plcmarket.clearing import MODES, verify
 from plcmarket.demand import Bundle
+from plcmarket.errors import InvalidMarket
 from plcmarket.games import validate_game
-from plcmarket.model import Market, PriceVector, TraderSpec, normalize_prices, prices
+from plcmarket.model import Market, PriceVector, TraderSpec, check_market, normalize_prices, prices
+from plcmarket.plc import ZERO_PLC, linear_plc, validate_plc
 from plcmarket.reduction import build_reduced_market
 
 from oracles import (
     random_market,
     random_plc,
     random_sparse_game_matrices,
+    reference_check_market,
     reference_dumps,
     reference_market_from_obj,
     reference_market_view,
@@ -227,3 +234,64 @@ def test_trusted_objects_equal_public_ones(seed, family, mode, eps):
         assert [k for k, _ in b.amounts] == sorted({k for k, _ in b.amounts})
     q = normalize_prices(p)
     assert q == PriceVector(q.prices, True) and all(type(x) is F for x in q.prices)
+
+
+def _check_message(check, n_goods, traders):
+    """None, or the message of the InvalidMarket that check raises."""
+    try:
+        check(n_goods, traders)
+    except InvalidMarket as exc:
+        return str(exc)
+    return None
+
+
+_PIECES = st.sampled_from([ZERO_PLC, linear_plc(F(1, 2)), validate_plc([2, 1], [F(3, 2)]), validate_plc([1, 0], [1])])
+
+
+@st.composite
+def _checked_traders(draw):
+    """n_goods and public traders whose goods lie in [-2, n_goods + 2) and
+    whose amounts have either sign."""
+    n_goods = draw(st.integers(0, 4))
+    goods = st.integers(-2, n_goods + 1)
+    amounts = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
+    trader = st.builds(
+        lambda owned, wanted: TraderSpec(owned.items(), wanted.items()),
+        st.dictionaries(goods, amounts, max_size=4),
+        st.dictionaries(goods, _PIECES, max_size=4),
+    )
+    return n_goods, draw(st.lists(trader, max_size=4))
+
+
+@given(case=_checked_traders())
+@settings(max_examples=300)
+def test_check_market_matches_reference(case):
+    n_goods, traders = case
+    assert _check_message(check_market, n_goods, traders) == _check_message(reference_check_market, n_goods, traders)
+
+
+def _parse_message(obj):
+    """(market, None) from the parser, or (None, its InvalidMarket message)."""
+    try:
+        return serialize.market_from_obj(copy.deepcopy(obj)), None
+    except InvalidMarket as exc:
+        return None, str(exc)
+
+
+@given(seed=st.integers(0, 2**32 - 1), family=FAMILIES,
+       kind=st.sampled_from([None, "negative", "zero-endowment", "all-zero-endowments", "unreduced-zero"]),
+       where=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)))
+@settings(max_examples=100)
+def test_check_market_matches_reference_on_parsed_markets(seed, family, kind, where):
+    obj = _file_obj(_market(family, seed))
+    if kind is not None:
+        CORRUPTIONS[kind](obj, where[0] % len(obj["traders"]), where[1] % obj["n_goods"])
+    m, got = _parse_message(obj)
+    with mock.patch.object(serialize, "check_market", reference_check_market):
+        _, want = _parse_message(obj)
+    assert got == want
+    if m is not None:  # the parsed traders against narrower ranges, and none of them
+        for n_goods in range(m.n_goods + 1):
+            for traders in (m.traders, m.traders[1:], ()):
+                assert (_check_message(check_market, n_goods, traders)
+                        == _check_message(reference_check_market, n_goods, traders))

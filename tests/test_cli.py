@@ -1,3 +1,4 @@
+import gc
 import json
 import time
 
@@ -5,6 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from plcmarket.cli import main
+from plcmarket.clearing import verify
+from plcmarket.errors import InternalInvariantViolation
 
 
 def run(*args):
@@ -365,7 +368,7 @@ def test_negative_eps_is_input_error(tmp_path, monkeypatch):
     run("gen-mn", "--n", "2", "-o", str(market))
     calls = []
     monkeypatch.setattr("plcmarket.search.int_demand", lambda *args: calls.append(args))
-    monkeypatch.setattr("plcmarket.search.PriceVector", lambda *args: calls.append(args))
+    monkeypatch.setattr("plcmarket.search.grid_scores", lambda *args: calls.append(args) or [])
     res = run("search-eq", "--market", str(market), "--eps", "-1/2")
     assert res.exit_code == 2 and "nonnegative" in res.output
     assert calls == []
@@ -421,3 +424,60 @@ def test_malformed_market_file_exits_2_with_its_message(tmp_path, corrupt, messa
     write(p, {"prices": ["1", "2"]})
     res = run("verify", "--market", str(market), "--prices", str(p), "--eps", "1/2")
     assert res.exit_code == 2 and f"error: {message}" in res.output
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("case, code", [("accept", 0), ("reject", 1), ("malformed", 2), ("invariant", 3),
+                                        ("crash", 3)])
+def test_command_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, case, code, enabled):
+    market = tmp_path / "m2.json"
+    assert run("gen-mn", "--n", "2", "-o", str(market)).exit_code == 0
+    if case == "malformed":
+        obj = json.loads(market.read_text())
+        _endowment("-1/2")(obj)
+        write(market, obj)
+    p = tmp_path / "p.json"
+    write(p, {"prices": ["1", "3" if case == "reject" else "2"]})
+    seen = []
+
+    def watched(*args):
+        seen.append(gc.isenabled())
+        if case == "invariant":
+            raise InternalInvariantViolation("planted")
+        if case == "crash":
+            raise ZeroDivisionError("boom")
+        return verify(*args)
+
+    monkeypatch.setattr("plcmarket.cli.verify", watched)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        res = run("verify", "--market", str(market), "--prices", str(p), "--eps", "1/2")
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert res.exit_code == code
+    assert after is enabled
+    assert seen == ([] if case == "malformed" else [False])
+
+
+def test_command_garbage_does_not_grow_with_its_work(tmp_path):
+    # what a command leaves to the collector is its own few cycles, not its work
+    game = tmp_path / "game.json"
+    write(game, COORD)
+
+    def cycles_left(grid_k):
+        gc.collect()
+        code = run("pipeline", "--game", str(game), "--outdir", str(tmp_path / grid_k), "--grid-k", grid_k).exit_code
+        assert code == 1  # nothing verifies at the default N^-13
+        return gc.collect()
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cycles_left("2")  # a first run also fills lazy caches
+        found = [cycles_left("2"), cycles_left("3")]
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert found[0] == found[1]

@@ -33,21 +33,22 @@ from oracles import (
 
 
 def _count_scoring(monkeypatch):
-    """Count the search's demand evaluations and grid points; the search
-    builds one PriceVector per grid point it scores."""
+    """Count the search's demand evaluations and the grid points it scores,
+    the (p, score) pairs `grid_scores` yields."""
     counts = {"demands": 0, "points": 0}
+    int_demand, walk = plcmarket.search.int_demand, plcmarket.search.grid_scores
 
-    def count(name, key):
-        original = getattr(plcmarket.search, name)
+    def counted_demand(*args):
+        counts["demands"] += 1
+        return int_demand(*args)
 
-        def counted(*args):
-            counts[key] += 1
-            return original(*args)
+    def counted_points(*args):
+        for pair in walk(*args):
+            counts["points"] += 1
+            yield pair
 
-        monkeypatch.setattr(plcmarket.search, name, counted)
-
-    count("int_demand", "demands")
-    count("PriceVector", "points")
+    monkeypatch.setattr(plcmarket.search, "int_demand", counted_demand)
+    monkeypatch.setattr(plcmarket.search, "grid_scores", counted_points)
     return counts
 
 
