@@ -3,7 +3,7 @@ piecewise-linear concave utilities, the price-regulating market family, and
 the reduction from sparse bimatrix games to 2-linear markets."""
 
 from .clearing import APPROXIMATE, EXACT, QUASI, Certificate, GoodBalance, verify
-from .demand import Bundle, DemandSet, SegmentOffer, optimal_demand
+from .demand import Bundle
 from .games import (
     BimatrixGame,
     MixedStrategy,
@@ -25,16 +25,8 @@ from .model import (
 )
 from .plc import PLCFunction, ZERO_PLC, linear_plc, validate_plc
 from .rational import format_rational, parse_rational
-from .reduction import (
-    Extraction,
-    GadgetVectors,
-    ReducedMarketMeta,
-    build_reduced_market,
-    extract_strategies,
-    gadget_vectors_col,
-    gadget_vectors_row,
-)
-from .regulating import build_mn, check_regulation_box, regulation_forward_witness
+from .reduction import Extraction, ReducedMarketMeta, build_reduced_market, extract_strategies
+from .regulating import build_mn, check_regulation_box
 from .search import SearchConfig, SearchReport, search_equilibrium, unit_box
 
 __all__ = [
@@ -44,9 +36,7 @@ __all__ = [
     "BimatrixGame",
     "Bundle",
     "Certificate",
-    "DemandSet",
     "Extraction",
-    "GadgetVectors",
     "GoodBalance",
     "Market",
     "MarketClassReport",
@@ -56,7 +46,6 @@ __all__ = [
     "ReducedMarketMeta",
     "SearchConfig",
     "SearchReport",
-    "SegmentOffer",
     "TraderSpec",
     "WsneResult",
     "ZERO_PLC",
@@ -67,16 +56,12 @@ __all__ = [
     "classify_market",
     "extract_strategies",
     "format_rational",
-    "gadget_vectors_col",
-    "gadget_vectors_row",
     "is_strongly_connected",
     "linear_plc",
     "mixed",
     "normalize_prices",
-    "optimal_demand",
     "parse_rational",
     "prices",
-    "regulation_forward_witness",
     "search_equilibrium",
     "solve_game_support_enum",
     "unit_box",

@@ -30,7 +30,7 @@ answers, puts every arc's money bound on one scale, at most M * D * e
 denominator e), gets integer flows back and re-checks the witness against
 the same answers.  Fractions are built only for the witness bundles, the
 report, and the re-check's terms on the goods where a witness leaves
-canonical demand; no `DemandSet` is built.
+canonical demand.
 """
 
 import math

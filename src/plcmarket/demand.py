@@ -7,14 +7,14 @@ piece is uncapped).  Offers strictly above the cutoff rate are bought in
 full, offers below it get nothing, and offers exactly at the cutoff form a
 tie frontier over which the remaining money must be spread.  The resulting
 description is the trader's entire optimal-bundle set, not just one optimum.
-Forced purchases and bundles are their nonzeros, (good, amount) pairs in
-ascending good order like a trader's ``owned``; no N-length row is built.
+Forced purchases and bundles are their nonzeros, goods with their amounts;
+no N-length row is built.  In the core's answer (`IntDemand`):
 
-* ``cutoff_rate > 0``: every optimal bundle equals ``forced`` plus some split
-  of ``tie_spend`` money over ``tie_offers`` within their caps.
-* ``cutoff_rate == 0``: all productive segments were affordable; optimal
-  bundles are ``forced`` plus arbitrary zero-marginal-utility spending of up
-  to ``tie_spend`` residual money on positively priced goods.
+* ``rate > 0``: every optimal bundle equals ``forced`` plus some split of
+  ``spend`` money over the tie offers ``ties`` within their caps.
+* ``rate == 0``: all productive segments were affordable; optimal bundles
+  are ``forced`` plus arbitrary zero-marginal-utility spending of up to
+  ``spend`` residual money on positively priced goods.
 * goods with zero price and a satiated utility piece appear in ``forced`` at
   their satiation point and may be topped up for free without utility change.
 
@@ -25,12 +25,11 @@ The greedy runs once, in integers: `int_demand` reads the trader's cached
 integer view (amounts in units of 1/M, slopes over their lcm) and the prices
 as P_k / D with one D, so budgets, group costs and tie spend are ints in
 units of 1/(M * D), and rates slope / p_k are compared as ints.
-This is the package's one demand path.  `optimal_demand`, with `DemandSet`
-and `SegmentOffer`, is its public Fraction view; `verify` hands the integers
-to the circulation as they are, the grid search scores the integer
-canonical fill (`canonical_amounts`), and `in_demand` re-checks a bundle
-against the integers, comparing it with that fill and building Fractions
-only where the two differ.
+This is the package's one demand path: `verify` hands the integers to the
+circulation as they are, the grid search scores the integer canonical fill
+(`canonical_amounts`), and `in_demand` re-checks a bundle against the
+integers, comparing it with that fill and building Fractions only where the
+two differ.
 """
 
 import math
@@ -41,15 +40,6 @@ from typing import NamedTuple
 from .errors import InvalidMarket, UnboundedDemand
 from .model import PriceVector, TraderSpec
 from .rational import parse_rational
-
-
-@dataclass(frozen=True)
-class SegmentOffer:
-    good: int
-    segment: int
-    rate: Fraction
-    quantity_cap: Fraction | None  # None = uncapped last segment
-    unit_cost: Fraction
 
 
 @dataclass(frozen=True)
@@ -74,15 +64,6 @@ class Bundle:
     def cost(self, p: PriceVector) -> Fraction:
         q = p.prices
         return sum((x * q[k] for k, x in self.amounts), Fraction(0))
-
-
-@dataclass(frozen=True)
-class DemandSet:
-    forced: tuple[tuple[int, Fraction], ...]  # (good, amount), ascending good
-    cutoff_rate: Fraction
-    tie_offers: tuple[SegmentOffer, ...]
-    tie_spend: Fraction  # mandatory at the cutoff; residual ceiling when cutoff_rate == 0
-    budget: Fraction
 
 
 class IntDemand(NamedTuple):
@@ -137,32 +118,6 @@ def int_demand(trader: TraderSpec, P, trader_idx: int | None = None) -> IntDeman
                 continue
         return IntDemand(v.den, forced, rate, v.slope_den * L, group, remaining, money)
     return IntDemand(v.den, forced, 0, 1, [], remaining, money)
-
-
-def optimal_demand(
-    trader: TraderSpec, p: PriceVector, trader_idx: int | None = None
-) -> DemandSet:
-    """Compute the trader's optimal-bundle set at prices p: the Fraction
-    view of `int_demand`.
-
-    Raises UnboundedDemand when a strictly wanted good has zero price.  A zero
-    budget is not an error; it yields the all-zero purchase with tie_spend 0.
-    """
-    D, P = p.scaled
-    d = int_demand(trader, P, trader_idx)
-    den = d.den
-    rate = Fraction(d.rate * D, d.rate_den)
-    ties = tuple(
-        SegmentOffer(k, i, rate, None if cap is None else Fraction(cap, den), p.prices[k])
-        for k, i, cap in d.ties
-    )
-    return DemandSet(
-        forced=tuple((k, Fraction(x, den)) for k, x in sorted(d.forced.items())),
-        cutoff_rate=rate,
-        tie_offers=ties,
-        tie_spend=Fraction(d.spend, den * D),
-        budget=Fraction(d.budget, den * D),
-    )
 
 
 def canonical_amounts(d: IntDemand, P) -> dict[int, int]:

@@ -86,10 +86,6 @@ class DegenerateExtraction(MarketError):
     """Price vector encodes the zero vector on a strategy block."""
 
 
-class OutOfRegulationBox(MarketError):
-    pass
-
-
 class BoxDimensionMismatch(MarketError):
     pass
 

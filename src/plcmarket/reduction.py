@@ -21,8 +21,7 @@ at most 40 for sparse normalized inputs.
 The builder works on the game's nonzeros, in integers.  It scales A and
 the columns of B to integers once, by one common denominator L, keeps each
 row's nonzeros, and computes C, D, E and F of a pair over the union of two
-rows' nonzeros (`_gadget`, the one gadget computation; the public
-`gadget_vectors_row` and `gadget_vectors_col` are its dense Fraction view).
+rows' nonzeros (`_gadget`, the package's one gadget computation).
 Every endowment amount and knee is an integer over L * n^5, so amounts and
 pieces are memoized on that integer: each distinct amount is built once as
 a Fraction and each distinct piece is one object, shared by its traders.
@@ -40,14 +39,6 @@ from .plc import PLCFunction, linear_plc, validate_plc
 from .regulating import regulating_block
 
 
-@dataclass(frozen=True)
-class GadgetVectors:
-    C: tuple[Fraction, ...]
-    D: tuple[Fraction, ...]
-    E: Fraction
-    F: Fraction
-
-
 def _gadget(row_i: dict, row_j: dict):
     """(C, D, E, F) of the difference row_i - row_j of two integer rows
     given as {index: value} over their nonzeros: C and D its positive and
@@ -61,30 +52,6 @@ def _gadget(row_i: dict, row_j: dict):
     C = [(k, d) for k, d in entries if d > 0]
     D = [(k, -d) for k, d in entries if d < 0]
     return C, D, max(excess, 0), max(-excess, 0)
-
-
-def _dense_gadget(row_i, row_j) -> GadgetVectors:
-    """`_gadget` of two rational rows as dense Fraction vectors."""
-    scale, rows = _integral((row_i, row_j))
-    C, D, E, F = _gadget(*({k: v for k, v in enumerate(row) if v} for row in rows))
-
-    def dense(pairs):
-        out = [Fraction(0)] * len(row_i)
-        for k, v in pairs:
-            out[k] = Fraction(v, scale)
-        return tuple(out)
-
-    return GadgetVectors(dense(C), dense(D), Fraction(E, scale), Fraction(F, scale))
-
-
-def gadget_vectors_row(A, i: int, j: int) -> GadgetVectors:
-    """Positive/negative split of row difference A_i - A_j with balancing scalars."""
-    return _dense_gadget(A[i], A[j])
-
-
-def gadget_vectors_col(B, i: int, j: int) -> GadgetVectors:
-    """Positive/negative split of column difference B_i - B_j (columns of B)."""
-    return _dense_gadget([row[i] for row in B], [row[j] for row in B])
 
 
 @dataclass(frozen=True)
@@ -117,11 +84,6 @@ class ReducedMarketMeta:
     @property
     def i_count(self) -> int:
         return 2 * self.game_n
-
-    def trader_slices(self) -> dict[str, tuple[int, int]]:
-        u0, pairs = self.s_count, len(self.u_pairs)
-        v0, i0 = u0 + pairs, u0 + 2 * pairs
-        return {"s": (0, u0), "u": (u0, v0), "v": (v0, i0), "i": (i0, i0 + self.i_count)}
 
 
 def build_reduced_market(game: BimatrixGame) -> tuple[Market, ReducedMarketMeta]:

@@ -9,10 +9,8 @@ lets prices encode free variables x_k = p_k - 1 in [0, 1].
 
 from fractions import Fraction
 
-from .clearing import APPROXIMATE, Certificate, check_witness, clearing_report, clearing_windows
-from .demand import Bundle, int_demand
-from .errors import NTooSmall, OutOfRegulationBox
-from .model import Market, PriceVector, TraderSpec, normalize_prices, trusted
+from .errors import NTooSmall
+from .model import Market, PriceVector, TraderSpec, trusted
 from .plc import linear_plc
 
 
@@ -41,23 +39,3 @@ def build_mn(n: int) -> Market:
 def check_regulation_box(n: int, p: PriceVector) -> bool:
     """True iff p has length n and every entry lies in [1, 2]."""
     return len(p.prices) == n and all(1 <= q <= 2 for q in p.prices)
-
-
-def regulation_forward_witness(n: int, p: PriceVector) -> Certificate:
-    """Accept certificate for an in-box price vector of M_n.
-
-    Normalizes first (the box is closed under normalization), then checks
-    that the identity allocation x_s = w_s is optimal for every trader.  A
-    failed optimality check here would falsify the forward direction of the
-    price-regulation property, so it raises instead of rejecting.
-    """
-    p = normalize_prices(p)
-    if not check_regulation_box(n, p):
-        raise OutOfRegulationBox(f"prices {p.prices} not in [1,2]^{n}")
-    m = build_mn(n)
-    eps = Fraction(1, n)
-    bundles = tuple(Bundle(t.owned) for t in m.traders)
-    demands = [int_demand(t, p.scaled[1], i) for i, t in enumerate(m.traders)]
-    supplies = m.supplies()
-    totals = check_witness(m, p, bundles, demands, set(), clearing_windows(supplies, p, APPROXIMATE, eps))
-    return Certificate("accept", None, APPROXIMATE, eps, bundles, clearing_report(supplies, totals, eps))

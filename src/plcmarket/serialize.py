@@ -4,7 +4,8 @@ Rationals travel as "num/den" strings (plain integer strings are accepted on
 input).  Serialization is deterministic: sorted keys, two-space indent, one
 trailing newline, the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``
 plus a newline, written by `dumps`, which encodes each distinct string and
-each shared container once per call.
+each shared container once per call.  No file holds a float, so `dumps`
+raises TypeError on one, as a value or as a key.
 
 Every check on a market file runs in `market_from_obj`: one pass over its
 entries parses them, drops zeros and checks row lengths, then
@@ -38,14 +39,6 @@ class _Strings(dict):
         return text
 
 
-def _float_str(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x in (float("inf"), float("-inf")):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
-
-
 def dumps(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\n"``, byte for byte.
 
@@ -54,13 +47,13 @@ def dumps(obj) -> str:
     piece shared by many traders) keeps its text, so the third and later
     meetings cost a lookup; the text of a container met once is not kept.
     obj must hold no cycle: json raises ValueError on one, this writer
-    RecursionError."""
+    RecursionError.  A float, which json would write, raises TypeError."""
     strings = _Strings()
     memos: list[dict[int, str | None]] = []  # per depth: id of a container -> its text, None once met
 
     def key_str(k) -> str:
-        if not isinstance(k, (str, int, float)) and k is not None:
-            raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+        if not isinstance(k, (str, int)) and k is not None:
+            raise TypeError(f"keys must be str, int, bool or None, not {k.__class__.__name__}")
         return strings[k if isinstance(k, str) else write(k, 0)]  # a scalar key is written as a string
 
     def write(o, depth: int) -> str:
@@ -70,8 +63,6 @@ def dumps(obj) -> str:
             return _LEAVES[o]
         if isinstance(o, int):
             return int.__repr__(o)
-        if isinstance(o, float):
-            return _float_str(o)
         is_list = isinstance(o, (list, tuple))
         if not is_list and not isinstance(o, dict):
             raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
@@ -262,14 +253,6 @@ def prices_from_obj(obj) -> PriceVector:
 
 
 # --- games / strategies ---------------------------------------------------------
-
-
-def game_to_obj(g: BimatrixGame):
-    return {
-        "n": g.n,
-        "A": [[format_rational(v) for v in row] for row in g.A],
-        "B": [[format_rational(v) for v in row] for row in g.B],
-    }
 
 
 def _matrix(obj, key) -> list[list[Fraction]]:

@@ -32,25 +32,48 @@ sparse builders must agree with; their gadgets come from
 so they share no gadget code with the builder.  `reference_support_enum`
 is the Fraction support enumeration that the integer one must match list
 for list.
+
+Views that only tests read live here, not in the package, which holds what
+the program runs.  `optimal_demand`, with `DemandSet` and `SegmentOffer`,
+is the Fraction view of the integer demand core, which the dense demand
+oracle, the clearing oracle and `canonical_bundle` read.
+`gadget_vectors_row` and `gadget_vectors_col` are the dense Fraction view
+of the builder's one gadget core, `reduction._gadget`, checked against
+`reference_gadget_vectors`, and `trader_slices` gives the index range of
+each of the reduced market's S, U, V and I blocks.
+`regulation_forward_witness` certifies an in-box price vector of M_n by
+re-checking the identity allocation with `clearing.check_witness`, the
+forward direction of the price-regulation property, without the flow
+that `verify` runs; `game_to_obj` writes a game file.
 """
 
 import json
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
 import networkx as nx
 
-from plcmarket.clearing import APPROXIMATE, GoodBalance, clearing_report, verify
-from plcmarket.demand import Bundle, DemandSet, SegmentOffer, optimal_demand
-from plcmarket.errors import InputError, InvalidMarket, NTooLarge, UnboundedDemand
+from plcmarket.clearing import (
+    APPROXIMATE,
+    Certificate,
+    GoodBalance,
+    check_witness,
+    clearing_report,
+    clearing_windows,
+    verify,
+)
+from plcmarket.demand import Bundle, int_demand
+from plcmarket.errors import InputError, InvalidMarket, MarketError, NTooLarge, UnboundedDemand
 from plcmarket.flow import Arc, feasible_circulation
-from plcmarket.games import MAX_SUPPORT_ENUM_N, BimatrixGame, MixedStrategy
+from plcmarket.games import MAX_SUPPORT_ENUM_N, BimatrixGame, MixedStrategy, _integral
 from plcmarket.model import Market, PriceVector, TraderSpec, normalize_prices
 from plcmarket.plc import ZERO_PLC, linear_plc, validate_plc
-from plcmarket.rational import parse_epsilon, parse_rational
-from plcmarket.reduction import GadgetVectors
+from plcmarket.rational import format_rational, parse_epsilon, parse_rational
+from plcmarket.reduction import ReducedMarketMeta, _gadget
+from plcmarket.regulating import build_mn, check_regulation_box
 from plcmarket.search import SearchReport
 from plcmarket.serialize import _ZERO_OBJ, _require, plc_from_obj
 
@@ -76,6 +99,53 @@ def plc_predicate(slopes, breaks) -> bool:
             return False
         prev = a
     return True
+
+
+# --- Fraction demand view ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SegmentOffer:
+    good: int
+    segment: int
+    rate: Fraction
+    quantity_cap: Fraction | None  # None = uncapped last segment
+    unit_cost: Fraction
+
+
+@dataclass(frozen=True)
+class DemandSet:
+    forced: tuple[tuple[int, Fraction], ...]  # (good, amount), ascending good
+    cutoff_rate: Fraction
+    tie_offers: tuple[SegmentOffer, ...]
+    tie_spend: Fraction  # mandatory at the cutoff; residual ceiling when cutoff_rate == 0
+    budget: Fraction
+
+
+def optimal_demand(
+    trader: TraderSpec, p: PriceVector, trader_idx: int | None = None
+) -> DemandSet:
+    """Compute the trader's optimal-bundle set at prices p: the Fraction
+    view of `int_demand`.
+
+    Raises UnboundedDemand when a strictly wanted good has zero price.  A zero
+    budget is not an error; it yields the all-zero purchase with tie_spend 0.
+    """
+    D, P = p.scaled
+    d = int_demand(trader, P, trader_idx)
+    den = d.den
+    rate = Fraction(d.rate * D, d.rate_den)
+    ties = tuple(
+        SegmentOffer(k, i, rate, None if cap is None else Fraction(cap, den), p.prices[k])
+        for k, i, cap in d.ties
+    )
+    return DemandSet(
+        forced=tuple((k, Fraction(x, den)) for k, x in sorted(d.forced.items())),
+        cutoff_rate=rate,
+        tie_offers=ties,
+        tie_spend=Fraction(d.spend, den * D),
+        budget=Fraction(d.budget, den * D),
+    )
 
 
 # --- exhaustive grid demand oracle ---------------------------------------------
@@ -388,6 +458,44 @@ def dense_regulating_block(n_goods: int, share: Fraction) -> list:
     return traders
 
 
+@dataclass(frozen=True)
+class GadgetVectors:
+    C: tuple[Fraction, ...]
+    D: tuple[Fraction, ...]
+    E: Fraction
+    F: Fraction
+
+
+def _dense_gadget(row_i, row_j) -> GadgetVectors:
+    """`_gadget` of two rational rows as dense Fraction vectors."""
+    scale, rows = _integral((row_i, row_j))
+    C, D, E, F = _gadget(*({k: v for k, v in enumerate(row) if v} for row in rows))
+
+    def dense(pairs):
+        out = [Fraction(0)] * len(row_i)
+        for k, v in pairs:
+            out[k] = Fraction(v, scale)
+        return tuple(out)
+
+    return GadgetVectors(dense(C), dense(D), Fraction(E, scale), Fraction(F, scale))
+
+
+def gadget_vectors_row(A, i: int, j: int) -> GadgetVectors:
+    """Positive/negative split of row difference A_i - A_j with balancing scalars."""
+    return _dense_gadget(A[i], A[j])
+
+
+def gadget_vectors_col(B, i: int, j: int) -> GadgetVectors:
+    """Positive/negative split of column difference B_i - B_j (columns of B)."""
+    return _dense_gadget([row[i] for row in B], [row[j] for row in B])
+
+
+def trader_slices(meta: ReducedMarketMeta) -> dict[str, tuple[int, int]]:
+    u0, pairs = meta.s_count, len(meta.u_pairs)
+    v0, i0 = u0 + pairs, u0 + 2 * pairs
+    return {"s": (0, u0), "u": (u0, v0), "v": (v0, i0), "i": (i0, i0 + meta.i_count)}
+
+
 def reference_gadget_vectors(A, i: int, j: int) -> GadgetVectors:
     """Positive/negative split of row difference A_i - A_j with balancing scalars."""
     diffs = [A[i][k] - A[j][k] for k in range(len(A))]
@@ -441,6 +549,33 @@ def dense_reduced_traders(game) -> list:
         utils[i] = linear_plc(1)
         traders.append((tuple(endow), tuple(utils), f"I({i + 1})"))
     return traders
+
+
+# --- forward-witness certificate ----------------------------------------------------
+
+
+class OutOfRegulationBox(MarketError):
+    pass
+
+
+def regulation_forward_witness(n: int, p: PriceVector) -> Certificate:
+    """Accept certificate for an in-box price vector of M_n.
+
+    Normalizes first (the box is closed under normalization), then checks
+    that the identity allocation x_s = w_s is optimal for every trader.  A
+    failed optimality check here would falsify the forward direction of the
+    price-regulation property, so it raises instead of rejecting.
+    """
+    p = normalize_prices(p)
+    if not check_regulation_box(n, p):
+        raise OutOfRegulationBox(f"prices {p.prices} not in [1,2]^{n}")
+    m = build_mn(n)
+    eps = Fraction(1, n)
+    bundles = tuple(Bundle(t.owned) for t in m.traders)
+    demands = [int_demand(t, p.scaled[1], i) for i, t in enumerate(m.traders)]
+    supplies = m.supplies()
+    totals = check_witness(m, p, bundles, demands, set(), clearing_windows(supplies, p, APPROXIMATE, eps))
+    return Certificate("accept", None, APPROXIMATE, eps, bundles, clearing_report(supplies, totals, eps))
 
 
 # --- reference circulation -------------------------------------------------------
@@ -807,6 +942,14 @@ def reference_search(m: Market, cfg) -> SearchReport:
 
 
 # --- reference file boundary --------------------------------------------------
+
+
+def game_to_obj(g: BimatrixGame):
+    return {
+        "n": g.n,
+        "A": [[format_rational(v) for v in row] for row in g.A],
+        "B": [[format_rational(v) for v in row] for row in g.B],
+    }
 
 
 def reference_dumps(obj) -> str:

@@ -15,28 +15,26 @@ from click.testing import CliRunner
 
 from plcmarket.clearing import APPROXIMATE, EXACT, QUASI, verify
 from plcmarket.cli import main as cli_main
-from plcmarket.demand import optimal_demand
 from plcmarket.errors import DegenerateExtraction, PLCValidationError, UnboundedDemand
 from plcmarket.games import check_wsne, mixed, solve_game_support_enum, validate_game
 from plcmarket.model import classify_market, normalize_prices, prices
 from plcmarket.plc import validate_plc
-from plcmarket.reduction import (
-    build_reduced_market,
-    extract_strategies,
-    gadget_vectors_col,
-    gadget_vectors_row,
-)
-from plcmarket.regulating import build_mn, regulation_forward_witness
+from plcmarket.reduction import build_reduced_market, extract_strategies
+from plcmarket.regulating import build_mn
 
 from oracles import (
     brute_force_clearing,
     canonical_bundle,
     dense_utility,
     dense_view,
+    gadget_vectors_col,
+    gadget_vectors_row,
     grid_max_utility,
+    optimal_demand,
     plc_predicate,
     random_market,
     random_sparse_game_matrices,
+    regulation_forward_witness,
     tie_rich_market,
 )
 

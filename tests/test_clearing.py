@@ -8,7 +8,7 @@ import plcmarket
 from plcmarket import clearing, demand
 from plcmarket.cli import main
 from plcmarket.clearing import APPROXIMATE, EXACT, MODES, QUASI, verify
-from plcmarket.demand import Bundle, in_demand, int_demand, optimal_demand
+from plcmarket.demand import Bundle, in_demand, int_demand
 from plcmarket.errors import (
     AllZeroPrices,
     InputError,
@@ -28,6 +28,7 @@ from oracles import (
     dense_in_demand,
     dense_view,
     imbalance_profile,
+    optimal_demand,
     random_market,
     random_sparse_game_matrices,
 )
@@ -141,8 +142,9 @@ def test_every_entry_point_takes_an_exact_nonnegative_epsilon():
 
 
 def test_verify_is_the_one_clearing_entry_point():
-    # the Fraction canonical fill, its scorer and budget live in the tests
-    for name in ("clearing_feasibility", "imbalance_profile", "canonical_bundle", "budget"):
+    # the Fraction demand view, its canonical fill, scorer and budget live in the tests
+    names = ("clearing_feasibility", "imbalance_profile", "canonical_bundle", "budget")
+    for name in names + ("optimal_demand", "DemandSet", "SegmentOffer"):
         assert name not in plcmarket.__all__
         for module in (plcmarket, clearing, demand):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
@@ -156,13 +158,7 @@ def test_accepting_verify_computes_each_demand_once(monkeypatch):
         calls.append(trader_idx)
         return int_demand(trader, P, trader_idx)
 
-    def fraction_path(*args, **kwargs):
-        raise AssertionError("verify reached the Fraction demand oracle")
-
     monkeypatch.setattr(clearing, "int_demand", counting)
-    # the witness re-check reads the core's ints: no Fraction demand set
-    monkeypatch.setattr(demand, "optimal_demand", fraction_path)
-    monkeypatch.setattr(demand.DemandSet, "__init__", fraction_path)
     m = build_mn(4)
     monkeypatch.setattr(Market, "supplies", lambda self: supplies_calls.append(1) or supplies(self))
     assert verify(m, prices([1, 2, F(5, 4), F(11, 8)]), APPROXIMATE, F(1, 4)).accepted

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from plcmarket.demand import Bundle, in_demand, int_demand, optimal_demand
+from plcmarket.demand import Bundle, in_demand, int_demand
 from plcmarket.errors import UnboundedDemand
 from plcmarket.games import validate_game
 from plcmarket.model import TraderSpec, prices
@@ -17,7 +17,9 @@ from oracles import (
     dense_view,
     endowment_row,
     grid_max_utility,
+    optimal_demand,
     random_market,
+    trader_slices,
 )
 
 
@@ -37,7 +39,7 @@ def test_budget_of_reduced_market_gadget_trader():
     # u = (1, 2, 1) at n = 2 with unit prices: 1/16 + sum(C)/32 + E/32
     game = validate_game([[1, F(-1, 2)], [0, F(1, 4)]], [[0, 0], [0, 0]])
     market, meta = build_reduced_market(game)
-    u_trader = market.traders[meta.trader_slices()["u"][0]]
+    u_trader = market.traders[trader_slices(meta)["u"][0]]
     assert u_trader.label == "U(1,2)"
     p = prices([1] * 6)
     # C = positive part of A_1 - A_2 = (1, 0), E = 0 here; dot product must agree

@@ -19,7 +19,7 @@ from plcmarket.games import solve_game_support_enum, validate_game
 from plcmarket.model import prices
 from plcmarket.rational import format_rational
 from plcmarket.reduction import build_reduced_market
-from plcmarket.regulating import build_mn, regulation_forward_witness
+from plcmarket.regulating import build_mn
 from plcmarket.search import SearchConfig, search_equilibrium, unit_box
 
 from oracles import (
@@ -27,6 +27,7 @@ from oracles import (
     dense_view,
     random_market,
     random_sparse_game_matrices,
+    regulation_forward_witness,
     tie_rich_market,
 )
 

@@ -10,19 +10,16 @@ from plcmarket import serialize
 from plcmarket.errors import DegenerateExtraction, NTooSmall, ShapeMismatch
 from plcmarket.games import validate_game
 from plcmarket.model import PriceVector, TraderSpec, classify_market, prices
-from plcmarket.reduction import (
-    ReducedMarketMeta,
-    build_reduced_market,
-    extract_strategies,
-    gadget_vectors_col,
-    gadget_vectors_row,
-)
+from plcmarket.reduction import ReducedMarketMeta, build_reduced_market, extract_strategies
 
 from oracles import (
     dense_reduced_traders,
+    gadget_vectors_col,
+    gadget_vectors_row,
     mixed_denominator_game_matrices,
     random_sparse_game_matrices,
     reference_gadget_vectors,
+    trader_slices,
 )
 
 
@@ -99,7 +96,7 @@ def test_reduced_market_shape_zero_game():
     market, meta = build_reduced_market(game)
     assert market.n_goods == 6
     assert meta.s_count == 30 and len(meta.u_pairs) == 2 and meta.i_count == 4
-    slices = meta.trader_slices()
+    slices = trader_slices(meta)
     u0 = market.traders[slices["u"][0]]
     assert u0.owned == ((0, F(1, 16)),)
     u0_wanted = dict(u0.wanted)
@@ -184,7 +181,7 @@ def test_conservation_pairing_identity():
     game = validate_game(A, B)
     market, meta = build_reduced_market(game)
     n = game.n
-    u_start = meta.trader_slices()["u"][0]
+    u_start = trader_slices(meta)["u"][0]
     index = {pair: u_start + t for t, pair in enumerate(meta.u_pairs)}
     for (i, j), idx in index.items():
         other = market.traders[index[(j, i)]]

@@ -4,11 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 from plcmarket.clearing import APPROXIMATE, verify
-from plcmarket.errors import NTooSmall, OutOfRegulationBox
+from plcmarket.errors import NTooSmall
 from plcmarket.model import TraderSpec, normalize_prices, prices
-from plcmarket.regulating import build_mn, check_regulation_box, regulation_forward_witness
+from plcmarket.regulating import build_mn, check_regulation_box
 
-from oracles import dense_regulating_block
+from oracles import OutOfRegulationBox, dense_regulating_block, regulation_forward_witness
 
 
 def test_build_m2_structure():

@@ -52,6 +52,25 @@ def _count_scoring(monkeypatch):
     return counts
 
 
+def _count_visits(monkeypatch):
+    """Count the trader visits of `grid_scores`: each visit reads the
+    trader's memo key once, through the key getter built for it."""
+    counts = {"visits": 0}
+    itemgetter = plcmarket.search.itemgetter
+
+    def counted_getter(*items):
+        get = itemgetter(*items)
+
+        def key(idx):
+            counts["visits"] += 1
+            return get(idx)
+
+        return key
+
+    monkeypatch.setattr(plcmarket.search, "itemgetter", counted_getter)
+    return counts
+
+
 def _support(trader, n_goods):
     return [
         k for k, (w, f) in enumerate(zip(endowment_row(trader, n_goods), utility_row(trader, n_goods)))
@@ -174,6 +193,20 @@ def test_grid_pass_evaluates_each_support_price_once(monkeypatch):
     cfg = SearchConfig(box=unit_box(6), grid_k=1, refine_rounds=0, epsilon=F(1, 2))
     search_equilibrium(market, cfg)
     assert counts == {"demands": 200, "points": 2**6}
+
+
+@pytest.mark.parametrize("n, visits", [(2, 1416), (3, 9992)])
+def test_grid_pass_visits_only_traders_on_changed_coordinates(monkeypatch, n, visits):
+    # the README's counts: a pass at grid_k 1 visits a trader at a point only
+    # when a coordinate of its support changed, not all 38 or 74 traders at
+    # each of the 2^6 or 2^8 points (2,432 and 18,944 visits)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    market, _ = build_reduced_market(validate_game(identity, identity))
+    N = market.n_goods
+    counts, visited = _count_scoring(monkeypatch), _count_visits(monkeypatch)
+    search_equilibrium(market, SearchConfig(box=unit_box(N), grid_k=1, refine_rounds=0, epsilon=F(1, 2)))
+    assert counts["points"] == 2**N
+    assert visited["visits"] == visits < len(market.traders) * 2**N
 
 
 def test_int_box_matches_fraction_box():

@@ -13,7 +13,7 @@ from plcmarket.reduction import ReducedMarketMeta, build_reduced_market
 from plcmarket.regulating import build_mn
 from plcmarket.search import SearchConfig, search_equilibrium, unit_box
 
-from oracles import random_sparse_game_matrices
+from oracles import game_to_obj, random_sparse_game_matrices
 
 
 def test_parse_rational_forms():
@@ -97,7 +97,7 @@ def test_prices_round_trip():
 
 def test_game_and_strategy_round_trip():
     g = validate_game([[1, -1], [-1, 1]], [[-1, 1], [1, -1]])
-    assert serialize.game_from_obj(serialize.game_to_obj(g)) == g
+    assert serialize.game_from_obj(game_to_obj(g)) == g
     x, y = mixed([F(1, 3), F(2, 3)]), mixed([1, 0])
     assert serialize.strategies_from_obj(serialize.strategies_to_obj(x, y)) == (x, y)
 

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plcmarket.clearing import APPROXIMATE, EXACT, MODES, verify
-from plcmarket.demand import Bundle, in_demand, int_demand, optimal_demand
+from plcmarket.demand import Bundle, in_demand, int_demand
 from plcmarket.errors import UnboundedDemand
 from plcmarket.games import validate_game
 from plcmarket.model import Market, PriceVector, TraderSpec, is_strongly_connected, normalize_prices, prices
@@ -30,6 +30,7 @@ from oracles import (
     dense_view,
     endowment_row,
     nonzeros,
+    optimal_demand,
     random_market,
     random_sparse_game_matrices,
     tie_rich_market,
