@@ -107,7 +107,7 @@ def main():
 @_guard
 def gen_mn(n: int, out, as_json):
     """Generate the price-regulating market M_n."""
-    _emit(serialize.market_to_obj(build_mn(n)), out, as_json,
+    _emit(build_mn(n), out, as_json,
           f"wrote M_{n} to {out}" if out else None)
 
 
@@ -120,7 +120,7 @@ def reduce_cmd(game_path, out, meta_path):
     """Compile a sparse normalized game into its reduced market."""
     game = serialize.game_from_obj(serialize.read_json(game_path))
     market, meta = build_reduced_market(game)
-    serialize.write_json(out, serialize.market_to_obj(market))
+    serialize.write_json(out, market)
     serialize.write_json(meta_path, serialize.meta_to_obj(meta))
     click.echo(f"reduced {game.n}x{game.n} game to market with {market.n_goods} goods, {len(market.traders)} traders")
 
@@ -204,14 +204,12 @@ def solve_game(game_path, out, as_json):
 @click.option("--eps", default="0", show_default=True)
 @click.option("--grid-k", type=int, default=4, show_default=True, help="Subdivisions per coordinate.")
 @click.option("--rounds", type=int, default=2, show_default=True, help="Refinement rounds.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Accepted for scripting; the search is deterministic and ignores it.")
 @click.option("--box-lo", default="1", show_default=True)
 @click.option("--box-hi", default="2", show_default=True)
 @click.option("-o", "out", type=click.Path(), default=None)
 @click.option("--json", "as_json", is_flag=True)
 @_guard
-def search_eq(market_path, eps, grid_k, rounds, seed, box_lo, box_hi, out, as_json):
+def search_eq(market_path, eps, grid_k, rounds, box_lo, box_hi, out, as_json):
     """Grid search for an approximate equilibrium; exit 0 iff one verifies."""
     market = serialize.market_from_obj(serialize.read_json(market_path))
     cfg = SearchConfig(
@@ -300,7 +298,7 @@ def pipeline(game_path, outdir, eps, nash_eps, grid_k, rounds, seed):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     market, meta = build_reduced_market(game)
-    serialize.write_json(outdir / "market.json", serialize.market_to_obj(market))
+    serialize.write_json(outdir / "market.json", market)
     serialize.write_json(outdir / "meta.json", serialize.meta_to_obj(meta))
     rep = search_equilibrium(market, cfg)
     serialize.write_json(outdir / "search.json", serialize.search_report_to_obj(rep))

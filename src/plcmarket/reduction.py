@@ -24,7 +24,9 @@ row's nonzeros, and computes C, D, E and F of a pair over the union of two
 rows' nonzeros (`_gadget`, the package's one gadget computation).
 Every endowment amount and knee is an integer over L * n^5, so amounts and
 pieces are memoized on that integer: each distinct amount is built once as
-a Fraction and each distinct piece is one object, shared by its traders.
+a Fraction and each distinct piece is one object, shared by its traders,
+so the market writer, which encodes each piece object once, encodes each
+distinct piece once.
 The traders are built with `model.trusted` in ascending good order;
 `Market` still runs the market-wide checks.
 """

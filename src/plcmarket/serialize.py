@@ -3,9 +3,10 @@
 Rationals travel as "num/den" strings (plain integer strings are accepted on
 input).  Serialization is deterministic: sorted keys, two-space indent, one
 trailing newline, the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``
-plus a newline, written by `dumps`, which encodes each distinct string and
-each shared container once per call.  No file holds a float, so `dumps`
-raises TypeError on one, as a value or as a key.
+plus a newline, written by `dumps`, which encodes each distinct string once
+per call and writes a `Market`'s file, dense rows of mostly zeros, from its
+traders' nonzeros.  No file holds a float, so `dumps` raises TypeError on
+one, as a value or as a key.
 
 Every check on a market file runs in `market_from_obj`: one pass over its
 entries parses them, drops zeros and checks row lengths, then
@@ -30,26 +31,38 @@ from .search import SearchReport
 _LEAVES = {None: "null", True: "true", False: "false"}
 
 
-class _Strings(dict):
-    """str -> its JSON text, encoded by the json module's C encoder on first
-    use; any other key raises TypeError."""
+class _Texts(dict):
+    """value -> its JSON text, made by encode on first use; encode raises
+    TypeError on a value it cannot write."""
 
-    def __missing__(self, s):
-        text = self[s] = json.encoder.encode_basestring_ascii(s)
+    def __init__(self, encode):
+        self.encode = encode
+
+    def __missing__(self, value):
+        text = self[value] = self.encode(value)
         return text
 
 
+def _join(texts: list[str], depth: int, brackets: str) -> str:
+    """A container at depth from its items' texts, laid out as
+    ``json.dumps(indent=2)`` lays it out; brackets is "[]" or "{}"."""
+    if not texts:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(texts) + inner[:-2] + brackets[1]
+
+
 def dumps(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\n"``, byte for byte.
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\n"``, byte for byte;
+    a `Market` is written as its market file (`_market_text`).
 
     Each distinct string is encoded once per call, and a list of strings is
-    joined in one pass.  A container met a second time at the same depth (a
-    piece shared by many traders) keeps its text, so the third and later
-    meetings cost a lookup; the text of a container met once is not kept.
-    obj must hold no cycle: json raises ValueError on one, this writer
-    RecursionError.  A float, which json would write, raises TypeError."""
-    strings = _Strings()
-    memos: list[dict[int, str | None]] = []  # per depth: id of a container -> its text, None once met
+    joined in one pass.  obj must hold no cycle: json raises ValueError on
+    one, this writer RecursionError.  A float, which json would write,
+    raises TypeError."""
+    if isinstance(obj, Market):
+        return _market_text(obj)
+    strings = _Texts(json.encoder.encode_basestring_ascii)
 
     def key_str(k) -> str:
         if not isinstance(k, (str, int)) and k is not None:
@@ -63,32 +76,15 @@ def dumps(obj) -> str:
             return _LEAVES[o]
         if isinstance(o, int):
             return int.__repr__(o)
-        is_list = isinstance(o, (list, tuple))
-        if not is_list and not isinstance(o, dict):
+        if isinstance(o, dict):
+            return _join([key_str(k) + ": " + write(v, depth + 1) for k, v in sorted(o.items())], depth, "{}")
+        if not isinstance(o, (list, tuple)):
             raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-        if not o:
-            return "[]" if is_list else "{}"
-        inner = "\n" + "  " * (depth + 1)
-        sep, end = "," + inner, inner[:-2] + ("]" if is_list else "}")
-        if len(memos) <= depth + 1:
-            memos.append({})
-        seen = memos[depth + 1].get
-        if not is_list:
-            text = "{" + inner + sep.join([
-                key_str(k) + ": " + (seen(id(v)) or write(v, depth + 1)) for k, v in sorted(o.items())
-            ]) + end
-        elif isinstance(o[0], str):
-            try:
-                text = "[" + inner + sep.join(map(strings.__getitem__, o)) + end
-            except TypeError:  # not every item is a string
-                text = "[" + inner + sep.join([seen(id(v)) or write(v, depth + 1) for v in o]) + end
-        else:
-            text = "[" + inner + sep.join([seen(id(v)) or write(v, depth + 1) for v in o]) + end
-        memo = memos[depth]
-        memo[id(o)] = text if id(o) in memo else None
-        return text
+        try:
+            return _join(list(map(strings.__getitem__, o)), depth, "[]")
+        except TypeError:  # not every item is a string
+            return _join([write(v, depth + 1) for v in o], depth, "[]")
 
-    memos.append({})
     return write(obj, 0) + "\n"
 
 
@@ -98,10 +94,11 @@ def write_json(path, obj):
 
 
 def read_json(path):
+    # bad JSON, bytes that are not UTF-8 and an over-long int literal raise ValueError
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -118,15 +115,6 @@ def _require(obj, key, kind, where):
 # --- PLC / market -------------------------------------------------------------
 
 
-def plc_to_obj(f: PLCFunction):
-    if f.is_zero:
-        return {"kind": "zero"}
-    return {
-        "slopes": [format_rational(s) for s in f.slopes],
-        "breaks": [format_rational(a) for a in f.breaks],
-    }
-
-
 def plc_from_obj(obj) -> PLCFunction:
     if not isinstance(obj, dict):
         raise InputError("utility entry must be an object")
@@ -138,6 +126,7 @@ def plc_from_obj(obj) -> PLCFunction:
 
 _ZERO = "0/1"
 _ZERO_OBJ = {"kind": "zero"}  # most entries of a sparse market are these two
+_ZERO_PIECE_TEXT = _join(['"kind": "zero"'], 4, "{}")  # a utility entry sits at depth 4 of a market file
 
 
 def _dense_row(pairs, n_goods: int) -> list[str]:
@@ -149,26 +138,29 @@ def _dense_row(pairs, n_goods: int) -> list[str]:
     return row
 
 
-def market_to_obj(m: Market):
-    """Dense rows from each trader's nonzeros; every other entry is zero.
-    Every zero entry of the utility rows is one object, and so is every use
-    of one piece object, so `dumps` writes each of them once."""
-    zero = dict(_ZERO_OBJ)
-    pieces: dict[int, dict] = {}  # id of a piece -> its object
+def _market_text(m: Market) -> str:
+    """The text `dumps` gives m's dense rows, ``{"n_goods", "traders":
+    [{"endowment", "label", "utilities"}]}``, written from each trader's
+    nonzeros.  Each distinct amount is encoded once per call, and each piece
+    object once, keyed by its id, which the market keeps alive."""
+    amounts = _Texts(lambda q: f'"{format_rational(q)}"')
+    pieces: dict[int, str] = {}  # id of a piece -> its text
+    zero_endowment, zero_utilities = [f'"{_ZERO}"'] * m.n_goods, [_ZERO_PIECE_TEXT] * m.n_goods
     traders = []
     for t in m.traders:
-        endow = _dense_row(t.owned, m.n_goods)
-        utils = [zero] * m.n_goods
+        endow, utils = zero_endowment.copy(), zero_utilities.copy()
+        for k, w in t.owned:
+            endow[k] = amounts[w]
         for k, f in t.wanted:
-            u = pieces.get(id(f))
-            if u is None:
-                u = pieces[id(f)] = plc_to_obj(f)
-            utils[k] = u
-        entry = {"endowment": endow, "utilities": utils}
+            if id(f) not in pieces:
+                pieces[id(f)] = _join([f'"breaks": {_join([amounts[a] for a in f.breaks], 5, "[]")}',
+                                       f'"slopes": {_join([amounts[s] for s in f.slopes], 5, "[]")}'], 4, "{}")
+            utils[k] = pieces[id(f)]
+        fields = ['"endowment": ' + _join(endow, 3, "[]")]
         if t.label is not None:
-            entry["label"] = t.label
-        traders.append(entry)
-    return {"n_goods": m.n_goods, "traders": traders}
+            fields.append('"label": ' + json.encoder.encode_basestring_ascii(t.label))
+        traders.append(_join(fields + ['"utilities": ' + _join(utils, 3, "[]")], 2, "{}"))
+    return _join([f'"n_goods": {m.n_goods}', '"traders": ' + _join(traders, 1, "[]")], 0, "{}") + "\n"
 
 
 def _piece_key(u):
@@ -200,7 +192,7 @@ def market_from_obj(obj) -> Market:
         if len(endow) != n_goods or len(utils) != n_goods:
             raise InvalidMarket(f"{where} has a row whose length is not n_goods={n_goods}")
         owned = []
-        # most entries are the zeros market_to_obj writes; any other zero is dropped too
+        # most entries are the zeros a market file holds; any other zero is dropped too
         for k, w in [(k, w) for k, w in enumerate(endow) if w != _ZERO]:
             q = amounts.get(w) if type(w) is str else None
             if q is None:

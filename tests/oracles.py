@@ -18,8 +18,12 @@ computes over each trader's support or a bundle's nonzero entries; strong
 connectivity is networkx's verdict on the dense, edge-by-edge economy graph.
 `reference_market_from_obj` is the market parser that checks through the
 public constructors, `TraderSpec` and `Market`, and leaves the integer
-views to first use; `reference_dumps` is the json module's indenting
-encoder.  The one-pass parser and the memoizing writer must match them.
+views to first use, and the one-pass parser must match it.
+`reference_dumps` is the json module's indenting encoder, and
+`market_to_obj`, with `plc_to_obj`, is the package's earlier market writer:
+the dense object tree of a market file, one object per zero entry and per
+piece.  `serialize.dumps` must write `reference_dumps` of any tree and, for
+a `Market`, of its `market_to_obj`.
 `reference_check_market` checks every good and sign of every trader, which
 `model.check_market`, reading each list's ends and the numerators, must
 match message for message.
@@ -70,12 +74,12 @@ from plcmarket.errors import InputError, InvalidMarket, MarketError, NTooLarge, 
 from plcmarket.flow import Arc, feasible_circulation
 from plcmarket.games import MAX_SUPPORT_ENUM_N, BimatrixGame, MixedStrategy, _integral
 from plcmarket.model import Market, PriceVector, TraderSpec, normalize_prices
-from plcmarket.plc import ZERO_PLC, linear_plc, validate_plc
+from plcmarket.plc import ZERO_PLC, PLCFunction, linear_plc, validate_plc
 from plcmarket.rational import format_rational, parse_epsilon, parse_rational
 from plcmarket.reduction import ReducedMarketMeta, _gadget
 from plcmarket.regulating import build_mn, check_regulation_box
 from plcmarket.search import SearchReport
-from plcmarket.serialize import _ZERO_OBJ, _require, plc_from_obj
+from plcmarket.serialize import _ZERO_OBJ, _dense_row, _require, plc_from_obj
 
 
 # --- definition-level PLC predicate -------------------------------------------
@@ -954,6 +958,38 @@ def game_to_obj(g: BimatrixGame):
 
 def reference_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def plc_to_obj(f: PLCFunction):
+    if f.is_zero:
+        return {"kind": "zero"}
+    return {
+        "slopes": [format_rational(s) for s in f.slopes],
+        "breaks": [format_rational(a) for a in f.breaks],
+    }
+
+
+def market_to_obj(m: Market):
+    """Dense rows from each trader's nonzeros; every other entry is zero.
+    Every zero entry of the utility rows is one object, and so is every use
+    of one piece object.  `reference_dumps` of this tree is the market file
+    that `serialize.dumps(m)` must write."""
+    zero = dict(_ZERO_OBJ)
+    pieces: dict[int, dict] = {}  # id of a piece -> its object
+    traders = []
+    for t in m.traders:
+        endow = _dense_row(t.owned, m.n_goods)
+        utils = [zero] * m.n_goods
+        for k, f in t.wanted:
+            u = pieces.get(id(f))
+            if u is None:
+                u = pieces[id(f)] = plc_to_obj(f)
+            utils[k] = u
+        entry = {"endowment": endow, "utilities": utils}
+        if t.label is not None:
+            entry["label"] = t.label
+        traders.append(entry)
+    return {"n_goods": m.n_goods, "traders": traders}
 
 
 def _reference_piece_key(u):

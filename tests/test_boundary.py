@@ -7,7 +7,9 @@ every market object, well formed or corrupted in one entry, both must
 return equal markets, whose integer views equal those the definition gives
 (`reference_trader_view`, `reference_market_view`), or raise the same
 error.  `serialize.dumps` must give the bytes of `reference_dumps` on any
-JSON tree without a float and refuse a float, and every object the program
+JSON tree without a float and refuse a float, and, on every market family
+the program writes, the bytes of `reference_dumps` of the market's dense
+object tree (`market_to_obj`).  Every object the program
 builds without the public checks (witness bundles, parsed traders,
 normalized prices) must equal what the public constructor makes of the
 same values.
@@ -34,8 +36,11 @@ from plcmarket.games import validate_game
 from plcmarket.model import Market, PriceVector, TraderSpec, check_market, normalize_prices, prices
 from plcmarket.plc import ZERO_PLC, linear_plc, validate_plc
 from plcmarket.reduction import build_reduced_market
+from plcmarket.regulating import build_mn
 
 from oracles import (
+    market_to_obj,
+    mixed_denominator_game_matrices,
     random_market,
     random_plc,
     random_sparse_game_matrices,
@@ -44,6 +49,7 @@ from oracles import (
     reference_market_from_obj,
     reference_market_view,
     reference_trader_view,
+    tie_rich_market,
 )
 
 
@@ -81,7 +87,7 @@ FAMILIES = st.sampled_from(["random", "pooled", "reduced2", "reduced3", "reduced
 
 def _file_obj(m: Market):
     """The market as read back from its file: every entry a distinct object."""
-    return json.loads(serialize.dumps(serialize.market_to_obj(m)))
+    return json.loads(serialize.dumps(m))
 
 
 def _parse_both(obj):
@@ -216,6 +222,49 @@ def test_dumps_refuses_floats():
     for bad in (0.5, [float("nan")], {0.5: 1}):
         with pytest.raises(TypeError):
             serialize.dumps(bad)
+
+
+_LABELS = st.none() | st.text(st.characters(blacklist_categories=("Cs",)) | st.sampled_from('"\\\n\x00é€😀'),
+                              max_size=6)
+
+
+@st.composite
+def _written_markets(draw):
+    """Markets of every family the program writes, and small labelled ones
+    with satiated pieces, one good at times, and a trader that owns nothing."""
+    family = draw(st.sampled_from(["random", "tie-rich", "mn", "reduced", "mixed-denominator", "labelled"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if family == "random":
+        return random_market(rng, max_goods=4, max_traders=4)
+    if family == "tie-rich":
+        return tie_rich_market(rng, [F(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))])
+    if family == "mn":
+        return build_mn(draw(st.integers(2, 16)))
+    if family != "labelled":
+        matrices = random_sparse_game_matrices if family == "reduced" else mixed_denominator_game_matrices
+        return build_reduced_market(validate_game(*matrices(rng, draw(st.integers(2, 8)))))[0]
+    n = draw(st.integers(1, 3))
+    traders = [TraderSpec([], [(n - 1, validate_plc([2, 0], [F(3, 2)]))], draw(_LABELS))]
+    for label in draw(st.lists(_LABELS, min_size=1, max_size=3)):
+        owned = [(k, F(rng.randint(k == 0, 4), rng.choice([1, 2, 3, 7]))) for k in range(n)]
+        traders.append(TraderSpec(owned, [(k, random_plc(rng)) for k in range(n)], label))
+    return Market(n, tuple(traders))
+
+
+def _first_difference(got: str, want: str):
+    """None, or the first line number where the texts differ with both lines;
+    a failing `==` on two market files would make pytest diff them whole."""
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for i, pair in enumerate(zip(got_lines + [None], want_lines + [None])):
+        if pair[0] != pair[1]:
+            return i + 1, *pair
+    return None
+
+
+@given(m=_written_markets())
+@settings(max_examples=150)
+def test_market_writer_matches_reference(m):
+    assert _first_difference(serialize.dumps(m), reference_dumps(market_to_obj(m))) is None
 
 
 @given(seed=st.integers(0, 2**32 - 1), family=FAMILIES, mode=st.sampled_from(MODES),

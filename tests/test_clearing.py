@@ -21,7 +21,7 @@ from plcmarket.model import Market, TraderSpec, normalize_prices, prices
 from plcmarket.plc import linear_plc, validate_plc
 from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn
-from plcmarket.serialize import certificate_to_obj, dumps, market_to_obj, prices_to_obj
+from plcmarket.serialize import certificate_to_obj, dumps, prices_to_obj
 
 from oracles import (
     brute_force_clearing,
@@ -357,7 +357,7 @@ def test_witness_recheck_rejects_a_corrupted_witness(monkeypatch, market, corrup
 
 def test_verify_cli_exits_3_on_a_corrupted_witness(tmp_path, monkeypatch):
     market, vec = tmp_path / "m.json", tmp_path / "p.json"
-    market.write_text(dumps(market_to_obj(build_mn(4))))
+    market.write_text(dumps(build_mn(4)))
     vec.write_text(dumps(prices_to_obj(prices([1, 2, F(5, 4), F(11, 8)]))))
     args = ["verify", "--market", str(market), "--prices", str(vec), "--mode", "approximate", "--eps", "1/4"]
     assert CliRunner().invoke(main, args).exit_code == 0

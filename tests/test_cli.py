@@ -1,5 +1,6 @@
 import gc
 import json
+import sys
 import time
 
 import pytest
@@ -27,6 +28,13 @@ def test_gen_mn_and_validate(tmp_path):
     res = run("validate", str(out))
     assert res.exit_code == 0
     assert "OK" in res.output
+
+
+def test_gen_mn_prints_the_bytes_it_writes(tmp_path):
+    out = tmp_path / "m4.json"
+    assert run("gen-mn", "--n", "4", "-o", str(out)).exit_code == 0
+    res = run("gen-mn", "--n", "4", "--json")
+    assert res.exit_code == 0 and res.output == out.read_text()
 
 
 def test_gen_mn_rejects_small_n():
@@ -282,6 +290,21 @@ def test_undecodable_json_is_input_error(tmp_path):
         assert res.exit_code == 2 and "INVALID" in res.output
         res = run("verify", "--market", str(market), "--prices", str(bad))
         assert res.exit_code == 2 and "invalid JSON" in res.output
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="the interpreter has no int-digit limit")
+def test_integer_past_the_digit_limit_is_input_error(tmp_path):
+    # json.load raises a plain ValueError on an integer literal it cannot convert
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    market, game, p = tmp_path / "m.json", tmp_path / "game.json", tmp_path / "p.json"
+    market.write_text('{"n_goods": ' + digits + ', "traders": []}')
+    game.write_text('{"n": ' + digits + ', "A": [["1"]], "B": [["1"]]}')
+    write(p, {"prices": ["1", "2"]})
+    res = run("verify", "--market", str(market), "--prices", str(p))
+    assert res.exit_code == 2 and f"error: {market}: invalid JSON" in res.output
+    res = run("validate", str(game))
+    assert res.exit_code == 2 and f"{game}: INVALID - {game}: invalid JSON" in res.output
 
 
 def test_unexpected_exception_exits_3(tmp_path, monkeypatch):

@@ -62,7 +62,7 @@ def _witness_obj(bundles, n_goods):
 def _reduced_markets():
     for n in range(2, 9):
         market, meta = build_reduced_market(_game(n))
-        yield serialize.market_to_obj(market)
+        yield market
         yield serialize.meta_to_obj(meta)
 
 
