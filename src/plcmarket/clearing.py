@@ -127,7 +127,7 @@ def _solve(
         a = scale[i]
         if not a:
             continue
-        if d.rate:
+        if d.ties:
             spend = d.spend * a
             arcs.append(Arc("src", ("t", i), spend, spend))
             for k, _, cap in d.ties:

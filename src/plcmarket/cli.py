@@ -42,7 +42,7 @@ def _guard(fn):
         except InternalInvariantViolation as exc:
             click.echo(f"internal invariant violation: {exc}", err=True)
             sys.exit(3)
-        except (InputError, MarketError, OSError) as exc:
+        except (MarketError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except Exception as exc:  # a crash must not exit 1, which means "reject"
@@ -265,7 +265,7 @@ def validate_cmd(paths):
     for path in paths:
         try:
             ok, detail = _validate_one(path)
-        except (InputError, MarketError, OSError) as exc:
+        except (MarketError, OSError) as exc:
             ok, detail = False, str(exc)
         all_ok &= ok
         click.echo(f"{path}: {'OK' if ok else 'INVALID'} - {detail}")

@@ -10,11 +10,11 @@ description is the trader's entire optimal-bundle set, not just one optimum.
 Forced purchases and bundles are their nonzeros, goods with their amounts;
 no N-length row is built.  In the core's answer (`IntDemand`):
 
-* ``rate > 0``: every optimal bundle equals ``forced`` plus some split of
-  ``spend`` money over the tie offers ``ties`` within their caps.
-* ``rate == 0``: all productive segments were affordable; optimal bundles
-  are ``forced`` plus arbitrary zero-marginal-utility spending of up to
-  ``spend`` residual money on positively priced goods.
+* ``ties`` non-empty (a positive cutoff rate): every optimal bundle equals
+  ``forced`` plus some split of ``spend`` money over ``ties`` within caps.
+* ``ties`` empty (cutoff rate 0): all productive segments were affordable;
+  optimal bundles are ``forced`` plus arbitrary zero-marginal-utility
+  spending of up to ``spend`` residual money on positively priced goods.
 * goods with zero price and a satiated utility piece appear in ``forced`` at
   their satiation point and may be topped up for free without utility change.
 
@@ -69,14 +69,12 @@ class Bundle:
 class IntDemand(NamedTuple):
     """The demand core's answer at prices P / D for a trader with integer
     view v: amounts in units of 1/v.den and money in units of 1/(v.den * D).
-    ``rate`` is the cutoff rate in units of D / rate_den, 0 when every
-    productive segment was bought; ``ties`` lists the tie offers
-    as (good, segment, cap) in (good, segment) order, cap None if uncapped."""
+    ``ties`` lists the tie frontier, the offers at the cutoff rate, as
+    (good, segment, cap) in (good, segment) order, cap None if uncapped; it
+    is empty when every productive segment was bought (cutoff rate 0)."""
 
     den: int
     forced: dict[int, int]
-    rate: int
-    rate_den: int
     ties: list[tuple[int, int, int | None]]
     spend: int
     budget: int
@@ -116,17 +114,17 @@ def int_demand(trader: TraderSpec, P, trader_idx: int | None = None) -> IntDeman
                     forced[k] = forced.get(k, 0) + cap
                 remaining -= cost
                 continue
-        return IntDemand(v.den, forced, rate, v.slope_den * L, group, remaining, money)
-    return IntDemand(v.den, forced, 0, 1, [], remaining, money)
+        return IntDemand(v.den, forced, group, remaining, money)
+    return IntDemand(v.den, forced, [], remaining, money)
 
 
 def canonical_amounts(d: IntDemand, P) -> dict[int, int]:
     """The canonical bundle of the core's answer d at prices P / D, in
     integers: good k in units of 1/(d.den * P_k), or 1/d.den when free.
-    Ties are filled in (good, segment) order; residual money at cutoff rate 0
+    Ties are filled in (good, segment) order; residual money with no ties
     is left unspent, so the canonical bundle never buys zero-utility goods."""
     x = {k: a * (P[k] or 1) for k, a in d.forced.items()}
-    if d.rate:
+    if d.ties:
         money = d.spend
         for k, _, cap in d.ties:
             if not money:

@@ -112,11 +112,8 @@ def scale_trader(owned, wanted, shapes: dict | None = None) -> ScaledTrader:
         pieces = []
         for v in views:
             a, b = den // v.den, slope_den // v.slope_den
-            if a == 1 and b == 1:
-                pieces.append((v.satiation, v.segments))
-            else:
-                segments = tuple([(i, s * b, None if cap is None else cap * a) for i, s, cap in v.segments])
-                pieces.append((None if v.satiation is None else v.satiation * a, segments))
+            segments = tuple([(i, s * b, None if cap is None else cap * a) for i, s, cap in v.segments])
+            pieces.append((None if v.satiation is None else v.satiation * a, segments))
         # the shape holds the piece objects, so no id in its key can be reused while it lives
         shape = (den, slope_den, [den // d for d in key[0]], pieces, [f for _, f in wanted])
         if shapes is not None:

@@ -174,12 +174,10 @@ def grid_scores(m: Market, axes):
                     stale.update(visit[pos:])
                     break
                 # an entry and its part of the totals only ever change together
-                old = contrib[i]
-                if new is not old:
-                    for k, b, c in zip(supports[i], new, old):
-                        if b != c:
-                            totals[k] += b - c
-                    contrib[i] = new
+                for k, b, c in zip(supports[i], new, contrib[i]):
+                    if b != c:
+                        totals[k] += b - c
+                contrib[i] = new
             else:
                 point = tuple(map(getitem, axes, idx))
                 yield trusted(PriceVector, prices=point, normalized=False), _score(totals, supply)

@@ -5,8 +5,8 @@ input).  Serialization is deterministic: sorted keys, two-space indent, one
 trailing newline, the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``
 plus a newline, written by `dumps`, which encodes each distinct string once
 per call and writes a `Market`'s file, dense rows of mostly zeros, from its
-traders' nonzeros.  No file holds a float, so `dumps` raises TypeError on
-one, as a value or as a key.
+traders' nonzeros.  No file holds a float or a key that is not a string,
+so `dumps` raises TypeError on either.
 
 Every check on a market file runs in `market_from_obj`: one pass over its
 entries parses them, drops zeros and checks row lengths, then
@@ -58,16 +58,12 @@ def dumps(obj) -> str:
 
     Each distinct string is encoded once per call, and a list of strings is
     joined in one pass.  obj must hold no cycle: json raises ValueError on
-    one, this writer RecursionError.  A float, which json would write,
-    raises TypeError."""
+    one, this writer RecursionError.  A float, which json would write, and
+    a key that is not a string, which json would write as one, raise
+    TypeError."""
     if isinstance(obj, Market):
         return _market_text(obj)
     strings = _Texts(json.encoder.encode_basestring_ascii)
-
-    def key_str(k) -> str:
-        if not isinstance(k, (str, int)) and k is not None:
-            raise TypeError(f"keys must be str, int, bool or None, not {k.__class__.__name__}")
-        return strings[k if isinstance(k, str) else write(k, 0)]  # a scalar key is written as a string
 
     def write(o, depth: int) -> str:
         if isinstance(o, str):
@@ -77,7 +73,7 @@ def dumps(obj) -> str:
         if isinstance(o, int):
             return int.__repr__(o)
         if isinstance(o, dict):
-            return _join([key_str(k) + ": " + write(v, depth + 1) for k, v in sorted(o.items())], depth, "{}")
+            return _join([strings[k] + ": " + write(v, depth + 1) for k, v in sorted(o.items())], depth, "{}")
         if not isinstance(o, (list, tuple)):
             raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
         try:

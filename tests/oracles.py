@@ -137,15 +137,14 @@ def optimal_demand(
     """
     D, P = p.scaled
     d = int_demand(trader, P, trader_idx)
-    den = d.den
-    rate = Fraction(d.rate * D, d.rate_den)
-    ties = tuple(
-        SegmentOffer(k, i, rate, None if cap is None else Fraction(cap, den), p.prices[k])
+    den, pieces, q = d.den, dict(trader.wanted), p.prices
+    ties = tuple(  # each offer's rate from its own piece, so dense_demand checks them all
+        SegmentOffer(k, i, pieces[k].slopes[i] / q[k], None if cap is None else Fraction(cap, den), q[k])
         for k, i, cap in d.ties
     )
     return DemandSet(
         forced=tuple((k, Fraction(x, den)) for k, x in sorted(d.forced.items())),
-        cutoff_rate=rate,
+        cutoff_rate=ties[0].rate if ties else Fraction(0),
         tie_offers=ties,
         tie_spend=Fraction(d.spend, den * D),
         budget=Fraction(d.budget, den * D),

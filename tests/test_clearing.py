@@ -263,7 +263,7 @@ def _reduced_n2():
 
 
 def _unwaived(demands, waived):
-    return next(i for i, d in enumerate(demands) if i not in waived and d.rate)
+    return next(i for i, d in enumerate(demands) if i not in waived and d.ties)
 
 
 def _move_tie_money(m, p, demands, waived, x):
@@ -272,7 +272,7 @@ def _move_tie_money(m, p, demands, waived, x):
     wanted = [{k for k, _ in t.wanted} for t in m.traders]
     for i, d in enumerate(demands):
         others = [g for g, q in enumerate(p.prices) if q and g not in wanted[i]]
-        if i in waived or not d.rate or not others:
+        if i in waived or not d.ties or not others:
             continue
         for k, _, _ in d.ties:
             extra = x[i].get(k, 0) - F(d.forced.get(k, 0), d.den)

@@ -1,4 +1,5 @@
-"""Metamorphic referees for `verify` at the benchmark's sizes.
+"""Metamorphic referees for `verify`, the grid walk and the reduction
+builder at the benchmark's sizes.
 
 The brute-force oracles stop at tiny markets, so nothing else referees a
 verdict on `M_16` or on the reduced market of an n = 8 game.  These tests
@@ -11,10 +12,19 @@ undoes.  A reason names trader and good indices, which the relations move,
 so only its kind is compared.  The prices are drawn as the benchmark draws
 them: in the box [1, 2], with one entry pushed out of it, or with one entry
 zero.
+
+Permuting the goods together with the grid's axes permutes the points
+`grid_scores` walks and must skip the same ones; reversing the axes and
+shuffling the traders walks the same points in another order and must
+leave each point's score as it was.  Permuting a game's row and column
+actions must relabel its reduced market's goods and traders and change
+nothing else.
 """
 
 import functools
 import random
+import re
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -26,6 +36,7 @@ from plcmarket.games import validate_game
 from plcmarket.model import Market, PriceVector, TraderSpec
 from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn
+from plcmarket.search import _axis_points, grid_scores
 
 from oracles import random_sparse_game_matrices
 
@@ -89,3 +100,83 @@ def test_verify_verdict_survives_relabelling_duplication_and_scaling(name, kind,
         want = _kind(verify(m, PriceVector(p), mode, eps))
         for market, q in variants:
             assert _kind(verify(market, PriceVector(q), mode, eps)) == want, (mode, eps)
+
+
+def _walk(m: Market, axes, perm=None) -> Counter:
+    """The (point, score) pairs grid_scores yields, each point read back in
+    the original goods' order when the goods were renamed by perm; with
+    perm, only the points, since canonical demand fills ties in good order
+    and renaming goods may change a point's score."""
+    walk = grid_scores(m, axes)
+    if perm is None:
+        return Counter((p.prices, score) for p, score in walk)
+    return Counter(tuple(p.prices[k] for k in perm) for p, _ in walk)
+
+
+@pytest.mark.parametrize("name", [f"reduced{n}-{seed}" for n in (2, 3) for seed in range(3)] + ["M4"])
+def test_grid_walk_survives_permuting_goods_axes_and_traders(name):
+    """On [1, 2] at grid_k 1 for reduced markets of seeded n = 2, 3 games;
+    on [0, 2] at grid_k 2 for M_4, where the origin and the points with an
+    unbounded demand are skipped.  Renaming the goods together with the
+    axes keeps the points walked; reversing each axis and shuffling the
+    traders walks the same points in another order, and each keeps its
+    score."""
+    if name == "M4":
+        m, axes = build_mn(4), [_axis_points(F(0), F(2), 2)] * 4
+    else:
+        n, seed = map(int, name.removeprefix("reduced").split("-"))
+        m, _ = build_reduced_market(validate_game(*random_sparse_game_matrices(random.Random(seed), n)))
+        axes = [_axis_points(F(1), F(2), 1)] * m.n_goods
+    rng = random.Random(name)
+    n = m.n_goods
+    perm = rng.sample(range(n), n)
+    permuted_axes = [None] * n
+    for k, axis in enumerate(axes):
+        permuted_axes[perm[k]] = axis
+    want = _walk(m, axes)
+    assert _walk(_permute_goods(m, perm), permuted_axes, perm) == Counter(p for p, _ in want.elements())
+    shuffled = Market(n, tuple(rng.sample(m.traders, len(m.traders))))
+    assert _walk(shuffled, [axis[::-1] for axis in axes]) == want
+    if name == "M4":
+        assert sum(want.values()) == 2**4  # every point with a zero price is skipped
+
+
+def _permute_game(A, B, sigma, tau):
+    """The game with row action i renamed sigma[i] and column action j tau[j]."""
+    n = len(A)
+    A2, B2 = [[F(0)] * n for _ in range(n)], [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            A2[sigma[i]][tau[j]], B2[sigma[i]][tau[j]] = A[i][j], B[i][j]
+    return A2, B2
+
+
+def _relabelled(m: Market, good, action) -> dict:
+    """m's traders as label -> (owned, wanted) with every good k renamed
+    good[k] and every label's indices renamed to match: an S or I index
+    names a good, a U or V index an action of that block (action[kind]).
+    Labels are distinct, so equal dicts are equal multisets of traders."""
+
+    def label(text):
+        kind, *idx = re.fullmatch(r"([SUVI])\((\d+)(?:,(\d+))?\)", text).groups()
+        rename = good if kind in "SI" else action[kind]
+        return f"{kind}({','.join(str(rename[int(i) - 1] + 1) for i in idx if i)})"
+
+    traders = {
+        label(t.label): (sorted((good[k], w) for k, w in t.owned), sorted((good[k], f) for k, f in t.wanted))
+        for t in m.traders
+    }
+    assert len(traders) == len(m.traders)
+    return traders
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_reduced_market_survives_permuting_the_actions(n):
+    rng = random.Random(n)
+    A, B = random_sparse_game_matrices(rng, n)
+    sigma, tau = rng.sample(range(n), n), rng.sample(range(n), n)
+    m, _ = build_reduced_market(validate_game(A, B))
+    permuted, _ = build_reduced_market(validate_game(*_permute_game(A, B, sigma, tau)))
+    good = sigma + [n + j for j in tau] + [2 * n, 2 * n + 1]
+    same = _relabelled(permuted, range(2 * n + 2), {"U": range(n), "V": range(n)})
+    assert _relabelled(m, good, {"U": sigma, "V": tau}) == same
