@@ -25,8 +25,8 @@ built.
 `verify` is the one entry point: a witness allocation is the `allocation`
 of its accept certificate.  It runs on one integer scale from the demand
 oracle through max-flow and the re-check: it takes `int_demand`'s integer
-answers, puts every arc's money bound on one scale, at most M * D * e
-(quantities in units of 1/M market-wide, prices P_k / D, eps with
+answers on the market's view, all in units of 1/M market-wide, puts every
+arc's money bound on one scale, at most M * D * e (prices P_k / D, eps with
 denominator e), gets integer flows back and re-checks the witness against
 the same answers.  Fractions are built only for the witness bundles, the
 report, and the re-check's terms on the goods where a witness leaves
@@ -103,29 +103,25 @@ def _solve(
     Every arc carries money at one integer scale, Q * D: quantities count
     1/Q, with Q the lcm of the market's denominator M and the windows'
     (a divisor of M times the denominator of eps), and prices are P_k / D.
-    A trader whose amounts count 1/M_i scales them by Q // M_i.  The
-    witness bundles skip `Bundle`'s checks: their amounts are exact
-    Fractions made here, on distinct goods in range."""
+    Every demand counts amounts in units of 1/M, so one factor Q // M
+    scales them all.  The witness bundles skip `Bundle`'s checks: their
+    amounts are exact Fractions made here, on distinct goods in range."""
     D, P = p.scaled
-    Q = math.lcm(m.scaled[0], *(b.denominator for w in windows for b in w))
-    scale = [0] * len(demands)  # Q // M_i per trader whose demand counts, else 0
+    M = m.scaled[0]
+    Q = math.lcm(M, *(b.denominator for w in windows for b in w))
+    a = Q // M
+    counted = [d is not None and i not in waived for i, d in enumerate(demands)]
+    inf = Q * D + sum(d.budget for d in demands if d is not None) * a  # exceeds the money of every arc
     forced = [0] * m.n_goods
-    inf = Q * D  # exceeds the money of every arc: all budgets plus 1
-    for i, d in enumerate(demands):
-        if d is None:
-            continue
-        a = Q // d.den
-        inf += d.budget * a
-        if i not in waived:
-            scale[i] = a
+    for d, c in zip(demands, counted):
+        if c:
             for k, x in d.forced.items():
                 forced[k] += x * a
     priced = [k for k, q in enumerate(P) if q]
     arcs: list[Arc] = []
     qty_arcs: list[tuple[int, int, int]] = []  # (arc index, trader, good)
-    for i, d in enumerate(demands):
-        a = scale[i]
-        if not a:
+    for i, (d, c) in enumerate(zip(demands, counted)):
+        if not c:
             continue
         if d.ties:
             spend = d.spend * a
@@ -152,11 +148,11 @@ def _solve(
     flows = feasible_circulation(arcs)
     if flows is None:
         return None
-    alloc = [{k: Fraction(x, d.den) for k, x in d.forced.items()} if a else {} for a, d in zip(scale, demands)]
+    alloc = [{k: Fraction(x, M) for k, x in d.forced.items()} if c else {} for c, d in zip(counted, demands)]
     for arc_idx, i, k in qty_arcs:
         f = flows[arc_idx]
         if f:  # the only arc of trader i to good k: a tie holds one segment of a good
-            alloc[i][k] = Fraction(demands[i].forced.get(k, 0) * scale[i] * P[k] + f, Q * P[k])
+            alloc[i][k] = Fraction(demands[i].forced.get(k, 0) * a * P[k] + f, Q * P[k])
     for k, x in top_up:
         alloc[0][k] = alloc[0].get(k, 0) + Fraction(x, Q)  # utility-neutral beyond satiation
     return tuple([trusted(Bundle, amounts=tuple(sorted(x.items()))) for x in alloc])
@@ -171,9 +167,8 @@ def _canonical_totals(m: Market, p: PriceVector, demands: list[IntDemand | None]
     for d in demands:
         if d is None:
             continue
-        a = M // d.den
         for k, x in canonical_amounts(d, P).items():
-            totals[k] += x * a
+            totals[k] += x
     return [Fraction(t, M * (q or 1)) for t, q in zip(totals, P)]
 
 
@@ -203,12 +198,12 @@ def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
     P = p.scaled[1]
     demands: list[IntDemand | None] = []
     waived: set[int] = set()
-    for i, trader in enumerate(m.traders):
+    for i, v in enumerate(m.view):
         try:
-            d = int_demand(trader, P, i)
+            d = int_demand(v, P, i)
         except UnboundedDemand as exc:
             # zero income: no good the trader owns has a positive price
-            if mode == QUASI and not any(P[k] for k, _ in trader.scaled.owned):
+            if mode == QUASI and not any(P[k] for k, _ in v.owned):
                 waived.add(i)
                 demands.append(None)
                 continue

@@ -21,10 +21,11 @@ no N-length row is built.  In the core's answer (`IntDemand`):
 A zero price on a strictly monotone piece means no optimal bundle exists and
 raises UnboundedDemand.
 
-The greedy runs once, in integers: `int_demand` reads the trader's cached
-integer view (amounts in units of 1/M, slopes over their lcm) and the prices
-as P_k / D with one D, so budgets, group costs and tie spend are ints in
-units of 1/(M * D), and rates slope / p_k are compared as ints.
+The greedy runs once, in integers: `int_demand` reads the trader's row of
+the market's integer view (`Market.view`: amounts in units of 1/M, one M
+for the whole market, slopes on one scale) and the prices as P_k / D with
+one D, so budgets, group costs and tie spend are ints in units of
+1/(M * D), and rates slope / p_k are compared as ints.
 This is the package's one demand path: `verify` hands the integers to the
 circulation as they are, the grid search scores the integer canonical fill
 (`canonical_amounts`), and `in_demand` re-checks a bundle against the
@@ -38,7 +39,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InvalidMarket, UnboundedDemand
-from .model import PriceVector, TraderSpec
+from .model import PriceVector, ScaledTrader, TraderSpec
 from .rational import parse_rational
 
 
@@ -80,12 +81,12 @@ class IntDemand(NamedTuple):
     budget: int
 
 
-def int_demand(trader: TraderSpec, P, trader_idx: int | None = None) -> IntDemand:
-    """The demand core on integers: prices P_k / D, with D left out.
+def int_demand(v: ScaledTrader, P, trader_idx: int | None = None) -> IntDemand:
+    """The demand core on a trader's integer view v at prices P_k / D, with
+    D left out.
 
     Rates slope / p_k are compared as s * (L // P_k), L the lcm of the
     positive prices the trader wants, which orders them as the rates do."""
-    v = trader.scaled
     forced: dict[int, int] = {}
     by_rate: dict[int, list] = {}
     L = math.lcm(*[P[k] for k, _, _ in v.wanted if P[k]])
@@ -137,7 +138,7 @@ def canonical_amounts(d: IntDemand, P) -> dict[int, int]:
 
 def in_demand(trader: TraderSpec, p: PriceVector, d: IntDemand, x: Bundle) -> bool:
     """Membership test for the trader's optimal-bundle set at p, given as the
-    core's answer d = `int_demand(trader, p.scaled[1])`: every good in
+    core's answer d = `int_demand(v, p.scaled[1])` on its view v: every good in
     range(len(p.prices)), no negative amount, budget-feasible, and utility
     equal to the greedy optimum.  Spending residual money on goods with zero
     marginal utility is allowed.

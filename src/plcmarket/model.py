@@ -14,13 +14,13 @@ these two lists.  A trader's dense rows exist only in market files;
 strong connectivity is decided over the trader-good incidence, so no
 trader-to-trader edge is ever built.
 
-The demand core and the circulation work on integers.  Each trader, price
-vector and market has a ``scaled`` view, cached on the object: a trader
-counts amounts in units of 1/M with M the lcm of its own denominators (a
-market-wide lcm would grow with every unrelated trader), and a price vector
-is P_k / D with one D.  Objects built in Python compute the view on first
-use, so building and reducing markets never pays for it; the traders of a
-market read from a file carry their views, filled in by the parser's pass.
+The demand core and the circulation work on integers.  A market and a price
+vector each have an integer view, cached on the object.  The market's
+`view` puts every trader on one amount scale, units of 1/M with M the lcm
+of every amount and breakpoint denominator in the market, and one slope
+scale; the circulation counts money on a multiple of M anyway.  A price
+vector's `scaled` is P_k / D with one D.  Both are computed on first use,
+so building, reducing, parsing and writing markets never pay for them.
 
 Checks happen at the boundary.  The public constructors parse and check
 every value; `trusted` builds an object from values that the parser or the
@@ -42,21 +42,19 @@ from .rational import parse_rational
 def trusted(cls, **fields):
     """An instance of the frozen dataclass cls holding ``fields`` as given,
     without running its ``__post_init__``.  The caller vouches for what the
-    public constructor would check: types, signs, zeros and good order.  A
-    cached property such as ``scaled`` may be passed along as a field."""
+    public constructor would check: types, signs, zeros and good order."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
 
 
 class ScaledTrader(NamedTuple):
-    """A trader in integers: amounts in units of 1/den, slopes in units of
-    1/slope_den.  ``owned`` holds (good, amount) pairs and ``wanted`` holds
-    (good, satiation, segments) with satiation and segments as in
-    `ScaledPiece`, rescaled to the trader's two denominators."""
+    """A trader's row of `Market.view`: amounts in units of 1/den, slopes on
+    the market's slope scale.  ``owned`` holds (good, amount) pairs and
+    ``wanted`` holds (good, satiation, segments), as
+    `PLCFunction.scaled_to` gives them."""
 
     den: int
-    slope_den: int
     owned: tuple[tuple[int, int], ...]
     wanted: tuple[tuple[int, int | None, tuple[tuple[int, int, int | None], ...]], ...]
 
@@ -90,42 +88,6 @@ class TraderSpec:
         """Goods owned or wanted, ascending; the key of the search memo."""
         return tuple(sorted({k for k, _ in self.owned}.union(k for k, _ in self.wanted)))
 
-    @cached_property
-    def scaled(self) -> ScaledTrader:
-        """The integer view of the trader, computed once per trader."""
-        return scale_trader(self.owned, self.wanted)
-
-
-def scale_trader(owned, wanted, shapes: dict | None = None) -> ScaledTrader:
-    """The integer view of a trader with nonzeros ``owned`` and ``wanted``.
-
-    The denominators, the factors and the rescaled pieces depend only on the
-    owned amounts' denominators and on the pieces, so a caller that scales
-    many traders passes one dict as ``shapes`` and traders of one shape
-    share that work."""
-    key = (tuple([w.denominator for _, w in owned]), tuple([id(f) for _, f in wanted]))
-    shape = None if shapes is None else shapes.get(key)
-    if shape is None:
-        views = [f.scaled for _, f in wanted]
-        den = math.lcm(*key[0], *[v.den for v in views])
-        slope_den = math.lcm(*[v.slope_den for v in views])
-        pieces = []
-        for v in views:
-            a, b = den // v.den, slope_den // v.slope_den
-            segments = tuple([(i, s * b, None if cap is None else cap * a) for i, s, cap in v.segments])
-            pieces.append((None if v.satiation is None else v.satiation * a, segments))
-        # the shape holds the piece objects, so no id in its key can be reused while it lives
-        shape = (den, slope_den, [den // d for d in key[0]], pieces, [f for _, f in wanted])
-        if shapes is not None:
-            shapes[key] = shape
-    den, slope_den, factors, pieces, _ = shape
-    return ScaledTrader(
-        den,
-        slope_den,
-        tuple([(k, w.numerator * a) for (k, w), a in zip(owned, factors)]),
-        tuple([(k, satiation, segments) for (k, _), (satiation, segments) in zip(wanted, pieces)]),
-    )
-
 
 @dataclass(frozen=True)
 class Market:
@@ -141,17 +103,33 @@ class Market:
         return tuple(Fraction(s, den) for s in totals)
 
     @cached_property
+    def view(self) -> tuple[ScaledTrader, ...]:
+        """The market in integers, one row per trader, all on one amount
+        scale M, the lcm of every amount and breakpoint denominator, and one
+        slope scale, the lcm of every slope denominator.  Each distinct
+        amount object and piece object is scaled once, keyed by its id while
+        the market holds it: parsed and built traders share these objects,
+        and hashing a Fraction costs more than scaling it."""
+        amounts = {id(w): w for t in self.traders for _, w in t.owned}
+        pieces = {id(f): f for t in self.traders for _, f in t.wanted}
+        den = math.lcm(*{w.denominator for w in amounts.values()},
+                       *{a.denominator for f in pieces.values() for a in f.breaks})
+        slope_den = math.lcm(*{s.denominator for f in pieces.values() for s in f.slopes})
+        amounts = {key: w.numerator * (den // w.denominator) for key, w in amounts.items()}
+        pieces = {key: f.scaled_to(den, slope_den) for key, f in pieces.items()}
+        return tuple([ScaledTrader(den, tuple([(k, amounts[id(w)]) for k, w in t.owned]),
+                                   tuple([(k, *pieces[id(f)]) for k, f in t.wanted]))
+                      for t in self.traders])
+
+    @cached_property
     def scaled(self) -> tuple[int, tuple[int, ...]]:
-        """(M, supplies): M the lcm of the traders' denominators, and the
-        total endowment per good in units of 1/M."""
-        den = math.lcm(*(t.scaled.den for t in self.traders))
+        """(M, supplies): the view's amount scale M, and the total endowment
+        per good in units of 1/M."""
         totals = [0] * self.n_goods
-        for t in self.traders:
-            v = t.scaled
-            a = den // v.den
+        for v in self.view:
             for k, w in v.owned:
-                totals[k] += w * a
-        return den, tuple(totals)
+                totals[k] += w
+        return self.view[0].den, tuple(totals)
 
 
 def check_market(n_goods: int, traders) -> None:

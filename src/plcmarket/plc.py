@@ -6,16 +6,12 @@ piecewise-linear function given by strictly decreasing nonnegative slopes
 breakpoints ``0 < a_1 < ... < a_t``.  The function starts at the origin, is
 continuous, and its last segment extends to infinity.
 
-The demand core reads a piece through `PLCFunction.scaled`, an integer view
-built on first use and cached on the piece, so pieces that several traders
-share are scaled once.
+The demand core reads a piece in integers, as `PLCFunction.scaled_to` gives
+it on a market's amount and slope scales (see `model.Market.view`).
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import NamedTuple
 
 from .errors import (
     LengthMismatch,
@@ -25,18 +21,6 @@ from .errors import (
     NonIncreasingBreakpoints,
 )
 from .rational import parse_rational
-
-
-class ScaledPiece(NamedTuple):
-    """A piece in integers: breakpoint amounts in units of 1/den and slopes
-    in units of 1/slope_den.  ``segments`` lists the positive-slope segments
-    as (segment index, slope, cap), the cap None on an uncapped last segment;
-    ``satiation`` is None when the piece never turns flat."""
-
-    den: int
-    slope_den: int
-    segments: tuple[tuple[int, int, int | None], ...]
-    satiation: int | None
 
 
 @dataclass(frozen=True)
@@ -103,11 +87,12 @@ class PLCFunction:
             return None
         return self.breaks[-1]
 
-    @cached_property
-    def scaled(self) -> ScaledPiece:
-        """The integer view of the piece, computed once per piece."""
-        den = math.lcm(*(a.denominator for a in self.breaks))
-        slope_den = math.lcm(*(s.denominator for s in self.slopes))
+    def scaled_to(self, den: int, slope_den: int):
+        """(satiation, segments): the piece in integers, breakpoint amounts in
+        units of 1/den and slopes in units of 1/slope_den, each a multiple of
+        the denominators it scales.  ``segments`` lists the positive-slope
+        segments as (segment index, slope, cap), the cap None on an uncapped
+        last segment; ``satiation`` is None when the piece never turns flat."""
         ends = [a.numerator * (den // a.denominator) for a in self.breaks]
         segments = []
         prev = 0
@@ -119,7 +104,7 @@ class PLCFunction:
             segments.append((i, slope, None if end is None else end - prev))
             prev = end
         satiation = None if self.is_strictly_monotone else (ends[-1] if ends else 0)
-        return ScaledPiece(den, slope_den, tuple(segments), satiation)
+        return satiation, tuple(segments)
 
     def __call__(self, x: Fraction) -> Fraction:
         if x < 0:

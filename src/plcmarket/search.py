@@ -20,9 +20,10 @@ at most, instead of one demand per trader and grid point; in the paper's
 reduced markets every trader touches only a handful of goods.
 
 A box's prices are P_k / D with one D, and a memo miss runs the integer
-demand core and its canonical fill (`int_demand`, `canonical_amounts`).
-Good k is counted in units of 1/(M * L_k), M the market's denominator and
-L_k the lcm of axis k's nonzero P_k, so memo entries, totals and supplies
+demand core and its canonical fill (`int_demand`, `canonical_amounts`) on
+the trader's row of the market's view, which counts amounts in units of
+1/M for the whole market.  Good k is counted in units of 1/(M * L_k), L_k
+the lcm of axis k's nonzero P_k, so memo entries, totals and supplies
 are ints on one scale per box, the worst relative imbalance is found by
 cross-multiplying, and one Fraction is built per scored point.  The walk
 keeps product order, so each step changes a suffix of the axes, and it
@@ -132,17 +133,16 @@ def grid_scores(m: Market, axes):
     n, sizes = len(axes), [len(axis) for axis in axes]
     D = math.lcm(*(q.denominator for axis in axes for q in axis))
     ints = [[q.numerator * (D // q.denominator) for q in axis] for axis in axes]
-    M, supply = m.scaled
     L = [math.lcm(*[q for q in axis if q]) for axis in ints]
-    units = [[lk // q if q else lk for q in axis] for lk, axis in zip(L, ints)]  # 1/(den * P_k) -> 1/(M * L_k)
-    supply = [s * lk for s, lk in zip(supply, L)]
+    units = [[lk // q if q else lk for q in axis] for lk, axis in zip(L, ints)]  # 1/(M * P_k) -> 1/(M * L_k)
+    supply = [s * lk for s, lk in zip(m.scaled[1], L)]
 
-    traders, supports = m.traders, [t.support for t in m.traders]
+    view, supports = m.view, [t.support for t in m.traders]
     walked = [i for i, support in enumerate(supports) if support]  # an empty support demands nothing
     keys = {i: itemgetter(*supports[i]) for i in walked}
     last = {i: max((k for k in supports[i] if sizes[k] > 1), default=-1) for i in walked}
     touched = [[i for i in walked if last[i] >= j] for j in range(n)]  # step j changes axes j..n-1
-    memos = [{} for _ in traders]
+    memos = [{} for _ in view]
     contrib = [(0,) * len(support) for support in supports]
     totals = [0] * n
 
@@ -163,12 +163,12 @@ def grid_scores(m: Market, axes):
                 new = memos[i].get(key)
                 if new is None:
                     try:
-                        d = int_demand(traders[i], P, i)
+                        d = int_demand(view[i], P, i)
                     except UnboundedDemand:
                         new = _UNBOUNDED  # a strictly wanted free good
                     else:
-                        x, a = canonical_amounts(d, P), M // d.den
-                        new = tuple(x[k] * a * U[k] if k in x else 0 for k in supports[i])
+                        x = canonical_amounts(d, P)
+                        new = tuple(x[k] * U[k] if k in x else 0 for k in supports[i])
                     memos[i][key] = new
                 if new is _UNBOUNDED:
                     stale.update(visit[pos:])

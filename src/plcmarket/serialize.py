@@ -11,8 +11,9 @@ so `dumps` raises TypeError on either.
 Every check on a market file runs in `market_from_obj`: one pass over its
 entries parses them, drops zeros and checks row lengths, then
 `model.check_market` checks signs and the total endowment.  The traders and
-the market it returns are built with `model.trusted`, the traders' integer
-views filled in, so nothing downstream checks or scales them again.
+the market it returns are built with `model.trusted`, so nothing downstream
+checks them again; the market's integer view (`Market.view`) is built on
+first use, by the same code as for a market built in Python.
 """
 
 import json
@@ -21,7 +22,7 @@ from fractions import Fraction
 from .clearing import Certificate
 from .errors import InputError, InvalidMarket
 from .games import BimatrixGame, MixedStrategy, validate_game
-from .model import Market, PriceVector, TraderSpec, check_market, scale_trader, trusted
+from .model import Market, PriceVector, TraderSpec, check_market, trusted
 from .plc import ZERO_PLC, PLCFunction
 from .rational import format_rational, parse_rational
 from .reduction import ReducedMarketMeta
@@ -174,12 +175,11 @@ def market_from_obj(obj) -> Market:
     A reduced market repeats a few values many times, so each distinct
     rational string and string-valued piece is parsed once per call and
     shared; any other entry is parsed, and rejected, as it stands.  The
-    same pass drops zero amounts and pieces and scales each trader to
-    integers; `model.check_market`, which `Market` runs too, follows."""
+    same pass drops zero amounts and pieces; `model.check_market`, which
+    `Market` runs too, follows."""
     n_goods = _require(obj, "n_goods", int, "market")
     amounts: dict[str, Fraction] = {}
     pieces: dict[tuple, PLCFunction] = {}  # string-valued (slopes, breaks) -> piece
-    shapes: dict = {}  # shared by scale_trader across the traders
     traders = []
     for idx, entry in enumerate(_require(obj, "traders", list, "market")):
         where = f"trader {idx}"
@@ -215,9 +215,7 @@ def market_from_obj(obj) -> Market:
         label = entry.get("label")
         if label is not None and not isinstance(label, str):
             raise InputError(f"{where}: label must be a string")
-        owned, wanted = tuple(owned), tuple(wanted)
-        view = scale_trader(owned, wanted, shapes)
-        traders.append(trusted(TraderSpec, owned=owned, wanted=wanted, label=label, scaled=view))
+        traders.append(trusted(TraderSpec, owned=tuple(owned), wanted=tuple(wanted), label=label))
     check_market(n_goods, traders)
     return trusted(Market, n_goods=n_goods, traders=tuple(traders))
 

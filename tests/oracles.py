@@ -17,8 +17,11 @@ verifier.  The dense references restate, over all N goods, what the package
 computes over each trader's support or a bundle's nonzero entries; strong
 connectivity is networkx's verdict on the dense, edge-by-edge economy graph.
 `reference_market_from_obj` is the market parser that checks through the
-public constructors, `TraderSpec` and `Market`, and leaves the integer
-views to first use, and the one-pass parser must match it.
+public constructors, `TraderSpec` and `Market`, and the one-pass parser
+must match it.  `reference_market_view` is `Market.view` from its
+definition, in Fractions, and `own_scale_view` a trader's integer view on
+its own denominators, on which the demand core must give the same
+rationals as on the market's view.
 `reference_dumps` is the json module's indenting encoder, and
 `market_to_obj`, with `plc_to_obj`, is the package's earlier market writer:
 the dense object tree of a market file, one object per zero entry and per
@@ -73,7 +76,7 @@ from plcmarket.demand import Bundle, int_demand
 from plcmarket.errors import InputError, InvalidMarket, MarketError, NTooLarge, UnboundedDemand
 from plcmarket.flow import Arc, feasible_circulation
 from plcmarket.games import MAX_SUPPORT_ENUM_N, BimatrixGame, MixedStrategy, _integral
-from plcmarket.model import Market, PriceVector, TraderSpec, normalize_prices
+from plcmarket.model import Market, PriceVector, ScaledTrader, TraderSpec, normalize_prices
 from plcmarket.plc import ZERO_PLC, PLCFunction, linear_plc, validate_plc
 from plcmarket.rational import format_rational, parse_epsilon, parse_rational
 from plcmarket.reduction import ReducedMarketMeta, _gadget
@@ -136,7 +139,7 @@ def optimal_demand(
     budget is not an error; it yields the all-zero purchase with tie_spend 0.
     """
     D, P = p.scaled
-    d = int_demand(trader, P, trader_idx)
+    d = int_demand(own_scale_view(trader), P, trader_idx)
     den, pieces, q = d.den, dict(trader.wanted), p.prices
     ties = tuple(  # each offer's rate from its own piece, so dense_demand checks them all
         SegmentOffer(k, i, pieces[k].slopes[i] / q[k], None if cap is None else Fraction(cap, den), q[k])
@@ -575,7 +578,7 @@ def regulation_forward_witness(n: int, p: PriceVector) -> Certificate:
     m = build_mn(n)
     eps = Fraction(1, n)
     bundles = tuple(Bundle(t.owned) for t in m.traders)
-    demands = [int_demand(t, p.scaled[1], i) for i, t in enumerate(m.traders)]
+    demands = [int_demand(own_scale_view(t), p.scaled[1], i) for i, t in enumerate(m.traders)]
     supplies = m.supplies()
     totals = check_witness(m, p, bundles, demands, set(), clearing_windows(supplies, p, APPROXIMATE, eps))
     return Certificate("accept", None, APPROXIMATE, eps, bundles, clearing_report(supplies, totals, eps))
@@ -1034,11 +1037,9 @@ def reference_market_from_obj(obj) -> Market:
     return Market(n_goods, tuple(traders))
 
 
-def reference_trader_view(t: TraderSpec) -> tuple:
-    """`TraderSpec.scaled` from the definition: amounts and breakpoints over
-    the lcm of all their denominators, slopes over the lcm of theirs."""
-    den = math.lcm(*[w.denominator for _, w in t.owned], *[a.denominator for _, f in t.wanted for a in f.breaks])
-    slope_den = math.lcm(*[s.denominator for _, f in t.wanted for s in f.slopes])
+def reference_trader_view(t: TraderSpec, den: int, slope_den: int) -> ScaledTrader:
+    """A row of `Market.view` from the definition: t's amounts and
+    breakpoints over den, its slopes over slope_den, in Fractions."""
     wanted = []
     for k, f in t.wanted:
         segments, start = [], Fraction(0)
@@ -1050,14 +1051,30 @@ def reference_trader_view(t: TraderSpec) -> tuple:
             start = end
         satiation = None if f.slopes[-1] > 0 else int(f.breaks[-1] * den)
         wanted.append((k, satiation, tuple(segments)))
-    return den, slope_den, tuple((k, int(w * den)) for k, w in t.owned), tuple(wanted)
+    return ScaledTrader(den, tuple((k, int(w * den)) for k, w in t.owned), tuple(wanted))
 
 
-def reference_market_view(m: Market) -> tuple:
-    """`Market.scaled` from the definition: supplies over the lcm of the
-    traders' denominators."""
-    den = math.lcm(*[reference_trader_view(t)[0] for t in m.traders])
-    return den, tuple(int(s * den) for s in dense_supplies(m))
+def _scales(traders) -> tuple[int, int]:
+    """The lcm of the traders' amount and breakpoint denominators, and the
+    lcm of their slope denominators."""
+    den = math.lcm(*[w.denominator for t in traders for _, w in t.owned],
+                   *[a.denominator for t in traders for _, f in t.wanted for a in f.breaks])
+    return den, math.lcm(*[s.denominator for t in traders for _, f in t.wanted for s in f.slopes])
+
+
+def reference_market_view(m: Market) -> tuple[ScaledTrader, ...]:
+    """`Market.view` from the definition: every trader on the market's
+    scales, the lcm of every amount and breakpoint denominator in the
+    market and the lcm of every slope denominator."""
+    den, slope_den = _scales(m.traders)
+    return tuple(reference_trader_view(t, den, slope_den) for t in m.traders)
+
+
+def own_scale_view(t: TraderSpec) -> ScaledTrader:
+    """t's integer view on its own scales, the lcms of its own
+    denominators: the demand core must answer on it with the same rationals
+    as on t's row of the market's view."""
+    return reference_trader_view(t, *_scales([t]))
 
 
 def reference_check_market(n_goods: int, traders) -> None:

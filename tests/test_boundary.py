@@ -1,18 +1,18 @@
 """The file boundary against its references.
 
 `serialize.market_from_obj` checks a market file in one pass and builds its
-traders and market with `model.trusted`, integer views filled in;
-`reference_market_from_obj` checks through the public constructors.  On
-every market object, well formed or corrupted in one entry, both must
-return equal markets, whose integer views equal those the definition gives
-(`reference_trader_view`, `reference_market_view`), or raise the same
-error.  `serialize.dumps` must give the bytes of `reference_dumps` on any
-JSON tree without a float and refuse a float, and, on every market family
-the program writes, the bytes of `reference_dumps` of the market's dense
-object tree (`market_to_obj`).  Every object the program
-builds without the public checks (witness bundles, parsed traders,
+traders and market with `model.trusted`; `reference_market_from_obj` checks
+through the public constructors.  On every market object, well formed or
+corrupted in one entry, both must return equal markets, whose integer view
+(`Market.view`, `Market.scaled`) equals the one the definition gives
+(`reference_market_view`), or raise the same error.  `serialize.dumps`
+must give the bytes of `reference_dumps` on any JSON tree without a float
+and refuse a float, and, on every market family the program writes, the
+bytes of `reference_dumps` of the market's dense object tree
+(`market_to_obj`).  Every object the program builds without the public checks (witness bundles, parsed traders,
 normalized prices) must equal what the public constructor makes of the
-same values.
+same values, and a parsed market must have the view of the same market
+rebuilt through the public constructors.
 `model.check_market` must raise where `reference_check_market` raises,
 with the same message, on public traders with goods out of range and
 amounts of either sign, and on parsed markets.
@@ -39,6 +39,7 @@ from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn
 
 from oracles import (
+    dense_supplies,
     market_to_obj,
     mixed_denominator_game_matrices,
     random_market,
@@ -48,7 +49,6 @@ from oracles import (
     reference_dumps,
     reference_market_from_obj,
     reference_market_view,
-    reference_trader_view,
     tie_rich_market,
 )
 
@@ -106,8 +106,9 @@ def _assert_same(got, want):
         assert type(got) is type(want) and str(got) == str(want), (got, want)
         return
     assert isinstance(got, Market) and got == want
-    assert [t.scaled for t in got.traders] == [reference_trader_view(t) for t in want.traders]
-    assert got.scaled == reference_market_view(want)
+    view = reference_market_view(want)
+    assert got.view == view
+    assert got.scaled == (view[0].den, tuple(int(s * view[0].den) for s in dense_supplies(want)))
     assert all(type(w) is F for t in got.traders for _, w in t.owned)
 
 
@@ -279,10 +280,9 @@ def test_market_writer_matches_reference(m):
 def test_trusted_objects_equal_public_ones(seed, family, mode, eps):
     m = serialize.market_from_obj(_file_obj(_market(family, seed)))
     for t in m.traders:
-        public = TraderSpec(t.owned, t.wanted, t.label)
-        assert public == t and public.scaled == t.scaled
+        assert TraderSpec(t.owned, t.wanted, t.label) == t
     public = Market(m.n_goods, tuple(TraderSpec(t.owned, t.wanted, t.label) for t in m.traders))
-    assert public == m and public.scaled == m.scaled
+    assert public == m and public.view == m.view == reference_market_view(m) and public.scaled == m.scaled
 
     rng = random.Random(seed)
     if family == "random":  # zero prices too, for unbounded and free goods

@@ -29,6 +29,7 @@ from oracles import (
     dense_view,
     imbalance_profile,
     optimal_demand,
+    own_scale_view,
     random_market,
     random_sparse_game_matrices,
 )
@@ -48,7 +49,7 @@ def test_m2_box_prices_feasible():
     assert verify(m, p, APPROXIMATE, F(1, 2)).accepted
     # and the endowment allocation itself is a valid witness
     for i, t in enumerate(m.traders):
-        assert in_demand(t, p, int_demand(t, p.scaled[1], i), Bundle(t.owned))
+        assert in_demand(t, p, int_demand(own_scale_view(t), p.scaled[1], i), Bundle(t.owned))
 
 
 def test_m2_out_of_box_infeasible():
@@ -154,9 +155,9 @@ def test_accepting_verify_computes_each_demand_once(monkeypatch):
     calls, supplies_calls = [], []
     supplies = Market.supplies
 
-    def counting(trader, P, trader_idx=None):
+    def counting(v, P, trader_idx=None):
         calls.append(trader_idx)
-        return int_demand(trader, P, trader_idx)
+        return int_demand(v, P, trader_idx)
 
     monkeypatch.setattr(clearing, "int_demand", counting)
     m = build_mn(4)
@@ -209,7 +210,7 @@ def test_witness_revalidates():
     cert = verify(m, p, APPROXIMATE, F(1, 4))
     assert cert.accepted
     for i, t in enumerate(m.traders):
-        assert in_demand(t, p, int_demand(t, p.scaled[1], i), cert.allocation[i])
+        assert in_demand(t, p, int_demand(own_scale_view(t), p.scaled[1], i), cert.allocation[i])
         assert dense_in_demand(t, p, optimal_demand(t, p, i), dense_view(cert.allocation[i].amounts, m.n_goods))
     for row in cert.report:
         assert abs(row.imbalance) <= row.bound

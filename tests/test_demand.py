@@ -2,13 +2,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plcmarket.demand import Bundle, in_demand, int_demand
+from plcmarket.demand import Bundle, canonical_amounts, in_demand, int_demand
 from plcmarket.errors import UnboundedDemand
 from plcmarket.games import validate_game
-from plcmarket.model import TraderSpec, prices
+from plcmarket.model import PriceVector, TraderSpec, prices
 from plcmarket.plc import linear_plc, validate_plc
 from plcmarket.reduction import build_reduced_market
+from plcmarket.regulating import build_mn
 
 from oracles import (
     canonical_bundle,
@@ -17,10 +20,19 @@ from oracles import (
     dense_view,
     endowment_row,
     grid_max_utility,
+    mixed_denominator_game_matrices,
     optimal_demand,
+    own_scale_view,
     random_market,
+    random_sparse_game_matrices,
+    tie_rich_market,
     trader_slices,
 )
+
+
+def _core(t, p):
+    """The demand core's answer for t at p, on t's own-scale view."""
+    return int_demand(own_scale_view(t), p.scaled[1])
 
 
 def linear_trader(endow, slopes):
@@ -64,7 +76,7 @@ def test_equal_rates_form_tie():
     assert d.tie_spend == 2
     assert dense_view(canonical_bundle(d).amounts, 2) == (F(1), F(0))  # lexicographic fill
     # all-money-on-the-other-good is also optimal
-    assert in_demand(t, prices([2, 1]), int_demand(t, prices([2, 1]).scaled[1]), Bundle(((1, F(2)),)))
+    assert in_demand(t, prices([2, 1]), _core(t, prices([2, 1])), Bundle(((1, F(2)),)))
 
 
 def test_greedy_across_segments():
@@ -78,7 +90,7 @@ def test_zero_budget_yields_zero_bundle():
     d = optimal_demand(t, prices([1, 1]))
     assert d.budget == 0 and d.tie_spend == 0
     assert dense_view(canonical_bundle(d).amounts, 2) == (F(0), F(0))
-    assert in_demand(t, prices([1, 1]), int_demand(t, prices([1, 1]).scaled[1]), Bundle(()))
+    assert in_demand(t, prices([1, 1]), _core(t, prices([1, 1])), Bundle(()))
 
 
 def test_unbounded_demand_on_free_wanted_good():
@@ -93,14 +105,14 @@ def test_free_satiated_good_is_forced_at_satiation():
     assert dense_view(d.forced, 2)[1] == 3
     b = canonical_bundle(d)
     assert dense_view(b.amounts, 2) == (F(1), F(3))
-    assert in_demand(t, prices([1, 0]), int_demand(t, prices([1, 0]).scaled[1]), b)
+    assert in_demand(t, prices([1, 0]), _core(t, prices([1, 0])), b)
     # skipping the free satiated quantity is not optimal
-    assert not in_demand(t, prices([1, 0]), int_demand(t, prices([1, 0]).scaled[1]), Bundle(((0, F(1)),)))
+    assert not in_demand(t, prices([1, 0]), _core(t, prices([1, 0])), Bundle(((0, F(1)),)))
 
 
 def test_overspent_bundle_not_in_opt():
     t = linear_trader([1, 0], [2, 1])
-    assert not in_demand(t, prices([1, 1]), int_demand(t, prices([1, 1]).scaled[1]), Bundle(((0, F(2)),)))
+    assert not in_demand(t, prices([1, 1]), _core(t, prices([1, 1])), Bundle(((0, F(2)),)))
 
 
 def test_residual_spending_allowed_in_opt():
@@ -112,8 +124,8 @@ def test_residual_spending_allowed_in_opt():
     assert dense_view(d.forced, 2) == (F(1), F(1))
     assert d.tie_spend == 2  # residual ceiling
     assert dense_view(canonical_bundle(d).amounts, 2) == (F(1), F(1))
-    assert in_demand(t, p, int_demand(t, p.scaled[1]), Bundle(((0, F(2)), (1, F(2)))))  # burns residual, same utility
-    assert not in_demand(t, p, int_demand(t, p.scaled[1]), Bundle(((0, F(3)), (1, F(2)))))  # over budget
+    assert in_demand(t, p, _core(t, p), Bundle(((0, F(2)), (1, F(2)))))  # burns residual, same utility
+    assert not in_demand(t, p, _core(t, p), Bundle(((0, F(3)), (1, F(2)))))  # over budget
 
 
 def test_full_spend_law_and_rate_partition():
@@ -133,7 +145,7 @@ def test_full_spend_law_and_rate_partition():
                 assert b.cost(p) == d.budget  # all money spent
             else:
                 assert cost + d.tie_spend == d.budget
-            assert in_demand(t, p, int_demand(t, p.scaled[1], i), canonical_bundle(d))
+            assert in_demand(t, p, _core(t, p), canonical_bundle(d))
 
 
 def test_rate_partition_around_cutoff():
@@ -195,3 +207,47 @@ def test_oracle_optimality_small_random():
         util = dense_utility(t, dense_view(canonical_bundle(d).amounts, m.n_goods))
         assert util >= grid_max_utility(t, p)
         checked += 1
+
+
+def _rationals(v, P, i):
+    """The core's answer on view v at P with every int divided by v.den, so
+    answers on two scales compare equal (money stays in units of 1/D, the
+    canonical fill of good k in units of 1/P_k), or the UnboundedDemand's
+    message."""
+    try:
+        d = int_demand(v, P, i)
+    except UnboundedDemand as exc:
+        return str(exc)
+    return (
+        {k: F(x, d.den) for k, x in d.forced.items()},
+        [(k, s, None if cap is None else F(cap, d.den)) for k, s, cap in d.ties],
+        F(d.spend, d.den),
+        F(d.budget, d.den),
+        {k: F(x, d.den) for k, x in canonical_amounts(d, P).items()},
+    )
+
+
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["random", "tie-rich", "mn", "reduced", "mixed"]))
+@settings(max_examples=60)
+def test_market_view_and_own_scale_view_give_one_demand(seed, family):
+    """On every trader, the core answers on its row of the market's view
+    (one scale for all traders) with the rationals it gives on the trader's
+    own scale: forced amounts, tie caps, spend, budget and canonical fill.
+    Reduced markets of mixed-denominator games put traders of unlike
+    scales in one market; prices hold zeros a quarter of the time."""
+    rng = random.Random(seed)
+    if family == "random":
+        m = random_market(rng, max_goods=4, max_traders=4)
+    elif family == "tie-rich":
+        m = tie_rich_market(rng, [F(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))])
+    elif family == "mn":
+        m = build_mn(rng.randint(2, 6))
+    else:
+        game = random_sparse_game_matrices if family == "reduced" else mixed_denominator_game_matrices
+        m, _ = build_reduced_market(validate_game(*game(rng, rng.randint(2, 3))))
+    vec = [F(0) if rng.random() < 0.25 else F(rng.randint(1, 16), rng.choice([1, 3, 8])) for _ in range(m.n_goods)]
+    vec[rng.randrange(m.n_goods)] = F(1)
+    P = PriceVector(tuple(vec)).scaled[1]
+    assert len(m.view) == len(m.traders) and {v.den for v in m.view} == {m.scaled[0]}
+    for i, t in enumerate(m.traders):
+        assert _rationals(m.view[i], P, i) == _rationals(own_scale_view(t), P, i)

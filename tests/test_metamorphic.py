@@ -13,6 +13,10 @@ so only its kind is compared.  The prices are drawn as the benchmark draws
 them: in the box [1, 2], with one entry pushed out of it, or with one entry
 zero.
 
+The relations are checked at two sizes: on `M_16` and the reduced market of
+an n = 8 game, and, under hypothesis, on `M_n` for n = 3..8 and on reduced
+markets of seeded games at n = 2..4.
+
 Permuting the goods together with the grid's axes permutes the points
 `grid_scores` walks and must skip the same ones; reversing the axes and
 shuffling the traders walks the same points in another order and must
@@ -76,12 +80,10 @@ def _kind(cert) -> tuple:
     return cert.verdict, None if cert.reason is None else cert.reason.split(" (")[0]
 
 
-@pytest.mark.parametrize("kind", ["inbox", "pushed", "zero"])
-@pytest.mark.parametrize("name", ["M16", "reduced8"])
-@given(seed=st.integers(0, 2**32 - 1), scale=st.fractions(F(1, 1000), 1000, max_denominator=1000))
-@settings(max_examples=2, phases=[Phase.generate])  # no shrinking: an example is 20 verify calls
-def test_verify_verdict_survives_relabelling_duplication_and_scaling(name, kind, seed, scale):
-    m, small = _market(name)
+def _check_verify_relations(m: Market, small: F, kind: str, seed: int, scale: F):
+    """The four relations at one drawn price vector, in every mode and at
+    both approximate epsilons; the doubled market shares each trader, and
+    so each amount and piece object, twice."""
     rng = random.Random(seed)
     n = m.n_goods
     p = _prices(kind, rng, n)
@@ -100,6 +102,43 @@ def test_verify_verdict_survives_relabelling_duplication_and_scaling(name, kind,
         want = _kind(verify(m, PriceVector(p), mode, eps))
         for market, q in variants:
             assert _kind(verify(market, PriceVector(q), mode, eps)) == want, (mode, eps)
+
+
+SCALES = st.fractions(F(1, 1000), 1000, max_denominator=1000)
+
+
+@pytest.mark.parametrize("kind", ["inbox", "pushed", "zero"])
+@pytest.mark.parametrize("name", ["M16", "reduced8"])
+@given(seed=st.integers(0, 2**32 - 1), scale=SCALES)
+@settings(max_examples=2, phases=[Phase.generate])  # no shrinking: an example is 20 verify calls
+def test_verify_verdict_survives_relabelling_duplication_and_scaling(name, kind, seed, scale):
+    _check_verify_relations(*_market(name), kind, seed, scale)
+
+
+@functools.cache
+def _small_market(family: str, k: int):
+    """M_k, or the reduced market of the game seeded k with the family's
+    number of actions, with its small approximate eps as in `_market`."""
+    if family == "M":
+        return build_mn(k), F(1, k)
+    game = validate_game(*random_sparse_game_matrices(random.Random(k), int(family[-1])))
+    market, meta = build_reduced_market(game)
+    return market, F(1, meta.n_goods**13)
+
+
+SMALL_MARKETS = st.one_of(
+    st.tuples(st.just("M"), st.integers(3, 8)),
+    st.tuples(st.sampled_from(["reduced2", "reduced3", "reduced4"]), st.integers(0, 7)),
+)
+
+
+@given(market=SMALL_MARKETS, kind=st.sampled_from(["inbox", "pushed", "zero"]),
+       seed=st.integers(0, 2**32 - 1), scale=SCALES)
+@settings(max_examples=120)
+def test_verify_relations_hold_on_drawn_small_markets(market, kind, seed, scale):
+    """The same relations on M_n for n = 3..8 and on the reduced markets of
+    eight seeded games each at n = 2, 3 and 4."""
+    _check_verify_relations(*_small_market(*market), kind, seed, scale)
 
 
 def _walk(m: Market, axes, perm=None) -> Counter:

@@ -31,6 +31,7 @@ from oracles import (
     endowment_row,
     nonzeros,
     optimal_demand,
+    own_scale_view,
     random_market,
     random_sparse_game_matrices,
     tie_rich_market,
@@ -285,7 +286,7 @@ def test_sparse_demand_sets_match_dense_oracles(seed, family):
         except UnboundedDemand:
             continue
         assert dense_view(d.forced, n) == dense_demand(t, p, i).forced
-        core = int_demand(t, p.scaled[1], i)
+        core = int_demand(own_scale_view(t), p.scaled[1], i)
         bundles = [dense_view(canonical_bundle(d).amounts, n)]
         if cert.accepted:
             bundles.append(dense_view(cert.allocation[i].amounts, n))
@@ -303,7 +304,7 @@ def test_sparse_demand_sets_match_dense_oracles(seed, family):
 def test_in_demand_rejects_a_good_outside_the_market():
     t = TraderSpec([(0, F(1))], [(0, linear_plc(1))])
     p = prices([1, 1])
-    d = int_demand(t, p.scaled[1])
+    d = int_demand(own_scale_view(t), p.scaled[1])
     assert in_demand(t, p, d, Bundle(((0, F(1)),)))
     for k in (-1, 2, 3):
         assert not in_demand(t, p, d, Bundle(((0, F(1)), (k, F(0)))))
