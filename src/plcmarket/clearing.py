@@ -25,22 +25,23 @@ built.
 `verify` is the one entry point: a witness allocation is the `allocation`
 of its accept certificate.  It runs on one integer scale from the demand
 oracle through max-flow and the re-check: it takes `int_demand`'s integer
-answers on the market's view, all in units of 1/M market-wide, puts every
-arc's money bound on one scale, at most M * D * e (prices P_k / D, eps with
-denominator e), gets integer flows back and re-checks the witness against
-the same answers.  Fractions are built only for the witness bundles, the
-report, and the re-check's terms on the goods where a witness leaves
-canonical demand.
+answers on the market's view, all in units of 1/M market-wide, and the
+clearing windows as ints on Q = M * e (eps = a / e), puts every arc's money
+bound on the scale Q * D (prices P_k / D), gets integer flows back and
+re-checks the witness against the same answers.  Fractions are built only
+for the witness bundles, the report, and the re-check's terms on the goods
+where a witness leaves canonical demand.  Prices are taken as given:
+scaling them by c scales every money bound by c, the uncapped arcs' aside,
+which no flow fills, so the flows scale by c and the certificate stays.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .demand import Bundle, IntDemand, canonical_amounts, in_demand, int_demand
 from .errors import InternalInvariantViolation, InvalidMarket, ShapeMismatch, UnboundedDemand
 from .flow import Arc, feasible_circulation
-from .model import Market, PriceVector, normalize_prices, trusted
+from .model import Market, PriceVector, trusted
 from .rational import parse_epsilon
 
 EXACT = "exact"
@@ -72,22 +73,21 @@ class Certificate:
         return self.verdict == "accept"
 
 
-def clearing_windows(supplies, p: PriceVector, mode: str, eps: Fraction):
-    """Per-good [lo, hi] on total allocation.
+def clearing_windows(m: Market, P, mode: str, eps: Fraction):
+    """(Q, bounds): per-good [lo, hi] on total allocation in units of 1/Q,
+    Q = M * e for the market's amount scale M and eps = a / e.
 
-    Approximate mode uses the two-sided eps window around supply (a zero
-    supply degenerates it to the point {0}).  Exact and quasi modes demand
-    equality on positively priced goods and allow free disposal at price 0.
+    Approximate mode uses the two-sided eps window around supply S / M,
+    (S * (e - a), S * (e + a)).  Exact and quasi modes demand equality on
+    positively priced goods and allow free disposal at price 0.
     """
-    out = []
-    for s, price in zip(supplies, p.prices):
-        if mode == APPROXIMATE:
-            out.append((max(Fraction(0), s * (1 - eps)), s * (1 + eps)))
-        elif price > 0:
-            out.append((s, s))
-        else:
-            out.append((Fraction(0), s))
-    return out
+    M, supplies = m.scaled
+    a, e = eps.numerator, eps.denominator
+    if mode == APPROXIMATE:
+        bounds = [(s * (e - a), s * (e + a)) for s in supplies]
+    else:
+        bounds = [(s if q else 0, s) for s, q in zip(supplies, P)]
+    return M * e, bounds
 
 
 def _solve(
@@ -100,15 +100,14 @@ def _solve(
     """Feasibility core of verify: an optimal allocation within the windows
     as witness bundles, or None.
 
-    Every arc carries money at one integer scale, Q * D: quantities count
-    1/Q, with Q the lcm of the market's denominator M and the windows'
-    (a divisor of M times the denominator of eps), and prices are P_k / D.
-    Every demand counts amounts in units of 1/M, so one factor Q // M
-    scales them all.  The witness bundles skip `Bundle`'s checks: their
-    amounts are exact Fractions made here, on distinct goods in range."""
+    windows is `clearing_windows`'s (Q, bounds).  Every arc carries money
+    at one integer scale, Q * D: quantities count 1/Q and prices are
+    P_k / D.  Every demand counts amounts in units of 1/M, so one factor
+    Q // M scales them all.  The witness bundles skip `Bundle`'s checks:
+    their amounts are exact Fractions made here, on distinct goods in range."""
     D, P = p.scaled
+    Q, bounds = windows
     M = m.scaled[0]
-    Q = math.lcm(M, *(b.denominator for w in windows for b in w))
     a = Q // M
     counted = [d is not None and i not in waived for i, d in enumerate(demands)]
     inf = Q * D + sum(d.budget for d in demands if d is not None) * a  # exceeds the money of every arc
@@ -135,8 +134,7 @@ def _solve(
                 qty_arcs.append((len(arcs), i, k))
                 arcs.append(Arc(("t", i), ("g", k), 0, inf))
     top_up = []  # (good, amount) a free good adds to reach its window floor
-    for k, (lo, hi) in enumerate(windows):
-        lo, hi, q = lo.numerator * (Q // lo.denominator), hi.numerator * (Q // hi.denominator), P[k]
+    for k, ((lo, hi), q) in enumerate(zip(bounds, P)):
         if q:
             arcs.append(Arc(("g", k), "snk", max(0, lo - forced[k]) * q, (hi - forced[k]) * q))
         elif forced[k] > hi:
@@ -183,18 +181,15 @@ def clearing_report(supplies, allocated, eps: Fraction) -> tuple[GoodBalance, ..
 def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
     """Full verdict with witness and per-good clearing report.
 
-    The input vector must have one entry per good (else ShapeMismatch) and is
-    normalized first.  Exact and quasi modes pin eps to 0; quasi waives
-    optimality for zero-income traders, who may then receive any zero-cost
-    bundle.
+    The input vector must have one entry per good (else ShapeMismatch).
+    Exact and quasi modes pin eps to 0; quasi waives optimality for
+    zero-income traders, who may then receive any zero-cost bundle.
     """
     if mode not in MODES:
         raise InvalidMarket(f"unknown verification mode {mode!r}")
     eps = parse_epsilon(eps) if mode == APPROXIMATE else Fraction(0)
     if len(p.prices) != m.n_goods:
         raise ShapeMismatch(f"expected {m.n_goods} prices, got {len(p.prices)}")
-    p = normalize_prices(p)
-
     P = p.scaled[1]
     demands: list[IntDemand | None] = []
     waived: set[int] = set()
@@ -213,7 +208,7 @@ def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
         demands.append(d)
 
     supplies = m.supplies()
-    windows = clearing_windows(supplies, p, mode, eps)
+    windows = clearing_windows(m, P, mode, eps)
     bundles = _solve(m, p, demands, waived, windows)
     if bundles is None:
         # a waived trader with unbounded demand holds nothing
@@ -227,9 +222,10 @@ def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
 def check_witness(m, p, bundles, demands, waived, windows) -> list[Fraction]:
     """Re-validate an accept witness against the demand core's answers
     (`IntDemand`, None for a waived trader with unbounded demand) and the
-    clearing windows; a failure here is a bug.  Returns the per-good totals
-    it checked, for the report."""
-    totals = [Fraction(0)] * len(windows)
+    clearing windows, `clearing_windows`'s (Q, bounds); a failure here is
+    a bug.  Returns the per-good totals it checked, for the report."""
+    Q, bounds = windows
+    totals = [Fraction(0)] * len(bounds)
     for i, (trader, d, b) in enumerate(zip(m.traders, demands, bundles)):
         if i in waived:
             if b.cost(p) != 0:
@@ -238,8 +234,8 @@ def check_witness(m, p, bundles, demands, waived, windows) -> list[Fraction]:
             raise InternalInvariantViolation(f"witness bundle for trader {i} is not optimal")
         for k, x in b.amounts:
             totals[k] += x
-    for k, ((lo, hi), total) in enumerate(zip(windows, totals)):
-        if not lo <= total <= hi:
+    for k, ((lo, hi), total) in enumerate(zip(bounds, totals)):
+        if not lo <= total * Q <= hi:
             raise InternalInvariantViolation(f"witness violates clearing window on good {k}")
     return totals
 

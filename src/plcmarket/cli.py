@@ -279,10 +279,8 @@ def validate_cmd(paths):
 @click.option("--nash-eps", default="n^-6", show_default=True, help="Well-supported Nash tolerance.")
 @click.option("--grid-k", type=int, default=1, show_default=True)
 @click.option("--rounds", type=int, default=2, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Recorded in summary.json; the search is deterministic and ignores it.")
 @_guard
-def pipeline(game_path, outdir, eps, nash_eps, grid_k, rounds, seed):
+def pipeline(game_path, outdir, eps, nash_eps, grid_k, rounds):
     """Reduce, search, extract, and Nash-check a game end to end.
 
     Writes market.json, meta.json, search.json, summary.json, and (when an
@@ -308,7 +306,6 @@ def pipeline(game_path, outdir, eps, nash_eps, grid_k, rounds, seed):
         "n_goods": market.n_goods,
         "epsilon": format_rational(eps_val),
         "nash_epsilon": format_rational(nash_eps_val),
-        "seed": seed,
         "equilibrium_found": rep.accepted,
         "best_max_relative_imbalance": serialize.score_str(rep.best_max_relative_imbalance),
         "extraction": None,

@@ -125,14 +125,13 @@ def canonical_amounts(d: IntDemand, P) -> dict[int, int]:
     Ties are filled in (good, segment) order; residual money with no ties
     is left unspent, so the canonical bundle never buys zero-utility goods."""
     x = {k: a * (P[k] or 1) for k, a in d.forced.items()}
-    if d.ties:
-        money = d.spend
-        for k, _, cap in d.ties:
-            if not money:
-                break
-            take = money if cap is None else min(cap * P[k], money)
-            x[k] = x.get(k, 0) + take
-            money -= take
+    money = d.spend
+    for k, _, cap in d.ties:
+        if not money:
+            break
+        take = money if cap is None else min(cap * P[k], money)
+        x[k] = x.get(k, 0) + take
+        money -= take
     return x
 
 

@@ -22,16 +22,19 @@ reduced markets every trader touches only a handful of goods.
 A box's prices are P_k / D with one D, and a memo miss runs the integer
 demand core and its canonical fill (`int_demand`, `canonical_amounts`) on
 the trader's row of the market's view, which counts amounts in units of
-1/M for the whole market.  Good k is counted in units of 1/(M * L_k), L_k
-the lcm of axis k's nonzero P_k, so memo entries, totals and supplies
-are ints on one scale per box, the worst relative imbalance is found by
-cross-multiplying, and one Fraction is built per scored point.  The walk
+1/M for the whole market.  Memo entries and totals keep the fill's own
+units, good k in 1/(M * P_k), or 1/M when it is free, so they are ints,
+the worst relative imbalance is found by cross-multiplying each total with
+supply * (P_k or 1), and one Fraction is built per scored point.  The walk
 keeps product order, so each step changes a suffix of the axes, and it
 visits only the traders whose support holds a changed good (an index from
 each axis to the traders whose support holds it or a later axis), plus
 every trader left stale by a point skipped midway, at the origin or for
-unbounded demand.  Each score equals the one a from-scratch sum of every
-trader's canonical bundle gives at that point.
+unbounded demand.  So a trader whose support holds good k is revisited
+whenever P_k changes, and a stale trader before the next scored point:
+at each scored point all of good k's entries are on its one scale, and
+the score equals the one a from-scratch sum of every trader's canonical
+bundle gives there.
 """
 
 import math
@@ -110,12 +113,14 @@ def _axis_points(lo: Fraction, hi: Fraction, grid_k: int):
     return [lo + step * s for s in range(grid_k + 1)]
 
 
-def _score(totals, supply) -> Fraction | None:
+def _score(totals, supply, P) -> Fraction | None:
     """The worst |total - supply| / supply over goods with nonzero supply,
-    None when a zero-supply good is allocated."""
+    None when a zero-supply good is allocated.  Good k's total counts
+    units of 1/(M * P_k), or 1/M when it is free, and its supply 1/M."""
     num, den = 0, 1
-    for t, s in zip(totals, supply):
+    for t, s, q in zip(totals, supply, P):
         if s:
+            s *= q or 1
             gap = abs(t - s)
             if gap * den > num * s:
                 num, den = gap, s
@@ -133,9 +138,7 @@ def grid_scores(m: Market, axes):
     n, sizes = len(axes), [len(axis) for axis in axes]
     D = math.lcm(*(q.denominator for axis in axes for q in axis))
     ints = [[q.numerator * (D // q.denominator) for q in axis] for axis in axes]
-    L = [math.lcm(*[q for q in axis if q]) for axis in ints]
-    units = [[lk // q if q else lk for q in axis] for lk, axis in zip(L, ints)]  # 1/(M * P_k) -> 1/(M * L_k)
-    supply = [s * lk for s, lk in zip(m.scaled[1], L)]
+    supply = m.scaled[1]
 
     view, supports = m.view, [t.support for t in m.traders]
     walked = [i for i, support in enumerate(supports) if support]  # an empty support demands nothing
@@ -148,7 +151,6 @@ def grid_scores(m: Market, axes):
 
     idx = [0] * n
     P = [axis[0] for axis in ints]
-    U = [unit[0] for unit in units]
     stale = set(walked)  # traders whose entry is not the current point's
     j = 0
     while True:
@@ -168,7 +170,7 @@ def grid_scores(m: Market, axes):
                         new = _UNBOUNDED  # a strictly wanted free good
                     else:
                         x = canonical_amounts(d, P)
-                        new = tuple(x[k] * U[k] if k in x else 0 for k in supports[i])
+                        new = tuple(x.get(k, 0) for k in supports[i])
                     memos[i][key] = new
                 if new is _UNBOUNDED:
                     stale.update(visit[pos:])
@@ -180,7 +182,7 @@ def grid_scores(m: Market, axes):
                 contrib[i] = new
             else:
                 point = tuple(map(getitem, axes, idx))
-                yield trusted(PriceVector, prices=point, normalized=False), _score(totals, supply)
+                yield trusted(PriceVector, prices=point, normalized=False), _score(totals, supply, P)
 
         # the next point in product order: axis j steps, the axes after it restart
         j = n - 1
@@ -191,7 +193,7 @@ def grid_scores(m: Market, axes):
         idx[j] += 1
         idx[j + 1:] = [0] * (n - 1 - j)
         for k in range(j, n):
-            P[k], U[k] = ints[k][idx[k]], units[k][idx[k]]
+            P[k] = ints[k][idx[k]]
 
 
 def search_equilibrium(m: Market, cfg: SearchConfig) -> SearchReport:

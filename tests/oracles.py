@@ -580,7 +580,7 @@ def regulation_forward_witness(n: int, p: PriceVector) -> Certificate:
     bundles = tuple(Bundle(t.owned) for t in m.traders)
     demands = [int_demand(own_scale_view(t), p.scaled[1], i) for i, t in enumerate(m.traders)]
     supplies = m.supplies()
-    totals = check_witness(m, p, bundles, demands, set(), clearing_windows(supplies, p, APPROXIMATE, eps))
+    totals = check_witness(m, p, bundles, demands, set(), clearing_windows(m, p.scaled[1], APPROXIMATE, eps))
     return Certificate("accept", None, APPROXIMATE, eps, bundles, clearing_report(supplies, totals, eps))
 
 

@@ -372,7 +372,7 @@ def _run_pipeline(tmp_path, name: str):
     result = CliRunner().invoke(
         cli_main,
         ["pipeline", "--game", str(game_file), "--outdir", str(outdir),
-         "--grid-k", "1", "--rounds", "2", "--seed", "7"],
+         "--grid-k", "1", "--rounds", "2"],
     )
     assert result.exit_code in (0, 1), result.output
     return outdir

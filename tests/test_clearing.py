@@ -72,7 +72,7 @@ def test_m4_example_modes():
     assert verify(m, p, QUASI).accepted
 
 
-def test_verify_normalizes_input():
+def test_verify_takes_unnormalized_prices():
     m = build_mn(3)
     assert verify(m, prices([2, 2, 2]), EXACT).accepted
 
@@ -234,6 +234,23 @@ def test_zero_supply_good_requires_zero_allocation():
     assert verify(m, prices([2, 1]), APPROXIMATE, 0).accepted
     # at p=(3,1) the unsupplied good is strictly better per unit money: infeasible
     assert not verify(m, prices([3, 1]), APPROXIMATE, 0).accepted
+
+
+def test_free_good_is_disposed_of_in_exact_modes_and_topped_up_in_approximate():
+    """A free good nobody wants: exact and quasi modes leave its supply
+    unallocated (free disposal, window [0, S]), while approximate mode tops
+    it up to its window floor S * (1 - eps), all to trader 0."""
+    a = TraderSpec([(0, F(1)), (1, F(3))], [(0, linear_plc(1))], "A")
+    b = TraderSpec([(0, F(1))], [(0, linear_plc(2))], "B")
+    m = Market(2, (a, b))
+    p = prices([F(5, 2), 0])
+    for mode in (EXACT, QUASI):
+        cert = verify(m, p, mode)
+        assert [x.amounts for x in cert.allocation] == [((0, F(1)),), ((0, F(1)),)]
+        assert cert.report[1].allocated == 0
+    cert = verify(m, p, APPROXIMATE, F(1, 3))
+    assert [x.amounts for x in cert.allocation] == [((0, F(1)), (1, F(2))), ((0, F(1)),)]
+    assert cert.report[1].allocated == 2
 
 
 def test_flow_matches_brute_force_smoke():

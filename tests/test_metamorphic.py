@@ -7,11 +7,13 @@ check relations instead: the verdict, and the kind of its reason, must not
 change when the goods are permuted together with the prices, when the
 traders are permuted, when every trader is duplicated (each demand set is
 convex, so half of a doubled market's allocation is one of the original),
-or when the prices are scaled by a positive rational, which normalization
-undoes.  A reason names trader and good indices, which the relations move,
-so only its kind is compared.  The prices are drawn as the benchmark draws
-them: in the box [1, 2], with one entry pushed out of it, or with one entry
-zero.
+or when the prices are scaled by a positive rational.  A reason names
+trader and good indices, which the relations move, so only its kind is
+compared.  Scaling the prices moves no index, and `verify` takes them as
+given, so there the whole certificate must keep its bytes; that is checked
+on `M_n`, on reduced markets and on small random and tie-rich markets.
+The prices are drawn as the benchmark draws them: in the box [1, 2], with
+one entry pushed out of it, or with one entry zero.
 
 The relations are checked at two sizes: on `M_16` and the reduced market of
 an n = 8 game, and, under hypothesis, on `M_n` for n = 3..8 and on reduced
@@ -20,9 +22,11 @@ markets of seeded games at n = 2..4.
 Permuting the goods together with the grid's axes permutes the points
 `grid_scores` walks and must skip the same ones; reversing the axes and
 shuffling the traders walks the same points in another order and must
-leave each point's score as it was.  Permuting a game's row and column
-actions must relabel its reduced market's goods and traders and change
-nothing else.
+leave each point's score as it was.  The walk's totals count good k on a
+scale that moves with P_k, so the relations are also drawn under
+hypothesis, on boxes whose lower ends are 0, 1/2 or 1 and whose axes have
+mixed denominators.  Permuting a game's row and column actions must
+relabel its reduced market's goods and traders and change nothing else.
 """
 
 import functools
@@ -41,8 +45,9 @@ from plcmarket.model import Market, PriceVector, TraderSpec
 from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn
 from plcmarket.search import _axis_points, grid_scores
+from plcmarket.serialize import certificate_to_obj, dumps
 
-from oracles import random_sparse_game_matrices
+from oracles import random_market, random_sparse_game_matrices, tie_rich_market
 
 PRICE_DEN = 1000
 
@@ -141,6 +146,38 @@ def test_verify_relations_hold_on_drawn_small_markets(market, kind, seed, scale)
     _check_verify_relations(*_small_market(*market), kind, seed, scale)
 
 
+def _certificate_bytes(m: Market, p, mode: str, eps) -> str:
+    return dumps(certificate_to_obj(verify(m, PriceVector(p), mode, eps)))
+
+
+@given(family=st.sampled_from(["M", "reduced2", "reduced3", "reduced4", "random", "tie"]),
+       k=st.integers(0, 7), kind=st.sampled_from(["inbox", "pushed", "zero"]),
+       seed=st.integers(0, 2**32 - 1), scale=SCALES)
+@settings(max_examples=120)
+def test_verify_certificate_bytes_survive_scaling_the_prices(family, k, kind, seed, scale):
+    """verify(m, c * p) writes the bytes verify(m, p) writes, in every mode
+    and at eps N^-13 and 1/2, on M_n for n = 3..8, the reduced markets of
+    seeded games at n = 2, 3 and 4, and seeded random and tie-rich markets
+    (whose slopes are drawn at p, a zero entry read as 1, so offers share
+    rates there)."""
+    rng = random.Random(seed)
+    if family == "tie":
+        p = _prices(kind, rng, rng.randint(2, 4))
+        m = tie_rich_market(random.Random(k), [q or 1 for q in p])
+    else:
+        if family == "M":
+            m = build_mn(3 + k % 6)
+        elif family == "random":
+            m = random_market(random.Random(k), max_goods=4)
+        else:
+            m = _small_market(family, k)[0]
+        p = _prices(kind if m.n_goods > 1 else "inbox", rng, m.n_goods)
+    n = m.n_goods
+    scaled = [scale * q for q in p]
+    for mode, eps in ((EXACT, 0), (QUASI, 0), (APPROXIMATE, F(1, n**13)), (APPROXIMATE, F(1, 2))):
+        assert _certificate_bytes(m, scaled, mode, eps) == _certificate_bytes(m, p, mode, eps), (mode, eps)
+
+
 def _walk(m: Market, axes, perm=None) -> Counter:
     """The (point, score) pairs grid_scores yields, each point read back in
     the original goods' order when the goods were renamed by perm; with
@@ -152,21 +189,10 @@ def _walk(m: Market, axes, perm=None) -> Counter:
     return Counter(tuple(p.prices[k] for k in perm) for p, _ in walk)
 
 
-@pytest.mark.parametrize("name", [f"reduced{n}-{seed}" for n in (2, 3) for seed in range(3)] + ["M4"])
-def test_grid_walk_survives_permuting_goods_axes_and_traders(name):
-    """On [1, 2] at grid_k 1 for reduced markets of seeded n = 2, 3 games;
-    on [0, 2] at grid_k 2 for M_4, where the origin and the points with an
-    unbounded demand are skipped.  Renaming the goods together with the
-    axes keeps the points walked; reversing each axis and shuffling the
-    traders walks the same points in another order, and each keeps its
-    score."""
-    if name == "M4":
-        m, axes = build_mn(4), [_axis_points(F(0), F(2), 2)] * 4
-    else:
-        n, seed = map(int, name.removeprefix("reduced").split("-"))
-        m, _ = build_reduced_market(validate_game(*random_sparse_game_matrices(random.Random(seed), n)))
-        axes = [_axis_points(F(1), F(2), 1)] * m.n_goods
-    rng = random.Random(name)
+def _check_walk_relations(m: Market, axes, rng: random.Random):
+    """Renaming the goods together with the axes keeps the points walked;
+    reversing each axis and shuffling the traders walks the same points in
+    another order, and each keeps its score.  Returns the walk."""
     n = m.n_goods
     perm = rng.sample(range(n), n)
     permuted_axes = [None] * n
@@ -176,8 +202,43 @@ def test_grid_walk_survives_permuting_goods_axes_and_traders(name):
     assert _walk(_permute_goods(m, perm), permuted_axes, perm) == Counter(p for p, _ in want.elements())
     shuffled = Market(n, tuple(rng.sample(m.traders, len(m.traders))))
     assert _walk(shuffled, [axis[::-1] for axis in axes]) == want
+    return want
+
+
+@pytest.mark.parametrize("name", [f"reduced{n}-{seed}" for n in (2, 3) for seed in range(3)] + ["M4"])
+def test_grid_walk_survives_permuting_goods_axes_and_traders(name):
+    """On [1, 2] at grid_k 1 for reduced markets of seeded n = 2, 3 games;
+    on [0, 2] at grid_k 2 for M_4, where the origin and the points with an
+    unbounded demand are skipped."""
+    if name == "M4":
+        m, axes = build_mn(4), [_axis_points(F(0), F(2), 2)] * 4
+    else:
+        n, seed = map(int, name.removeprefix("reduced").split("-"))
+        m, _ = build_reduced_market(validate_game(*random_sparse_game_matrices(random.Random(seed), n)))
+        axes = [_axis_points(F(1), F(2), 1)] * m.n_goods
+    want = _check_walk_relations(m, axes, random.Random(name))
     if name == "M4":
         assert sum(want.values()) == 2**4  # every point with a zero price is skipped
+
+
+AXIS = st.tuples(st.sampled_from([F(0), F(1, 2), F(1)]),
+                 st.fractions(0, 2, max_denominator=7))  # (lower end, width)
+
+
+@given(market=st.one_of(st.tuples(st.just("M"), st.integers(2, 5)),
+                        st.tuples(st.sampled_from(["reduced2", "reduced3"]), st.integers(0, 7))),
+       grid_k=st.integers(1, 2), intervals=st.lists(AXIS, min_size=8, max_size=8), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+def test_grid_walk_relations_hold_on_drawn_boxes(market, grid_k, intervals, seed):
+    """The walk relations on M_n for n = 2..5 (grid_k 1 or 2) and on the
+    reduced markets of seeded n = 2, 3 games (grid_k 1), on drawn boxes:
+    each axis starts at 0, 1/2 or 1 and spans a width with denominator up
+    to 7, possibly 0, so one point's prices mix denominators and a zero
+    lower end skips points midway for unbounded demand."""
+    m = _small_market(*market)[0]
+    k = grid_k if market[0] == "M" else 1
+    axes = [_axis_points(lo, lo + width, k) for lo, width in intervals[:m.n_goods]]
+    _check_walk_relations(m, axes, random.Random(seed))
 
 
 def _permute_game(A, B, sigma, tau):
