@@ -15,24 +15,31 @@ Zero-priced goods never carry money; they are checked arithmetically (forced
 satiation amounts must fit under the window ceiling, and free top-ups can
 always reach the window floor).
 
-An accept witness is re-checked without the flow, on the demand core's
-integers: each bundle is compared with the trader's integer canonical fill
-entry by entry, and utilities and costs are compared only on the goods where
-the two differ.  Forced purchases and all bundles are (good, amount) pairs,
-and the per-good totals are summed from them; no N-length row per trader is
-built.
+Before any arc is built, one pass tries each priced good alone as a cut
+(`_short_good`).  Good k's forced money F_k above its window ceiling, or
+F_k plus its reach T_k (all the money the tie offers and the residual
+spenders could bring to k) below its floor, is a reject the flow would
+reach too, by Hoffman's circulation theorem.  The flow stays the one
+complete decision; the cut spares it the rejects one good explains.
 
 `verify` is the one entry point: a witness allocation is the `allocation`
 of its accept certificate.  It runs on one integer scale from the demand
 oracle through max-flow and the re-check: it takes `int_demand`'s integer
 answers on the market's view, all in units of 1/M market-wide, and the
 clearing windows as ints on Q = M * e (eps = a / e), puts every arc's money
-bound on the scale Q * D (prices P_k / D), gets integer flows back and
-re-checks the witness against the same answers.  Fractions are built only
-for the witness bundles, the report, and the re-check's terms on the goods
-where a witness leaves canonical demand.  Prices are taken as given:
-scaling them by c scales every money bound by c, the uncapped arcs' aside,
-which no flow fills, so the flows scale by c and the certificate stays.
+bound on the scale Q * D (prices P_k / D), and gets integer flows back.
+The witness stays in integers, a priced good k in units of 1/(Q * P_k), so
+that an entry is its money on the arcs' scale, and a free good in units of
+1/Q.  The re-check runs on these integers: each bundle is compared entry
+by entry with the trader's canonical fill scaled by Q // M, utilities and
+costs are compared only on the goods where the two differ, and each good's
+total must lie within lo * P_k and hi * P_k.  Forced purchases and all
+bundles are (good, amount) pairs; no N-length row per trader is built.
+Fractions are built once the re-check has passed, for the witness bundles
+and the report; before that, only for the utility terms on goods where a
+witness leaves canonical demand.  Prices are taken as given: scaling them
+by c scales every money bound by c, the uncapped arcs' aside, which no
+flow fills, so the flows scale by c and the certificate stays.
 """
 
 from dataclasses import dataclass
@@ -90,21 +97,48 @@ def clearing_windows(m: Market, P, mode: str, eps: Fraction):
     return M * e, bounds
 
 
+def _short_good(m: Market, P, demands: list[IntDemand | None], waived: set[int], windows) -> bool:
+    """True when some priced good k alone shows the circulation infeasible:
+    its forced money F_k is above its window ceiling, or F_k plus its reach
+    T_k, the most money the tie offers and the residual spenders could still
+    bring to it, is below its floor.  In flow terms {good k} is a cut whose
+    capacity falls short (Hoffman's circulation theorem), so `_solve` would
+    return None.  Money counts 1/(M * D), as in the demand core."""
+    Q, bounds = windows
+    a = Q // m.scaled[0]
+    forced = [0] * m.n_goods
+    reach = [0] * m.n_goods
+    residual = 0  # spend of the traders without ties, free to reach every priced good
+    for i, d in enumerate(demands):
+        if d is None or i in waived:
+            continue
+        for k, x in d.forced.items():
+            forced[k] += x * P[k]
+        if not d.ties:
+            residual += d.spend
+            continue
+        for k, _, cap in d.ties:  # one offer per good: a tie holds one segment of a good
+            reach[k] += d.spend if cap is None else min(d.spend, cap * P[k])
+    return any(q and (f * a > hi * q or (f + r + residual) * a < lo * q)
+               for f, r, (lo, hi), q in zip(forced, reach, bounds, P))
+
+
 def _solve(
     m: Market,
     p: PriceVector,
     demands: list[IntDemand | None],
     waived: set[int],
     windows,
-) -> tuple[Bundle, ...] | None:
+) -> list[dict[int, int]] | None:
     """Feasibility core of verify: an optimal allocation within the windows
-    as witness bundles, or None.
+    as integer witness bundles, or None.
 
     windows is `clearing_windows`'s (Q, bounds).  Every arc carries money
     at one integer scale, Q * D: quantities count 1/Q and prices are
     P_k / D.  Every demand counts amounts in units of 1/M, so one factor
-    Q // M scales them all.  The witness bundles skip `Bundle`'s checks:
-    their amounts are exact Fractions made here, on distinct goods in range."""
+    Q // M scales them all.  A witness bundle maps each good to its amount
+    in units of 1/(Q * P_k), which is its money on the arcs' scale, or 1/Q
+    when the good is free."""
     D, P = p.scaled
     Q, bounds = windows
     M = m.scaled[0]
@@ -146,14 +180,14 @@ def _solve(
     flows = feasible_circulation(arcs)
     if flows is None:
         return None
-    alloc = [{k: Fraction(x, M) for k, x in d.forced.items()} if c else {} for c, d in zip(counted, demands)]
+    x = [{k: v * a * (P[k] or 1) for k, v in d.forced.items()} if c else {} for c, d in zip(counted, demands)]
     for arc_idx, i, k in qty_arcs:
         f = flows[arc_idx]
         if f:  # the only arc of trader i to good k: a tie holds one segment of a good
-            alloc[i][k] = Fraction(demands[i].forced.get(k, 0) * a * P[k] + f, Q * P[k])
-    for k, x in top_up:
-        alloc[0][k] = alloc[0].get(k, 0) + Fraction(x, Q)  # utility-neutral beyond satiation
-    return tuple([trusted(Bundle, amounts=tuple(sorted(x.items()))) for x in alloc])
+            x[i][k] = x[i].get(k, 0) + f
+    for k, v in top_up:
+        x[0][k] = x[0].get(k, 0) + v  # utility-neutral beyond satiation
+    return x
 
 
 def _canonical_totals(m: Market, p: PriceVector, demands: list[IntDemand | None]) -> list[Fraction]:
@@ -209,33 +243,39 @@ def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
 
     supplies = m.supplies()
     windows = clearing_windows(m, P, mode, eps)
-    bundles = _solve(m, p, demands, waived, windows)
-    if bundles is None:
+    x = None if _short_good(m, P, demands, waived, windows) else _solve(m, p, demands, waived, windows)
+    if x is None:
         # a waived trader with unbounded demand holds nothing
         report = clearing_report(supplies, _canonical_totals(m, p, demands), eps)
         return Certificate("reject", "clearing-infeasible", mode, eps, None, report)
 
-    totals = check_witness(m, p, bundles, demands, waived, windows)
-    return Certificate("accept", None, mode, eps, bundles, clearing_report(supplies, totals, eps))
+    totals = check_witness(m, p, x, demands, waived, windows)
+    # the checked witness holds ints on distinct goods in range: its bundles skip `Bundle`'s checks
+    units = [windows[0] * (q or 1) for q in P]
+    bundles = tuple([trusted(Bundle, amounts=tuple(sorted([(k, Fraction(w, units[k])) for k, w in b.items()])))
+                     for b in x])
+    allocated = [Fraction(t, u) for t, u in zip(totals, units)]
+    return Certificate("accept", None, mode, eps, bundles, clearing_report(supplies, allocated, eps))
 
 
-def check_witness(m, p, bundles, demands, waived, windows) -> list[Fraction]:
-    """Re-validate an accept witness against the demand core's answers
-    (`IntDemand`, None for a waived trader with unbounded demand) and the
-    clearing windows, `clearing_windows`'s (Q, bounds); a failure here is
-    a bug.  Returns the per-good totals it checked, for the report."""
+def check_witness(m, p, x, demands, waived, windows) -> list[int]:
+    """Re-validate an accept witness, `_solve`'s integer bundles, against the
+    demand core's answers (`IntDemand`, None for a waived trader with
+    unbounded demand) and the clearing windows, `clearing_windows`'s
+    (Q, bounds); a failure here is a bug.  Returns the per-good totals it
+    checked, good k in units of 1/(Q * P_k), or 1/Q when free."""
     Q, bounds = windows
-    totals = [Fraction(0)] * len(bounds)
-    for i, (trader, d, b) in enumerate(zip(m.traders, demands, bundles)):
+    P = p.scaled[1]
+    totals = [0] * len(bounds)
+    for i, (trader, d, b) in enumerate(zip(m.traders, demands, x)):
         if i in waived:
-            if b.cost(p) != 0:
+            if sum(w for k, w in b.items() if P[k]):  # its cost, in units of 1/(Q * D)
                 raise InternalInvariantViolation(f"waived trader {i} got a costly bundle")
-        elif not in_demand(trader, p, d, b):
+        elif not in_demand(trader, p, d, b.items(), Q):
             raise InternalInvariantViolation(f"witness bundle for trader {i} is not optimal")
-        for k, x in b.amounts:
-            totals[k] += x
-    for k, ((lo, hi), total) in enumerate(zip(bounds, totals)):
-        if not lo <= total * Q <= hi:
+        for k, w in b.items():
+            totals[k] += w
+    for k, ((lo, hi), total, q) in enumerate(zip(bounds, totals, P)):
+        if not lo * (q or 1) <= total <= hi * (q or 1):
             raise InternalInvariantViolation(f"witness violates clearing window on good {k}")
     return totals
-

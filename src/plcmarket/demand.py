@@ -28,9 +28,10 @@ one D, so budgets, group costs and tie spend are ints in units of
 1/(M * D), and rates slope / p_k are compared as ints.
 This is the package's one demand path: `verify` hands the integers to the
 circulation as they are, the grid search scores the integer canonical fill
-(`canonical_amounts`), and `in_demand` re-checks a bundle against the
-integers, comparing it with that fill and building Fractions only where the
-two differ.
+(`canonical_amounts`), and `in_demand` re-checks an integer bundle, on a
+unit the caller names, against the integers: it compares the bundle with
+that fill and builds Fractions only for the utility terms where the two
+differ.
 """
 
 import math
@@ -49,7 +50,7 @@ class Bundle:
     `TraderSpec` checks its pairs: amounts are parsed with `parse_rational`
     (floats and bools raise InputError), a good that is not an int (a bool
     included) or that is listed twice raises InvalidMarket, and the pairs
-    are sorted by good.  Zero and negative amounts are kept; `in_demand`
+    are sorted by good.  Zero and negative amounts are kept; membership
     judges them."""
 
     amounts: tuple[tuple[int, Fraction], ...]  # (good, amount), ascending good
@@ -135,39 +136,38 @@ def canonical_amounts(d: IntDemand, P) -> dict[int, int]:
     return x
 
 
-def in_demand(trader: TraderSpec, p: PriceVector, d: IntDemand, x: Bundle) -> bool:
+def in_demand(trader: TraderSpec, p: PriceVector, d: IntDemand, x, Q: int) -> bool:
     """Membership test for the trader's optimal-bundle set at p, given as the
     core's answer d = `int_demand(v, p.scaled[1])` on its view v: every good in
     range(len(p.prices)), no negative amount, budget-feasible, and utility
     equal to the greedy optimum.  Spending residual money on goods with zero
     marginal utility is allowed.
 
-    x is compared with the canonical bundle c = `canonical_amounts(d, P)` in
-    integers, entry by entry, and c's cost is an int in the core's money
-    units.  Fractions are built only on the goods where x and c differ, c's
-    goods missing from x included: there the cost changes by (x_k - c_k) p_k
-    and the utility by f_k(x_k) - f_k(c_k), and U(x) == U(c) exactly when
-    those utility terms sum to 0."""
+    x holds (good, amount) pairs in integers on the caller's unit Q, a
+    multiple of d.den: a priced good k counts 1/(Q * P_k), so its amount is
+    also its money in units of 1/(Q * D), and a free good counts 1/Q.  x is
+    compared with the canonical bundle c = `canonical_amounts(d, P)` scaled
+    by Q // d.den, entry by entry, and costs are ints.  Fractions are built
+    only on the goods where x and c differ, c's goods missing from x
+    included: there the utility changes by f_k(x_k) - f_k(c_k), and
+    U(x) == U(c) exactly when those terms sum to 0."""
     n = len(p.prices)
-    D, P = p.scaled
-    den = d.den
+    P = p.scaled[1]
+    a = Q // d.den
     c = canonical_amounts(d, P)
-    spend = sum(a for k, a in c.items() if P[k])  # units of 1/(den * D)
+    slack = d.budget - sum(b for k, b in c.items() if P[k])  # units of 1/(den * D)
     differ = []  # (good, amount in x, amount in c), one per good where they differ
-    for k, a in x.amounts:
-        if not 0 <= k < n or a.numerator < 0:
+    for k, w in x:
+        if not 0 <= k < n or w < 0:
             return False
-        b = c.pop(k, 0)
-        u = den * (P[k] or 1)
-        if a.numerator * u != b * a.denominator:
-            differ.append((k, a, Fraction(b, u)))
-    for k, b in c.items():  # canonical goods that x leaves out
-        if b:
-            differ.append((k, Fraction(0), Fraction(b, den * (P[k] or 1))))
+        b = c.pop(k, 0) * a
+        if w != b:
+            differ.append((k, w, b))
+    differ.extend((k, 0, b * a) for k, b in c.items() if b)  # canonical goods that x leaves out
     if not differ:
-        return spend <= d.budget
-    q, f = p.prices, dict(trader.wanted)
-    extra = sum(((a - b) * q[k] for k, a, b in differ), Fraction(0))
-    if extra * (den * D) > d.budget - spend:
+        return True
+    if sum(w - b for k, w, b in differ if P[k]) > slack * a:
         return False
-    return sum((f[k](a) - f[k](b) for k, a, b in differ if k in f), Fraction(0)) == 0
+    f = dict(trader.wanted)
+    return sum((f[k](Fraction(w, Q * (P[k] or 1))) - f[k](Fraction(b, Q * (P[k] or 1)))
+                for k, w, b in differ if k in f), Fraction(0)) == 0

@@ -51,7 +51,8 @@ each of the reduced market's S, U, V and I blocks.
 `regulation_forward_witness` certifies an in-box price vector of M_n by
 re-checking the identity allocation with `clearing.check_witness`, the
 forward direction of the price-regulation property, without the flow
-that `verify` runs; `game_to_obj` writes a game file.
+that `verify` runs; `bundle_in_demand` puts a Fraction bundle on the
+integer unit `in_demand` takes; `game_to_obj` writes a game file.
 """
 
 import json
@@ -72,14 +73,14 @@ from plcmarket.clearing import (
     clearing_windows,
     verify,
 )
-from plcmarket.demand import Bundle, int_demand
+from plcmarket.demand import Bundle, in_demand, int_demand
 from plcmarket.errors import InputError, InvalidMarket, MarketError, NTooLarge, UnboundedDemand
 from plcmarket.flow import Arc, feasible_circulation
-from plcmarket.games import MAX_SUPPORT_ENUM_N, BimatrixGame, MixedStrategy, _integral
+from plcmarket.games import MAX_SUPPORT_ENUM_N, BimatrixGame, MixedStrategy, _integral, validate_game
 from plcmarket.model import Market, PriceVector, ScaledTrader, TraderSpec, normalize_prices
 from plcmarket.plc import ZERO_PLC, PLCFunction, linear_plc, validate_plc
 from plcmarket.rational import format_rational, parse_epsilon, parse_rational
-from plcmarket.reduction import ReducedMarketMeta, _gadget
+from plcmarket.reduction import ReducedMarketMeta, _gadget, build_reduced_market
 from plcmarket.regulating import build_mn, check_regulation_box
 from plcmarket.search import SearchReport
 from plcmarket.serialize import _ZERO_OBJ, _dense_row, _require, plc_from_obj
@@ -577,11 +578,25 @@ def regulation_forward_witness(n: int, p: PriceVector) -> Certificate:
         raise OutOfRegulationBox(f"prices {p.prices} not in [1,2]^{n}")
     m = build_mn(n)
     eps = Fraction(1, n)
+    P = p.scaled[1]
+    windows = clearing_windows(m, P, APPROXIMATE, eps)
+    units = [windows[0] * (q or 1) for q in P]
     bundles = tuple(Bundle(t.owned) for t in m.traders)
-    demands = [int_demand(own_scale_view(t), p.scaled[1], i) for i, t in enumerate(m.traders)]
-    supplies = m.supplies()
-    totals = check_witness(m, p, bundles, demands, set(), clearing_windows(m, p.scaled[1], APPROXIMATE, eps))
-    return Certificate("accept", None, APPROXIMATE, eps, bundles, clearing_report(supplies, totals, eps))
+    x = [{k: int(w * units[k]) for k, w in b.amounts} for b in bundles]
+    demands = [int_demand(own_scale_view(t), P, i) for i, t in enumerate(m.traders)]
+    totals = check_witness(m, p, x, demands, set(), windows)
+    allocated = [Fraction(t, u) for t, u in zip(totals, units)]
+    return Certificate("accept", None, APPROXIMATE, eps, bundles, clearing_report(m.supplies(), allocated, eps))
+
+
+def bundle_in_demand(trader: TraderSpec, p, d, b: Bundle) -> bool:
+    """`in_demand` on a Fraction bundle: its amounts in integers on the
+    least unit Q, a multiple of d.den, on which every entry is whole, good
+    k counting 1/(Q * P_k), or 1/Q when free or outside the market."""
+    P = p.scaled[1]
+    units = [P[k] if 0 <= k < len(P) and P[k] else 1 for k, _ in b.amounts]
+    Q = math.lcm(d.den, *((w * u).denominator for (_, w), u in zip(b.amounts, units)))
+    return in_demand(trader, p, d, [(k, int(w * u * Q)) for (k, w), u in zip(b.amounts, units)], Q)
 
 
 # --- reference circulation -------------------------------------------------------
@@ -791,6 +806,34 @@ def coprime_instance(rng: random.Random):
     if not any(t.owned for t in traders):
         traders[0] = TraderSpec([(anchor, Fraction(2, 3))], traders[0].wanted)
     return Market(n, tuple(traders)), normalize_prices(PriceVector(tuple(vec)))
+
+
+def prices_with_zeros(rng: random.Random, n: int) -> PriceVector:
+    """Entries in eighths up to 2, each zero with probability 1/4, not all zero."""
+    while True:
+        vec = [Fraction(0) if rng.random() < 0.25 else Fraction(rng.randint(1, 16), 8) for _ in range(n)]
+        if any(vec):
+            return PriceVector(tuple(vec))
+
+
+def random_instance(rng: random.Random, family: str):
+    """A market of the family and a normalized price vector for it; M_n and
+    reduced markets mostly get prices near the [1, 2] box, sometimes zeros;
+    the coprime family brings its own prices."""
+    if family == "coprime":
+        return coprime_instance(rng)
+    if family == "tie-rich":
+        vec = [Fraction(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+        return tie_rich_market(rng, vec), normalize_prices(PriceVector(tuple(vec)))
+    if family == "random":
+        m = random_market(rng)
+    elif family == "mn":
+        m = build_mn(rng.randint(2, 4))
+    else:
+        m, _ = build_reduced_market(validate_game(*random_sparse_game_matrices(rng, rng.randint(2, 3))))
+    if family != "random" and rng.random() < 0.75:
+        return m, normalize_prices(PriceVector(tuple(Fraction(rng.randint(7, 17), 8) for _ in range(m.n_goods))))
+    return m, normalize_prices(prices_with_zeros(rng, m.n_goods))
 
 
 def random_sparse_game_matrices(rng: random.Random, n: int, den: int = 8):

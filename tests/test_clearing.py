@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 import plcmarket
 from plcmarket import clearing, demand
 from plcmarket.cli import main
 from plcmarket.clearing import APPROXIMATE, EXACT, MODES, QUASI, verify
-from plcmarket.demand import Bundle, in_demand, int_demand
+from plcmarket.demand import Bundle, int_demand
 from plcmarket.errors import (
     AllZeroPrices,
     InputError,
@@ -25,11 +28,13 @@ from plcmarket.serialize import certificate_to_obj, dumps, prices_to_obj
 
 from oracles import (
     brute_force_clearing,
+    bundle_in_demand,
     dense_in_demand,
     dense_view,
     imbalance_profile,
     optimal_demand,
     own_scale_view,
+    random_instance,
     random_market,
     random_sparse_game_matrices,
 )
@@ -49,7 +54,7 @@ def test_m2_box_prices_feasible():
     assert verify(m, p, APPROXIMATE, F(1, 2)).accepted
     # and the endowment allocation itself is a valid witness
     for i, t in enumerate(m.traders):
-        assert in_demand(t, p, int_demand(own_scale_view(t), p.scaled[1], i), Bundle(t.owned))
+        assert bundle_in_demand(t, p, int_demand(own_scale_view(t), p.scaled[1], i), Bundle(t.owned))
 
 
 def test_m2_out_of_box_infeasible():
@@ -210,7 +215,7 @@ def test_witness_revalidates():
     cert = verify(m, p, APPROXIMATE, F(1, 4))
     assert cert.accepted
     for i, t in enumerate(m.traders):
-        assert in_demand(t, p, int_demand(own_scale_view(t), p.scaled[1], i), cert.allocation[i])
+        assert bundle_in_demand(t, p, int_demand(own_scale_view(t), p.scaled[1], i), cert.allocation[i])
         assert dense_in_demand(t, p, optimal_demand(t, p, i), dense_view(cert.allocation[i].amounts, m.n_goods))
     for row in cert.report:
         assert abs(row.imbalance) <= row.bound
@@ -284,53 +289,57 @@ def _unwaived(demands, waived):
     return next(i for i, d in enumerate(demands) if i not in waived and d.ties)
 
 
-def _move_tie_money(m, p, demands, waived, x):
+# The corruptions act on `_solve`'s integer witness on the unit Q: a priced
+# good k counts 1/(Q * P_k), so an entry is its money in units of 1/(Q * D).
+
+def _move_tie_money(m, p, demands, waived, x, Q):
     """Half the money a tie trader spends above the forced purchase on a tie
     good, moved to a priced good the trader does not want (rate 0)."""
     wanted = [{k for k, _ in t.wanted} for t in m.traders]
+    P = p.scaled[1]
     for i, d in enumerate(demands):
-        others = [g for g, q in enumerate(p.prices) if q and g not in wanted[i]]
+        others = [g for g, q in enumerate(P) if q and g not in wanted[i]]
         if i in waived or not d.ties or not others:
             continue
         for k, _, _ in d.ties:
-            extra = x[i].get(k, 0) - F(d.forced.get(k, 0), d.den)
+            extra = x[i].get(k, 0) - d.forced.get(k, 0) * (Q // d.den) * P[k]
             if extra > 0:
-                money = extra * p.prices[k] / 2
-                x[i][k] -= money / p.prices[k]
-                x[i][others[0]] = x[i].get(others[0], 0) + money / p.prices[others[0]]
+                money = (extra + 1) // 2
+                x[i][k] -= money
+                x[i][others[0]] = x[i].get(others[0], 0) + money
                 return i
     raise AssertionError("no tie trader with a lower-rate good")
 
 
-def _raise_past_budget(m, p, demands, waived, x):
+def _raise_past_budget(m, p, demands, waived, x, Q):
     i = _unwaived(demands, waived)
     k = next(g for g, q in enumerate(p.prices) if q)
     d = demands[i]
-    x[i][k] = x[i].get(k, 0) + (F(d.budget, d.den * p.scaled[0]) + 1) / p.prices[k]
+    x[i][k] = x[i].get(k, 0) + d.budget * (Q // d.den) + Q * p.scaled[0]  # the budget and one unit of money
     return i
 
 
-def _make_negative(m, p, demands, waived, x):
+def _make_negative(m, p, demands, waived, x, Q):
     i = _unwaived(demands, waived)
-    x[i][next(iter(x[i]), 0)] = F(-1, 8)
+    x[i][next(iter(x[i]), 0)] = -1
     return i
 
 
-def _drop_canonical_entry(m, p, demands, waived, x):
+def _drop_canonical_entry(m, p, demands, waived, x, Q):
     i = _unwaived(demands, waived)
     del x[i][next(k for k in x[i] if k in dict(m.traders[i].wanted))]
     return i
 
 
-def _add_outside_good(m, p, demands, waived, x):
+def _add_outside_good(m, p, demands, waived, x, Q):
     i = _unwaived(demands, waived)
-    x[i][m.n_goods] = F(0)
+    x[i][m.n_goods] = 0
     return i
 
 
-def _give_waived_a_priced_good(m, p, demands, waived, x):
+def _give_waived_a_priced_good(m, p, demands, waived, x, Q):
     i = min(waived)
-    x[i][next(g for g, q in enumerate(p.prices) if q)] = F(1)
+    x[i][next(g for g, q in enumerate(p.prices) if q)] = 1
     return i
 
 
@@ -342,14 +351,14 @@ _WITNESS_MARKETS = {
 
 
 def _corrupting_solve(corrupt, hit):
-    """clearing._solve whose witness is corrupted by corrupt, which names
-    the trader it changed in hit."""
+    """clearing._solve whose integer witness is corrupted by corrupt, which
+    names the trader it changed in hit."""
     solve = clearing._solve
 
     def corrupted(m, p, demands, waived, windows):
-        x = [dict(b.amounts) for b in solve(m, p, demands, waived, windows)]
-        hit.append(corrupt(m, p, demands, waived, x))
-        return tuple(Bundle(tuple(b.items())) for b in x)
+        x = solve(m, p, demands, waived, windows)
+        hit.append(corrupt(m, p, demands, waived, x, windows[0]))
+        return x
 
     return corrupted
 
@@ -382,3 +391,82 @@ def test_verify_cli_exits_3_on_a_corrupted_witness(tmp_path, monkeypatch):
     monkeypatch.setattr(clearing, "_solve", _corrupting_solve(_drop_canonical_entry, []))
     res = CliRunner().invoke(main, args)
     assert res.exit_code == 3 and "internal invariant violation" in res.output
+
+
+# --- the one-good cut --------------------------------------------------------------
+#
+# `clearing._short_good` rejects before any arc is built.  It must reject only
+# where the flow would, and on the benchmark's kinds of traffic it should
+# decide every clearing reject.
+
+
+def _in_box(rng, n):
+    return [F(rng.randint(1001, 1999), 1000) for _ in range(n)]
+
+
+def _benchmark_traffic():
+    """(label, market, prices, mode, eps) drawn as the benchmark draws its
+    verify inputs: reduced markets of seeded sparse games at n = 2 and 4 with
+    in-box prices at eps N^-13, and M_4 and M_8 with one price pushed out of
+    the box or set to zero, in every mode."""
+    for n in (2, 4):
+        for seed in range(6):
+            rng = random.Random(seed)
+            m, meta = build_reduced_market(validate_game(*random_sparse_game_matrices(rng, n)))
+            yield f"reduced{n}-{seed}", m, _in_box(rng, meta.n_goods), APPROXIMATE, F(1, meta.n_goods**13)
+    for n in (4, 8):
+        m, rng = build_mn(n), random.Random(n)
+        for kind in ("pushed", "zero"):
+            for j in range(3):
+                p = _in_box(rng, n)
+                k = rng.randrange(n)
+                p[k] = 2 * min(p[:k] + p[k + 1:]) + F(rng.randint(1, 1000), 1000) if kind == "pushed" else F(0)
+                for mode in MODES:
+                    yield f"M{n}-{kind}{j}-{mode}", m, p, mode, F(1, n) if mode == APPROXIMATE else 0
+
+
+def test_the_one_good_cut_decides_the_benchmarks_clearing_rejects(monkeypatch):
+    """Every clearing reject of the benchmark's kinds of traffic is decided
+    without a flow, and its certificate keeps the bytes the flow gives."""
+    flows = []
+    circulation = clearing.feasible_circulation
+
+    def counting(arcs):
+        flows.append(arcs)
+        return circulation(arcs)
+
+    rejects = 0
+    for label, m, vec, mode, eps in _benchmark_traffic():
+        flows.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(clearing, "feasible_circulation", counting)
+            cert = verify(m, prices(vec), mode, eps)
+        if cert.reason != "clearing-infeasible":
+            continue
+        rejects += 1
+        assert not flows, label
+        with monkeypatch.context() as patch:
+            patch.setattr(clearing, "_short_good", lambda *args: False)
+            assert dumps(certificate_to_obj(verify(m, prices(vec), mode, eps))) == dumps(certificate_to_obj(cert)), label
+    assert rejects >= 20, rejects
+
+
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["random", "tie-rich", "mn", "reduced", "coprime"]))
+def test_the_one_good_cut_rejects_only_what_the_flow_rejects(seed, family):
+    """Whenever the cut rejects, `_solve` on the same inputs finds no
+    circulation, in every mode and at eps 0, N^-13 and 1/2, on random,
+    tie-rich, M_n, reduced and mixed-denominator markets, some of them at
+    prices with zeros."""
+    m, p = random_instance(random.Random(seed), family)
+    short_good = clearing._short_good
+
+    def referee(m, P, demands, waived, windows):
+        cut = short_good(m, P, demands, waived, windows)
+        if cut:
+            assert clearing._solve(m, p, demands, waived, windows) is None
+        return cut
+
+    n = m.n_goods
+    with mock.patch.object(clearing, "_short_good", referee):
+        for mode, eps in ((EXACT, 0), (QUASI, 0), (APPROXIMATE, F(1, n**13)), (APPROXIMATE, F(1, 2))):
+            verify(m, p, mode, eps)

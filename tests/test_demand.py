@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plcmarket.demand import Bundle, canonical_amounts, in_demand, int_demand
+from plcmarket.demand import Bundle, canonical_amounts, int_demand
 from plcmarket.errors import UnboundedDemand
 from plcmarket.games import validate_game
 from plcmarket.model import PriceVector, TraderSpec, prices
@@ -14,6 +14,7 @@ from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn
 
 from oracles import (
+    bundle_in_demand,
     canonical_bundle,
     dense_budget,
     dense_utility,
@@ -76,7 +77,7 @@ def test_equal_rates_form_tie():
     assert d.tie_spend == 2
     assert dense_view(canonical_bundle(d).amounts, 2) == (F(1), F(0))  # lexicographic fill
     # all-money-on-the-other-good is also optimal
-    assert in_demand(t, prices([2, 1]), _core(t, prices([2, 1])), Bundle(((1, F(2)),)))
+    assert bundle_in_demand(t, prices([2, 1]), _core(t, prices([2, 1])), Bundle(((1, F(2)),)))
 
 
 def test_greedy_across_segments():
@@ -90,7 +91,7 @@ def test_zero_budget_yields_zero_bundle():
     d = optimal_demand(t, prices([1, 1]))
     assert d.budget == 0 and d.tie_spend == 0
     assert dense_view(canonical_bundle(d).amounts, 2) == (F(0), F(0))
-    assert in_demand(t, prices([1, 1]), _core(t, prices([1, 1])), Bundle(()))
+    assert bundle_in_demand(t, prices([1, 1]), _core(t, prices([1, 1])), Bundle(()))
 
 
 def test_unbounded_demand_on_free_wanted_good():
@@ -105,14 +106,14 @@ def test_free_satiated_good_is_forced_at_satiation():
     assert dense_view(d.forced, 2)[1] == 3
     b = canonical_bundle(d)
     assert dense_view(b.amounts, 2) == (F(1), F(3))
-    assert in_demand(t, prices([1, 0]), _core(t, prices([1, 0])), b)
+    assert bundle_in_demand(t, prices([1, 0]), _core(t, prices([1, 0])), b)
     # skipping the free satiated quantity is not optimal
-    assert not in_demand(t, prices([1, 0]), _core(t, prices([1, 0])), Bundle(((0, F(1)),)))
+    assert not bundle_in_demand(t, prices([1, 0]), _core(t, prices([1, 0])), Bundle(((0, F(1)),)))
 
 
 def test_overspent_bundle_not_in_opt():
     t = linear_trader([1, 0], [2, 1])
-    assert not in_demand(t, prices([1, 1]), _core(t, prices([1, 1])), Bundle(((0, F(2)),)))
+    assert not bundle_in_demand(t, prices([1, 1]), _core(t, prices([1, 1])), Bundle(((0, F(2)),)))
 
 
 def test_residual_spending_allowed_in_opt():
@@ -124,8 +125,8 @@ def test_residual_spending_allowed_in_opt():
     assert dense_view(d.forced, 2) == (F(1), F(1))
     assert d.tie_spend == 2  # residual ceiling
     assert dense_view(canonical_bundle(d).amounts, 2) == (F(1), F(1))
-    assert in_demand(t, p, _core(t, p), Bundle(((0, F(2)), (1, F(2)))))  # burns residual, same utility
-    assert not in_demand(t, p, _core(t, p), Bundle(((0, F(3)), (1, F(2)))))  # over budget
+    assert bundle_in_demand(t, p, _core(t, p), Bundle(((0, F(2)), (1, F(2)))))  # burns residual, same utility
+    assert not bundle_in_demand(t, p, _core(t, p), Bundle(((0, F(3)), (1, F(2)))))  # over budget
 
 
 def test_full_spend_law_and_rate_partition():
@@ -145,7 +146,7 @@ def test_full_spend_law_and_rate_partition():
                 assert b.cost(p) == d.budget  # all money spent
             else:
                 assert cost + d.tie_spend == d.budget
-            assert in_demand(t, p, _core(t, p), canonical_bundle(d))
+            assert bundle_in_demand(t, p, _core(t, p), canonical_bundle(d))
 
 
 def test_rate_partition_around_cutoff():

@@ -144,7 +144,9 @@ def _random_network(rng):
 def _clearing_networks(monkeypatch):
     """Every arc list `clearing._solve` hands to the circulation core on
     M_n, seeded reduced markets, random markets and markets whose
-    denominators share no factor, so the integer scale mixes them."""
+    denominators share no factor, so the integer scale mixes them.  The
+    one-good cut is patched off: it decides every clearing reject here
+    before any arc is built, and the referee needs infeasible networks."""
     captured = []
 
     def capture(arcs):
@@ -152,6 +154,7 @@ def _clearing_networks(monkeypatch):
         return flow.feasible_circulation(arcs)
 
     monkeypatch.setattr(clearing, "feasible_circulation", capture)
+    monkeypatch.setattr(clearing, "_short_good", lambda *args: False)
     rng = random.Random(20100)
     for n in range(2, 9):
         inside = [1 + F(rng.randint(0, 16), 16) for _ in range(n)]

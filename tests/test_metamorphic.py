@@ -26,7 +26,9 @@ leave each point's score as it was.  The walk's totals count good k on a
 scale that moves with P_k, so the relations are also drawn under
 hypothesis, on boxes whose lower ends are 0, 1/2 or 1 and whose axes have
 mixed denominators.  Permuting a game's row and column actions must
-relabel its reduced market's goods and traders and change nothing else.
+relabel its reduced market's goods and traders and change nothing else;
+that is checked on seeded games at n = 16 and 32 and, under hypothesis, on
+games drawn at n = 2..5.
 """
 
 import functools
@@ -47,7 +49,7 @@ from plcmarket.regulating import build_mn
 from plcmarket.search import _axis_points, grid_scores
 from plcmarket.serialize import certificate_to_obj, dumps
 
-from oracles import random_market, random_sparse_game_matrices, tie_rich_market
+from oracles import mixed_denominator_game_matrices, random_market, random_sparse_game_matrices, tie_rich_market
 
 PRICE_DEN = 1000
 
@@ -270,13 +272,29 @@ def _relabelled(m: Market, good, action) -> dict:
     return traders
 
 
-@pytest.mark.parametrize("n", [16, 32])
-def test_reduced_market_survives_permuting_the_actions(n):
-    rng = random.Random(n)
-    A, B = random_sparse_game_matrices(rng, n)
-    sigma, tau = rng.sample(range(n), n), rng.sample(range(n), n)
+def _check_builder_relation(A, B, sigma, tau):
+    """Permuting the actions by sigma and tau relabels the reduced market's
+    goods and traders and changes nothing else."""
+    n = len(A)
     m, _ = build_reduced_market(validate_game(A, B))
     permuted, _ = build_reduced_market(validate_game(*_permute_game(A, B, sigma, tau)))
     good = sigma + [n + j for j in tau] + [2 * n, 2 * n + 1]
     same = _relabelled(permuted, range(2 * n + 2), {"U": range(n), "V": range(n)})
     assert _relabelled(m, good, {"U": sigma, "V": tau}) == same
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_reduced_market_survives_permuting_the_actions(n):
+    rng = random.Random(n)
+    A, B = random_sparse_game_matrices(rng, n)
+    _check_builder_relation(A, B, rng.sample(range(n), n), rng.sample(range(n), n))
+
+
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1), mixed=st.booleans(), data=st.data())
+def test_reduced_market_survives_permuting_the_actions_of_drawn_games(n, seed, mixed, data):
+    """The builder relation on games drawn at n = 2..5, with entries over
+    denominator 8 or over mixed denominators, under drawn permutations."""
+    draw = mixed_denominator_game_matrices if mixed else random_sparse_game_matrices
+    A, B = draw(random.Random(seed), n)
+    sigma, tau = (data.draw(st.permutations(range(n))) for _ in range(2))
+    _check_builder_relation(A, B, list(sigma), list(tau))

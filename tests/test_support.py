@@ -10,17 +10,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plcmarket.clearing import APPROXIMATE, EXACT, MODES, verify
-from plcmarket.demand import Bundle, in_demand, int_demand
+from plcmarket.demand import Bundle, int_demand
 from plcmarket.errors import UnboundedDemand
 from plcmarket.games import validate_game
 from plcmarket.model import Market, PriceVector, TraderSpec, is_strongly_connected, normalize_prices, prices
 from plcmarket.plc import PLCFunction, linear_plc, validate_plc
 from plcmarket.reduction import build_reduced_market
-from plcmarket.regulating import build_mn
 
 from oracles import (
+    bundle_in_demand,
     canonical_bundle,
-    coprime_instance,
     dense_cost,
     dense_demand,
     dense_in_demand,
@@ -32,18 +31,12 @@ from oracles import (
     nonzeros,
     optimal_demand,
     own_scale_view,
+    prices_with_zeros,
+    random_instance,
     random_market,
     random_sparse_game_matrices,
-    tie_rich_market,
     utility_row,
 )
-
-
-def _prices_with_zeros(rng, n):
-    while True:
-        vec = [F(0) if rng.random() < 0.25 else F(rng.randint(1, 16), 8) for _ in range(n)]
-        if any(vec):
-            return PriceVector(tuple(vec))
 
 
 def _bundle(rng, n):
@@ -103,7 +96,7 @@ def _check_reports(m: Market, p: PriceVector):
 def test_support_code_matches_dense_references(seed):
     rng = random.Random(seed)
     m = random_market(rng)
-    p = _prices_with_zeros(rng, m.n_goods)
+    p = prices_with_zeros(rng, m.n_goods)
     _check_against_dense(m, p, rng)
     _check_reports(m, p)
 
@@ -115,7 +108,7 @@ def test_support_code_matches_dense_references_on_reduced_markets(n, seed):
     assert max(len(t.support) for t in m.traders) < m.n_goods
     for p in (
         PriceVector(tuple(F(rng.randint(1001, 1999), 1000) for _ in range(m.n_goods))),
-        _prices_with_zeros(rng, m.n_goods),
+        prices_with_zeros(rng, m.n_goods),
     ):
         _check_against_dense(m, p, rng)
         _check_reports(m, p)
@@ -251,33 +244,13 @@ def _in_demand_candidates(t, p, d, x):
         yield x[:g] + (x[g] + F(1, 3),) + x[g + 1:], True
 
 
-def _instance(rng, family):
-    """A market of the family and a normalized price vector for it; M_n and
-    reduced markets mostly get prices near the [1, 2] box, sometimes zeros;
-    the coprime family brings its own prices."""
-    if family == "coprime":
-        return coprime_instance(rng)
-    if family == "tie-rich":
-        vec = [F(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
-        return tie_rich_market(rng, vec), normalize_prices(prices(vec))
-    if family == "random":
-        m = random_market(rng)
-    elif family == "mn":
-        m = build_mn(rng.randint(2, 4))
-    else:
-        m, _ = build_reduced_market(validate_game(*random_sparse_game_matrices(rng, rng.randint(2, 3))))
-    if family != "random" and rng.random() < 0.75:
-        return m, normalize_prices(PriceVector(tuple(F(rng.randint(7, 17), 8) for _ in range(m.n_goods))))
-    return m, normalize_prices(_prices_with_zeros(rng, m.n_goods))
-
-
 @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["random", "tie-rich", "mn", "reduced", "coprime"]))
 def test_sparse_demand_sets_match_dense_oracles(seed, family):
     """optimal_demand's forced pairs fill dense_demand's forced row, and
     in_demand agrees with dense_in_demand on canonical bundles, accept
     witnesses and their perturbations, on every instance family."""
     rng = random.Random(seed)
-    m, p = _instance(rng, family)
+    m, p = random_instance(rng, family)
     n = m.n_goods
     cert = verify(m, p, APPROXIMATE, F(1, 2))
     for i, t in enumerate(m.traders):
@@ -291,21 +264,21 @@ def test_sparse_demand_sets_match_dense_oracles(seed, family):
         if cert.accepted:
             bundles.append(dense_view(cert.allocation[i].amounts, n))
         for x in bundles:
-            assert in_demand(t, p, core, Bundle(nonzeros(x)))
+            assert bundle_in_demand(t, p, core, Bundle(nonzeros(x)))
             for y, expect in _in_demand_candidates(t, p, d, x):
                 if y is None:
                     continue
-                got = in_demand(t, p, core, Bundle(nonzeros(y)))
+                got = bundle_in_demand(t, p, core, Bundle(nonzeros(y)))
                 assert got == dense_in_demand(t, p, d, y)
                 assert expect is None or got == expect
-            assert not in_demand(t, p, core, Bundle(nonzeros(x) + ((n, F(0)),)))
+            assert not bundle_in_demand(t, p, core, Bundle(nonzeros(x) + ((n, F(0)),)))
 
 
 def test_in_demand_rejects_a_good_outside_the_market():
     t = TraderSpec([(0, F(1))], [(0, linear_plc(1))])
     p = prices([1, 1])
     d = int_demand(own_scale_view(t), p.scaled[1])
-    assert in_demand(t, p, d, Bundle(((0, F(1)),)))
+    assert bundle_in_demand(t, p, d, Bundle(((0, F(1)),)))
     for k in (-1, 2, 3):
-        assert not in_demand(t, p, d, Bundle(((0, F(1)), (k, F(0)))))
-        assert not in_demand(t, p, d, Bundle(((k, F(1)),)))
+        assert not bundle_in_demand(t, p, d, Bundle(((0, F(1)), (k, F(0)))))
+        assert not bundle_in_demand(t, p, d, Bundle(((k, F(1)),)))
