@@ -19,8 +19,13 @@ Before any arc is built, one pass tries each priced good alone as a cut
 (`_short_good`).  Good k's forced money F_k above its window ceiling, or
 F_k plus its reach T_k (all the money the tie offers and the residual
 spenders could bring to k) below its floor, is a reject the flow would
-reach too, by Hoffman's circulation theorem.  The flow stays the one
-complete decision; the cut spares it the rejects one good explains.
+reach too, by Hoffman's circulation theorem.  The cut spares the flow the
+rejects one good explains.  Past the cut, where no trader has a choice
+(`_determined`: each trader that spends has exactly one tie offer), the
+circulation has one candidate, so `_solve` routes each trader's money to
+its one tie good and checks each good's money against its sink arc's
+bounds, building no arc.  The flow decides the rest, tie splits and
+residual spenders, and there Edmonds-Karp's path order fixes the witness.
 
 `verify` is the one entry point: a witness allocation is the `allocation`
 of its accept certificate.  It runs on one integer scale from the demand
@@ -123,6 +128,13 @@ def _short_good(m: Market, P, demands: list[IntDemand | None], waived: set[int],
                for f, r, (lo, hi), q in zip(forced, reach, bounds, P))
 
 
+def _determined(demands: list[IntDemand | None], counted: list[bool]) -> bool:
+    """True when no counted trader has a choice: each one with money to
+    spend has exactly one tie offer.  A residual spender (no ties) has one,
+    since it may leave its money unspent or spend it on any priced good."""
+    return all(not c or not d.spend or len(d.ties) == 1 for d, c in zip(demands, counted))
+
+
 def _solve(
     m: Market,
     p: PriceVector,
@@ -138,53 +150,70 @@ def _solve(
     P_k / D.  Every demand counts amounts in units of 1/M, so one factor
     Q // M scales them all.  A witness bundle maps each good to its amount
     in units of 1/(Q * P_k), which is its money on the arcs' scale, or 1/Q
-    when the good is free."""
+    when the good is free.
+
+    When no trader has a choice (`_determined`), the circulation is unique:
+    each spending trader's source arc is an equality with one out-arc, and
+    the other traders carry no money.  So each spending trader's money goes
+    to its one tie good, and each priced good's money is checked against
+    the bounds its sink arc would get, with no arc built.  The flow decides
+    only where some trader has a choice."""
     D, P = p.scaled
     Q, bounds = windows
     M = m.scaled[0]
     a = Q // M
     counted = [d is not None and i not in waived for i, d in enumerate(demands)]
-    inf = Q * D + sum(d.budget for d in demands if d is not None) * a  # exceeds the money of every arc
     forced = [0] * m.n_goods
     for d, c in zip(demands, counted):
         if c:
             for k, x in d.forced.items():
                 forced[k] += x * a
-    priced = [k for k, q in enumerate(P) if q]
-    arcs: list[Arc] = []
-    qty_arcs: list[tuple[int, int, int]] = []  # (arc index, trader, good)
-    for i, (d, c) in enumerate(zip(demands, counted)):
-        if not c:
-            continue
-        if d.ties:
-            spend = d.spend * a
-            arcs.append(Arc("src", ("t", i), spend, spend))
-            for k, _, cap in d.ties:
-                qty_arcs.append((len(arcs), i, k))
-                arcs.append(Arc(("t", i), ("g", k), 0, inf if cap is None else cap * P[k] * a))
-        elif d.spend > 0 and priced:
-            arcs.append(Arc("src", ("t", i), 0, d.spend * a))
-            for k in priced:
-                qty_arcs.append((len(arcs), i, k))
-                arcs.append(Arc(("t", i), ("g", k), 0, inf))
     top_up = []  # (good, amount) a free good adds to reach its window floor
     for k, ((lo, hi), q) in enumerate(zip(bounds, P)):
         if q:
-            arcs.append(Arc(("g", k), "snk", max(0, lo - forced[k]) * q, (hi - forced[k]) * q))
-        elif forced[k] > hi:
+            continue
+        if forced[k] > hi:
             return None  # free goods never carry money; their total is forced[k]
-        elif lo > forced[k]:
+        if lo > forced[k]:
             top_up.append((k, lo - forced[k]))
-    arcs.append(Arc("snk", "src", 0, inf))
-
-    flows = feasible_circulation(arcs)
-    if flows is None:
-        return None
+    # a priced good's window on its tie money, the bounds of its sink arc
+    sink = [(max(0, lo - f) * q, (hi - f) * q) for f, (lo, hi), q in zip(forced, bounds, P)]
+    if _determined(demands, counted):
+        paid = [(i, d.ties[0][0], d.spend * a) for i, (d, c) in enumerate(zip(demands, counted)) if c and d.spend]
+        money = [0] * m.n_goods  # the flow each sink arc would carry
+        for _, k, w in paid:
+            money[k] += w
+        if any(q and not lo <= w <= hi for w, (lo, hi), q in zip(money, sink, P)):
+            return None
+    else:
+        inf = Q * D + sum(d.budget for d in demands if d is not None) * a  # exceeds the money of every arc
+        priced = [k for k, q in enumerate(P) if q]
+        arcs: list[Arc] = []
+        qty_arcs: list[tuple[int, int, int]] = []  # (arc index, trader, good)
+        for i, (d, c) in enumerate(zip(demands, counted)):
+            if not c:
+                continue
+            if d.ties:
+                spend = d.spend * a
+                arcs.append(Arc("src", ("t", i), spend, spend))
+                for k, _, cap in d.ties:
+                    qty_arcs.append((len(arcs), i, k))
+                    arcs.append(Arc(("t", i), ("g", k), 0, inf if cap is None else cap * P[k] * a))
+            elif d.spend > 0 and priced:
+                arcs.append(Arc("src", ("t", i), 0, d.spend * a))
+                for k in priced:
+                    qty_arcs.append((len(arcs), i, k))
+                    arcs.append(Arc(("t", i), ("g", k), 0, inf))
+        for k in priced:
+            arcs.append(Arc(("g", k), "snk", *sink[k]))
+        arcs.append(Arc("snk", "src", 0, inf))
+        flows = feasible_circulation(arcs)
+        if flows is None:
+            return None
+        paid = [(i, k, flows[j]) for j, i, k in qty_arcs if flows[j]]
     x = [{k: v * a * (P[k] or 1) for k, v in d.forced.items()} if c else {} for c, d in zip(counted, demands)]
-    for arc_idx, i, k in qty_arcs:
-        f = flows[arc_idx]
-        if f:  # the only arc of trader i to good k: a tie holds one segment of a good
-            x[i][k] = x[i].get(k, 0) + f
+    for i, k, w in paid:
+        x[i][k] = x[i].get(k, 0) + w  # the only money of trader i on good k: a tie holds one segment of a good
     for k, v in top_up:
         x[0][k] = x[0].get(k, 0) + v  # utility-neutral beyond satiation
     return x
@@ -269,8 +298,9 @@ def check_witness(m, p, x, demands, waived, windows) -> list[int]:
     totals = [0] * len(bounds)
     for i, (trader, d, b) in enumerate(zip(m.traders, demands, x)):
         if i in waived:
-            if sum(w for k, w in b.items() if P[k]):  # its cost, in units of 1/(Q * D)
-                raise InternalInvariantViolation(f"waived trader {i} got a costly bundle")
+            # a zero-cost bundle: goods in range, no negative amount, nothing on a priced good
+            if any(not 0 <= k < len(P) or w < 0 or (w and P[k]) for k, w in b.items()):
+                raise InternalInvariantViolation(f"waived trader {i} got a bundle outside the zero-cost set")
         elif not in_demand(trader, p, d, b.items(), Q):
             raise InternalInvariantViolation(f"witness bundle for trader {i} is not optimal")
         for k, w in b.items():

@@ -343,6 +343,20 @@ def _give_waived_a_priced_good(m, p, demands, waived, x, Q):
     return i
 
 
+def _give_waived_an_outside_good(m, p, demands, waived, x, Q):
+    i = min(waived)
+    x[i][m.n_goods] = 0
+    return i
+
+
+def _offset_waived_priced_goods(m, p, demands, waived, x, Q):
+    """+1 and -1 on two priced goods: their money sums to 0."""
+    i = min(waived)
+    k, j = [g for g, q in enumerate(p.prices) if q][:2]
+    x[i][k], x[i][j] = 1, -1
+    return i
+
+
 _CORRUPTIONS = [_move_tie_money, _raise_past_budget, _make_negative, _drop_canonical_entry, _add_outside_good]
 _WITNESS_MARKETS = {
     "M_4": (_zero_income_m4, [1, 2, 1, 2], QUASI, 0),
@@ -367,7 +381,7 @@ def _corrupting_solve(corrupt, hit):
     "market, corrupt",
     [(market, f) for market in _WITNESS_MARKETS for f in _CORRUPTIONS]
     # only quasi mode waives a trader
-    + [("M_4", _give_waived_a_priced_good)],
+    + [("M_4", f) for f in (_give_waived_a_priced_good, _give_waived_an_outside_good, _offset_waived_priced_goods)],
     ids=lambda v: getattr(v, "__name__", v),
 )
 def test_witness_recheck_rejects_a_corrupted_witness(monkeypatch, market, corrupt):
@@ -407,20 +421,23 @@ def _in_box(rng, n):
 def _benchmark_traffic():
     """(label, market, prices, mode, eps) drawn as the benchmark draws its
     verify inputs: reduced markets of seeded sparse games at n = 2 and 4 with
-    in-box prices at eps N^-13, and M_4 and M_8 with one price pushed out of
-    the box or set to zero, in every mode."""
+    in-box prices at eps N^-13 and 1/2, and M_4 and M_8 with one price pushed
+    out of the box or set to zero, or with in-box prices, in every mode."""
     for n in (2, 4):
         for seed in range(6):
             rng = random.Random(seed)
             m, meta = build_reduced_market(validate_game(*random_sparse_game_matrices(rng, n)))
-            yield f"reduced{n}-{seed}", m, _in_box(rng, meta.n_goods), APPROXIMATE, F(1, meta.n_goods**13)
+            p = _in_box(rng, meta.n_goods)
+            for eps in (F(1, meta.n_goods**13), F(1, 2)):
+                yield f"reduced{n}-{seed}-{eps}", m, p, APPROXIMATE, eps
     for n in (4, 8):
         m, rng = build_mn(n), random.Random(n)
-        for kind in ("pushed", "zero"):
+        for kind in ("pushed", "zero", "inbox"):
             for j in range(3):
                 p = _in_box(rng, n)
-                k = rng.randrange(n)
-                p[k] = 2 * min(p[:k] + p[k + 1:]) + F(rng.randint(1, 1000), 1000) if kind == "pushed" else F(0)
+                if kind != "inbox":
+                    k = rng.randrange(n)
+                    p[k] = 2 * min(p[:k] + p[k + 1:]) + F(rng.randint(1, 1000), 1000) if kind == "pushed" else F(0)
                 for mode in MODES:
                     yield f"M{n}-{kind}{j}-{mode}", m, p, mode, F(1, n) if mode == APPROXIMATE else 0
 
@@ -470,3 +487,68 @@ def test_the_one_good_cut_rejects_only_what_the_flow_rejects(seed, family):
     with mock.patch.object(clearing, "_short_good", referee):
         for mode, eps in ((EXACT, 0), (QUASI, 0), (APPROXIMATE, F(1, n**13)), (APPROXIMATE, F(1, 2))):
             verify(m, p, mode, eps)
+
+
+# --- the routed branch -------------------------------------------------------------
+#
+# Where no trader has a choice (`clearing._determined`), `_solve` routes each
+# spending trader's money to its one tie good without building a network.
+# The circulation is unique there, so the flow must give the same bytes.
+
+
+def _certificate_bytes(m, p, mode, eps):
+    return dumps(certificate_to_obj(verify(m, p, mode, eps)))
+
+
+def test_routing_keeps_the_flows_bytes():
+    """Every certificate keeps its bytes when the flow decides every `_solve`
+    call, in every mode and at eps 0, N^-13 and 1/2, on random, tie-rich,
+    M_n, reduced and mixed-denominator markets, some of them at prices with
+    zeros; every family reaches both branches."""
+    determined = clearing._determined
+    families = ["random", "tie-rich", "mn", "reduced", "coprime"]
+    ran = set()  # (family, routed)
+
+    @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(families))
+    def referee(seed, family):
+        def counting(demands, counted):
+            routed = determined(demands, counted)
+            ran.add((family, routed))
+            return routed
+
+        m, p = random_instance(random.Random(seed), family)
+        n = m.n_goods
+        for mode, eps in ((EXACT, 0), (QUASI, 0), (APPROXIMATE, F(1, n**13)), (APPROXIMATE, F(1, 2))):
+            with mock.patch.object(clearing, "_determined", counting):
+                routed = _certificate_bytes(m, p, mode, eps)
+            with mock.patch.object(clearing, "_determined", lambda *args: False):
+                assert _certificate_bytes(m, p, mode, eps) == routed, (family, seed, mode, eps)
+
+    referee()
+    assert ran == {(f, routed) for f in families for routed in (True, False)}, ran
+
+
+def test_routing_decides_the_benchmarks_accepts(monkeypatch):
+    """Every accept of the benchmark's kinds of traffic is decided without a
+    flow, and its certificate keeps the bytes the flow gives."""
+    flows = []
+    circulation = clearing.feasible_circulation
+
+    def counting(arcs):
+        flows.append(arcs)
+        return circulation(arcs)
+
+    accepts = 0
+    for label, m, vec, mode, eps in _benchmark_traffic():
+        flows.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(clearing, "feasible_circulation", counting)
+            cert = verify(m, prices(vec), mode, eps)
+        if not cert.accepted:
+            continue
+        accepts += 1
+        assert not flows, label
+        with monkeypatch.context() as patch:
+            patch.setattr(clearing, "_determined", lambda *args: False)
+            assert _certificate_bytes(m, prices(vec), mode, eps) == dumps(certificate_to_obj(cert)), label
+    assert accepts >= 20, accepts

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plcmarket.clearing import APPROXIMATE, verify
 from plcmarket.errors import DegenerateExtraction, NTooSmall, ShapeMismatch
-from plcmarket.games import validate_game
+from plcmarket.games import check_wsne, validate_game
 from plcmarket.model import PriceVector, TraderSpec, classify_market, prices
 from plcmarket.reduction import ReducedMarketMeta, build_reduced_market, extract_strategies
 
@@ -230,3 +231,54 @@ def test_extract_clamps_out_of_box():
     ex = extract_strategies(prices([0, 2, 1, 2, 1, 1]), meta)
     assert ex.clamped
     assert ex.x.weights == (F(0), F(1))
+
+
+def _profile_vertex(n, i, j):
+    """The price vertex of the pure profile (i, j): 2 on good i of the
+    x-block and on good j of the y-block, 1 on the rest of both blocks, and
+    (1, 2) on the two auxiliary goods."""
+    p = [F(1)] * (2 * n) + [F(1), F(2)]
+    p[i] = p[n + j] = F(2)
+    return p
+
+
+def _strict_pure_equilibrium(g, i, j):
+    n = g.n
+    return (all(g.A[i][j] > g.A[k][j] for k in range(n) if k != i)
+            and all(g.B[i][j] > g.B[i][k] for k in range(n) if k != j))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), plant=st.booleans())
+def test_verify_accepts_a_profile_vertex_exactly_at_a_strict_pure_equilibrium(seed, n, plant):
+    """At N^-13, `verify` accepts the vertex of a pure profile (i, j) exactly
+    when (i, j) is a strict pure equilibrium, and every accepted vertex
+    extracts to (e_i, e_j), an n^-6 WSNE.  The paper proves only that
+    approximate equilibria encode WSNE; this converse was observed on
+    instances.  Some games get a planted strict pure equilibrium, so that
+    accepts are not rare."""
+    rng = random.Random(seed)
+    A, B = random_sparse_game_matrices(rng, n)
+    if plant:
+        i, j = rng.randrange(n), rng.randrange(n)
+        A[i][j] = B[i][j] = F(1)
+        for k in range(n):
+            if k != i and A[k][j] == 1:
+                A[k][j] = F(7, 8)
+            if k != j and B[i][k] == 1:
+                B[i][k] = F(7, 8)
+    g = validate_game(A, B)
+    m, meta = build_reduced_market(g)
+    eps = F(1, meta.n_goods**13)
+    accepted = []
+    for i in range(n):
+        for j in range(n):
+            p = prices(_profile_vertex(n, i, j))
+            strict = _strict_pure_equilibrium(g, i, j)
+            assert verify(m, p, APPROXIMATE, eps).accepted == strict, (A, B, i, j)
+            if strict:
+                e = extract_strategies(p, meta)
+                assert e.x.weights == tuple(F(k == i) for k in range(n)), (A, B, i, j)
+                assert e.y.weights == tuple(F(k == j) for k in range(n)), (A, B, i, j)
+                assert check_wsne(g, e.x, e.y, F(1, n**6)).passed, (A, B, i, j)
+                accepted.append((i, j))
+    assert accepted or not plant
