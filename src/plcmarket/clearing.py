@@ -15,17 +15,18 @@ Zero-priced goods never carry money; they are checked arithmetically (forced
 satiation amounts must fit under the window ceiling, and free top-ups can
 always reach the window floor).
 
-Before any arc is built, one pass tries each priced good alone as a cut
-(`_short_good`).  Good k's forced money F_k above its window ceiling, or
-F_k plus its reach T_k (all the money the tie offers and the residual
-spenders could bring to k) below its floor, is a reject the flow would
-reach too, by Hoffman's circulation theorem.  The cut spares the flow the
-rejects one good explains.  Past the cut, where no trader has a choice
-(`_determined`: each trader that spends has exactly one tie offer), the
-circulation has one candidate, so `_solve` routes each trader's money to
-its one tie good and checks each good's money against its sink arc's
-bounds, building no arc.  The flow decides the rest, tie splits and
-residual spenders, and there Edmonds-Karp's path order fixes the witness.
+`_solve` takes one pass over the forced purchases and then decides in
+one of three ways.  Where no trader has a choice (`_determined`: each
+trader that spends has exactly one tie offer), the circulation has one
+candidate, so it routes each trader's money to its one tie good and checks
+each good's money against its sink arc's bounds, building no arc.
+Otherwise, while it builds the arcs, it sums each priced good's reach T_k,
+all the money the tie offers and the residual spenders could bring to k,
+and tries each priced good alone as a cut (`_short_good`): forced money
+F_k above the window ceiling, or F_k + T_k below its floor, is a reject
+the flow would reach too, by Hoffman's circulation theorem.  The flow
+decides the rest, tie splits and residual spenders, and there
+Edmonds-Karp's path order fixes the witness.
 
 `verify` is the one entry point: a witness allocation is the `allocation`
 of its accept certificate.  It runs on one integer scale from the demand
@@ -102,30 +103,15 @@ def clearing_windows(m: Market, P, mode: str, eps: Fraction):
     return M * e, bounds
 
 
-def _short_good(m: Market, P, demands: list[IntDemand | None], waived: set[int], windows) -> bool:
+def _short_good(sink, reach, free: int, P) -> bool:
     """True when some priced good k alone shows the circulation infeasible:
-    its forced money F_k is above its window ceiling, or F_k plus its reach
-    T_k, the most money the tie offers and the residual spenders could still
-    bring to it, is below its floor.  In flow terms {good k} is a cut whose
-    capacity falls short (Hoffman's circulation theorem), so `_solve` would
-    return None.  Money counts 1/(M * D), as in the demand core."""
-    Q, bounds = windows
-    a = Q // m.scaled[0]
-    forced = [0] * m.n_goods
-    reach = [0] * m.n_goods
-    residual = 0  # spend of the traders without ties, free to reach every priced good
-    for i, d in enumerate(demands):
-        if d is None or i in waived:
-            continue
-        for k, x in d.forced.items():
-            forced[k] += x * P[k]
-        if not d.ties:
-            residual += d.spend
-            continue
-        for k, _, cap in d.ties:  # one offer per good: a tie holds one segment of a good
-            reach[k] += d.spend if cap is None else min(d.spend, cap * P[k])
-    return any(q and (f * a > hi * q or (f + r + residual) * a < lo * q)
-               for f, r, (lo, hi), q in zip(forced, reach, bounds, P))
+    its sink arc's ceiling is negative (its forced money is above its window
+    ceiling), or its reach, the most money its tie arcs could bring plus the
+    residual spenders' `free` money, is below the arc's floor.  In flow terms
+    {good k} is a cut whose capacity falls short (Hoffman's circulation
+    theorem), so the flow would find no circulation.  All on the arcs'
+    scale, Q * D."""
+    return any(q and (hi < 0 or r + free < lo) for (lo, hi), r, q in zip(sink, reach, P))
 
 
 def _determined(demands: list[IntDemand | None], counted: list[bool]) -> bool:
@@ -156,8 +142,9 @@ def _solve(
     each spending trader's source arc is an equality with one out-arc, and
     the other traders carry no money.  So each spending trader's money goes
     to its one tie good, and each priced good's money is checked against
-    the bounds its sink arc would get, with no arc built.  The flow decides
-    only where some trader has a choice."""
+    the bounds its sink arc would get, with no arc built.  Where some trader
+    has a choice, the one-good cut (`_short_good`) is tried on the arcs'
+    bounds before the flow decides."""
     D, P = p.scaled
     Q, bounds = windows
     M = m.scaled[0]
@@ -190,20 +177,27 @@ def _solve(
         priced = [k for k, q in enumerate(P) if q]
         arcs: list[Arc] = []
         qty_arcs: list[tuple[int, int, int]] = []  # (arc index, trader, good)
+        reach = [0] * m.n_goods  # the most money each good's tie arcs could bring
+        free = 0  # the residual spenders' money, free to reach every priced good
         for i, (d, c) in enumerate(zip(demands, counted)):
             if not c:
                 continue
+            spend = d.spend * a
             if d.ties:
-                spend = d.spend * a
                 arcs.append(Arc("src", ("t", i), spend, spend))
-                for k, _, cap in d.ties:
+                for k, _, cap in d.ties:  # one offer per good: a tie holds one segment of a good
+                    upper = inf if cap is None else cap * P[k] * a
+                    reach[k] += min(spend, upper)
                     qty_arcs.append((len(arcs), i, k))
-                    arcs.append(Arc(("t", i), ("g", k), 0, inf if cap is None else cap * P[k] * a))
-            elif d.spend > 0 and priced:
-                arcs.append(Arc("src", ("t", i), 0, d.spend * a))
+                    arcs.append(Arc(("t", i), ("g", k), 0, upper))
+            elif spend and priced:
+                free += spend
+                arcs.append(Arc("src", ("t", i), 0, spend))
                 for k in priced:
                     qty_arcs.append((len(arcs), i, k))
                     arcs.append(Arc(("t", i), ("g", k), 0, inf))
+        if _short_good(sink, reach, free, P):
+            return None
         for k in priced:
             arcs.append(Arc(("g", k), "snk", *sink[k]))
         arcs.append(Arc("snk", "src", 0, inf))
@@ -272,7 +266,7 @@ def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
 
     supplies = m.supplies()
     windows = clearing_windows(m, P, mode, eps)
-    x = None if _short_good(m, P, demands, waived, windows) else _solve(m, p, demands, waived, windows)
+    x = _solve(m, p, demands, waived, windows)
     if x is None:
         # a waived trader with unbounded demand holds nothing
         report = clearing_report(supplies, _canonical_totals(m, p, demands), eps)

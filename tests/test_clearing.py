@@ -407,11 +407,19 @@ def test_verify_cli_exits_3_on_a_corrupted_witness(tmp_path, monkeypatch):
     assert res.exit_code == 3 and "internal invariant violation" in res.output
 
 
-# --- the one-good cut --------------------------------------------------------------
+# --- the shortcuts around the flow ------------------------------------------------
 #
-# `clearing._short_good` rejects before any arc is built.  It must reject only
-# where the flow would, and on the benchmark's kinds of traffic it should
-# decide every clearing reject.
+# `clearing._solve` decides without a flow where it can.  Where no trader has
+# a choice (`clearing._determined`), it routes each spending trader's money
+# to its one tie good without building a network: the circulation is unique
+# there, so the flow must give the same bytes.  Elsewhere the one-good cut
+# (`clearing._short_good`) rejects before the flow runs, and it must reject
+# only where the flow would.  On the benchmark's kinds of traffic routing
+# should decide every verdict.
+
+
+def _certificate_bytes(m, p, mode, eps):
+    return dumps(certificate_to_obj(verify(m, p, mode, eps)))
 
 
 def _in_box(rng, n):
@@ -442,9 +450,10 @@ def _benchmark_traffic():
                     yield f"M{n}-{kind}{j}-{mode}", m, p, mode, F(1, n) if mode == APPROXIMATE else 0
 
 
-def test_the_one_good_cut_decides_the_benchmarks_clearing_rejects(monkeypatch):
-    """Every clearing reject of the benchmark's kinds of traffic is decided
-    without a flow, and its certificate keeps the bytes the flow gives."""
+def test_routing_decides_every_benchmark_verdict(monkeypatch):
+    """Every verdict, accept or reject, of the benchmark's kinds of traffic
+    is decided without a flow, and its certificate keeps the bytes the flow
+    gives with neither routing nor the one-good cut in the way."""
     flows = []
     circulation = clearing.feasible_circulation
 
@@ -452,52 +461,48 @@ def test_the_one_good_cut_decides_the_benchmarks_clearing_rejects(monkeypatch):
         flows.append(arcs)
         return circulation(arcs)
 
-    rejects = 0
+    accepts = rejects = 0
     for label, m, vec, mode, eps in _benchmark_traffic():
         flows.clear()
         with monkeypatch.context() as patch:
             patch.setattr(clearing, "feasible_circulation", counting)
             cert = verify(m, prices(vec), mode, eps)
-        if cert.reason != "clearing-infeasible":
-            continue
-        rejects += 1
         assert not flows, label
+        accepts += cert.accepted
+        rejects += cert.reason == "clearing-infeasible"
         with monkeypatch.context() as patch:
+            patch.setattr(clearing, "_determined", lambda *args: False)
             patch.setattr(clearing, "_short_good", lambda *args: False)
-            assert dumps(certificate_to_obj(verify(m, prices(vec), mode, eps))) == dumps(certificate_to_obj(cert)), label
+            assert _certificate_bytes(m, prices(vec), mode, eps) == dumps(certificate_to_obj(cert)), label
+    assert accepts >= 20, accepts
     assert rejects >= 20, rejects
 
 
-@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["random", "tie-rich", "mn", "reduced", "coprime"]))
-def test_the_one_good_cut_rejects_only_what_the_flow_rejects(seed, family):
-    """Whenever the cut rejects, `_solve` on the same inputs finds no
-    circulation, in every mode and at eps 0, N^-13 and 1/2, on random,
-    tie-rich, M_n, reduced and mixed-denominator markets, some of them at
-    prices with zeros."""
-    m, p = random_instance(random.Random(seed), family)
+def test_the_one_good_cut_rejects_only_what_the_flow_rejects():
+    """Every certificate keeps its bytes when the one-good cut never
+    rejects, so the flow decides where it would, in every mode and at eps 0,
+    N^-13 and 1/2, on random, tie-rich, M_n, reduced and mixed-denominator
+    markets, some of them at prices with zeros; the cut rejects in the run."""
     short_good = clearing._short_good
+    cuts = []
 
-    def referee(m, P, demands, waived, windows):
-        cut = short_good(m, P, demands, waived, windows)
-        if cut:
-            assert clearing._solve(m, p, demands, waived, windows) is None
+    def counting(*args):
+        cut = short_good(*args)
+        cuts.append(cut)
         return cut
 
-    n = m.n_goods
-    with mock.patch.object(clearing, "_short_good", referee):
+    @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["random", "tie-rich", "mn", "reduced", "coprime"]))
+    def referee(seed, family):
+        m, p = random_instance(random.Random(seed), family)
+        n = m.n_goods
         for mode, eps in ((EXACT, 0), (QUASI, 0), (APPROXIMATE, F(1, n**13)), (APPROXIMATE, F(1, 2))):
-            verify(m, p, mode, eps)
+            with mock.patch.object(clearing, "_short_good", counting):
+                cut = _certificate_bytes(m, p, mode, eps)
+            with mock.patch.object(clearing, "_short_good", lambda *args: False):
+                assert _certificate_bytes(m, p, mode, eps) == cut, (family, seed, mode, eps)
 
-
-# --- the routed branch -------------------------------------------------------------
-#
-# Where no trader has a choice (`clearing._determined`), `_solve` routes each
-# spending trader's money to its one tie good without building a network.
-# The circulation is unique there, so the flow must give the same bytes.
-
-
-def _certificate_bytes(m, p, mode, eps):
-    return dumps(certificate_to_obj(verify(m, p, mode, eps)))
+    referee()
+    assert any(cuts), len(cuts)
 
 
 def test_routing_keeps_the_flows_bytes():
@@ -526,29 +531,3 @@ def test_routing_keeps_the_flows_bytes():
 
     referee()
     assert ran == {(f, routed) for f in families for routed in (True, False)}, ran
-
-
-def test_routing_decides_the_benchmarks_accepts(monkeypatch):
-    """Every accept of the benchmark's kinds of traffic is decided without a
-    flow, and its certificate keeps the bytes the flow gives."""
-    flows = []
-    circulation = clearing.feasible_circulation
-
-    def counting(arcs):
-        flows.append(arcs)
-        return circulation(arcs)
-
-    accepts = 0
-    for label, m, vec, mode, eps in _benchmark_traffic():
-        flows.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(clearing, "feasible_circulation", counting)
-            cert = verify(m, prices(vec), mode, eps)
-        if not cert.accepted:
-            continue
-        accepts += 1
-        assert not flows, label
-        with monkeypatch.context() as patch:
-            patch.setattr(clearing, "_determined", lambda *args: False)
-            assert _certificate_bytes(m, prices(vec), mode, eps) == dumps(certificate_to_obj(cert)), label
-    assert accepts >= 20, accepts

@@ -144,9 +144,10 @@ def _random_network(rng):
 def _clearing_networks(monkeypatch):
     """Every arc list `clearing._solve` hands to the circulation core on
     M_n, seeded reduced markets, random markets and markets whose
-    denominators share no factor, so the integer scale mixes them.  The
-    one-good cut is patched off: it decides every clearing reject here
-    before any arc is built, and the referee needs infeasible networks."""
+    denominators share no factor, so the integer scale mixes them.  Where
+    no trader has a choice `_solve` routes and builds no arc; elsewhere the
+    one-good cut is patched off, since it decides most clearing rejects
+    before the flow runs, and the referee needs infeasible networks."""
     captured = []
 
     def capture(arcs):
