@@ -37,15 +37,21 @@ bound on the scale Q * D (prices P_k / D), and gets integer flows back.
 The witness stays in integers, a priced good k in units of 1/(Q * P_k), so
 that an entry is its money on the arcs' scale, and a free good in units of
 1/Q.  The re-check runs on these integers: each bundle is compared entry
-by entry with the trader's canonical fill scaled by Q // M, utilities and
-costs are compared only on the goods where the two differ, and each good's
-total must lie within lo * P_k and hi * P_k.  Forced purchases and all
+by entry with the trader's canonical fill scaled by Q // M, utilities are
+compared only on the goods where the two differ and the bundle's money with
+the budget only when they differ at all, and each good's total must lie
+within lo * P_k and hi * P_k.  Forced purchases and all
 bundles are (good, amount) pairs; no N-length row per trader is built.
 Fractions are built once the re-check has passed, for the witness bundles
 and the report; before that, only for the utility terms on goods where a
-witness leaves canonical demand.  Prices are taken as given: scaling them
-by c scales every money bound by c, the uncapped arcs' aside, which no
-flow fills, so the flows scale by c and the certificate stays.
+witness leaves canonical demand.  Witness bundles repeat (at an in-box
+price vector of `M_n`, n of them serve the n(n - 1) traders), so `verify`
+builds one `Bundle` per distinct integer bundle and one (good, Fraction)
+pair per distinct integer entry and shares them: a `Bundle` is frozen, and
+equal integers on one unit give equal Fractions.  Prices are taken as
+given: scaling them by c scales every money bound by c, the uncapped arcs'
+aside, which no flow fills, so the flows scale by c and the certificate
+stays.
 """
 
 from dataclasses import dataclass
@@ -273,12 +279,21 @@ def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
         return Certificate("reject", "clearing-infeasible", mode, eps, None, report)
 
     totals = check_witness(m, p, x, demands, waived, windows)
-    # the checked witness holds ints on distinct goods in range: its bundles skip `Bundle`'s checks
     units = [windows[0] * (q or 1) for q in P]
-    bundles = tuple([trusted(Bundle, amounts=tuple(sorted([(k, Fraction(w, units[k])) for k, w in b.items()])))
-                     for b in x])
+    pairs: dict[tuple[int, int], tuple[int, Fraction]] = {}  # (good, int amount) -> (good, Fraction)
+    made: dict[tuple, Bundle] = {}  # a witness bundle's sorted int pairs -> its Bundle
+    bundles = []
+    for b in x:
+        key = tuple(sorted(b.items()))
+        if key not in made:
+            for e in key:
+                if e not in pairs:
+                    pairs[e] = (e[0], Fraction(e[1], units[e[0]]))
+            # the checked witness holds ints on distinct goods in range: its bundles skip `Bundle`'s checks
+            made[key] = trusted(Bundle, amounts=tuple([pairs[e] for e in key]))
+        bundles.append(made[key])
     allocated = [Fraction(t, u) for t, u in zip(totals, units)]
-    return Certificate("accept", None, mode, eps, bundles, clearing_report(supplies, allocated, eps))
+    return Certificate("accept", None, mode, eps, tuple(bundles), clearing_report(supplies, allocated, eps))
 
 
 def check_witness(m, p, x, demands, waived, windows) -> list[int]:

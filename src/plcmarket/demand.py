@@ -143,19 +143,20 @@ def in_demand(trader: TraderSpec, p: PriceVector, d: IntDemand, x, Q: int) -> bo
     equal to the greedy optimum.  Spending residual money on goods with zero
     marginal utility is allowed.
 
-    x holds (good, amount) pairs in integers on the caller's unit Q, a
-    multiple of d.den: a priced good k counts 1/(Q * P_k), so its amount is
-    also its money in units of 1/(Q * D), and a free good counts 1/Q.  x is
-    compared with the canonical bundle c = `canonical_amounts(d, P)` scaled
-    by Q // d.den, entry by entry, and costs are ints.  Fractions are built
-    only on the goods where x and c differ, c's goods missing from x
-    included: there the utility changes by f_k(x_k) - f_k(c_k), and
-    U(x) == U(c) exactly when those terms sum to 0."""
+    x is a collection of (good, amount) pairs in integers on the caller's
+    unit Q, a multiple of d.den: a priced good k counts 1/(Q * P_k), so its
+    amount is also its money in units of 1/(Q * D), and a free good counts
+    1/Q.  x is compared with the canonical bundle c = `canonical_amounts(d,
+    P)` scaled by Q // d.den, entry by entry; c is optimal, so an x equal to
+    it is in demand, and costs and utilities are looked at only when x
+    differs.  Then x's money, an int, must be at most the budget, and
+    Fractions are built only on the goods where x and c differ, c's goods
+    missing from x included: there the utility changes by f_k(x_k) -
+    f_k(c_k), and U(x) == U(c) exactly when those terms sum to 0."""
     n = len(p.prices)
     P = p.scaled[1]
     a = Q // d.den
     c = canonical_amounts(d, P)
-    slack = d.budget - sum(b for k, b in c.items() if P[k])  # units of 1/(den * D)
     differ = []  # (good, amount in x, amount in c), one per good where they differ
     for k, w in x:
         if not 0 <= k < n or w < 0:
@@ -166,7 +167,7 @@ def in_demand(trader: TraderSpec, p: PriceVector, d: IntDemand, x, Q: int) -> bo
     differ.extend((k, 0, b * a) for k, b in c.items() if b)  # canonical goods that x leaves out
     if not differ:
         return True
-    if sum(w - b for k, w, b in differ if P[k]) > slack * a:
+    if sum(w for k, w in x if P[k]) > d.budget * a:  # its money, in units of 1/(Q * D)
         return False
     f = dict(trader.wanted)
     return sum((f[k](Fraction(w, Q * (P[k] or 1))) - f[k](Fraction(b, Q * (P[k] or 1)))

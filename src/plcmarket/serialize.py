@@ -4,16 +4,24 @@ Rationals travel as "num/den" strings (plain integer strings are accepted on
 input).  Serialization is deterministic: sorted keys, two-space indent, one
 trailing newline, the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``
 plus a newline, written by `dumps`, which encodes each distinct string once
-per call and writes a `Market`'s file, dense rows of mostly zeros, from its
-traders' nonzeros.  No file holds a float or a key that is not a string,
-so `dumps` raises TypeError on either.
+per call, writes each list object once per depth, and writes a `Market`'s
+file, dense rows of mostly zeros, from its traders' nonzeros.  No file
+holds a float or a key that is not a string, so `dumps` raises TypeError
+on either.
 
 Every check on a market file runs in `market_from_obj`: one pass over its
-entries parses them, drops zeros and checks row lengths, then
-`model.check_market` checks signs and the total endowment.  The traders and
-the market it returns are built with `model.trusted`, so nothing downstream
-checks them again; the market's integer view (`Market.view`) is built on
-first use, by the same code as for a market built in Python.
+entries parses them, each distinct string and endowment row of strings
+once, drops zeros and checks row lengths, then `model.check_market` checks
+signs and the total endowment.  The traders and the market it returns are
+built with `model.trusted`, so nothing downstream checks them again; the
+market's integer view (`Market.view`) is built on first use, by the same
+code as for a market built in Python.
+
+Values repeat: in `M_n` n endowment rows serve the n(n - 1) traders, and
+at an in-box price vector n witness bundles do.  So the parser shares each
+repeated row, and `certificate_to_obj` builds one dense row per distinct
+`Bundle` object, which `dumps` then writes once.  Sharing is exact: the
+shared values are immutable, and equal inputs give equal outputs.
 """
 
 import json
@@ -57,14 +65,18 @@ def dumps(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\n"``, byte for byte;
     a `Market` is written as its market file (`_market_text`).
 
-    Each distinct string is encoded once per call, and a list of strings is
-    joined in one pass.  obj must hold no cycle: json raises ValueError on
-    one, this writer RecursionError.  A float, which json would write, and
-    a key that is not a string, which json would write as one, raise
-    TypeError."""
+    Each distinct string is encoded once per call, a list of strings is
+    joined in one pass, and each list object is written once per depth,
+    keyed by its id: its text depends only on its items and its depth, and
+    obj, which holds it, keeps its id unique while the call runs, so a
+    certificate's repeated allocation rows are written once.  obj must hold
+    no cycle: json raises ValueError on one, this writer RecursionError.  A
+    float, which json would write, and a key that is not a string, which
+    json would write as one, raise TypeError."""
     if isinstance(obj, Market):
         return _market_text(obj)
     strings = _Texts(json.encoder.encode_basestring_ascii)
+    lists: dict[tuple[int, int], str] = {}  # (id of a list, depth) -> its text
 
     def write(o, depth: int) -> str:
         if isinstance(o, str):
@@ -77,10 +89,13 @@ def dumps(obj) -> str:
             return _join([strings[k] + ": " + write(v, depth + 1) for k, v in sorted(o.items())], depth, "{}")
         if not isinstance(o, (list, tuple)):
             raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-        try:
-            return _join(list(map(strings.__getitem__, o)), depth, "[]")
-        except TypeError:  # not every item is a string
-            return _join([write(v, depth + 1) for v in o], depth, "[]")
+        key = (id(o), depth)  # o, inside obj, stays alive while obj is written
+        if key not in lists:
+            try:
+                lists[key] = _join(list(map(strings.__getitem__, o)), depth, "[]")
+            except TypeError:  # not every item is a string
+                lists[key] = _join([write(v, depth + 1) for v in o], depth, "[]")
+        return lists[key]
 
     return write(obj, 0) + "\n"
 
@@ -172,13 +187,17 @@ def _piece_key(u):
 def market_from_obj(obj) -> Market:
     """Parse and check a market in one pass over its entries.
 
-    A reduced market repeats a few values many times, so each distinct
-    rational string and string-valued piece is parsed once per call and
-    shared; any other entry is parsed, and rejected, as it stands.  The
-    same pass drops zero amounts and pieces; `model.check_market`, which
-    `Market` runs too, follows."""
+    Markets repeat a few values many times, so each distinct rational
+    string, string-valued piece and endowment row of strings is parsed once
+    per call and shared: in `M_n`, n endowment rows serve n(n - 1) traders.
+    Sharing is exact, since the values are immutable and a string equals
+    only a string; any other entry or row is parsed, and rejected, as it
+    stands, so a row with true in it never finds the pairs of an equal row
+    with 1 in it.  The same pass drops zero amounts and pieces;
+    `model.check_market`, which `Market` runs too, follows."""
     n_goods = _require(obj, "n_goods", int, "market")
     amounts: dict[str, Fraction] = {}
+    rows: dict[tuple, tuple] = {}  # all-string endowment row -> its (good, amount) pairs
     pieces: dict[tuple, PLCFunction] = {}  # string-valued (slopes, breaks) -> piece
     traders = []
     for idx, entry in enumerate(_require(obj, "traders", list, "market")):
@@ -187,16 +206,25 @@ def market_from_obj(obj) -> Market:
         utils = _require(entry, "utilities", list, where)
         if len(endow) != n_goods or len(utils) != n_goods:
             raise InvalidMarket(f"{where} has a row whose length is not n_goods={n_goods}")
-        owned = []
-        # most entries are the zeros a market file holds; any other zero is dropped too
-        for k, w in [(k, w) for k, w in enumerate(endow) if w != _ZERO]:
-            q = amounts.get(w) if type(w) is str else None
-            if q is None:
-                q = parse_rational(w)
-                if type(w) is str:
-                    amounts[w] = q
-            if q:
-                owned.append((k, q))
+        row = tuple(endow)
+        try:
+            owned = rows.get(row)
+        except TypeError:  # a list or object among the entries
+            owned = None
+        if owned is None:
+            owned = []
+            # most entries are the zeros a market file holds; any other zero is dropped too
+            for k, w in [(k, w) for k, w in enumerate(endow) if w != _ZERO]:
+                q = amounts.get(w) if type(w) is str else None
+                if q is None:
+                    q = parse_rational(w)
+                    if type(w) is str:
+                        amounts[w] = q
+                if q:
+                    owned.append((k, q))
+            owned = tuple(owned)
+            if all(type(w) is str for w in endow):
+                rows[row] = owned
         wanted = []
         for k, u in [(k, u) for k, u in enumerate(utils) if u != _ZERO_OBJ]:
             key = _piece_key(u)
@@ -215,7 +243,7 @@ def market_from_obj(obj) -> Market:
         label = entry.get("label")
         if label is not None and not isinstance(label, str):
             raise InputError(f"{where}: label must be a string")
-        traders.append(trusted(TraderSpec, owned=tuple(owned), wanted=tuple(wanted), label=label))
+        traders.append(trusted(TraderSpec, owned=owned, wanted=tuple(wanted), label=label))
     check_market(n_goods, traders)
     return trusted(Market, n_goods=n_goods, traders=tuple(traders))
 
@@ -314,7 +342,11 @@ def certificate_to_obj(cert: Certificate):
         "report": None,
     }
     if cert.allocation is not None:  # an allocation comes with its per-good report
-        obj["allocation"] = [_dense_row(b.amounts, len(cert.report)) for b in cert.allocation]
+        rows: dict[int, list[str]] = {}  # id of a bundle, which cert keeps alive -> its dense row
+        for b in cert.allocation:
+            if id(b) not in rows:
+                rows[id(b)] = _dense_row(b.amounts, len(cert.report))
+        obj["allocation"] = [rows[id(b)] for b in cert.allocation]
     if cert.report is not None:
         obj["report"] = [
             {

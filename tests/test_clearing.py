@@ -172,6 +172,23 @@ def test_accepting_verify_computes_each_demand_once(monkeypatch):
     assert len(supplies_calls) == 1
 
 
+def test_accept_bundles_are_shared_within_one_call():
+    """An accept holds one `Bundle` per distinct witness bundle, fewer than
+    its traders, and a second call builds its own: M_4 and M_8 at in-box
+    prices in every mode, and a reduced n = 2 market at eps 1/2."""
+    rng = random.Random(0)
+    cases = [(build_mn(n), _in_box(rng, n), mode, F(1, n) if mode == APPROXIMATE else 0)
+             for n in (4, 8) for mode in MODES]
+    reduced, meta = build_reduced_market(validate_game(*random_sparse_game_matrices(random.Random(0), 2)))
+    cases.append((reduced, _in_box(rng, meta.n_goods), APPROXIMATE, F(1, 2)))
+    for m, vec, mode, eps in cases:
+        first, second = (verify(m, prices(vec), mode, eps).allocation for _ in range(2))
+        assert first is not None and second == first, (m.n_goods, mode)
+        ids = {id(b) for b in first}
+        assert len(ids) == len(set(first)) < len(m.traders), (m.n_goods, mode)
+        assert not ids & {id(b) for b in second}, (m.n_goods, mode)
+
+
 def test_imbalance_profile_m2():
     m = build_mn(2)
     prof = imbalance_profile(m, prices([1, 1], normalized=True))

@@ -184,6 +184,9 @@ def test_parse_shares_identical_values_within_one_call_only():
         assert all(again[f] is not f for f in pieces)
         shares = [w for t in first.traders for _, w in t.owned if w]
         assert len({id(w) for w in shares}) == len(set(shares)) < len(shares)
+        rows = [t.owned for t in first.traders if t.owned]
+        assert len({id(r) for r in rows}) == len(set(rows)) < len(rows)
+        assert not {id(r) for r in rows} & {id(t.owned) for t in second.traders}
 
 
 def test_parse_rejects_true_after_an_equal_entry():
@@ -192,3 +195,7 @@ def test_parse_rejects_true_after_an_equal_entry():
         obj = {"n_goods": 2, "traders": [{"endowment": w, "utilities": u}]}
         with pytest.raises(InputError, match="True"):
             serialize.market_from_obj(obj)
+    # two rows that are equal and hash alike, the second with true in it
+    obj = {"n_goods": 2, "traders": [{"endowment": w, "utilities": [one, one]} for w in ([1, 0], [True, 0])]}
+    with pytest.raises(InputError, match="True"):
+        serialize.market_from_obj(obj)
