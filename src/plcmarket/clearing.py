@@ -60,7 +60,7 @@ from fractions import Fraction
 from .demand import Bundle, IntDemand, canonical_amounts, in_demand, int_demand
 from .errors import InternalInvariantViolation, InvalidMarket, ShapeMismatch, UnboundedDemand
 from .flow import Arc, feasible_circulation
-from .model import Market, PriceVector, trusted
+from .model import Market, Memo, PriceVector, trusted
 from .rational import parse_epsilon
 
 EXACT = "exact"
@@ -280,18 +280,11 @@ def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
 
     totals = check_witness(m, p, x, demands, waived, windows)
     units = [windows[0] * (q or 1) for q in P]
-    pairs: dict[tuple[int, int], tuple[int, Fraction]] = {}  # (good, int amount) -> (good, Fraction)
-    made: dict[tuple, Bundle] = {}  # a witness bundle's sorted int pairs -> its Bundle
-    bundles = []
-    for b in x:
-        key = tuple(sorted(b.items()))
-        if key not in made:
-            for e in key:
-                if e not in pairs:
-                    pairs[e] = (e[0], Fraction(e[1], units[e[0]]))
-            # the checked witness holds ints on distinct goods in range: its bundles skip `Bundle`'s checks
-            made[key] = trusted(Bundle, amounts=tuple([pairs[e] for e in key]))
-        bundles.append(made[key])
+    pair = Memo(lambda e: (e[0], Fraction(e[1], units[e[0]])))  # (good, int amount) -> (good, Fraction)
+    # a witness bundle's sorted int pairs -> its Bundle; the checked witness
+    # holds ints on distinct goods in range, so its bundles skip `Bundle`'s checks
+    bundle = Memo(lambda key: trusted(Bundle, amounts=tuple([pair[e] for e in key])))
+    bundles = [bundle[tuple(sorted(b.items()))] for b in x]
     allocated = [Fraction(t, u) for t, u in zip(totals, units)]
     return Certificate("accept", None, mode, eps, tuple(bundles), clearing_report(supplies, allocated, eps))
 

@@ -57,10 +57,9 @@ def _guard(fn):
 
 
 def _emit(obj, out: str | None, as_json: bool, human: str | None = None):
-    if out:
-        serialize.write_json(out, obj)
+    text = serialize.write_json(out, obj) if out else None
     if as_json or not out and human is None:
-        click.echo(serialize.dumps(obj), nl=False)
+        click.echo(text or serialize.dumps(obj), nl=False)
     elif human is not None:
         click.echo(human)
 

@@ -36,8 +36,8 @@ from fractions import Fraction
 
 from .errors import DegenerateExtraction, NTooSmall, ShapeMismatch
 from .games import BimatrixGame, MixedStrategy, _integral
-from .model import Market, PriceVector, TraderSpec, trusted
-from .plc import PLCFunction, linear_plc, validate_plc
+from .model import Market, Memo, PriceVector, TraderSpec, trusted
+from .plc import linear_plc, validate_plc
 from .regulating import regulating_block
 
 
@@ -108,31 +108,22 @@ def build_reduced_market(game: BimatrixGame) -> tuple[Market, ReducedMarketMeta]
     scale, rows = _integral([*game.A, *zip(*game.B)])
     rows = [{k: v for k, v in enumerate(row) if v} for row in rows]
     den = scale * n**5
-    amounts: dict[int, Fraction] = {}  # numerator over den -> the amount
-    kinks: dict[int, PLCFunction] = {}  # numerator over den -> the slope-27 kinked piece
-
-    def amount(num: int) -> Fraction:
-        if num not in amounts:
-            amounts[num] = Fraction(num, den)
-        return amounts[num]
-
-    def kink(num: int) -> PLCFunction:
-        if num not in kinks:
-            kinks[num] = validate_plc((Fraction(27), Fraction(1)), (amount(num),))
-        return kinks[num]
+    amount = Memo(lambda num: Fraction(num, den))  # numerator over den -> the amount
+    # numerator over den -> the slope-27 piece kinked at that amount
+    kink = Memo(lambda num: validate_plc((Fraction(27), Fraction(1)), (amount[num],)))
 
     for label, own, other, M in (("U", 0, n, rows[:n]), ("V", n, 0, rows[n:])):
         own_first = own < other  # good own + i comes before or after the other block's goods
         for i, j in meta.u_pairs:
             C, D, e, f = _gadget(M[i], M[j])
-            owned = [(other + k, amount(c)) for k, c in C]
-            wanted = [(other + k, kink(d)) for k, d in D]
+            owned = [(other + k, amount[c]) for k, c in C]
+            wanted = [(other + k, kink[d]) for k, d in D]
             owned.insert(0 if own_first else len(owned), (own + i, inv_n4))
             wanted.insert(0 if own_first else len(wanted), (own + i, own_kink))
             if e:
-                owned.append((aux1, amount(e)))
+                owned.append((aux1, amount[e]))
             if f:
-                wanted.append((aux1, kink(f)))
+                wanted.append((aux1, kink[f]))
             wanted.append((aux2, three))
             label_ij = f"{label}({i + 1},{j + 1})"
             traders.append(trusted(TraderSpec, owned=tuple(owned), wanted=tuple(wanted), label=label_ij))

@@ -21,7 +21,10 @@ Values repeat: in `M_n` n endowment rows serve the n(n - 1) traders, and
 at an in-box price vector n witness bundles do.  So the parser shares each
 repeated row, and `certificate_to_obj` builds one dense row per distinct
 `Bundle` object, which `dumps` then writes once.  Sharing is exact: the
-shared values are immutable, and equal inputs give equal outputs.
+shared values are immutable, and equal inputs give equal outputs.  A
+value made from its key alone, a string's JSON text, an amount's text or
+a rational string's Fraction, is kept in a `model.Memo`; a memo keyed by
+an object's id, or one that keeps only some of its keys, is a plain dict.
 """
 
 import json
@@ -30,7 +33,7 @@ from fractions import Fraction
 from .clearing import Certificate
 from .errors import InputError, InvalidMarket
 from .games import BimatrixGame, MixedStrategy, validate_game
-from .model import Market, PriceVector, TraderSpec, check_market, trusted
+from .model import Market, Memo, PriceVector, TraderSpec, check_market, trusted
 from .plc import ZERO_PLC, PLCFunction
 from .rational import format_rational, parse_rational
 from .reduction import ReducedMarketMeta
@@ -38,18 +41,6 @@ from .search import SearchReport
 
 
 _LEAVES = {None: "null", True: "true", False: "false"}
-
-
-class _Texts(dict):
-    """value -> its JSON text, made by encode on first use; encode raises
-    TypeError on a value it cannot write."""
-
-    def __init__(self, encode):
-        self.encode = encode
-
-    def __missing__(self, value):
-        text = self[value] = self.encode(value)
-        return text
 
 
 def _join(texts: list[str], depth: int, brackets: str) -> str:
@@ -75,7 +66,7 @@ def dumps(obj) -> str:
     json would write as one, raise TypeError."""
     if isinstance(obj, Market):
         return _market_text(obj)
-    strings = _Texts(json.encoder.encode_basestring_ascii)
+    strings = Memo(json.encoder.encode_basestring_ascii)  # raises TypeError on a value that is not a str
     lists: dict[tuple[int, int], str] = {}  # (id of a list, depth) -> its text
 
     def write(o, depth: int) -> str:
@@ -100,9 +91,12 @@ def dumps(obj) -> str:
     return write(obj, 0) + "\n"
 
 
-def write_json(path, obj):
+def write_json(path, obj) -> str:
+    """Write `dumps`'s text of obj to path, and return that text."""
+    text = dumps(obj)
     with open(path, "w") as fh:
-        fh.write(dumps(obj))
+        fh.write(text)
+    return text
 
 
 def read_json(path):
@@ -155,7 +149,7 @@ def _market_text(m: Market) -> str:
     [{"endowment", "label", "utilities"}]}``, written from each trader's
     nonzeros.  Each distinct amount is encoded once per call, and each piece
     object once, keyed by its id, which the market keeps alive."""
-    amounts = _Texts(lambda q: f'"{format_rational(q)}"')
+    amounts = Memo(lambda q: f'"{format_rational(q)}"')
     pieces: dict[int, str] = {}  # id of a piece -> its text
     zero_endowment, zero_utilities = [f'"{_ZERO}"'] * m.n_goods, [_ZERO_PIECE_TEXT] * m.n_goods
     traders = []
@@ -196,7 +190,7 @@ def market_from_obj(obj) -> Market:
     with 1 in it.  The same pass drops zero amounts and pieces;
     `model.check_market`, which `Market` runs too, follows."""
     n_goods = _require(obj, "n_goods", int, "market")
-    amounts: dict[str, Fraction] = {}
+    amounts = Memo(parse_rational)  # rational string -> its Fraction
     rows: dict[tuple, tuple] = {}  # all-string endowment row -> its (good, amount) pairs
     pieces: dict[tuple, PLCFunction] = {}  # string-valued (slopes, breaks) -> piece
     traders = []
@@ -215,11 +209,7 @@ def market_from_obj(obj) -> Market:
             owned = []
             # most entries are the zeros a market file holds; any other zero is dropped too
             for k, w in [(k, w) for k, w in enumerate(endow) if w != _ZERO]:
-                q = amounts.get(w) if type(w) is str else None
-                if q is None:
-                    q = parse_rational(w)
-                    if type(w) is str:
-                        amounts[w] = q
+                q = amounts[w] if type(w) is str else parse_rational(w)
                 if q:
                     owned.append((k, q))
             owned = tuple(owned)

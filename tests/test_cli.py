@@ -6,6 +6,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from plcmarket import serialize
 from plcmarket.cli import main
 from plcmarket.clearing import verify
 from plcmarket.errors import InternalInvariantViolation
@@ -35,6 +36,28 @@ def test_gen_mn_prints_the_bytes_it_writes(tmp_path):
     assert run("gen-mn", "--n", "4", "-o", str(out)).exit_code == 0
     res = run("gen-mn", "--n", "4", "--json")
     assert res.exit_code == 0 and res.output == out.read_text()
+
+
+def test_out_and_json_print_the_written_bytes_encoding_once(tmp_path, monkeypatch):
+    """With both -o and --json, a command echoes the text it wrote, and
+    encodes its artifact once."""
+    calls = []
+    dumps = serialize.dumps
+
+    def counting(obj):
+        calls.append(obj)
+        return dumps(obj)
+
+    monkeypatch.setattr(serialize, "dumps", counting)
+    market, cert = tmp_path / "m4.json", tmp_path / "cert.json"
+    res = run("gen-mn", "--n", "4", "-o", str(market), "--json")
+    assert res.exit_code == 0 and res.output == market.read_text() and len(calls) == 1
+    write(tmp_path / "p.json", {"prices": ["1", "2", "3/2", "1"], "normalized": True})
+    calls.clear()
+    res = run("verify", "--market", str(market), "--prices", str(tmp_path / "p.json"),
+              "--mode", "approximate", "--eps", "1/2", "-o", str(cert), "--json")
+    assert res.exit_code == 0 and res.output == cert.read_text() and len(calls) == 1
+    assert json.loads(res.output)["verdict"] == "accept"
 
 
 def test_gen_mn_rejects_small_n():

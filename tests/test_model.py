@@ -9,6 +9,7 @@ from plcmarket.errors import AllZeroPrices, InputError, InvalidMarket, InvalidPr
 from plcmarket.games import MixedStrategy, mixed, validate_game
 from plcmarket.model import (
     Market,
+    Memo,
     PriceVector,
     TraderSpec,
     classify_market,
@@ -21,6 +22,38 @@ from plcmarket.regulating import build_mn
 from plcmarket.search import unit_box
 
 from oracles import dense_strongly_connected
+
+
+def test_memo_makes_each_distinct_key_once_and_shares_its_value():
+    made = []
+
+    def make(key):
+        made.append(key)
+        return [key]  # a fresh object per call
+
+    memo = Memo(make)
+    first = [memo[k] for k in ("a", 1, (2, 3), "a", 1, (2, 3))]
+    assert made == ["a", 1, (2, 3)]
+    assert first[0] is first[3] and first[1] is first[4] and first[2] is first[5]
+    assert memo["a"] is first[0] and dict(memo) == {"a": ["a"], 1: [1], (2, 3): [(2, 3)]}
+
+
+def test_memo_stores_nothing_when_make_raises():
+    made = []
+
+    def make(key):
+        made.append(key)
+        if key < 0:
+            raise ValueError(key)
+        return F(key)
+
+    memo = Memo(make)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            memo[-1]
+        assert -1 not in memo and dict(memo) == {}
+    assert made == [-1, -1]
+    assert memo[2] == 2 and dict(memo) == {2: F(2)}
 
 
 def test_normalize_examples():

@@ -249,14 +249,14 @@ def _strict_pure_equilibrium(g, i, j):
             and all(g.B[i][j] > g.B[i][k] for k in range(n) if k != j))
 
 
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), plant=st.booleans())
-def test_verify_accepts_a_profile_vertex_exactly_at_a_strict_pure_equilibrium(seed, n, plant):
-    """At N^-13, `verify` accepts the vertex of a pure profile (i, j) exactly
-    when (i, j) is a strict pure equilibrium, and every accepted vertex
-    extracts to (e_i, e_j), an n^-6 WSNE.  The paper proves only that
-    approximate equilibria encode WSNE; this converse was observed on
-    instances.  Some games get a planted strict pure equilibrium, so that
-    accepts are not rare."""
+def _check_profile_vertices(seed, n, plant) -> list[tuple[int, int]]:
+    """Verify every pure-profile vertex of a seeded sparse n x n game's
+    reduced market at N^-13, and return the accepted profiles.  Checks that
+    `verify` accepts the vertex of (i, j) exactly when (i, j) is a strict
+    pure equilibrium, that every accepted vertex extracts to (e_i, e_j), and
+    that this pair is an n^-6 WSNE.  With plant, one strict pure
+    equilibrium is planted first: its payoffs are raised to 1 and any rival
+    1 in its column of A or its row of B lowered to 7/8."""
     rng = random.Random(seed)
     A, B = random_sparse_game_matrices(rng, n)
     if plant:
@@ -275,14 +275,34 @@ def test_verify_accepts_a_profile_vertex_exactly_at_a_strict_pure_equilibrium(se
         for j in range(n):
             p = prices(_profile_vertex(n, i, j))
             strict = _strict_pure_equilibrium(g, i, j)
-            assert verify(m, p, APPROXIMATE, eps).accepted == strict, (A, B, i, j)
+            assert verify(m, p, APPROXIMATE, eps).accepted == strict, (seed, n, A, B, i, j)
             if strict:
                 e = extract_strategies(p, meta)
-                assert e.x.weights == tuple(F(k == i) for k in range(n)), (A, B, i, j)
-                assert e.y.weights == tuple(F(k == j) for k in range(n)), (A, B, i, j)
-                assert check_wsne(g, e.x, e.y, F(1, n**6)).passed, (A, B, i, j)
+                assert e.x.weights == tuple(F(k == i) for k in range(n)), (seed, n, A, B, i, j)
+                assert e.y.weights == tuple(F(k == j) for k in range(n)), (seed, n, A, B, i, j)
+                assert check_wsne(g, e.x, e.y, F(1, n**6)).passed, (seed, n, A, B, i, j)
                 accepted.append((i, j))
-    assert accepted or not plant
+    return accepted
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), plant=st.booleans())
+def test_verify_accepts_a_profile_vertex_exactly_at_a_strict_pure_equilibrium(seed, n, plant):
+    """At N^-13, `verify` accepts the vertex of a pure profile (i, j) exactly
+    when (i, j) is a strict pure equilibrium, and every accepted vertex
+    extracts to (e_i, e_j), an n^-6 WSNE.  The paper proves only that
+    approximate equilibria encode WSNE; this converse was observed on
+    instances.  Some games get a planted strict pure equilibrium, so that
+    accepts are not rare."""
+    assert _check_profile_vertices(seed, n, plant) or not plant
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_profile_vertices_of_larger_planted_games_accept_exactly_at_strict_pure_equilibria(seed, n):
+    """The property above at n = 5-8, where a hypothesis run would be slow:
+    each seeded game gets a planted strict pure equilibrium, and its vertex
+    is accepted."""
+    assert _check_profile_vertices(seed, n, plant=True)
 
 
 def test_the_one_good_cut_decides_most_profile_vertex_rejects(monkeypatch):
