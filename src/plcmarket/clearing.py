@@ -42,13 +42,14 @@ compared only on the goods where the two differ and the bundle's money with
 the budget only when they differ at all, and each good's total must lie
 within lo * P_k and hi * P_k.  Forced purchases and all
 bundles are (good, amount) pairs; no N-length row per trader is built.
-Fractions are built once the re-check has passed, for the witness bundles
-and the report; before that, only for the utility terms on goods where a
-witness leaves canonical demand.  Witness bundles repeat (at an in-box
-price vector of `M_n`, n of them serve the n(n - 1) traders), so `verify`
-builds one `Bundle` per distinct integer bundle and one (good, Fraction)
-pair per distinct integer entry and shares them: a `Bundle` is frozen, and
-equal integers on one unit give equal Fractions.  Prices are taken as
+The utility terms on goods where a witness leaves canonical demand are
+integers on the view's rows too, so `verify` reads only `Market.view`,
+never a market's traders, and builds Fractions once the re-check has
+passed, for the witness bundles and the report.  Witness bundles repeat
+(at an in-box price vector of `M_n`, n of them serve the n(n - 1)
+traders), so `verify` builds one `Bundle` per distinct integer bundle and
+one (good, Fraction) pair per distinct integer entry and shares them: a
+`Bundle` is frozen, and equal integers on one unit give equal Fractions.  Prices are taken as
 given: scaling them by c scales every money bound by c, the uncapped arcs'
 aside, which no flow fills, so the flows scale by c and the certificate
 stays.
@@ -281,10 +282,10 @@ def verify(m: Market, p: PriceVector, mode: str, eps=0) -> Certificate:
     totals = check_witness(m, p, x, demands, waived, windows)
     units = [windows[0] * (q or 1) for q in P]
     pair = Memo(lambda e: (e[0], Fraction(e[1], units[e[0]])))  # (good, int amount) -> (good, Fraction)
-    # a witness bundle's sorted int pairs -> its Bundle; the checked witness
-    # holds ints on distinct goods in range, so its bundles skip `Bundle`'s checks
-    bundle = Memo(lambda key: trusted(Bundle, amounts=tuple([pair[e] for e in key])))
-    bundles = [bundle[tuple(sorted(b.items()))] for b in x]
+    # a witness bundle's int pairs -> its Bundle; the checked witness holds
+    # ints on distinct goods in range, so its bundles skip `Bundle`'s checks
+    bundle = Memo(lambda key: trusted(Bundle, amounts=tuple([pair[e] for e in sorted(key)])))
+    bundles = [bundle[frozenset(b.items())] for b in x]
     allocated = [Fraction(t, u) for t, u in zip(totals, units)]
     return Certificate("accept", None, mode, eps, tuple(bundles), clearing_report(supplies, allocated, eps))
 
@@ -298,12 +299,12 @@ def check_witness(m, p, x, demands, waived, windows) -> list[int]:
     Q, bounds = windows
     P = p.scaled[1]
     totals = [0] * len(bounds)
-    for i, (trader, d, b) in enumerate(zip(m.traders, demands, x)):
+    for i, (v, d, b) in enumerate(zip(m.view, demands, x)):
         if i in waived:
             # a zero-cost bundle: goods in range, no negative amount, nothing on a priced good
             if any(not 0 <= k < len(P) or w < 0 or (w and P[k]) for k, w in b.items()):
                 raise InternalInvariantViolation(f"waived trader {i} got a bundle outside the zero-cost set")
-        elif not in_demand(trader, p, d, b.items(), Q):
+        elif not in_demand(v, p, d, b.items(), Q):
             raise InternalInvariantViolation(f"witness bundle for trader {i} is not optimal")
         for k, w in b.items():
             totals[k] += w

@@ -140,7 +140,7 @@ def verify_cmd(market_path, prices_path, mode, eps, out, as_json):
     human = f"{cert.verdict} (mode={mode}, eps={format_rational(cert.epsilon)})"
     if cert.reason:
         human += f": {cert.reason}"
-    _emit(serialize.certificate_to_obj(cert), out, as_json, human)
+    _emit(cert, out, as_json, human)
     sys.exit(0 if cert.accepted else 1)
 
 

@@ -30,8 +30,8 @@ This is the package's one demand path: `verify` hands the integers to the
 circulation as they are, the grid search scores the integer canonical fill
 (`canonical_amounts`), and `in_demand` re-checks an integer bundle, on a
 unit the caller names, against the integers: it compares the bundle with
-that fill and builds Fractions only for the utility terms where the two
-differ.
+that fill and sums the utility terms where the two differ in integers, on
+the same view row.  No part of it reads a `TraderSpec` or a `PLCFunction`.
 """
 
 import math
@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InvalidMarket, UnboundedDemand
-from .model import PriceVector, ScaledTrader, TraderSpec
+from .model import PriceVector, ScaledTrader
 from .rational import parse_rational
 
 
@@ -62,10 +62,6 @@ class Bundle:
                 raise InvalidMarket(f"a bundle's goods must be distinct ints, got {k!r} in {self.amounts!r}")
             x[k] = parse_rational(a)
         object.__setattr__(self, "amounts", tuple(sorted(x.items())))
-
-    def cost(self, p: PriceVector) -> Fraction:
-        q = p.prices
-        return sum((x * q[k] for k, x in self.amounts), Fraction(0))
 
 
 class IntDemand(NamedTuple):
@@ -136,12 +132,38 @@ def canonical_amounts(d: IntDemand, P) -> dict[int, int]:
     return x
 
 
-def in_demand(trader: TraderSpec, p: PriceVector, d: IntDemand, x, Q: int) -> bool:
-    """Membership test for the trader's optimal-bundle set at p, given as the
-    core's answer d = `int_demand(v, p.scaled[1])` on its view v: every good in
-    range(len(p.prices)), no negative amount, budget-feasible, and utility
-    equal to the greedy optimum.  Spending residual money on goods with zero
-    marginal utility is allowed.
+def _utility(segments, x: int, u: int) -> int:
+    """A piece's utility at x units of 1/(u * M), from its segments on a row
+    of the market's view (`Market.view`, amounts in units of 1/M): an int in
+    units of 1/(u * M * S), S the view's slope scale.  Past its last
+    positive-slope segment the piece is flat."""
+    value = 0
+    for _, s, cap in segments:
+        if cap is None or x <= cap * u:
+            return value + s * x
+        value += s * cap * u
+        x -= cap * u
+    return value
+
+
+def utility_change(v: ScaledTrader, P, differ, Q: int) -> int:
+    """U(x) - U(c) for the trader with view row v, from differ's (good, x_k,
+    c_k) triples on the unit `in_demand` takes, Q a multiple of v.den: an int
+    in units of 1/(Q * S * L), S the view's slope scale and L the lcm of the
+    P_k (1 for a free good) over differ's goods."""
+    f = {k: segments for k, _, segments in v.wanted}
+    units = {k: P[k] or 1 for k, _, _ in differ}
+    a, L = Q // v.den, math.lcm(*units.values())
+    return sum((_utility(f[k], x, a * units[k]) - _utility(f[k], c, a * units[k])) * (L // units[k])
+               for k, x, c in differ if k in f)
+
+
+def in_demand(v: ScaledTrader, p: PriceVector, d: IntDemand, x, Q: int) -> bool:
+    """Membership test for the optimal-bundle set at p of the trader with
+    view row v, given as the core's answer d = `int_demand(v, p.scaled[1])`:
+    every good in range(len(p.prices)), no negative amount, budget-feasible,
+    and utility equal to the greedy optimum.  Spending residual money on
+    goods with zero marginal utility is allowed.
 
     x is a collection of (good, amount) pairs in integers on the caller's
     unit Q, a multiple of d.den: a priced good k counts 1/(Q * P_k), so its
@@ -149,10 +171,10 @@ def in_demand(trader: TraderSpec, p: PriceVector, d: IntDemand, x, Q: int) -> bo
     1/Q.  x is compared with the canonical bundle c = `canonical_amounts(d,
     P)` scaled by Q // d.den, entry by entry; c is optimal, so an x equal to
     it is in demand, and costs and utilities are looked at only when x
-    differs.  Then x's money, an int, must be at most the budget, and
-    Fractions are built only on the goods where x and c differ, c's goods
-    missing from x included: there the utility changes by f_k(x_k) -
-    f_k(c_k), and U(x) == U(c) exactly when those terms sum to 0."""
+    differs.  Then x's money, an int, must be at most the budget, and the
+    utility changes by f_k(x_k) - f_k(c_k) on the goods where x and c
+    differ, c's goods missing from x included; U(x) == U(c) exactly when
+    those terms, summed in integers (`utility_change`), give 0."""
     n = len(p.prices)
     P = p.scaled[1]
     a = Q // d.den
@@ -169,6 +191,4 @@ def in_demand(trader: TraderSpec, p: PriceVector, d: IntDemand, x, Q: int) -> bo
         return True
     if sum(w for k, w in x if P[k]) > d.budget * a:  # its money, in units of 1/(Q * D)
         return False
-    f = dict(trader.wanted)
-    return sum((f[k](Fraction(w, Q * (P[k] or 1))) - f[k](Fraction(b, Q * (P[k] or 1)))
-                for k, w, b in differ if k in f), Fraction(0)) == 0
+    return utility_change(v, P, differ, Q) == 0

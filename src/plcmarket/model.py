@@ -19,8 +19,12 @@ vector each have an integer view, cached on the object.  The market's
 `view` puts every trader on one amount scale, units of 1/M with M the lcm
 of every amount and breakpoint denominator in the market, and one slope
 scale; the circulation counts money on a multiple of M anyway.  A price
-vector's `scaled` is P_k / D with one D.  Both are computed on first use,
-so building, reducing, parsing and writing markets never pay for them.
+vector's `scaled` is P_k / D with one D.  A market built in Python, and a
+price vector, compute theirs on first use, so building, reducing and
+writing markets never pay for them.  The market file parser builds the
+view in the pass that checks the file, from its tables of distinct
+endowment rows and pieces (`integer_view`), and the traders, the Fraction
+layer that `verify` never reads, from the same tables on first read.
 
 Checks happen at the boundary.  The public constructors parse and check
 every value; `trusted` builds an object from values that the parser or the
@@ -100,19 +104,29 @@ class TraderSpec:
         object.__setattr__(self, "owned", tuple(sorted((p for p in owned if p[1]), key=by_good)))
         object.__setattr__(self, "wanted", tuple(sorted((p for p in wanted if not p[1].is_zero), key=by_good)))
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Goods owned or wanted, ascending; the key of the search memo."""
-        return tuple(sorted({k for k, _ in self.owned}.union(k for k, _ in self.wanted)))
-
 
 @dataclass(frozen=True)
 class Market:
+    """A market of n_goods goods and its traders.  A market the file parser
+    builds (`serialize.market_from_obj`) holds its `view` from the start and,
+    until its traders are first read, the rows and trader records
+    `integer_view` read; the traders share their amounts and pieces with
+    them."""
+
     n_goods: int
     traders: tuple[TraderSpec, ...]
 
     def __post_init__(self):
         check_market(self.n_goods, self.traders)
+
+    def __getattr__(self, name):
+        # reached only when name is not set: a parsed market's traders, built from its tables on first read
+        if name != "traders" or "_tables" not in vars(self):
+            raise AttributeError(f"'Market' object has no attribute {name!r}")
+        rows, traders = vars(self).pop("_tables")
+        vars(self)["traders"] = tuple([trusted(TraderSpec, owned=rows[r], wanted=tuple(wanted), label=label)
+                                       for r, wanted, label in traders])
+        return self.traders
 
     def supplies(self) -> tuple[Fraction, ...]:
         """Total endowment per good: the Fraction view of `scaled`."""
@@ -121,22 +135,14 @@ class Market:
 
     @cached_property
     def view(self) -> tuple[ScaledTrader, ...]:
-        """The market in integers, one row per trader, all on one amount
-        scale M, the lcm of every amount and breakpoint denominator, and one
-        slope scale, the lcm of every slope denominator.  Each distinct
-        amount object and piece object is scaled once, keyed by its id while
-        the market holds it: parsed and built traders share these objects,
-        and hashing a Fraction costs more than scaling it."""
-        amounts = {id(w): w for t in self.traders for _, w in t.owned}
-        pieces = {id(f): f for t in self.traders for _, f in t.wanted}
-        den = math.lcm(*{w.denominator for w in amounts.values()},
-                       *{a.denominator for f in pieces.values() for a in f.breaks})
-        slope_den = math.lcm(*{s.denominator for f in pieces.values() for s in f.slopes})
-        amounts = {key: w.numerator * (den // w.denominator) for key, w in amounts.items()}
-        pieces = {key: f.scaled_to(den, slope_den) for key, f in pieces.items()}
-        return tuple([ScaledTrader(den, tuple([(k, amounts[id(w)]) for k, w in t.owned]),
-                                   tuple([(k, *pieces[id(f)]) for k, f in t.wanted]))
-                      for t in self.traders])
+        """The market in integers, one row per trader (`integer_view`), for
+        a market built in Python; each distinct endowment row object and
+        piece object is scaled once, keyed by its id while the market holds
+        it, since built traders share them and hashing one costs more than
+        scaling it."""
+        traders = self.traders
+        return integer_view({id(t.owned): t.owned for t in traders}, {id(f): f for t in traders for _, f in t.wanted},
+                            [(id(t.owned), t.wanted, t.label) for t in traders])
 
     @cached_property
     def scaled(self) -> tuple[int, tuple[int, ...]]:
@@ -149,11 +155,28 @@ class Market:
         return self.view[0].den, tuple(totals)
 
 
+def integer_view(rows, pieces, traders) -> tuple[ScaledTrader, ...]:
+    """`Market.view` of traders given as (key in rows, (good, piece) pairs,
+    label): rows maps a key to an endowment as (good, amount) pairs and
+    pieces maps the id of each distinct piece, which the caller keeps
+    alive, to the piece; each row and piece is scaled once.  Every row is
+    on one amount scale M, the lcm of every amount and breakpoint
+    denominator, and one slope scale, the lcm of every slope denominator."""
+    den = math.lcm(*{q.denominator for pairs in rows.values() for _, q in pairs},
+                   *{a.denominator for f in pieces.values() for a in f.breaks})
+    slope_den = math.lcm(*{s.denominator for f in pieces.values() for s in f.slopes})
+    ints = {key: tuple([(k, q.numerator * (den // q.denominator)) for k, q in pairs]) for key, pairs in rows.items()}
+    scaled = {key: f.scaled_to(den, slope_den) for key, f in pieces.items()}
+    return tuple([ScaledTrader(den, ints[r], tuple([(k, *scaled[id(f)]) for k, f in wanted]))
+                  for r, wanted, _ in traders])
+
+
 def check_market(n_goods: int, traders) -> None:
     """The market-wide checks on traders whose nonzeros are parsed and in
-    good order: `Market` runs them, and so does the market file parser.
-    Since each list is in ascending good order, its first and last goods
-    bound its range; a sign is read off an amount's numerator."""
+    good order: `Market` runs them on its traders, and the market file
+    parser on the rows of the market's view.  Since each list is in
+    ascending good order, its first and last goods bound its range; a sign
+    is read off an amount's numerator, a Fraction's or an int's."""
     if n_goods < 1:
         raise InvalidMarket("market needs at least one good")
     if not traders:

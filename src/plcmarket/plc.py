@@ -55,7 +55,7 @@ class PLCFunction:
         for lo, hi in zip(slopes[1:], slopes):
             if lo >= hi:
                 raise NonDecreasingSlopes(f"slopes must strictly decrease, got {hi} then {lo}")
-        prev = Fraction(0)
+        prev = 0
         for a in breaks:
             if a <= prev:
                 raise NonIncreasingBreakpoints(
@@ -77,15 +77,6 @@ class PLCFunction:
     @property
     def n_segments(self) -> int:
         return len(self.slopes)
-
-    @property
-    def satiation_point(self) -> Fraction | None:
-        """Smallest x beyond which the function is flat; None if never flat."""
-        if self.is_zero:
-            return Fraction(0)
-        if self.slopes[-1] > 0:
-            return None
-        return self.breaks[-1]
 
     def scaled_to(self, den: int, slope_den: int):
         """(satiation, segments): the piece in integers, breakpoint amounts in

@@ -140,7 +140,8 @@ def grid_scores(m: Market, axes):
     ints = [[q.numerator * (D // q.denominator) for q in axis] for axis in axes]
     supply = m.scaled[1]
 
-    view, supports = m.view, [t.support for t in m.traders]
+    # a trader's support: the goods it owns or wants
+    view, supports = m.view, [sorted({k for k, _ in v.owned}.union(k for k, _, _ in v.wanted)) for v in m.view]
     walked = [i for i, support in enumerate(supports) if support]  # an empty support demands nothing
     keys = {i: itemgetter(*supports[i]) for i in walked}
     last = {i: max((k for k in supports[i] if sizes[k] > 1), default=-1) for i in walked}

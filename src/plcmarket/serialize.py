@@ -4,27 +4,31 @@ Rationals travel as "num/den" strings (plain integer strings are accepted on
 input).  Serialization is deterministic: sorted keys, two-space indent, one
 trailing newline, the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``
 plus a newline, written by `dumps`, which encodes each distinct string once
-per call, writes each list object once per depth, and writes a `Market`'s
-file, dense rows of mostly zeros, from its traders' nonzeros.  No file
-holds a float or a key that is not a string, so `dumps` raises TypeError
-on either.
+per call, writes each list object once per depth, and writes the two files
+of dense rows of mostly zeros from their nonzeros: a `Market`'s from its
+traders', and a `Certificate`'s, at any depth of the tree, from its
+bundles'.  No file holds a float or a key that is not a string, so `dumps`
+raises TypeError on either.
 
 Every check on a market file runs in `market_from_obj`: one pass over its
-entries parses them, each distinct string and endowment row of strings
-once, drops zeros and checks row lengths, then `model.check_market` checks
-signs and the total endowment.  The traders and the market it returns are
-built with `model.trusted`, so nothing downstream checks them again; the
-market's integer view (`Market.view`) is built on first use, by the same
-code as for a market built in Python.
+entries parses each distinct rational string, string-valued piece and
+endowment row of strings once, drops zeros and checks row lengths.  When
+the pass ends, the scales of the market's integer view (`Market.view`)
+are known, so `model.integer_view` scales each distinct row and piece once
+and builds each trader's row, and `model.check_market` checks signs and
+the total endowment on those rows.  The market it returns holds the view
+from the start; its traders, the Fraction layer, are built from the
+pass's tables on first read, and `verify` never reads them.  Everything is
+built with `model.trusted`, so nothing downstream checks it again.
 
 Values repeat: in `M_n` n endowment rows serve the n(n - 1) traders, and
 at an in-box price vector n witness bundles do.  So the parser shares each
-repeated row, and `certificate_to_obj` builds one dense row per distinct
-`Bundle` object, which `dumps` then writes once.  Sharing is exact: the
-shared values are immutable, and equal inputs give equal outputs.  A
-value made from its key alone, a string's JSON text, an amount's text or
-a rational string's Fraction, is kept in a `model.Memo`; a memo keyed by
-an object's id, or one that keeps only some of its keys, is a plain dict.
+repeated row, and the certificate writer writes one allocation row per
+distinct `Bundle` object.  Sharing is exact: the shared values are
+immutable, and equal inputs give equal outputs.  A value made from its key
+alone, a string's JSON text, an amount's text, a rational string's
+Fraction or a view entry, is kept in a `model.Memo`; a memo keyed by an
+object's id, or one that keeps only some of its keys, is a plain dict.
 """
 
 import json
@@ -33,7 +37,7 @@ from fractions import Fraction
 from .clearing import Certificate
 from .errors import InputError, InvalidMarket
 from .games import BimatrixGame, MixedStrategy, validate_game
-from .model import Market, Memo, PriceVector, TraderSpec, check_market, trusted
+from .model import Market, Memo, PriceVector, check_market, integer_view, trusted
 from .plc import ZERO_PLC, PLCFunction
 from .rational import format_rational, parse_rational
 from .reduction import ReducedMarketMeta
@@ -54,16 +58,16 @@ def _join(texts: list[str], depth: int, brackets: str) -> str:
 
 def dumps(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\n"``, byte for byte;
-    a `Market` is written as its market file (`_market_text`).
+    a `Market` is written as its market file (`_market_text`), and a
+    `Certificate`, at any depth, as its object (`_certificate_text`).
 
     Each distinct string is encoded once per call, a list of strings is
     joined in one pass, and each list object is written once per depth,
     keyed by its id: its text depends only on its items and its depth, and
-    obj, which holds it, keeps its id unique while the call runs, so a
-    certificate's repeated allocation rows are written once.  obj must hold
-    no cycle: json raises ValueError on one, this writer RecursionError.  A
-    float, which json would write, and a key that is not a string, which
-    json would write as one, raise TypeError."""
+    obj, which holds it, keeps its id unique while the call runs.  obj must
+    hold no cycle: json raises ValueError on one, this writer
+    RecursionError.  A float, which json would write, and a key that is not
+    a string, which json would write as one, raise TypeError."""
     if isinstance(obj, Market):
         return _market_text(obj)
     strings = Memo(json.encoder.encode_basestring_ascii)  # raises TypeError on a value that is not a str
@@ -78,6 +82,8 @@ def dumps(obj) -> str:
             return int.__repr__(o)
         if isinstance(o, dict):
             return _join([strings[k] + ": " + write(v, depth + 1) for k, v in sorted(o.items())], depth, "{}")
+        if isinstance(o, Certificate):
+            return _certificate_text(o, depth, write)
         if not isinstance(o, (list, tuple)):
             raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
         key = (id(o), depth)  # o, inside obj, stays alive while obj is written
@@ -135,15 +141,6 @@ _ZERO_OBJ = {"kind": "zero"}  # most entries of a sparse market are these two
 _ZERO_PIECE_TEXT = _join(['"kind": "zero"'], 4, "{}")  # a utility entry sits at depth 4 of a market file
 
 
-def _dense_row(pairs, n_goods: int) -> list[str]:
-    """An n_goods-length row of rational strings from (good, amount) pairs;
-    every other entry is zero."""
-    row = [_ZERO] * n_goods
-    for k, w in pairs:
-        row[k] = format_rational(w)
-    return row
-
-
 def _market_text(m: Market) -> str:
     """The text `dumps` gives m's dense rows, ``{"n_goods", "traders":
     [{"endowment", "label", "utilities"}]}``, written from each trader's
@@ -169,73 +166,112 @@ def _market_text(m: Market) -> str:
     return _join([f'"n_goods": {m.n_goods}', '"traders": ' + _join(traders, 1, "[]")], 0, "{}") + "\n"
 
 
+def _certificate_text(cert: Certificate, depth: int, write) -> str:
+    """The text `dumps` gives cert at depth of the tree it writes, with write
+    its writer: the object ``{"allocation": [dense row per bundle],
+    "epsilon", "mode", "reason", "report": [{"allocated", "bound", "good",
+    "imbalance", "supply"}], "verdict"}``, null for an absent allocation or
+    report.  Each allocation row is written from its `Bundle`'s nonzeros into
+    a row of zeros, once per distinct `Bundle` object, keyed by its id,
+    which cert keeps alive."""
+
+    def rational(q) -> str:
+        return write(format_rational(q), 0)
+
+    rows: dict[int, str] = {}  # id of a bundle -> its text
+    for b in cert.allocation or ():  # an allocation comes with its per-good report
+        if id(b) not in rows:
+            row = [write(_ZERO, 0)] * len(cert.report)
+            for k, w in b.amounts:
+                row[k] = rational(w)
+            rows[id(b)] = _join(row, depth + 2, "[]")
+    allocation = "null" if cert.allocation is None else _join([rows[id(b)] for b in cert.allocation], depth + 1, "[]")
+    report = "null" if cert.report is None else _join(
+        [_join([f'"allocated": {rational(r.allocated)}', f'"bound": {rational(r.bound)}', f'"good": {r.good}',
+                f'"imbalance": {rational(r.imbalance)}', f'"supply": {rational(r.supply)}'], depth + 2, "{}")
+         for r in cert.report], depth + 1, "[]")
+    return _join([f'"allocation": {allocation}', f'"epsilon": {rational(cert.epsilon)}',
+                  f'"mode": {write(cert.mode, 0)}', f'"reason": {write(cert.reason, 0)}', f'"report": {report}',
+                  f'"verdict": {write(cert.verdict, 0)}'], depth, "{}")
+
+
 def _piece_key(u):
     """(slopes, breaks) of a piece object whose two keys hold lists, else None."""
     if type(u) is dict and u.get("kind") != "zero":
         slopes, breaks = u.get("slopes"), u.get("breaks")
         if type(slopes) is list and type(breaks) is list:
             return tuple(slopes), tuple(breaks)
-    return None
 
 
 def market_from_obj(obj) -> Market:
-    """Parse and check a market in one pass over its entries.
+    """Parse and check a market in one pass over its entries, and build its
+    integer view (`Market.view`) from what the pass kept.
 
     Markets repeat a few values many times, so each distinct rational
-    string, string-valued piece and endowment row of strings is parsed once
-    per call and shared: in `M_n`, n endowment rows serve n(n - 1) traders.
-    Sharing is exact, since the values are immutable and a string equals
-    only a string; any other entry or row is parsed, and rejected, as it
-    stands, so a row with true in it never finds the pairs of an equal row
-    with 1 in it.  The same pass drops zero amounts and pieces;
-    `model.check_market`, which `Market` runs too, follows."""
+    string, string-valued piece and endowment row of strings is parsed and
+    checked once per call and shared: in `M_n`, n endowment rows serve
+    n(n - 1) traders.  Sharing is exact, since the values are immutable and
+    a string equals only a string; any other entry or row is parsed, and
+    rejected, as it stands, so a row with true in it never finds the pairs
+    of an equal row with 1 in it.  The same pass drops zero amounts and
+    pieces.  When it ends, the amount scale M and the slope scale are
+    known, so each distinct row and piece is scaled once, each trader's
+    view row is built from them, and `model.check_market` checks the rows.
+    The market's traders, its Fraction layer, are built from the same
+    tables on first read."""
     n_goods = _require(obj, "n_goods", int, "market")
     amounts = Memo(parse_rational)  # rational string -> its Fraction
-    rows: dict[tuple, tuple] = {}  # all-string endowment row -> its (good, amount) pairs
-    pieces: dict[tuple, PLCFunction] = {}  # string-valued (slopes, breaks) -> piece
-    traders = []
+    rows: dict[tuple, int] = {}  # all-string endowment row -> its key in owned
+    owned: dict[int, tuple] = {}  # each distinct row's (good, amount) pairs
+    slots: dict[tuple, PLCFunction] = {}  # string-valued (slopes, breaks) -> its piece
+    pieces: dict[int, PLCFunction] = {}  # id of each distinct piece -> the piece
+    parsed = []  # per trader: its key in owned, its (good, piece) pairs, its label
     for idx, entry in enumerate(_require(obj, "traders", list, "market")):
         where = f"trader {idx}"
         endow = _require(entry, "endowment", list, where)
         utils = _require(entry, "utilities", list, where)
         if len(endow) != n_goods or len(utils) != n_goods:
             raise InvalidMarket(f"{where} has a row whose length is not n_goods={n_goods}")
-        row = tuple(endow)
         try:
-            owned = rows.get(row)
+            r = rows.get(tuple(endow))
         except TypeError:  # a list or object among the entries
-            owned = None
-        if owned is None:
-            owned = []
-            # most entries are the zeros a market file holds; any other zero is dropped too
-            for k, w in [(k, w) for k, w in enumerate(endow) if w != _ZERO]:
-                q = amounts[w] if type(w) is str else parse_rational(w)
-                if q:
-                    owned.append((k, q))
-            owned = tuple(owned)
-            if all(type(w) is str for w in endow):
-                rows[row] = owned
+            r = None
+        if r is None:
+            r, pairs, strings = len(owned), [], True  # the zeros skipped equal a string
+            for k, w in enumerate(endow):
+                if w != _ZERO:  # most entries are the zeros a market file holds; any other zero is dropped too
+                    q = amounts[w] if type(w) is str else parse_rational(w)
+                    strings = strings and type(w) is str
+                    if q:
+                        pairs.append((k, q))
+            owned[r] = tuple(pairs)
+            if strings:
+                rows[tuple(endow)] = r
         wanted = []
-        for k, u in [(k, u) for k, u in enumerate(utils) if u != _ZERO_OBJ]:
-            key = _piece_key(u)
-            try:
-                f = pieces.get(key)
-            except TypeError:  # a list or object among the values: not a string-valued piece
-                key = f = None
-            if f is None:
-                f = plc_from_obj(u)
-                # only string-valued keys are kept, so no key with true in it can
-                # find the piece of an equal key with 1 in it
-                if key is not None and all(type(v) is str for v in key[0] + key[1]):
-                    pieces[key] = f
-            if f.slopes:
-                wanted.append((k, f))
+        for k, u in enumerate(utils):
+            if u != _ZERO_OBJ:
+                key = _piece_key(u)
+                try:
+                    f = slots.get(key)
+                except TypeError:  # a list or object among the values: not a string-valued piece
+                    key = f = None
+                if f is None:
+                    f = plc_from_obj(u)
+                    pieces[id(f)] = f  # keyed by its id, which the parse keeps alive
+                    # only string-valued keys are kept, so no key with true in it can
+                    # find the piece of an equal key with 1 in it
+                    if key is not None and all(type(v) is str for v in key[0] + key[1]):
+                        slots[key] = f
+                if f.slopes:
+                    wanted.append((k, f))
         label = entry.get("label")
         if label is not None and not isinstance(label, str):
             raise InputError(f"{where}: label must be a string")
-        traders.append(trusted(TraderSpec, owned=owned, wanted=tuple(wanted), label=label))
-    check_market(n_goods, traders)
-    return trusted(Market, n_goods=n_goods, traders=tuple(traders))
+        parsed.append((r, wanted, label))
+
+    view = integer_view(owned, pieces, parsed)
+    check_market(n_goods, view)
+    return trusted(Market, n_goods=n_goods, view=view, _tables=(owned, parsed))
 
 
 # --- prices -------------------------------------------------------------------
@@ -322,35 +358,6 @@ def meta_from_obj(obj) -> ReducedMarketMeta:
     return meta
 
 
-def certificate_to_obj(cert: Certificate):
-    obj = {
-        "verdict": cert.verdict,
-        "mode": cert.mode,
-        "epsilon": format_rational(cert.epsilon),
-        "reason": cert.reason,
-        "allocation": None,
-        "report": None,
-    }
-    if cert.allocation is not None:  # an allocation comes with its per-good report
-        rows: dict[int, list[str]] = {}  # id of a bundle, which cert keeps alive -> its dense row
-        for b in cert.allocation:
-            if id(b) not in rows:
-                rows[id(b)] = _dense_row(b.amounts, len(cert.report))
-        obj["allocation"] = [rows[id(b)] for b in cert.allocation]
-    if cert.report is not None:
-        obj["report"] = [
-            {
-                "good": row.good,
-                "supply": format_rational(row.supply),
-                "allocated": format_rational(row.allocated),
-                "imbalance": format_rational(row.imbalance),
-                "bound": format_rational(row.bound),
-            }
-            for row in cert.report
-        ]
-    return obj
-
-
 def score_str(score: Fraction | None) -> str:
     return "inf" if score is None else format_rational(score)
 
@@ -361,5 +368,5 @@ def search_report_to_obj(rep: SearchReport):
         "best_max_relative_imbalance": score_str(rep.best_max_relative_imbalance),
         "accepted": rep.accepted,
         "trace": [[rnd, score_str(score)] for rnd, score in rep.trace],
-        "certificate": None if rep.certificate is None else certificate_to_obj(rep.certificate),
+        "certificate": rep.certificate,  # `dumps` writes a Certificate at any depth
     }

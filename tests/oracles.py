@@ -25,8 +25,10 @@ rationals as on the market's view.
 `reference_dumps` is the json module's indenting encoder, and
 `market_to_obj`, with `plc_to_obj`, is the package's earlier market writer:
 the dense object tree of a market file, one object per zero entry and per
-piece.  `serialize.dumps` must write `reference_dumps` of any tree and, for
-a `Market`, of its `market_to_obj`.
+piece; `certificate_to_obj` is the package's earlier certificate writer,
+one dense allocation row per distinct `Bundle`.  `serialize.dumps` must
+write `reference_dumps` of any tree and, for a `Market` or a
+`Certificate`, of its `market_to_obj` or `certificate_to_obj`.
 `reference_check_market` checks every good and sign of every trader, which
 `model.check_market`, reading each list's ends and the numerators, must
 match message for message.
@@ -43,7 +45,8 @@ for list.
 Views that only tests read live here, not in the package, which holds what
 the program runs.  `optimal_demand`, with `DemandSet` and `SegmentOffer`,
 is the Fraction view of the integer demand core, which the dense demand
-oracle, the clearing oracle and `canonical_bundle` read.
+oracle, the clearing oracle and `canonical_bundle` read; `support` is a
+trader's goods and `satiation_point` a piece's flat start, in Fractions.
 `gadget_vectors_row` and `gadget_vectors_col` are the dense Fraction view
 of the builder's one gadget core, `reduction._gadget`, checked against
 `reference_gadget_vectors`, and `trader_slices` gives the index range of
@@ -83,7 +86,7 @@ from plcmarket.rational import format_rational, parse_epsilon, parse_rational
 from plcmarket.reduction import ReducedMarketMeta, _gadget, build_reduced_market
 from plcmarket.regulating import build_mn, check_regulation_box
 from plcmarket.search import SearchReport
-from plcmarket.serialize import _ZERO_OBJ, _dense_row, _require, plc_from_obj
+from plcmarket.serialize import _ZERO, _ZERO_OBJ, _require, plc_from_obj
 
 
 # --- definition-level PLC predicate -------------------------------------------
@@ -325,6 +328,20 @@ def brute_force_clearing(market: Market, p, eps, grid_den: int = 16, grid_cap: i
 # --- dense references for the support-restricted code --------------------------
 
 
+def satiation_point(f: PLCFunction) -> Fraction | None:
+    """Smallest x beyond which the piece f is flat; None if never flat."""
+    if f.is_zero:
+        return Fraction(0)
+    if f.slopes[-1] > 0:
+        return None
+    return f.breaks[-1]
+
+
+def support(t: TraderSpec) -> tuple[int, ...]:
+    """Goods the trader owns or wants, ascending."""
+    return tuple(sorted({k for k, _ in t.owned}.union(k for k, _ in t.wanted)))
+
+
 def dense_view(pairs, n_goods: int) -> tuple:
     """The n_goods-length row of (good, amount) pairs, such as a bundle's
     amounts or a demand set's forced purchases; zero everywhere else."""
@@ -400,7 +417,7 @@ def dense_demand(trader: TraderSpec, p, trader_idx=None) -> DemandSet:
         if p.prices[k] == 0:
             if f.is_strictly_monotone:
                 raise UnboundedDemand(trader_idx, k)
-            forced[k] = f.satiation_point
+            forced[k] = satiation_point(f)
             continue
         lefts = (Fraction(0),) + f.breaks
         for s, theta in enumerate(f.slopes):
@@ -590,13 +607,14 @@ def regulation_forward_witness(n: int, p: PriceVector) -> Certificate:
 
 
 def bundle_in_demand(trader: TraderSpec, p, d, b: Bundle) -> bool:
-    """`in_demand` on a Fraction bundle: its amounts in integers on the
-    least unit Q, a multiple of d.den, on which every entry is whole, good
-    k counting 1/(Q * P_k), or 1/Q when free or outside the market."""
+    """`in_demand` on a Fraction bundle, d the core's answer on the trader's
+    own scale (`own_scale_view`): its amounts in integers on the least unit
+    Q, a multiple of d.den, on which every entry is whole, good k counting
+    1/(Q * P_k), or 1/Q when free or outside the market."""
     P = p.scaled[1]
     units = [P[k] if 0 <= k < len(P) and P[k] else 1 for k, _ in b.amounts]
     Q = math.lcm(d.den, *((w * u).denominator for (_, w), u in zip(b.amounts, units)))
-    return in_demand(trader, p, d, [(k, int(w * u * Q)) for (k, w), u in zip(b.amounts, units)], Q)
+    return in_demand(own_scale_view(trader), p, d, [(k, int(w * u * Q)) for (k, w), u in zip(b.amounts, units)], Q)
 
 
 # --- reference circulation -------------------------------------------------------
@@ -1014,6 +1032,47 @@ def plc_to_obj(f: PLCFunction):
     }
 
 
+def _dense_row(pairs, n_goods: int) -> list[str]:
+    """An n_goods-length row of rational strings from (good, amount) pairs;
+    every other entry is zero."""
+    row = [_ZERO] * n_goods
+    for k, w in pairs:
+        row[k] = format_rational(w)
+    return row
+
+
+def certificate_to_obj(cert: Certificate):
+    """The certificate's object tree, one dense allocation row per distinct
+    `Bundle` object: `reference_dumps` of it is the text that
+    `serialize.dumps(cert)` must write."""
+    obj = {
+        "verdict": cert.verdict,
+        "mode": cert.mode,
+        "epsilon": format_rational(cert.epsilon),
+        "reason": cert.reason,
+        "allocation": None,
+        "report": None,
+    }
+    if cert.allocation is not None:  # an allocation comes with its per-good report
+        rows: dict[int, list[str]] = {}  # id of a bundle, which cert keeps alive -> its dense row
+        for b in cert.allocation:
+            if id(b) not in rows:
+                rows[id(b)] = _dense_row(b.amounts, len(cert.report))
+        obj["allocation"] = [rows[id(b)] for b in cert.allocation]
+    if cert.report is not None:
+        obj["report"] = [
+            {
+                "good": row.good,
+                "supply": format_rational(row.supply),
+                "allocated": format_rational(row.allocated),
+                "imbalance": format_rational(row.imbalance),
+                "bound": format_rational(row.bound),
+            }
+            for row in cert.report
+        ]
+    return obj
+
+
 def market_to_obj(m: Market):
     """Dense rows from each trader's nonzeros; every other entry is zero.
     Every zero entry of the utility rows is one object, and so is every use
@@ -1122,13 +1181,14 @@ def own_scale_view(t: TraderSpec) -> ScaledTrader:
 
 def reference_check_market(n_goods: int, traders) -> None:
     """The market-wide checks as first written: every good of every pair
-    against the range, every sign by a Fraction comparison."""
+    (or of every entry of a view row, which the parser checks) against the
+    range, every sign by a comparison."""
     if n_goods < 1:
         raise InvalidMarket("market needs at least one good")
     if not traders:
         raise InvalidMarket("market needs at least one trader")
     for idx, t in enumerate(traders):
-        if any(not 0 <= k < n_goods for k, _ in t.owned + t.wanted):
+        if any(not 0 <= k < n_goods for k, *_ in t.owned + t.wanted):
             raise InvalidMarket(f"trader {idx} lists a good outside range({n_goods})")
         if any(w < 0 for _, w in t.owned):
             raise InvalidMarket(f"trader {idx} has a negative endowment entry")

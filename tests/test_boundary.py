@@ -9,7 +9,8 @@ corrupted in one entry, both must return equal markets, whose integer view
 must give the bytes of `reference_dumps` on any JSON tree without a float
 and refuse a float, and, on every market family the program writes, the
 bytes of `reference_dumps` of the market's dense object tree
-(`market_to_obj`).  Every object the program builds without the public checks (witness bundles, parsed traders,
+(`market_to_obj`), and on certificates of every mode, alone or nested, of
+the certificate's object tree (`certificate_to_obj`).  Every object the program builds without the public checks (witness bundles, parsed traders,
 normalized prices) must equal what the public constructor makes of the
 same values, and a parsed market must have the view of the same market
 rebuilt through the public constructors.
@@ -39,9 +40,11 @@ from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn
 
 from oracles import (
+    certificate_to_obj,
     dense_supplies,
     market_to_obj,
     mixed_denominator_game_matrices,
+    prices_with_zeros,
     random_market,
     random_plc,
     random_sparse_game_matrices,
@@ -51,6 +54,7 @@ from oracles import (
     reference_market_view,
     tie_rich_market,
 )
+from test_acceptance import _in_box_samples, _tiny_instance
 
 
 def _reduced(seed: int, n: int) -> Market:
@@ -171,7 +175,7 @@ CORRUPTIONS = {  # the last two are zeros written another way, which both parser
 
 @given(seed=st.integers(0, 2**32 - 1), family=FAMILIES, kind=st.sampled_from(sorted(CORRUPTIONS)),
        where=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)))
-@settings(max_examples=200)
+@settings(max_examples=2 * settings.default.max_examples)  # 200, and ten times that under the deep profile
 def test_parser_matches_reference_on_corrupted_markets(seed, family, kind, where):
     obj = _file_obj(_market(family, seed))
     i = where[0] % len(obj["traders"])
@@ -272,6 +276,37 @@ def _first_difference(got: str, want: str):
 @settings(max_examples=150)
 def test_market_writer_matches_reference(m):
     assert _first_difference(serialize.dumps(m), reference_dumps(market_to_obj(m))) is None
+
+
+@st.composite
+def _verdicts(draw):
+    """Certificates of criterion 6's tiny tie-rich and random markets, of
+    criterion 8's M_n at in-box prices, and of random markets at prices
+    with zeros (unbounded-demand rejects among them), in every mode."""
+    family = draw(st.sampled_from(["criterion 6", "criterion 8", "random"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if family == "criterion 6":
+        m, p = _tiny_instance(rng)
+    elif family == "criterion 8":
+        n = draw(st.integers(2, 8))
+        m, p = build_mn(n), prices(rng.choice(_in_box_samples(rng, n, 1)))
+    else:
+        m = random_market(rng, max_goods=4, max_traders=4)
+        p = prices_with_zeros(rng, m.n_goods)
+    return verify(m, p, draw(st.sampled_from(MODES)), draw(st.sampled_from([F(0), F(1, 8), F(1, 2)])))
+
+
+@given(cert=_verdicts(), depth=st.integers(0, 2))
+def test_certificate_writer_matches_reference(cert, depth):
+    """`serialize.dumps` writes a certificate, alone or nested in a tree as
+    a search report nests it, in the bytes of `reference_dumps` of its
+    object tree (`certificate_to_obj`)."""
+    obj = certificate_to_obj(cert)
+    assert serialize.dumps(cert) == reference_dumps(obj) == serialize.dumps(obj)
+    tree, ref = cert, obj
+    for _ in range(depth):
+        tree, ref = {"certificate": tree, "rest": [tree]}, {"certificate": ref, "rest": [ref]}
+    assert _first_difference(serialize.dumps(tree), reference_dumps(ref)) is None
 
 
 @given(seed=st.integers(0, 2**32 - 1), family=FAMILIES, mode=st.sampled_from(MODES),

@@ -24,7 +24,7 @@ from plcmarket.model import Market, TraderSpec, normalize_prices, prices
 from plcmarket.plc import linear_plc, validate_plc
 from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn
-from plcmarket.serialize import certificate_to_obj, dumps, prices_to_obj
+from plcmarket.serialize import dumps, prices_to_obj
 
 from oracles import (
     brute_force_clearing,
@@ -241,8 +241,8 @@ def test_witness_revalidates():
 def test_certificates_deterministic():
     m = build_mn(3)
     p = prices([1, F(5, 4), 2])
-    a = dumps(certificate_to_obj(verify(m, p, APPROXIMATE, F(1, 3))))
-    b = dumps(certificate_to_obj(verify(m, p, APPROXIMATE, F(1, 3))))
+    a = dumps(verify(m, p, APPROXIMATE, F(1, 3)))
+    b = dumps(verify(m, p, APPROXIMATE, F(1, 3)))
     assert a == b
 
 
@@ -436,7 +436,7 @@ def test_verify_cli_exits_3_on_a_corrupted_witness(tmp_path, monkeypatch):
 
 
 def _certificate_bytes(m, p, mode, eps):
-    return dumps(certificate_to_obj(verify(m, p, mode, eps)))
+    return dumps(verify(m, p, mode, eps))
 
 
 def _in_box(rng, n):
@@ -491,7 +491,7 @@ def _flowless_verdicts(monkeypatch, keep):
         with monkeypatch.context() as patch:
             patch.setattr(clearing, "_determined", lambda *args: False)
             patch.setattr(clearing, "_short_good", lambda *args: False)
-            assert _certificate_bytes(m, prices(vec), mode, eps) == dumps(certificate_to_obj(cert)), label
+            assert _certificate_bytes(m, prices(vec), mode, eps) == dumps(cert), label
     return kept
 
 

@@ -1,5 +1,6 @@
 import gc
 import json
+import random
 import sys
 import time
 
@@ -10,6 +11,9 @@ from plcmarket import serialize
 from plcmarket.cli import main
 from plcmarket.clearing import verify
 from plcmarket.errors import InternalInvariantViolation
+from plcmarket.games import validate_game
+
+from oracles import game_to_obj, random_sparse_game_matrices
 
 
 def run(*args):
@@ -155,6 +159,25 @@ def test_reduce_extract_check_nash(tmp_path):
     res = run("check-nash", "--game", str(game), "--profile", str(strat), "--eps", "0", "--json")
     assert res.exit_code == 1
     assert json.loads(res.output)["witness"] is not None
+
+
+def test_verify_of_a_parsed_market_never_builds_its_traders(tmp_path, monkeypatch):
+    """`verify` reads a parsed market's integer view only: a CLI verify of a
+    reduced n = 4 market, accepting at eps 1/2 and rejecting at N^-13,
+    leaves the market's traders, its Fraction layer, unbuilt."""
+    game, market, meta, p = (tmp_path / name for name in ("game.json", "market.json", "meta.json", "p.json"))
+    rng = random.Random(4)
+    write(game, game_to_obj(validate_game(*random_sparse_game_matrices(rng, 4))))
+    assert run("reduce", "--game", str(game), "-o", str(market), "--meta", str(meta)).exit_code == 0
+    write(p, {"prices": ["1"] * 10, "normalized": True})
+    parsed = []
+    parse = serialize.market_from_obj
+    monkeypatch.setattr(serialize, "market_from_obj", lambda obj: parsed.append(parse(obj)) or parsed[-1])
+    for eps, code in (("1/2", 0), ("N^-13", 1)):
+        res = run("verify", "--market", str(market), "--prices", str(p), "--mode", "approximate", "--eps", eps)
+        assert res.exit_code == code, res.output
+        assert "traders" not in vars(parsed[-1])
+    assert parsed[-1].traders == serialize.market_from_obj(json.loads(market.read_text())).traders
 
 
 def test_check_nash_wrong_length_profile_is_input_error(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plcmarket.demand import Bundle, canonical_amounts, int_demand
+from plcmarket.demand import Bundle, canonical_amounts, in_demand, int_demand, utility_change
 from plcmarket.errors import UnboundedDemand
 from plcmarket.games import validate_game
-from plcmarket.model import PriceVector, TraderSpec, prices
+from plcmarket.model import PriceVector, TraderSpec, normalize_prices, prices
 from plcmarket.plc import linear_plc, validate_plc
 from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn
@@ -17,6 +18,8 @@ from oracles import (
     bundle_in_demand,
     canonical_bundle,
     dense_budget,
+    dense_cost,
+    dense_in_demand,
     dense_utility,
     dense_view,
     endowment_row,
@@ -24,6 +27,7 @@ from oracles import (
     mixed_denominator_game_matrices,
     optimal_demand,
     own_scale_view,
+    random_instance,
     random_market,
     random_sparse_game_matrices,
     tie_rich_market,
@@ -143,7 +147,7 @@ def test_full_spend_law_and_rate_partition():
                 assert d.tie_spend == d.budget - cost
                 assert all(o.rate == d.cutoff_rate for o in d.tie_offers)
                 b = canonical_bundle(d)
-                assert b.cost(p) == d.budget  # all money spent
+                assert dense_cost(dense_view(b.amounts, m.n_goods), p) == d.budget  # all money spent
             else:
                 assert cost + d.tie_spend == d.budget
             assert bundle_in_demand(t, p, _core(t, p), canonical_bundle(d))
@@ -252,3 +256,56 @@ def test_market_view_and_own_scale_view_give_one_demand(seed, family):
     assert len(m.view) == len(m.traders) and {v.den for v in m.view} == {m.scaled[0]}
     for i, t in enumerate(m.traders):
         assert _rationals(m.view[i], P, i) == _rationals(own_scale_view(t), P, i)
+
+
+def _bundles_around(d, P, Q, n, rng):
+    """Integer bundles on unit Q, as `in_demand` takes them: the canonical
+    fill, the fill with tie money moved between two tie goods, one entry
+    moved by one unit, and a random bundle."""
+    c = {k: x * (Q // d.den) for k, x in canonical_amounts(d, P).items()}
+    yield c
+    priced = [k for k, _, _ in d.ties if P[k]]
+    if len(priced) > 1:
+        a, b = rng.sample(priced, 2)
+        if c.get(a):
+            moved = rng.randint(1, c[a])
+            yield {**c, a: c[a] - moved, b: c.get(b, 0) + moved}
+    k = rng.randrange(n)
+    yield {**c, k: max(0, c.get(k, 0) + rng.choice([-1, 1]))}
+    yield {k: rng.randint(0, 3 * Q * (P[k] or 1)) for k in rng.sample(range(n), rng.randint(0, n))}
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       family=st.sampled_from(["random", "tie-rich", "mn", "reduced", "coprime", "reduced-n"]))
+def test_integer_utility_change_matches_the_fraction_pieces(seed, family):
+    """`in_demand` sums a witness's utility change in integers on a row of
+    the market's view (`utility_change`).  On random integer bundles x and
+    c, the sum equals f(x) - f(c) over the Fraction pieces, on the unit
+    1/(Q * S * L) it names; and `in_demand` on the view agrees with
+    `dense_in_demand` on bundles around canonical demand.  Every instance
+    family, and reduced markets at n = 2-4."""
+    rng = random.Random(seed)
+    if family == "reduced-n":
+        m, _ = build_reduced_market(validate_game(*random_sparse_game_matrices(rng, rng.randint(2, 4))))
+        p = normalize_prices(PriceVector(tuple(F(rng.randint(7, 17), 8) for _ in range(m.n_goods))))
+    else:
+        m, p = random_instance(rng, family)
+    n, P = m.n_goods, p.scaled[1]
+    S = math.lcm(*[s.denominator for t in m.traders for _, f in t.wanted for s in f.slopes])
+    Q = m.scaled[0] * rng.randint(1, 3)
+    for i, (t, v) in enumerate(zip(m.traders, m.view)):
+        pieces = dict(t.wanted)
+        goods = rng.sample(range(n), rng.randint(1, n))
+        differ = [(k, rng.randint(0, 3 * Q * (P[k] or 1)), rng.randint(0, 3 * Q * (P[k] or 1))) for k in goods]
+        L = math.lcm(*[P[k] or 1 for k in goods])
+        change = sum((pieces[k](F(x, Q * (P[k] or 1))) - pieces[k](F(c, Q * (P[k] or 1)))
+                      for k, x, c in differ if k in pieces), F(0))
+        assert utility_change(v, P, differ, Q) == change * Q * S * L
+        try:
+            d = int_demand(v, P, i)
+        except UnboundedDemand:
+            continue
+        ds = optimal_demand(t, p, i)
+        for x in _bundles_around(d, P, Q, n, rng):
+            dense = [F(x.get(k, 0), Q * (P[k] or 1)) for k in range(n)]
+            assert in_demand(v, p, d, x.items(), Q) == dense_in_demand(t, p, ds, dense)

@@ -74,7 +74,7 @@ def _reduced_verdicts():
         p = prices(_in_box(rng, N))
         for eps in (F(1, N**13), F(1, 2)):
             cert = verify(market, p, APPROXIMATE, eps)
-            yield serialize.certificate_to_obj(cert)
+            yield cert
             yield _witness_obj(cert.allocation, N)
 
 
@@ -97,7 +97,7 @@ def _mn_certificates():
         for _ in range(2):
             for vec in _mn_price_vectors(rng, n):
                 for mode in MODES:
-                    yield serialize.certificate_to_obj(verify(m, prices(vec), mode, F(1, n)))
+                    yield verify(m, prices(vec), mode, F(1, n))
 
 
 def _forward_witnesses():
@@ -105,7 +105,7 @@ def _forward_witnesses():
         rng = random.Random(f"golden/forward/{n}")
         for _ in range(3):
             vec = [v * 3 for v in _in_box(rng, n)]  # un-normalized on purpose
-            yield serialize.certificate_to_obj(regulation_forward_witness(n, prices(vec)))
+            yield regulation_forward_witness(n, prices(vec))
 
 
 def _search_reports():
@@ -146,7 +146,7 @@ def _random_certificates():
         except AllZeroPrices:
             continue
         for mode in MODES:
-            yield serialize.certificate_to_obj(verify(market, p, mode, F(1, 4)))
+            yield verify(market, p, mode, F(1, 4))
 
 
 def _support_enum():

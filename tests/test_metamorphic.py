@@ -47,7 +47,7 @@ from plcmarket.model import Market, PriceVector, TraderSpec
 from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn
 from plcmarket.search import _axis_points, grid_scores
-from plcmarket.serialize import certificate_to_obj, dumps
+from plcmarket.serialize import dumps
 
 from oracles import mixed_denominator_game_matrices, random_market, random_sparse_game_matrices, tie_rich_market
 
@@ -149,7 +149,7 @@ def test_verify_relations_hold_on_drawn_small_markets(market, kind, seed, scale)
 
 
 def _certificate_bytes(m: Market, p, mode: str, eps) -> str:
-    return dumps(certificate_to_obj(verify(m, PriceVector(p), mode, eps)))
+    return dumps(verify(m, PriceVector(p), mode, eps))
 
 
 @given(family=st.sampled_from(["M", "reduced2", "reduced3", "reduced4", "random", "tie"]),

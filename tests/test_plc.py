@@ -14,7 +14,7 @@ from plcmarket.errors import (
 from plcmarket.model import TraderSpec
 from plcmarket.plc import ZERO_PLC, PLCFunction, linear_plc, validate_plc
 
-from oracles import random_plc
+from oracles import random_plc, satiation_point
 
 
 def test_two_segment_representation():
@@ -29,7 +29,7 @@ def test_zero_function_forms():
         f = validate_plc(slopes, [])
         assert f.is_zero
         assert f(F(7)) == 0
-        assert f.satiation_point == 0
+        assert satiation_point(f) == 0
 
 
 def test_rejections():
@@ -91,7 +91,7 @@ def test_last_segment_is_a_ray():
 
 def test_satiation_and_bounds():
     f = validate_plc([3, 0], [2])
-    assert f.satiation_point == 2
+    assert satiation_point(f) == 2
     assert not f.is_strictly_monotone
     assert f(F(50)) == 6
 

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -123,7 +125,7 @@ def test_game_rows_must_be_lists():
 def test_certificate_serialization_shape():
     m = build_mn(2)
     cert = verify(m, prices([1, 2]), APPROXIMATE, F(1, 2))
-    obj = serialize.certificate_to_obj(cert)
+    obj = json.loads(serialize.dumps(cert))
     assert obj["verdict"] == "accept"
     assert obj["epsilon"] == "1/2"
     assert len(obj["allocation"]) == len(m.traders)
@@ -199,3 +201,11 @@ def test_parse_rejects_true_after_an_equal_entry():
     obj = {"n_goods": 2, "traders": [{"endowment": w, "utilities": [one, one]} for w in ([1, 0], [True, 0])]}
     with pytest.raises(InputError, match="True"):
         serialize.market_from_obj(obj)
+
+
+def test_a_parsed_market_copies_and_pickles_before_its_traders_are_read():
+    m = serialize.market_from_obj(json.loads(serialize.dumps(build_mn(3))))
+    for copied in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        assert "traders" not in vars(copied) and copied.view == m.view
+        assert copied == build_mn(3) and "traders" in vars(copied)
+    assert "traders" not in vars(m)
