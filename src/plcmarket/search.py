@@ -11,36 +11,39 @@ Grid points are scored incrementally, in integers.  A trader's canonical
 bundle, and whether its demand is unbounded, depend only on the prices of
 its support, the goods it owns or has a nonzero utility piece on: budget,
 offers and forced satiation amounts read nothing else, and the bundle is
-zero off the support.  So each trader keeps a memo from the axis indices of
-its support to its bundle restricted to it, and the per-good totals change
-by exact differences only when a trader's entry changes.  Memos live for
-one box, so a box with axes A_k holds at most
-sum_i prod_{k in support(i)} |A_k| entries, and computes that many demands
-at most, instead of one demand per trader and grid point; in the paper's
-reduced markets every trader touches only a handful of goods.
+zero off the support.  So the traders are grouped by support, and each
+group keeps one memo from the axis indices of its support to the sum of its
+members' bundles restricted to it, or to a mark of unbounded demand when
+some member's is; the per-good totals change by exact differences only when
+a group's entry changes.  Memos live for one box, so a box with axes A_k
+holds at most sum_S prod_{k in S} |A_k| entries over the distinct supports
+S, and computes at most sum_i prod_{k in support(i)} |A_k| demands, instead
+of one demand per trader and grid point; in the paper's reduced markets
+every trader touches only a handful of goods, and there are about half as
+many distinct supports as traders.
 
 A box's prices are P_k / D with one D, and a memo miss runs the integer
 demand core and its canonical fill (`int_demand`, `canonical_amounts`) on
-the trader's row of the market's view, which counts amounts in units of
+each member's row of the market's view, which counts amounts in units of
 1/M for the whole market.  Memo entries and totals keep the fill's own
-units, good k in 1/(M * P_k), or 1/M when it is free, so they are ints,
-the worst relative imbalance is found by cross-multiplying each total with
-supply * (P_k or 1), and one Fraction is built per scored point.  The walk
-keeps product order, so each step changes a suffix of the axes, and it
-visits only the traders whose support holds a changed good (an index from
-each axis to the traders whose support holds it or a later axis), plus
-every trader left stale by a point skipped midway, at the origin or for
-unbounded demand.  So a trader whose support holds good k is revisited
-whenever P_k changes, and a stale trader before the next scored point:
-at each scored point all of good k's entries are on its one scale, and
-the score equals the one a from-scratch sum of every trader's canonical
-bundle gives there.
+units, good k in 1/(M * P_k), or 1/M when it is free, the same for every
+member, so a group's sum is exact and an int; the worst relative imbalance
+is found by cross-multiplying each total with supply * (P_k or 1), and one
+Fraction is built per scored point.  The walk keeps product order, so each
+step changes a suffix of the axes, and it visits a support once for all its
+traders, and only when it holds a changed good (an index from each axis to
+the supports that hold it or a later axis), plus every support left stale
+by a point skipped midway, at the origin or for unbounded demand.  So a
+support that holds good k is revisited whenever P_k changes, and a stale
+one before the next scored point: at each scored point all of good k's
+entries are on its one scale, and the score equals the one a from-scratch
+sum of every trader's canonical bundle gives there.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import getitem, itemgetter
+from operator import add, getitem, itemgetter
 
 from .clearing import APPROXIMATE, Certificate, verify
 from .demand import canonical_amounts, int_demand
@@ -140,19 +143,25 @@ def grid_scores(m: Market, axes):
     ints = [[q.numerator * (D // q.denominator) for q in axis] for axis in axes]
     supply = m.scaled[1]
 
-    # a trader's support: the goods it owns or wants
-    view, supports = m.view, [sorted({k for k, _ in v.owned}.union(k for k, _, _ in v.wanted)) for v in m.view]
-    walked = [i for i, support in enumerate(supports) if support]  # an empty support demands nothing
-    keys = {i: itemgetter(*supports[i]) for i in walked}
-    last = {i: max((k for k in supports[i] if sizes[k] > 1), default=-1) for i in walked}
-    touched = [[i for i in walked if last[i] >= j] for j in range(n)]  # step j changes axes j..n-1
-    memos = [{} for _ in view]
+    # the traders grouped by support, the goods they own or want: members of a
+    # group read the same prices, so they share one memo, key and visit
+    view, groups = m.view, {}
+    for i, v in enumerate(view):
+        support = tuple(sorted({k for k, _ in v.owned}.union(k for k, _, _ in v.wanted)))
+        if support:  # an empty support demands nothing
+            groups.setdefault(support, []).append(i)
+    supports, members = list(groups), list(groups.values())
+    keys = [itemgetter(*support) for support in supports]
+    last = [max((k for k in support if sizes[k] > 1), default=-1) for support in supports]
+    walked = range(len(supports))
+    touched = [[g for g in walked if last[g] >= j] for j in range(n)]  # step j changes axes j..n-1
+    memos = [{} for _ in supports]
     contrib = [(0,) * len(support) for support in supports]
     totals = [0] * n
 
     idx = [0] * n
     P = [axis[0] for axis in ints]
-    stale = set(walked)  # traders whose entry is not the current point's
+    stale = set(walked)  # groups whose entry is not the current point's
     j = 0
     while True:
         visit = touched[j]
@@ -161,26 +170,26 @@ def grid_scores(m: Market, axes):
         if not any(P):  # the origin
             stale.update(visit)
         else:
-            for pos, i in enumerate(visit):
-                key = keys[i](idx)
-                new = memos[i].get(key)
+            for pos, g in enumerate(visit):
+                key = keys[g](idx)
+                new = memos[g].get(key)
                 if new is None:
+                    new = zero = (0,) * len(supports[g])
                     try:
-                        d = int_demand(view[i], P, i)
+                        for i in members[g]:
+                            x = canonical_amounts(int_demand(view[i], P, i), P)
+                            new = tuple(map(add, new, map(x.get, supports[g], zero)))
                     except UnboundedDemand:
-                        new = _UNBOUNDED  # a strictly wanted free good
-                    else:
-                        x = canonical_amounts(d, P)
-                        new = tuple(x.get(k, 0) for k in supports[i])
-                    memos[i][key] = new
+                        new = _UNBOUNDED  # a member strictly wants a free good
+                    memos[g][key] = new
                 if new is _UNBOUNDED:
                     stale.update(visit[pos:])
                     break
                 # an entry and its part of the totals only ever change together
-                for k, b, c in zip(supports[i], new, contrib[i]):
+                for k, b, c in zip(supports[g], new, contrib[g]):
                     if b != c:
                         totals[k] += b - c
-                contrib[i] = new
+                contrib[g] = new
             else:
                 point = tuple(map(getitem, axes, idx))
                 yield trusted(PriceVector, prices=point, normalized=False), _score(totals, supply, P)
@@ -216,7 +225,7 @@ def search_equilibrium(m: Market, cfg: SearchConfig) -> SearchReport:
                     best_score, best = score, p
             scored = box
         trace.append((rnd, best_score))
-        if best is None:
+        if best is None or rnd == cfg.refine_rounds:  # the last round's box is never read
             continue
         # shrink to one current grid step around the incumbent, clipped to its box
         box = tuple(

@@ -9,7 +9,7 @@ import plcmarket.search
 from plcmarket.errors import BoxDimensionMismatch, GridBudgetExceeded, InputError, InvalidMarket
 from plcmarket.games import validate_game
 from plcmarket.model import Market, TraderSpec
-from plcmarket.plc import linear_plc
+from plcmarket.plc import linear_plc, validate_plc
 from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn
 from plcmarket.search import (
@@ -53,8 +53,9 @@ def _count_scoring(monkeypatch):
 
 
 def _count_visits(monkeypatch):
-    """Count the trader visits of `grid_scores`: each visit reads the
-    trader's memo key once, through the key getter built for it."""
+    """Count the support visits of `grid_scores`: each visit reads the memo
+    key of the traders on one support once, through the key getter built for
+    it."""
     counts = {"visits": 0}
     itemgetter = plcmarket.search.itemgetter
 
@@ -195,18 +196,20 @@ def test_grid_pass_evaluates_each_support_price_once(monkeypatch):
     assert counts == {"demands": 200, "points": 2**6}
 
 
-@pytest.mark.parametrize("n, visits", [(2, 1416), (3, 9992)])
+@pytest.mark.parametrize("n, visits", [(2, 772), (3, 6148)])
 def test_grid_pass_visits_only_traders_on_changed_coordinates(monkeypatch, n, visits):
-    # the README's counts: a pass at grid_k 1 visits a trader at a point only
-    # when a coordinate of its support changed, not all 38 or 74 traders at
-    # each of the 2^6 or 2^8 points (2,432 and 18,944 visits)
+    # the README's counts: a pass at grid_k 1 visits a support at a point only
+    # when one of its coordinates changed, once for all the traders on it, not
+    # all 38 or 74 traders at each of the 2^6 or 2^8 points (2,432 and 18,944)
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     market, _ = build_reduced_market(validate_game(identity, identity))
     N = market.n_goods
+    supports = {tuple(_support(t, N)) for t in market.traders}
     counts, visited = _count_scoring(monkeypatch), _count_visits(monkeypatch)
     search_equilibrium(market, SearchConfig(box=unit_box(N), grid_k=1, refine_rounds=0, epsilon=F(1, 2)))
     assert counts["points"] == 2**N
     assert visited["visits"] == visits < len(market.traders) * 2**N
+    assert visits <= len(supports) * 2**N
 
 
 def test_int_box_matches_fraction_box():
@@ -244,7 +247,9 @@ _LO = st.builds(F, st.just(0) | st.integers(1, 14), st.integers(2, 7))
 _WIDTH = st.builds(F, st.integers(0, 14), st.integers(2, 7))
 
 
-@settings(max_examples=300)  # a skip that leaves a trader stale needs a rare box
+# a skip that leaves a support stale needs a rare box: 300 examples, and ten
+# times that under the deep profile
+@settings(max_examples=3 * settings.default.max_examples)
 @given(
     seed=st.integers(0, 2**32 - 1),
     grid_k=st.integers(1, 3),
@@ -269,6 +274,45 @@ def test_grid_scores_skip_midway_on_reduced_markets(n, seed, free):
     got = list(grid_scores(market, axes))
     assert 0 < len(got) < 2**market.n_goods
     assert got == reference_grid_scores(market, axes)
+
+
+@pytest.mark.parametrize("free", [0, 1])
+def test_grid_scores_match_imbalance_profile_on_a_shared_support(free):
+    # traders 0 and 2 share support {0, 1, 2}, and only trader 2 strictly
+    # wants the good whose axis holds price 0: the first axis or a middle
+    # one.  Where it is free, the group's entry goes unbounded after trader
+    # 0's demand is computed, and the groups of traders 1 and 3, whose
+    # supports end before the last axis, go stale
+    capped = validate_plc([2, 0], [1])
+    market = Market(3, (
+        TraderSpec([(0, 1), (1, 1), (2, 1)], [(0, capped), (1, capped), (2, capped)]),
+        TraderSpec([(0, 4)], [(0, validate_plc([2, 0], [4]))]),
+        TraderSpec([(0, 1), (1, 1), (2, 1)], [(free, linear_plc(1))]),
+        TraderSpec([(1, 1)], [(0, capped)]),
+    ))
+    assert len({tuple(_support(t, 3)) for t in market.traders}) == 3
+    axes = [_axis_points(F(0 if k == free else 1), F(2), 2 if k == free else 1) for k in range(3)]
+    got = list(grid_scores(market, axes))
+    assert len(got) == 4 * 2  # the 4 points where the free good's price is 0 skip
+    assert got == reference_grid_scores(market, axes)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grid_k=st.integers(1, 3),
+    bounds=st.lists(st.tuples(_LO, _WIDTH), min_size=3, max_size=3),
+)
+def test_grid_scores_match_imbalance_profile_on_shared_supports(seed, grid_k, bounds):
+    # every trader of a random market gets a twin with a larger endowment on
+    # the same goods, so every support holds two traders or more
+    rng = random.Random(seed)
+    market = random_market(rng)
+    twins = [TraderSpec([(k, w + F(rng.randint(1, 8), 8)) for k, w in t.owned], t.wanted) for t in market.traders]
+    traders = [*market.traders, *twins]
+    rng.shuffle(traders)
+    market = Market(market.n_goods, tuple(traders))
+    axes = [_axis_points(lo, lo + w, grid_k) for lo, w in bounds[: market.n_goods]]
+    assert list(grid_scores(market, axes)) == reference_grid_scores(market, axes)
 
 
 @given(
