@@ -3,9 +3,9 @@
 Rationals travel as "num/den" strings (plain integer strings are accepted on
 input).  Serialization is deterministic: sorted keys, two-space indent, one
 trailing newline, the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``
-plus a newline, written by `dumps`, which encodes each distinct string once
-per call, writes each list object once per depth, and writes the two files
-of dense rows of mostly zeros from their nonzeros: a `Market`'s from its
+plus a newline, written by `dumps`.  It writes a tree by plain recursion,
+each string through json's own ASCII string encoder, and the two files of
+dense rows of mostly zeros from their nonzeros: a `Market`'s from its
 traders', and a `Certificate`'s, at any depth of the tree, from its
 bundles'.  No file holds a float or a key that is not a string, so `dumps`
 raises TypeError on either.
@@ -26,9 +26,9 @@ at an in-box price vector n witness bundles do.  So the parser shares each
 repeated row, and the certificate writer writes one allocation row per
 distinct `Bundle` object.  Sharing is exact: the shared values are
 immutable, and equal inputs give equal outputs.  A value made from its key
-alone, a string's JSON text, an amount's text, a rational string's
-Fraction or a view entry, is kept in a `model.Memo`; a memo keyed by an
-object's id, or one that keeps only some of its keys, is a plain dict.
+alone, an amount's text, a rational string's Fraction or a view entry, is
+kept in a `model.Memo`; a memo keyed by an object's id, or one that keeps
+only some of its keys, is a plain dict.
 """
 
 import json
@@ -45,6 +45,7 @@ from .search import SearchReport
 
 
 _LEAVES = {None: "null", True: "true", False: "false"}
+_string = json.encoder.encode_basestring_ascii  # a str's JSON text, as json.dumps writes it
 
 
 def _join(texts: list[str], depth: int, brackets: str) -> str:
@@ -61,40 +62,32 @@ def dumps(obj) -> str:
     a `Market` is written as its market file (`_market_text`), and a
     `Certificate`, at any depth, as its object (`_certificate_text`).
 
-    Each distinct string is encoded once per call, a list of strings is
-    joined in one pass, and each list object is written once per depth,
-    keyed by its id: its text depends only on its items and its depth, and
-    obj, which holds it, keeps its id unique while the call runs.  obj must
-    hold no cycle: json raises ValueError on one, this writer
-    RecursionError.  A float, which json would write, and a key that is not
-    a string, which json would write as one, raise TypeError."""
+    Every other value is written by recursion: each string and key through
+    json's own ASCII string encoder, and each list, tuple and object from
+    its items' texts.  obj must hold no cycle: json raises ValueError on
+    one, this writer RecursionError.  A float, which json would write, and
+    a key that is not a string, which json would write as one, raise
+    TypeError."""
     if isinstance(obj, Market):
         return _market_text(obj)
-    strings = Memo(json.encoder.encode_basestring_ascii)  # raises TypeError on a value that is not a str
-    lists: dict[tuple[int, int], str] = {}  # (id of a list, depth) -> its text
+    return _text(obj, 0) + "\n"
 
-    def write(o, depth: int) -> str:
-        if isinstance(o, str):
-            return strings[o]
-        if o is None or o is True or o is False:
-            return _LEAVES[o]
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, dict):
-            return _join([strings[k] + ": " + write(v, depth + 1) for k, v in sorted(o.items())], depth, "{}")
-        if isinstance(o, Certificate):
-            return _certificate_text(o, depth, write)
-        if not isinstance(o, (list, tuple)):
-            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-        key = (id(o), depth)  # o, inside obj, stays alive while obj is written
-        if key not in lists:
-            try:
-                lists[key] = _join(list(map(strings.__getitem__, o)), depth, "[]")
-            except TypeError:  # not every item is a string
-                lists[key] = _join([write(v, depth + 1) for v in o], depth, "[]")
-        return lists[key]
 
-    return write(obj, 0) + "\n"
+def _text(o, depth: int) -> str:
+    """The text of o at depth of the tree `dumps` writes."""
+    if isinstance(o, str):
+        return _string(o)
+    if o is None or o is True or o is False:
+        return _LEAVES[o]
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, dict):  # _string raises TypeError on a key that is not a str
+        return _join([_string(k) + ": " + _text(v, depth + 1) for k, v in sorted(o.items())], depth, "{}")
+    if isinstance(o, (list, tuple)):
+        return _join([_text(v, depth + 1) for v in o], depth, "[]")
+    if isinstance(o, Certificate):
+        return _certificate_text(o, depth)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def write_json(path, obj) -> str:
@@ -146,7 +139,7 @@ def _market_text(m: Market) -> str:
     [{"endowment", "label", "utilities"}]}``, written from each trader's
     nonzeros.  Each distinct amount is encoded once per call, and each piece
     object once, keyed by its id, which the market keeps alive."""
-    amounts = Memo(lambda q: f'"{format_rational(q)}"')
+    amounts = Memo(_rational_text)
     pieces: dict[int, str] = {}  # id of a piece -> its text
     zero_endowment, zero_utilities = [f'"{_ZERO}"'] * m.n_goods, [_ZERO_PIECE_TEXT] * m.n_goods
     traders = []
@@ -161,38 +154,41 @@ def _market_text(m: Market) -> str:
             utils[k] = pieces[id(f)]
         fields = ['"endowment": ' + _join(endow, 3, "[]")]
         if t.label is not None:
-            fields.append('"label": ' + json.encoder.encode_basestring_ascii(t.label))
+            fields.append('"label": ' + _string(t.label))
         traders.append(_join(fields + ['"utilities": ' + _join(utils, 3, "[]")], 2, "{}"))
     return _join([f'"n_goods": {m.n_goods}', '"traders": ' + _join(traders, 1, "[]")], 0, "{}") + "\n"
 
 
-def _certificate_text(cert: Certificate, depth: int, write) -> str:
-    """The text `dumps` gives cert at depth of the tree it writes, with write
-    its writer: the object ``{"allocation": [dense row per bundle],
-    "epsilon", "mode", "reason", "report": [{"allocated", "bound", "good",
-    "imbalance", "supply"}], "verdict"}``, null for an absent allocation or
-    report.  Each allocation row is written from its `Bundle`'s nonzeros into
-    a row of zeros, once per distinct `Bundle` object, keyed by its id,
-    which cert keeps alive."""
+def _rational_text(q) -> str:
+    """q's JSON text: its "num/den" string holds nothing to escape."""
+    return '"' + format_rational(q) + '"'
 
-    def rational(q) -> str:
-        return write(format_rational(q), 0)
 
+def _certificate_text(cert: Certificate, depth: int) -> str:
+    """The text `dumps` gives cert at depth of the tree it writes: the
+    object ``{"allocation": [dense row per bundle], "epsilon", "mode",
+    "reason", "report": [{"allocated", "bound", "good", "imbalance",
+    "supply"}], "verdict"}``, null for an absent reason, allocation or
+    report.  Each allocation row is written from its `Bundle`'s nonzeros
+    into a row of zeros, once per distinct `Bundle` object, keyed by its
+    id, which cert keeps alive."""
     rows: dict[int, str] = {}  # id of a bundle -> its text
     for b in cert.allocation or ():  # an allocation comes with its per-good report
         if id(b) not in rows:
-            row = [write(_ZERO, 0)] * len(cert.report)
+            row = [f'"{_ZERO}"'] * len(cert.report)
             for k, w in b.amounts:
-                row[k] = rational(w)
+                row[k] = _rational_text(w)
             rows[id(b)] = _join(row, depth + 2, "[]")
     allocation = "null" if cert.allocation is None else _join([rows[id(b)] for b in cert.allocation], depth + 1, "[]")
     report = "null" if cert.report is None else _join(
-        [_join([f'"allocated": {rational(r.allocated)}', f'"bound": {rational(r.bound)}', f'"good": {r.good}',
-                f'"imbalance": {rational(r.imbalance)}', f'"supply": {rational(r.supply)}'], depth + 2, "{}")
+        [_join([f'"allocated": {_rational_text(r.allocated)}', f'"bound": {_rational_text(r.bound)}',
+                f'"good": {r.good}', f'"imbalance": {_rational_text(r.imbalance)}',
+                f'"supply": {_rational_text(r.supply)}'], depth + 2, "{}")
          for r in cert.report], depth + 1, "[]")
-    return _join([f'"allocation": {allocation}', f'"epsilon": {rational(cert.epsilon)}',
-                  f'"mode": {write(cert.mode, 0)}', f'"reason": {write(cert.reason, 0)}', f'"report": {report}',
-                  f'"verdict": {write(cert.verdict, 0)}'], depth, "{}")
+    reason = "null" if cert.reason is None else _string(cert.reason)
+    return _join([f'"allocation": {allocation}', f'"epsilon": {_rational_text(cert.epsilon)}',
+                  f'"mode": {_string(cert.mode)}', f'"reason": {reason}', f'"report": {report}',
+                  f'"verdict": {_string(cert.verdict)}'], depth, "{}")
 
 
 def _piece_key(u):

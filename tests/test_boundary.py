@@ -26,11 +26,11 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plcmarket import serialize
-from plcmarket.clearing import MODES, verify
+from plcmarket.clearing import MODES, Certificate, GoodBalance, verify
 from plcmarket.demand import Bundle
 from plcmarket.errors import InvalidMarket
 from plcmarket.games import validate_game
@@ -203,7 +203,7 @@ def _encode(write, obj):
 
 
 @given(tree=_json_trees())
-@settings(max_examples=200)
+@settings(max_examples=2 * settings.default.max_examples)  # 200, and ten times that under the deep profile
 def test_dumps_matches_json_module(tree):
     assert _encode(serialize.dumps, tree) == _encode(reference_dumps, tree)
     # the same containers met again, at the same depth and at others
@@ -296,11 +296,23 @@ def _verdicts(draw):
     return verify(m, p, draw(st.sampled_from(MODES)), draw(st.sampled_from([F(0), F(1, 8), F(1, 2)])))
 
 
+_SHARED_BUNDLE = Bundle([(0, F(1, 2))])
+# the program's own modes and reasons hold nothing to escape; these hold a
+# quote, a backslash, a newline and characters outside ASCII
+_ESCAPED = Certificate(
+    "reject", 'good 0: "over" \\ by 1/2\n€ é', 'mode "\\\n" ñ', F(1, 8),
+    (_SHARED_BUNDLE, Bundle([(1, F(3))]), _SHARED_BUNDLE),
+    (GoodBalance(0, F(1), F(1), F(0), F(1, 8)), GoodBalance(1, F(3), F(3), F(0), F(3, 8))))
+
+
 @given(cert=_verdicts(), depth=st.integers(0, 2))
+@example(cert=_ESCAPED, depth=1)
+@example(cert=_ESCAPED, depth=2)
 def test_certificate_writer_matches_reference(cert, depth):
     """`serialize.dumps` writes a certificate, alone or nested in a tree as
     a search report nests it, in the bytes of `reference_dumps` of its
-    object tree (`certificate_to_obj`)."""
+    object tree (`certificate_to_obj`), also where its mode and reason
+    need escaping."""
     obj = certificate_to_obj(cert)
     assert serialize.dumps(cert) == reference_dumps(obj) == serialize.dumps(obj)
     tree, ref = cert, obj
