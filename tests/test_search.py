@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import plcmarket.search
 from plcmarket.errors import BoxDimensionMismatch, GridBudgetExceeded, InputError, InvalidMarket
 from plcmarket.games import validate_game
-from plcmarket.model import Market, TraderSpec
+from plcmarket.model import Market, PriceVector, TraderSpec, normalize_prices
 from plcmarket.plc import linear_plc, validate_plc
 from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn
@@ -70,6 +70,12 @@ def _count_visits(monkeypatch):
 
     monkeypatch.setattr(plcmarket.search, "itemgetter", counted_getter)
     return counts
+
+
+def _in_product_order(walk):
+    """The (p, score) pairs of a grid walk sorted by prices: every axis
+    ascends, so this is the product order the reference walks in."""
+    return sorted(walk, key=lambda ps: ps[0].prices)
 
 
 def _support(trader, n_goods):
@@ -196,15 +202,18 @@ def test_grid_pass_evaluates_each_support_price_once(monkeypatch):
     assert counts == {"demands": 200, "points": 2**6}
 
 
-@pytest.mark.parametrize("n, visits", [(2, 772), (3, 6148)])
+@pytest.mark.parametrize("n, visits", [(2, 507), (3, 3739)])
 def test_grid_pass_visits_only_traders_on_changed_coordinates(monkeypatch, n, visits):
-    # the README's counts: a pass at grid_k 1 visits a support at a point only
-    # when one of its coordinates changed, once for all the traders on it, not
-    # all 38 or 74 traders at each of the 2^6 or 2^8 points (2,432 and 18,944)
+    # the README's counts: a pass at grid_k 1 visits every support at the
+    # first point, then at each step only the supports holding the one good
+    # whose price changed, once for all the traders on it, not all 38 or 74
+    # traders at each of the 2^6 or 2^8 points (2,432 and 18,944)
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     market, _ = build_reduced_market(validate_game(identity, identity))
     N = market.n_goods
     supports = {tuple(_support(t, N)) for t in market.traders}
+    flips = [2**k for k in range(N)]  # the reflected binary Gray walk moves axis k 2^k times, the last the most
+    assert visits == len(supports) + sum(f * sum(k in s for s in supports) for k, f in enumerate(flips))
     counts, visited = _count_scoring(monkeypatch), _count_visits(monkeypatch)
     search_equilibrium(market, SearchConfig(box=unit_box(N), grid_k=1, refine_rounds=0, epsilon=F(1, 2)))
     assert counts["points"] == 2**N
@@ -230,7 +239,7 @@ def test_int_box_matches_fraction_box():
 def test_grid_scores_match_imbalance_profile(seed, grid_k, los):
     market = random_market(random.Random(seed))
     axes = [_axis_points(lo, F(2), grid_k) for lo in los[: market.n_goods]]
-    assert list(grid_scores(market, axes)) == reference_grid_scores(market, axes)
+    assert _in_product_order(grid_scores(market, axes)) == reference_grid_scores(market, axes)
 
 
 @pytest.mark.parametrize("n, seed, lo", [(2, 0, 1), (2, 1, 0), (3, 0, 1)])
@@ -240,7 +249,7 @@ def test_grid_scores_match_imbalance_profile_on_reduced_markets(n, seed, lo):
         validate_game(*random_sparse_game_matrices(random.Random(seed), n))
     )
     axes = [_axis_points(F(lo if k == 0 else 1), F(2), 1) for k in range(market.n_goods)]
-    assert list(grid_scores(market, axes)) == reference_grid_scores(market, axes)
+    assert _in_product_order(grid_scores(market, axes)) == reference_grid_scores(market, axes)
 
 
 _LO = st.builds(F, st.just(0) | st.integers(1, 14), st.integers(2, 7))
@@ -260,7 +269,7 @@ def test_grid_scores_match_imbalance_profile_on_mixed_denominator_boxes(seed, gr
     # gives a single-point axis and lo 0 a free good anywhere in the walk
     market = random_market(random.Random(seed))
     axes = [_axis_points(lo, lo + w, grid_k) for lo, w in bounds[: market.n_goods]]
-    assert list(grid_scores(market, axes)) == reference_grid_scores(market, axes)
+    assert _in_product_order(grid_scores(market, axes)) == reference_grid_scores(market, axes)
 
 
 @pytest.mark.parametrize("n, seed, free", [(2, 0, 2), (2, 1, 5), (3, 0, 4), (3, 1, 7)])
@@ -271,7 +280,7 @@ def test_grid_scores_skip_midway_on_reduced_markets(n, seed, free):
         validate_game(*random_sparse_game_matrices(random.Random(seed), n))
     )
     axes = [_axis_points(F(0 if k == free else 1), F(2), 1) for k in range(market.n_goods)]
-    got = list(grid_scores(market, axes))
+    got = _in_product_order(grid_scores(market, axes))
     assert 0 < len(got) < 2**market.n_goods
     assert got == reference_grid_scores(market, axes)
 
@@ -292,7 +301,7 @@ def test_grid_scores_match_imbalance_profile_on_a_shared_support(free):
     ))
     assert len({tuple(_support(t, 3)) for t in market.traders}) == 3
     axes = [_axis_points(F(0 if k == free else 1), F(2), 2 if k == free else 1) for k in range(3)]
-    got = list(grid_scores(market, axes))
+    got = _in_product_order(grid_scores(market, axes))
     assert len(got) == 4 * 2  # the 4 points where the free good's price is 0 skip
     assert got == reference_grid_scores(market, axes)
 
@@ -312,7 +321,47 @@ def test_grid_scores_match_imbalance_profile_on_shared_supports(seed, grid_k, bo
     rng.shuffle(traders)
     market = Market(market.n_goods, tuple(traders))
     axes = [_axis_points(lo, lo + w, grid_k) for lo, w in bounds[: market.n_goods]]
-    assert list(grid_scores(market, axes)) == reference_grid_scores(market, axes)
+    assert _in_product_order(grid_scores(market, axes)) == reference_grid_scores(market, axes)
+
+
+def test_grid_scores_match_imbalance_profile_at_the_field_width():
+    # trader 0 spends all its money on good 0; at the top corner that is
+    # 2 * 1 + 2 * 3 = 8 in units of 1/(M * D), M = D = 1, the whole budget
+    # part of the bound 8 + 1, trader 1's satiation on good 2 (free where
+    # its price is 0) the rest: the total of good 0 fills all 4 bits of
+    # its field, so a field one bit narrower carries into good 1's
+    market = Market(3, (
+        TraderSpec([(0, 1), (1, 3)], [(0, linear_plc(1))]),
+        TraderSpec([], [(2, validate_plc([2, 0], [1]))]),
+    ))
+    axes = [_axis_points(F(1), F(2), 1), _axis_points(F(1), F(2), 1), _axis_points(F(0), F(2), 1)]
+    got = _in_product_order(grid_scores(market, axes))
+    assert got[-1] == (PriceVector((F(2), F(2), F(2))), F(3))  # good 0's total 8 against its supply 1 * 2
+    assert got == reference_grid_scores(market, axes)
+
+
+def test_search_breaks_a_tie_by_product_order():
+    # two grid points of [1, 2]^3 at grid_k 2 tie at the least score, and
+    # the Gray walk reaches the later one in product order first; the
+    # search keeps the earlier one, as the reference does
+    market = random_market(random.Random(94))
+    cfg = SearchConfig(unit_box(3), grid_k=2, refine_rounds=0)
+    walk = [(p.prices, score) for p, score in grid_scores(market, [_axis_points(F(1), F(2), 2)] * 3)]
+    least = min(score for _, score in walk if score is not None)
+    tied = [prices for prices, score in walk if score == least]
+    assert len(tied) == 2 and tied[0] > tied[1]
+    got, want = search_equilibrium(market, cfg), reference_search(market, cfg)
+    assert dumps(search_report_to_obj(got)) == dumps(search_report_to_obj(want))
+    assert got.best_price == normalize_prices(PriceVector(tied[1]))
+
+
+def test_search_keeps_an_earlier_boxs_incumbent_on_a_tie():
+    # a refined box holds a point earlier in product order than the
+    # incumbent at its score; the incumbent, found in an earlier box, stays
+    market = random_market(random.Random(24))
+    cfg = SearchConfig(unit_box(market.n_goods, F(1, 2), 2), grid_k=2, refine_rounds=2)
+    got, want = search_equilibrium(market, cfg), reference_search(market, cfg)
+    assert dumps(search_report_to_obj(got)) == dumps(search_report_to_obj(want))
 
 
 @given(
