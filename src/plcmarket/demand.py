@@ -27,16 +27,22 @@ for the whole market, slopes on one scale) and the prices as P_k / D with
 one D, so budgets, group costs and tie spend are ints in units of
 1/(M * D), and rates slope / p_k are compared as ints.
 This is the package's one demand path: `verify` hands the integers to the
-circulation as they are, the grid search scores the integer canonical fill
+circulation as they are, its report sums the integer canonical fill
 (`canonical_amounts`), and `in_demand` re-checks an integer bundle, on a
 unit the caller names, against the integers: it compares the bundle with
 that fill and sums the utility terms where the two differ in integers, on
-the same view row.  No part of it reads a `TraderSpec` or a `PLCFunction`.
+the same view row.  The grid search takes one shortcut around it:
+`packed_fill` runs the same greedy, in the same offer order and with the
+same tie rule, on rates s * (L // P_k) for one L per search box, and
+returns the canonical fill packed into the walk's fixed-width fields,
+building no `IntDemand` and no dict; `int_demand` and `canonical_amounts`
+are its reference.  No part of it reads a `TraderSpec` or a `PLCFunction`.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InvalidMarket, UnboundedDemand
@@ -130,6 +136,44 @@ def canonical_amounts(d: IntDemand, P) -> dict[int, int]:
         x[k] = x.get(k, 0) + take
         money -= take
     return x
+
+
+_rate = itemgetter(0)  # an offer's sort key, minus its rate
+
+
+def packed_fill(v: ScaledTrader, P, U, shifts, trader_idx: int | None = None) -> int:
+    """The canonical fill of `canonical_amounts(int_demand(v, P), P)` with
+    good k's amount in bits from shifts[k] of one int, from U_k = L // P_k
+    for a common multiple L of the positive P_k, or 0 when P_k is 0.
+
+    Offers are ordered by rate s * U_k, highest first, with a stable sort,
+    so (good, segment) order holds inside a rate as in `int_demand`.  The
+    money goes to them in that order: a whole group at one rate is bought
+    when it is affordable, and the tie group it runs out in is filled in
+    (good, segment) order, so each offer takes min(cap * P_k, money), the
+    uncapped one all of it.  A wanted free good adds its satiation amount,
+    or raises UnboundedDemand as `int_demand` does."""
+    packed, offers = 0, []
+    for k, satiation, segments in v.wanted:
+        u = U[k]
+        if not u:
+            if satiation is None:
+                raise UnboundedDemand(trader_idx, k)
+            packed += satiation << shifts[k]
+            continue
+        for _, s, cap in segments:
+            offers.append((-s * u, k, cap))
+    offers.sort(key=_rate)
+    money = 0
+    for k, w in v.owned:
+        money += w * P[k]
+    for _, k, cap in offers:
+        if cap is not None and (cost := cap * P[k]) <= money:
+            packed += cost << shifts[k]
+            money -= cost
+        else:
+            return packed + (money << shifts[k])
+    return packed
 
 
 def _utility(segments, x: int, u: int) -> int:

@@ -22,10 +22,15 @@ of one demand per trader and grid point; in the paper's reduced markets
 every trader touches only a handful of goods, and there are about half as
 many distinct supports as traders.
 
-A box's prices are P_k / D with one D, and a memo miss runs the integer
-demand core and its canonical fill (`int_demand`, `canonical_amounts`) on
-each member's row of the market's view, which counts amounts in units of
-1/M for the whole market.  Memo entries and totals keep the fill's own
+A box's prices are P_k / D with one D, and a memo miss runs the walk's
+demand kernel (`packed_fill`) on each member's row of the market's view,
+which counts amounts in units of 1/M for the whole market.  The kernel is
+the greedy of the integer demand core (`int_demand`, `canonical_amounts`),
+in its offer order and tie rule, on one rate scale for the box: with L the
+lcm of the box's positive axis ints, offer rates are s * (L // P_k), which
+order every trader's offers as its own lcm would, so no demand builds an
+lcm, a dict or an `IntDemand`; it returns the canonical fill already
+packed into the fields below.  Memo entries and totals keep the fill's own
 units, good k in 1/(M * P_k), or 1/M when it is free, the same for every
 member, so a group's sum is exact and an int.  An entry is one int that
 packs good k's sum into bits [k * W, (k + 1) * W), and the running totals
@@ -58,7 +63,7 @@ from fractions import Fraction
 from operator import getitem, itemgetter
 
 from .clearing import APPROXIMATE, Certificate, verify
-from .demand import canonical_amounts, int_demand
+from .demand import packed_fill
 from .errors import BoxDimensionMismatch, GridBudgetExceeded, InputError, UnboundedDemand
 from .model import Market, PriceVector, normalize_prices, trusted
 from .rational import parse_epsilon, parse_rational
@@ -157,6 +162,10 @@ def grid_scores(m: Market, axes):
     n, sizes = len(axes), [len(axis) for axis in axes]
     D = math.lcm(*(q.denominator for axis in axes for q in axis))
     ints = [[q.numerator * (D // q.denominator) for q in axis] for axis in axes]
+    # one rate scale for the box: U_k = L // P_k orders every trader's offers
+    # as its own lcm would, so a fill needs no lcm of its own
+    L = math.lcm(*(q for axis in ints for q in axis if q))
+    rates = [[L // q if q else 0 for q in axis] for axis in ints]
     supply = m.scaled[1]
 
     # the traders grouped by support, the goods they own or want: members of a
@@ -181,6 +190,7 @@ def grid_scores(m: Market, axes):
 
     idx, step = [0] * n, [1] * n
     P = [axis[0] for axis in ints]
+    U = [axis[0] for axis in rates]
     stale = set(range(len(supports)))  # groups whose entry is not the current point's
     visit = []
     while True:
@@ -196,9 +206,7 @@ def grid_scores(m: Market, axes):
                     new = 0
                     try:
                         for i in members[g]:
-                            x = canonical_amounts(int_demand(view[i], P, i), P)
-                            for k, a in x.items():
-                                new += a << shifts[k]
+                            new += packed_fill(view[i], P, U, shifts, i)
                     except UnboundedDemand:
                         new = _UNBOUNDED  # a member strictly wants a free good
                     memos[g][key] = new
@@ -220,7 +228,7 @@ def grid_scores(m: Market, axes):
         if j < 0:
             return
         idx[j] += step[j]
-        P[j] = ints[j][idx[j]]
+        P[j], U[j] = ints[j][idx[j]], rates[j][idx[j]]
         visit = holders[j]
 
 

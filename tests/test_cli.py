@@ -436,7 +436,7 @@ def test_negative_eps_is_input_error(tmp_path, monkeypatch):
     market = tmp_path / "m2.json"
     run("gen-mn", "--n", "2", "-o", str(market))
     calls = []
-    monkeypatch.setattr("plcmarket.search.int_demand", lambda *args: calls.append(args))
+    monkeypatch.setattr("plcmarket.search.packed_fill", lambda *args: calls.append(args))
     monkeypatch.setattr("plcmarket.search.grid_scores", lambda *args: calls.append(args) or [])
     res = run("search-eq", "--market", str(market), "--eps", "-1/2")
     assert res.exit_code == 2 and "nonnegative" in res.output

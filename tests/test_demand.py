@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plcmarket.demand import Bundle, canonical_amounts, in_demand, int_demand, utility_change
+from plcmarket.demand import Bundle, canonical_amounts, in_demand, int_demand, packed_fill, utility_change
 from plcmarket.errors import UnboundedDemand
 from plcmarket.games import validate_game
-from plcmarket.model import PriceVector, TraderSpec, normalize_prices, prices
+from plcmarket.model import PriceVector, ScaledTrader, TraderSpec, normalize_prices, prices
 from plcmarket.plc import linear_plc, validate_plc
 from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn
@@ -309,3 +309,89 @@ def test_integer_utility_change_matches_the_fraction_pieces(seed, family):
         for x in _bundles_around(d, P, Q, n, rng):
             dense = [F(x.get(k, 0), Q * (P[k] or 1)) for k in range(n)]
             assert in_demand(v, p, d, x.items(), Q) == dense_in_demand(t, p, ds, dense)
+
+
+def _fill_shifts(v, P):
+    """Field offsets for v's packed fill at P, as the grid walk sets them: a
+    priced good's fill is money the trader has, a free good's a satiation
+    amount, so a field of the bit length of their sum never carries."""
+    money = sum(w * P[k] for k, w in v.owned)
+    width = max(1, (money + sum(s for _, s, _ in v.wanted if s is not None)).bit_length())
+    return [width * k for k in range(len(P))]
+
+
+def _packed_fills(v, P, shifts, i, scales):
+    """The core's canonical fill of v at P packed on shifts, then
+    `packed_fill`'s on the rate scale of each common multiple L of the
+    positive P_k in scales; an UnboundedDemand's (trader, good) in place of
+    a fill."""
+    fills = []
+    try:
+        x = canonical_amounts(int_demand(v, P, i), P)
+        fills.append(sum(a << shifts[k] for k, a in x.items()))
+    except UnboundedDemand as exc:
+        fills.append((exc.trader, exc.good))
+    for L in scales:
+        try:
+            fills.append(packed_fill(v, P, [L // q if q else 0 for q in P], shifts, i))
+        except UnboundedDemand as exc:
+            fills.append((exc.trader, exc.good))
+    return fills
+
+
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["random", "tie-rich", "coprime"]))
+def test_packed_fill_matches_the_demand_core(seed, family):
+    """The grid walk's kernel gives every trader's canonical fill, packed,
+    as `canonical_amounts(int_demand(...))` does, or raises the same
+    UnboundedDemand, on the rate scales of two common multiples of the
+    prices, so its offer order does not depend on the scale.  Random
+    markets get prices with zero entries and mixed denominators; tie-rich
+    and coprime ones their own prices, where offers of several goods tie."""
+    rng = random.Random(seed)
+    if family == "random":
+        m = random_market(rng, max_goods=4, max_traders=4)
+        vec = [F(0) if rng.random() < 0.25 else F(rng.randint(1, 16), rng.choice([1, 3, 8])) for _ in range(m.n_goods)]
+        vec[rng.randrange(m.n_goods)] = F(rng.randint(1, 16), rng.choice([1, 3, 8]))
+        p = PriceVector(tuple(vec))
+    else:
+        m, p = random_instance(rng, family)
+    P = p.scaled[1]
+    L = math.lcm(*[q for q in P if q])
+    for i, v in enumerate(m.view):
+        reference, *fills = _packed_fills(v, P, _fill_shifts(v, P), i, [L, L * rng.randint(2, 30)])
+        assert fills == [reference, reference]
+
+
+def test_packed_fill_gives_an_uncapped_tie_to_the_first_good():
+    """Two uncapped offers tie at one rate: the whole budget, 3 * 2, goes to
+    the first good, as the core's tie order fills it."""
+    v = ScaledTrader(1, ((0, 3),), ((1, None, ((0, 4, None),)), (2, None, ((0, 2, None),))))
+    P = [2, 2, 1]
+    shifts = _fill_shifts(v, P)
+    reference, fill = _packed_fills(v, P, shifts, 0, [2])
+    assert fill == reference == 6 << shifts[1]
+
+
+def test_packed_fill_stops_in_the_middle_of_a_tie_group():
+    """The budget is 3 * 3.  Good 0's first segment is bought whole for 2;
+    goods 1 and 2 tie below it, and the 7 left buys good 1's cap of 2 for 4
+    and spends its last 3 on good 2, whose cap would cost 12, so good 0's
+    uncapped second segment gets nothing."""
+    v = ScaledTrader(1, ((3, 3),), ((0, None, ((0, 6, 1), (1, 1, None))),
+                                    (1, None, ((0, 2, 2),)), (2, None, ((0, 4, 3),))))
+    P = [2, 2, 4, 3]
+    shifts = _fill_shifts(v, P)
+    reference, fill, fill_rescaled = _packed_fills(v, P, shifts, 0, [12, 36])
+    assert fill == fill_rescaled == reference == (2 << shifts[0]) + (4 << shifts[1]) + (3 << shifts[2])
+
+
+def test_packed_fill_of_a_zero_budget_trader():
+    """A trader who owns nothing buys nothing priced, takes a free good's
+    satiation amount, and has unbounded demand when a free good it wants
+    never satiates."""
+    v = ScaledTrader(2, (), ((0, None, ((0, 3, None),)), (1, 5, ((0, 1, 5),))))
+    shifts = _fill_shifts(v, [1, 0])
+    reference, fill = _packed_fills(v, [1, 0], shifts, 7, [1])
+    assert fill == reference == 5 << shifts[1]
+    assert _packed_fills(v, [1, 1], shifts, 7, [1]) == [0, 0]
+    assert _packed_fills(v, [0, 1], shifts, 7, [1]) == [(7, 0), (7, 0)]

@@ -36,18 +36,18 @@ def _count_scoring(monkeypatch):
     """Count the search's demand evaluations and the grid points it scores,
     the (p, score) pairs `grid_scores` yields."""
     counts = {"demands": 0, "points": 0}
-    int_demand, walk = plcmarket.search.int_demand, plcmarket.search.grid_scores
+    packed_fill, walk = plcmarket.search.packed_fill, plcmarket.search.grid_scores
 
     def counted_demand(*args):
         counts["demands"] += 1
-        return int_demand(*args)
+        return packed_fill(*args)
 
     def counted_points(*args):
         for pair in walk(*args):
             counts["points"] += 1
             yield pair
 
-    monkeypatch.setattr(plcmarket.search, "int_demand", counted_demand)
+    monkeypatch.setattr(plcmarket.search, "packed_fill", counted_demand)
     monkeypatch.setattr(plcmarket.search, "grid_scores", counted_points)
     return counts
 
