@@ -1,5 +1,6 @@
 """Bimatrix games: validation, well-supported equilibrium checking, and an
-exact integer support-enumeration solver for desk-scale oracles.
+exact integer solver for desk-scale oracles that lists every extreme Nash
+equilibrium as a complementary pair of best-response polytope vertices.
 
 Games are square with rational payoffs; the sparse-normalized contract caps
 entries at [-1, 1] and nonzeros at 10 per row and column of each matrix.
@@ -7,7 +8,7 @@ entries at [-1, 1] and nonzeros at 10 per row and column of each matrix.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
@@ -15,7 +16,7 @@ from .errors import InvalidStrategy, NotNormalized, NotSparse, NTooLarge, ShapeM
 from .rational import parse_epsilon, parse_rational
 
 SPARSITY_LIMIT = 10
-MAX_SUPPORT_ENUM_N = 4  # support enumeration is exponential in n
+MAX_SUPPORT_ENUM_N = 4  # each polytope's C(2n, n) active sets grow about 4^n
 
 
 @dataclass(frozen=True)
@@ -121,62 +122,6 @@ def _gauss_jordan(rows, base=()):
     return out
 
 
-def basic_feasible_points(eq_rows, ineq_rows, nvars) -> list[tuple[Fraction, ...]]:
-    """All vertices of {z : Ez = e, Gz <= g} for integer (coeffs, rhs) rows.
-
-    Every vertex solves the equalities plus some (nvars - rank(E))-subset of
-    the inequalities turned active, so extending the reduced equalities by
-    each such subset and keeping the unique, feasible solutions is
-    exhaustive.  Intended for tiny dimensions.
-    """
-    base = _gauss_jordan([*coeffs, rhs] for coeffs, rhs in eq_rows)
-    if base is None:
-        return []
-    found: dict[tuple, None] = {}
-    for active in combinations(ineq_rows, nvars - len(base)):
-        rows = _gauss_jordan(([*coeffs, rhs] for coeffs, rhs in active), base)
-        if rows is None or len(rows) < nvars:
-            continue
-        den = lcm(*(p[c] for c, p in rows))  # z = num / den, den > 0
-        num = [0] * nvars
-        for c, p in rows:
-            num[c] = p[-1] * den // p[c]
-        if all(sum(map(mul, coeffs, num)) <= rhs * den for coeffs, rhs in ineq_rows):
-            found[tuple(Fraction(v, den) for v in num)] = None
-    return list(found)
-
-
-# --- support enumeration -----------------------------------------------------
-
-
-def _support_candidates(payoff_rows, own_support, opp_support, n):
-    """Vertices of one side's equilibrium region for fixed supports.
-
-    payoff_rows[i][j] is the integer payoff of own action i against opponent
-    action j; variables are the opponent's probabilities on opp_support plus
-    the common payoff level v.  Own supported actions are indifferent at v,
-    own unsupported actions do no better, probabilities are nonnegative and
-    sum to one.  Returns full-length probability vectors.
-    """
-    k = len(opp_support)
-
-    def payoff_row(i):
-        return ([payoff_rows[i][j] for j in opp_support] + [-1], 0)
-
-    eq_rows = [payoff_row(i) for i in own_support]
-    eq_rows.append(([1] * k + [0], 1))
-    ineq_rows = [payoff_row(i) for i in range(n) if i not in own_support]
-    ineq_rows += [([-(idx == j) for j in range(k + 1)], 0) for idx in range(k)]
-
-    out = []
-    for z in basic_feasible_points(eq_rows, ineq_rows, k + 1):
-        full = [Fraction(0)] * n
-        for idx, j in enumerate(opp_support):
-            full[j] = z[idx]
-        out.append(tuple(full))
-    return out
-
-
 def _integral(M):
     """(L, M scaled to integers by L), L the lcm of M's denominators; a
     positive scale moves only the payoff level, never the equilibrium
@@ -185,25 +130,60 @@ def _integral(M):
     return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in M]
 
 
-def solve_game_support_enum(g: BimatrixGame):
-    """Enumerate exact Nash equilibria by support pairs.
+def _vertices(rows, n):
+    """Nonzero vertices of {z in R^n : Rz <= r}, given as integer rows
+    [R_k..., r_k], each once: {z scaled to a primitive integer vector:
+    labels}, bit k of the labels set when row k is tight there.  A vertex
+    makes n independent rows tight, so solving every n-subset of the rows as
+    equalities and keeping the feasible solutions finds each one; when the
+    origin is feasible, as in P and Q, no two vertices share a direction."""
+    found = {}
+    for active in combinations(rows, n):
+        pivots = _gauss_jordan(active)
+        if pivots is None or len(pivots) < n:
+            continue
+        den = lcm(*(p[c] for c, p in pivots))  # z = num / den, den > 0
+        num = [p[-1] * den // p[c] for c, p in sorted(pivots)]  # one pivot per column
+        slack = [row[-1] * den - sum(map(mul, row, num)) for row in rows]
+        if min(slack) < 0 or not any(num):
+            continue
+        g = gcd(*num)
+        found[tuple(v // g for v in num)] = sum(1 << k for k, s in enumerate(slack) if not s)
+    return found
 
-    For each support pair, the two players' constraint polytopes are
-    independent, so the equilibria with those supports are the product of
-    the two vertex sets.  Degenerate games yield the vertices of their
-    equilibrium components; duplicates across support pairs are removed.
+
+def solve_game_support_enum(g: BimatrixGame):
+    """Enumerate exact Nash equilibria as complementary vertex pairs.
+
+    With both payoff matrices shifted to positive integers (a shift moves no
+    equilibrium), the equilibria's extreme points are the pairs x, y of
+    nonzero vertices of P = {x >= 0 : B^T x <= 1} and Q = {y >= 0 : Ay <= 1}
+    whose tight constraints together cover all 2n actions: each row action
+    is unplayed in x or a best response to y, and each column action is
+    unplayed in y or a best response to x.  Each pair is normalized to
+    probabilities, so a degenerate game yields the vertices of its
+    equilibrium components.
     """
     if g.n > MAX_SUPPORT_ENUM_N:
         raise NTooLarge(f"support enumeration capped at n = {MAX_SUPPORT_ENUM_N}")
     n = g.n
-    _, row_payoffs = _integral(g.A)  # row player: A[i][j] vs column j
-    _, col_payoffs = _integral(list(zip(*g.B)))  # column player: own action j vs row i
 
-    supports = [s for size in range(1, n + 1) for s in combinations(range(n), size)]
-    found: set[tuple] = set()
-    for sup_x in supports:
-        for sup_y in supports:
-            ys = _support_candidates(row_payoffs, sup_x, sup_y, n)
-            if ys:
-                found.update(product(_support_candidates(col_payoffs, sup_y, sup_x, n), ys))
-    return [(MixedStrategy(x), MixedStrategy(y)) for x, y in sorted(found)]
+    def bounded(M):  # rows [M_k..., 1] of M in integers shifted to entries >= 1
+        M = _integral(M)[1]
+        low = min(map(min, M))
+        return [[v - low + 1 for v in row] + [1] for row in M]
+
+    unplayed = [[-(k == i) for i in range(n)] + [0] for k in range(n)]  # -z_k <= 0
+    # labels: bits 0..n-1 are the row actions, bits n..2n-1 the column actions
+    xs = _vertices(unplayed + bounded([*zip(*g.B)]), n)
+    ys = _vertices(bounded(g.A) + unplayed, n)
+    full = (1 << 2 * n) - 1
+
+    def distribution(z):
+        total = sum(z)
+        return tuple(Fraction(v, total) for v in z)
+
+    found = sorted(
+        (distribution(x), distribution(y)) for x, lx in xs.items() for y, ly in ys.items() if lx | ly == full
+    )
+    return [(MixedStrategy(x), MixedStrategy(y)) for x, y in found]

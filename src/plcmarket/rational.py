@@ -6,6 +6,7 @@ The hot loops of `verify` (the demand core and the circulation) count in
 Python ints scaled by common denominators, which is just as exact.
 """
 
+import sys
 from fractions import Fraction
 
 from .errors import InputError, InvalidMarket
@@ -35,6 +36,13 @@ def parse_rational(value) -> Fraction:
                 return Fraction(num, den)
             return Fraction(int(text))
         except ValueError as exc:
+            digits = max((p.strip().lstrip("+-") for p in text.split("/", 1)), key=len)
+            limit = sys.get_int_max_str_digits()  # 0 means no limit
+            if digits.isdecimal() and 0 < limit < len(digits):
+                raise InputError(
+                    f"cannot parse rational {text[:20]!r}... ({len(digits)} digits): Python converts"
+                    f" int strings of at most {limit} digits (sys.get_int_max_str_digits())"
+                ) from exc
             raise InputError(f"cannot parse rational: {value!r}") from exc
     raise InputError(f"cannot parse rational from {type(value).__name__}: {value!r}")
 

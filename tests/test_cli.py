@@ -353,6 +353,22 @@ def test_integer_past_the_digit_limit_is_input_error(tmp_path):
     assert res.exit_code == 2 and f"{game}: INVALID - {game}: invalid JSON" in res.output
 
 
+def test_price_past_the_digit_limit_names_the_limit(tmp_path):
+    # int() refuses the string; the message says why, and echoes only its head
+    limit = sys.get_int_max_str_digits()
+    market, p = tmp_path / "m.json", tmp_path / "p.json"
+    run("gen-mn", "--n", "2", "-o", str(market))
+    n_goods = json.loads(market.read_text())["n_goods"]
+    for price in ("7" * (limit + 700), "1/" + "7" * (limit + 700)):
+        write(p, {"prices": [price] + ["1"] * (n_goods - 1)})
+        res = run("verify", "--market", str(market), "--prices", str(p))
+        assert res.exit_code == 2
+        assert f"({limit + 700} digits)" in res.output and f"at most {limit} digits" in res.output
+        assert len(res.output) < 200
+    write(p, {"prices": ["7" * limit] + ["1"] * (n_goods - 1)})  # at the limit: parsed
+    assert run("verify", "--market", str(market), "--prices", str(p)).exit_code in (0, 1)
+
+
 def test_unexpected_exception_exits_3(tmp_path, monkeypatch):
     market = tmp_path / "m.json"
     run("gen-mn", "--n", "2", "-o", str(market))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -7,14 +8,19 @@ from hypothesis import strategies as st
 
 from plcmarket.errors import InputError, InvalidMarket, InvalidStrategy, NotNormalized, NotSparse, NTooLarge, ShapeMismatch
 from plcmarket.games import (
-    basic_feasible_points,
+    _vertices,
     check_wsne,
     mixed,
     solve_game_support_enum,
     validate_game,
 )
 
-from oracles import degenerate_game_matrices, random_sparse_game_matrices, reference_support_enum
+from oracles import (
+    _reference_basic_feasible_points,
+    degenerate_game_matrices,
+    random_sparse_game_matrices,
+    reference_support_enum,
+)
 
 MP_A = [[1, -1], [-1, 1]]
 MP_B = [[-1, 1], [1, -1]]
@@ -119,31 +125,36 @@ def test_support_enum_size_cap():
         solve_game_support_enum(validate_game(A, A))
 
 
-NONNEGATIVE = [((-1, 0), 0), ((0, -1), 0)]
+NONNEGATIVE = [[-1, 0, 0], [0, -1, 0]]  # rows [coeffs..., rhs]: -z_k <= 0
 
 
-def test_inconsistent_systems_have_no_vertices():
-    one = ((1, 1), 1)
-    assert basic_feasible_points([one, ((2, 2), 3)], NONNEGATIVE, 2) == []
-    assert basic_feasible_points([one, ((2, 2), 2)], NONNEGATIVE, 2) == [(F(0), F(1)), (F(1), F(0))]
-    assert basic_feasible_points([one], [], 2) == []  # underdetermined
-    assert basic_feasible_points([one], [((-1, -1), -1)], 2) == []  # the active row adds no rank
-    both = [one, ((1, -1), 0)]
-    assert basic_feasible_points(both, [], 2) == [(F(1, 2), F(1, 2))]
-    assert basic_feasible_points(both + [((1, 0), 1)], [], 2) == []  # consistent pivots, then 0 = 1/2
+def test_vertices_leave_out_the_origin_and_label_their_tight_rows():
+    # the triangle z >= 0, z0 + z1 <= 1 has the corner 0 too, which pairs with nothing
+    assert _vertices(NONNEGATIVE + [[1, 1, 1]], 2) == {(0, 1): 0b101, (1, 0): 0b110}
+
+
+def test_singular_active_sets_solve_for_no_vertex():
+    # a parallel pair of rows reduces to 0 = 1 (inconsistent) or 0 = 0 (no
+    # rank); a redundant row is tight wherever its twin is
+    assert _vertices(NONNEGATIVE + [[1, 1, 1], [2, 2, 3]], 2) == {(0, 1): 0b0101, (1, 0): 0b0110}
+    assert _vertices(NONNEGATIVE + [[1, 1, 1], [2, 2, 2]], 2) == {(0, 1): 0b1101, (1, 0): 0b1110}
 
 
 def test_vertices_on_their_active_inequalities_are_feasible():
-    # each vertex of the segment z0 + z1 = 1, z >= 0 makes one bound tight
-    assert basic_feasible_points([((1, 1), 1)], NONNEGATIVE, 2) == [(F(0), F(1)), (F(1), F(0))]
-    # the cube corner z = 1 is tight on all three upper bounds
-    upper = [(tuple(int(i == j) for j in range(3)), 1) for i in range(3)]
-    assert basic_feasible_points([], upper, 3) == [(F(1), F(1), F(1))]
+    # each end of the segment z0 + z1 = 1, z >= 0 makes one bound tight
+    assert _vertices([[1, 1, 1], [-1, -1, -1]] + NONNEGATIVE, 2) == {(0, 1): 0b0111, (1, 0): 0b1011}
+    # the cube corner z = 1 is tight on all three upper bounds, and no lower one
+    upper = [[int(i == k) for i in range(3)] + [1] for k in range(3)]
+    lower = [[-int(i == k) for i in range(3)] + [0] for k in range(3)]
+    corners = _vertices(upper + lower, 3)
+    assert len(corners) == 7 and corners[(1, 1, 1)] == 0b000111 and corners[(1, 0, 0)] == 0b110001
 
 
 def test_negative_pivots_keep_their_sign():
-    assert basic_feasible_points([((-2,), -1)], [], 1) == [(F(1, 2),)]
-    assert basic_feasible_points([((-3, 0), 2), ((0, 5), -4)], [], 2) == [(F(-2, 3), F(-4, 5))]
+    assert _vertices([[-2, 1], [1, 1]], 1) == {(-1,): 0b01, (1,): 0b10}
+    # the box [-2/3, 1] x [-4/5, 1]; each vertex comes back as a primitive integer vector
+    box = [[-3, 0, 2], [0, -5, 4], [1, 0, 1], [0, 1, 1]]
+    assert _vertices(box, 2) == {(-5, -6): 0b0011, (-2, 3): 0b1001, (5, -4): 0b0110, (1, 1): 0b1100}
 
 
 def test_support_enum_outputs_are_equilibria():
@@ -198,3 +209,40 @@ def test_support_enum_matches_the_fraction_reference_at_n4():
     for A, B in (sparse, repeated, tied):
         g = validate_game(A, B)
         assert solve_game_support_enum(g) == reference_support_enum(g)
+
+
+def nondegenerate(g) -> bool:
+    """No vertex of either best-response polytope makes more than n of its 2n
+    constraints tight, so no mixed strategy has more pure best responses
+    than actions in its support (von Stengel, "Computing equilibria for
+    two-person games", 2002).  Vertices from the Fraction reference."""
+    n = g.n
+    unplayed = [(tuple(-F(i == k) for i in range(n)), F(0)) for k in range(n)]
+    for M in (g.A, list(zip(*g.B))):
+        low = min(map(min, M))
+        rows = unplayed + [(tuple(v - low + 1 for v in row), F(1)) for row in M]
+        for z in _reference_basic_feasible_points([], rows, n):
+            if sum(sum(map(mul, coeffs, z)) == rhs for coeffs, rhs in rows) > n:
+                return False
+    return True
+
+
+@st.composite
+def drawn_games(draw):
+    # about 1 draw in 50 has n = 4, whose Fraction reference takes ~0.25 s
+    sizes = (2,) * 8 + (3,) * 4 + (4,)
+    n = sizes[draw(st.integers(0, len(sizes) - 1))]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["sparse", "sparse", "repeated", "tied"]))  # the zero games are in the goldens
+    if family == "sparse":
+        return validate_game(*random_sparse_game_matrices(rng, n))
+    _, repeated, tied = degenerate_game_matrices(rng, n)
+    return validate_game(*(repeated if family == "repeated" else tied))
+
+
+@given(drawn_games())
+def test_vertex_pairs_match_the_support_pair_reference(g):
+    eqs = solve_game_support_enum(g)
+    assert eqs == reference_support_enum(g)
+    if nondegenerate(g):  # Shapley (1974): a nondegenerate game has an odd number of equilibria
+        assert len(eqs) % 2 == 1
