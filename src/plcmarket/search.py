@@ -22,7 +22,9 @@ of one demand per trader and grid point; in the paper's reduced markets
 every trader touches only a handful of goods, and there are about half as
 many distinct supports as traders.
 
-A box's prices are P_k / D with one D, and a memo miss runs the walk's
+The walk takes its axes as ints, a box's prices P_k over one denominator
+that it never reads: canonical demand, and so every score, is the same at
+every positive multiple of a price vector.  A memo miss runs the walk's
 demand kernel (`packed_fill`) on each member's row of the market's view,
 which counts amounts in units of 1/M for the whole market.  The kernel is
 the greedy of the integer demand core (`int_demand`, `canonical_amounts`),
@@ -40,8 +42,8 @@ the top of each axis plus every finite satiation amount: a priced good's
 fill is money the trader has, a free good's a satiation amount, so no
 good's total, nor any mix of stale and fresh entries, reaches 2^W, and no
 field carries into the next.  The worst relative imbalance is found by
-cross-multiplying each field with supply * (P_k or 1), and one Fraction is
-built per scored point.
+cross-multiplying each field with supply * (P_k or 1) and kept as a
+(num, den) pair of ints, which the search compares by cross-multiplying.
 
 The walk takes the reflected mixed-radix Gray order (Knuth, TAOCP 4A,
 7.2.1.1): each step moves one axis by one place, the last axis the most
@@ -53,8 +55,20 @@ point: at each scored point all of good k's entries are on its one scale,
 and the score equals the one a from-scratch sum of every trader's
 canonical bundle gives there.  A pass at grid_k 1 over [1, 2]^N makes 507
 support visits on the reduced market of the 2x2 identity game and 3,739 on
-the 3x3 one.  Points come out in walk order; the search keeps the first
-best point in product order.
+the 3x3 one.
+
+Points come out in walk order as tuples of axis indices; every axis
+ascends, so index order is product order, and the search keeps the first
+best point in it.  The search holds its box as ints over one denominator D,
+reduced by their gcd, so a box that did not shrink compares equal to the
+box scored before it and is not scored again.  With k = grid_k, an axis
+[lo, hi] has the points lo * k + (hi - lo) * s over D * k (lo * k alone
+when lo == hi), and one grid step around the incumbent c is
+[max(lo * k, c - (hi - lo)), min(hi * k, c + (hi - lo))], also over D * k;
+an incumbent that an earlier box found is over that box's grid
+denominator, which may not divide this one's, and then both go over the
+lcm of the two first.  Fractions are built only for the trace, one per
+round, and for the incumbent's prices, which are normalized and verified.
 """
 
 import math
@@ -126,18 +140,13 @@ class SearchReport:
     certificate: Certificate | None = None
 
 
-def _axis_points(lo: Fraction, hi: Fraction, grid_k: int):
-    if lo == hi:
-        return [lo]
-    step = (hi - lo) / grid_k
-    return [lo + step * s for s in range(grid_k + 1)]
-
-
-def _score(total, width, supply, P) -> Fraction | None:
+def _score(total, width, supply, P) -> tuple[int, int] | None:
     """The worst |total - supply| / supply over goods with nonzero supply,
-    None when a zero-supply good is allocated.  Good k's total is field k,
-    width bits wide, of the packed int total; it counts units of
-    1/(M * P_k), or 1/M when the good is free, and its supply 1/M."""
+    as (num, den), or None when a zero-supply good is allocated.  Good k's
+    total is field k, width bits wide, of the packed int total; it counts
+    units of 1/(M * P_k), or 1/M when the good is free, and its supply 1/M.
+    A common factor of P scales num and den alike, so two scores compare by
+    cross-multiplying whatever scale their points' prices are on."""
     num, den, mask = 0, 1, (1 << width) - 1
     for s, q in zip(supply, P):
         t, total = total & mask, total >> width
@@ -148,24 +157,24 @@ def _score(total, width, supply, P) -> Fraction | None:
                 num, den = gap, s
         elif t:
             return None
-    return Fraction(num, den)
+    return num, den
 
 
 def grid_scores(m: Market, axes):
-    """Yield (p, score) for the grid points in reflected Gray order, one
+    """Yield (idx, score) for the grid points in reflected Gray order, one
     axis moving per step, leaving out the origin and every point where some
-    trader's demand is unbounded.  The score is the worst relative imbalance
-    of canonical demand, None when a zero-supply good is allocated, read
-    from per-good totals packed into fixed-width fields of one int.  The
-    axes hold nonnegative Fractions, as `SearchConfig` checks its box, so
-    each point is built with `trusted`."""
+    trader's demand is unbounded.  The axes hold nonnegative ints, the
+    prices over one denominator the walk never needs, since demand and
+    scores are the same at every positive multiple of a price vector; idx
+    is the tuple of the point's axis indices.  The score is `_score`'s
+    (num, den), the worst relative imbalance of canonical demand, or None
+    when a zero-supply good is allocated, read from per-good totals packed
+    into fixed-width fields of one int."""
     n, sizes = len(axes), [len(axis) for axis in axes]
-    D = math.lcm(*(q.denominator for axis in axes for q in axis))
-    ints = [[q.numerator * (D // q.denominator) for q in axis] for axis in axes]
     # one rate scale for the box: U_k = L // P_k orders every trader's offers
     # as its own lcm would, so a fill needs no lcm of its own
-    L = math.lcm(*(q for axis in ints for q in axis if q))
-    rates = [[L // q if q else 0 for q in axis] for axis in ints]
+    L = math.lcm(*(q for axis in axes for q in axis if q))
+    rates = [[L // q if q else 0 for q in axis] for axis in axes]
     supply = m.scaled[1]
 
     # the traders grouped by support, the goods they own or want: members of a
@@ -180,7 +189,7 @@ def grid_scores(m: Market, axes):
     holders = [[g for g, support in enumerate(supports) if k in support] for k in range(n)]
     # no total of a good, nor any mix of stale and fresh entries, exceeds every
     # budget at the top of each axis plus every finite satiation amount
-    tops = [max(axis) for axis in ints]
+    tops = [max(axis) for axis in axes]
     width = (sum(w * tops[k] for v in view for k, w in v.owned)
              + sum(s for v in view for _, s, _ in v.wanted if s is not None)).bit_length()
     shifts = [width * k for k in range(n)]
@@ -189,7 +198,7 @@ def grid_scores(m: Market, axes):
     total = 0
 
     idx, step = [0] * n, [1] * n
-    P = [axis[0] for axis in ints]
+    P = [axis[0] for axis in axes]
     U = [axis[0] for axis in rates]
     stale = set(range(len(supports)))  # groups whose entry is not the current point's
     visit = []
@@ -216,8 +225,7 @@ def grid_scores(m: Market, axes):
                 total += new - contrib[g]  # an entry and its part of the total change together
                 contrib[g] = new
             else:
-                point = tuple(map(getitem, axes, idx))
-                yield trusted(PriceVector, prices=point, normalized=False), _score(total, width, supply, P)
+                yield tuple(idx), _score(total, width, supply, P)
 
         # the next point in reflected Gray order: the last axis that can move
         # one place on in its direction does, and each axis after it turns back
@@ -228,46 +236,58 @@ def grid_scores(m: Market, axes):
         if j < 0:
             return
         idx[j] += step[j]
-        P[j], U[j] = ints[j][idx[j]], rates[j][idx[j]]
+        P[j], U[j] = axes[j][idx[j]], rates[j][idx[j]]
         visit = holders[j]
 
 
 def search_equilibrium(m: Market, cfg: SearchConfig) -> SearchReport:
-    box = cfg.box
-    if len(box) != m.n_goods:
-        raise BoxDimensionMismatch(f"box has {len(box)} coordinates for {m.n_goods} goods")
+    if len(cfg.box) != m.n_goods:
+        raise BoxDimensionMismatch(f"box has {len(cfg.box)} coordinates for {m.n_goods} goods")
+    k = cfg.grid_k
+    # the box as ints over D, the lcm of its denominators, so D and the ints
+    # share no factor, as after each shrink below: equal boxes, equal ints
+    D = math.lcm(*(q.denominator for bounds in cfg.box for q in bounds))
+    box = tuple(tuple(q.numerator * (D // q.denominator) for q in bounds) for bounds in cfg.box)
 
     # Scores are scale-invariant, so only the final incumbent is normalized;
     # rescoring the last box scored could never lower the incumbent's score.
     scored = None
-    best: PriceVector | None = None
-    best_score: Fraction | None = None
+    best = None  # the incumbent's prices as ints, and their denominator
+    best_score = None  # its (num, den)
     trace = []
     for rnd in range(cfg.refine_rounds + 1):
-        if box != scored:
-            axes = [_axis_points(lo, hi, cfg.grid_k) for lo, hi in box]
-            # the first best point in product order, the order of the prices,
+        if (box, D) != scored:
+            axes = [[lo * k + (hi - lo) * s for s in range(k + 1)] if lo < hi else [lo * k] for lo, hi in box]
+            # the first best point in product order, which is index order,
             # since every axis ascends; an earlier box's incumbent wins a tie
-            held = best
-            for p, score in grid_scores(m, axes):
-                if score is not None and (best_score is None or score < best_score
-                                          or score == best_score and best is not held and p.prices < best.prices):
-                    best_score, best = score, p
-            scored = box
-        trace.append((rnd, best_score))
+            bidx = None
+            for idx, score in grid_scores(m, axes):
+                if score is None:
+                    continue
+                gain = 1 if best_score is None else best_score[0] * score[1] - score[0] * best_score[1]
+                if gain > 0 or gain == 0 and bidx is not None and idx < bidx:
+                    best_score, bidx = score, idx
+            if bidx is not None:
+                best = tuple(map(getitem, axes, bidx)), D * k
+            scored = box, D
+        trace.append((rnd, None if best_score is None else Fraction(*best_score)))
         if best is None or rnd == cfg.refine_rounds:  # the last round's box is never read
             continue
-        # shrink to one current grid step around the incumbent, clipped to its box
-        box = tuple(
-            (
-                max(lo, center - (hi - lo) / cfg.grid_k),
-                min(hi, center + (hi - lo) / cfg.grid_k),
-            )
-            for (lo, hi), center in zip(box, best.prices)
-        )
+        # shrink to one current grid step around the incumbent, clipped to the
+        # box: over D * k the step is hi - lo and the ends are lo * k, hi * k.
+        # An incumbent that an earlier box found is over that box's E, which
+        # may not divide D * k, so both go over F, the lcm of the two
+        point, E = best
+        F = math.lcm(D * k, E)
+        a, b = F // (D * k), F // E
+        box = tuple((max(lo * k * a, c * b - (hi - lo) * a), min(hi * k * a, c * b + (hi - lo) * a))
+                    for (lo, hi), c in zip(box, point))
+        g = math.gcd(F, *(q for bounds in box for q in bounds))
+        box, D = tuple((lo // g, hi // g) for lo, hi in box), F // g
 
     if best is None:
         return SearchReport(None, None, False, tuple(trace), None)
-    best_price = normalize_prices(best)
+    point, E = best
+    best_price = normalize_prices(trusted(PriceVector, prices=tuple(Fraction(c, E) for c in point), normalized=False))
     cert = verify(m, best_price, APPROXIMATE, cfg.epsilon)
-    return SearchReport(best_price, best_score, cert.accepted, tuple(trace), cert)
+    return SearchReport(best_price, trace[-1][1], cert.accepted, tuple(trace), cert)

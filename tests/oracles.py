@@ -51,6 +51,10 @@ trader's goods and `satiation_point` a piece's flat start, in Fractions.
 of the builder's one gadget core, `reduction._gadget`, checked against
 `reference_gadget_vectors`, and `trader_slices` gives the index range of
 each of the reduced market's S, U, V and I blocks.
+`axis_points` is one search axis's grid in Fractions, and `grid_walk` runs
+the integer walk, `search.grid_scores`, on Fraction axes and reads each
+point and score back as a `PriceVector` and a Fraction, the form
+`reference_grid_scores` gives.
 `regulation_forward_witness` certifies an in-box price vector of M_n by
 re-checking the identity allocation with `clearing.check_witness`, the
 forward direction of the price-regulation property, without the flow
@@ -64,6 +68,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from operator import getitem
 
 import networkx as nx
 
@@ -85,7 +90,7 @@ from plcmarket.plc import ZERO_PLC, PLCFunction, linear_plc, validate_plc
 from plcmarket.rational import format_rational, parse_epsilon, parse_rational
 from plcmarket.reduction import ReducedMarketMeta, _gadget, build_reduced_market
 from plcmarket.regulating import build_mn, check_regulation_box
-from plcmarket.search import SearchReport
+from plcmarket.search import SearchReport, grid_scores
 from plcmarket.serialize import _ZERO, _ZERO_OBJ, _require, plc_from_obj
 
 
@@ -943,6 +948,30 @@ def imbalance_profile(m: Market, p: PriceVector, eps=0) -> tuple[GoodBalance, ..
 
 
 # --- reference grid search ----------------------------------------------------
+
+
+def axis_points(lo: Fraction, hi: Fraction, grid_k: int) -> list:
+    """The grid of one search axis: lo alone when lo == hi, else grid_k + 1
+    evenly spaced points from lo to hi."""
+    if lo == hi:
+        return [lo]
+    step = (hi - lo) / grid_k
+    return [lo + step * s for s in range(grid_k + 1)]
+
+
+def int_axes(axes) -> list:
+    """Fraction axes as the walk's int axes: every point over the lcm of all
+    their denominators."""
+    D = math.lcm(*(q.denominator for axis in axes for q in axis))
+    return [[q.numerator * (D // q.denominator) for q in axis] for axis in axes]
+
+
+def grid_walk(m: Market, axes):
+    """`grid_scores` on Fraction axes: each (index tuple, (num, den)) pair
+    the walk yields on `int_axes(axes)`, in walk order, read back as
+    (PriceVector, Fraction | None)."""
+    for idx, score in grid_scores(m, int_axes(axes)):
+        yield PriceVector(tuple(map(getitem, axes, idx))), None if score is None else Fraction(*score)
 
 
 def reference_grid_scores(m: Market, axes) -> list:

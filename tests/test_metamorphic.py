@@ -25,10 +25,12 @@ shuffling the traders walks the same points in another order and must
 leave each point's score as it was.  The walk's totals count good k on a
 scale that moves with P_k, so the relations are also drawn under
 hypothesis, on boxes whose lower ends are 0, 1/2 or 1 and whose axes have
-mixed denominators.  Permuting a game's row and column actions must
-relabel its reduced market's goods and traders and change nothing else;
-that is checked on seeded games at n = 16 and 32 and, under hypothesis, on
-games drawn at n = 2..5.
+mixed denominators.  The walk reads its int axes on a scale it never
+needs, so multiplying every axis by a positive int must keep the indices
+it walks, their order and their scores.  Permuting a game's row and
+column actions must relabel its reduced market's goods and traders and
+change nothing else; that is checked on seeded games at n = 16 and 32
+and, under hypothesis, on games drawn at n = 2..5.
 """
 
 import functools
@@ -46,10 +48,18 @@ from plcmarket.games import validate_game
 from plcmarket.model import Market, PriceVector, TraderSpec
 from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn
-from plcmarket.search import _axis_points, grid_scores
+from plcmarket.search import grid_scores
 from plcmarket.serialize import dumps
 
-from oracles import mixed_denominator_game_matrices, random_market, random_sparse_game_matrices, tie_rich_market
+from oracles import (
+    axis_points,
+    grid_walk,
+    int_axes,
+    mixed_denominator_game_matrices,
+    random_market,
+    random_sparse_game_matrices,
+    tie_rich_market,
+)
 
 PRICE_DEN = 1000
 
@@ -181,11 +191,11 @@ def test_verify_certificate_bytes_survive_scaling_the_prices(family, k, kind, se
 
 
 def _walk(m: Market, axes, perm=None) -> Counter:
-    """The (point, score) pairs grid_scores yields, each point read back in
+    """The (point, score) pairs the grid walk yields, each point read back in
     the original goods' order when the goods were renamed by perm; with
     perm, only the points, since canonical demand fills ties in good order
     and renaming goods may change a point's score."""
-    walk = grid_scores(m, axes)
+    walk = grid_walk(m, axes)
     if perm is None:
         return Counter((p.prices, score) for p, score in walk)
     return Counter(tuple(p.prices[k] for k in perm) for p, _ in walk)
@@ -213,11 +223,11 @@ def test_grid_walk_survives_permuting_goods_axes_and_traders(name):
     on [0, 2] at grid_k 2 for M_4, where the origin and the points with an
     unbounded demand are skipped."""
     if name == "M4":
-        m, axes = build_mn(4), [_axis_points(F(0), F(2), 2)] * 4
+        m, axes = build_mn(4), [axis_points(F(0), F(2), 2)] * 4
     else:
         n, seed = map(int, name.removeprefix("reduced").split("-"))
         m, _ = build_reduced_market(validate_game(*random_sparse_game_matrices(random.Random(seed), n)))
-        axes = [_axis_points(F(1), F(2), 1)] * m.n_goods
+        axes = [axis_points(F(1), F(2), 1)] * m.n_goods
     want = _check_walk_relations(m, axes, random.Random(name))
     if name == "M4":
         assert sum(want.values()) == 2**4  # every point with a zero price is skipped
@@ -239,8 +249,27 @@ def test_grid_walk_relations_hold_on_drawn_boxes(market, grid_k, intervals, seed
     lower end skips points midway for unbounded demand."""
     m = _small_market(*market)[0]
     k = grid_k if market[0] == "M" else 1
-    axes = [_axis_points(lo, lo + width, k) for lo, width in intervals[:m.n_goods]]
+    axes = [axis_points(lo, lo + width, k) for lo, width in intervals[:m.n_goods]]
     _check_walk_relations(m, axes, random.Random(seed))
+
+
+@given(market=st.one_of(st.tuples(st.just("M"), st.integers(2, 5)),
+                        st.tuples(st.sampled_from(["reduced2", "reduced3"]), st.integers(0, 7))),
+       grid_k=st.integers(1, 2), intervals=st.lists(AXIS, min_size=8, max_size=8), c=st.integers(2, 60))
+def test_grid_walk_is_unchanged_by_scaling_the_int_axes(market, grid_k, intervals, c):
+    """The walk reads its int axes as prices over a denominator it never
+    needs, so multiplying every axis by c walks the same indices in the same
+    order and gives each point the same score, though its (num, den) pair,
+    its rate scale and its field width all grow with c.  On the markets and
+    boxes of the relations above."""
+    m = _small_market(*market)[0]
+    k = grid_k if market[0] == "M" else 1
+    axes = int_axes([axis_points(lo, lo + width, k) for lo, width in intervals[:m.n_goods]])
+
+    def walk(axes):
+        return [(idx, None if score is None else F(*score)) for idx, score in grid_scores(m, axes)]
+
+    assert walk([[c * q for q in axis] for axis in axes]) == walk(axes)
 
 
 def _permute_game(A, B, sigma, tau):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import plcmarket.search
@@ -15,15 +15,15 @@ from plcmarket.regulating import build_mn
 from plcmarket.search import (
     MAX_REFINE_ROUNDS,
     SearchConfig,
-    _axis_points,
-    grid_scores,
     search_equilibrium,
     unit_box,
 )
 from plcmarket.serialize import dumps, search_report_to_obj
 
 from oracles import (
+    axis_points,
     endowment_row,
+    grid_walk,
     random_market,
     random_sparse_game_matrices,
     reference_grid_scores,
@@ -34,7 +34,7 @@ from oracles import (
 
 def _count_scoring(monkeypatch):
     """Count the search's demand evaluations and the grid points it scores,
-    the (p, score) pairs `grid_scores` yields."""
+    the (idx, score) pairs `grid_scores` yields."""
     counts = {"demands": 0, "points": 0}
     packed_fill, walk = plcmarket.search.packed_fill, plcmarket.search.grid_scores
 
@@ -72,10 +72,11 @@ def _count_visits(monkeypatch):
     return counts
 
 
-def _in_product_order(walk):
-    """The (p, score) pairs of a grid walk sorted by prices: every axis
-    ascends, so this is the product order the reference walks in."""
-    return sorted(walk, key=lambda ps: ps[0].prices)
+def _in_product_order(m, axes):
+    """The (p, score) pairs of the grid walk on Fraction axes, sorted by
+    prices: every axis ascends, so this is the product order the reference
+    walks in."""
+    return sorted(grid_walk(m, axes), key=lambda ps: ps[0].prices)
 
 
 def _support(trader, n_goods):
@@ -189,6 +190,18 @@ def test_unshrinkable_box_is_scored_once(monkeypatch):
     rep = search_equilibrium(market, cfg)
     assert counts["points"] == 2**6
     assert len(rep.trace) == 3
+    # at grid_k 2 a box keeps itself when the incumbent is its centre: M_2's
+    # equilibrium (1, 1) on [0, 2]^2.  Each later shrink gives the same box
+    # over twice the denominator, and only the gcd reduction makes it
+    # compare equal to the box scored
+    m = build_mn(2)
+    cfg = SearchConfig(box=unit_box(2, 0, 2), grid_k=2, refine_rounds=0)
+    counts.update(demands=0, points=0)
+    search_equilibrium(m, cfg)
+    once = dict(counts)
+    rep = search_equilibrium(m, SearchConfig(box=cfg.box, grid_k=2, refine_rounds=3))
+    assert rep.best_price.prices == (1, 1)
+    assert counts == {key: 2 * value for key, value in once.items()}
 
 
 def test_grid_pass_evaluates_each_support_price_once(monkeypatch):
@@ -221,6 +234,20 @@ def test_grid_pass_visits_only_traders_on_changed_coordinates(monkeypatch, n, vi
     assert visits <= len(supports) * 2**N
 
 
+def test_search_builds_fractions_per_round_and_incumbent_only(monkeypatch):
+    # the walk's scores are (num, den) pairs and its points index tuples, so
+    # a search builds one Fraction per trace entry and one per price of the
+    # incumbent, not one per grid point (2^6 of them here)
+    market, _ = build_reduced_market(validate_game([[1, 0], [0, 1]], [[1, 0], [0, 1]]))
+    built = []
+    fraction = plcmarket.search.Fraction
+    monkeypatch.setattr(plcmarket.search, "Fraction", lambda *args: built.append(args) or fraction(*args))
+    cfg = SearchConfig(box=unit_box(6), grid_k=1, refine_rounds=2, epsilon=F(1, 6**13))
+    rep = search_equilibrium(market, cfg)
+    assert rep.best_price is not None
+    assert len(built) == len(rep.trace) + market.n_goods == 3 + 6
+
+
 def test_int_box_matches_fraction_box():
     m = build_mn(2)
     got = search_equilibrium(m, SearchConfig(box=((1, 3), (2, 3)), grid_k=2, epsilon=1))
@@ -238,8 +265,8 @@ def test_int_box_matches_fraction_box():
 )
 def test_grid_scores_match_imbalance_profile(seed, grid_k, los):
     market = random_market(random.Random(seed))
-    axes = [_axis_points(lo, F(2), grid_k) for lo in los[: market.n_goods]]
-    assert _in_product_order(grid_scores(market, axes)) == reference_grid_scores(market, axes)
+    axes = [axis_points(lo, F(2), grid_k) for lo in los[: market.n_goods]]
+    assert _in_product_order(market, axes) == reference_grid_scores(market, axes)
 
 
 @pytest.mark.parametrize("n, seed, lo", [(2, 0, 1), (2, 1, 0), (3, 0, 1)])
@@ -248,8 +275,8 @@ def test_grid_scores_match_imbalance_profile_on_reduced_markets(n, seed, lo):
     market, _ = build_reduced_market(
         validate_game(*random_sparse_game_matrices(random.Random(seed), n))
     )
-    axes = [_axis_points(F(lo if k == 0 else 1), F(2), 1) for k in range(market.n_goods)]
-    assert _in_product_order(grid_scores(market, axes)) == reference_grid_scores(market, axes)
+    axes = [axis_points(F(lo if k == 0 else 1), F(2), 1) for k in range(market.n_goods)]
+    assert _in_product_order(market, axes) == reference_grid_scores(market, axes)
 
 
 _LO = st.builds(F, st.just(0) | st.integers(1, 14), st.integers(2, 7))
@@ -268,8 +295,8 @@ def test_grid_scores_match_imbalance_profile_on_mixed_denominator_boxes(seed, gr
     # each bound has its own denominator, so the axes share no step; width 0
     # gives a single-point axis and lo 0 a free good anywhere in the walk
     market = random_market(random.Random(seed))
-    axes = [_axis_points(lo, lo + w, grid_k) for lo, w in bounds[: market.n_goods]]
-    assert _in_product_order(grid_scores(market, axes)) == reference_grid_scores(market, axes)
+    axes = [axis_points(lo, lo + w, grid_k) for lo, w in bounds[: market.n_goods]]
+    assert _in_product_order(market, axes) == reference_grid_scores(market, axes)
 
 
 @pytest.mark.parametrize("n, seed, free", [(2, 0, 2), (2, 1, 5), (3, 0, 4), (3, 1, 7)])
@@ -279,8 +306,8 @@ def test_grid_scores_skip_midway_on_reduced_markets(n, seed, free):
     market, _ = build_reduced_market(
         validate_game(*random_sparse_game_matrices(random.Random(seed), n))
     )
-    axes = [_axis_points(F(0 if k == free else 1), F(2), 1) for k in range(market.n_goods)]
-    got = _in_product_order(grid_scores(market, axes))
+    axes = [axis_points(F(0 if k == free else 1), F(2), 1) for k in range(market.n_goods)]
+    got = _in_product_order(market, axes)
     assert 0 < len(got) < 2**market.n_goods
     assert got == reference_grid_scores(market, axes)
 
@@ -300,8 +327,8 @@ def test_grid_scores_match_imbalance_profile_on_a_shared_support(free):
         TraderSpec([(1, 1)], [(0, capped)]),
     ))
     assert len({tuple(_support(t, 3)) for t in market.traders}) == 3
-    axes = [_axis_points(F(0 if k == free else 1), F(2), 2 if k == free else 1) for k in range(3)]
-    got = _in_product_order(grid_scores(market, axes))
+    axes = [axis_points(F(0 if k == free else 1), F(2), 2 if k == free else 1) for k in range(3)]
+    got = _in_product_order(market, axes)
     assert len(got) == 4 * 2  # the 4 points where the free good's price is 0 skip
     assert got == reference_grid_scores(market, axes)
 
@@ -320,8 +347,8 @@ def test_grid_scores_match_imbalance_profile_on_shared_supports(seed, grid_k, bo
     traders = [*market.traders, *twins]
     rng.shuffle(traders)
     market = Market(market.n_goods, tuple(traders))
-    axes = [_axis_points(lo, lo + w, grid_k) for lo, w in bounds[: market.n_goods]]
-    assert _in_product_order(grid_scores(market, axes)) == reference_grid_scores(market, axes)
+    axes = [axis_points(lo, lo + w, grid_k) for lo, w in bounds[: market.n_goods]]
+    assert _in_product_order(market, axes) == reference_grid_scores(market, axes)
 
 
 def test_grid_scores_match_imbalance_profile_at_the_field_width():
@@ -334,8 +361,8 @@ def test_grid_scores_match_imbalance_profile_at_the_field_width():
         TraderSpec([(0, 1), (1, 3)], [(0, linear_plc(1))]),
         TraderSpec([], [(2, validate_plc([2, 0], [1]))]),
     ))
-    axes = [_axis_points(F(1), F(2), 1), _axis_points(F(1), F(2), 1), _axis_points(F(0), F(2), 1)]
-    got = _in_product_order(grid_scores(market, axes))
+    axes = [axis_points(F(1), F(2), 1), axis_points(F(1), F(2), 1), axis_points(F(0), F(2), 1)]
+    got = _in_product_order(market, axes)
     assert got[-1] == (PriceVector((F(2), F(2), F(2))), F(3))  # good 0's total 8 against its supply 1 * 2
     assert got == reference_grid_scores(market, axes)
 
@@ -346,7 +373,7 @@ def test_search_breaks_a_tie_by_product_order():
     # search keeps the earlier one, as the reference does
     market = random_market(random.Random(94))
     cfg = SearchConfig(unit_box(3), grid_k=2, refine_rounds=0)
-    walk = [(p.prices, score) for p, score in grid_scores(market, [_axis_points(F(1), F(2), 2)] * 3)]
+    walk = [(p.prices, score) for p, score in grid_walk(market, [axis_points(F(1), F(2), 2)] * 3)]
     least = min(score for _, score in walk if score is not None)
     tied = [prices for prices, score in walk if score == least]
     assert len(tied) == 2 and tied[0] > tied[1]
@@ -360,6 +387,36 @@ def test_search_keeps_an_earlier_boxs_incumbent_on_a_tie():
     # incumbent at its score; the incumbent, found in an earlier box, stays
     market = random_market(random.Random(24))
     cfg = SearchConfig(unit_box(market.n_goods, F(1, 2), 2), grid_k=2, refine_rounds=2)
+    got, want = search_equilibrium(market, cfg), reference_search(market, cfg)
+    assert dumps(search_report_to_obj(got)) == dumps(search_report_to_obj(want))
+
+
+_BOX_END = st.builds(F, st.integers(0, 18), st.integers(1, 9))
+
+
+# a kept incumbent whose denominator changes the shrink needs a rare draw:
+# 300 examples, and ten times that under the deep profile
+@settings(max_examples=3 * settings.default.max_examples)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grid_k=st.integers(1, 3),
+    rounds=st.integers(0, 3),
+    axes=st.lists(st.tuples(_BOX_END, _BOX_END), min_size=3, max_size=3),  # (lower end, width)
+    eps=st.sampled_from([F(0), F(1, 4), F(1, 2)]),
+)
+# round 1 scores a box over 10 * 2 and keeps round 0's incumbent, whose ints
+# are over 5 * 2; round 2 shrinks around it, and only a common denominator
+# of the two puts the box and the incumbent on one scale
+@example(seed=1372, grid_k=2, rounds=2, axes=[(F(0), F(1)), (F(1, 5), F(0)), (F(0), F(1))], eps=F(0))
+def test_search_matches_reference_on_drawn_boxes(seed, grid_k, rounds, axes, eps):
+    # every coordinate has its own denominator, lower end (0 among them) and
+    # width (0 among them, a one-point axis), so the integer box's common
+    # denominator, its gcd reduction and the shrink around an incumbent that
+    # an earlier box found, on that box's denominator, all show
+    market = random_market(random.Random(seed))
+    box = tuple((lo, lo + w) for lo, w in axes[: market.n_goods])
+    assume(any(hi > 0 for _, hi in box))
+    cfg = SearchConfig(box, grid_k, rounds, eps)
     got, want = search_equilibrium(market, cfg), reference_search(market, cfg)
     assert dumps(search_report_to_obj(got)) == dumps(search_report_to_obj(want))
 
