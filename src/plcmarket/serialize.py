@@ -23,12 +23,15 @@ built with `model.trusted`, so nothing downstream checks it again.
 
 Values repeat: in `M_n` n endowment rows serve the n(n - 1) traders, and
 at an in-box price vector n witness bundles do.  So the parser shares each
-repeated row, and the certificate writer writes one allocation row per
-distinct `Bundle` object.  Sharing is exact: the shared values are
-immutable, and equal inputs give equal outputs.  A value made from its key
-alone, an amount's text, a rational string's Fraction or a view entry, is
-kept in a `model.Memo`; a memo keyed by an object's id, or one that keeps
-only some of its keys, is a plain dict.
+repeated row, the market writer writes the text of each distinct amount,
+endowment row and piece object once, and the certificate writer writes
+one allocation row per distinct `Bundle` object.  Sharing is exact: the
+shared values are immutable, and equal inputs give equal outputs.  The
+writers keep each text by its object's id, which the market or the
+certificate keeps alive while they run: a lookup by value would hash a
+Fraction every time, which costs more.  Memos keyed by id, or that keep
+only some of their keys, are plain dicts; a value the parser makes from
+its key alone, a rational string's Fraction, is kept in a `model.Memo`.
 """
 
 import json
@@ -132,31 +135,45 @@ def plc_from_obj(obj) -> PLCFunction:
 _ZERO = "0/1"
 _ZERO_OBJ = {"kind": "zero"}  # most entries of a sparse market are these two
 _ZERO_PIECE_TEXT = _join(['"kind": "zero"'], 4, "{}")  # a utility entry sits at depth 4 of a market file
+# a market file's line breaks before a trader (depth 2), a trader's field (3) and a row's entry (4)
+_NL2, _NL3, _NL4 = "\n    ", "\n      ", "\n        "
+_ENTRY = "," + _NL4  # between the entries of a row
 
 
 def _market_text(m: Market) -> str:
     """The text `dumps` gives m's dense rows, ``{"n_goods", "traders":
     [{"endowment", "label", "utilities"}]}``, written from each trader's
-    nonzeros.  Each distinct amount is encoded once per call, and each piece
-    object once, keyed by its id, which the market keeps alive."""
-    amounts = Memo(_rational_text)
+    nonzeros; each trader's object is one f-string from the line breaks of
+    its fixed depths.  The text of each amount object, of each endowment
+    row object (`regulating_block` and the parser share rows among
+    traders) and of each piece object is made once per call and kept by
+    the object's id, which the market keeps alive: a Fraction's hash,
+    which a lookup by value pays each time, costs more than its id."""
+    amounts: dict[int, str] = {}  # id of an amount -> its text
+    rows: dict[int, str] = {}  # id of an endowment row -> the text of its entries
     pieces: dict[int, str] = {}  # id of a piece -> its text
+
+    def amount(w) -> str:
+        return amounts.get(id(w)) or amounts.setdefault(id(w), _rational_text(w))
+
     zero_endowment, zero_utilities = [f'"{_ZERO}"'] * m.n_goods, [_ZERO_PIECE_TEXT] * m.n_goods
     traders = []
     for t in m.traders:
-        endow, utils = zero_endowment.copy(), zero_utilities.copy()
-        for k, w in t.owned:
-            endow[k] = amounts[w]
+        if id(t.owned) not in rows:
+            endow = zero_endowment.copy()
+            for k, w in t.owned:
+                endow[k] = amount(w)
+            rows[id(t.owned)] = _ENTRY.join(endow)
+        utils = zero_utilities.copy()
         for k, f in t.wanted:
             if id(f) not in pieces:
-                pieces[id(f)] = _join([f'"breaks": {_join([amounts[a] for a in f.breaks], 5, "[]")}',
-                                       f'"slopes": {_join([amounts[s] for s in f.slopes], 5, "[]")}'], 4, "{}")
+                pieces[id(f)] = _join([f'"breaks": {_join([amount(a) for a in f.breaks], 5, "[]")}',
+                                       f'"slopes": {_join([amount(s) for s in f.slopes], 5, "[]")}'], 4, "{}")
             utils[k] = pieces[id(f)]
-        fields = ['"endowment": ' + _join(endow, 3, "[]")]
-        if t.label is not None:
-            fields.append('"label": ' + _string(t.label))
-        traders.append(_join(fields + ['"utilities": ' + _join(utils, 3, "[]")], 2, "{}"))
-    return _join([f'"n_goods": {m.n_goods}', '"traders": ' + _join(traders, 1, "[]")], 0, "{}") + "\n"
+        label = "" if t.label is None else f'"label": {_string(t.label)},{_NL3}'
+        traders.append(f'{{{_NL3}"endowment": [{_NL4}{rows[id(t.owned)]}{_NL3}],{_NL3}{label}'
+                       f'"utilities": [{_NL4}{_ENTRY.join(utils)}{_NL3}]{_NL2}}}')
+    return f'{{\n  "n_goods": {m.n_goods},\n  "traders": [{_NL2}{("," + _NL2).join(traders)}\n  ]\n}}\n'
 
 
 def _rational_text(q) -> str:

@@ -239,11 +239,19 @@ _LABELS = st.none() | st.text(st.characters(blacklist_categories=("Cs",)) | st.s
                               max_size=6)
 
 
+_BUILT = ("random", "tie-rich", "mn", "reduced", "mixed-denominator", "labelled")
+
+
 @st.composite
-def _written_markets(draw):
-    """Markets of every family the program writes, and small labelled ones
-    with satiated pieces, one good at times, and a trader that owns nothing."""
-    family = draw(st.sampled_from(["random", "tie-rich", "mn", "reduced", "mixed-denominator", "labelled"]))
+def _written_markets(draw, families=(*_BUILT, "parsed")):
+    """Markets of every family the program writes, small labelled ones with
+    satiated pieces, one good at times, and a trader that owns nothing, and
+    markets parsed from the file of one of those: the parsed traders, built
+    on first read, share the parser's rows, amounts and pieces, so writing
+    one again must give the first write's bytes."""
+    family = draw(st.sampled_from(families))
+    if family == "parsed":
+        return serialize.market_from_obj(json.loads(serialize.dumps(draw(_written_markets(_BUILT)))))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     if family == "random":
         return random_market(rng, max_goods=4, max_traders=4)
@@ -273,7 +281,7 @@ def _first_difference(got: str, want: str):
 
 
 @given(m=_written_markets())
-@settings(max_examples=150)
+@settings(max_examples=3 * settings.default.max_examples // 2)  # 150, and ten times that under the deep profile
 def test_market_writer_matches_reference(m):
     assert _first_difference(serialize.dumps(m), reference_dumps(market_to_obj(m))) is None
 
