@@ -59,16 +59,15 @@ the 3x3 one.
 
 Points come out in walk order as tuples of axis indices; every axis
 ascends, so index order is product order, and the search keeps the first
-best point in it.  The search holds its box as ints over one denominator D,
-reduced by their gcd, so a box that did not shrink compares equal to the
-box scored before it and is not scored again.  With k = grid_k, an axis
-[lo, hi] has the points lo * k + (hi - lo) * s over D * k (lo * k alone
-when lo == hi), and one grid step around the incumbent c is
-[max(lo * k, c - (hi - lo)), min(hi * k, c + (hi - lo))], also over D * k;
-an incumbent that an earlier box found is over that box's grid
-denominator, which may not divide this one's, and then both go over the
-lcm of the two first.  Fractions are built only for the trace, one per
-round, and for the incumbent's prices, which are normalized and verified.
+best point in it.  The search holds its box and its incumbent as Fractions,
+so a box that did not shrink compares equal to the box scored before it
+and is not scored again.  Only the walk's axes are ints: with D the lcm of
+a box's denominators and k = grid_k, an axis [lo, hi] has the points
+lo * k + (hi - lo) * s over D * k (lo * k alone when lo == hi), and the
+incumbent is the Fractions of its grid point.  One grid step around the
+incumbent c is [max(lo, c - (hi - lo) / k), min(hi, c + (hi - lo) / k)];
+at grid_k 1 that is the whole box around any grid point, so those rounds
+do no shrink.
 """
 
 import math
@@ -244,20 +243,20 @@ def search_equilibrium(m: Market, cfg: SearchConfig) -> SearchReport:
     if len(cfg.box) != m.n_goods:
         raise BoxDimensionMismatch(f"box has {len(cfg.box)} coordinates for {m.n_goods} goods")
     k = cfg.grid_k
-    # the box as ints over D, the lcm of its denominators, so D and the ints
-    # share no factor, as after each shrink below: equal boxes, equal ints
-    D = math.lcm(*(q.denominator for bounds in cfg.box for q in bounds))
-    box = tuple(tuple(q.numerator * (D // q.denominator) for q in bounds) for bounds in cfg.box)
+    box = cfg.box
 
     # Scores are scale-invariant, so only the final incumbent is normalized;
     # rescoring the last box scored could never lower the incumbent's score.
     scored = None
-    best = None  # the incumbent's prices as ints, and their denominator
+    best = None  # the incumbent's prices
     best_score = None  # its (num, den)
     trace = []
     for rnd in range(cfg.refine_rounds + 1):
-        if (box, D) != scored:
-            axes = [[lo * k + (hi - lo) * s for s in range(k + 1)] if lo < hi else [lo * k] for lo, hi in box]
+        if box != scored:
+            # the walk's axes as ints over D * k, D the lcm of the box's denominators
+            D = math.lcm(*(q.denominator for bounds in box for q in bounds))
+            ints = [[q.numerator * (D // q.denominator) for q in bounds] for bounds in box]
+            axes = [[lo * k + (hi - lo) * s for s in range(k + 1)] if lo < hi else [lo * k] for lo, hi in ints]
             # the first best point in product order, which is index order,
             # since every axis ascends; an earlier box's incumbent wins a tie
             bidx = None
@@ -268,26 +267,18 @@ def search_equilibrium(m: Market, cfg: SearchConfig) -> SearchReport:
                 if gain > 0 or gain == 0 and bidx is not None and idx < bidx:
                     best_score, bidx = score, idx
             if bidx is not None:
-                best = tuple(map(getitem, axes, bidx)), D * k
-            scored = box, D
+                best = tuple(Fraction(c, D * k) for c in map(getitem, axes, bidx))
+            scored = box
         trace.append((rnd, None if best_score is None else Fraction(*best_score)))
-        if best is None or rnd == cfg.refine_rounds:  # the last round's box is never read
+        # the last round's box is never read, and at grid_k 1 one grid step
+        # around any grid point is the whole box
+        if best is None or rnd == cfg.refine_rounds or k == 1:
             continue
-        # shrink to one current grid step around the incumbent, clipped to the
-        # box: over D * k the step is hi - lo and the ends are lo * k, hi * k.
-        # An incumbent that an earlier box found is over that box's E, which
-        # may not divide D * k, so both go over F, the lcm of the two
-        point, E = best
-        F = math.lcm(D * k, E)
-        a, b = F // (D * k), F // E
-        box = tuple((max(lo * k * a, c * b - (hi - lo) * a), min(hi * k * a, c * b + (hi - lo) * a))
-                    for (lo, hi), c in zip(box, point))
-        g = math.gcd(F, *(q for bounds in box for q in bounds))
-        box, D = tuple((lo // g, hi // g) for lo, hi in box), F // g
+        # shrink to one current grid step around the incumbent, clipped to the box
+        box = tuple((max(lo, c - (hi - lo) / k), min(hi, c + (hi - lo) / k)) for (lo, hi), c in zip(box, best))
 
     if best is None:
         return SearchReport(None, None, False, tuple(trace), None)
-    point, E = best
-    best_price = normalize_prices(trusted(PriceVector, prices=tuple(Fraction(c, E) for c in point), normalized=False))
+    best_price = normalize_prices(trusted(PriceVector, prices=best, normalized=False))
     cert = verify(m, best_price, APPROXIMATE, cfg.epsilon)
     return SearchReport(best_price, trace[-1][1], cert.accepted, tuple(trace), cert)

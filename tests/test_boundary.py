@@ -153,8 +153,14 @@ def _zero_endowments(obj, i, k):
         entry["endowment"] = ["0"] * obj["n_goods"]
 
 
-CORRUPTIONS = {  # the last two are zeros written another way, which both parsers drop
+CORRUPTIONS = {  # the last three are zeros written another way, which both parsers drop
     "float": _set_entry(0.5),
+    "list-entry": _set_entry(["1"]),
+    "object-entry": _set_entry({"num": "1"}),
+    "list-slope": _set_piece({"slopes": [["1"]], "breaks": []}),
+    "object-break": _set_piece({"slopes": ["2", "1"], "breaks": [{"at": "1"}]}),
+    "string-utility": _set_piece("1"),
+    "number-utility": _set_piece(1),
     "float-slope": _set_piece({"slopes": [0.5], "breaks": []}),
     "true": _set_entry(True),
     "true-slope": _set_piece({"slopes": ["2", True], "breaks": ["1"]}),
@@ -170,6 +176,7 @@ CORRUPTIONS = {  # the last two are zeros written another way, which both parser
     "all-zero-endowments": _zero_endowments,
     "unreduced-zero": _set_entry("0/5"),
     "zero-slope": _set_piece({"slopes": ["0"], "breaks": []}),
+    "zero-with-keys": _set_piece({"kind": "zero", "slopes": ["1"], "breaks": []}),
 }
 
 
@@ -182,6 +189,11 @@ def test_parser_matches_reference_on_corrupted_markets(seed, family, kind, where
     CORRUPTIONS[kind](obj, i, where[1] % obj["n_goods"])
     got, want = _parse_both(obj)
     _assert_same(got, want)
+
+
+def test_a_zero_piece_ignores_its_other_keys():
+    # both parsers read pieces with plc_from_obj, so the referee above cannot tell
+    assert serialize.plc_from_obj({"kind": "zero", "slopes": ["1"], "breaks": []}) is ZERO_PLC
 
 
 def _json_trees():

@@ -424,6 +424,29 @@ def test_verify_cli_exits_3_on_a_corrupted_witness(tmp_path, monkeypatch):
     assert res.exit_code == 3 and "internal invariant violation" in res.output
 
 
+def _move_money_across_the_tie(m, p, demands, waived, x, Q):
+    """All of S(1,2)'s money on good 0 moved to good 1, the other good of
+    its tie: the bundle stays optimal, but the goods no longer clear."""
+    x[0][1] = x[0].get(1, 0) + x[0].pop(0)
+    return 0
+
+
+def test_witness_recheck_rejects_a_witness_outside_the_clearing_window(tmp_path, monkeypatch):
+    # at (2, 1) S(1,2) is indifferent between its two goods, so every
+    # bundle passes the trader check and only the window check catches it
+    m, p = build_mn(2), prices([2, 1])
+    assert verify(m, p, EXACT).accepted
+    market, vec = tmp_path / "m.json", tmp_path / "p.json"
+    market.write_text(dumps(m))
+    vec.write_text(dumps(prices_to_obj(p)))
+    args = ["verify", "--market", str(market), "--prices", str(vec), "--mode", "exact"]
+    monkeypatch.setattr(clearing, "_solve", _corrupting_solve(_move_money_across_the_tie, []))
+    with pytest.raises(InternalInvariantViolation, match="^witness violates clearing window on good 0$"):
+        verify(m, p, EXACT)
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 3 and "internal invariant violation" in res.output
+
+
 # --- the shortcuts around the flow ------------------------------------------------
 #
 # `clearing._solve` decides without a flow where it can.  Where no trader has

@@ -9,9 +9,13 @@ from click.testing import CliRunner
 
 from plcmarket import serialize
 from plcmarket.cli import main
-from plcmarket.clearing import verify
-from plcmarket.errors import InternalInvariantViolation
+from plcmarket.clearing import APPROXIMATE, verify
+from plcmarket.errors import InternalInvariantViolation, InvalidMarket
 from plcmarket.games import validate_game
+from plcmarket.model import PriceVector, normalize_prices, prices
+from plcmarket.reduction import build_reduced_market
+from plcmarket.regulating import build_mn
+from plcmarket.search import SearchReport
 
 from oracles import game_to_obj, random_sparse_game_matrices
 
@@ -486,6 +490,8 @@ def _no_endowment(obj):
 
 MALFORMED_MARKETS = [
     ("float", _endowment(0.5), "floats are not accepted as rationals: 0.5"),
+    ("list", _endowment(["1"]), "cannot parse rational from list: ['1']"),
+    ("string-utility", _piece("1"), "utility entry must be an object"),
     ("true", _endowment(True), "not a rational: True"),
     ("negative", _endowment("-1/2"), "trader 1 has a negative endowment entry"),
     ("zero-denominator", _endowment("1/0"), "zero denominator in rational: '1/0'"),
@@ -566,3 +572,75 @@ def test_command_garbage_does_not_grow_with_its_work(tmp_path):
         if was_enabled:
             gc.enable()
     assert found[0] == found[1]
+
+
+# (label, command line, exit code, text of the output); a name in braces is
+# a file the test writes: market is M_2, the others are in _BOUNDARY_FILES
+CLI_BOUNDARY = [
+    ("eps-bad-exponent", ["verify", "--market", "{market}", "--prices", "{prices}", "--eps", "N^x"], 2,
+     "error: bad epsilon exponent in 'N^x'"),
+    ("eps-exponent-out-of-range", ["verify", "--market", "{market}", "--prices", "{prices}", "--eps", "N^-100"], 2,
+     "error: epsilon exponent must lie in [-64, 0] in 'N^-100'"),
+    ("eps-game-size-on-verify", ["verify", "--market", "{market}", "--prices", "{prices}", "--eps", "n^-6"], 2,
+     "error: epsilon uses n but no game size is in scope"),
+    ("eps-unknown-base", ["verify", "--market", "{market}", "--prices", "{prices}", "--eps", "q^-2"], 2,
+     "error: epsilon base must be n or N, got 'q'"),
+    ("prices-list", ["verify", "--market", "{market}", "--prices", "{list}", "--eps", "1/2"], 2,
+     "error: prices: missing key 'prices'"),
+    ("prices-int-normalized", ["verify", "--market", "{market}", "--prices", "{int_normalized}", "--eps", "1/2"], 2,
+     "error: prices: normalized must be a boolean"),
+    ("validate-artifacts", ["validate", "{prices}", "{profile}", "{meta}"], 0, "meta: game n=2, goods=6"),
+    ("validate-unknown-schema", ["validate", "{unknown}"], 2, "INVALID - unrecognized schema"),
+]
+_BOUNDARY_FILES = {
+    "prices": {"prices": ["1", "2"], "normalized": True},
+    "profile": {"x": ["1", "0"], "y": ["1/2", "1/2"]},
+    "meta": serialize.meta_to_obj(build_reduced_market(validate_game(COORD["A"], COORD["B"]))[1]),
+    "list": [],
+    "int_normalized": {"prices": ["1", "2"], "normalized": 1},
+    "unknown": {"foo": 1},
+}
+
+
+@pytest.mark.parametrize("args, code, text", [row[1:] for row in CLI_BOUNDARY], ids=[row[0] for row in CLI_BOUNDARY])
+def test_cli_boundary(tmp_path, args, code, text):
+    files = {name: tmp_path / f"{name}.json" for name in ("market", *_BOUNDARY_FILES)}
+    assert run("gen-mn", "--n", "2", "-o", str(files["market"])).exit_code == 0
+    for name, obj in _BOUNDARY_FILES.items():
+        write(files[name], obj)
+    res = run(*(arg.format(**files) for arg in args))
+    assert res.exit_code == code and text in res.output
+
+
+def test_verify_rejects_an_unknown_mode():
+    with pytest.raises(InvalidMarket, match="unknown verification mode 'bogus'"):
+        verify(build_mn(2), prices([1, 2]), "bogus")
+
+
+def test_pipeline_writes_the_accepted_branch(tmp_path, monkeypatch):
+    # the grid rarely finds an equilibrium at N^-13, so the search returns
+    # the 2x2 identity game's vertex (2, 1, 2, 1, 1, 2), which verifies there
+    game = tmp_path / "game.json"
+    write(game, COORD)
+
+    def found(market, cfg):
+        p = normalize_prices(PriceVector([2, 1, 2, 1, 1, 2]))
+        cert = verify(market, p, APPROXIMATE, cfg.epsilon)
+        assert cert.accepted
+        worst = max(abs(g.imbalance) / g.supply for g in cert.report if g.supply)
+        return SearchReport(p, worst, True, ((0, worst),), cert)
+
+    monkeypatch.setattr("plcmarket.cli.search_equilibrium", found)
+    runs = []
+    for outdir in (tmp_path / "a", tmp_path / "b"):
+        res = run("pipeline", "--game", str(game), "--outdir", str(outdir))
+        assert res.exit_code == 0 and "equilibrium found" in res.output
+        runs.append({path.name: path.read_bytes() for path in sorted(outdir.iterdir())})
+    assert runs[0] == runs[1]
+    assert {"prices.json", "strat.json"} <= set(runs[0])
+    summary = json.loads(runs[0]["summary.json"])
+    strat = {"x": ["1/1", "0/1"], "y": ["1/1", "0/1"]}
+    assert json.loads(runs[0]["strat.json"]) == strat
+    assert summary["equilibrium_found"] is True
+    assert summary["extraction"] == {"clamped": False, **strat}
+    assert summary["nash_check"] == {"status": "checked", "passed": True, "witness": None}

@@ -191,9 +191,8 @@ def test_unshrinkable_box_is_scored_once(monkeypatch):
     assert counts["points"] == 2**6
     assert len(rep.trace) == 3
     # at grid_k 2 a box keeps itself when the incumbent is its centre: M_2's
-    # equilibrium (1, 1) on [0, 2]^2.  Each later shrink gives the same box
-    # over twice the denominator, and only the gcd reduction makes it
-    # compare equal to the box scored
+    # equilibrium (1, 1) on [0, 2]^2.  Each later shrink gives an equal
+    # Fraction box, which compares equal to the box scored
     m = build_mn(2)
     cfg = SearchConfig(box=unit_box(2, 0, 2), grid_k=2, refine_rounds=0)
     counts.update(demands=0, points=0)
@@ -404,15 +403,15 @@ _BOX_END = st.builds(F, st.integers(0, 18), st.integers(1, 9))
     axes=st.lists(st.tuples(_BOX_END, _BOX_END), min_size=3, max_size=3),  # (lower end, width)
     eps=st.sampled_from([F(0), F(1, 4), F(1, 2)]),
 )
-# round 1 scores a box over 10 * 2 and keeps round 0's incumbent, whose ints
-# are over 5 * 2; round 2 shrinks around it, and only a common denominator
-# of the two puts the box and the incumbent on one scale
+# round 1 scores a box whose axes are over 10 * 2 and keeps round 0's
+# incumbent, a grid point over 5 * 2; round 2 shrinks around it, so the
+# shrink must meet an incumbent that is not on the scored box's grid
 @example(seed=1372, grid_k=2, rounds=2, axes=[(F(0), F(1)), (F(1, 5), F(0)), (F(0), F(1))], eps=F(0))
 def test_search_matches_reference_on_drawn_boxes(seed, grid_k, rounds, axes, eps):
     # every coordinate has its own denominator, lower end (0 among them) and
-    # width (0 among them, a one-point axis), so the integer box's common
-    # denominator, its gcd reduction and the shrink around an incumbent that
-    # an earlier box found, on that box's denominator, all show
+    # width (0 among them, a one-point axis), so the axes' common
+    # denominator and the shrink around an incumbent that an earlier box
+    # found, on that box's grid, both show
     market = random_market(random.Random(seed))
     box = tuple((lo, lo + w) for lo, w in axes[: market.n_goods])
     assume(any(hi > 0 for _, hi in box))
