@@ -12,10 +12,13 @@ bundle, and whether its demand is unbounded, depend only on the prices of
 its support, the goods it owns or has a nonzero utility piece on: budget,
 offers and forced satiation amounts read nothing else, and the bundle is
 zero off the support.  So the traders are grouped by support, and each
-group keeps one memo from the axis indices of its support to the sum of its
-members' bundles restricted to it, or to a mark of unbounded demand when
-some member's is; the per-good totals change by exact differences only when
-a group's entry changes.  Memos live for one box, so a box with axes A_k
+group keeps one memo, a flat table indexed by the mixed-radix key of its
+support's axis indices, of the sum of its members' bundles restricted to
+the support, or of a mark of unbounded demand when some member's is.  A
+group's key is one int, kept current through every point, scored, skipped
+or stale: a move of axis k adds +-stride_k to the key of each group that
+holds good k.  The per-good totals change by exact differences only when a
+group's entry changes.  Memos live for one box, so a box with axes A_k
 holds at most sum_S prod_{k in S} |A_k| entries over the distinct supports
 S, and computes at most sum_i prod_{k in support(i)} |A_k| demands, instead
 of one demand per trader and grid point; in the paper's reduced markets
@@ -42,29 +45,32 @@ the top of each axis plus every finite satiation amount: a priced good's
 fill is money the trader has, a free good's a satiation amount, so no
 good's total, nor any mix of stale and fresh entries, reaches 2^W, and no
 field carries into the next.  The worst relative imbalance is found by
-cross-multiplying each field with supply * (P_k or 1) and kept as a
-(num, den) pair of ints, which the search compares by cross-multiplying.
+cross-multiplying each field with supply * (P_k or 1), read from a row of
+one entry per axis that each move updates, and kept as a (num, den) pair of
+ints, which the search compares by cross-multiplying.
 
 The walk takes the reflected mixed-radix Gray order (Knuth, TAOCP 4A,
-7.2.1.1): each step moves one axis by one place, the last axis the most
-often, and visits only the supports that hold that good, once for all
-their traders, plus every support left stale by a point skipped midway,
-at the origin or for unbounded demand.  So a support that holds good k is
-revisited whenever P_k changes, and a stale one before the next scored
-point: at each scored point all of good k's entries are on its one scale,
-and the score equals the one a from-scratch sum of every trader's
-canonical bundle gives there.  A pass at grid_k 1 over [1, 2]^N makes 507
-support visits on the reduced market of the 2x2 identity game and 3,739 on
+7.2.1.1): each step moves one axis by one place, and visits only the
+supports that hold that good, once for all their traders, plus every
+support left stale by a point skipped midway, at the origin or for
+unbounded demand.  The most-held good moves least: the walk's axes are the
+goods by descending count of the supports that hold them, ties broken by
+good index, and the last of them moves most often.  So a support that
+holds good k is revisited whenever P_k changes, and a stale one before the
+next scored point: at each scored point all of good k's entries are on its
+one scale, and the score equals the one a from-scratch sum of every trader's
+canonical bundle gives there.  A pass at grid_k 1 over [1, 2]^N makes 428
+support visits on the reduced market of the 2x2 identity game and 2,593 on
 the 3x3 one.
 
-Points come out in walk order as tuples of axis indices; every axis
-ascends, so index order is product order, and the search keeps the first
-best point in it.  The search holds its box and its incumbent as Fractions,
-so a box that did not shrink compares equal to the box scored before it
-and is not scored again.  Only the walk's axes are ints: with D the lcm of
-a box's denominators and k = grid_k, an axis [lo, hi] has the points
-lo * k + (hi - lo) * s over D * k (lo * k alone when lo == hi), and the
-incumbent is the Fractions of its grid point.  One grid step around the
+Points come out in walk order as tuples of axis indices in good order;
+every axis ascends, so index order is product order, and the search keeps
+the first best point in it.  The search holds its box and its incumbent as
+Fractions, so a box that did not shrink compares equal to the box scored
+before it and is not scored again.  Only the walk's axes are ints: with D
+the lcm of a box's denominators and k = grid_k, an axis [lo, hi] has the
+points lo * k + (hi - lo) * s over D * k (lo * k alone when lo == hi), and
+the incumbent is the Fractions of its grid point.  One grid step around the
 incumbent c is [max(lo, c - (hi - lo) / k), min(hi, c + (hi - lo) / k)];
 at grid_k 1 that is the whole box around any grid point, so those rounds
 do no shrink.
@@ -73,7 +79,7 @@ do no shrink.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import getitem, itemgetter
+from operator import getitem
 
 from .clearing import APPROXIMATE, Certificate, verify
 from .demand import packed_fill
@@ -139,18 +145,18 @@ class SearchReport:
     certificate: Certificate | None = None
 
 
-def _score(total, width, supply, P) -> tuple[int, int] | None:
+def _score(total, width, supplied) -> tuple[int, int] | None:
     """The worst |total - supply| / supply over goods with nonzero supply,
     as (num, den), or None when a zero-supply good is allocated.  Good k's
     total is field k, width bits wide, of the packed int total; it counts
-    units of 1/(M * P_k), or 1/M when the good is free, and its supply 1/M.
-    A common factor of P scales num and den alike, so two scores compare by
-    cross-multiplying whatever scale their points' prices are on."""
+    units of 1/(M * P_k), or 1/M when the good is free, and supplied[k] is
+    its supply, counted in 1/M, times (P_k or 1).  A common factor of P
+    scales num and den alike, so two scores compare by cross-multiplying
+    whatever scale their points' prices are on."""
     num, den, mask = 0, 1, (1 << width) - 1
-    for s, q in zip(supply, P):
+    for s in supplied:
         t, total = total & mask, total >> width
         if s:
-            s *= q or 1
             gap = abs(t - s)
             if gap * den > num * s:
                 num, den = gap, s
@@ -161,20 +167,23 @@ def _score(total, width, supply, P) -> tuple[int, int] | None:
 
 def grid_scores(m: Market, axes):
     """Yield (idx, score) for the grid points in reflected Gray order, one
-    axis moving per step, leaving out the origin and every point where some
-    trader's demand is unbounded.  The axes hold nonnegative ints, the
-    prices over one denominator the walk never needs, since demand and
-    scores are the same at every positive multiple of a price vector; idx
-    is the tuple of the point's axis indices.  The score is `_score`'s
-    (num, den), the worst relative imbalance of canonical demand, or None
-    when a zero-supply good is allocated, read from per-good totals packed
-    into fixed-width fields of one int."""
+    axis moving per step and the most-held good the least often, leaving
+    out the origin and every point where some trader's demand is
+    unbounded.  The axes hold nonnegative ints, the prices over one
+    denominator the walk never needs, since demand and scores are the same
+    at every positive multiple of a price vector; idx is the tuple of the
+    point's axis indices, in good order.  The score is
+    `_score`'s (num, den), the worst relative imbalance of canonical
+    demand, or None when a zero-supply good is allocated, read from
+    per-good totals packed into fixed-width fields of one int; the totals
+    sum entries of flat per-support tables, read at int keys that each
+    move steps by a stride."""
     n, sizes = len(axes), [len(axis) for axis in axes]
     # one rate scale for the box: U_k = L // P_k orders every trader's offers
     # as its own lcm would, so a fill needs no lcm of its own
     L = math.lcm(*(q for axis in axes for q in axis if q))
     rates = [[L // q if q else 0 for q in axis] for axis in axes]
-    supply = m.scaled[1]
+    supplied = [[s * (q or 1) for q in axis] for s, axis in zip(m.scaled[1], axes)]
 
     # the traders grouped by support, the goods they own or want: members of a
     # group read the same prices, so they share one memo, key and visit
@@ -183,23 +192,30 @@ def grid_scores(m: Market, axes):
         support = tuple(sorted({k for k, _ in v.owned}.union(k for k, _, _ in v.wanted)))
         if support:  # an empty support demands nothing
             groups.setdefault(support, []).append(i)
-    supports, members = list(groups), list(groups.values())
-    keys = [itemgetter(*support) for support in supports]
-    holders = [[g for g, support in enumerate(supports) if k in support] for k in range(n)]
+    members = list(groups.values())
+    # each memo is a flat table over the mixed-radix key of its support's axis
+    # indices, and a move of axis k adds +-stride to each holder's key
+    holders, moves, memos = [[] for _ in axes], [[] for _ in axes], []
+    for g, support in enumerate(groups):
+        stride = 1
+        for k in reversed(support):
+            holders[k].append(g)
+            moves[k].append((g, stride))
+            stride *= sizes[k]
+        memos.append([None] * stride)
+    # the walk's axes, the one that moves most first: the most-held good moves least
+    walk = sorted(range(n), key=lambda k: (len(holders[k]), -k))
     # no total of a good, nor any mix of stale and fresh entries, exceeds every
     # budget at the top of each axis plus every finite satiation amount
     tops = [max(axis) for axis in axes]
     width = (sum(w * tops[k] for v in view for k, w in v.owned)
              + sum(s for v in view for _, s, _ in v.wanted if s is not None)).bit_length()
     shifts = [width * k for k in range(n)]
-    memos = [{} for _ in supports]
-    contrib = [0] * len(supports)
-    total = 0
+    keys, contrib, total = [0] * len(memos), [0] * len(memos), 0
 
     idx, step = [0] * n, [1] * n
-    P = [axis[0] for axis in axes]
-    U = [axis[0] for axis in rates]
-    stale = set(range(len(supports)))  # groups whose entry is not the current point's
+    P, U, S = [q[0] for q in axes], [u[0] for u in rates], [s[0] for s in supplied]
+    stale = set(range(len(memos)))  # groups whose entry is not the current point's
     visit = []
     while True:
         if stale:
@@ -208,8 +224,7 @@ def grid_scores(m: Market, axes):
             stale.update(visit)
         else:
             for pos, g in enumerate(visit):
-                key = keys[g](idx)
-                new = memos[g].get(key)
+                new = memos[g][keys[g]]
                 if new is None:
                     new = 0
                     try:
@@ -217,25 +232,28 @@ def grid_scores(m: Market, axes):
                             new += packed_fill(view[i], P, U, shifts, i)
                     except UnboundedDemand:
                         new = _UNBOUNDED  # a member strictly wants a free good
-                    memos[g][key] = new
+                    memos[g][keys[g]] = new
                 if new is _UNBOUNDED:
                     stale.update(visit[pos:])
                     break
                 total += new - contrib[g]  # an entry and its part of the total change together
                 contrib[g] = new
             else:
-                yield tuple(idx), _score(total, width, supply, P)
+                yield tuple(idx), _score(total, width, S)
 
-        # the next point in reflected Gray order: the last axis that can move
-        # one place on in its direction does, and each axis after it turns back
-        j = n - 1
-        while j >= 0 and not 0 <= idx[j] + step[j] < sizes[j]:
-            step[j] = -step[j]
-            j -= 1
-        if j < 0:
+        # the next point in reflected Gray order: the first walk axis that can
+        # move one place on in its direction does, and each one before it turns back
+        for j in walk:
+            d = step[j]
+            if 0 <= idx[j] + d < sizes[j]:
+                break
+            step[j] = -d
+        else:
             return
-        idx[j] += step[j]
-        P[j], U[j] = axes[j][idx[j]], rates[j][idx[j]]
+        idx[j] += d
+        P[j], U[j], S[j] = axes[j][idx[j]], rates[j][idx[j]], supplied[j][idx[j]]
+        for g, stride in moves[j]:
+            keys[g] += d * stride
         visit = holders[j]
 
 

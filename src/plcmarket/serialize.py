@@ -110,8 +110,15 @@ def read_json(path):
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
 
 
+# what a value that should have been an object is, in JSON's words
+_JSON_TYPES = {list: "an array", str: "a string", bool: "a boolean", int: "a number", float: "a number",
+               type(None): "null"}
+
+
 def _require(obj, key, kind, where):
-    if not isinstance(obj, dict) or key not in obj:
+    if not isinstance(obj, dict):
+        raise InputError(f"{where}: expected an object, got {_JSON_TYPES.get(type(obj), type(obj).__name__)}")
+    if key not in obj:
         raise InputError(f"{where}: missing key {key!r}")
     value = obj[key]
     # JSON true/false arrive as bool, a subclass of int, but are never counts

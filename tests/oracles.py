@@ -91,7 +91,7 @@ from plcmarket.rational import format_rational, parse_epsilon, parse_rational
 from plcmarket.reduction import ReducedMarketMeta, _gadget, build_reduced_market
 from plcmarket.regulating import build_mn, check_regulation_box
 from plcmarket.search import SearchReport, grid_scores
-from plcmarket.serialize import _ZERO, _ZERO_OBJ, _require, plc_from_obj
+from plcmarket.serialize import _ZERO, _ZERO_OBJ, _require
 
 
 # --- definition-level PLC predicate -------------------------------------------
@@ -1135,6 +1135,23 @@ def _reference_piece_key(u):
     return None
 
 
+def reference_piece_from_obj(u) -> PLCFunction:
+    """A utility entry read by the file format's own rules, without the
+    solver's `plc_from_obj`: an object whose "kind" is "zero" is the zero
+    function, whatever else it holds; any other object gives its "slopes"
+    and "breaks" lists to `PLCFunction`, which checks them."""
+    if type(u) is not dict:
+        raise InputError("utility entry must be an object")
+    if u.get("kind") == "zero":
+        return ZERO_PLC
+    for key in ("slopes", "breaks"):
+        if key not in u:
+            raise InputError(f"utility: missing key {key!r}")
+        if type(u[key]) is not list:
+            raise InputError(f"utility: key {key!r} has wrong type")
+    return PLCFunction(u["slopes"], u["breaks"])
+
+
 def reference_market_from_obj(obj) -> Market:
     """A reduced market repeats a few values many times, so each distinct
     rational string and string-valued piece is parsed once per call and
@@ -1159,7 +1176,7 @@ def reference_market_from_obj(obj) -> Market:
         # most entries are the zeros market_to_obj writes; TraderSpec drops any other zero
         owned = [(k, cached(w if type(w) is str else None, parse_rational, w))
                  for k, w in enumerate(endow) if w != "0/1"]
-        wanted = [(k, cached(_reference_piece_key(u), plc_from_obj, u))
+        wanted = [(k, cached(_reference_piece_key(u), reference_piece_from_obj, u))
                   for k, u in enumerate(utils) if u != _ZERO_OBJ]
         label = entry.get("label")
         if label is not None and not isinstance(label, str):

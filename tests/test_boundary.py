@@ -192,7 +192,8 @@ def test_parser_matches_reference_on_corrupted_markets(seed, family, kind, where
 
 
 def test_a_zero_piece_ignores_its_other_keys():
-    # both parsers read pieces with plc_from_obj, so the referee above cannot tell
+    # the corrupted-market referee reaches this through its zero-with-keys
+    # corruption, when it draws it; here it is pinned on its own
     assert serialize.plc_from_obj({"kind": "zero", "slopes": ["1"], "breaks": []}) is ZERO_PLC
 
 

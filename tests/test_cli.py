@@ -586,7 +586,7 @@ CLI_BOUNDARY = [
     ("eps-unknown-base", ["verify", "--market", "{market}", "--prices", "{prices}", "--eps", "q^-2"], 2,
      "error: epsilon base must be n or N, got 'q'"),
     ("prices-list", ["verify", "--market", "{market}", "--prices", "{list}", "--eps", "1/2"], 2,
-     "error: prices: missing key 'prices'"),
+     "error: prices: expected an object, got an array"),
     ("prices-int-normalized", ["verify", "--market", "{market}", "--prices", "{int_normalized}", "--eps", "1/2"], 2,
      "error: prices: normalized must be a boolean"),
     ("validate-artifacts", ["validate", "{prices}", "{profile}", "{meta}"], 0, "meta: game n=2, goods=6"),

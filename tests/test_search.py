@@ -1,5 +1,9 @@
+import contextlib
+import inspect
 import random
+import sys
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -52,24 +56,43 @@ def _count_scoring(monkeypatch):
     return counts
 
 
-def _count_visits(monkeypatch):
-    """Count the support visits of `grid_scores`: each visit reads the memo
-    key of the traders on one support once, through the key getter built for
-    it."""
+# the walk's code object, taken before any test wraps grid_scores
+_WALK = plcmarket.search.grid_scores.__code__
+
+
+@contextlib.contextmanager
+def _count_visits():
+    """Count the support visits of `grid_scores`: each visit reads one
+    support's memo table once, at the line found by its text below.  A
+    sys.settrace line counter on the walk's code object counts that line's
+    runs, so the walk itself carries no hook."""
+    lines, first = inspect.getsourcelines(_WALK)
+    read = first + [line.strip() for line in lines].index("new = memos[g][keys[g]]")
     counts = {"visits": 0}
-    itemgetter = plcmarket.search.itemgetter
 
-    def counted_getter(*items):
-        get = itemgetter(*items)
-
-        def key(idx):
+    def line_counter(frame, event, arg):
+        if event == "line" and frame.f_lineno == read:
             counts["visits"] += 1
-            return get(idx)
+        return line_counter
 
-        return key
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line_counter if frame.f_code is _WALK else None)
+    try:
+        yield counts
+    finally:
+        sys.settrace(previous)
 
-    monkeypatch.setattr(plcmarket.search, "itemgetter", counted_getter)
-    return counts
+
+def _flips(supports, sizes) -> list:
+    """How often the walk moves each good's axis: the reflected mixed-radix
+    Gray walk moves the good held by the most supports least, ties broken
+    by good index, and the axis at place p of that order
+    prod_{i <= p} |A_i| - prod_{i < p} |A_i| times."""
+    held = [sum(k in s for s in supports) for k in range(len(sizes))]
+    flips, before = [0] * len(sizes), 1
+    for k in sorted(range(len(sizes)), key=lambda k: (-held[k], k)):
+        flips[k], before = before * sizes[k] - before, before * sizes[k]
+    return flips
 
 
 def _in_product_order(m, axes):
@@ -214,7 +237,7 @@ def test_grid_pass_evaluates_each_support_price_once(monkeypatch):
     assert counts == {"demands": 200, "points": 2**6}
 
 
-@pytest.mark.parametrize("n, visits", [(2, 507), (3, 3739)])
+@pytest.mark.parametrize("n, visits", [(2, 428), (3, 2593)])
 def test_grid_pass_visits_only_traders_on_changed_coordinates(monkeypatch, n, visits):
     # the README's counts: a pass at grid_k 1 visits every support at the
     # first point, then at each step only the supports holding the one good
@@ -224,13 +247,36 @@ def test_grid_pass_visits_only_traders_on_changed_coordinates(monkeypatch, n, vi
     market, _ = build_reduced_market(validate_game(identity, identity))
     N = market.n_goods
     supports = {tuple(_support(t, N)) for t in market.traders}
-    flips = [2**k for k in range(N)]  # the reflected binary Gray walk moves axis k 2^k times, the last the most
+    flips = _flips(supports, [2] * N)  # the most-held good moves once, the least-held 2^(N - 1) times
+    assert sorted(flips) == [2**k for k in range(N)]
     assert visits == len(supports) + sum(f * sum(k in s for s in supports) for k, f in enumerate(flips))
-    counts, visited = _count_scoring(monkeypatch), _count_visits(monkeypatch)
-    search_equilibrium(market, SearchConfig(box=unit_box(N), grid_k=1, refine_rounds=0, epsilon=F(1, 2)))
+    counts = _count_scoring(monkeypatch)
+    with _count_visits() as visited:
+        search_equilibrium(market, SearchConfig(box=unit_box(N), grid_k=1, refine_rounds=0, epsilon=F(1, 2)))
     assert counts["points"] == 2**N
     assert visited["visits"] == visits < len(market.traders) * 2**N
     assert visits <= len(supports) * 2**N
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grid_k=st.integers(1, 2),
+    widths=st.lists(st.sampled_from([0, 1]), min_size=4, max_size=4),
+)
+def test_grid_walk_visits_match_the_gray_walk_count(seed, grid_k, widths):
+    # on [1, 1 + w]^N no price is 0, so no point skips and no support goes
+    # stale: the walk visits every support at the first point and then the
+    # holders of each good as often as its axis moves; width 0 gives a
+    # single-point axis, which never moves
+    market = random_market(random.Random(seed), max_goods=4, max_traders=5)
+    N = market.n_goods
+    axes = [axis_points(F(1), F(1 + w), grid_k) for w in widths[:N]]
+    supports = {tuple(_support(t, N)) for t in market.traders} - {()}
+    flips = _flips(supports, [len(axis) for axis in axes])
+    with _count_visits() as visited:
+        walked = list(grid_walk(market, axes))
+    assert len(walked) == prod(map(len, axes))
+    assert visited["visits"] == len(supports) + sum(f * sum(k in s for s in supports) for k, f in enumerate(flips))
 
 
 def test_search_builds_fractions_per_round_and_incumbent_only(monkeypatch):
