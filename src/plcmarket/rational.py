@@ -7,6 +7,7 @@ Python ints scaled by common denominators, which is just as exact.
 """
 
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import InputError, InvalidMarket
@@ -57,7 +58,13 @@ def parse_epsilon(value) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Render a Fraction as the canonical "num/den" string."""
+    """Render a Fraction as the canonical "num/den" string, of any size: a
+    numerator or denominator with more digits than
+    sys.get_int_max_str_digits() is written through `decimal.Decimal`, which
+    converts an int exactly and is not bound by that limit."""
     if type(q) is not Fraction:
         q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"

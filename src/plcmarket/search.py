@@ -7,23 +7,28 @@ keeps the best incumbent, shrinks the box around it, and only ever claims
 acceptance when the full verifier accepts the incumbent.  Grid points are
 grid_k-adic rationals, so every evaluation downstream stays exact.
 
-Grid points are scored incrementally, in integers.  A trader's canonical
-bundle, and whether its demand is unbounded, depend only on the prices of
-its support, the goods it owns or has a nonzero utility piece on: budget,
-offers and forced satiation amounts read nothing else, and the bundle is
-zero off the support.  So the traders are grouped by support, and each
-group keeps one memo, a flat table indexed by the mixed-radix key of its
-support's axis indices, of the sum of its members' bundles restricted to
-the support, or of a mark of unbounded demand when some member's is.  A
-group's key is one int, kept current through every point, scored, skipped
-or stale: a move of axis k adds +-stride_k to the key of each group that
-holds good k.  The per-good totals change by exact differences only when a
-group's entry changes.  Memos live for one box, so a box with axes A_k
-holds at most sum_S prod_{k in S} |A_k| entries over the distinct supports
-S, and computes at most sum_i prod_{k in support(i)} |A_k| demands, instead
-of one demand per trader and grid point; in the paper's reduced markets
-every trader touches only a handful of goods, and there are about half as
-many distinct supports as traders.
+Grid points are scored incrementally, in integers.  A trader's demand is
+unbounded exactly where a good it strictly wants, a piece that never turns
+flat, is free, so the zero prices alone decide which points cannot be
+scored: each axis marks the places where a strictly wanted good is free,
+the walk keeps the count of marked goods at the current point, and it
+skips a point where that count is nonzero, or the origin, before it reads
+any memo.  Elsewhere a trader's canonical bundle depends only on the
+prices of its support, the goods it owns or has a nonzero utility piece
+on: budget, offers and forced satiation amounts read nothing else, and the
+bundle is zero off the support.  So the traders are grouped by support,
+and each group keeps one memo, a flat table indexed by the mixed-radix key
+of its support's axis indices, of the sum of its members' bundles
+restricted to the support.  A group's key is one int, kept current through
+every point, scored or skipped: a move of axis k adds +-stride_k to the key
+of each group that holds good k.  The per-good totals change by exact
+differences only when a group's entry changes.  Memos live for one box, so
+a box with axes A_k holds at most sum_S prod_{k in S} |A_k| entries over
+the distinct supports S, and computes at most sum_i prod_{k in support(i)}
+|A_k| demands, all at scored points, instead of one demand per trader and
+grid point; in the paper's reduced markets every trader touches only a
+handful of goods, and there are about half as many distinct supports as
+traders.
 
 The walk takes its axes as ints, a box's prices P_k over one denominator
 that it never reads: canonical demand, and so every score, is the same at
@@ -43,25 +48,24 @@ are one such int, so a visit changes them by one subtraction and one
 addition.  W is fixed per box as the bit length of every trader's budget at
 the top of each axis plus every finite satiation amount: a priced good's
 fill is money the trader has, a free good's a satiation amount, so no
-good's total, nor any mix of stale and fresh entries, reaches 2^W, and no
-field carries into the next.  The worst relative imbalance is found by
-cross-multiplying each field with supply * (P_k or 1), read from a row of
-one entry per axis that each move updates, and kept as a (num, den) pair of
-ints, which the search compares by cross-multiplying.
+good's total reaches 2^W, and no field carries into the next.  The worst
+relative imbalance is found by cross-multiplying each field with
+supply * (P_k or 1), read from a row of one entry per axis that each move
+updates, and kept as a (num, den) pair of ints, which the search compares
+by cross-multiplying.
 
 The walk takes the reflected mixed-radix Gray order (Knuth, TAOCP 4A,
-7.2.1.1): each step moves one axis by one place, and visits only the
-supports that hold that good, once for all their traders, plus every
-support left stale by a point skipped midway, at the origin or for
-unbounded demand.  The most-held good moves least: the walk's axes are the
-goods by descending count of the supports that hold them, ties broken by
-good index, and the last of them moves most often.  So a support that
-holds good k is revisited whenever P_k changes, and a stale one before the
-next scored point: at each scored point all of good k's entries are on its
-one scale, and the score equals the one a from-scratch sum of every trader's
-canonical bundle gives there.  A pass at grid_k 1 over [1, 2]^N makes 428
-support visits on the reduced market of the 2x2 identity game and 2,593 on
-the 3x3 one.
+7.2.1.1): each step moves one axis by one place, and a scored point
+visits only the supports that hold that good, once for all their traders.
+A skipped point reads no entry, so the next scored point rereads every
+support.  The most-held good moves least: the walk's axes are the goods by
+descending count of the supports that hold them, ties broken by good index,
+and the last of them moves most often.  So a support that holds good k is
+revisited at the first scored point after P_k changes: at each scored point
+all of good k's entries are on its one scale, and the score equals the one
+a from-scratch sum of every trader's canonical bundle gives there.  A pass
+at grid_k 1 over [1, 2]^N makes 428 support visits on the reduced market of
+the 2x2 identity game and 2,593 on the 3x3 one.
 
 Points come out in walk order as tuples of axis indices in good order;
 every axis ascends, so index order is product order, and the search keeps
@@ -83,14 +87,13 @@ from operator import getitem
 
 from .clearing import APPROXIMATE, Certificate, verify
 from .demand import packed_fill
-from .errors import BoxDimensionMismatch, GridBudgetExceeded, InputError, UnboundedDemand
+from .errors import BoxDimensionMismatch, GridBudgetExceeded, InputError
 from .model import Market, PriceVector, normalize_prices, trusted
 from .rational import parse_epsilon, parse_rational
 
 
 MAX_GRID_POINTS = 10**7  # bounds the work one grid_k from outside can ask for
 MAX_REFINE_ROUNDS = 64  # each round can score a new box, so the rounds bound the work too
-_UNBOUNDED = object()  # memo entry of a trader whose demand is unbounded
 
 
 @dataclass(frozen=True)
@@ -169,7 +172,8 @@ def grid_scores(m: Market, axes):
     """Yield (idx, score) for the grid points in reflected Gray order, one
     axis moving per step and the most-held good the least often, leaving
     out the origin and every point where some trader's demand is
-    unbounded.  The axes hold nonnegative ints, the prices over one
+    unbounded, which the point's zero prices tell before any demand is
+    computed.  The axes hold nonnegative ints, the prices over one
     denominator the walk never needs, since demand and scores are the same
     at every positive multiple of a price vector; idx is the tuple of the
     point's axis indices, in good order.  The score is
@@ -205,41 +209,37 @@ def grid_scores(m: Market, axes):
         memos.append([None] * stride)
     # the walk's axes, the one that moves most first: the most-held good moves least
     walk = sorted(range(n), key=lambda k: (len(holders[k]), -k))
-    # no total of a good, nor any mix of stale and fresh entries, exceeds every
-    # budget at the top of each axis plus every finite satiation amount
+    # no total of a good exceeds every budget at the top of each axis plus
+    # every finite satiation amount
     tops = [max(axis) for axis in axes]
     width = (sum(w * tops[k] for v in view for k, w in v.owned)
              + sum(s for v in view for _, s, _ in v.wanted if s is not None)).bit_length()
     shifts = [width * k for k in range(n)]
     keys, contrib, total = [0] * len(memos), [0] * len(memos), 0
+    # a trader's demand is unbounded exactly where a good it strictly wants,
+    # a piece that never turns flat, is free: each axis marks those places,
+    # and `unbounded` counts the goods marked at the current point
+    strict = {k for v in view for k, satiation, _ in v.wanted if satiation is None}
+    free = [[k in strict and not q for q in axis] for k, axis in enumerate(axes)]
 
     idx, step = [0] * n, [1] * n
     P, U, S = [q[0] for q in axes], [u[0] for u in rates], [s[0] for s in supplied]
-    stale = set(range(len(memos)))  # groups whose entry is not the current point's
-    visit = []
+    unbounded = sum(marks[0] for marks in free)
+    visit = every = range(len(memos))
     while True:
-        if stale:
-            visit, stale = sorted(stale.union(visit)), set()
-        if not any(P):  # the origin
-            stale.update(visit)
-        else:
-            for pos, g in enumerate(visit):
+        # a skipped point reads no entry, so the next scored one rereads them all
+        skip = unbounded or not any(P)  # unbounded demand, or the origin
+        if not skip:
+            for g in visit:
                 new = memos[g][keys[g]]
                 if new is None:
                     new = 0
-                    try:
-                        for i in members[g]:
-                            new += packed_fill(view[i], P, U, shifts, i)
-                    except UnboundedDemand:
-                        new = _UNBOUNDED  # a member strictly wants a free good
+                    for i in members[g]:
+                        new += packed_fill(view[i], P, U, shifts, i)
                     memos[g][keys[g]] = new
-                if new is _UNBOUNDED:
-                    stale.update(visit[pos:])
-                    break
                 total += new - contrib[g]  # an entry and its part of the total change together
                 contrib[g] = new
-            else:
-                yield tuple(idx), _score(total, width, S)
+            yield tuple(idx), _score(total, width, S)
 
         # the next point in reflected Gray order: the first walk axis that can
         # move one place on in its direction does, and each one before it turns back
@@ -250,11 +250,13 @@ def grid_scores(m: Market, axes):
             step[j] = -d
         else:
             return
+        unbounded -= free[j][idx[j]]
         idx[j] += d
+        unbounded += free[j][idx[j]]
         P[j], U[j], S[j] = axes[j][idx[j]], rates[j][idx[j]], supplied[j][idx[j]]
         for g, stride in moves[j]:
             keys[g] += d * stride
-        visit = holders[j]
+        visit = every if skip else holders[j]
 
 
 def search_equilibrium(m: Market, cfg: SearchConfig) -> SearchReport:

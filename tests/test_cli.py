@@ -2,22 +2,28 @@ import gc
 import json
 import random
 import sys
+import tempfile
 import time
+from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plcmarket import serialize
 from plcmarket.cli import main
 from plcmarket.clearing import APPROXIMATE, verify
 from plcmarket.errors import InternalInvariantViolation, InvalidMarket
 from plcmarket.games import validate_game
-from plcmarket.model import PriceVector, normalize_prices, prices
+from plcmarket.model import Market, PriceVector, TraderSpec, normalize_prices, prices
+from plcmarket.plc import linear_plc
 from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn
 from plcmarket.search import SearchReport
 
-from oracles import game_to_obj, random_sparse_game_matrices
+from oracles import game_to_obj, market_to_obj, random_sparse_game_matrices
 
 
 def run(*args):
@@ -574,8 +580,28 @@ def test_command_garbage_does_not_grow_with_its_work(tmp_path):
     assert found[0] == found[1]
 
 
+def _primes(start: int, count: int) -> list[int]:
+    """The first count primes from start."""
+    found, q = [], max(start, 2)
+    while len(found) < count:
+        if all(q % d for d in range(2, int(q**0.5) + 1)):
+            found.append(q)
+        q += 1
+    return found
+
+
+def _prime_market(start: int, count: int) -> Market:
+    """Trader i owns 1/p_i of good 0 and wants good 1, for the first count
+    primes p_i from start, and one more trader owns one unit of good 1 and
+    wants good 0: good 0's supply has the product of the primes for its
+    denominator."""
+    traders = [TraderSpec([(0, F(1, q))], [(1, linear_plc(1))]) for q in _primes(start, count)]
+    return Market(2, (*traders, TraderSpec([(1, 1)], [(0, linear_plc(1))])))
+
+
 # (label, command line, exit code, text of the output); a name in braces is
-# a file the test writes: market is M_2, the others are in _BOUNDARY_FILES
+# a file the test writes: market is M_2, cert an output, the others are in
+# _BOUNDARY_FILES
 CLI_BOUNDARY = [
     ("eps-bad-exponent", ["verify", "--market", "{market}", "--prices", "{prices}", "--eps", "N^x"], 2,
      "error: bad epsilon exponent in 'N^x'"),
@@ -591,6 +617,13 @@ CLI_BOUNDARY = [
      "error: prices: normalized must be a boolean"),
     ("validate-artifacts", ["validate", "{prices}", "{profile}", "{meta}"], 0, "meta: game n=2, goods=6"),
     ("validate-unknown-schema", ["validate", "{unknown}"], 2, "INVALID - unrecognized schema"),
+    # causes in the program's result: good 0's supply sums 1/p over 1,200
+    # primes, so the report's numbers run past the int-digit limit, and the
+    # certificate, echoed as written, is still written
+    ("digit-limit-exact", ["verify", "--market", "{primes}", "--prices", "{ones}", "--mode", "exact",
+                           "-o", "{cert}", "--json"], 1, '"reason": "clearing-infeasible"'),
+    ("digit-limit-approximate", ["verify", "--market", "{primes}", "--prices", "{ones}", "--eps", "1/2",
+                                 "-o", "{cert}", "--json"], 1, '"reason": "clearing-infeasible"'),
 ]
 _BOUNDARY_FILES = {
     "prices": {"prices": ["1", "2"], "normalized": True},
@@ -599,17 +632,67 @@ _BOUNDARY_FILES = {
     "list": [],
     "int_normalized": {"prices": ["1", "2"], "normalized": 1},
     "unknown": {"foo": 1},
+    "primes": market_to_obj(_prime_market(10007, 1200)),
+    "ones": {"prices": ["1", "1"]},
 }
 
 
 @pytest.mark.parametrize("args, code, text", [row[1:] for row in CLI_BOUNDARY], ids=[row[0] for row in CLI_BOUNDARY])
 def test_cli_boundary(tmp_path, args, code, text):
-    files = {name: tmp_path / f"{name}.json" for name in ("market", *_BOUNDARY_FILES)}
+    files = {name: tmp_path / f"{name}.json" for name in ("market", "cert", *_BOUNDARY_FILES)}
     assert run("gen-mn", "--n", "2", "-o", str(files["market"])).exit_code == 0
     for name, obj in _BOUNDARY_FILES.items():
         write(files[name], obj)
     res = run(*(arg.format(**files) for arg in args))
     assert res.exit_code == code and text in res.output
+
+
+_PRIMES = _primes(2, 400)
+
+
+def _exits_as_documented(res) -> bool:
+    """Exit 0 or 1, or 2 with a message: never 3, the failed self-check."""
+    return res.exit_code in (0, 1) or res.exit_code == 2 and res.output.startswith("error: ")
+
+
+# a tenth of the examples, since every one runs eight commands
+@settings(max_examples=settings.default.max_examples // 10)
+@given(
+    start=st.integers(2, 10**4),
+    count=st.integers(1, 40),
+    price=st.lists(st.builds(F, st.integers(1, 60), st.sampled_from(_PRIMES)), min_size=2, max_size=2,
+                   unique_by=lambda q: q.denominator),
+    seed=st.integers(0, 2**32 - 1),
+)
+# at prices (1, 1) the per-good report's numbers run past the int-digit limit
+@example(start=10007, count=1200, price=[F(1), F(1)], seed=0)
+def test_rationals_past_the_digit_limit_never_exit_3(start, count, price, seed):
+    # verify in every mode, search-eq on the market, and pipeline on a 2x2
+    # game whose eight entries have distinct prime denominators
+    rng = random.Random(seed)
+    dens = iter(rng.sample(_PRIMES, 8))
+    game = {"n": 2, "A": [[str(F(rng.randint(-q, q), q)) for q in (next(dens), next(dens))] for _ in range(2)],
+            "B": [[str(F(rng.randint(-q, q), q)) for q in (next(dens), next(dens))] for _ in range(2)]}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        market, p, g = tmp / "market.json", tmp / "p.json", tmp / "game.json"
+        serialize.write_json(market, _prime_market(start, count))
+        write(p, {"prices": [str(q) for q in price]})
+        write(g, game)
+        for mode in (["--mode", "exact"], ["--mode", "approximate", "--eps", "1/2"], ["--mode", "quasi"]):
+            cert = tmp / "cert.json"
+            res = run("verify", "--market", str(market), "--prices", str(p), *mode, "-o", str(cert))
+            assert _exits_as_documented(res), res.output
+            assert cert.exists() or res.exit_code == 2
+            cert.unlink(missing_ok=True)
+        res = run("search-eq", "--market", str(market), "--grid-k", "2", "--rounds", "1", "-o", str(tmp / "s.json"))
+        assert _exits_as_documented(res), res.output
+        for eps in ("N^-13", "1/2"):
+            out = tmp / eps.replace("/", "_")
+            res = run("pipeline", "--game", str(g), "--outdir", str(out), "--eps", eps)
+            assert _exits_as_documented(res), res.output
+            if res.exit_code != 2:
+                assert run("validate", str(out / "market.json"), str(out / "meta.json")).exit_code == 0
 
 
 def test_verify_rejects_an_unknown_mode():

@@ -4,6 +4,7 @@ import random
 import sys
 from fractions import Fraction as F
 from math import prod
+from operator import getitem
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -264,10 +265,10 @@ def test_grid_pass_visits_only_traders_on_changed_coordinates(monkeypatch, n, vi
     widths=st.lists(st.sampled_from([0, 1]), min_size=4, max_size=4),
 )
 def test_grid_walk_visits_match_the_gray_walk_count(seed, grid_k, widths):
-    # on [1, 1 + w]^N no price is 0, so no point skips and no support goes
-    # stale: the walk visits every support at the first point and then the
-    # holders of each good as often as its axis moves; width 0 gives a
-    # single-point axis, which never moves
+    # on [1, 1 + w]^N no price is 0, so no point skips: the walk visits
+    # every support at the first point and then the holders of each good as
+    # often as its axis moves; width 0 gives a single-point axis, which never
+    # moves
     market = random_market(random.Random(seed), max_goods=4, max_traders=5)
     N = market.n_goods
     axes = [axis_points(F(1), F(1 + w), grid_k) for w in widths[:N]]
@@ -328,8 +329,8 @@ _LO = st.builds(F, st.just(0) | st.integers(1, 14), st.integers(2, 7))
 _WIDTH = st.builds(F, st.integers(0, 14), st.integers(2, 7))
 
 
-# a skip that leaves a support stale needs a rare box: 300 examples, and ten
-# times that under the deep profile
+# a skip next to a scored point, on axes that share no step, needs many
+# draws: 300 examples, and ten times that under the deep profile
 @settings(max_examples=3 * settings.default.max_examples)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -347,7 +348,7 @@ def test_grid_scores_match_imbalance_profile_on_mixed_denominator_boxes(seed, gr
 @pytest.mark.parametrize("n, seed, free", [(2, 0, 2), (2, 1, 5), (3, 0, 4), (3, 1, 7)])
 def test_grid_scores_skip_midway_on_reduced_markets(n, seed, free):
     # lo 0 on a middle or the last axis skips points in the middle of the
-    # walk, leaving the traders after the unbounded one to the next point
+    # walk, and the scored point after each skip rereads every support
     market, _ = build_reduced_market(
         validate_game(*random_sparse_game_matrices(random.Random(seed), n))
     )
@@ -357,13 +358,47 @@ def test_grid_scores_skip_midway_on_reduced_markets(n, seed, free):
     assert got == reference_grid_scores(market, axes)
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    game_n=st.sampled_from([None, 2, 3]),
+    grid_k=st.integers(1, 2),
+    his=st.lists(st.integers(0, 3), min_size=8, max_size=8),
+)
+# the reduced 2x2 market on [0, 2]^6: every good has a free place, and most
+# points are skipped
+@example(seed=0, game_n=2, grid_k=2, his=[2] * 8)
+def test_grid_scores_compute_no_demand_at_a_skipped_point(seed, game_n, grid_k, his):
+    # whether a point is skipped follows from its zero prices alone, so the
+    # walk computes demand only at the points it yields; every box is [0, hi]
+    # per good as the search builds its int axes, hi 0 a single-point axis at 0
+    rng = random.Random(seed)
+    if game_n is None:
+        market = random_market(rng)
+    else:
+        market, _ = build_reduced_market(validate_game(*random_sparse_game_matrices(rng, game_n)))
+    axes = [[hi * s for s in range(grid_k + 1)] if hi else [0] for hi in his[: market.n_goods]]
+    filled, packed_fill = set(), plcmarket.search.packed_fill
+
+    def recorded(v, P, *args):
+        filled.add(tuple(P))
+        return packed_fill(v, P, *args)
+
+    plcmarket.search.packed_fill = recorded
+    try:
+        yielded = {tuple(map(getitem, axes, idx)) for idx, _ in plcmarket.search.grid_scores(market, axes)}
+    finally:
+        plcmarket.search.packed_fill = packed_fill
+    assert filled <= yielded
+
+
 @pytest.mark.parametrize("free", [0, 1])
 def test_grid_scores_match_imbalance_profile_on_a_shared_support(free):
     # traders 0 and 2 share support {0, 1, 2}, and only trader 2 strictly
     # wants the good whose axis holds price 0: the first axis or a middle
-    # one.  Where it is free, the group's entry goes unbounded after trader
-    # 0's demand is computed, and the groups of traders 1 and 3, whose
-    # supports end before the last axis, go stale
+    # one.  Where it is free the point is skipped before the group's entry
+    # is read, though trader 0's demand there is bounded, and the next scored
+    # point rereads every support, those of traders 1 and 3 among them, whose
+    # supports end before the last axis
     capped = validate_plc([2, 0], [1])
     market = Market(3, (
         TraderSpec([(0, 1), (1, 1), (2, 1)], [(0, capped), (1, capped), (2, capped)]),
