@@ -15,18 +15,19 @@ Zero-priced goods never carry money; they are checked arithmetically (forced
 satiation amounts must fit under the window ceiling, and free top-ups can
 always reach the window floor).
 
-`_solve` takes one pass over the forced purchases and then decides in
-one of three ways.  Where no trader has a choice (`_determined`: each
-trader that spends has exactly one tie offer), the circulation has one
-candidate, so it routes each trader's money to its one tie good and checks
-each good's money against its sink arc's bounds, building no arc.
-Otherwise, while it builds the arcs, it sums each priced good's reach T_k,
-all the money the tie offers and the residual spenders could bring to k,
-and tries each priced good alone as a cut (`_short_good`): forced money
-F_k above the window ceiling, or F_k + T_k below its floor, is a reject
-the flow would reach too, by Hoffman's circulation theorem.  The flow
-decides the rest, tie splits and residual spenders, and there
-Edmonds-Karp's path order fixes the witness.
+`_solve` takes one pass over the counted traders and sums, per good, its
+forced money F_k, the money L_k that must reach it (the spend of each trader
+whose one tie offer is on k, all of which its equality source arc sends
+there), and the most T_k its tie offers could bring, beside the residual
+spenders' free money R.  One bound decides without a flow (`_flowless`): a
+priced good with F_k + L_k above its window ceiling, or F_k + T_k + R below
+its floor, is a cut whose capacity falls short, so by Hoffman's circulation
+theorem the flow would find no circulation either.  Where no trader has a
+choice (R = 0 and L_k = T_k on every good) the circulation has one
+candidate, so once the bound passes each trader's money is routed to its
+one tie good and no arc is built.  The flow decides the rest, tie splits
+and residual spenders, and there Edmonds-Karp's path order fixes the
+witness.
 
 `verify` is the one entry point: a witness allocation is the `allocation`
 of its accept certificate.  It runs on one integer scale from the demand
@@ -110,22 +111,21 @@ def clearing_windows(m: Market, P, mode: str, eps: Fraction):
     return M * e, bounds
 
 
-def _short_good(sink, reach, free: int, P) -> bool:
-    """True when some priced good k alone shows the circulation infeasible:
-    its sink arc's ceiling is negative (its forced money is above its window
-    ceiling), or its reach, the most money its tie arcs could bring plus the
-    residual spenders' `free` money, is below the arc's floor.  In flow terms
-    {good k} is a cut whose capacity falls short (Hoffman's circulation
-    theorem), so the flow would find no circulation.  All on the arcs'
-    scale, Q * D."""
-    return any(q and (hi < 0 or r + free < lo) for (lo, hi), r, q in zip(sink, reach, P))
-
-
-def _determined(demands: list[IntDemand | None], counted: list[bool]) -> bool:
-    """True when no counted trader has a choice: each one with money to
-    spend has exactly one tie offer.  A residual spender (no ties) has one,
-    since it may leave its money unspent or spend it on any priced good."""
-    return all(not c or not d.spend or len(d.ties) == 1 for d, c in zip(demands, counted))
+def _flowless(sink, least, reach, free: int, P) -> bool | None:
+    """The verdict one priced good's money bounds give without a flow, or
+    None where the flow must decide.  `least` is the money that must reach
+    each good, the spend of the traders whose one tie offer is on it;
+    `reach` is the most its tie offers could bring, and `free` the residual
+    spenders' money, which could reach every priced good.  A good whose
+    least is above its sink arc's ceiling, or whose reach plus free is below
+    the arc's floor, is a cut whose capacity falls short (Hoffman's
+    circulation theorem): False.  Where no trader has a choice (no free
+    money, and least equals reach on every good), each good's money is its
+    least, so the bounds that pass make the one circulation feasible: True.
+    All on the arcs' scale, Q * D."""
+    if any(q and (m > hi or r + free < lo) for (lo, hi), m, r, q in zip(sink, least, reach, P)):
+        return False
+    return True if free == 0 and least == reach else None
 
 
 def _solve(
@@ -145,23 +145,28 @@ def _solve(
     in units of 1/(Q * P_k), which is its money on the arcs' scale, or 1/Q
     when the good is free.
 
-    When no trader has a choice (`_determined`), the circulation is unique:
-    each spending trader's source arc is an equality with one out-arc, and
-    the other traders carry no money.  So each spending trader's money goes
-    to its one tie good, and each priced good's money is checked against
-    the bounds its sink arc would get, with no arc built.  Where some trader
-    has a choice, the one-good cut (`_short_good`) is tried on the arcs'
-    bounds before the flow decides."""
+    One pass over the counted traders sums each good's forced purchases and
+    the money bounds `_flowless` reads.  Where they decide, no arc is built:
+    a reject, or, where no trader has a choice, each spending trader's money
+    routed to its one tie good.  Otherwise the flow decides."""
     D, P = p.scaled
     Q, bounds = windows
     M = m.scaled[0]
     a = Q // M
     counted = [d is not None and i not in waived for i, d in enumerate(demands)]
     forced = [0] * m.n_goods
+    least = [0] * m.n_goods  # the money that must reach each good
+    reach = [0] * m.n_goods  # the most money each good's tie offers could bring
     for d, c in zip(demands, counted):
         if c:
             for k, x in d.forced.items():
                 forced[k] += x * a
+            spend = d.spend * a
+            if len(d.ties) == 1:
+                least[d.ties[0][0]] += spend
+            for k, _, cap in d.ties:  # one offer per good: a tie holds one segment of a good
+                reach[k] += spend if cap is None else min(spend, cap * P[k] * a)
+    free = sum(d.spend for d, c in zip(demands, counted) if c and not d.ties) * a  # the residual spenders' money
     top_up = []  # (good, amount) a free good adds to reach its window floor
     for k, ((lo, hi), q) in enumerate(zip(bounds, P)):
         if q:
@@ -172,39 +177,30 @@ def _solve(
             top_up.append((k, lo - forced[k]))
     # a priced good's window on its tie money, the bounds of its sink arc
     sink = [(max(0, lo - f) * q, (hi - f) * q) for f, (lo, hi), q in zip(forced, bounds, P)]
-    if _determined(demands, counted):
+    verdict = _flowless(sink, least, reach, free, P)
+    if verdict is False:
+        return None
+    if verdict:
         paid = [(i, d.ties[0][0], d.spend * a) for i, (d, c) in enumerate(zip(demands, counted)) if c and d.spend]
-        money = [0] * m.n_goods  # the flow each sink arc would carry
-        for _, k, w in paid:
-            money[k] += w
-        if any(q and not lo <= w <= hi for w, (lo, hi), q in zip(money, sink, P)):
-            return None
     else:
         inf = Q * D + sum(d.budget for d in demands if d is not None) * a  # exceeds the money of every arc
         priced = [k for k, q in enumerate(P) if q]
         arcs: list[Arc] = []
         qty_arcs: list[tuple[int, int, int]] = []  # (arc index, trader, good)
-        reach = [0] * m.n_goods  # the most money each good's tie arcs could bring
-        free = 0  # the residual spenders' money, free to reach every priced good
         for i, (d, c) in enumerate(zip(demands, counted)):
             if not c:
                 continue
             spend = d.spend * a
             if d.ties:
                 arcs.append(Arc("src", ("t", i), spend, spend))
-                for k, _, cap in d.ties:  # one offer per good: a tie holds one segment of a good
-                    upper = inf if cap is None else cap * P[k] * a
-                    reach[k] += min(spend, upper)
+                for k, _, cap in d.ties:
                     qty_arcs.append((len(arcs), i, k))
-                    arcs.append(Arc(("t", i), ("g", k), 0, upper))
-            elif spend and priced:
-                free += spend
+                    arcs.append(Arc(("t", i), ("g", k), 0, inf if cap is None else cap * P[k] * a))
+            elif spend:  # a spender has a budget, so some price is positive
                 arcs.append(Arc("src", ("t", i), 0, spend))
                 for k in priced:
                     qty_arcs.append((len(arcs), i, k))
                     arcs.append(Arc(("t", i), ("g", k), 0, inf))
-        if _short_good(sink, reach, free, P):
-            return None
         for k in priced:
             arcs.append(Arc(("g", k), "snk", *sink[k]))
         arcs.append(Arc("snk", "src", 0, inf))

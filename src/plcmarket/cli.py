@@ -67,7 +67,7 @@ def _emit(obj, out: str | None, as_json: bool, human: str | None = None):
 MAX_EPS_EXPONENT = 64  # bounds the big-integer work of n^-K; the paper needs K <= 13
 
 
-def _resolve_eps(text: str, game_n: int | None = None, n_goods: int | None = None) -> Fraction:
+def _resolve_eps(text: str, n_goods: int, game_n: int | None = None) -> Fraction:
     """Parse an epsilon flag: a nonnegative rational literal, or n^-K / N^-K
     relative to the game size / goods count, with K at most MAX_EPS_EXPONENT."""
     text = text.strip()
@@ -85,8 +85,6 @@ def _resolve_eps(text: str, game_n: int | None = None, n_goods: int | None = Non
                 raise InputError("epsilon uses n but no game size is in scope")
             base = game_n
         elif base_s == "N":
-            if n_goods is None:
-                raise InputError("epsilon uses N but no goods count is in scope")
             base = n_goods
         else:
             raise InputError(f"epsilon base must be n or N, got {base_s!r}")

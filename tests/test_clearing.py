@@ -447,14 +447,14 @@ def test_witness_recheck_rejects_a_witness_outside_the_clearing_window(tmp_path,
     assert res.exit_code == 3 and "internal invariant violation" in res.output
 
 
-# --- the shortcuts around the flow ------------------------------------------------
+# --- the money bound around the flow ----------------------------------------
 #
-# `clearing._solve` decides without a flow where it can.  Where no trader has
-# a choice (`clearing._determined`), it routes each spending trader's money
-# to its one tie good without building a network: the circulation is unique
-# there, so the flow must give the same bytes.  Elsewhere the one-good cut
-# (`clearing._short_good`) rejects before the flow runs, and it must reject
-# only where the flow would.  On the benchmark's kinds of traffic routing
+# `clearing._solve` decides without a flow where one priced good's money
+# bounds decide (`clearing._flowless`): a good that must take more money than
+# its window allows, or that can get less than its window needs, is a cut the
+# flow would fail too, and where no trader has a choice the circulation is
+# unique, so routing each spending trader's money to its one tie good must
+# give the flow's bytes.  On the benchmark's kinds of traffic the bound
 # should decide every verdict.
 
 
@@ -493,7 +493,7 @@ def _benchmark_traffic():
 def _flowless_verdicts(monkeypatch, keep):
     """The certificates of the benchmark's kinds of traffic that `keep`
     selects, each checked to be decided without a flow and to keep the bytes
-    the flow gives with neither routing nor the one-good cut in the way."""
+    the flow gives when the money bound decides nothing."""
     flows = []
     circulation = clearing.feasible_circulation
 
@@ -512,8 +512,7 @@ def _flowless_verdicts(monkeypatch, keep):
         kept.append(cert)
         assert not flows, label
         with monkeypatch.context() as patch:
-            patch.setattr(clearing, "_determined", lambda *args: False)
-            patch.setattr(clearing, "_short_good", lambda *args: False)
+            patch.setattr(clearing, "_flowless", lambda *args: None)
             assert _certificate_bytes(m, prices(vec), mode, eps) == dumps(cert), label
     return kept
 
@@ -534,56 +533,35 @@ def test_routing_decides_the_benchmarks_accepts(monkeypatch):
     assert accepts >= 20, accepts
 
 
-def test_the_one_good_cut_rejects_only_what_the_flow_rejects():
-    """Every certificate keeps its bytes when the one-good cut never
-    rejects, so the flow decides where it would, in every mode and at eps 0,
-    N^-13 and 1/2, on random, tie-rich, M_n, reduced and mixed-denominator
-    markets, some of them at prices with zeros; the cut rejects in the run."""
-    short_good = clearing._short_good
-    cuts = []
-
-    def counting(*args):
-        cut = short_good(*args)
-        cuts.append(cut)
-        return cut
-
-    @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["random", "tie-rich", "mn", "reduced", "coprime"]))
-    def referee(seed, family):
-        m, p = random_instance(random.Random(seed), family)
-        n = m.n_goods
-        for mode, eps in ((EXACT, 0), (QUASI, 0), (APPROXIMATE, F(1, n**13)), (APPROXIMATE, F(1, 2))):
-            with mock.patch.object(clearing, "_short_good", counting):
-                cut = _certificate_bytes(m, p, mode, eps)
-            with mock.patch.object(clearing, "_short_good", lambda *args: False):
-                assert _certificate_bytes(m, p, mode, eps) == cut, (family, seed, mode, eps)
-
-    referee()
-    assert any(cuts), len(cuts)
-
-
-def test_routing_keeps_the_flows_bytes():
+def test_the_money_bound_keeps_the_flows_bytes():
     """Every certificate keeps its bytes when the flow decides every `_solve`
     call, in every mode and at eps 0, N^-13 and 1/2, on random, tie-rich,
     M_n, reduced and mixed-denominator markets, some of them at prices with
-    zeros; every family reaches both branches."""
-    determined = clearing._determined
+    zeros: the bound rejects only where the flow rejects, and routes only
+    where the flow finds the same circulation.  Every family reaches a routed
+    call and one the bound does not route, and the bound rejects in the
+    run."""
+    flowless = clearing._flowless
     families = ["random", "tie-rich", "mn", "reduced", "coprime"]
     ran = set()  # (family, routed)
+    rejected = []
 
     @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(families))
     def referee(seed, family):
-        def counting(demands, counted):
-            routed = determined(demands, counted)
-            ran.add((family, routed))
-            return routed
+        def counting(*args):
+            verdict = flowless(*args)
+            ran.add((family, verdict is True))
+            rejected.append(verdict is False)
+            return verdict
 
         m, p = random_instance(random.Random(seed), family)
         n = m.n_goods
         for mode, eps in ((EXACT, 0), (QUASI, 0), (APPROXIMATE, F(1, n**13)), (APPROXIMATE, F(1, 2))):
-            with mock.patch.object(clearing, "_determined", counting):
-                routed = _certificate_bytes(m, p, mode, eps)
-            with mock.patch.object(clearing, "_determined", lambda *args: False):
-                assert _certificate_bytes(m, p, mode, eps) == routed, (family, seed, mode, eps)
+            with mock.patch.object(clearing, "_flowless", counting):
+                bound = _certificate_bytes(m, p, mode, eps)
+            with mock.patch.object(clearing, "_flowless", lambda *args: None):
+                assert _certificate_bytes(m, p, mode, eps) == bound, (family, seed, mode, eps)
 
     referee()
     assert ran == {(f, routed) for f in families for routed in (True, False)}, ran
+    assert any(rejected), len(rejected)

@@ -617,6 +617,11 @@ CLI_BOUNDARY = [
      "error: prices: normalized must be a boolean"),
     ("validate-artifacts", ["validate", "{prices}", "{profile}", "{meta}"], 0, "meta: game n=2, goods=6"),
     ("validate-unknown-schema", ["validate", "{unknown}"], 2, "INVALID - unrecognized schema"),
+    ("validate-top-level-array", ["validate", "{list}"], 2, "INVALID - top-level JSON must be an object"),
+    ("validate-dense-column", ["validate", "{dense_column}"], 2, "column 0 of A has more than 10 nonzeros"),
+    ("prices-empty", ["verify", "--market", "{market}", "--prices", "{empty_prices}"], 2, "error: empty price vector"),
+    ("search-box-reversed", ["search-eq", "--market", "{market}", "--box-lo", "2", "--box-hi", "1"], 2,
+     "error: box intervals must satisfy 0 <= lo <= hi"),
     # causes in the program's result: good 0's supply sums 1/p over 1,200
     # primes, so the report's numbers run past the int-digit limit, and the
     # certificate, echoed as written, is still written
@@ -632,6 +637,10 @@ _BOUNDARY_FILES = {
     "list": [],
     "int_normalized": {"prices": ["1", "2"], "normalized": 1},
     "unknown": {"foo": 1},
+    "empty_prices": {"prices": []},
+    # a 12 x 12 game whose rows are sparse but whose column 0 of A holds 11 nonzeros
+    "dense_column": {"n": 12, "A": [["1" if i < 11 and j == 0 else "0" for j in range(12)] for i in range(12)],
+                     "B": [["0"] * 12 for _ in range(12)]},
     "primes": market_to_obj(_prime_market(10007, 1200)),
     "ones": {"prices": ["1", "1"]},
 }

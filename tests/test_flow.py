@@ -144,10 +144,10 @@ def _random_network(rng):
 def _clearing_networks(monkeypatch):
     """Every arc list `clearing._solve` hands to the circulation core on
     M_n, seeded reduced markets, random markets and markets whose
-    denominators share no factor, so the integer scale mixes them.  Where
-    no trader has a choice `_solve` routes and builds no arc; elsewhere the
-    one-good cut is patched off, since it decides most clearing rejects
-    before the flow runs, and the referee needs infeasible networks."""
+    denominators share no factor, so the integer scale mixes them.  The
+    money bound is patched off, so every call builds its network: the bound
+    decides most verdicts before the flow runs, and the referee needs
+    infeasible networks."""
     captured = []
 
     def capture(arcs):
@@ -155,7 +155,7 @@ def _clearing_networks(monkeypatch):
         return flow.feasible_circulation(arcs)
 
     monkeypatch.setattr(clearing, "feasible_circulation", capture)
-    monkeypatch.setattr(clearing, "_short_good", lambda *args: False)
+    monkeypatch.setattr(clearing, "_flowless", lambda *args: None)
     rng = random.Random(20100)
     for n in range(2, 9):
         inside = [1 + F(rng.randint(0, 16), 16) for _ in range(n)]
