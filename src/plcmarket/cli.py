@@ -10,16 +10,21 @@ JSON tree, the parsed market, the flow network) live until it returns and are
 freed by reference counting, so collections during a command would rescan
 them and free nothing; the few cycles a command leaves do not grow with its
 work and are collected after it.
+
+Every command and its options are named in one table, `COMMANDS`, which
+`main` parses a command line against.  A usage error, such as an unknown
+command or option, a missing required option or a value of the wrong type,
+exits 2 with an `error:` message, as a bad input file does.
 """
 
 import functools
 import gc
+import inspect
 import sys
 import traceback
 from fractions import Fraction
 from pathlib import Path
-
-import click
+from typing import NamedTuple
 
 from . import serialize
 from .clearing import APPROXIMATE, MODES, verify
@@ -40,14 +45,14 @@ def _guard(fn):
         try:
             return fn(*args, **kwargs)
         except InternalInvariantViolation as exc:
-            click.echo(f"internal invariant violation: {exc}", err=True)
+            print(f"internal invariant violation: {exc}", file=sys.stderr)
             sys.exit(3)
         except (MarketError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            print(f"error: {exc}", file=sys.stderr)
             sys.exit(2)
         except Exception as exc:  # a crash must not exit 1, which means "reject"
             traceback.print_exc()
-            click.echo(f"internal error: {exc!r}", err=True)
+            print(f"internal error: {exc!r}", file=sys.stderr)
             sys.exit(3)
         finally:
             if was_enabled:
@@ -59,9 +64,9 @@ def _guard(fn):
 def _emit(obj, out: str | None, as_json: bool, human: str | None = None):
     text = serialize.write_json(out, obj) if out else None
     if as_json or not out and human is None:
-        click.echo(text or serialize.dumps(obj), nl=False)
+        sys.stdout.write(text or serialize.dumps(obj))
     elif human is not None:
-        click.echo(human)
+        print(human)
 
 
 MAX_EPS_EXPONENT = 64  # bounds the big-integer work of n^-K; the paper needs K <= 13
@@ -92,15 +97,6 @@ def _resolve_eps(text: str, n_goods: int, game_n: int | None = None) -> Fraction
     return parse_epsilon(text)
 
 
-@click.group()
-def main():
-    """Exchange-market equilibrium verifier and game-reduction toolkit."""
-
-
-@main.command("gen-mn")
-@click.option("--n", "n", type=int, required=True, help="Number of goods (>= 2).")
-@click.option("-o", "out", type=click.Path(), default=None, help="Output market JSON.")
-@click.option("--json", "as_json", is_flag=True, help="Print JSON to stdout.")
 @_guard
 def gen_mn(n: int, out, as_json):
     """Generate the price-regulating market M_n."""
@@ -108,10 +104,6 @@ def gen_mn(n: int, out, as_json):
           f"wrote M_{n} to {out}" if out else None)
 
 
-@main.command("reduce")
-@click.option("--game", "game_path", type=click.Path(exists=True), required=True)
-@click.option("-o", "out", type=click.Path(), required=True, help="Output market JSON.")
-@click.option("--meta", "meta_path", type=click.Path(), required=True, help="Output metadata JSON.")
 @_guard
 def reduce_cmd(game_path, out, meta_path):
     """Compile a sparse normalized game into its reduced market."""
@@ -119,16 +111,9 @@ def reduce_cmd(game_path, out, meta_path):
     market, meta = build_reduced_market(game)
     serialize.write_json(out, market)
     serialize.write_json(meta_path, serialize.meta_to_obj(meta))
-    click.echo(f"reduced {game.n}x{game.n} game to market with {market.n_goods} goods, {len(market.traders)} traders")
+    print(f"reduced {game.n}x{game.n} game to market with {market.n_goods} goods, {len(market.traders)} traders")
 
 
-@main.command("verify")
-@click.option("--market", "market_path", type=click.Path(exists=True), required=True)
-@click.option("--prices", "prices_path", type=click.Path(exists=True), required=True)
-@click.option("--mode", type=click.Choice(MODES), default=APPROXIMATE, show_default=True)
-@click.option("--eps", default="0", show_default=True, help="Tolerance (rational, approximate mode only).")
-@click.option("-o", "out", type=click.Path(), default=None, help="Write certificate JSON.")
-@click.option("--json", "as_json", is_flag=True, help="Print certificate JSON to stdout.")
 @_guard
 def verify_cmd(market_path, prices_path, mode, eps, out, as_json):
     """Check whether a price vector is an equilibrium; exit 0 iff accepted."""
@@ -142,11 +127,6 @@ def verify_cmd(market_path, prices_path, mode, eps, out, as_json):
     sys.exit(0 if cert.accepted else 1)
 
 
-@main.command("extract")
-@click.option("--prices", "prices_path", type=click.Path(exists=True), required=True)
-@click.option("--meta", "meta_path", type=click.Path(exists=True), required=True)
-@click.option("-o", "out", type=click.Path(), default=None, help="Output strategy JSON.")
-@click.option("--json", "as_json", is_flag=True)
 @_guard
 def extract_cmd(prices_path, meta_path, out, as_json):
     """Read the encoded strategy pair off a reduced-market price vector."""
@@ -158,11 +138,6 @@ def extract_cmd(prices_path, meta_path, out, as_json):
     _emit(obj, out, as_json, f"extracted strategies to {out}{note}" if out else None)
 
 
-@main.command("check-nash")
-@click.option("--game", "game_path", type=click.Path(exists=True), required=True)
-@click.option("--profile", "profile_path", type=click.Path(exists=True), required=True)
-@click.option("--eps", default="n^-6", show_default=True, help='Tolerance: rational or "n^-6" style.')
-@click.option("--json", "as_json", is_flag=True)
 @_guard
 def check_nash(game_path, profile_path, eps, as_json):
     """Well-supported Nash check; exit 0 iff the profile passes."""
@@ -183,10 +158,6 @@ def check_nash(game_path, profile_path, eps, as_json):
     sys.exit(0 if result.passed else 1)
 
 
-@main.command("solve-game")
-@click.option("--game", "game_path", type=click.Path(exists=True), required=True)
-@click.option("-o", "out", type=click.Path(), default=None)
-@click.option("--json", "as_json", is_flag=True)
 @_guard
 def solve_game(game_path, out, as_json):
     """Enumerate exact equilibria of a game with n <= 4 by support pairs."""
@@ -196,15 +167,6 @@ def solve_game(game_path, out, as_json):
     _emit(obj, out, as_json, f"{len(eqs)} equilibria written to {out}" if out else None)
 
 
-@main.command("search-eq")
-@click.option("--market", "market_path", type=click.Path(exists=True), required=True)
-@click.option("--eps", default="0", show_default=True)
-@click.option("--grid-k", type=int, default=4, show_default=True, help="Subdivisions per coordinate.")
-@click.option("--rounds", type=int, default=2, show_default=True, help="Refinement rounds.")
-@click.option("--box-lo", default="1", show_default=True)
-@click.option("--box-hi", default="2", show_default=True)
-@click.option("-o", "out", type=click.Path(), default=None)
-@click.option("--json", "as_json", is_flag=True)
 @_guard
 def search_eq(market_path, eps, grid_k, rounds, box_lo, box_hi, out, as_json):
     """Grid search for an approximate equilibrium; exit 0 iff one verifies."""
@@ -253,8 +215,6 @@ def _validate_one(path: str) -> tuple[bool, str]:
     return False, "unrecognized schema"
 
 
-@main.command("validate")
-@click.argument("paths", nargs=-1, required=True, type=click.Path(exists=True))
 @_guard
 def validate_cmd(paths):
     """Validate artifact files; exit 0 iff all are valid."""
@@ -265,17 +225,10 @@ def validate_cmd(paths):
         except (MarketError, OSError) as exc:
             ok, detail = False, str(exc)
         all_ok &= ok
-        click.echo(f"{path}: {'OK' if ok else 'INVALID'} - {detail}")
+        print(f"{path}: {'OK' if ok else 'INVALID'} - {detail}")
     sys.exit(0 if all_ok else 2)
 
 
-@main.command("pipeline")
-@click.option("--game", "game_path", type=click.Path(exists=True), required=True)
-@click.option("--outdir", type=click.Path(), required=True)
-@click.option("--eps", default="N^-13", show_default=True, help="Market tolerance (N = goods, n = game size).")
-@click.option("--nash-eps", default="n^-6", show_default=True, help="Well-supported Nash tolerance.")
-@click.option("--grid-k", type=int, default=1, show_default=True)
-@click.option("--rounds", type=int, default=2, show_default=True)
 @_guard
 def pipeline(game_path, outdir, eps, nash_eps, grid_k, rounds):
     """Reduce, search, extract, and Nash-check a game end to end.
@@ -335,11 +288,181 @@ def pipeline(game_path, outdir, eps, nash_eps, grid_k, rounds):
             for x, y in eqs
         ]
     serialize.write_json(outdir / "summary.json", summary)
-    click.echo(
+    print(
         f"pipeline done: equilibrium {'found' if rep.accepted else 'not found'}"
         f" at eps={format_rational(eps_val)}; artifacts in {outdir}"
     )
     sys.exit(0 if ok else 1)
+
+
+REQUIRED = object()  # the default of an option that must be given
+
+
+class Option(NamedTuple):
+    """One option of a command: its flag, the keyword it fills, how its value
+    is read (str; int; a tuple of the allowed values; bool for a flag, which
+    takes no value; list for the positional arguments, whose flag is their
+    name) and its default."""
+
+    flag: str
+    dest: str
+    kind: object = str
+    default: object = None
+    help: str = ""
+
+
+COMMANDS = {
+    "gen-mn": (gen_mn, (
+        Option("--n", "n", int, REQUIRED, "Number of goods (>= 2)."),
+        Option("-o", "out", help="Output market JSON."),
+        Option("--json", "as_json", bool, False, "Print JSON to stdout."),
+    )),
+    "reduce": (reduce_cmd, (
+        Option("--game", "game_path", default=REQUIRED),
+        Option("-o", "out", default=REQUIRED, help="Output market JSON."),
+        Option("--meta", "meta_path", default=REQUIRED, help="Output metadata JSON."),
+    )),
+    "verify": (verify_cmd, (
+        Option("--market", "market_path", default=REQUIRED),
+        Option("--prices", "prices_path", default=REQUIRED),
+        Option("--mode", "mode", MODES, APPROXIMATE),
+        Option("--eps", "eps", default="0", help="Tolerance (rational, approximate mode only)."),
+        Option("-o", "out", help="Write certificate JSON."),
+        Option("--json", "as_json", bool, False, "Print certificate JSON to stdout."),
+    )),
+    "extract": (extract_cmd, (
+        Option("--prices", "prices_path", default=REQUIRED),
+        Option("--meta", "meta_path", default=REQUIRED),
+        Option("-o", "out", help="Output strategy JSON."),
+        Option("--json", "as_json", bool, False),
+    )),
+    "check-nash": (check_nash, (
+        Option("--game", "game_path", default=REQUIRED),
+        Option("--profile", "profile_path", default=REQUIRED),
+        Option("--eps", "eps", default="n^-6", help='Tolerance: rational or "n^-6" style.'),
+        Option("--json", "as_json", bool, False),
+    )),
+    "solve-game": (solve_game, (
+        Option("--game", "game_path", default=REQUIRED),
+        Option("-o", "out"),
+        Option("--json", "as_json", bool, False),
+    )),
+    "search-eq": (search_eq, (
+        Option("--market", "market_path", default=REQUIRED),
+        Option("--eps", "eps", default="0"),
+        Option("--grid-k", "grid_k", int, 4, "Subdivisions per coordinate."),
+        Option("--rounds", "rounds", int, 2, "Refinement rounds."),
+        Option("--box-lo", "box_lo", default="1"),
+        Option("--box-hi", "box_hi", default="2"),
+        Option("-o", "out"),
+        Option("--json", "as_json", bool, False),
+    )),
+    "validate": (validate_cmd, (
+        Option("PATHS", "paths", list, REQUIRED, "Artifact files."),
+    )),
+    "pipeline": (pipeline, (
+        Option("--game", "game_path", default=REQUIRED),
+        Option("--outdir", "outdir", default=REQUIRED),
+        Option("--eps", "eps", default="N^-13", help="Market tolerance (N = goods, n = game size)."),
+        Option("--nash-eps", "nash_eps", default="n^-6", help="Well-supported Nash tolerance."),
+        Option("--grid-k", "grid_k", int, 1),
+        Option("--rounds", "rounds", int, 2),
+    )),
+}
+
+
+def _usage_error(message: str, command: str | None = None):
+    print(f"error: {message} (see plcmarket {command + ' ' if command else ''}--help)", file=sys.stderr)
+    sys.exit(2)
+
+
+def _help(command: str | None = None):
+    if command is None:
+        usage, doc, header = "COMMAND [OPTIONS]", main.__doc__.splitlines()[0], "commands:"
+        rows = [(name, fn.__doc__.splitlines()[0]) for name, (fn, _) in COMMANDS.items()]
+    else:
+        fn, options = COMMANDS[command]
+        usage = f"{command} [OPTIONS]" + "".join(f" {opt.flag}..." for opt in options if opt.kind is list)
+        doc, header, rows = inspect.cleandoc(fn.__doc__), "options:", []
+        for opt in options:
+            metavar = ("" if opt.kind is bool else "..." if opt.kind is list else
+                       " {" + ",".join(opt.kind) + "}" if isinstance(opt.kind, tuple) else " " + opt.dest.upper())
+            note = ("[required]" if opt.default is REQUIRED else
+                    f"[default: {opt.default}]" if opt.default is not None and opt.kind is not bool else "")
+            rows.append((opt.flag + metavar, " ".join(filter(None, (opt.help, note)))))
+    rows.append(("--help", "Show this message and exit."))
+    width = max(len(head) for head, _ in rows)
+    print(f"usage: plcmarket {usage}\n\n{doc}\n\n{header}")
+    for head, text in rows:
+        print(f"  {head:<{width}}  {text}")
+    sys.exit(0)
+
+
+def _parse(command: str, args) -> dict:
+    """The keyword arguments of one command line, by the usual rules: a value
+    option takes the text after `=` or else the next token, whatever it starts
+    with; a flag takes no value; the last occurrence wins; values are
+    converted once every token is read."""
+    options = COMMANDS[command][1]
+    by_flag = {opt.flag: opt for opt in options}
+    given, rest = {}, []
+    tokens = iter(args)
+    for token in tokens:
+        if not token.startswith("-"):
+            rest.append(token)
+        elif token == "--help":
+            _help(command)
+        else:
+            flag, eq, value = token.partition("=")
+            opt = by_flag.get(flag)
+            if opt is None:
+                _usage_error(f"no such option: {flag}", command)
+            if opt.kind is bool:
+                if eq:
+                    _usage_error(f"option {flag} does not take a value", command)
+                value = True
+            elif not eq:
+                value = next(tokens, None)
+                if value is None:
+                    _usage_error(f"option {flag} requires a value", command)
+            given[opt.dest] = value
+    if rest:
+        if options[0].kind is not list:
+            _usage_error(f"unexpected extra argument {rest[0]!r}", command)
+        given[options[0].dest] = rest
+    kwargs = {}
+    for opt in options:
+        value = given.get(opt.dest, opt.default)
+        if value is REQUIRED:
+            _usage_error(f"missing {'argument' if opt.kind is list else 'option'} {opt.flag}", command)
+        if opt.dest in given and opt.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"invalid value for {opt.flag}: {value!r} is not an integer", command)
+        elif isinstance(opt.kind, tuple) and value not in opt.kind:
+            _usage_error(f"invalid value for {opt.flag}: {value!r} is not one of {', '.join(opt.kind)}", command)
+        kwargs[opt.dest] = value
+    return kwargs
+
+
+def main(argv=None, standalone_mode: bool = True):
+    """Exchange-market equilibrium verifier and game-reduction toolkit.
+
+    Runs the command line argv (sys.argv[1:] when None).  A command that
+    decides a verdict ends in SystemExit with its exit code; one that returns
+    ends in SystemExit(0) in standalone mode, and returns otherwise."""
+    args = sys.argv[1:] if argv is None else argv
+    if not args:
+        _usage_error("missing command")
+    command, *rest = args
+    if command == "--help":
+        _help()
+    if command not in COMMANDS:
+        _usage_error(f"no such {'option' if command[:1] == '-' else 'command'}: {command}")
+    COMMANDS[command][0](**_parse(command, rest))
+    if standalone_mode:
+        sys.exit(0)
 
 
 if __name__ == "__main__":

@@ -11,10 +11,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-from click.testing import CliRunner
-
 from plcmarket.clearing import APPROXIMATE, EXACT, QUASI, verify
-from plcmarket.cli import main as cli_main
 from plcmarket.errors import DegenerateExtraction, PLCValidationError, UnboundedDemand
 from plcmarket.games import check_wsne, mixed, solve_game_support_enum, validate_game
 from plcmarket.model import classify_market, normalize_prices, prices
@@ -22,6 +19,7 @@ from plcmarket.plc import validate_plc
 from plcmarket.reduction import build_reduced_market, extract_strategies
 from plcmarket.regulating import build_mn
 
+from cli_run import run
 from oracles import (
     brute_force_clearing,
     canonical_bundle,
@@ -369,11 +367,8 @@ def _run_pipeline(tmp_path, name: str):
         json.dumps({"n": 2, "A": [["1", "0"], ["0", "1"]], "B": [["1", "0"], ["0", "1"]]})
     )
     outdir = tmp_path / name
-    result = CliRunner().invoke(
-        cli_main,
-        ["pipeline", "--game", str(game_file), "--outdir", str(outdir),
-         "--grid-k", "1", "--rounds", "2"],
-    )
+    result = run("pipeline", "--game", str(game_file), "--outdir", str(outdir),
+                 "--grid-k", "1", "--rounds", "2")
     assert result.exit_code in (0, 1), result.output
     return outdir
 

@@ -3,13 +3,11 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
 import plcmarket
 from plcmarket import clearing, demand
-from plcmarket.cli import main
 from plcmarket.clearing import APPROXIMATE, EXACT, MODES, QUASI, verify
 from plcmarket.demand import Bundle, int_demand
 from plcmarket.errors import (
@@ -26,6 +24,7 @@ from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn
 from plcmarket.serialize import dumps, prices_to_obj
 
+from cli_run import run
 from oracles import (
     brute_force_clearing,
     bundle_in_demand,
@@ -418,9 +417,9 @@ def test_verify_cli_exits_3_on_a_corrupted_witness(tmp_path, monkeypatch):
     market.write_text(dumps(build_mn(4)))
     vec.write_text(dumps(prices_to_obj(prices([1, 2, F(5, 4), F(11, 8)]))))
     args = ["verify", "--market", str(market), "--prices", str(vec), "--mode", "approximate", "--eps", "1/4"]
-    assert CliRunner().invoke(main, args).exit_code == 0
+    assert run(*args).exit_code == 0
     monkeypatch.setattr(clearing, "_solve", _corrupting_solve(_drop_canonical_entry, []))
-    res = CliRunner().invoke(main, args)
+    res = run(*args)
     assert res.exit_code == 3 and "internal invariant violation" in res.output
 
 
@@ -443,7 +442,7 @@ def test_witness_recheck_rejects_a_witness_outside_the_clearing_window(tmp_path,
     monkeypatch.setattr(clearing, "_solve", _corrupting_solve(_move_money_across_the_tie, []))
     with pytest.raises(InternalInvariantViolation, match="^witness violates clearing window on good 0$"):
         verify(m, p, EXACT)
-    res = CliRunner().invoke(main, args)
+    res = run(*args)
     assert res.exit_code == 3 and "internal invariant violation" in res.output
 
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import re
 import sys
 import tempfile
 import time
@@ -8,12 +9,10 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plcmarket import serialize
-from plcmarket.cli import main
 from plcmarket.clearing import APPROXIMATE, verify
 from plcmarket.errors import InternalInvariantViolation, InvalidMarket
 from plcmarket.games import validate_game
@@ -23,11 +22,8 @@ from plcmarket.reduction import build_reduced_market
 from plcmarket.regulating import build_mn
 from plcmarket.search import SearchReport
 
+from cli_run import run
 from oracles import game_to_obj, market_to_obj, random_sparse_game_matrices
-
-
-def run(*args):
-    return CliRunner().invoke(main, list(args))
 
 
 def write(path, obj):
@@ -629,6 +625,53 @@ CLI_BOUNDARY = [
                            "-o", "{cert}", "--json"], 1, '"reason": "clearing-infeasible"'),
     ("digit-limit-approximate", ["verify", "--market", "{primes}", "--prices", "{ones}", "--eps", "1/2",
                                  "-o", "{cert}", "--json"], 1, '"reason": "clearing-infeasible"'),
+    # an input path that does not exist: every command reads its inputs
+    # before it writes anything, so it exits 2 and leaves no file behind
+    ("missing-game-on-reduce", ["reduce", "--game", "{missing}", "-o", "{cert}", "--meta", "{out}"], 2,
+     "error: [Errno 2] No such file or directory"),
+    ("missing-market-on-verify", ["verify", "--market", "{missing}", "--prices", "{prices}", "-o", "{cert}"], 2,
+     "error: [Errno 2] No such file or directory"),
+    ("missing-prices-on-verify", ["verify", "--market", "{market}", "--prices", "{missing}", "-o", "{cert}"], 2,
+     "error: [Errno 2] No such file or directory"),
+    ("missing-prices-on-extract", ["extract", "--prices", "{missing}", "--meta", "{meta}", "-o", "{cert}"], 2,
+     "error: [Errno 2] No such file or directory"),
+    ("missing-meta-on-extract", ["extract", "--prices", "{prices}", "--meta", "{missing}", "-o", "{cert}"], 2,
+     "error: [Errno 2] No such file or directory"),
+    ("missing-game-on-check-nash", ["check-nash", "--game", "{missing}", "--profile", "{profile}"], 2,
+     "error: [Errno 2] No such file or directory"),
+    ("missing-profile-on-check-nash", ["check-nash", "--game", "{game}", "--profile", "{missing}"], 2,
+     "error: [Errno 2] No such file or directory"),
+    ("missing-game-on-solve-game", ["solve-game", "--game", "{missing}", "-o", "{cert}"], 2,
+     "error: [Errno 2] No such file or directory"),
+    ("missing-market-on-search-eq", ["search-eq", "--market", "{missing}", "-o", "{cert}"], 2,
+     "error: [Errno 2] No such file or directory"),
+    ("missing-game-on-pipeline", ["pipeline", "--game", "{missing}", "--outdir", "{outdir}"], 2,
+     "error: [Errno 2] No such file or directory"),
+    ("missing-path-on-validate", ["validate", "{prices}", "{missing}"], 2,
+     "missing.json: INVALID - [Errno 2] No such file or directory"),
+    # usage errors exit 2, as a bad input does, and never 1 (reject) or 3
+    ("no-command", [], 2, "error: missing command"),
+    ("unknown-command", ["bogus"], 2, "error: no such command: bogus"),
+    ("unknown-option", ["verify", "--market", "{market}", "--prices", "{prices}", "--bogus"], 2,
+     "error: no such option: --bogus"),
+    ("option-of-another-command", ["gen-mn", "--n", "2", "--eps", "1/2"], 2, "error: no such option: --eps"),
+    ("missing-required-option", ["verify", "--market", "{market}"], 2, "error: missing option --prices"),
+    ("option-without-value", ["verify", "--market", "{market}", "--prices"], 2,
+     "error: option --prices requires a value"),
+    ("int-option-not-an-int", ["gen-mn", "--n", "x"], 2, "error: invalid value for --n: 'x' is not an integer"),
+    ("choice-not-allowed", ["verify", "--market", "{market}", "--prices", "{prices}", "--mode", "bogus"], 2,
+     "error: invalid value for --mode: 'bogus' is not one of exact, approximate, quasi"),
+    ("flag-given-a-value", ["gen-mn", "--n", "2", "--json=yes"], 2, "error: option --json does not take a value"),
+    ("extra-argument", ["gen-mn", "--n", "2", "extra"], 2, "error: unexpected extra argument 'extra'"),
+    ("validate-without-paths", ["validate"], 2, "error: missing argument PATHS"),
+    # a value option takes its value after = or as the next token, whatever it starts with
+    ("eps-after-equals", ["verify", "--market", "{market}", "--prices", "{prices}", "--eps=-1/2"], 2,
+     "error: epsilon must be nonnegative, got '-1/2'"),
+    ("eps-starting-with-dash", ["check-nash", "--game", "{game}", "--profile", "{profile}", "--eps", "-1/2"], 2,
+     "error: epsilon must be nonnegative, got '-1/2'"),
+    ("last-occurrence-wins", ["verify", "--market", "{market}", "--prices", "{prices}", "--eps", "-1",
+                              "--eps=1/2", "--mode", "exact", "--mode", "approximate", "--json"], 0,
+     '"epsilon": "1/2"'),
 ]
 _BOUNDARY_FILES = {
     "prices": {"prices": ["1", "2"], "normalized": True},
@@ -643,17 +686,53 @@ _BOUNDARY_FILES = {
                      "B": [["0"] * 12 for _ in range(12)]},
     "primes": market_to_obj(_prime_market(10007, 1200)),
     "ones": {"prices": ["1", "1"]},
+    "game": COORD,
 }
 
 
 @pytest.mark.parametrize("args, code, text", [row[1:] for row in CLI_BOUNDARY], ids=[row[0] for row in CLI_BOUNDARY])
 def test_cli_boundary(tmp_path, args, code, text):
-    files = {name: tmp_path / f"{name}.json" for name in ("market", "cert", *_BOUNDARY_FILES)}
+    # cert, out and outdir are outputs, and missing is never written
+    files = {name: tmp_path / f"{name}.json" for name in ("market", "cert", "out", "outdir", "missing",
+                                                          *_BOUNDARY_FILES)}
     assert run("gen-mn", "--n", "2", "-o", str(files["market"])).exit_code == 0
     for name, obj in _BOUNDARY_FILES.items():
         write(files[name], obj)
+    before = sorted(tmp_path.rglob("*"))
     res = run(*(arg.format(**files) for arg in args))
     assert res.exit_code == code and text in res.output
+    if code == 2:
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+# every command, and the options its --help must name
+OPTIONS = {
+    "gen-mn": ["--n", "-o", "--json"],
+    "reduce": ["--game", "-o", "--meta"],
+    "verify": ["--market", "--prices", "--mode", "--eps", "-o", "--json"],
+    "extract": ["--prices", "--meta", "-o", "--json"],
+    "check-nash": ["--game", "--profile", "--eps", "--json"],
+    "solve-game": ["--game", "-o", "--json"],
+    "search-eq": ["--market", "--eps", "--grid-k", "--rounds", "--box-lo", "--box-hi", "-o", "--json"],
+    "validate": ["PATHS"],
+    "pipeline": ["--game", "--outdir", "--eps", "--nash-eps", "--grid-k", "--rounds"],
+}
+
+
+@pytest.mark.parametrize("command", [None, *OPTIONS])
+def test_help_exits_0_and_names_every_option(command):
+    res = run(*([command] if command else []), "--help")
+    assert res.exit_code == 0
+    names = list(OPTIONS) if command is None else OPTIONS[command]
+    assert all(re.search(rf"^  {re.escape(name)}\b", res.output, re.M) for name in [*names, "--help"]), res.output
+
+
+def test_value_options_take_tokens_that_start_with_a_dash(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    res = run("gen-mn", "--n=2", "-o", "-x.json", "--json")
+    assert res.exit_code == 0 and res.output == (tmp_path / "-x.json").read_text()
+    res = run("validate", "./-x.json")
+    assert res.exit_code == 0 and res.output.startswith("./-x.json: OK")
 
 
 _PRIMES = _primes(2, 400)

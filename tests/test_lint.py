@@ -3,11 +3,13 @@
 No module of the package other than `__init__.py`, which re-exports, may
 import a name it never reads.  No module may define, at module level, a
 function, class or constant that no module of the package reads and
-`plcmarket.__all__` does not export; a click command is registered by its
-decorator and needs no reader.
+`plcmarket.__all__` does not export.  No module may import anything but the
+standard library and the package itself: the package has no runtime
+dependency.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import plcmarket
@@ -40,14 +42,12 @@ def test_no_module_imports_a_name_it_never_reads():
 
 
 def _definitions(tree: ast.Module) -> dict[str, int]:
-    """Module-level functions, classes and constants -> line, click commands
-    and dunder names left out."""
+    """Module-level functions, classes and constants -> line, dunder names
+    left out."""
     defined = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            if not any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr == "command"
-                       for d in node.decorator_list):
-                defined[node.name] = node.lineno
+            defined[node.name] = node.lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 if isinstance(target, ast.Name):
@@ -73,8 +73,8 @@ def _unread_definitions(sources: dict[str, str], exported) -> list[str]:
 def test_unread_definition_is_found():
     sources = {
         "a.py": "X = 1\nY: int = 2\n__all__ = []\ndef f(): pass\nclass C: pass\n"
-                "@main.command('go')\ndef go(): pass\ndef g(): return f()\n",
-        "b.py": "from . import a\na.C\n",
+                "def go(): pass\nTABLE = {'go': go}\ndef g(): return f()\n",
+        "b.py": "from . import a\na.C\na.TABLE\n",
     }
     assert _unread_definitions(sources, {"Y"}) == ["a.py line 1: X", "a.py line 8: g"]
 
@@ -82,3 +82,23 @@ def test_unread_definition_is_found():
 def test_every_module_level_definition_is_read_or_exported():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert _unread_definitions(sources, plcmarket.__all__) == []
+
+
+def _foreign_imports(source: str) -> list[str]:
+    """Top-level modules that source imports from outside the standard
+    library and the package (relative imports are the package's)."""
+    tree = ast.parse(source)
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level]
+    tops = {name.partition(".")[0] for name in names}
+    return sorted(tops - set(sys.stdlib_module_names) - {"plcmarket"})
+
+
+def test_foreign_import_is_found():
+    source = "import os.path, click\nfrom . import cli\nfrom plcmarket.cli import main\nfrom numpy import linalg\n"
+    assert _foreign_imports(source) == ["click", "numpy"]
+
+
+def test_package_imports_only_the_standard_library():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, source in sources.items() if (found := _foreign_imports(source))} == {}
